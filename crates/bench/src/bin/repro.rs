@@ -9,9 +9,9 @@
 //! repro graphs                 Figures 11/18: DOT summary graphs for SmallBank and TPC-C
 //! repro smallbank-ground-truth Section 7.2: confirm non-robust SmallBank subsets with concrete
 //!                              MVRC counterexample schedules
-//! repro bench-subsets [--out P] median subset-exploration times (naive vs shared vs pruned
-//!                              vs sharded, plus the setup phase and the per-subset rate) on
-//!                              the paper benchmarks + YCSB-T, written to
+//! repro bench-subsets [--out P] median subset-exploration times (naive vs shared vs pruned,
+//!                              plus the setup phase and the per-subset rate) on the paper
+//!                              benchmarks + YCSB-T, written to
 //!                              BENCH_subsets.json (or P)
 //! repro bench-edits [--out P]  median re-sweep times after a workload edit (fresh vs
 //!                              incremental verdict reuse, remove + re-add scenarios), written
@@ -38,7 +38,7 @@ use mvrc_benchmarks::{auction, auction_n, smallbank, tpcc, ycsb_t, YcsbtConfig};
 use mvrc_dist::{open_snapshot, save_snapshot, session_from_snapshot_bytes};
 use mvrc_robustness::{
     explore_subsets, explore_subsets_naive, explore_subsets_with, to_dot, AnalysisSettings,
-    CycleCondition, DotOptions, ExploreOptions, RobustnessSession, SweepKernel, SweepStrategy,
+    CycleCondition, DotOptions, ExploreOptions, RobustnessSession,
 };
 use mvrc_schedule::{find_counterexample, SearchConfig};
 use serde::Serialize;
@@ -246,22 +246,8 @@ struct SubsetBenchRow {
     naive_us: f64,
     /// Median time of the shared-graph exhaustive sweep, in microseconds.
     shared_us: f64,
-    /// Median time of the closure-pruned sweep under the default kernel (bit-sliced), in
-    /// microseconds.
+    /// Median time of the closure-pruned sweep, in microseconds.
     pruned_us: f64,
-    /// Median time of the closure-pruned sweep pinned to [`SweepKernel::Scalar`] — the
-    /// one-subset-at-a-time oracle the bit-sliced kernel is cross-checked against, in
-    /// microseconds.
-    scalar_pruned_us: f64,
-    /// Median time of the closure-pruned sweep pinned to [`SweepKernel::BitSliced`] (up to 64
-    /// subsets of a popcount level per graph traversal), in microseconds. Pinned explicitly —
-    /// unlike `pruned_us` it keeps measuring the bit-sliced kernel even if the default
-    /// changes — so the CI gate can assert `bitsliced_us ≤ scalar_pruned_us` durably.
-    bitsliced_us: f64,
-    /// Median time of the closure-pruned sweep driven by the eager `ShardSpec` plan
-    /// (`SweepStrategy::Sharded` — the in-process twin of the `mvrc shard` protocol), in
-    /// microseconds.
-    sharded_us: f64,
     /// `pruned_us / subsets`: the pruned sweep's per-subset rate, in microseconds.
     pruned_per_subset_us: f64,
     /// Cycle tests actually run by the pruned sweep (the other paths run `subsets` tests).
@@ -292,18 +278,6 @@ fn bench_subsets(out_path: &str) {
         closure_pruning: false,
         ..ExploreOptions::default()
     };
-    let sharded = ExploreOptions {
-        strategy: SweepStrategy::Sharded,
-        ..ExploreOptions::default()
-    };
-    let scalar = ExploreOptions {
-        kernel: Some(SweepKernel::Scalar),
-        ..ExploreOptions::default()
-    };
-    let bitsliced = ExploreOptions {
-        kernel: Some(SweepKernel::BitSliced),
-        ..ExploreOptions::default()
-    };
     let rows: Vec<SubsetBenchRow> = [
         smallbank(),
         tpcc(),
@@ -332,15 +306,6 @@ fn bench_subsets(out_path: &str) {
         let pruned_us = median_us(RUNS, || {
             explore_subsets(&session, settings);
         });
-        let scalar_pruned_us = median_us(RUNS, || {
-            explore_subsets_with(&session, settings, scalar);
-        });
-        let bitsliced_us = median_us(RUNS, || {
-            explore_subsets_with(&session, settings, bitsliced);
-        });
-        let sharded_us = median_us(RUNS, || {
-            explore_subsets_with(&session, settings, sharded);
-        });
         let programs = session.program_names().len();
         let subsets = (1 << programs) - 1;
         SubsetBenchRow {
@@ -351,9 +316,6 @@ fn bench_subsets(out_path: &str) {
             naive_us,
             shared_us,
             pruned_us,
-            scalar_pruned_us,
-            bitsliced_us,
-            sharded_us,
             pruned_per_subset_us: pruned_us / subsets as f64,
             cycle_tests: pruned.cycle_tests,
             pruned_subsets: pruned.pruned,
@@ -365,13 +327,13 @@ fn bench_subsets(out_path: &str) {
     .collect();
 
     println!(
-        "== Subset exploration medians ({RUNS} runs): setup + naive vs shared vs closure-pruned (scalar vs bit-sliced) vs sharded =="
+        "== Subset exploration medians ({RUNS} runs): setup + naive vs shared vs closure-pruned =="
     );
     for row in &rows {
         println!(
-            "  {:<10} setup={:>8.1}µs  naive={:>9.1}µs  shared={:>9.1}µs  pruned={:>9.1}µs  scalar={:>9.1}µs  bitsliced={:>9.1}µs  sharded={:>9.1}µs  per-subset={:>7.2}µs  ({} of {} cycle tests run, {} pruned, {} threads)",
+            "  {:<10} setup={:>8.1}µs  naive={:>9.1}µs  shared={:>9.1}µs  pruned={:>9.1}µs  per-subset={:>7.2}µs  ({} of {} cycle tests run, {} pruned, {} threads)",
             row.benchmark, row.setup_us, row.naive_us, row.shared_us, row.pruned_us,
-            row.scalar_pruned_us, row.bitsliced_us, row.sharded_us, row.pruned_per_subset_us,
+            row.pruned_per_subset_us,
             row.cycle_tests, row.subsets, row.pruned_subsets, row.threads
         );
     }

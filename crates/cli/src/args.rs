@@ -1,7 +1,7 @@
 //! Command-line argument parsing (hand-rolled; no external dependency).
 
 use crate::error::CliError;
-use mvrc_robustness::{AnalysisSettings, CycleCondition, Granularity, SweepKernel};
+use mvrc_robustness::{AnalysisSettings, CycleCondition, Granularity};
 
 /// Where the workload comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,8 +67,6 @@ pub enum Command {
         /// `--incremental --cache F`: reuse (and update) the verdicts of the previous run
         /// stored in the snapshot file `F`, re-sweeping only subsets an edit invalidated.
         cache: Option<String>,
-        /// `--kernel <scalar|bitsliced>`: pin the sweep kernel (default: bit-sliced).
-        kernel: Option<SweepKernel>,
     },
     /// `mvrc graph <workload>`: the summary graph as Graphviz DOT.
     Graph {
@@ -100,9 +98,6 @@ pub enum Command {
         /// `--resume-from D`: reuse the verdict files of the completed prior run in directory
         /// `D` (may equal `--dir`), dispatching only the subsets the workload edit invalidated.
         resume_from: Option<String>,
-        /// `--kernel <scalar|bitsliced>`: the sweep kernel every worker uses (recorded in the
-        /// plan; default: bit-sliced).
-        kernel: Option<SweepKernel>,
     },
     /// `mvrc shard work --dir D --worker I`: run one worker process of a planned sweep.
     ShardWork {
@@ -245,9 +240,6 @@ OPTIONS:
     --labels      include statement labels on graph edges (graph)
     --threads N   pin the worker-pool size used by parallel sweeps (default: MVRC_THREADS
                   or the available parallelism); N must be at least 1
-    --kernel K    the subset-sweep kernel: `bitsliced` (default; one graph traversal decides
-                  up to 64 subsets packed into u64 lanes) or `scalar` (one induced view per
-                  subset — the cross-check oracle) (subsets / shard plan)
     --incremental reuse the previous run's verdicts from the --cache snapshot, re-sweeping
                   only subsets a workload edit invalidated (subsets; requires --cache)
     --cache F     the snapshot file holding the previous run's verdicts; created on the first
@@ -350,7 +342,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut programs: Option<Vec<String>> = None;
     let mut cache: Option<String> = None;
     let mut resume_from: Option<String> = None;
-    let mut kernel: Option<SweepKernel> = None;
 
     // Shared parser for `--flag <positive integer>` values.
     fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
@@ -423,17 +414,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     CliError::Usage("`--resume-from` needs a shard directory".to_string())
                 })?;
                 resume_from = Some((*path).to_string());
-            }
-            "--kernel" => {
-                i += 1;
-                let name = rest.get(i).ok_or_else(|| {
-                    CliError::Usage("`--kernel` needs `scalar` or `bitsliced`".to_string())
-                })?;
-                kernel = Some(SweepKernel::parse(name).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "unknown sweep kernel `{name}` (expected `scalar` or `bitsliced`)"
-                    ))
-                })?);
             }
             "--workers" => {
                 i += 1;
@@ -510,11 +490,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "`--resume-from` only applies to `shard plan`".to_string(),
         ));
     }
-    if kernel.is_some() && command != "subsets" && command != "shard plan" {
-        return Err(CliError::Usage(
-            "`--kernel` only applies to `subsets` and `shard plan`".to_string(),
-        ));
-    }
 
     match command.as_str() {
         "analyze" => Ok(Command::Analyze {
@@ -538,7 +513,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             settings,
             format,
             cache,
-            kernel,
         }),
         "graph" => Ok(Command::Graph {
             input: require_input(input)?,
@@ -555,7 +529,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             workers: workers.unwrap_or(2),
             shards_per_level,
             resume_from,
-            kernel,
         }),
         "shard work" => {
             if input.is_some() {
@@ -920,7 +893,6 @@ mod tests {
                 settings,
                 format,
                 cache,
-                kernel,
             } => {
                 assert_eq!(input, Input::Benchmark("smallbank".into()));
                 assert_eq!(settings.granularity, Granularity::Tuple);
@@ -928,50 +900,8 @@ mod tests {
                 assert_eq!(settings.condition, CycleCondition::TypeI);
                 assert_eq!(format, Format::Json);
                 assert_eq!(cache, None);
-                assert_eq!(kernel, None);
             }
             other => panic!("unexpected command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn kernel_flag_parses_and_is_scoped() {
-        let cmd = parse_args(&args(&["subsets", "w.sql", "--kernel", "scalar"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Subsets {
-                kernel: Some(SweepKernel::Scalar),
-                ..
-            }
-        ));
-        let cmd = parse_args(&args(&[
-            "shard",
-            "plan",
-            "--benchmark",
-            "smallbank",
-            "--dir",
-            "d",
-            "--kernel",
-            "bitsliced",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::ShardPlan {
-                kernel: Some(SweepKernel::BitSliced),
-                ..
-            }
-        ));
-        for bad in [
-            vec!["subsets", "w.sql", "--kernel"],
-            vec!["subsets", "w.sql", "--kernel", "vectorized"],
-            vec!["analyze", "w.sql", "--kernel", "scalar"],
-            vec!["shard", "merge", "--dir", "d", "--kernel", "scalar"],
-        ] {
-            assert!(
-                matches!(parse_args(&args(&bad)), Err(CliError::Usage(_))),
-                "expected a usage error for {bad:?}"
-            );
         }
     }
 
@@ -1048,7 +978,6 @@ mod tests {
                 workers,
                 shards_per_level,
                 resume_from,
-                kernel,
             } => {
                 assert_eq!(input, Input::Benchmark("smallbank".into()));
                 assert_eq!(settings.granularity, Granularity::Tuple);
@@ -1056,7 +985,6 @@ mod tests {
                 assert_eq!(workers, 3);
                 assert_eq!(shards_per_level, Some(8));
                 assert_eq!(resume_from, None);
-                assert_eq!(kernel, None);
             }
             other => panic!("unexpected command {other:?}"),
         }

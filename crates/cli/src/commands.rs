@@ -7,7 +7,7 @@ use mvrc_btp::sql::parse_workload_file;
 use mvrc_btp::unfold_set_le2;
 use mvrc_robustness::{
     abbreviate_program_name, explore_subsets_with, to_dot, AnalysisSettings, DotOptions,
-    ExploreOptions, RobustnessSession, SweepKernel,
+    ExploreOptions, RobustnessSession, TooManyPrograms,
 };
 use std::fmt::Write as _;
 use std::fs;
@@ -53,8 +53,7 @@ pub fn execute(command: Command) -> Result<CommandOutput, CliError> {
             settings,
             format,
             cache,
-            kernel,
-        } => subsets(&input, settings, format, cache.as_deref(), kernel),
+        } => subsets(&input, settings, format, cache.as_deref()),
         Command::Graph {
             input,
             settings,
@@ -68,7 +67,6 @@ pub fn execute(command: Command) -> Result<CommandOutput, CliError> {
             workers,
             shards_per_level,
             resume_from,
-            kernel,
         } => shard_plan(
             &input,
             settings,
@@ -76,7 +74,6 @@ pub fn execute(command: Command) -> Result<CommandOutput, CliError> {
             workers,
             shards_per_level,
             resume_from.as_deref(),
-            kernel,
         ),
         Command::ShardWork {
             dir,
@@ -468,12 +465,13 @@ fn subsets(
     settings: AnalysisSettings,
     format: Format,
     cache: Option<&str>,
-    kernel: Option<SweepKernel>,
 ) -> Result<CommandOutput, CliError> {
     let session = RobustnessSession::new(load_workload(input)?);
+    TooManyPrograms::check(session.program_names().len()).map_err(CliError::TooManyPrograms)?;
     let exploration = match cache {
         // `--incremental --cache F`: seed the session with the previous run's verdicts (a
-        // version-2 snapshot), sweep only what the edit invalidated, save the updated cache.
+        // snapshot's sweep section), sweep only what the edit invalidated, save the updated
+        // cache.
         Some(cache_path) => {
             if Path::new(cache_path).exists() {
                 let (prior, _) = mvrc_dist::open_snapshot(cache_path)
@@ -501,7 +499,6 @@ fn subsets(
                 settings,
                 ExploreOptions {
                     incremental: true,
-                    kernel,
                     ..ExploreOptions::default()
                 },
             );
@@ -509,14 +506,7 @@ fn subsets(
                 .map_err(|e| CliError::Shard(e.to_string()))?;
             exploration
         }
-        None => explore_subsets_with(
-            &session,
-            settings,
-            ExploreOptions {
-                kernel,
-                ..ExploreOptions::default()
-            },
-        ),
+        None => explore_subsets_with(&session, settings, ExploreOptions::default()),
     };
     let workload = session.workload();
 
@@ -581,15 +571,11 @@ fn shard_plan(
     workers: usize,
     shards_per_level: Option<usize>,
     resume_from: Option<&str>,
-    kernel: Option<SweepKernel>,
 ) -> Result<CommandOutput, CliError> {
     let session = RobustnessSession::new(load_workload(input)?);
     let mut options = mvrc_dist::PlanOptions::for_workers(workers);
     if let Some(shards) = shards_per_level {
         options.shards_per_level = shards;
-    }
-    if let Some(kernel) = kernel {
-        options.kernel = kernel;
     }
     let plan = mvrc_dist::create_plan_dir_resuming(
         &session,
@@ -927,7 +913,6 @@ mod tests {
             settings: AnalysisSettings::paper_default(),
             format: Format::Text,
             cache: None,
-            kernel: None,
         })
         .unwrap();
         assert_eq!(out.exit_code, 0);
@@ -953,7 +938,6 @@ mod tests {
             settings: AnalysisSettings::paper_default(),
             format: Format::Text,
             cache: Some(cache.to_str().unwrap().to_string()),
-            kernel: None,
         };
 
         // First run: nothing to reuse; the cache snapshot is created.
@@ -988,69 +972,61 @@ mod tests {
             settings: AnalysisSettings::paper_default(),
             format: Format::Text,
             cache: Some(cache.to_str().unwrap().to_string()),
-            kernel: None,
         });
         assert!(matches!(mismatched, Err(CliError::Shard(msg)) if msg.contains("schema")));
         std::fs::remove_file(&cache).ok();
     }
 
     #[test]
-    fn shard_merge_json_is_byte_identical_under_both_kernels() {
-        // The dist worker calls `run_shard` directly; whatever kernel the plan pins, the
-        // merged JSON must match the single-process `mvrc subsets --json` byte for byte.
+    fn shard_merge_json_is_byte_identical_to_subsets_json() {
+        // The dist workers run `run_shard` directly; the merged JSON must match the
+        // single-process `mvrc subsets --json` byte for byte.
         let single = execute(Command::Subsets {
             input: Input::Benchmark("smallbank".into()),
             settings: AnalysisSettings::paper_default(),
             format: Format::Json,
             cache: None,
-            kernel: None,
         })
         .unwrap();
-        for kernel in [SweepKernel::BitSliced, SweepKernel::Scalar] {
-            let dir = std::env::temp_dir().join(format!(
-                "mvrc-cli-shard-{}-{:?}-{}",
-                std::process::id(),
-                std::thread::current().id(),
-                kernel.name()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            let dir_str = dir.to_str().unwrap().to_string();
-            execute(Command::ShardPlan {
-                input: Input::Benchmark("smallbank".into()),
-                settings: AnalysisSettings::paper_default(),
-                dir: dir_str.clone(),
-                workers: 2,
-                shards_per_level: None,
-                resume_from: None,
-                kernel: Some(kernel),
-            })
-            .unwrap();
-            std::thread::scope(|scope| {
-                for worker in 0..2 {
-                    let dir_str = dir_str.clone();
-                    scope.spawn(move || {
-                        execute(Command::ShardWork {
-                            dir: dir_str,
-                            worker,
-                            wait_secs: 60,
-                        })
-                        .unwrap();
-                    });
-                }
-            });
-            let merged = execute(Command::ShardMerge {
-                dir: dir_str,
-                format: Format::Json,
-            })
-            .unwrap();
-            assert_eq!(
-                merged.text,
-                single.text,
-                "shard merge diverged from the single-process sweep under the {} kernel",
-                kernel.name()
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let dir = std::env::temp_dir().join(format!(
+            "mvrc-cli-shard-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_str = dir.to_str().unwrap().to_string();
+        execute(Command::ShardPlan {
+            input: Input::Benchmark("smallbank".into()),
+            settings: AnalysisSettings::paper_default(),
+            dir: dir_str.clone(),
+            workers: 2,
+            shards_per_level: None,
+            resume_from: None,
+        })
+        .unwrap();
+        std::thread::scope(|scope| {
+            for worker in 0..2 {
+                let dir_str = dir_str.clone();
+                scope.spawn(move || {
+                    execute(Command::ShardWork {
+                        dir: dir_str,
+                        worker,
+                        wait_secs: 60,
+                    })
+                    .unwrap();
+                });
+            }
+        });
+        let merged = execute(Command::ShardMerge {
+            dir: dir_str,
+            format: Format::Json,
+        })
+        .unwrap();
+        assert_eq!(
+            merged.text, single.text,
+            "shard merge diverged from the single-process sweep"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -21,6 +21,8 @@ pub enum CliError {
     Shard(String),
     /// A `serve` / `client` step failed (bind, connect, tenant boot or server-side error).
     Serve(String),
+    /// `subsets` was asked to sweep more programs than the sweep accepts.
+    TooManyPrograms(mvrc_robustness::TooManyPrograms),
 }
 
 impl fmt::Display for CliError {
@@ -31,6 +33,7 @@ impl fmt::Display for CliError {
             CliError::Workload(msg) => write!(f, "invalid workload: {msg}"),
             CliError::Shard(msg) => write!(f, "shard error: {msg}"),
             CliError::Serve(msg) => write!(f, "serve error: {msg}"),
+            CliError::TooManyPrograms(e) => write!(f, "{e}"),
         }
     }
 }

@@ -14,8 +14,12 @@ fn main() -> ExitCode {
         }
         Err(err) => {
             eprintln!("mvrc: {err}");
-            eprintln!();
-            eprintln!("{}", mvrc_cli::USAGE);
+            // The usage text helps with a malformed command line; after any other error it
+            // would only bury the one line that matters.
+            if matches!(err, mvrc_cli::CliError::Usage(_)) {
+                eprintln!();
+                eprintln!("{}", mvrc_cli::USAGE);
+            }
             ExitCode::from(2)
         }
     }

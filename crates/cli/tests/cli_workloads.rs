@@ -129,3 +129,32 @@ fn malformed_workload_files_are_reported_with_context() {
     assert!(matches!(err, CliError::Workload(_)), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn sweeps_beyond_the_program_limit_exit_2_with_one_line() {
+    // Auction(25) has 50 programs, beyond the sweep limit of 20: both sweep commands refuse it
+    // with a single-line error and exit code 2 instead of panicking.
+    let dir = std::env::temp_dir().join(format!("mvrc-cli-too-wide-{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    for command in [
+        vec!["subsets", "--benchmark", "auction-n=25"],
+        vec!["shard", "plan", "--benchmark", "auction-n=25", "--dir", dir],
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+            .args(&command)
+            .output()
+            .expect("spawn mvrc");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{command:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("50 programs exceed the limit of 20"),
+            "{command:?}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{command:?}");
+    }
+    assert!(
+        !std::path::Path::new(dir).exists(),
+        "the plan is refused before the directory is created"
+    );
+}

@@ -5,7 +5,7 @@
 use crate::algorithm::RobustnessOutcome;
 use crate::analysis::AnalysisReport;
 use crate::settings::{AnalysisSettings, CycleCondition, Granularity};
-use crate::subsets::{CachedSweep, SweepKernel};
+use crate::subsets::CachedSweep;
 use crate::summary::{program_fingerprint, SummaryGraph, UnknownProgram};
 use mvrc_btp::{unfold, LinearProgram, Program, Workload};
 use mvrc_par::Parallelism;
@@ -52,9 +52,9 @@ impl GraphKey {
 /// BTPs once; the first query under a given granularity/foreign-key combination runs
 /// Algorithm 1 once and caches the resulting [`SummaryGraph`]; every further query —
 /// [`analyze`](Self::analyze), [`analyze_programs`](Self::analyze_programs),
-/// [`is_robust`](Self::is_robust) and the subset sweeps of [`crate::explore_subsets`] — is a
-/// cheap [`InducedView`](crate::InducedView) (or full-graph view) over a cached graph, never a
-/// reconstruction. Workload edits ([`add_program`](Self::add_program) /
+/// [`is_robust`](Self::is_robust) and the subset sweeps of [`crate::explore_subsets`] — runs
+/// on a cached graph (a full-graph view, a cheap [`InducedView`](crate::InducedView) or a
+/// bit-sliced lane batch), never a reconstruction. Workload edits ([`add_program`](Self::add_program) /
 /// [`remove_program`](Self::remove_program)) update every cached graph incrementally,
 /// re-deriving only the Algorithm 1 edge rows that touch changed nodes.
 ///
@@ -104,7 +104,6 @@ pub struct RobustnessSession {
     /// leave them untouched and the rebase happens lazily at the next incremental sweep.
     sweeps: Mutex<HashMap<AnalysisSettings, CachedSweep>>,
     parallelism: Parallelism,
-    sweep_kernel: SweepKernel,
 }
 
 impl RobustnessSession {
@@ -125,7 +124,6 @@ impl RobustnessSession {
             cache: Default::default(),
             sweeps: Mutex::new(HashMap::new()),
             parallelism: Parallelism::Auto,
-            sweep_kernel: SweepKernel::default(),
         }
     }
 
@@ -159,7 +157,6 @@ impl RobustnessSession {
             cache: Default::default(),
             sweeps: Mutex::new(HashMap::new()),
             parallelism: Parallelism::Auto,
-            sweep_kernel: SweepKernel::default(),
         }
     }
 
@@ -179,25 +176,6 @@ impl RobustnessSession {
     /// The session's parallelism pin (how much of the pool sweeps may use).
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
-    }
-
-    /// Pins which [`SweepKernel`] this session's subset sweeps use
-    /// ([`SweepKernel::BitSliced`] — the default — batches up to 64 subsets per graph
-    /// traversal). Individual calls can still override this through
-    /// [`crate::ExploreOptions::kernel`].
-    pub fn with_sweep_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.sweep_kernel = kernel;
-        self
-    }
-
-    /// Changes the session's [`SweepKernel`] in place; see [`Self::with_sweep_kernel`].
-    pub fn set_sweep_kernel(&mut self, kernel: SweepKernel) {
-        self.sweep_kernel = kernel;
-    }
-
-    /// The session's sweep-kernel pin (how subset sweeps test undecided masks).
-    pub fn sweep_kernel(&self) -> SweepKernel {
-        self.sweep_kernel
     }
 
     /// The workload this session analyzes.
@@ -262,7 +240,7 @@ impl RobustnessSession {
 
     /// Installs (or replaces) a cached sweep for these settings. Called by the incremental
     /// sweep after it completes, and by the `mvrc-dist` snapshot layer when reopening a
-    /// version-2 snapshot; external callers may also seed a session with the cache of a
+    /// snapshot; external callers may also seed a session with the cache of a
     /// *different* session over an identical schema — the entry carries its own program
     /// identities and is rebased onto this session's programs at the next incremental sweep.
     ///
@@ -288,7 +266,7 @@ impl RobustnessSession {
 
     /// Every cached sweep, in a deterministic settings order (attribute before tuple
     /// granularity, no-FK before FK, type-I before type-II) — the serialization hook of the
-    /// `mvrc-dist` version-2 snapshot format.
+    /// sweep section of the `mvrc-dist` snapshot format.
     pub fn cached_sweeps(&self) -> Vec<(AnalysisSettings, CachedSweep)> {
         let sweeps = self.sweeps.lock().expect("session sweep cache poisoned");
         let mut entries: Vec<(AnalysisSettings, CachedSweep)> = sweeps
@@ -355,7 +333,6 @@ impl RobustnessSession {
             cache,
             sweeps: Mutex::new(HashMap::new()),
             parallelism: Parallelism::Auto,
-            sweep_kernel: SweepKernel::default(),
         }
     }
 
@@ -500,7 +477,6 @@ impl Clone for RobustnessSession {
                     .clone(),
             ),
             parallelism: self.parallelism,
-            sweep_kernel: self.sweep_kernel,
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Shared read-only array slabs: the storage behind the summary graph's derived arrays
 //! (CSR adjacency, reachability words).
 //!
-//! A freshly constructed graph owns its arrays as plain `Vec`s. A graph reopened from a
-//! version-3 `mvrc-dist` snapshot instead *borrows* them from the snapshot mapping: the slab
+//! A freshly constructed graph owns its arrays as plain `Vec`s. A graph reopened from an
+//! `mvrc-dist` snapshot instead *borrows* them from the snapshot mapping: the slab
 //! holds an `Arc` to the mapping (any [`SlabOwner`]) plus an offset/length pair, so opening a
 //! snapshot installs the on-disk words directly — no per-element decode, no allocation
 //! proportional to the workload. This module is entirely safe; the only `unsafe` involved

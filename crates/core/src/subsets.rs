@@ -3,8 +3,8 @@
 //! Section 7.2 of the paper reports, for every benchmark and setting, the *maximal* subsets of
 //! transaction programs that the respective test attests robust (Figures 6 and 7). This module
 //! reproduces that exploration on top of the [`RobustnessSession`]: one cached summary graph
-//! per settings combination, one cheap induced view per tested subset, and — by default —
-//! **downward-closure pruning** (Proposition 5.2): robustness is preserved under taking
+//! per settings combination, one lane of a bit-sliced traversal per tested subset, and — by
+//! default — **downward-closure pruning** (Proposition 5.2): robustness is preserved under taking
 //! subsets, so masks are enumerated by descending popcount and every subset of a set already
 //! attested robust is marked robust without running its cycle test.
 //!
@@ -15,11 +15,19 @@
 //! chunk positions a cursor by colexicographic unranking (the combinatorial number system) and
 //! then walks masks in numerically increasing order with Gosper's hack. No level is ever
 //! collected into a `Vec` — peak memory is one small accumulator per active chunk,
-//! O(workers × chunk state), independent of the level size ([`SubsetExploration::masks_buffered`]
-//! makes this observable). The pre-runtime level-materializing traversal is retained behind
-//! [`SweepStrategy::Materialized`] as a cross-check oracle.
+//! O(workers × chunk state), independent of the level size.
+//!
+//! Every chunk — in-process, or a [`ShardSpec`] handed to a `mvrc-dist` worker process — runs
+//! through the one entry point [`RankRangeSweep::run_shard`], which packs up to 64 undecided
+//! masks into `u64` lanes and decides each batch with one lane-parallel traversal of the shared
+//! graph (the private `kernels` module docs describe the membership-word encoding and the
+//! within-level pruning-soundness argument). [`explore_subsets_naive`], which rebuilds the
+//! summary graph and runs the scalar cycle test per subset, is the oracle it is checked against.
+//!
+//! The sweep is exponential: it accepts at most [`MAX_SWEEP_PROGRAMS`] programs, and
+//! [`TooManyPrograms`] is the typed error for larger workloads.
 
-use crate::algorithm::{is_robust, is_robust_view};
+use crate::algorithm::is_robust;
 use crate::kernels;
 use crate::session::RobustnessSession;
 use crate::settings::AnalysisSettings;
@@ -28,63 +36,43 @@ use mvrc_btp::LinearProgram;
 use mvrc_par::{fold_chunks, Parallelism, WorkerLocal};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// How a popcount level of the sweep is traversed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SweepStrategy {
-    /// Stream the level as lazily split rank ranges (colex unranking + Gosper successor):
-    /// nothing is materialized, peak memory is O(workers × chunk).
-    #[default]
-    Streamed,
-    /// Materialize the level's masks into a `Vec` before fanning out — the pre-runtime
-    /// behaviour, kept as the oracle the streamed path is cross-checked against.
-    Materialized,
-    /// Drive each level through an eagerly planned [`ShardSpec`] partition — the same work
-    /// description the `mvrc-dist` coordinator fans out to worker *processes* — executed
-    /// in-process over the pool. Cross-checked against [`SweepStrategy::Streamed`] and
-    /// [`SweepStrategy::Materialized`] so the distributed protocol rides on a plan shape the
-    /// oracles validate.
-    Sharded,
+/// The largest number of programs a subset sweep accepts. The sweep visits all `2^n - 1`
+/// non-empty subsets, and its rank arithmetic and verdict bitsets are sized for this bound.
+pub const MAX_SWEEP_PROGRAMS: usize = 20;
+
+/// A subset sweep was requested over more than [`MAX_SWEEP_PROGRAMS`] programs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyPrograms {
+    /// The number of programs the sweep was asked to cover.
+    pub programs: usize,
 }
 
-/// Which per-mask decision kernel [`RankRangeSweep::run_shard`] uses.
-///
-/// Verdicts and counters are identical under either kernel (cross-checked in the test-suite
-/// and by the `mvrc-dist` merge byte-identity tests); the choice is purely a performance
-/// knob, with [`SweepKernel::Scalar`] retained as the oracle the bit-sliced path is checked
-/// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SweepKernel {
-    /// One induced view and one scalar cycle test per subset.
-    Scalar,
-    /// Pack up to 64 undecided masks of a level into `u64` lanes and decide them with one
-    /// lane-parallel traversal of the shared graph (the private `kernels` module docs
-    /// describe the membership-word encoding and the within-level pruning-soundness
-    /// argument).
-    #[default]
-    BitSliced,
-}
-
-impl SweepKernel {
-    /// Parses the CLI spelling (`scalar` / `bitsliced`).
-    pub fn parse(s: &str) -> Option<SweepKernel> {
-        match s {
-            "scalar" => Some(SweepKernel::Scalar),
-            "bitsliced" => Some(SweepKernel::BitSliced),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling (`scalar` / `bitsliced`), inverse of [`SweepKernel::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepKernel::Scalar => "scalar",
-            SweepKernel::BitSliced => "bitsliced",
+impl TooManyPrograms {
+    /// `Ok` when a sweep over `programs` programs is within [`MAX_SWEEP_PROGRAMS`].
+    pub fn check(programs: usize) -> Result<(), TooManyPrograms> {
+        if programs > MAX_SWEEP_PROGRAMS {
+            Err(TooManyPrograms { programs })
+        } else {
+            Ok(())
         }
     }
 }
+
+impl fmt::Display for TooManyPrograms {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "subset exploration is exponential: {} programs exceed the limit of {MAX_SWEEP_PROGRAMS}",
+            self.programs
+        )
+    }
+}
+
+impl std::error::Error for TooManyPrograms {}
 
 /// Options controlling the subset exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,8 +86,6 @@ pub struct ExploreOptions {
     /// the attested-robust family is downward closed because an induced subgraph can only lose
     /// cycles — and cross-checked against the exhaustive path in the test-suite.
     pub closure_pruning: bool,
-    /// Level traversal: streamed rank ranges (default) or the materializing oracle.
-    pub strategy: SweepStrategy,
     /// Reuse (and update) the session's [`CachedSweep`] for these settings: verdicts of the
     /// last completed sweep are rebased onto the current program set — after
     /// [`RobustnessSession::remove_program`] every surviving subset keeps its verdict verbatim
@@ -122,12 +108,6 @@ pub struct ExploreOptions {
     /// (Not serialized: a thread cap is an execution detail, not part of the result's shape.)
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// The per-mask decision kernel. `None` (the default) defers to the session's
-    /// [`RobustnessSession::sweep_kernel`] pin, itself defaulting to
-    /// [`SweepKernel::BitSliced`]; `Some` overrides it for this call. (Not serialized:
-    /// verdicts are kernel-independent, so the kernel is an execution detail.)
-    #[serde(skip)]
-    pub kernel: Option<SweepKernel>,
 }
 
 impl Default for ExploreOptions {
@@ -135,11 +115,9 @@ impl Default for ExploreOptions {
         ExploreOptions {
             parallel_threshold: 64,
             closure_pruning: true,
-            strategy: SweepStrategy::Streamed,
             incremental: false,
             incremental_min_subsets: default_incremental_min_subsets(),
             parallelism: Parallelism::Auto,
-            kernel: None,
         }
     }
 }
@@ -167,10 +145,6 @@ pub struct SubsetExploration {
     /// at all ([`ExploreOptions::incremental`]); `0` on a fresh sweep. Every non-empty subset
     /// is accounted for exactly once: `cycle_tests + pruned + reused == 2^n - 1`.
     pub reused: usize,
-    /// Number of level masks that were materialized into buffers before testing: `0` on the
-    /// streamed path (the acceptance gauge for "no level is collected into a `Vec`"), the sum
-    /// of the level sizes under [`SweepStrategy::Materialized`].
-    pub masks_buffered: usize,
 }
 
 impl SubsetExploration {
@@ -208,20 +182,24 @@ impl SubsetExploration {
     }
 }
 
-/// Pascal's triangle up to `C(n, k)` for `n ≤ 20`: the rank arithmetic of the streamed
-/// traversal (level sizes, colex unranking). Lives on the stack (3.5 KiB) so opening one
-/// costs no allocation per sweep.
+/// Pascal's triangle up to `C(n, k)` for `n ≤ MAX_SWEEP_PROGRAMS`: the rank arithmetic of
+/// the streamed traversal (level sizes, colex unranking). Lives on the stack (3.5 KiB) so
+/// opening one costs no allocation per sweep.
 struct Binomials {
     n: usize,
-    choose: [[usize; 21]; 21],
+    choose: [[usize; MAX_SWEEP_PROGRAMS + 1]; MAX_SWEEP_PROGRAMS + 1],
 }
 
 impl Binomials {
     fn new(n: usize) -> Self {
-        // Unreachable through `explore_subsets*` (which bound n at 20 first); a hard assert
-        // so any future caller fails loudly instead of indexing out of bounds.
-        assert!(n <= 20, "Binomials supports n <= 20, got {n}");
-        let mut choose = [[0usize; 21]; 21];
+        // The sweep entry points check the bound first and return or report
+        // `TooManyPrograms`; a hard assert so any other caller fails loudly instead of
+        // indexing out of bounds.
+        assert!(
+            n <= MAX_SWEEP_PROGRAMS,
+            "Binomials supports n <= {MAX_SWEEP_PROGRAMS}, got {n}"
+        );
+        let mut choose = [[0usize; MAX_SWEEP_PROGRAMS + 1]; MAX_SWEEP_PROGRAMS + 1];
         for row in 0..=n {
             choose[row][0] = 1;
             for col in 1..=row {
@@ -269,10 +247,10 @@ fn next_same_popcount(mask: usize) -> usize {
 /// One shard of a popcount level: the contiguous slice `rank_start..rank_end` of the
 /// colexicographic rank space `0..C(n, level)` of the `level`-subsets.
 ///
-/// A `ShardSpec` is the *work description* of the sweep: in-process,
-/// [`SweepStrategy::Sharded`] folds a planned list of them over the `mvrc-par` pool; across
-/// processes, the `mvrc-dist` coordinator fans the same specs out to worker processes. Either
-/// way, [`RankRangeSweep::run_shard`] executes one spec.
+/// A `ShardSpec` is the *work description* of the sweep: in-process, every chunk the
+/// `mvrc-par` pool splits off a level is one; across processes, the `mvrc-dist` coordinator
+/// fans planned specs out to worker processes. Either way, [`RankRangeSweep::run_shard`]
+/// executes one spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ShardSpec {
     /// Popcount of the masks this shard covers (the sweep level).
@@ -322,34 +300,20 @@ impl ShardCounters {
 }
 
 /// `C(n, level)`: the number of masks on a popcount level, i.e. the size of the rank space
-/// [`ShardSpec`]s partition. Supports `n ≤ 20` (the sweep's own bound).
+/// [`ShardSpec`]s partition.
+///
+/// # Panics
+///
+/// Panics when `n` exceeds [`MAX_SWEEP_PROGRAMS`].
 pub fn level_size(n: usize, level: usize) -> usize {
     Binomials::new(n).c(n, level)
-}
-
-/// Partitions the rank space `0..C(n, level)` into at most `shards` contiguous, non-empty,
-/// near-equal [`ShardSpec`]s (sizes differ by at most one). Returns an empty plan for an
-/// empty level.
-pub fn plan_level_shards(n: usize, level: usize, shards: usize) -> Vec<ShardSpec> {
-    let size = level_size(n, level);
-    if size == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, size);
-    (0..shards)
-        .map(|s| ShardSpec {
-            level,
-            rank_start: size * s / shards,
-            rank_end: size * (s + 1) / shards,
-        })
-        .collect()
 }
 
 /// Partitions a set of disjoint, ascending rank ranges at one level into at most `shards`
 /// contiguous, non-empty [`ShardSpec`]s of near-equal total size. Chunks that straddle a gap
 /// between ranges are split at the gap, so the spec count can exceed `shards` by at most the
-/// number of ranges. With a single range `(0, C(n, level))` this reproduces
-/// [`plan_level_shards`] exactly.
+/// number of ranges. With the single range `(0, C(n, level))` the specs partition the whole
+/// level into near-equal parts (sizes differ by at most one).
 pub fn plan_range_shards(level: usize, ranges: &[(usize, usize)], shards: usize) -> Vec<ShardSpec> {
     let total: usize = ranges.iter().map(|(s, e)| e.saturating_sub(*s)).sum();
     if total == 0 {
@@ -421,8 +385,8 @@ pub fn undecided_level_runs(n: usize, level: usize, decided: &[u64]) -> Vec<(usi
 /// the cache untouched across [`RobustnessSession::add_program`] /
 /// [`RobustnessSession::remove_program`] chains and is rebased onto the session's current
 /// program set only when the next incremental sweep runs ([`rebase_cached_sweep`]).
-/// Verdicts are independent of the pruning switch and the [`SweepStrategy`] (cross-checked in
-/// the test-suite), so one cache entry per [`AnalysisSettings`] combination suffices.
+/// Verdicts are independent of the pruning switch (cross-checked in the test-suite), so one
+/// cache entry per [`AnalysisSettings`] combination suffices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedSweep {
     /// The program names the mask bits refer to, in mask-bit order.
@@ -464,8 +428,8 @@ pub struct SweepSeed {
 /// the edit and its verdict transfers verbatim. Concretely, every old mask using only
 /// surviving programs is re-numbered into the new bit order (a pure mask compaction after
 /// removals, a bit expansion after additions); masks containing an added program are left
-/// undecided. Returns `None` when nothing carries over (no surviving program, or the word
-/// sizes are inconsistent).
+/// undecided. Returns `None` when nothing carries over (no surviving program, a program count
+/// beyond [`MAX_SWEEP_PROGRAMS`], or inconsistent word sizes).
 pub fn rebase_cached_sweep(
     cached: &CachedSweep,
     programs: &[String],
@@ -482,8 +446,8 @@ pub fn rebase_cached_sweep(
         program_fingerprints.len(),
         "program/fingerprint length mismatch"
     );
-    if old_n > 20
-        || programs.len() > 20
+    if old_n > MAX_SWEEP_PROGRAMS
+        || programs.len() > MAX_SWEEP_PROGRAMS
         || cached.robust.len() != CachedSweep::word_count_for(old_n)
     {
         return None;
@@ -534,11 +498,11 @@ pub fn rebase_cached_sweep(
 /// summary graph plus the atomic verdict bitset, addressed by [`ShardSpec`] rank ranges.
 ///
 /// This is the public entry point the distributed shard workers of `mvrc-dist` drive — and
-/// what every [`SweepStrategy`] of [`explore_subsets_with`] runs on in-process. The split
-/// into `run_shard` calls is *invisible in the result*: verdicts are deterministic per mask,
-/// and the pruning decision for a mask only reads the (fully published) verdicts of the level
-/// above, so any partition of a level — chunks, shards, processes — produces identical
-/// verdict bits and identical summed [`ShardCounters`].
+/// what [`explore_subsets_with`] runs on in-process. The split into `run_shard` calls is
+/// *invisible in the result*: verdicts are deterministic per mask, and the pruning decision
+/// for a mask only reads the (fully published) verdicts of the level above, so any partition
+/// of a level — chunks, shards, processes — produces identical verdict bits and identical
+/// summed [`ShardCounters`].
 ///
 /// External verdicts (e.g. the merged bits of other worker processes) are folded in through
 /// [`or_verdict_words`](Self::or_verdict_words); [`verdict_words`](Self::verdict_words)
@@ -555,17 +519,13 @@ pub struct RankRangeSweep {
     /// Masks whose verdict was adopted from a seed ([`Self::apply_seed`]): visited shards skip
     /// them without a cycle test or a pruning decision. `None` on a fresh sweep.
     decided: Option<Vec<u64>>,
-    /// The per-mask decision kernel ([`Self::with_kernel`]).
-    kernel: SweepKernel,
 }
 
-/// Per-worker sweep temporaries: the induced-view member buffer of the scalar kernel, the
-/// pending-mask batch and the lane matrices of the bit-sliced kernel. One slot per pool
-/// worker (plus a thread-local for non-pool callers), so sharded sweeps with many small
-/// shards stop churning allocations.
+/// Per-worker sweep temporaries: the pending-mask batch and the lane matrices. One slot per
+/// pool worker (plus a thread-local for non-pool callers), so sweeps split into many small
+/// chunks stop churning allocations.
 #[derive(Default)]
 struct SweepScratch {
-    members: Vec<NodeId>,
     batch: Vec<usize>,
     lanes: kernels::LaneScratch,
 }
@@ -587,22 +547,16 @@ thread_local! {
 
 impl RankRangeSweep {
     /// Opens a sweep over the session's programs under the given settings, using the session's
-    /// cached summary graph (built on first use).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the session has more than 20 programs (the sweep is exponential).
+    /// cached summary graph (built on first use). Fails with [`TooManyPrograms`] — before any
+    /// graph is built — when the session has more than [`MAX_SWEEP_PROGRAMS`] programs.
     pub fn new(
         session: &RobustnessSession,
         settings: AnalysisSettings,
         closure_pruning: bool,
-    ) -> Self {
+    ) -> Result<Self, TooManyPrograms> {
         let programs: Vec<String> = session.program_names().to_vec();
         let n = programs.len();
-        assert!(
-            n <= 20,
-            "subset exploration is exponential; {n} programs is too many"
-        );
+        TooManyPrograms::check(n)?;
         // One (cached) Algorithm 1 run over the full LTP set; node ids follow the LTP order,
         // so the per-program node lists are ascending and so are their concatenations.
         let graph = session.graph(settings);
@@ -619,7 +573,7 @@ impl RankRangeSweep {
             })
             .collect();
         let total = 1usize << n;
-        RankRangeSweep {
+        Ok(RankRangeSweep {
             graph,
             settings,
             closure_pruning,
@@ -628,21 +582,7 @@ impl RankRangeSweep {
             binomials: Binomials::new(n),
             bits: (0..total.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             decided: None,
-            kernel: SweepKernel::default(),
-        }
-    }
-
-    /// Selects the per-mask decision kernel (default: [`SweepKernel::BitSliced`]). Verdicts
-    /// and counters are identical either way; the scalar kernel is the cross-check oracle.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The decision kernel this sweep runs ([`Self::with_kernel`]).
-    pub fn kernel(&self) -> SweepKernel {
-        self.kernel
+        })
     }
 
     /// Adopts the verdicts of a [`SweepSeed`] (produced by [`rebase_cached_sweep`] or read
@@ -765,20 +705,6 @@ impl RankRangeSweep {
         self.bits[mask / 64].fetch_or(1u64 << (mask % 64), Ordering::Relaxed);
     }
 
-    /// Runs the cycle test for one mask (no pruning check) and publishes the verdict.
-    /// `members` is a reusable scratch buffer.
-    fn test_mask(&self, mask: usize, members: &mut Vec<NodeId>) {
-        members.clear();
-        for (i, nodes) in self.nodes_per_program.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                members.extend_from_slice(nodes);
-            }
-        }
-        if is_robust_view(&self.graph.induced(members), self.settings.condition) {
-            self.mark(mask);
-        }
-    }
-
     /// Decides a batch of up to 64 undecided masks with one lane-parallel traversal
     /// ([`kernels::sweep_lanes`]): lane `i` is mask `masks[i]`, each graph node's membership
     /// word ORs together the lanes whose subset contains the node's program. Robust lanes are
@@ -811,52 +737,11 @@ impl RankRangeSweep {
         }
     }
 
-    /// Runs the cycle test for a list of masks (no pruning checks) under the configured
-    /// kernel, publishing the verdicts. Drives the materialized strategy's eager work lists.
-    fn test_masks(&self, masks: &[usize], scratch: &mut SweepScratch) {
-        match self.kernel {
-            SweepKernel::Scalar => {
-                for &mask in masks {
-                    self.test_mask(mask, &mut scratch.members);
-                }
-            }
-            SweepKernel::BitSliced => {
-                for batch in masks.chunks(64) {
-                    self.flush_lane_batch(batch, &mut scratch.lanes);
-                }
-            }
-        }
-    }
-
     #[inline]
     fn is_decided(&self, mask: usize) -> bool {
         self.decided
             .as_ref()
             .is_some_and(|d| d[mask / 64] & (1u64 << (mask % 64)) != 0)
-    }
-
-    /// Decides one mask: adopt a seeded verdict (zero deltas), inherit through Proposition 5.2
-    /// or run the cycle test on an induced view. `members` is a reusable scratch buffer.
-    /// Returns the counter deltas.
-    fn visit_mask(&self, mask: usize, members: &mut Vec<NodeId>) -> ShardCounters {
-        if self.is_decided(mask) {
-            return ShardCounters::default();
-        }
-        let n = self.programs.len();
-        let inherited = self.closure_pruning
-            && (0..n).any(|i| mask & (1 << i) == 0 && self.is_marked(mask | (1 << i)));
-        if inherited {
-            self.mark(mask);
-            return ShardCounters {
-                cycle_tests: 0,
-                pruned: 1,
-            };
-        }
-        self.test_mask(mask, members);
-        ShardCounters {
-            cycle_tests: 1,
-            pruned: 0,
-        }
     }
 
     /// Sweeps one shard: unranks the first mask of the range once, then walks the range with
@@ -888,60 +773,39 @@ impl RankRangeSweep {
         if spec.is_empty() {
             return counters;
         }
-        with_sweep_scratch(|scratch| {
-            let SweepScratch {
-                members,
-                batch,
-                lanes,
-            } = scratch;
+        with_sweep_scratch(|SweepScratch { batch, lanes }| {
+            // Gather the undecided, non-inherited masks of the range into lane batches of 64
+            // and decide each batch with one traversal. Deferring the verdict publication to
+            // the batch flush is sound under Proposition 5.2 pruning: the inheritance check for
+            // a level-k mask reads only its one-bit supersets at level k+1 (fully published
+            // before this level ran) — never the in-flight verdicts of its own level — so
+            // batching changes neither any pruning decision nor any counter. The final flush
+            // below completes before the shard returns, hence before any level barrier.
             let mut mask = unrank_colex(spec.rank_start, spec.level, &self.binomials);
-            match self.kernel {
-                SweepKernel::Scalar => {
-                    for rank in spec.rank_start..spec.rank_end {
-                        counters = counters.merged(self.visit_mask(mask, members));
-                        if rank + 1 < spec.rank_end {
-                            mask = next_same_popcount(mask);
+            batch.clear();
+            for rank in spec.rank_start..spec.rank_end {
+                if !self.is_decided(mask) {
+                    let inherited = self.closure_pruning
+                        && (0..n).any(|i| mask & (1 << i) == 0 && self.is_marked(mask | (1 << i)));
+                    if inherited {
+                        self.mark(mask);
+                        counters.pruned += 1;
+                    } else {
+                        counters.cycle_tests += 1;
+                        batch.push(mask);
+                        if batch.len() == 64 {
+                            self.flush_lane_batch(batch, lanes);
+                            batch.clear();
                         }
                     }
                 }
-                SweepKernel::BitSliced => {
-                    // Gather the undecided, non-inherited masks of the range into lane
-                    // batches of 64 and decide each batch with one traversal. Deferring the
-                    // verdict publication to the batch flush is sound under Proposition 5.2
-                    // pruning: the inheritance check for a level-k mask reads only its
-                    // one-bit supersets at level k+1 (fully published before this level ran)
-                    // — never the in-flight verdicts of its own level — so batching changes
-                    // neither any pruning decision nor any counter. The final flush below
-                    // completes before the shard returns, hence before any level barrier.
-                    let n = self.programs.len();
-                    batch.clear();
-                    for rank in spec.rank_start..spec.rank_end {
-                        if !self.is_decided(mask) {
-                            let inherited = self.closure_pruning
-                                && (0..n).any(|i| {
-                                    mask & (1 << i) == 0 && self.is_marked(mask | (1 << i))
-                                });
-                            if inherited {
-                                self.mark(mask);
-                                counters.pruned += 1;
-                            } else {
-                                counters.cycle_tests += 1;
-                                batch.push(mask);
-                                if batch.len() == 64 {
-                                    self.flush_lane_batch(batch, lanes);
-                                    batch.clear();
-                                }
-                            }
-                        }
-                        if rank + 1 < spec.rank_end {
-                            mask = next_same_popcount(mask);
-                        }
-                    }
-                    if !batch.is_empty() {
-                        self.flush_lane_batch(batch, lanes);
-                        batch.clear();
-                    }
+                if rank + 1 < spec.rank_end {
+                    mask = next_same_popcount(mask);
                 }
+            }
+            if !batch.is_empty() {
+                self.flush_lane_batch(batch, lanes);
+                batch.clear();
             }
         });
         counters
@@ -950,12 +814,7 @@ impl RankRangeSweep {
     /// Assembles the final [`SubsetExploration`] from the current verdict bits, the summed
     /// counters of every shard that contributed (across chunks, shards or processes) and the
     /// number of verdicts adopted from a seed without a visit.
-    pub fn exploration(
-        &self,
-        counters: ShardCounters,
-        masks_buffered: usize,
-        reused: usize,
-    ) -> SubsetExploration {
+    pub fn exploration(&self, counters: ShardCounters, reused: usize) -> SubsetExploration {
         let n = self.programs.len();
         let total = 1usize << n;
         let mut robust: Vec<Vec<usize>> = (1..total)
@@ -972,14 +831,17 @@ impl RankRangeSweep {
             cycle_tests: counters.cycle_tests,
             pruned: counters.pruned,
             reused,
-            masks_buffered,
         }
     }
 }
 
 /// Explores every non-empty subset of the workload's programs and reports which are robust
-/// under the given settings, using the default [`ExploreOptions`] (closure pruning on,
-/// streamed levels).
+/// under the given settings, using the default [`ExploreOptions`] (closure pruning on).
+///
+/// # Panics
+///
+/// Panics when the session has more than [`MAX_SWEEP_PROGRAMS`] programs, like
+/// [`explore_subsets_with`].
 pub fn explore_subsets(
     session: &RobustnessSession,
     settings: AnalysisSettings,
@@ -990,10 +852,9 @@ pub fn explore_subsets(
 /// [`explore_subsets`] with explicit options.
 ///
 /// The session's cached summary graph for `settings` is (built once and) shared across the
-/// whole sweep; every tested subset is a cheap [induced view](SummaryGraph::induced) of it.
-/// This is sound because Algorithm 1's edges are defined pairwise over LTPs: the summary graph
-/// of a subset equals the induced subgraph of the full summary graph (only reachability has to
-/// be recomputed per view).
+/// whole sweep; every subset is decided on a lane of one traversal of that graph restricted to
+/// the subset's nodes. This is sound because Algorithm 1's edges are defined pairwise over
+/// LTPs: the summary graph of a subset equals the induced subgraph of the full summary graph.
 ///
 /// With `closure_pruning` enabled (the default), masks are processed level by level in
 /// descending popcount order; a mask whose immediate superset (one extra program) is already
@@ -1004,14 +865,18 @@ pub fn explore_subsets(
 ///
 /// [`explore_subsets_naive`] retains the literal per-subset reconstruction for cross-checking
 /// and benchmarking.
+///
+/// # Panics
+///
+/// Panics when the session has more than [`MAX_SWEEP_PROGRAMS`] programs. Callers serving
+/// arbitrary workloads check [`TooManyPrograms::check`] first.
 pub fn explore_subsets_with(
     session: &RobustnessSession,
     settings: AnalysisSettings,
     options: ExploreOptions,
 ) -> SubsetExploration {
-    let kernel = options.kernel.unwrap_or_else(|| session.sweep_kernel());
-    let mut sweep =
-        RankRangeSweep::new(session, settings, options.closure_pruning).with_kernel(kernel);
+    let mut sweep = RankRangeSweep::new(session, settings, options.closure_pruning)
+        .unwrap_or_else(|e| panic!("{e}"));
     let n = sweep.program_count();
 
     // Incremental mode: rebase the session's cached verdicts (the last completed sweep under
@@ -1043,128 +908,36 @@ pub fn explore_subsets_with(
     } else {
         Parallelism::Serial
     };
-    // The eager shard plan mirrors what the `mvrc-dist` coordinator would hand to worker
-    // processes: a few shards per pool worker so the level still load-balances. Serial sweeps
-    // get a fixed small plan — querying the pool size would cost an env/parallelism lookup
-    // per sweep on a path that never fans out.
-    let shards_per_level = if options.strategy == SweepStrategy::Sharded {
-        match parallelism {
-            Parallelism::Serial => 4,
-            Parallelism::Threads(n) => n.max(1).saturating_mul(4),
-            Parallelism::Auto => mvrc_par::planned_thread_count().max(1) * 4,
-        }
-    } else {
-        0
-    };
 
     // Robustness verdicts live in the sweep's atomic bitset. Within a level workers publish
     // their own bits concurrently (`fetch_or`); across levels the runtime's fold barrier
     // orders every store of level k+1 before every load at level k, so `Relaxed` suffices.
     let mut totals = ShardCounters::default();
-    let mut masks_buffered = 0usize;
     for level in (1..=n).rev() {
         // On a fresh sweep this is the single run `(0, C(n, level))`; a seeded sweep only
-        // visits the ranks no previous sweep decided (possibly none).
-        let runs = sweep.undecided_runs(level);
-        if runs.is_empty() {
-            continue;
-        }
-        match options.strategy {
-            SweepStrategy::Streamed => {
-                // Fold over each run's rank range: every chunk unranks its first mask once and
-                // then steps with Gosper's hack — no level buffer exists anywhere. The grain
-                // hint keeps chunks large enough to amortize the unranking; the bit-sliced
-                // kernel asks for lane-sized chunks so its batches fill all 64 lanes.
-                let grain = match kernel {
-                    SweepKernel::Scalar => 4,
-                    SweepKernel::BitSliced => 64,
-                };
-                for &(run_start, run_end) in &runs {
-                    let counters = fold_chunks(
-                        run_start..run_end,
-                        parallelism,
-                        grain,
-                        ShardCounters::default,
-                        |acc, chunk| {
-                            acc.merged(sweep.run_shard(ShardSpec {
-                                level,
-                                rank_start: chunk.start,
-                                rank_end: chunk.end,
-                            }))
-                        },
-                        ShardCounters::merged,
-                    );
-                    totals = totals.merged(counters);
-                }
-            }
-            SweepStrategy::Sharded => {
-                // The coordinator shape: partition the level's undecided runs eagerly into
-                // `ShardSpec`s, fan the shard list out. (The shard list is O(shards), not
-                // O(level) — the masks themselves are still never materialized.)
-                let shards = plan_range_shards(level, &runs, shards_per_level);
-                let counters = fold_chunks(
-                    0..shards.len(),
-                    parallelism,
-                    1,
-                    ShardCounters::default,
-                    |mut acc, chunk| {
-                        for &spec in &shards[chunk] {
-                            acc = acc.merged(sweep.run_shard(spec));
-                        }
-                        acc
-                    },
-                    ShardCounters::merged,
-                );
-                totals = totals.merged(counters);
-            }
-            SweepStrategy::Materialized => {
-                // The pre-runtime oracle: collect the (undecided) masks, partition into
-                // inherited and to-test, fan the tests out eagerly.
-                let mut masks = Vec::new();
-                for &(run_start, run_end) in &runs {
-                    let mut mask = unrank_colex(run_start, level, &sweep.binomials);
-                    for rank in run_start..run_end {
-                        masks.push(mask);
-                        if rank + 1 < run_end {
-                            mask = next_same_popcount(mask);
-                        }
-                    }
-                }
-                masks_buffered += masks.len();
-                let mut to_test = Vec::with_capacity(masks.len());
-                for mask in masks {
-                    let inherited = options.closure_pruning
-                        && (0..n).any(|i| mask & (1 << i) == 0 && sweep.is_marked(mask | (1 << i)));
-                    if inherited {
-                        sweep.mark(mask);
-                        totals.pruned += 1;
-                    } else {
-                        to_test.push(mask);
-                    }
-                }
-                totals.cycle_tests += to_test.len();
-                // The fan-out honors the same `Parallelism` pin as the streamed path (it
-                // merely materializes its work-list first); chunks draw their member/lane
-                // buffers from the per-worker sweep scratch.
-                let grain = match kernel {
-                    SweepKernel::Scalar => 1,
-                    SweepKernel::BitSliced => 64,
-                };
-                fold_chunks(
-                    0..to_test.len(),
-                    parallelism,
-                    grain,
-                    || (),
-                    |(), chunk| {
-                        with_sweep_scratch(|scratch| sweep.test_masks(&to_test[chunk], scratch))
-                    },
-                    |(), ()| (),
-                );
-            }
+        // visits the ranks no previous sweep decided (possibly none). Every chunk of a run
+        // unranks its first mask once and then steps with Gosper's hack — no level buffer
+        // exists anywhere. The grain of 64 ranks lets the lane batches fill all 64 lanes.
+        for (run_start, run_end) in sweep.undecided_runs(level) {
+            let counters = fold_chunks(
+                run_start..run_end,
+                parallelism,
+                64,
+                ShardCounters::default,
+                |acc, chunk| {
+                    acc.merged(sweep.run_shard(ShardSpec {
+                        level,
+                        rank_start: chunk.start,
+                        rank_end: chunk.end,
+                    }))
+                },
+                ShardCounters::merged,
+            );
+            totals = totals.merged(counters);
         }
     }
 
-    let exploration = sweep.exploration(totals, masks_buffered, reused);
+    let exploration = sweep.exploration(totals, reused);
     if let Some(program_fingerprints) = fingerprints {
         session.install_cached_sweep(
             settings,
@@ -1179,21 +952,22 @@ pub fn explore_subsets_with(
 }
 
 /// The pre-refactor subset exploration: reconstructs a full summary graph per subset, serially,
-/// testing every mask.
+/// and runs the scalar cycle test on every mask.
 ///
-/// Semantically equivalent to [`explore_subsets`]; kept as the exhaustive oracle for the
-/// induced-view and closure-pruning cross-check tests and as the baseline of the
-/// `subset_exploration` Criterion bench.
+/// Semantically equivalent to [`explore_subsets`]; kept as the one oracle the lane-parallel
+/// sweep is cross-checked against and as the baseline of the `subset_exploration` Criterion
+/// bench.
+///
+/// # Panics
+///
+/// Panics when the session has more than [`MAX_SWEEP_PROGRAMS`] programs.
 pub fn explore_subsets_naive(
     session: &RobustnessSession,
     settings: AnalysisSettings,
 ) -> SubsetExploration {
     let programs: Vec<String> = session.program_names().to_vec();
     let n = programs.len();
-    assert!(
-        n <= 20,
-        "subset exploration is exponential; {n} programs is too many"
-    );
+    TooManyPrograms::check(n).unwrap_or_else(|e| panic!("{e}"));
 
     // Group the unfolded LTPs per program index once.
     let ltps_per_program: Vec<Vec<&LinearProgram>> = programs
@@ -1230,7 +1004,6 @@ pub fn explore_subsets_naive(
         cycle_tests: (1 << n) - 1,
         pruned: 0,
         reused: 0,
-        masks_buffered: 0,
     }
 }
 
@@ -1366,53 +1139,12 @@ mod tests {
     }
 
     #[test]
-    fn streamed_materialized_and_sharded_levels_agree() {
-        let session = auction_session();
-        for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
-            for settings in AnalysisSettings::evaluation_grid(condition) {
-                for closure_pruning in [true, false] {
-                    let base = ExploreOptions {
-                        closure_pruning,
-                        ..ExploreOptions::default()
-                    };
-                    let streamed = explore_subsets_with(&session, settings, base);
-                    let materialized = explore_subsets_with(
-                        &session,
-                        settings,
-                        ExploreOptions {
-                            strategy: SweepStrategy::Materialized,
-                            ..base
-                        },
-                    );
-                    let sharded = explore_subsets_with(
-                        &session,
-                        settings,
-                        ExploreOptions {
-                            strategy: SweepStrategy::Sharded,
-                            ..base
-                        },
-                    );
-                    assert_eq!(streamed.robust, materialized.robust, "under {settings}");
-                    assert_eq!(streamed.cycle_tests, materialized.cycle_tests);
-                    assert_eq!(streamed.pruned, materialized.pruned);
-                    assert_eq!(streamed.masks_buffered, 0);
-                    assert_eq!(materialized.masks_buffered, (1 << 2) - 1);
-                    assert_eq!(streamed.robust, sharded.robust, "under {settings}");
-                    assert_eq!(streamed.cycle_tests, sharded.cycle_tests);
-                    assert_eq!(streamed.pruned, sharded.pruned);
-                    assert_eq!(sharded.masks_buffered, 0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn level_plans_partition_the_rank_space() {
         for n in 1..=10usize {
             for level in 1..=n {
                 let size = level_size(n, level);
                 for shards in [1usize, 2, 3, 7, 64] {
-                    let plan = plan_level_shards(n, level, shards);
+                    let plan = plan_range_shards(level, &[(0, size)], shards);
                     assert!(plan.len() <= shards.min(size));
                     // Contiguous, non-empty, exactly covering 0..size.
                     let mut next = 0;
@@ -1430,7 +1162,7 @@ mod tests {
                 }
             }
         }
-        assert!(plan_level_shards(5, 0, 4).len() == 1); // C(5, 0) = 1: the empty mask's level
+        assert!(plan_range_shards(3, &[], 4).is_empty());
     }
 
     #[test]
@@ -1441,7 +1173,7 @@ mod tests {
         let settings = AnalysisSettings::paper_default();
         let reference = explore_subsets(&session, settings);
 
-        let sweep = RankRangeSweep::new(&session, settings, true);
+        let sweep = RankRangeSweep::new(&session, settings, true).unwrap();
         let n = sweep.program_count();
         let mut totals = ShardCounters::default();
         for level in (1..=n).rev() {
@@ -1453,7 +1185,7 @@ mod tests {
                 }));
             }
         }
-        let exploration = sweep.exploration(totals, 0, 0);
+        let exploration = sweep.exploration(totals, 0);
         assert_eq!(exploration.robust, reference.robust);
         assert_eq!(exploration.maximal, reference.maximal);
         assert_eq!(exploration.cycle_tests, reference.cycle_tests);
@@ -1469,7 +1201,7 @@ mod tests {
         let settings = AnalysisSettings::paper_default();
         let n = 2;
 
-        let top = RankRangeSweep::new(&session, settings, true);
+        let top = RankRangeSweep::new(&session, settings, true).unwrap();
         let top_counters = top.run_shard(ShardSpec {
             level: n,
             rank_start: 0,
@@ -1477,7 +1209,7 @@ mod tests {
         });
         assert_eq!(top_counters.cycle_tests, 1);
 
-        let rest = RankRangeSweep::new(&session, settings, true);
+        let rest = RankRangeSweep::new(&session, settings, true).unwrap();
         assert_eq!(rest.word_count(), top.word_count());
         rest.or_verdict_words(&top.verdict_words());
         let mut totals = top_counters;
@@ -1488,11 +1220,38 @@ mod tests {
                 rank_end: rest.level_size(level),
             }));
         }
-        let exploration = rest.exploration(totals, 0, 0);
+        let exploration = rest.exploration(totals, 0);
         let reference = explore_subsets(&session, settings);
         assert_eq!(exploration.robust, reference.robust);
         assert_eq!(exploration.cycle_tests, reference.cycle_tests);
         assert_eq!(exploration.pruned, reference.pruned);
+    }
+
+    #[test]
+    fn sweeps_beyond_the_program_limit_fail_typed() {
+        let mut b = SchemaBuilder::new("wide");
+        b.relation("T", &["id", "v"], &["id"]).unwrap();
+        let schema = b.build();
+        let programs: Vec<_> = (0..=MAX_SWEEP_PROGRAMS)
+            .map(|i| {
+                let mut pb = ProgramBuilder::new(&schema, format!("P{i}"));
+                let q = pb.key_select("q", "T", &["v"]).unwrap();
+                pb.push(q.into());
+                pb.build()
+            })
+            .collect();
+        let session = RobustnessSession::from_programs(&schema, &programs);
+        let err = RankRangeSweep::new(&session, AnalysisSettings::paper_default(), true)
+            .err()
+            .expect("21 programs exceed the sweep limit");
+        assert_eq!(err, TooManyPrograms { programs: 21 });
+        assert!(err.to_string().contains("21 programs"), "{err}");
+        assert_eq!(
+            session.cached_graph_count(),
+            0,
+            "the check runs before any graph build"
+        );
+        assert!(TooManyPrograms::check(MAX_SWEEP_PROGRAMS).is_ok());
     }
 
     #[test]

@@ -154,7 +154,7 @@ pub fn program_fingerprint<'a>(ltps: impl IntoIterator<Item = &'a LinearProgram>
 /// [`InducedView`] tracks only its members, so a view over `m` of `n` nodes costs `m · ⌈n/64⌉`
 /// words instead of `n · ⌈n/64⌉`. The rows are computed by the word-parallel SCC-condensation
 /// closure of the `kernels` module (the former BFS-per-source survives only as a test oracle)
-/// and live in a [`U64Slab`], so a graph reopened from a version-3 snapshot borrows them
+/// and live in a [`U64Slab`], so a graph reopened from a snapshot borrows them
 /// straight out of the snapshot mapping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Reachability {
@@ -214,7 +214,7 @@ impl Csr {
     }
 }
 
-/// The derived arrays of a [`SummaryGraph`], as slabs — what the version-3 snapshot layer
+/// The derived arrays of a [`SummaryGraph`], as slabs — what the snapshot layer
 /// persists and hands back to [`SummaryGraph::from_snapshot_parts_with_derived`] so a warm
 /// start installs borrowed arrays instead of re-deriving them.
 pub struct SummaryGraphDerived {
@@ -286,8 +286,8 @@ fn validate_csr(
 /// The adjacency (CSR edge-index arrays) and the reachability closure are *lazily derived*
 /// from `(nodes, edges)`: construction and incremental edits stop at the edge list, and each
 /// derived array is built on first use — a sweep that queries only out-adjacency never pays
-/// for the in-adjacency or the closure. A graph reopened from a version-3 `mvrc-dist`
-/// snapshot has the derived arrays pre-installed as borrowed slabs of the snapshot mapping
+/// for the in-adjacency or the closure. A graph reopened from an `mvrc-dist` snapshot
+/// has the derived arrays pre-installed as borrowed slabs of the snapshot mapping
 /// ([`SummaryGraph::from_snapshot_parts_with_derived`]) and never derives anything.
 ///
 /// `PartialEq` compares every derived array as well (forcing their derivation) — the
@@ -526,42 +526,11 @@ impl SummaryGraph {
     /// Reassembles a graph from persisted parts — the deserialization hook of the `mvrc-dist`
     /// snapshot layer.
     ///
-    /// `nodes` must be the already-widened LTPs the graph was built over and `edges` its
-    /// complete Algorithm 1 edge list; **no edge derivation runs** (and the construction
-    /// counter does not advance). The adjacency lists and the reachability closure are
-    /// deterministic functions of `(nodes, edges)` and are re-derived lazily on first use, so
-    /// a graph round-tripped through [`edges`](Self::edges)/[`nodes`](Self::nodes) and this
-    /// constructor compares equal to the original on every array (`PartialEq` covers the
-    /// derived arrays too).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an edge endpoint or statement position is out of range — snapshot decoders
-    /// are expected to validate untrusted input *before* calling this.
-    pub fn from_snapshot_parts(
-        nodes: Vec<Arc<LinearProgram>>,
-        edges: Vec<SummaryEdge>,
-        settings: AnalysisSettings,
-    ) -> Self {
-        let n = nodes.len();
-        for e in &edges {
-            assert!(
-                e.from < n && e.to < n,
-                "from_snapshot_parts: edge endpoint out of range ({n} nodes)"
-            );
-            assert!(
-                e.from_stmt < nodes[e.from].len() && e.to_stmt < nodes[e.to].len(),
-                "from_snapshot_parts: edge statement position out of range"
-            );
-        }
-        SummaryGraph::new_lazy(nodes, edges, settings)
-    }
-
-    /// [`Self::from_snapshot_parts`] with the derived arrays supplied as well — the
-    /// *warm-start* hook of the version-3 snapshot layer. The slabs of `derived` (typically
-    /// borrowed straight out of a snapshot mapping) are installed after structural validation;
-    /// no edge derivation, no adjacency build and **no closure computation** runs, so opening
-    /// a snapshot is O(validation) in the edge count and advances neither the construction
+    /// `nodes` must be the already-widened LTPs the graph was built over, `edges` its complete
+    /// Algorithm 1 edge list and `derived` its derived arrays (typically borrowed straight out
+    /// of a snapshot mapping). They are installed after structural validation; no edge
+    /// derivation, no adjacency build and **no closure computation** runs, so opening a
+    /// snapshot is O(validation) in the edge count and advances neither the construction
     /// counter nor the closure counter.
     ///
     /// Validation checks that the adjacency arrays are exactly the CSR this graph would derive
@@ -659,7 +628,7 @@ impl SummaryGraph {
     }
 
     /// `true` when every derived array (both CSRs and the reachability slab) *borrows* a
-    /// shared owner ([`crate::SlabOwner`]) rather than owning its words — what a version-3
+    /// shared owner ([`crate::SlabOwner`]) rather than owning its words — what a
     /// snapshot warm start installs, and how the `mvrc-dist` tests assert the open really was
     /// zero-copy. Forces derivation, so on a freshly constructed graph this derives owned
     /// arrays and returns `false`.

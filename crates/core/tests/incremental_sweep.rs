@@ -4,15 +4,15 @@
 //! from-scratch `explore_subsets` over an independently constructed session, its work
 //! counters must honor the reuse bounds (zero cycle tests after a removal, at most the
 //! containing-subsets count after an addition), and the edited session's *fresh* sweep must
-//! reproduce the from-scratch accounting exactly — for all three [`SweepStrategy`] variants
-//! and under both [`Parallelism::Serial`] and [`Parallelism::Threads(4)`].
+//! reproduce the from-scratch accounting exactly — under both [`Parallelism::Serial`] and
+//! [`Parallelism::Threads(4)`].
 
 use mvrc_benchmarks::{synthetic, SyntheticConfig};
 use mvrc_btp::Program;
 use mvrc_par::Parallelism;
 use mvrc_robustness::{
     explore_subsets, explore_subsets_with, AnalysisSettings, ExploreOptions, RobustnessSession,
-    SubsetExploration, SweepStrategy,
+    SubsetExploration,
 };
 use proptest::prelude::*;
 
@@ -108,7 +108,7 @@ proptest! {
 
         // Pass 1 — the oracle timeline: after each edit, the exploration a *from-scratch*
         // session reports, and (on an incrementally edited session) the fresh sweep's
-        // counters. This is strategy-independent, so it is computed once.
+        // counters. This is independent of the parallelism pin, so it is computed once.
         let mut fresh_timeline: Vec<SubsetExploration> = Vec::new();
         {
             let mut session = RobustnessSession::from_programs(&schema, &pool[..start]);
@@ -132,57 +132,47 @@ proptest! {
         }
 
         // Pass 2 — replay the same edit sequence with an incremental re-sweep after every
-        // edit, across every strategy and parallelism pin.
-        for strategy in [
-            SweepStrategy::Streamed,
-            SweepStrategy::Materialized,
-            SweepStrategy::Sharded,
-        ] {
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let options = ExploreOptions {
-                    strategy,
-                    parallelism,
-                    incremental: true,
-                    // The synthetic workloads here are tiny; pin the size cutoff open so the
-                    // reuse engine itself is what gets exercised.
-                    incremental_min_subsets: 0,
-                    ..ExploreOptions::default()
-                };
-                let mut session = RobustnessSession::from_programs(&schema, &pool[..start]);
-                let first = explore_subsets_with(&session, settings, options);
-                prop_assert_eq!(first.reused, 0, "nothing to reuse before the first sweep");
+        // edit, under every parallelism pin.
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
+            let options = ExploreOptions {
+                parallelism,
+                incremental: true,
+                // The synthetic workloads here are tiny; pin the size cutoff open so the
+                // reuse engine itself is what gets exercised.
+                incremental_min_subsets: 0,
+                ..ExploreOptions::default()
+            };
+            let mut session = RobustnessSession::from_programs(&schema, &pool[..start]);
+            let first = explore_subsets_with(&session, settings, options);
+            prop_assert_eq!(first.reused, 0, "nothing to reuse before the first sweep");
 
-                for (edit, fresh) in edits.iter().zip(&fresh_timeline) {
-                    match edit {
-                        Edit::Add { program, .. } => session.add_program(program.clone()),
-                        Edit::Remove { name, .. } => session.remove_program(name).unwrap(),
+            for (edit, fresh) in edits.iter().zip(&fresh_timeline) {
+                match edit {
+                    Edit::Add { program, .. } => session.add_program(program.clone()),
+                    Edit::Remove { name, .. } => session.remove_program(name).unwrap(),
+                }
+                let inc = explore_subsets_with(&session, settings, options);
+                let n = session.program_names().len();
+                let total = (1usize << n) - 1;
+
+                // Verdicts agree with the from-scratch sweep.
+                prop_assert_eq!(&inc.robust, &fresh.robust, "{:?}/{:?}", parallelism, edit);
+                prop_assert_eq!(&inc.maximal, &fresh.maximal);
+                // Every subset is decided exactly once.
+                prop_assert_eq!(inc.cycle_tests + inc.pruned + inc.reused, total);
+                match edit {
+                    Edit::Remove { .. } => {
+                        // Mask compaction: all surviving subsets keep their verdicts — the
+                        // re-sweep runs zero cycle tests.
+                        prop_assert_eq!(inc.cycle_tests, 0, "after {:?}", edit);
+                        prop_assert_eq!(inc.pruned, 0);
+                        prop_assert_eq!(inc.reused, total);
                     }
-                    let inc = explore_subsets_with(&session, settings, options);
-                    let n = session.program_names().len();
-                    let total = (1usize << n) - 1;
-
-                    // Verdicts agree with the from-scratch sweep.
-                    prop_assert_eq!(&inc.robust, &fresh.robust, "{:?}/{:?}", strategy, edit);
-                    prop_assert_eq!(&inc.maximal, &fresh.maximal);
-                    // Every subset is decided exactly once.
-                    prop_assert_eq!(inc.cycle_tests + inc.pruned + inc.reused, total);
-                    match edit {
-                        Edit::Remove { .. } => {
-                            // Mask compaction: all surviving subsets keep their verdicts —
-                            // the re-sweep runs zero cycle tests.
-                            prop_assert_eq!(inc.cycle_tests, 0, "after {:?}", edit);
-                            prop_assert_eq!(inc.pruned, 0);
-                            prop_assert_eq!(inc.reused, total);
-                        }
-                        Edit::Add { n_before, .. } => {
-                            // Bit expansion: old subsets are reused verbatim; only the
-                            // 2^n_before subsets containing the new program are visited.
-                            prop_assert_eq!(inc.reused, (1usize << n_before) - 1);
-                            prop_assert_eq!(
-                                inc.cycle_tests + inc.pruned,
-                                1usize << n_before
-                            );
-                        }
+                    Edit::Add { n_before, .. } => {
+                        // Bit expansion: old subsets are reused verbatim; only the
+                        // 2^n_before subsets containing the new program are visited.
+                        prop_assert_eq!(inc.reused, (1usize << n_before) - 1);
+                        prop_assert_eq!(inc.cycle_tests + inc.pruned, 1usize << n_before);
                     }
                 }
             }

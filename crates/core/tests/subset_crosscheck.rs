@@ -1,47 +1,52 @@
-//! Cross-check of the closure-pruned, shared-graph subset exploration against the exhaustive
-//! paths.
+//! Cross-check of the closure-pruned, shared-graph subset exploration against the naive
+//! oracle.
 //!
-//! [`explore_subsets`] answers every subset on an induced view of the session's cached summary
-//! graph, skips cycle tests via downward-closure pruning (Proposition 5.2), and *streams* each
-//! popcount level as lazily split rank ranges across the `mvrc-par` pool;
-//! [`SweepStrategy::Materialized`] retains the level-materializing traversal;
-//! [`explore_subsets_with`] with pruning disabled tests every mask on the shared graph;
-//! [`explore_subsets_naive`] re-runs Algorithm 1 for every subset. All of them must agree
-//! *exactly* — same robust family, same maximal subsets, same pruning counters where
-//! applicable — on every workload (the `assert_agree` cross-check idiom of the dbcop
-//! consistency checker). The property tests drive the comparison over random synthetic
-//! workloads across the full evaluation grid; separate tests pin down the "exactly one
-//! construction per graph-shape combination" contract of the session, the
-//! strictly-fewer-cycle-tests claim of the pruning on TPC-C, and the "no level buffer" claim
-//! of the streamed traversal.
+//! [`explore_subsets`] decides every subset on a lane of one traversal of the session's cached
+//! summary graph, skips cycle tests via downward-closure pruning (Proposition 5.2), and
+//! *streams* each popcount level as lazily split rank ranges across the `mvrc-par` pool;
+//! [`explore_subsets_with`] with pruning disabled tests every mask the same way;
+//! [`explore_subsets_naive`] re-runs Algorithm 1 and the scalar cycle test for every subset.
+//! Both sweeps must agree *exactly* with the oracle — same robust family, same maximal subsets,
+//! every subset either tested or pruned — on every workload (the `assert_agree` cross-check
+//! idiom of the dbcop consistency checker). The property tests drive the comparison over
+//! random synthetic workloads across the full evaluation grid; separate tests pin down the
+//! "exactly one construction per graph-shape combination" contract of the session, the
+//! strictly-fewer-cycle-tests claim of the pruning on TPC-C, and partial lane batches under
+//! serial and forced fan-out sweeps.
 
 use mvrc_benchmarks::{auction, smallbank, synthetic, tpcc, ycsb_t, SyntheticConfig, YcsbtConfig};
 use mvrc_robustness::{
     explore_subsets, explore_subsets_naive, explore_subsets_with, AnalysisSettings, CycleCondition,
-    ExploreOptions, Parallelism, RobustnessSession, SummaryGraph, SweepKernel, SweepStrategy,
+    ExploreOptions, Parallelism, RobustnessSession, SubsetExploration, SummaryGraph,
 };
 use proptest::prelude::*;
 
-/// Asserts that the streamed-pruned, materialized-pruned, sharded-pruned, exhaustive-shared
-/// and naive explorations agree on a workload under one settings combination.
+/// Asserts that a sweep agrees with the naive oracle on verdicts, and accounts for every
+/// non-empty subset exactly once.
+fn assert_matches_naive(sweep: &SubsetExploration, naive: &SubsetExploration, what: &str) {
+    let settings = naive.settings;
+    assert_eq!(
+        sweep.robust, naive.robust,
+        "robust families differ ({what} vs naive) under {settings} for programs {:?}",
+        naive.programs
+    );
+    assert_eq!(
+        sweep.maximal, naive.maximal,
+        "maximal subsets differ ({what} vs naive) under {settings} for programs {:?}",
+        naive.programs
+    );
+    assert_eq!(
+        sweep.cycle_tests + sweep.pruned,
+        naive.cycle_tests,
+        "every subset must be either tested or pruned ({what})"
+    );
+}
+
+/// Asserts that the default (pruned) and exhaustive sweeps agree with the naive oracle on a
+/// workload under one settings combination.
 fn assert_agree(session: &RobustnessSession, settings: AnalysisSettings) {
-    let pruned = explore_subsets(session, settings);
-    let materialized = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            strategy: SweepStrategy::Materialized,
-            ..ExploreOptions::default()
-        },
-    );
-    let sharded = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            strategy: SweepStrategy::Sharded,
-            ..ExploreOptions::default()
-        },
-    );
+    let naive = explore_subsets_naive(session, settings);
+    assert_matches_naive(&explore_subsets(session, settings), &naive, "pruned");
     let exhaustive = explore_subsets_with(
         session,
         settings,
@@ -50,92 +55,8 @@ fn assert_agree(session: &RobustnessSession, settings: AnalysisSettings) {
             ..ExploreOptions::default()
         },
     );
-    let naive = explore_subsets_naive(session, settings);
-    assert_eq!(
-        pruned.robust, naive.robust,
-        "robust families differ (pruned vs naive) under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert_eq!(
-        exhaustive.robust, naive.robust,
-        "robust families differ (exhaustive vs naive) under {settings} for programs {:?}",
-        exhaustive.programs
-    );
-    assert_eq!(
-        pruned.maximal, naive.maximal,
-        "maximal subsets differ under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert!(
-        pruned.cycle_tests + pruned.pruned == naive.cycle_tests,
-        "every subset must be either tested or pruned"
-    );
-    // The streamed default and the level-materializing oracle must be indistinguishable in
-    // everything but their buffering behaviour.
-    assert_eq!(
-        pruned.robust, materialized.robust,
-        "robust families differ (streamed vs materialized) under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert_eq!(pruned.maximal, materialized.maximal);
-    assert_eq!(pruned.cycle_tests, materialized.cycle_tests);
-    assert_eq!(pruned.pruned, materialized.pruned);
-    assert_eq!(
-        pruned.masks_buffered, 0,
-        "the streamed traversal must not materialize level masks"
-    );
-    assert_eq!(
-        materialized.masks_buffered, naive.cycle_tests,
-        "the materializing oracle buffers every non-empty mask exactly once"
-    );
-    // The eagerly planned `ShardSpec` traversal — the in-process twin of the `mvrc shard`
-    // process protocol — is indistinguishable from the streamed default.
-    assert_eq!(
-        pruned.robust, sharded.robust,
-        "robust families differ (streamed vs sharded) under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert_eq!(pruned.maximal, sharded.maximal);
-    assert_eq!(pruned.cycle_tests, sharded.cycle_tests);
-    assert_eq!(pruned.pruned, sharded.pruned);
-    assert_eq!(
-        sharded.masks_buffered, 0,
-        "the sharded traversal materializes shard specs, never level masks"
-    );
-    // The bit-sliced kernel is the default, so every run above already exercised it against
-    // the naive oracle; pin the scalar kernel explicitly and require agreement on every
-    // verdict *and* every counter — the two kernels must be indistinguishable in everything
-    // but speed, with and without Proposition 5.2 pruning.
-    let scalar = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            kernel: Some(SweepKernel::Scalar),
-            ..ExploreOptions::default()
-        },
-    );
-    assert_eq!(
-        pruned.robust, scalar.robust,
-        "robust families differ (bit-sliced vs scalar) under {settings} for programs {:?}",
-        pruned.programs
-    );
-    assert_eq!(pruned.maximal, scalar.maximal);
-    assert_eq!(pruned.cycle_tests, scalar.cycle_tests);
-    assert_eq!(pruned.pruned, scalar.pruned);
-    let scalar_exhaustive = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            closure_pruning: false,
-            kernel: Some(SweepKernel::Scalar),
-            ..ExploreOptions::default()
-        },
-    );
-    assert_eq!(
-        exhaustive.robust, scalar_exhaustive.robust,
-        "exhaustive robust families differ (bit-sliced vs scalar) under {settings}"
-    );
-    assert_eq!(exhaustive.cycle_tests, scalar_exhaustive.cycle_tests);
+    assert_matches_naive(&exhaustive, &naive, "exhaustive");
+    assert_eq!(exhaustive.pruned, 0);
 }
 
 fn synthetic_config_strategy() -> impl Strategy<Value = SyntheticConfig> {
@@ -238,8 +159,9 @@ fn paper_benchmarks_agree_across_the_evaluation_grid() {
 fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
     // Lane packing must be exact for batches smaller than 64: TPC-C's levels are all partial
     // (the largest, C(5, 3) or C(5, 2), holds 10 masks), while YCSB-T's 63 non-empty subsets
-    // fill a single batch all but one lane. Under every strategy the two kernels must agree
-    // on verdicts and counters alike.
+    // fill a single batch all but one lane. The naive oracle runs the scalar cycle test per
+    // subset; serially and under forced fan-out (both workloads sit below the default
+    // threshold), with and without pruning, the lane-parallel sweep must agree with it.
     for workload in [tpcc(), ycsb_t(YcsbtConfig::default())] {
         let session = RobustnessSession::new(workload);
         for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
@@ -247,31 +169,24 @@ fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
                 condition,
                 ..AnalysisSettings::paper_default()
             };
-            for strategy in [
-                SweepStrategy::Streamed,
-                SweepStrategy::Materialized,
-                SweepStrategy::Sharded,
+            let naive = explore_subsets_naive(&session, settings);
+            for (what, parallel_threshold, parallelism) in [
+                ("serial", usize::MAX, Parallelism::Serial),
+                ("fan-out", 1, Parallelism::Auto),
             ] {
-                let run = |kernel| {
-                    explore_subsets_with(
+                for closure_pruning in [true, false] {
+                    let sweep = explore_subsets_with(
                         &session,
                         settings,
                         ExploreOptions {
-                            strategy,
-                            kernel: Some(kernel),
+                            parallel_threshold,
+                            parallelism,
+                            closure_pruning,
                             ..ExploreOptions::default()
                         },
-                    )
-                };
-                let bitsliced = run(SweepKernel::BitSliced);
-                let scalar = run(SweepKernel::Scalar);
-                assert_eq!(
-                    bitsliced.robust, scalar.robust,
-                    "kernels disagree under {settings} / {strategy:?}"
-                );
-                assert_eq!(bitsliced.maximal, scalar.maximal);
-                assert_eq!(bitsliced.cycle_tests, scalar.cycle_tests);
-                assert_eq!(bitsliced.pruned, scalar.pruned);
+                    );
+                    assert_matches_naive(&sweep, &naive, what);
+                }
             }
         }
     }
@@ -294,40 +209,6 @@ fn closure_pruning_saves_cycle_tests_on_tpcc() {
 }
 
 #[test]
-fn streamed_sweep_never_buffers_a_level_even_when_parallel() {
-    // Force the fan-out (TPC-C's 31 subsets sit below the default serial threshold): the sweep
-    // runs across the pool and still must report zero materialized level masks — the
-    // acceptance gauge for "explore_subsets no longer collects a popcount level into a Vec
-    // before fanning out".
-    let session = RobustnessSession::new(tpcc());
-    let total = (1usize << session.program_names().len()) - 1;
-    let parallel = ExploreOptions {
-        parallel_threshold: 1,
-        ..ExploreOptions::default()
-    };
-    let streamed = explore_subsets_with(&session, AnalysisSettings::paper_default(), parallel);
-    assert_eq!(streamed.masks_buffered, 0);
-    assert_eq!(
-        streamed.robust,
-        explore_subsets(&session, AnalysisSettings::paper_default()).robust,
-        "forced fan-out must not change the verdicts"
-    );
-
-    // The materializing oracle on the same sweep buffers every level, and agrees on content.
-    let materialized = explore_subsets_with(
-        &session,
-        AnalysisSettings::paper_default(),
-        ExploreOptions {
-            strategy: SweepStrategy::Materialized,
-            ..parallel
-        },
-    );
-    assert_eq!(materialized.masks_buffered, total);
-    assert_eq!(streamed.robust, materialized.robust);
-    assert_eq!(streamed.cycle_tests, materialized.cycle_tests);
-}
-
-#[test]
 fn parallelism_pins_do_not_change_results() {
     // The verdicts (and the pruning counters, which are scheduling-independent because levels
     // are barrier-separated) must not depend on how much of the pool the sweep may use —
@@ -342,34 +223,25 @@ fn parallelism_pins_do_not_change_results() {
         Parallelism::Threads(usize::MAX),
         Parallelism::Auto,
     ] {
-        for kernel in [SweepKernel::BitSliced, SweepKernel::Scalar] {
-            let pinned = explore_subsets_with(
-                &session,
-                settings,
-                ExploreOptions {
-                    parallelism,
-                    kernel: Some(kernel),
-                    ..ExploreOptions::default()
-                },
-            );
-            assert_eq!(
-                pinned.robust, reference.robust,
-                "under {parallelism:?} / {kernel:?}"
-            );
-            assert_eq!(pinned.cycle_tests, reference.cycle_tests);
-            assert_eq!(pinned.pruned, reference.pruned);
+        let pinned = explore_subsets_with(
+            &session,
+            settings,
+            ExploreOptions {
+                parallelism,
+                ..ExploreOptions::default()
+            },
+        );
+        assert_eq!(pinned.robust, reference.robust, "under {parallelism:?}");
+        assert_eq!(pinned.cycle_tests, reference.cycle_tests);
+        assert_eq!(pinned.pruned, reference.pruned);
 
-            let session_pinned = RobustnessSession::new(tpcc())
-                .with_parallelism(parallelism)
-                .with_sweep_kernel(kernel);
-            assert_eq!(session_pinned.parallelism(), parallelism);
-            assert_eq!(session_pinned.sweep_kernel(), kernel);
-            let via_session = explore_subsets(&session_pinned, settings);
-            assert_eq!(
-                via_session.robust, reference.robust,
-                "under {parallelism:?} / {kernel:?}"
-            );
-        }
+        let session_pinned = RobustnessSession::new(tpcc()).with_parallelism(parallelism);
+        assert_eq!(session_pinned.parallelism(), parallelism);
+        let via_session = explore_subsets(&session_pinned, settings);
+        assert_eq!(
+            via_session.robust, reference.robust,
+            "under {parallelism:?}"
+        );
     }
 }
 

@@ -10,12 +10,13 @@
 //!
 //! * **[`snapshot`]** — a versioned, self-describing binary format (magic, format version,
 //!   workload fingerprint) that persists a [`RobustnessSession`](mvrc_robustness::RobustnessSession):
-//!   workload, unfolded LTPs and every cached summary graph — since format version 3
-//!   *including* the derived CSR adjacency and reachability-closure arrays, alignment-padded
-//!   so [`open_snapshot`] can install them as zero-copy borrowed slabs over one aligned
-//!   buffer ([`mmap::SnapshotMap`]). A worker process opens a snapshot and answers queries
-//!   without re-unfolding the workload, re-deriving a single Algorithm 1 edge or recomputing
-//!   a single closure word; the round-trip is bit-identical on the graph arrays.
+//!   workload, unfolded LTPs and every cached summary graph, *including* the derived CSR
+//!   adjacency and reachability-closure arrays, alignment-padded so [`open_snapshot`] can
+//!   install them as zero-copy borrowed slabs over one aligned buffer ([`mmap::SnapshotMap`]).
+//!   A worker process opens a snapshot and answers queries without re-unfolding the workload,
+//!   re-deriving a single Algorithm 1 edge or recomputing a single closure word; the
+//!   round-trip is bit-identical on the graph arrays. A build reads one format version; a
+//!   file of another version fails with a typed error and is rebuilt from the workload.
 //! * **[`shard`]** — a coordinator/worker protocol over the snapshot: the coordinator
 //!   partitions each descending-popcount level's `C(n, k)` rank space into
 //!   [`ShardSpec`](mvrc_robustness::ShardSpec) chunks, worker processes sweep their shards
@@ -23,9 +24,10 @@
 //!   step reproduces the exact single-process [`explore_subsets`](mvrc_robustness::explore_subsets)
 //!   result — verdicts *and* `cycle_tests`/`pruned` accounting, summed across shards.
 //!
-//! The `mvrc` CLI exposes the protocol as `mvrc shard plan|work|merge`; in-process, the same
-//! plan shape drives [`SweepStrategy::Sharded`](mvrc_robustness::SweepStrategy), which the
-//! test-suite cross-checks against the streamed and materialized oracles.
+//! The `mvrc` CLI exposes the protocol as `mvrc shard plan|work|merge`. Workers run each shard
+//! through [`RankRangeSweep::run_shard`](mvrc_robustness::RankRangeSweep::run_shard), the same
+//! entry point the in-process sweep folds its chunks through, so a merged run is byte-identical
+//! to `mvrc subsets --json`.
 
 mod codec;
 pub mod mmap;
@@ -35,14 +37,12 @@ pub mod snapshot;
 pub use mmap::SnapshotMap;
 
 pub use shard::{
-    build_plan, create_plan_dir, create_plan_dir_resuming, merge_verdicts, plan_path, read_plan,
-    run_worker, seed_path, snapshot_path, verdict_path, LevelPlan, MergeReport, PlanOptions,
-    PlannedShard, ResumeInfo, ShardError, ShardPlan, VerdictFile, WorkerReport, PLAN_FILE,
-    SEED_FILE, SEED_FORMAT_VERSION, SEED_MAGIC, SNAPSHOT_FILE, VERDICT_FORMAT_VERSION,
-    VERDICT_MAGIC,
+    create_plan_dir, create_plan_dir_resuming, merge_verdicts, plan_path, read_plan, run_worker,
+    seed_path, snapshot_path, verdict_path, LevelPlan, MergeReport, PlanOptions, PlannedShard,
+    ResumeInfo, ShardError, ShardPlan, VerdictFile, WorkerReport, PLAN_FILE, SEED_FILE,
+    SEED_FORMAT_VERSION, SEED_MAGIC, SNAPSHOT_FILE, VERDICT_FORMAT_VERSION, VERDICT_MAGIC,
 };
 pub use snapshot::{
     open_snapshot, open_snapshot_expecting, save_snapshot, session_from_snapshot_bytes,
     snapshot_to_bytes, SessionSnapshotExt, SnapshotError, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC,
-    SNAPSHOT_MIN_FORMAT_VERSION,
 };

@@ -29,9 +29,9 @@
 use crate::codec::{fnv64, Reader, Writer};
 use crate::snapshot::{open_snapshot_expecting, save_snapshot, SnapshotError};
 use mvrc_robustness::{
-    level_size, plan_level_shards, plan_range_shards, rebase_cached_sweep, undecided_level_runs,
-    AnalysisSettings, CachedSweep, CycleCondition, Granularity, RankRangeSweep, RobustnessSession,
-    ShardCounters, ShardSpec, SubsetExploration, SweepKernel, SweepSeed,
+    level_size, plan_range_shards, rebase_cached_sweep, undecided_level_runs, AnalysisSettings,
+    CachedSweep, CycleCondition, Granularity, RankRangeSweep, RobustnessSession, ShardCounters,
+    ShardSpec, SubsetExploration, SweepSeed, TooManyPrograms, MAX_SWEEP_PROGRAMS,
 };
 use serde_json::Value;
 use std::fmt;
@@ -88,6 +88,8 @@ pub enum ShardError {
     },
     /// The request contradicts the plan (unknown worker index, wrong program count, …).
     Protocol(String),
+    /// The workload has more programs than a subset sweep accepts.
+    TooManyPrograms(TooManyPrograms),
 }
 
 impl fmt::Display for ShardError {
@@ -107,6 +109,7 @@ impl fmt::Display for ShardError {
                  (is every `mvrc shard work` process running?)"
             ),
             ShardError::Protocol(msg) => write!(f, "shard protocol error: {msg}"),
+            ShardError::TooManyPrograms(e) => write!(f, "{e}"),
         }
     }
 }
@@ -116,6 +119,12 @@ impl std::error::Error for ShardError {}
 impl From<SnapshotError> for ShardError {
     fn from(e: SnapshotError) -> Self {
         ShardError::Snapshot(e)
+    }
+}
+
+impl From<TooManyPrograms> for ShardError {
+    fn from(e: TooManyPrograms) -> Self {
+        ShardError::TooManyPrograms(e)
     }
 }
 
@@ -149,22 +158,15 @@ pub struct PlanOptions {
     pub shards_per_level: usize,
     /// Whether the sweep exploits Proposition 5.2 downward-closure pruning.
     pub closure_pruning: bool,
-    /// Which [`SweepKernel`] every worker's `run_shard` uses. Verdicts and counters are
-    /// kernel-independent, so this is a pure performance knob; it is recorded in the plan
-    /// (workers obey the plan, not their own defaults) but deliberately *not* folded into the
-    /// run fingerprint — artifacts of runs differing only in kernel merge freely.
-    pub kernel: SweepKernel,
 }
 
 impl PlanOptions {
-    /// Sensible defaults for `workers` processes: two shards per worker and level, pruning on,
-    /// the default (bit-sliced) kernel.
+    /// Sensible defaults for `workers` processes: two shards per worker and level, pruning on.
     pub fn for_workers(workers: usize) -> Self {
         PlanOptions {
             workers: workers.max(1),
             shards_per_level: workers.max(1) * 2,
             closure_pruning: true,
-            kernel: SweepKernel::default(),
         }
     }
 }
@@ -201,10 +203,6 @@ pub struct ShardPlan {
     pub settings: AnalysisSettings,
     /// Whether Proposition 5.2 pruning is enabled.
     pub closure_pruning: bool,
-    /// The sweep kernel every worker uses. Not part of the run fingerprint: verdicts and
-    /// counters are kernel-independent, so a run may even be *resumed* under a different
-    /// kernel than it started with.
-    pub kernel: SweepKernel,
     /// Number of worker processes.
     pub workers: usize,
     /// `Some` when this run resumes a prior run: workers adopt the seed's verdicts and the
@@ -268,80 +266,30 @@ fn run_fingerprint(
     fnv64(&w.into_bytes())
 }
 
-/// Builds the in-memory plan for a session: descending levels, each partitioned by
-/// [`plan_level_shards`], shards assigned to workers round-robin.
-pub fn build_plan(
+/// Builds the in-memory plan for a session: descending levels, each level's undecided rank
+/// runs partitioned by [`plan_range_shards`], shards assigned to workers round-robin. A fresh
+/// run (`resume: None`) has one undecided run per level, its whole rank space; a resumed run
+/// covers only the ranks its seed leaves undecided, so the fan-out dispatches exactly the
+/// subsets an edit invalidated (after a pure removal: none at all).
+///
+/// The caller has checked the program count against [`MAX_SWEEP_PROGRAMS`].
+fn build_plan(
     session: &RobustnessSession,
     settings: AnalysisSettings,
     options: &PlanOptions,
     snapshot_fingerprint: u64,
+    resume: Option<(&SweepSeed, ResumeInfo)>,
 ) -> ShardPlan {
     let n = session.program_names().len();
-    assert!(
-        n <= 20,
-        "subset exploration is exponential; {n} programs is too many"
-    );
     let workers = options.workers.max(1);
     let levels: Vec<LevelPlan> = (1..=n)
         .rev()
         .map(|level| {
-            let shards = plan_level_shards(n, level, options.shards_per_level.max(1))
-                .into_iter()
-                .enumerate()
-                .map(|(i, spec)| PlannedShard {
-                    spec,
-                    worker: i % workers,
-                })
-                .collect();
-            LevelPlan {
-                level,
-                size: level_size(n, level),
-                shards,
-            }
-        })
-        .collect();
-    ShardPlan {
-        run_fingerprint: run_fingerprint(
-            snapshot_fingerprint,
-            settings,
-            options.closure_pruning,
-            workers,
-            None,
-        ),
-        snapshot_fingerprint,
-        workload: session.workload().name.clone(),
-        programs: n,
-        settings,
-        closure_pruning: options.closure_pruning,
-        kernel: options.kernel,
-        workers,
-        resume: None,
-        levels,
-    }
-}
-
-/// Builds the plan of a *resumed* run: levels cover only the rank ranges the seed leaves
-/// undecided, so the fan-out dispatches exactly the subsets an edit invalidated (after a pure
-/// removal: none at all).
-fn build_resume_plan(
-    session: &RobustnessSession,
-    settings: AnalysisSettings,
-    options: &PlanOptions,
-    snapshot_fingerprint: u64,
-    seed: &SweepSeed,
-    seed_fingerprint: u64,
-    prior_run_fingerprint: u64,
-) -> ShardPlan {
-    let n = session.program_names().len();
-    assert!(
-        n <= 20,
-        "subset exploration is exponential; {n} programs is too many"
-    );
-    let workers = options.workers.max(1);
-    let levels: Vec<LevelPlan> = (1..=n)
-        .rev()
-        .map(|level| {
-            let runs = undecided_level_runs(n, level, &seed.decided);
+            let size = level_size(n, level);
+            let runs = match resume {
+                Some((seed, _)) => undecided_level_runs(n, level, &seed.decided),
+                None => vec![(0, size)],
+            };
             let shards = plan_range_shards(level, &runs, options.shards_per_level.max(1))
                 .into_iter()
                 .enumerate()
@@ -352,31 +300,27 @@ fn build_resume_plan(
                 .collect();
             LevelPlan {
                 level,
-                size: level_size(n, level),
+                size,
                 shards,
             }
         })
         .collect();
+    let resume = resume.map(|(_, info)| info);
     ShardPlan {
         run_fingerprint: run_fingerprint(
             snapshot_fingerprint,
             settings,
             options.closure_pruning,
             workers,
-            Some(seed_fingerprint),
+            resume.map(|info| info.seed_fingerprint),
         ),
         snapshot_fingerprint,
         workload: session.workload().name.clone(),
         programs: n,
         settings,
         closure_pruning: options.closure_pruning,
-        kernel: options.kernel,
         workers,
-        resume: Some(ResumeInfo {
-            seed_fingerprint,
-            reused: seed.reused,
-            prior_run_fingerprint,
-        }),
+        resume,
         levels,
     }
 }
@@ -402,7 +346,9 @@ pub fn seed_path(dir: &Path) -> PathBuf {
 }
 
 /// The coordinator entry point: caches the summary graph for `settings` in the session,
-/// saves the snapshot and the plan into `dir` (created if needed) and returns the plan.
+/// saves the snapshot and the plan into `dir` (created if needed) and returns the plan. Fails
+/// with [`ShardError::TooManyPrograms`], before touching `dir`, when the session has more than
+/// [`MAX_SWEEP_PROGRAMS`] programs.
 ///
 /// Any verdict files left over from an earlier run in the same directory are deleted first —
 /// re-planning invalidates them, and a later merge must fail on missing files rather than
@@ -439,6 +385,7 @@ pub fn create_plan_dir_resuming(
     dir: &Path,
     prior: Option<&Path>,
 ) -> Result<ShardPlan, ShardError> {
+    TooManyPrograms::check(session.program_names().len())?;
     // Read the resume source *before* cleaning the target: `prior` may be `dir` itself.
     let seed = match prior {
         Some(prior_dir) => prepare_resume_seed(session, settings, prior_dir)?,
@@ -466,17 +413,19 @@ pub fn create_plan_dir_resuming(
     session.graph(settings);
     let snapshot_fingerprint = save_snapshot(session, snapshot_path(dir))?;
     let plan = match seed {
-        None => build_plan(session, settings, options, snapshot_fingerprint),
+        None => build_plan(session, settings, options, snapshot_fingerprint, None),
         Some((seed, prior_run_fingerprint)) => {
-            let seed_fingerprint = seed_content_fingerprint(&seed);
-            let plan = build_resume_plan(
+            let info = ResumeInfo {
+                seed_fingerprint: seed_content_fingerprint(&seed),
+                reused: seed.reused,
+                prior_run_fingerprint,
+            };
+            let plan = build_plan(
                 session,
                 settings,
                 options,
                 snapshot_fingerprint,
-                &seed,
-                seed_fingerprint,
-                prior_run_fingerprint,
+                Some((&seed, info)),
             );
             write_atomically(&seed_path(dir), &encode_seed(plan.run_fingerprint, &seed))?;
             plan
@@ -594,7 +543,6 @@ fn plan_to_json(plan: &ShardPlan) -> Value {
         "programs": plan.programs,
         "settings": settings,
         "closure_pruning": plan.closure_pruning,
-        "kernel": plan.kernel.name(),
         "workers": plan.workers,
         "levels": Value::Array(levels),
     });
@@ -663,24 +611,13 @@ fn plan_from_json(value: &Value) -> Result<ShardPlan, ShardError> {
         use_foreign_keys: json_bool(settings_value, "use_foreign_keys")?,
         condition,
     };
-    // Plans written before the kernel knob existed carry no `kernel` field; those runs used
-    // the scalar per-mask path, but since verdicts are kernel-independent any default is
-    // sound — use the current default.
-    let kernel = match &value["kernel"] {
-        Value::Null => SweepKernel::default(),
-        kernel_value => {
-            let name = kernel_value
-                .as_str()
-                .ok_or_else(|| ShardError::Plan("non-string field `kernel`".to_string()))?;
-            SweepKernel::parse(name)
-                .ok_or_else(|| ShardError::Plan(format!("unknown sweep kernel `{name}`")))?
-        }
-    };
+    // Plans written by older builds may carry a `kernel` field; the sweep has one kernel
+    // now, so any such field is ignored and those run directories still resume.
     let programs = json_u64(value, "programs")? as usize;
     let workers = json_u64(value, "workers")? as usize;
-    if programs == 0 || programs > 20 {
+    if programs == 0 || programs > MAX_SWEEP_PROGRAMS {
         return Err(ShardError::Plan(format!(
-            "program count {programs} out of range 1..=20"
+            "program count {programs} out of range 1..={MAX_SWEEP_PROGRAMS}"
         )));
     }
     if workers == 0 {
@@ -737,7 +674,6 @@ fn plan_from_json(value: &Value) -> Result<ShardPlan, ShardError> {
         programs,
         settings,
         closure_pruning: json_bool(value, "closure_pruning")?,
-        kernel,
         workers,
         resume,
         levels,
@@ -1195,8 +1131,7 @@ pub fn run_worker(
         )));
     }
     let session = open_snapshot_expecting(snapshot_path(dir), plan.snapshot_fingerprint)?;
-    let mut sweep =
-        RankRangeSweep::new(&session, plan.settings, plan.closure_pruning).with_kernel(plan.kernel);
+    let mut sweep = RankRangeSweep::new(&session, plan.settings, plan.closure_pruning)?;
     if sweep.program_count() != plan.programs {
         return Err(ShardError::Protocol(format!(
             "snapshot has {} programs, the plan was computed for {}",
@@ -1310,8 +1245,7 @@ impl MergeReport {
 pub fn merge_verdicts(dir: &Path) -> Result<MergeReport, ShardError> {
     let plan = read_plan(dir)?;
     let session = open_snapshot_expecting(snapshot_path(dir), plan.snapshot_fingerprint)?;
-    let mut sweep =
-        RankRangeSweep::new(&session, plan.settings, plan.closure_pruning).with_kernel(plan.kernel);
+    let mut sweep = RankRangeSweep::new(&session, plan.settings, plan.closure_pruning)?;
     if let Some(info) = &plan.resume {
         let seed = read_seed(dir, &plan, info, sweep.word_count())?;
         sweep.apply_seed(&seed.seed);
@@ -1326,6 +1260,6 @@ pub fn merge_verdicts(dir: &Path) -> Result<MergeReport, ShardError> {
     Ok(MergeReport {
         workload: plan.workload,
         abbreviations: session.workload().abbreviations.clone(),
-        exploration: sweep.exploration(counters, 0, 0),
+        exploration: sweep.exploration(counters, 0),
     })
 }

@@ -1,7 +1,12 @@
 //! The snapshot layer: a versioned, self-describing binary format persisting a
-//! [`RobustnessSession`] — its [`Workload`], the unfolded LTPs and every cached
-//! [`SummaryGraph`] — so another process can answer robustness queries without re-unfolding
-//! the workload or re-deriving a single Algorithm 1 edge.
+//! [`RobustnessSession`] — its [`Workload`], the unfolded LTPs, every cached
+//! [`SummaryGraph`] and the sweep cache — so another process can answer robustness queries
+//! without re-unfolding the workload, re-deriving a single Algorithm 1 edge or recomputing a
+//! single closure word.
+//!
+//! Snapshots are rebuildable caches, so a build reads exactly one format version
+//! ([`SNAPSHOT_FORMAT_VERSION`]); a file of any other version fails with
+//! [`SnapshotError::UnsupportedVersion`] and is rebuilt from the workload.
 //!
 //! # File format
 //!
@@ -12,43 +17,23 @@
 //! | 0      | 8    | magic `MVRCSNAP` ([`SNAPSHOT_MAGIC`]) |
 //! | 8      | 4    | format version, `u32` LE ([`SNAPSHOT_FORMAT_VERSION`], currently 3) |
 //! | 12     | 8    | workload fingerprint, `u64` LE — FNV-1a over the payload |
-//! | 20     | …    | payload: workload section, LTP section, graph section, sweep section (v2) |
+//! | 20     | …    | payload: workload section, LTP section, graph section, sweep section |
 //!
 //! The payload encoding is *canonical* (fixed-width integers, length-prefixed lists, no maps
-//! in nondeterministic order, only the zero-filled alignment padding of the version-3 derived
-//! blocks), so the fingerprint doubles as a content identity: the shard protocol of
-//! [`crate::shard`] stamps it into plans and verdict files, and refuses to merge artifacts
-//! whose fingerprints disagree. Every open recomputes the FNV over the payload and rejects
-//! any header/payload mismatch, which catches truncation and bit flips. Files of version 3
-//! and later are stamped with the word-lane variant (FNV-1a chained over `u64` LE lanes, one
-//! multiply per eight bytes) — version-3 payloads carry whole derived arrays, and the
-//! byte-chained hash would cost more than the decode it guards; version-1/2 files keep the
-//! byte-chained FNV they were written with.
+//! in nondeterministic order, only the zero-filled alignment padding of the derived blocks),
+//! so the fingerprint doubles as a content identity: the shard protocol of [`crate::shard`]
+//! stamps it into plans and verdict files, and refuses to merge artifacts whose fingerprints
+//! disagree. Every open recomputes the FNV over the payload and rejects any header/payload
+//! mismatch, which catches truncation and bit flips. The fingerprint is the word-lane variant
+//! of FNV-1a (chained over `u64` LE lanes, one multiply per eight bytes): payloads carry whole
+//! derived arrays, and a byte-chained hash would cost more than the decode it guards.
 //!
-//! The graph section stores, per cached granularity/foreign-key combination, the widened LTP
-//! nodes and the complete Algorithm 1 edge list; since version 3 it also stores the derived
-//! arrays (see below), so opening a snapshot re-derives **nothing** — neither Algorithm 1
-//! edges nor adjacency lists nor the reachability closure. The round-trip is
-//! **bit-identical** on every graph array — `reopened.graph(s) == original.graph(s)`
-//! including the derived arrays.
+//! # Graph section
 //!
-//! # Version 2: the sweep section
-//!
-//! Version 2 appends the session's **sweep cache** — the verdict bitsets incremental subset
-//! sweeps reuse across workload edits ([`mvrc_robustness::CachedSweep`]). The section is a
-//! length-prefixed list of entries, each encoding:
-//!
-//! | field | encoding |
-//! |-------|----------|
-//! | analysis settings | granularity byte, foreign-key bool, condition byte |
-//! | programs | `u32` count, then per program a string name and a `u64` structural fingerprint |
-//! | robust bitset | `u32` word count (`⌈2^n / 64⌉` for `n` programs), then the `u64` words |
-//!
-//! # Version 3: the derived block
-//!
-//! Version 3 extends each graph entry with an alignment-padded block of the graph's *derived*
-//! arrays — the compressed-sparse-row adjacency and the word-parallel reachability closure
-//! that versions 1 and 2 recomputed on every open. After the edge list, each graph encodes:
+//! Per cached granularity/foreign-key combination, the graph section stores the widened LTP
+//! nodes, the complete Algorithm 1 edge list and an alignment-padded block of the graph's
+//! *derived* arrays — the compressed-sparse-row adjacency and the word-parallel reachability
+//! closure. After the edge list, each graph encodes:
 //!
 //! | field | encoding |
 //! |-------|----------|
@@ -65,19 +50,29 @@
 //! a warm start performs no per-element decode, no edge derivation, no adjacency build and no
 //! closure computation, verified in tests via the construction and closure counters. The
 //! adjacency arrays are structurally validated against the edge list on open (bit-identity
-//! with a fresh derivation is forced); the closure words are covered by the fingerprint.
+//! with a fresh derivation is forced); the closure words are covered by the fingerprint. The
+//! round-trip is **bit-identical** on every graph array — `reopened.graph(s) ==
+//! original.graph(s)` including the derived arrays — and re-serializing a reopened snapshot
+//! reproduces its bytes.
 //!
-//! [`session_from_snapshot_bytes`] — the byte-slice entry point, also the fallback for
+//! [`session_from_snapshot_bytes`] — the byte-slice entry point, also the only path on
 //! big-endian hosts — decodes the same block into owned arrays instead of borrowing.
 //!
-//! Version-**1** and version-**2** files still open — their graphs simply re-derive the
-//! arrays lazily on first use — and all versions share the header checks, so corruption in
-//! the newer sections is caught by the same fingerprint re-verification. Writing always
-//! produces version 3; re-serializing a reopened snapshot is byte-identical.
+//! # Sweep section
+//!
+//! The last section holds the session's **sweep cache** — the verdict bitsets incremental
+//! subset sweeps reuse across workload edits ([`mvrc_robustness::CachedSweep`]). It is a
+//! length-prefixed list of entries, each encoding:
+//!
+//! | field | encoding |
+//! |-------|----------|
+//! | analysis settings | granularity byte, foreign-key bool, condition byte |
+//! | programs | `u32` count, then per program a string name and a `u64` structural fingerprint |
+//! | robust bitset | `u32` word count (`⌈2^n / 64⌉` for `n` programs), then the `u64` words |
 
 #![forbid(unsafe_code)]
 
-use crate::codec::{fnv64, fnv64_words, Reader, Writer};
+use crate::codec::{fnv64_words, Reader, Writer};
 use crate::mmap::SnapshotMap;
 use mvrc_btp::{
     FkConstraint, LinearFkConstraint, LinearProgram, Program, ProgramExpr, Statement,
@@ -85,7 +80,7 @@ use mvrc_btp::{
 };
 use mvrc_robustness::{
     AnalysisSettings, CachedSweep, CycleCondition, EdgeKind, Granularity, RobustnessSession,
-    SummaryEdge, SummaryGraph, SummaryGraphDerived, U32Slab, U64Slab,
+    SummaryEdge, SummaryGraph, SummaryGraphDerived, U32Slab, U64Slab, MAX_SWEEP_PROGRAMS,
 };
 use mvrc_schema::{AttrSet, FkId, RelId, Schema, SchemaBuilder};
 use std::fmt;
@@ -95,17 +90,13 @@ use std::sync::Arc;
 /// The 8-byte magic at offset 0 of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MVRCSNAP";
 
-/// The current snapshot format version (header offset 8); written by every save. Versions 1
-/// (no sweep section) and 2 (no derived block) are still readable — see
-/// [`SNAPSHOT_MIN_FORMAT_VERSION`].
+/// The snapshot format version (header offset 8): written by every save, and the only version
+/// this build opens.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
-/// The header length in bytes; payload offsets are relative to it, and the version-3 derived
-/// block is padded to absolute (header-inclusive) 8-byte alignment.
+/// The header length in bytes; payload offsets are relative to it, and the derived blocks are
+/// padded to absolute (header-inclusive) 8-byte alignment.
 const HEADER_LEN: usize = 20;
-
-/// The oldest snapshot format version this build still opens.
-pub const SNAPSHOT_MIN_FORMAT_VERSION: u32 = 1;
 
 /// Errors produced by snapshot encoding, decoding and file I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,8 +134,8 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadMagic => f.write_str("not a snapshot file (bad magic)"),
             SnapshotError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported snapshot format version {found} (this build reads versions \
-                 {SNAPSHOT_MIN_FORMAT_VERSION}..={SNAPSHOT_FORMAT_VERSION})"
+                "unsupported snapshot format version {found} (this build reads version \
+                 {SNAPSHOT_FORMAT_VERSION}; rebuild the snapshot)"
             ),
             SnapshotError::FingerprintMismatch { expected, found } => write!(
                 f,
@@ -214,17 +205,6 @@ pub fn snapshot_to_bytes(session: &RobustnessSession) -> Vec<u8> {
     bytes
 }
 
-/// Where a version-3 graph entry's derived block lands when decoded.
-#[derive(Clone, Copy)]
-enum DerivedMode<'m> {
-    /// Version 1/2 entry: no derived block on disk; arrays re-derive lazily.
-    Absent,
-    /// Version-3 entry decoded into owned arrays (byte-slice opens, big-endian hosts).
-    Owned,
-    /// Version-3 entry installed as zero-copy shared slabs over the snapshot mapping.
-    Mapped(&'m Arc<SnapshotMap>),
-}
-
 /// Cache of decoded LTP-list sections, keyed by their exact encoded byte span.
 ///
 /// The graph section re-encodes each graph's node LTPs in full, and the cached graphs of a
@@ -266,9 +246,8 @@ impl NodeSource<'_> {
     }
 }
 
-/// Validates the 20-byte header and the payload fingerprint, returning
-/// `(version, fingerprint)`.
-fn check_header(bytes: &[u8]) -> Result<(u32, u64), SnapshotError> {
+/// Validates the 20-byte header and the payload fingerprint, returning the fingerprint.
+fn check_header(bytes: &[u8]) -> Result<u64, SnapshotError> {
     if bytes.len() < HEADER_LEN {
         return Err(SnapshotError::Corrupt(format!(
             "file too short for a snapshot header ({} bytes)",
@@ -279,33 +258,26 @@ fn check_header(bytes: &[u8]) -> Result<(u32, u64), SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if !(SNAPSHOT_MIN_FORMAT_VERSION..=SNAPSHOT_FORMAT_VERSION).contains(&version) {
+    if version != SNAPSHOT_FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
     let stamped = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().unwrap());
-    // Version 3 moved the payload fingerprint to the word-lane FNV (one multiply per eight
-    // bytes): the derived arrays make version-3 payloads big enough that the byte-chained
-    // hash would dominate every open. Older files keep the byte chain they were stamped with.
-    let actual = if version >= 3 {
-        fnv64_words(&bytes[HEADER_LEN..])
-    } else {
-        fnv64(&bytes[HEADER_LEN..])
-    };
+    let actual = fnv64_words(&bytes[HEADER_LEN..]);
     if stamped != actual {
         return Err(SnapshotError::FingerprintMismatch {
             expected: stamped,
             found: actual,
         });
     }
-    Ok((version, actual))
+    Ok(actual)
 }
 
 /// Decodes a header-checked snapshot's payload into a session. `mapped` selects the
-/// zero-copy path for the version-3 derived blocks; `bytes` is the whole file (header
-/// included), and must be the mapping's own bytes when `mapped` is `Some`.
+/// zero-copy path for the derived blocks (`None` decodes them into owned arrays); `bytes` is
+/// the whole file (header included), and must be the mapping's own bytes when `mapped` is
+/// `Some`.
 fn decode_session(
     bytes: &[u8],
-    version: u32,
     mapped: Option<&Arc<SnapshotMap>>,
 ) -> Result<RobustnessSession, SnapshotError> {
     let payload = &bytes[HEADER_LEN..];
@@ -318,11 +290,6 @@ fn decode_session(
         ltps.push(decode_ltp(&mut r, &workload.schema)?);
     }
     let ltp_section = &payload[ltp_section_start..r.position()];
-    let derived = match (version >= 3, mapped) {
-        (false, _) => DerivedMode::Absent,
-        (true, None) => DerivedMode::Owned,
-        (true, Some(map)) => DerivedMode::Mapped(map),
-    };
     let graph_count = r.len()?;
     let mut graphs = Vec::with_capacity(graph_count);
     // Seed the node cache with the session LTP section: attribute-granularity graphs
@@ -334,18 +301,15 @@ fn decode_session(
         graphs.push(decode_graph(
             &mut r,
             &workload.schema,
-            derived,
+            mapped,
             &mut node_cache,
         )?);
     }
     drop(node_cache);
-    // Version 1 ends after the graph section; version 2 appends the sweep-cache section.
-    let mut sweeps: Vec<(AnalysisSettings, CachedSweep)> = Vec::new();
-    if version >= 2 {
-        let sweep_count = r.len()?;
-        for _ in 0..sweep_count {
-            sweeps.push(decode_cached_sweep(&mut r)?);
-        }
+    let sweep_count = r.len()?;
+    let mut sweeps: Vec<(AnalysisSettings, CachedSweep)> = Vec::with_capacity(sweep_count);
+    for _ in 0..sweep_count {
+        sweeps.push(decode_cached_sweep(&mut r)?);
     }
     if !r.is_at_end() {
         return Err(SnapshotError::Corrupt(
@@ -366,8 +330,8 @@ fn decode_session(
 pub fn session_from_snapshot_bytes(
     bytes: &[u8],
 ) -> Result<(RobustnessSession, u64), SnapshotError> {
-    let (version, fingerprint) = check_header(bytes)?;
-    Ok((decode_session(bytes, version, None)?, fingerprint))
+    let fingerprint = check_header(bytes)?;
+    Ok((decode_session(bytes, None)?, fingerprint))
 }
 
 /// [`SessionSnapshotExt::save_snapshot`] as a free function.
@@ -387,21 +351,21 @@ pub fn save_snapshot(
 
 /// [`SessionSnapshotExt::open_snapshot`] as a free function.
 ///
-/// The warm-start path: the file is read once into an 8-byte-aligned [`SnapshotMap`] and,
-/// for version-3 snapshots on little-endian hosts, every graph's CSR adjacency and
-/// reachability arrays are installed as zero-copy borrowed slabs over that mapping — no
-/// per-element decode, no edge derivation, no closure computation. Older versions (and
-/// big-endian hosts) fall back to the owned decode of [`session_from_snapshot_bytes`].
+/// The warm-start path: the file is read once into an 8-byte-aligned [`SnapshotMap`] and, on
+/// little-endian hosts, every graph's CSR adjacency and reachability arrays are installed as
+/// zero-copy borrowed slabs over that mapping — no per-element decode, no edge derivation, no
+/// closure computation. Big-endian hosts fall back to the owned decode of
+/// [`session_from_snapshot_bytes`].
 pub fn open_snapshot(path: impl AsRef<Path>) -> Result<(RobustnessSession, u64), SnapshotError> {
     let path = path.as_ref();
     let map = SnapshotMap::open(path).map_err(|e| SnapshotError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })?;
-    let (version, fingerprint) = check_header(map.bytes())?;
+    let fingerprint = check_header(map.bytes())?;
     let map = Arc::new(map);
-    let mapped = (version >= 3 && cfg!(target_endian = "little")).then_some(&map);
-    let session = decode_session(map.bytes(), version, mapped)?;
+    let mapped = cfg!(target_endian = "little").then_some(&map);
+    let session = decode_session(map.bytes(), mapped)?;
     Ok((session, fingerprint))
 }
 
@@ -839,7 +803,7 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
         w.u32(u32::try_from(edge.to_stmt).expect("statement position exceeds u32"));
         w.u32(u32::try_from(edge.to).expect("node id exceeds u32"));
     }
-    // The version-3 derived block (forces derivation, which is idempotent and deterministic —
+    // The derived block (forces derivation, which is idempotent and deterministic —
     // re-serializing a reopened snapshot reproduces the words bit for bit). Lengths are
     // implied by the node/edge counts above; see the module docs for the layout.
     let (out_offsets, out_targets) = graph.out_adjacency();
@@ -857,7 +821,7 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
 fn decode_graph<'a>(
     r: &mut Reader<'a>,
     schema: &Schema,
-    derived: DerivedMode<'_>,
+    mapped: Option<&Arc<SnapshotMap>>,
     node_cache: &mut NodeSectionCache<'a, '_>,
 ) -> Result<SummaryGraph, SnapshotError> {
     let settings = decode_settings(r)?;
@@ -929,22 +893,16 @@ fn decode_graph<'a>(
 
     let n = node_count;
     let reach_len = n * n.div_ceil(64).max(1);
-    let parts = match derived {
-        DerivedMode::Absent => {
-            return Ok(SummaryGraph::from_snapshot_parts(nodes, edges, settings))
-        }
-        DerivedMode::Owned => {
-            r.skip_pad8(HEADER_LEN)?;
-            SummaryGraphDerived {
-                out_offsets: r.u32_slice(n + 1)?.into(),
-                out_targets: r.u32_slice(edge_count)?.into(),
-                in_offsets: r.u32_slice(n + 1)?.into(),
-                in_targets: r.u32_slice(edge_count)?.into(),
-                reach_bits: r.u64_slice(reach_len)?.into(),
-            }
-        }
-        DerivedMode::Mapped(map) => {
-            r.skip_pad8(HEADER_LEN)?;
+    r.skip_pad8(HEADER_LEN)?;
+    let parts = match mapped {
+        None => SummaryGraphDerived {
+            out_offsets: r.u32_slice(n + 1)?.into(),
+            out_targets: r.u32_slice(edge_count)?.into(),
+            in_offsets: r.u32_slice(n + 1)?.into(),
+            in_targets: r.u32_slice(edge_count)?.into(),
+            reach_bits: r.u64_slice(reach_len)?.into(),
+        },
+        Some(map) => {
             // Walk past each array, carving a shared slab over the mapping in its place.
             // `skip_raw` returns the array's payload offset and bounds-checks the walk, so
             // every slab range lies inside the mapping; the absolute (header-inclusive)
@@ -977,7 +935,7 @@ fn decode_graph<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Sweep section (format version 2)
+// Sweep section
 // ---------------------------------------------------------------------------
 
 fn encode_cached_sweep(w: &mut Writer, settings: AnalysisSettings, sweep: &CachedSweep) {
@@ -998,9 +956,10 @@ fn decode_cached_sweep(
 ) -> Result<(AnalysisSettings, CachedSweep), SnapshotError> {
     let settings = decode_settings(r)?;
     let program_count = r.len()?;
-    if program_count > 20 {
+    if program_count > MAX_SWEEP_PROGRAMS {
         return Err(SnapshotError::Corrupt(format!(
-            "cached sweep claims {program_count} programs (the sweep bound is 20)"
+            "cached sweep claims {program_count} programs (the sweep bound is \
+             {MAX_SWEEP_PROGRAMS})"
         )));
     }
     let mut programs = Vec::with_capacity(program_count);

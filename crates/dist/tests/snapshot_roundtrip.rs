@@ -118,8 +118,8 @@ proptest! {
     ) {
         let session = RobustnessSession::new(synthetic(config));
         session.is_robust(AnalysisSettings::paper_default());
-        // An incremental sweep populates the sweep cache, so the bytes below include the
-        // version-2 sweep section and the flip/truncation coverage extends to it.
+        // An incremental sweep populates the sweep cache, so the bytes below include the sweep
+        // section and the flip/truncation coverage extends to it.
         explore_subsets_with(
             &session,
             AnalysisSettings::paper_default(),
@@ -157,8 +157,8 @@ fn wrong_fingerprint_is_rejected_on_open() {
 /// validation of the payload is exercised, not the FNV check.
 fn restamp(bytes: &mut [u8]) {
     let fp = {
-        // The crate's fingerprint helpers are private; recompute the version-3 word-lane
-        // FNV-1a locally (same published constants, `u64` LE lanes, byte-chained tail).
+        // The crate's fingerprint helpers are private; recompute the word-lane FNV-1a
+        // locally (same published constants, `u64` LE lanes, byte-chained tail).
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut lanes = bytes[20..].chunks_exact(8);
         for lane in &mut lanes {
@@ -175,34 +175,75 @@ fn restamp(bytes: &mut [u8]) {
 }
 
 #[test]
-fn version_1_fixture_still_opens_with_identical_graphs() {
-    // A version-1 snapshot committed before the sweep section existed: it must keep opening,
-    // with every cached graph `PartialEq`-identical to a freshly warmed session's, and an
-    // empty sweep cache.
-    let bytes = std::fs::read(concat!(
+fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
+    // The one cross-build pin of the snapshot layout: a committed snapshot of a warmed Auction
+    // session (all four graphs plus one cached sweep) must open zero-copy to graphs identical
+    // to a fresh build, and both the reopened and the fresh session must serialize to exactly
+    // the committed bytes. Regenerate intentionally with
+    // `MVRC_BLESS=1 cargo test -p mvrc-dist --test snapshot_roundtrip`.
+    let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/auction_v1.mvrcsnap"
-    ))
-    .expect("committed v1 fixture");
-    assert_eq!(&bytes[0..8], b"MVRCSNAP");
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-
-    let (reopened, fingerprint) = session_from_snapshot_bytes(&bytes).unwrap();
-    assert_ne!(fingerprint, 0);
-    assert_eq!(reopened.workload().name, "Auction");
-    assert_eq!(reopened.cached_graph_count(), 4);
-    assert_eq!(reopened.cached_sweep_count(), 0);
-
+        "/tests/fixtures/auction_v3.mvrcsnap"
+    );
     let fresh = RobustnessSession::new(mvrc_benchmarks::auction());
     for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
         for settings in AnalysisSettings::evaluation_grid(condition) {
             fresh.is_robust(settings);
-            assert_eq!(
-                *reopened.graph(settings),
-                *fresh.graph(settings),
-                "v1 fixture graph must be identical to a freshly built one under {settings}"
-            );
         }
+    }
+    explore_subsets_with(
+        &fresh,
+        AnalysisSettings::paper_default(),
+        ExploreOptions {
+            incremental: true,
+            incremental_min_subsets: 0,
+            ..ExploreOptions::default()
+        },
+    );
+    if std::env::var_os("MVRC_BLESS").is_some() {
+        fresh.save_snapshot(path).unwrap();
+    }
+    let bytes = std::fs::read(path)
+        .unwrap_or_else(|e| panic!("missing fixture {path} ({e}); run with MVRC_BLESS=1"));
+    assert_eq!(&bytes[0..8], b"MVRCSNAP");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
+
+    let (reopened, fingerprint) = mvrc_dist::open_snapshot(path).unwrap();
+    assert_ne!(fingerprint, 0);
+    assert_eq!(reopened.workload().name, "Auction");
+    assert_eq!(reopened.cached_graph_count(), 4);
+    for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
+        assert!(
+            reopened.graph(settings).derived_arrays_shared(),
+            "the fixture must open zero-copy under {settings}"
+        );
+        assert_eq!(
+            *reopened.graph(settings),
+            *fresh.graph(settings),
+            "fixture graph must be identical to a freshly built one under {settings}"
+        );
+    }
+    assert_eq!(reopened.cached_sweep_count(), 1);
+    assert_eq!(reopened.cached_sweeps(), fresh.cached_sweeps());
+    assert_eq!(
+        snapshot_to_bytes(&reopened),
+        bytes,
+        "re-serializing the fixture must reproduce it"
+    );
+    assert_eq!(
+        snapshot_to_bytes(&fresh),
+        bytes,
+        "the snapshot layout changed; if intentional, regenerate with MVRC_BLESS=1"
+    );
+
+    // Files of any other format version fail typed; the cache is rebuilt instead.
+    for version in [1u32, 2, 4] {
+        let mut other = bytes.clone();
+        other[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            session_from_snapshot_bytes(&other).unwrap_err(),
+            SnapshotError::UnsupportedVersion { found: version }
+        );
     }
     // Corruption checks extend to the fixture: any flip or truncation is rejected.
     let mut flipped = bytes.clone();
@@ -328,58 +369,8 @@ fn snapshots_of_different_workloads_have_different_fingerprints() {
 }
 
 #[test]
-fn version_2_fixture_still_opens_with_identical_graphs() {
-    // A version-2 snapshot committed before the derived block existed: it must keep opening
-    // (its graphs re-derive adjacency/closure lazily), with every cached graph
-    // `PartialEq`-identical to a freshly warmed session's, and re-saving it must produce a
-    // current-version snapshot that opens to the same session.
-    let bytes = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/auction_v2.mvrcsnap"
-    ))
-    .expect("committed v2 fixture");
-    assert_eq!(&bytes[0..8], b"MVRCSNAP");
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
-
-    let (reopened, fingerprint) = session_from_snapshot_bytes(&bytes).unwrap();
-    assert_ne!(fingerprint, 0);
-    assert_eq!(reopened.workload().name, "Auction");
-    assert_eq!(reopened.cached_graph_count(), 4);
-    // The fixture was written with a populated sweep cache — the v2 section round-trips.
-    assert_eq!(reopened.cached_sweep_count(), 1);
-
-    let fresh = RobustnessSession::new(mvrc_benchmarks::auction());
-    for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
-        for settings in AnalysisSettings::evaluation_grid(condition) {
-            fresh.is_robust(settings);
-            assert_eq!(
-                *reopened.graph(settings),
-                *fresh.graph(settings),
-                "v2 fixture graph must be identical to a freshly built one under {settings}"
-            );
-        }
-    }
-
-    // Upgrading: a re-save emits the current version with the derived block appended, and
-    // the upgraded file opens zero-copy to the same graphs and sweep cache.
-    let path = scratch_file("v2-upgrade");
-    reopened.save_snapshot(&path).unwrap();
-    let upgraded_bytes = std::fs::read(&path).unwrap();
-    assert_eq!(
-        u32::from_le_bytes(upgraded_bytes[8..12].try_into().unwrap()),
-        mvrc_dist::SNAPSHOT_FORMAT_VERSION
-    );
-    let (upgraded, _) = mvrc_dist::open_snapshot(&path).unwrap();
-    for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
-        assert_eq!(*upgraded.graph(settings), *reopened.graph(settings));
-    }
-    assert_eq!(upgraded.cached_sweeps(), reopened.cached_sweeps());
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn warm_open_is_zero_copy_and_rederives_nothing() {
-    // The version-3 contract: opening a snapshot installs every graph's derived arrays as
+    // The warm-start contract: opening a snapshot installs every graph's derived arrays as
     // borrowed slabs over the file mapping, and *no* derivation runs afterwards — queries on
     // the reopened session advance neither the construction counter (no Algorithm 1) nor the
     // closure counter (no reachability rebuild).

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use mvrc_robustness::{
     explore_subsets_with, AnalysisSettings, CycleCondition, ExploreOptions, Granularity,
-    RobustnessSession, SummaryGraph,
+    RobustnessSession, SummaryGraph, TooManyPrograms,
 };
 use serde_json::{json, Value};
 
@@ -420,6 +420,10 @@ fn tenant_op(
                     "epoch": tenant.cell().epoch(),
                 }),
                 "explore_subsets" => {
+                    // Too wide a tenant is a request error; the connection stays open.
+                    if let Err(e) = TooManyPrograms::check(session.program_names().len()) {
+                        return error_response(e.to_string());
+                    }
                     // Identical call and rendering to `mvrc subsets --json` (default options,
                     // not the incremental path), so replies are byte-for-byte comparable with
                     // the offline CLI on the same workload.

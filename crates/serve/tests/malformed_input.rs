@@ -4,7 +4,8 @@
 //! (error reply, connection survives), oversized frames (error reply *before any body
 //! allocation*, connection closed), and mid-frame disconnects (that connection alone dies;
 //! every other connection keeps working). Plus the request-shape errors above the frame
-//! layer: missing `op`, unknown op, unknown tenant, invalid `settings`.
+//! layer: missing `op`, unknown op, unknown tenant, invalid `settings`, and a subset sweep
+//! over a tenant wider than the sweep accepts.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -178,4 +179,33 @@ fn wire_shutdown_drains_the_server() {
             assert_eq!(stream.read(&mut buf).unwrap_or(0), 0);
         }
     }
+}
+
+#[test]
+fn subset_sweep_on_a_too_wide_tenant_is_an_error_reply_and_the_connection_survives() {
+    // Auction(25) has 50 programs, beyond the sweep limit of 20.
+    let tenant = Tenant::from_workload("wide", mvrc_benchmarks::auction_n(25));
+    let server = Server::bind(&ServeConfig::default(), vec![tenant]).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let flag = server.shutdown_flag();
+    let handle = std::thread::spawn(move || server.run());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+
+    write_frame(
+        &mut stream,
+        &json!({"op": "explore_subsets", "tenant": "wide"}),
+    )
+    .expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    let error = error_text(&reply);
+    assert!(
+        error.contains("50 programs exceed the limit of 20"),
+        "{error}"
+    );
+
+    write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+
+    stop_server(&flag, handle);
 }

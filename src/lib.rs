@@ -42,7 +42,7 @@ pub mod prelude {
     pub use mvrc_robustness::{
         explore_subsets, explore_subsets_naive, explore_subsets_with, AnalysisReport,
         AnalysisSettings, CycleCondition, ExploreOptions, Granularity, InducedView, Parallelism,
-        RobustnessSession, SummaryGraph, SummaryGraphView, SweepStrategy,
+        RobustnessSession, SummaryGraph, SummaryGraphView,
     };
     pub use mvrc_schedule::{find_counterexample, SearchConfig};
     pub use mvrc_schema::{Schema, SchemaBuilder};
