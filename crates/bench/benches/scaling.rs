@@ -5,10 +5,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvrc_benchmarks::auction_n;
 use mvrc_robustness::{find_type2_violation, AnalysisSettings, RobustnessSession};
 
+/// Auction(n) sizes: the paper's sweep up to n = 100, the largest input of the cold-verdict
+/// benchmark workload.
+const SIZES: [usize; 5] = [5, 10, 20, 40, 100];
+
 fn bench_auction_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure8_auction_n");
     group.sample_size(10);
-    for n in [5usize, 10, 20, 40] {
+    for n in SIZES {
         let workload = auction_n(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &workload, |b, w| {
             b.iter(|| {
@@ -27,7 +31,7 @@ fn bench_auction_n(c: &mut Criterion) {
 fn bench_auction_n_graph_only(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure8_graph_size");
     group.sample_size(10);
-    for n in [5usize, 10, 20, 40] {
+    for n in SIZES {
         let workload = auction_n(n);
         let session = RobustnessSession::new(workload);
         group.bench_with_input(BenchmarkId::from_parameter(n), &session, |b, s| {

@@ -30,9 +30,11 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    /// Builds a report from an already-constructed summary graph.
+    /// Builds a report from an already-constructed summary graph, through
+    /// [`SummaryGraph::prefetched`] so a snapshot-backed graph pays no slab dispatch per
+    /// reachability probe.
     pub fn from_graph(graph: &SummaryGraph, settings: AnalysisSettings) -> Self {
-        Self::from_view(graph, settings)
+        Self::from_view(&graph.prefetched(), settings)
     }
 
     /// Builds a report from any summary-graph view (full graph or induced subgraph).

@@ -35,9 +35,10 @@
 //! the level barrier of the sweep guarantees every batch flushes before level `k - 1` starts.
 //!
 //! The structure shared by all lanes — deduplicated edge pairs, counterflow pairs, the
-//! pair-condition tests of Algorithm 2 — is compiled once per graph and condition into a
-//! [`LanePlan`] (`crate::algorithm::compile_lane_plan`) and cached on the graph, so a batch
-//! costs one fixpoint over node pairs instead of up to 64 Tarjan condensations.
+//! non-counterflow pairs grouped by source, the pair-condition tests of Algorithm 2 — is
+//! compiled once per graph and condition into a [`LanePlan`]
+//! (`crate::algorithm::compile_lane_plan`) and cached on the graph, so a batch costs one
+//! fixpoint over node pairs instead of up to 64 Tarjan condensations.
 
 use crate::settings::CycleCondition;
 use mvrc_par::{fold_chunks, Parallelism, WorkerLocal};
@@ -98,8 +99,12 @@ pub(crate) struct LanePlan {
     pub(crate) edge_pairs: Vec<(u32, u32)>,
     /// Deduplicated counterflow `(from, to)` node pairs: the type-I cycle tests.
     pub(crate) cf_pairs: Vec<(u32, u32)>,
-    /// Deduplicated non-counterflow `(P_1, P_2)` node pairs: the type-II closing-set sources.
+    /// Deduplicated non-counterflow `(P_1, P_2)` node pairs, sorted so the pairs of one
+    /// source `P_1` are contiguous: each ORs `P_2`'s reach row into its source's `nc_close` row.
     pub(crate) nc_pairs: Vec<(u32, u32)>,
+    /// The distinct `P_1` of [`nc_pairs`](Self::nc_pairs) in ascending order, one `nc_close`
+    /// row each.
+    pub(crate) nc_sources: Vec<u32>,
     /// Sorted, deduplicated counterflow targets — the candidate `P_5` nodes, one closing-set
     /// row each.
     pub(crate) candidates: Vec<u32>,
@@ -124,8 +129,8 @@ pub(crate) struct LaneType2Group {
 }
 
 /// Reusable lane-kernel temporaries: the membership words the caller fills per batch, plus the
-/// reachability and closing-set matrices [`sweep_lanes`] rebuilds from them. Lives in the
-/// per-worker sweep scratch so batches perform no steady-state allocation.
+/// reachability, per-source and closing-set matrices [`sweep_lanes`] rebuilds from them. Lives
+/// in the per-worker sweep scratch so batches perform no steady-state allocation.
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
     /// Membership words, one per graph node: bit `i` ⇔ the node's program is in subset `i`.
@@ -134,7 +139,13 @@ pub(crate) struct LaneScratch {
     /// `reach[u·n + v]` ⇔ `u` and `v` are lane-`i` members and `v` is reachable from `u`
     /// through lane-`i` members only.
     reach: Vec<u64>,
-    /// Closing-set rows, one `universe`-word row per candidate `P_5`.
+    /// Per-source rows, one `universe`-word row per [`LanePlan::nc_sources`] entry `P_1`: bit
+    /// `i` of `nc_close[s·n + v]` ⇔ some non-counterflow pair `(P_1, P_2)` has `P_2` and `v`
+    /// lane-`i` members with `v` reachable from `P_2`. `P_1`'s own membership is not folded
+    /// in; the `reach[P_5·n + P_1]` gate of the closing pass certifies it.
+    nc_close: Vec<u64>,
+    /// Closing-set rows, one `universe`-word row per candidate `P_5`: the `nc_close` rows of
+    /// the sources reachable from `P_5`, each masked by that reachability word.
     close: Vec<u64>,
 }
 
@@ -143,17 +154,19 @@ pub(crate) struct LaneScratch {
 ///
 /// `scratch.member` holds the membership words (bits outside `batch` must be zero). The
 /// verdicts are exactly those of the scalar per-subset cycle tests: the reachability fixpoint
-/// mirrors induced-view closure per lane, and the type-II formulas below are the lane-masked
-/// transcription of `find_type2_violation_in` — `close[P_5]` accumulates, per lane, the
-/// reach rows of every non-counterflow pair `(P_1, P_2)` whose `P_1` is reachable from `P_5`,
-/// and a lane is violated when some pair-condition group finds its `P_3` bit set with `P_4`
-/// a member. Witness *choice* may differ from the scalar search order; witness *existence*
-/// (all the sweep records) cannot.
+/// mirrors induced-view closure per lane, and the type-II closing sets are factored through
+/// their sources exactly as in `find_type2_violation_in`, with every row lane-masked:
+/// `nc_close[P_1]` unions the reach rows of `P_1`'s non-counterflow targets `P_2`, then
+/// `close[P_5]` unions `reach[P_5][P_1] & nc_close[P_1]` over the sources — `nc_pairs +
+/// candidates × sources` row operations of `universe` words each. A lane is violated when some
+/// pair-condition group finds its `P_3` bit set with `P_4` a member. Witness *choice* may
+/// differ from the scalar search order; witness *existence* (all the sweep records) cannot.
 pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64) -> u64 {
     let n = plan.universe;
     let LaneScratch {
         member,
         reach,
+        nc_close,
         close,
     } = scratch;
     debug_assert_eq!(member.len(), n);
@@ -207,9 +220,26 @@ pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64
             }
         }
         CycleCondition::TypeII => {
-            // close[ci][v] bit i ⇔ some non-counterflow pair (P_1, P_2) exists in lane i with
-            // P_1 reachable from candidate P_5 and v reachable from P_2. The gate word
-            // reach[P_5][P_1] certifies P_5 and P_1; the source row certifies P_2 and v.
+            // nc_close[s][v] bit i ⇔ some non-counterflow pair (P_1, P_2) from source s has P_2
+            // and v lane-i members with v reachable from P_2 (the P_2 row certifies both).
+            // Sources absent from every lane keep a zero row: the gate below would drop it.
+            nc_close.clear();
+            nc_close.resize(plan.nc_sources.len() * n, 0);
+            let mut si = 0;
+            for &(p1, p2) in &plan.nc_pairs {
+                if p1 != plan.nc_sources[si] {
+                    si += 1;
+                }
+                debug_assert_eq!(p1, plan.nc_sources[si]);
+                if member[p1 as usize] == 0 {
+                    continue;
+                }
+                let src = p2 as usize * n;
+                or_into(&mut nc_close[si * n..(si + 1) * n], &reach[src..src + n]);
+            }
+            // close[ci][v] bit i ⇔ some source P_1 reachable from candidate P_5 in lane i has
+            // its nc_close bit set at v. The gate word reach[P_5][P_1] certifies P_5 and P_1,
+            // so the non-counterflow edge (P_1, P_2) lies in the lane's view.
             close.clear();
             close.resize(plan.candidates.len() * n, 0);
             for (ci, &p5) in plan.candidates.iter().enumerate() {
@@ -218,14 +248,14 @@ pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64
                     continue;
                 }
                 let row = ci * n;
-                for &(p1, p2) in &plan.nc_pairs {
+                for (si, &p1) in plan.nc_sources.iter().enumerate() {
                     let gate = reach[p5 * n + p1 as usize];
                     if gate == 0 {
                         continue;
                     }
-                    let src = p2 as usize * n;
+                    let src = si * n;
                     for j in 0..n {
-                        close[row + j] |= gate & reach[src + j];
+                        close[row + j] |= gate & nc_close[src + j];
                     }
                 }
             }
@@ -527,6 +557,7 @@ mod tests {
             edge_pairs: vec![(0, 1), (1, 0)],
             cf_pairs: vec![(1, 0)],
             nc_pairs: Vec::new(),
+            nc_sources: Vec::new(),
             candidates: Vec::new(),
             type2_groups: Vec::new(),
             type2_froms: Vec::new(),
@@ -548,6 +579,7 @@ mod tests {
             edge_pairs: vec![(0, 1), (1, 2), (2, 0)],
             cf_pairs: vec![(2, 0)],
             nc_pairs: Vec::new(),
+            nc_sources: Vec::new(),
             candidates: Vec::new(),
             type2_groups: Vec::new(),
             type2_froms: Vec::new(),

@@ -360,7 +360,7 @@ impl RobustnessSession {
 
     /// Runs the full analysis (cached Algorithm 1 graph + cycle test) under the given settings.
     pub fn analyze(&self, settings: AnalysisSettings) -> AnalysisReport {
-        AnalysisReport::from_view(&*self.graph(settings), settings)
+        AnalysisReport::from_graph(&self.graph(settings), settings)
     }
 
     /// Runs the analysis for a subset of the programs, on an induced view of the cached graph.

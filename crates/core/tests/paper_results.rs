@@ -11,6 +11,11 @@ use mvrc_robustness::{
     SubsetExploration,
 };
 
+mod support {
+    pub mod witness;
+}
+use support::witness::assert_valid_type2_witness;
+
 fn session(w: &Workload) -> RobustnessSession {
     RobustnessSession::new(w.clone())
 }
@@ -322,18 +327,22 @@ fn auction_n_is_robust_for_every_n() {
 
 #[test]
 fn optimized_and_naive_algorithm2_agree_on_all_benchmarks() {
-    for w in [smallbank(), tpcc(), auction(), auction_n(3)] {
+    // The graph shape depends only on granularity and foreign keys (the session caches one
+    // graph per pair), so one condition's grid covers every graph.
+    for w in [smallbank(), tpcc(), auction(), auction_n(3), auction_n(20)] {
         let a = session(&w);
-        for condition in [CycleCondition::TypeI, CycleCondition::TypeII] {
-            for settings in grid(condition) {
-                let graph = a.graph(settings);
-                assert_eq!(
-                    mvrc_robustness::find_type2_violation(&graph).is_some(),
-                    mvrc_robustness::find_type2_violation_naive(&graph).is_some(),
-                    "{}: optimized and naive Algorithm 2 disagree under `{}`",
-                    w.name,
-                    settings.label()
-                );
+        for settings in grid(CycleCondition::TypeII) {
+            let graph = a.graph(settings);
+            let optimized = mvrc_robustness::find_type2_violation(&graph);
+            let naive = mvrc_robustness::find_type2_violation_naive(&graph);
+            let context = format!("{} under `{}`", w.name, settings.label());
+            assert_eq!(
+                optimized.is_some(),
+                naive.is_some(),
+                "{context}: optimized and naive Algorithm 2 disagree"
+            );
+            for witness in optimized.iter().chain(&naive) {
+                assert_valid_type2_witness(&*graph, witness, &context);
             }
         }
     }

@@ -18,6 +18,10 @@ use mvrc_repro::robustness::{find_type2_violation, find_type2_violation_naive, i
 use mvrc_repro::schedule::sample_serializability;
 use proptest::prelude::*;
 
+#[path = "../crates/core/tests/support/witness.rs"]
+mod witness;
+use witness::assert_valid_type2_witness;
+
 fn synthetic_config_strategy() -> impl Strategy<Value = SyntheticConfig> {
     (
         1usize..=3,   // relations
@@ -96,10 +100,12 @@ proptest! {
         let session = RobustnessSession::new(workload.clone());
         for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
             let graph = session.graph(settings);
-            prop_assert_eq!(
-                find_type2_violation(&graph).is_some(),
-                find_type2_violation_naive(&graph).is_some()
-            );
+            let optimized = find_type2_violation(&graph);
+            let naive = find_type2_violation_naive(&graph);
+            prop_assert_eq!(optimized.is_some(), naive.is_some());
+            for witness in optimized.iter().chain(&naive) {
+                assert_valid_type2_witness(&*graph, witness, &settings.label());
+            }
         }
     }
 
