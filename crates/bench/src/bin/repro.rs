@@ -7,8 +7,6 @@
 //! repro figure8 [--max N]      Figure 8  Auction(n) scalability sweep (10 repetitions)
 //! repro figure4                Figure 4  summary graph of the Auction example (DOT)
 //! repro graphs                 Figures 11/18: DOT summary graphs for SmallBank and TPC-C
-//! repro smallbank-ground-truth Section 7.2: confirm non-robust SmallBank subsets with concrete
-//!                              MVRC counterexample schedules
 //! repro bench-subsets [--out P] median subset-exploration times (naive vs shared vs pruned,
 //!                              plus the setup phase and the per-subset rate) on the paper
 //!                              benchmarks + YCSB-T, written to
@@ -40,7 +38,6 @@ use mvrc_robustness::{
     explore_subsets, explore_subsets_naive, explore_subsets_with, to_dot, AnalysisSettings,
     CycleCondition, DotOptions, ExploreOptions, RobustnessSession,
 };
-use mvrc_schedule::{find_counterexample, SearchConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -95,7 +92,6 @@ fn main() {
         "figure8" => print_figure8(max_n, json),
         "figure4" => print_figure4(),
         "graphs" => print_graphs(),
-        "smallbank-ground-truth" => smallbank_ground_truth(),
         "bench-subsets" => bench_subsets(&out_path),
         "bench-edits" => bench_edits(&edits_out_path),
         "bench-open" => bench_open(&open_out_path),
@@ -107,7 +103,6 @@ fn main() {
             print_figure7(json);
             print_figure8(max_n, json);
             print_figure4();
-            smallbank_ground_truth();
             bench_subsets(&out_path);
             bench_edits("BENCH_edits.json");
             bench_open("BENCH_open.json");
@@ -116,7 +111,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown command `{other}`");
-            eprintln!("usage: repro [table2|figure6|figure7|figure8|figure4|graphs|smallbank-ground-truth|bench-subsets|bench-edits|bench-open|bench-serve|bench-certify|all] [--max N] [--json] [--out PATH] [--threads N]");
+            eprintln!("usage: repro [table2|figure6|figure7|figure8|figure4|graphs|bench-subsets|bench-edits|bench-open|bench-serve|bench-certify|all] [--max N] [--json] [--out PATH] [--threads N]");
             std::process::exit(2);
         }
     }
@@ -893,58 +888,4 @@ fn bench_certify(out_path: &str) {
         eprintln!("bench-certify: {shortfalls} non-robust subset(s) without a certificate");
         std::process::exit(1);
     }
-}
-
-fn smallbank_ground_truth() {
-    println!(
-        "== Section 7.2: SmallBank ground truth (counterexample search for rejected subsets) =="
-    );
-    let workload = smallbank();
-    let session = RobustnessSession::new(workload.clone());
-    let exploration = explore_subsets(&session, AnalysisSettings::paper_default());
-    let names = exploration.programs.clone();
-    // Check every subset of up to three programs that Algorithm 2 rejects: a concrete
-    // non-serializable MVRC schedule should exist (the algorithm is exact on SmallBank, per the
-    // complete characterization of [46]).
-    let mut confirmed = 0;
-    let mut rejected = 0;
-    for mask in 1usize..(1 << names.len()) {
-        let subset: Vec<usize> = (0..names.len()).filter(|i| mask & (1 << i) != 0).collect();
-        if subset.len() > 3 || exploration.robust.contains(&subset) {
-            continue;
-        }
-        rejected += 1;
-        let subset_names: Vec<&str> = subset.iter().map(|&i| names[i].as_str()).collect();
-        let ltps: Vec<_> = session
-            .ltps()
-            .iter()
-            .filter(|l| subset_names.contains(&l.program_name()))
-            .cloned()
-            .collect();
-        // Four concurrent transactions: some anomalies (e.g. {Balance, DepositChecking,
-        // TransactSavings}) need two reader instances plus both writers to close a cycle.
-        let config = SearchConfig {
-            transactions: 4,
-            attempts: 25_000,
-            ..SearchConfig::default()
-        };
-        match find_counterexample(&workload.schema, &ltps, &config) {
-            Some(cex) => {
-                confirmed += 1;
-                println!(
-                    "  {:<30} NOT robust — confirmed by schedule over [{}]",
-                    format!("{{{}}}", subset_names.join(", ")),
-                    cex.programs.join(", ")
-                );
-            }
-            None => {
-                println!(
-                    "  {:<30} NOT robust — no counterexample found within the search budget",
-                    format!("{{{}}}", subset_names.join(", "))
-                );
-            }
-        }
-    }
-    println!("  confirmed {confirmed}/{rejected} rejected subsets with concrete anomalies");
-    println!();
 }

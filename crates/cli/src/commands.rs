@@ -388,10 +388,27 @@ fn certify(
         ))),
         // Non-robust but no witness realized within the search budget: still exit 1 (the
         // analyzer's verdict stands; only the constructive evidence is missing).
-        Err(e @ mvrc_hist::CertifyError::Unrealized { .. }) => Ok(CommandOutput {
-            text: format!("{label}: NOT ROBUST ({}), but {e}", settings_line(settings)),
-            exit_code: 1,
-        }),
+        Err(mvrc_hist::CertifyError::Unrealized { violations }) => {
+            let text = match format {
+                Format::Json => {
+                    let value = serde_json::json!({
+                        "workload": label,
+                        "programs": subset,
+                        "settings": settings.label(),
+                        "condition": settings.condition.to_string(),
+                        "robust": false,
+                        "unrealized_witnesses": violations,
+                    });
+                    serde_json::to_string_pretty(&value).expect("verdict serializes")
+                }
+                Format::Text => format!(
+                    "{label}: NOT ROBUST ({}); uncertified: none of the {violations} \
+                     witness(es) could be realized as an executed rejected history",
+                    settings_line(settings)
+                ),
+            };
+            Ok(CommandOutput { text, exit_code: 1 })
+        }
         Err(e) => Err(CliError::Workload(e.to_string())),
     }
 }

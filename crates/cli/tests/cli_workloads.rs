@@ -158,3 +158,38 @@ fn sweeps_beyond_the_program_limit_exit_2_with_one_line() {
         "the plan is refused before the directory is created"
     );
 }
+
+#[test]
+fn unrealized_certify_verdicts_exit_1_and_stay_json_under_json() {
+    // The analyzer rejects this one-statement workload, but no witness realizes as a rejected
+    // execution: the verdict stands uncertified, and `--json` must still print JSON.
+    let path = std::env::temp_dir().join(format!("mvrc-cli-unrealized-{}.sql", std::process::id()));
+    std::fs::write(
+        &path,
+        "TABLE R0 (a0, a1, PRIMARY KEY (a0));\n\
+         PROGRAM P0(:X) { UPDATE R0 SET a1 = a1 + 1 WHERE a0 < :X; }\n",
+    )
+    .unwrap();
+    let path_str = path.to_str().unwrap();
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args(["certify", path_str, "--json"])
+        .output()
+        .expect("spawn mvrc");
+    assert_eq!(output.status.code(), Some(1));
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+    let value: serde_json::Value =
+        serde_json::from_str(&stdout).expect("certify --json prints JSON");
+    assert_eq!(value["robust"].as_bool(), Some(false));
+    assert_eq!(value["programs"][0].as_str(), Some("P0"));
+    assert_eq!(value["unrealized_witnesses"].as_u64(), Some(1));
+    for field in ["workload", "settings", "condition"] {
+        assert!(value[field].as_str().is_some(), "missing `{field}`");
+    }
+
+    let out = run(&args(&["certify", path_str])).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.exit_code, 1);
+    assert!(out.text.contains("NOT ROBUST"), "{}", out.text);
+    assert_eq!(out.text.matches(", but").count(), 0, "{}", out.text);
+}

@@ -15,8 +15,9 @@
 //!   (optimistic certification).
 //! * [`History`] — a record of every committed transaction's reads and writes, from which the
 //!   *dynamic* serialization graph is built; cycles are concrete serialization anomalies.
-//! * [`ExecutableWorkload`] — runnable SmallBank and Auction workloads whose statement structure
-//!   matches the BTPs of `mvrc-benchmarks`.
+//! * [`ExecutableWorkload`] — runnable SmallBank, Auction and TPC-C workloads
+//!   ([`smallbank_executable`], [`auction_executable`], [`tpcc_executable`]) whose statement
+//!   structure matches the BTPs of `mvrc-benchmarks`.
 //! * [`run_workload`] — a seeded, statement-interleaving driver producing [`RunStats`] (commits,
 //!   aborts by reason, serializability report).
 //!

@@ -461,7 +461,8 @@ fn position_index(order: &[usize]) -> Vec<usize> {
 mod tests {
     use super::*;
     use mvrc_engine::{
-        CommittedTransaction, RecordedPredicateRead, RecordedRead, RecordedWrite, WriteKind,
+        CommittedTransaction, DynDepKind, Engine, IsolationLevel, RecordedPredicateRead,
+        RecordedRead, RecordedWrite, Value, WriteKind,
     };
     use mvrc_schema::{AttrSet, SchemaBuilder};
 
@@ -588,6 +589,47 @@ mod tests {
         assert_eq!(facts.len(), 1);
         assert_eq!(facts[0].kind, ConflictKind::PredRw);
         assert_eq!((facts[0].from, facts[0].to), (0, 1));
+    }
+
+    #[test]
+    fn predicate_wr_dependency_from_committed_insert() {
+        // The inserter commits before the scanner starts, so the scan observes the new row: a
+        // predicate wr-dependency from the inserter, derived by both the engine's pairwise
+        // scan and the checker's cell index, with no attribute shared between the two.
+        let mut b = SchemaBuilder::new("s");
+        b.relation("R", &["k", "a", "b"], &["k"]).unwrap();
+        let mut engine = Engine::new(b.build());
+        let r = engine.rel("R").unwrap();
+        let inserter = engine.begin("Insert", IsolationLevel::ReadCommitted);
+        engine
+            .insert(
+                inserter,
+                r,
+                vec![Value::Int(9), Value::Int(0), Value::Int(0)],
+            )
+            .unwrap();
+        engine.commit(inserter).unwrap();
+        let scanner = engine.begin("Scan", IsolationLevel::ReadCommitted);
+        let pread = engine.attrs(r, &["a"]).unwrap();
+        let read = engine.attrs(r, &["b"]).unwrap();
+        let rows = engine.scan(scanner, r, pread, read, |_| true).unwrap();
+        assert_eq!(rows.len(), 1, "the committed insert is visible to the scan");
+        engine.commit(scanner).unwrap();
+
+        let h = engine.into_history();
+        // The scan's chunk shape: one predicate read plus one key read per matching row.
+        assert_eq!(h.committed[1].pred_reads.len(), 1);
+        assert_eq!(h.committed[1].reads.len(), 1);
+        assert!(h
+            .dependencies()
+            .iter()
+            .any(|d| d.kind == DynDepKind::PredicateWr && (d.from, d.to) == (0, 1)));
+        assert!(conflicts(&h)
+            .iter()
+            .any(|c| c.kind == ConflictKind::PredWr && (c.from, c.to) == (0, 1)));
+        let v = check(&h);
+        assert!(v.serializable && v.read_committed_ok);
+        assert_eq!(v.serialization_order, vec![0, 1]);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   one of the engine/checker pair is broken — either way a failure here is a real bug);
 //! * **checker vs engine** — on arbitrary committed histories, the checker's serializability
 //!   verdict must agree with the engine's own `History::find_anomaly`, even though the two
-//!   derive conflicts with different factorizations and decide CSR with different algorithms.
+//!   derive conflicts with different factorizations and decide CSR with different algorithms;
+//!   and every such history must pass the checker's read-committed level check (Lemma 4.1).
 
 use mvrc_benchmarks::{synthetic, SyntheticConfig};
 use mvrc_hist::{check, random_run, CertifyError, CertifyExt, KeyVariant};
@@ -132,6 +133,11 @@ proptest! {
                     continue;
                 };
                 let verdict = check(&history);
+                prop_assert!(
+                    verdict.read_committed_ok,
+                    "a committed MVRC history has a counterflow dependency that is not an \
+                     antidependency (seed {seed}, {variant:?})"
+                );
                 let anomaly = history.find_anomaly();
                 prop_assert_eq!(
                     verdict.serializable,

@@ -1,24 +1,25 @@
 //! When the static analysis says "not robust", is that a false negative or a real anomaly?
-//! This example combines the static verdicts with the dynamic schedule substrate: for SmallBank
-//! subsets rejected by Algorithm 2 it searches for concrete non-serializable MVRC schedules and
-//! prints the offending interleaving (the same methodology backs the false-negative discussion
-//! of Section 7.2 of the paper).
+//! This example backs every static verdict with executed evidence: for SmallBank subsets
+//! rejected by Algorithm 2 it compiles the analyzer's witness into a concrete MVRC history that
+//! the independent serializability checker rejects, and for subsets attested robust it runs the
+//! sampled attestation battery (the same certification that `repro bench-certify` applies to
+//! every rejected subset, the ground truth behind the false-negative discussion of Section 7.2
+//! of the paper).
 //!
 //! ```text
 //! cargo run --release --example counterexample_hunt
 //! ```
 
+use mvrc_hist::{certify_subset, CertifyOutcome, PlanStep, Realization};
 use mvrc_repro::benchmarks::smallbank;
 use mvrc_repro::prelude::*;
-use mvrc_repro::schedule::SerializationGraph;
 
 fn main() {
-    let workload = smallbank();
-    let session = RobustnessSession::new(workload.clone());
+    let session = RobustnessSession::new(smallbank());
     let settings = AnalysisSettings::paper_default();
 
-    // A few interesting subsets: the first two are rejected by the static analysis, the third is
-    // attested robust.
+    // The first two subsets are rejected by the static analysis, the last two are attested
+    // robust (Figure 6).
     let subsets: [&[&str]; 4] = [
         &["WriteCheck"],
         &["Amalgamate", "Balance"],
@@ -33,88 +34,63 @@ fn main() {
         println!("subset {{{}}}", subset.join(", "));
         println!("  static analysis: {}", report.outcome);
 
-        let ltps: Vec<LinearProgram> = session
-            .ltps()
-            .iter()
-            .filter(|l| subset.contains(&l.program_name()))
-            .cloned()
-            .collect();
-        let config = SearchConfig {
-            transactions: 3,
-            tuples_per_relation: 2,
-            attempts: 5_000,
-            ..SearchConfig::default()
-        };
-        match find_counterexample(&workload.schema, &ltps, &config) {
-            Some(cex) => {
-                println!("  dynamic search:  NON-SERIALIZABLE MVRC schedule found");
-                println!("    programs:  {}", cex.programs.join(", "));
-                println!("    schedule:  {}", cex.schedule.render());
-                let cycle_edges = cex
-                    .graph
-                    .dependencies()
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            "{}→{}{}",
-                            d.from,
-                            d.to,
-                            if d.counterflow { "*" } else { "" }
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                println!("    dependencies (counterflow marked *): {cycle_edges}");
+        match certify_subset(&session, "smallbank", subset, settings)
+            .expect("every SmallBank verdict is backed by executed evidence")
+        {
+            CertifyOutcome::Certified(c) => {
                 assert!(
                     !report.is_robust(),
-                    "a counterexample contradicts a robust verdict"
+                    "a rejected history contradicts a robust verdict"
                 );
+                println!("  executed evidence: NON-SERIALIZABLE MVRC history");
+                print_realization(&c.realization);
             }
-            None => {
-                println!(
-                    "  dynamic search:  no counterexample in {} attempts",
-                    config.attempts
-                );
-                // Sample additional schedules and confirm they were all serializable.
-                let stats = mvrc_repro::schedule::sample_serializability(
-                    &workload.schema,
-                    &ltps,
-                    &SearchConfig {
-                        attempts: 1_000,
-                        ..config
-                    },
+            CertifyOutcome::Attested(a) => {
+                assert!(
+                    report.is_robust(),
+                    "a non-robust verdict must be certified by a rejected history"
                 );
                 println!(
-                    "    sampled {} MVRC schedules, {} serializable, {} rejected interleavings",
-                    stats.mvrc_schedules, stats.serializable, stats.rejected
+                    "  executed evidence: {} seeded runs, {} committed, {} aborted by the engine; \
+                     every committed history serializable",
+                    a.seeds, a.runs_executed, a.runs_aborted
                 );
             }
         }
         println!();
     }
+}
 
-    // Show the anatomy of one non-serializable schedule in detail for the WriteCheck anomaly.
-    let wc_ltps: Vec<LinearProgram> = session
-        .ltps()
+/// Prints the transactions of a realization, its statement-level interleaving (`S<i>` runs the
+/// next statement of transaction `i`, `C<i>` commits it) and the checker's conflict cycle.
+fn print_realization(r: &Realization) {
+    let instances: Vec<String> = r
+        .instances
         .iter()
-        .filter(|l| l.program_name() == "WriteCheck")
-        .cloned()
+        .enumerate()
+        .map(|(i, name)| format!("T{i} = {name}"))
         .collect();
-    if let Some(cex) = find_counterexample(
-        &workload.schema,
-        &wc_ltps,
-        &SearchConfig {
-            transactions: 2,
-            attempts: 5_000,
-            ..SearchConfig::default()
-        },
-    ) {
-        println!("anatomy of the WriteCheck anomaly:");
-        println!("{}", cex.describe());
-        let graph = SerializationGraph::of(&cex.schedule);
-        println!(
-            "  conflict serializable: {} (cycle in the serialization graph)",
-            graph.is_conflict_serializable()
-        );
+    println!("    instances:     {}", instances.join(", "));
+    println!("    key plan:      {}", r.key_variant);
+    let steps: Vec<String> = r.interleaving.iter().map(render_step).collect();
+    println!("    interleaving:  {}", steps.join(" "));
+    // Cycle indices count committed transactions; the commit order maps them back to `T<i>`.
+    let mut cycle = String::new();
+    for (i, step) in r.verdict.cycle.iter().enumerate() {
+        if i == 0 {
+            cycle.push_str(&format!("T{}", r.commit_order[step.from_index]));
+        }
+        cycle.push_str(&format!(
+            " -{}-> T{}",
+            step.kind, r.commit_order[step.to_index]
+        ));
+    }
+    println!("    checker cycle: {cycle}");
+}
+
+fn render_step(step: &PlanStep) -> String {
+    match step.action.as_str() {
+        "commit" => format!("C{}", step.txn),
+        _ => format!("S{}", step.txn),
     }
 }

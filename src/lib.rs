@@ -8,13 +8,15 @@
 //!
 //! * [`schema`] — relational schemas, attribute sets, foreign keys ([`mvrc_schema`]).
 //! * [`btp`] — basic/linear transaction programs, unfolding, the SQL front-end ([`mvrc_btp`]).
-//! * [`schedule`] — multi-version schedules, MVRC semantics, serialization graphs,
-//!   counterexample search ([`mvrc_schedule`]).
 //! * [`par`] — the work-stealing parallel runtime under the analysis layers ([`mvrc_par`]).
 //! * [`robustness`] — summary graphs (Algorithm 1) and the robustness tests (Algorithm 2 and the
 //!   type-I baseline) ([`mvrc_robustness`]).
 //! * [`benchmarks`] — SmallBank, TPC-C, Auction, Auction(n) and the synthetic generator
 //!   ([`mvrc_benchmarks`]).
+//!
+//! Dynamic validation is not re-exported: the tests and examples use `mvrc-engine` (the
+//! multi-version engine and its executed histories) and `mvrc-hist` (the witness compiler,
+//! the independent serializability checker and `certify_subset`) directly.
 //!
 //! ## Quick start
 //!
@@ -30,7 +32,6 @@ pub use mvrc_benchmarks as benchmarks;
 pub use mvrc_btp as btp;
 pub use mvrc_par as par;
 pub use mvrc_robustness as robustness;
-pub use mvrc_schedule as schedule;
 pub use mvrc_schema as schema;
 
 /// Commonly used items, re-exported for convenient glob imports in examples and applications.
@@ -44,6 +45,5 @@ pub mod prelude {
         AnalysisSettings, CycleCondition, ExploreOptions, Granularity, InducedView, Parallelism,
         RobustnessSession, SummaryGraph, SummaryGraphView,
     };
-    pub use mvrc_schedule::{find_counterexample, SearchConfig};
     pub use mvrc_schema::{Schema, SchemaBuilder};
 }

@@ -1,126 +1,78 @@
-//! Cross-crate integration tests: static analysis (mvrc-robustness) and dynamic schedule
-//! substrate (mvrc-schedule) must tell a consistent story on the paper's benchmarks.
+//! Cross-crate integration tests: the static analysis (mvrc-robustness) and the executed
+//! histories of the engine, judged by the independent checker (mvrc-engine + mvrc-hist), must
+//! tell a consistent story on the paper's benchmarks.
 
+use mvrc_hist::{certify_subset, check, random_run, CertifyOutcome, KeyVariant};
 use mvrc_repro::benchmarks::{auction, smallbank, tpcc};
 use mvrc_repro::prelude::*;
-use mvrc_repro::schedule::{sample_serializability, SerializationGraph};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Checks one row of the certify table: Algorithm 2's verdict on `subset` (empty = every
+/// program) is `robust`, and `certify_subset` agrees with it. A non-robust subset must be
+/// certified by an executed history the independent checker rejects (Section 7.2: SmallBank has
+/// no false negatives); a robust one must be attested by sampled executions that are all
+/// serializable.
+fn assert_certify_agrees(workload: Workload, subset: &[&str], robust: bool) {
+    let settings = AnalysisSettings::paper_default();
+    let name = workload.name.clone();
+    let session = RobustnessSession::new(workload);
+    let subset: Vec<&str> = if subset.is_empty() {
+        session.program_names().iter().map(String::as_str).collect()
+    } else {
+        subset.to_vec()
+    };
+    let report = session
+        .analyze_programs(&subset, settings)
+        .expect("known program names");
+    assert_eq!(report.is_robust(), robust, "{name} {subset:?}");
+    match certify_subset(&session, &name, &subset, settings) {
+        Ok(CertifyOutcome::Certified(c)) => {
+            assert!(!robust, "{name} {subset:?}: certified a robust subset");
+            assert!(!c.realization.verdict.serializable);
+            assert!(c.realization.verdict.read_committed_ok);
+            assert!(c.realization.find_anomaly_agrees);
+        }
+        Ok(CertifyOutcome::Attested(a)) => {
+            assert!(robust, "{name} {subset:?}: attested a non-robust subset");
+            assert!(a.all_serializable);
+            assert!(
+                a.runs_executed > 0,
+                "{name} {subset:?}: no sample committed"
+            );
+        }
+        Err(e) => panic!("{name} {subset:?}: {e}"),
+    }
+}
 
 #[test]
 fn auction_static_verdict_is_confirmed_by_random_mvrc_schedules() {
-    // The whole Auction workload is attested robust; every randomly sampled MVRC schedule over
-    // its instantiations must therefore be conflict serializable.
-    let workload = auction();
-    let session = RobustnessSession::new(workload.clone());
-    assert!(session.is_robust(AnalysisSettings::paper_default()));
-
-    let config = SearchConfig {
-        transactions: 3,
-        tuples_per_relation: 2,
-        attempts: 1_500,
-        ..SearchConfig::default()
-    };
-    let stats = sample_serializability(&workload.schema, session.ltps(), &config);
-    assert!(
-        stats.mvrc_schedules > 200,
-        "sampling should produce plenty of MVRC-legal schedules"
-    );
-    assert_eq!(
-        stats.serializable, stats.mvrc_schedules,
-        "a robust workload must never produce a non-serializable MVRC schedule"
-    );
+    assert_certify_agrees(auction(), &[], true);
 }
 
 #[test]
 fn smallbank_robust_subset_produces_only_serializable_schedules() {
-    let workload = smallbank();
-    let session = RobustnessSession::new(workload.clone());
-    let subset = ["Amalgamate", "DepositChecking", "TransactSavings"];
-    assert!(session
-        .analyze_programs(&subset, AnalysisSettings::paper_default())
-        .expect("known program names")
-        .is_robust());
-
-    let ltps: Vec<LinearProgram> = session
-        .ltps()
-        .iter()
-        .filter(|l| subset.contains(&l.program_name()))
-        .cloned()
-        .collect();
-    let config = SearchConfig {
-        transactions: 3,
-        attempts: 1_500,
-        ..SearchConfig::default()
-    };
-    assert!(find_counterexample(&workload.schema, &ltps, &config).is_none());
+    assert_certify_agrees(
+        smallbank(),
+        &["Amalgamate", "DepositChecking", "TransactSavings"],
+        true,
+    );
 }
 
 #[test]
 fn smallbank_rejected_subsets_have_real_anomalies() {
-    // Section 7.2: for SmallBank the algorithm has no false negatives, so every rejected subset
-    // admits a concrete non-serializable MVRC schedule. Spot-check three rejected subsets.
-    let workload = smallbank();
-    let session = RobustnessSession::new(workload.clone());
-    let rejected_subsets: [&[&str]; 3] = [
-        &["WriteCheck"],
+    for subset in [
+        &["WriteCheck"][..],
         &["Amalgamate", "Balance"],
         &["DepositChecking", "WriteCheck"],
-    ];
-    for subset in rejected_subsets {
-        let report = session
-            .analyze_programs(subset, AnalysisSettings::paper_default())
-            .expect("known program names");
-        assert!(
-            !report.is_robust(),
-            "{subset:?} should be rejected by Algorithm 2"
-        );
-        let ltps: Vec<LinearProgram> = session
-            .ltps()
-            .iter()
-            .filter(|l| subset.contains(&l.program_name()))
-            .cloned()
-            .collect();
-        let config = SearchConfig {
-            transactions: 3,
-            attempts: 6_000,
-            ..SearchConfig::default()
-        };
-        let cex = find_counterexample(&workload.schema, &ltps, &config)
-            .unwrap_or_else(|| panic!("no concrete anomaly found for {subset:?}"));
-        assert!(!cex.graph.is_conflict_serializable());
-        // The counterexample is itself a valid MVRC schedule, so the structural theory holds.
-        assert!(
-            mvrc_repro::schedule::mvrc_theory::counterflow_only_on_antidependencies(&cex.graph)
-        );
-        assert!(mvrc_repro::schedule::mvrc_theory::non_counterflow_subgraph_is_acyclic(&cex.graph));
+    ] {
+        assert_certify_agrees(smallbank(), subset, false);
     }
 }
 
 #[test]
 fn tpcc_payment_only_deployment_is_safe_and_serializable_in_sampling() {
-    let workload = tpcc();
-    let session = RobustnessSession::new(workload.clone());
-    let subset = ["OrderStatus", "Payment", "StockLevel"];
-    assert!(session
-        .analyze_programs(&subset, AnalysisSettings::paper_default())
-        .expect("known program names")
-        .is_robust());
-
-    let ltps: Vec<LinearProgram> = session
-        .ltps()
-        .iter()
-        .filter(|l| subset.contains(&l.program_name()))
-        .cloned()
-        .collect();
-    let config = SearchConfig {
-        transactions: 3,
-        tuples_per_relation: 2,
-        predicate_fanout: 2,
-        attempts: 400,
-        seed: 7,
-    };
-    let stats = sample_serializability(&workload.schema, &ltps, &config);
-    assert!(stats.mvrc_schedules > 50);
-    assert_eq!(stats.serializable, stats.mvrc_schedules);
+    assert_certify_agrees(tpcc(), &["OrderStatus", "Payment", "StockLevel"], true);
 }
 
 #[test]
@@ -149,35 +101,39 @@ fn sql_frontend_and_builder_agree_end_to_end() {
 
 #[test]
 fn every_benchmark_schedule_sample_satisfies_the_mvrc_theory() {
-    // Theorem 4.2 / Lemma 4.1, checked on concrete schedules of all three fixed benchmarks.
-    use mvrc_repro::schedule::{mvrc_theory, random_mvrc_schedule};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
+    // Lemma 4.1 / Theorem 4.2 on executed histories of all three fixed benchmarks: random
+    // interleavings of three LTP instances drawn with replacement, under every key layout.
+    let variants = [
+        KeyVariant::PerInstanceRows,
+        KeyVariant::SeparateDeletes,
+        KeyVariant::SharedDeletes,
+        KeyVariant::RotatedDeletes,
+    ];
     for workload in [smallbank(), auction(), tpcc()] {
         let ltps = unfold_set_le2(&workload.programs);
-        let config = SearchConfig {
-            transactions: 3,
-            tuples_per_relation: 2,
-            predicate_fanout: 2,
-            attempts: 150,
-            seed: 11,
-        };
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(11);
         let mut checked = 0;
-        for _ in 0..config.attempts {
-            if let Some(schedule) = random_mvrc_schedule(&workload.schema, &ltps, &config, &mut rng)
-            {
-                let graph = SerializationGraph::of(&schedule);
-                assert!(mvrc_theory::counterflow_only_on_antidependencies(&graph));
-                assert!(mvrc_theory::non_counterflow_subgraph_is_acyclic(&graph));
-                assert!(mvrc_theory::counterflow_subgraph_is_acyclic(&graph));
-                checked += 1;
+        for seed in 0..150u64 {
+            let draw: Vec<&LinearProgram> = (0..3)
+                .map(|_| &ltps[rng.gen_range(0..ltps.len())])
+                .collect();
+            let variant = variants[seed as usize % variants.len()];
+            let Some(h) = random_run(&workload.schema, &draw, variant, seed) else {
+                continue; // aborted on a write lock: nothing committed to judge
+            };
+            let verdict = check(&h);
+            assert!(verdict.read_committed_ok, "{}: seed {seed}", workload.name);
+            let report = h.report(&workload.schema);
+            assert_eq!(report.counterflow_non_antidependency_edges, 0);
+            assert_eq!(verdict.serializable, report.is_serializable());
+            if let Some(anomaly) = &report.anomaly {
+                assert!(anomaly.counterflow_edges_are_antidependencies());
             }
+            checked += 1;
         }
         assert!(
             checked > 20,
-            "{}: too few MVRC-legal samples ({checked})",
+            "{}: too few executed histories ({checked})",
             workload.name
         );
     }

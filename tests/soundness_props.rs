@@ -10,12 +10,13 @@
 //!   (the extra information only removes summary-graph edges);
 //! * the optimized and the literal transcription of Algorithm 2 agree;
 //! * soundness end-to-end (Proposition 6.5): a workload attested robust never produces a
-//!   non-serializable MVRC schedule under randomized instantiation and interleaving.
+//!   non-serializable MVRC history in the engine's attestation battery (seeded interleavings
+//!   under two key layouts, judged by the independent checker).
 
+use mvrc_hist::{certify_subset, CertifyOutcome};
 use mvrc_repro::benchmarks::{synthetic, SyntheticConfig};
 use mvrc_repro::prelude::*;
 use mvrc_repro::robustness::{find_type2_violation, find_type2_violation_naive, is_robust};
-use mvrc_repro::schedule::sample_serializability;
 use proptest::prelude::*;
 
 #[path = "../crates/core/tests/support/witness.rs"]
@@ -122,31 +123,26 @@ proptest! {
 }
 
 proptest! {
-    // The dynamic soundness check executes schedules, so keep the number of cases lower.
+    // The dynamic soundness check executes histories, so keep the number of cases lower.
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn attested_robust_workloads_never_yield_non_serializable_mvrc_schedules(
+    fn attested_robust_workloads_never_yield_non_serializable_mvrc_histories(
         config in synthetic_config_strategy(),
-        seed in any::<u64>(),
     ) {
         let workload = synthetic(config);
         let session = RobustnessSession::new(workload.clone());
-        if !session.is_robust(AnalysisSettings::paper_default()) {
+        let settings = AnalysisSettings::paper_default();
+        if !session.is_robust(settings) {
             // Nothing to check: the analysis makes no claim about non-attested workloads.
             return Ok(());
         }
-        let search = SearchConfig {
-            transactions: 3,
-            tuples_per_relation: 2,
-            predicate_fanout: 2,
-            attempts: 120,
-            seed,
-        };
-        let stats = sample_serializability(&workload.schema, session.ltps(), &search);
-        prop_assert_eq!(
-            stats.serializable, stats.mvrc_schedules,
-            "attested-robust workload produced a non-serializable MVRC schedule"
+        let programs: Vec<&str> = session.program_names().iter().map(String::as_str).collect();
+        let outcome = certify_subset(&session, &workload.name, &programs, settings);
+        prop_assert!(
+            matches!(&outcome, Ok(CertifyOutcome::Attested(a)) if a.all_serializable),
+            "attested-robust workload was not attested by its executions: {:?}",
+            outcome
         );
     }
 }
