@@ -8,10 +8,8 @@
 //! the serializable certification level.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mvrc_engine::{
-    auction_executable, run_workload, smallbank_executable, AuctionConfig, DriverConfig,
-    IsolationLevel, SmallBankConfig,
-};
+use mvrc_benchmarks::{auction, smallbank};
+use mvrc_engine::{run_workload, DriverConfig, ExecutableWorkload, IsolationLevel};
 
 fn bench_smallbank_isolation_levels(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/smallbank-isolation");
@@ -21,10 +19,7 @@ fn bench_smallbank_isolation_levels(c: &mut Criterion) {
             BenchmarkId::from_parameter(isolation.name()),
             &isolation,
             |b, &isolation| {
-                let workload = smallbank_executable(SmallBankConfig {
-                    customers: 5,
-                    initial_balance: 1_000,
-                });
+                let workload = ExecutableWorkload::new(&smallbank(), 5);
                 b.iter(|| {
                     run_workload(
                         &workload,
@@ -50,10 +45,7 @@ fn bench_auction_isolation_levels(c: &mut Criterion) {
             BenchmarkId::from_parameter(isolation.name()),
             &isolation,
             |b, &isolation| {
-                let workload = auction_executable(AuctionConfig {
-                    buyers: 5,
-                    max_bid: 100,
-                });
+                let workload = ExecutableWorkload::new(&auction(), 5);
                 b.iter(|| {
                     run_workload(
                         &workload,
@@ -72,32 +64,25 @@ fn bench_auction_isolation_levels(c: &mut Criterion) {
 }
 
 fn bench_contention_sweep(c: &mut Criterion) {
-    // Abort behaviour as contention grows: fewer customers → hotter rows → the serializable
+    // Abort behaviour as contention grows: fewer rows per relation → hotter rows → the serializable
     // level's certification aborts grow much faster than read committed's lock conflicts.
     let mut group = c.benchmark_group("engine/smallbank-contention");
     group.sample_size(15);
-    for customers in [2usize, 5, 20, 100] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(customers),
-            &customers,
-            |b, &customers| {
-                let workload = smallbank_executable(SmallBankConfig {
-                    customers,
-                    initial_balance: 1_000,
-                });
-                b.iter(|| {
-                    run_workload(
-                        &workload,
-                        DriverConfig {
-                            isolation: IsolationLevel::Serializable,
-                            concurrency: 8,
-                            target_commits: 200,
-                            seed: 3,
-                        },
-                    )
-                })
-            },
-        );
+    for rows in [2usize, 5, 20, 100] {
+        group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, &rows| {
+            let workload = ExecutableWorkload::new(&smallbank(), rows);
+            b.iter(|| {
+                run_workload(
+                    &workload,
+                    DriverConfig {
+                        isolation: IsolationLevel::Serializable,
+                        concurrency: 8,
+                        target_commits: 200,
+                        seed: 3,
+                    },
+                )
+            })
+        });
     }
     group.finish();
 }
@@ -111,10 +96,7 @@ fn bench_history_checker(c: &mut Criterion) {
             BenchmarkId::from_parameter(commits),
             &commits,
             |b, &commits| {
-                let workload = smallbank_executable(SmallBankConfig {
-                    customers: 10,
-                    initial_balance: 1_000,
-                });
+                let workload = ExecutableWorkload::new(&smallbank(), 10);
                 // The end-to-end run includes the post-run check, whose O(n²) dependency scan
                 // dominates for large histories.
                 b.iter(|| {

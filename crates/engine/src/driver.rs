@@ -10,7 +10,7 @@
 //! [`IsolationLevel::ReadCommitted`]; a rejected workload may — and under contention does —
 //! produce one.
 
-use crate::engine::{Engine, IsolationLevel, TxnToken};
+use crate::engine::{IsolationLevel, TxnToken};
 use crate::error::{AbortReason, EngineError};
 use crate::history::HistoryReport;
 use crate::program::ProgramInstance;
@@ -27,7 +27,8 @@ pub struct DriverConfig {
     /// Number of transactions that run concurrently (statement-interleaved).
     pub concurrency: usize,
     /// Number of committed transactions to produce before stopping. Aborted attempts are
-    /// regenerated (with fresh parameters) until the target is reached.
+    /// regenerated (with fresh parameters) until the target is reached, or until the mix has
+    /// no drawable program left (see [`RunStats::commits`]).
     pub target_commits: usize,
     /// RNG seed: the same seed yields the same interleaving and the same parameters.
     pub seed: u64,
@@ -59,13 +60,16 @@ impl DriverConfig {
 pub struct RunStats {
     /// Isolation level the run used.
     pub isolation: IsolationLevel,
-    /// Committed transactions.
+    /// Committed transactions. Equals the configured target unless the mix ran out of
+    /// drawable programs first — e.g. a delete-only mix that deleted every preloaded row — in
+    /// which case the run stops early with fewer commits.
     pub commits: usize,
     /// Aborted transaction attempts, by reason.
     pub aborts: HashMap<AbortReason, usize>,
     /// Statement-level steps executed (committed and aborted attempts combined).
     pub steps: usize,
-    /// Commits per program name (sorted by name, so reports render deterministically).
+    /// Commits per LTP name (`PlaceBid[1]`; a program with a single LTP keeps its own name),
+    /// sorted by name so reports render deterministically.
     pub commits_by_program: BTreeMap<String, usize>,
     /// The post-run history check.
     pub report: HistoryReport,
@@ -122,15 +126,10 @@ pub fn run_workload(workload: &ExecutableWorkload, config: DriverConfig) -> RunS
     let mut commits = 0usize;
     let mut steps = 0usize;
     let mut aborts: HashMap<AbortReason, usize> = HashMap::new();
-
-    let start_new = |engine: &mut Engine, rng: &mut StdRng| -> Slot {
-        let instance = workload.generate(rng);
-        let txn = engine.begin(instance.program(), config.isolation);
-        Slot { txn, instance }
-    };
+    let mut inserts = 0i64;
 
     loop {
-        // Fill empty slots while we still want more commits.
+        // Fill empty slots while we still want more commits and the mix can still draw.
         let in_flight = slots.iter().filter(|s| s.is_some()).count();
         let mut to_start = config.target_commits.saturating_sub(commits + in_flight);
         for slot in slots.iter_mut() {
@@ -138,7 +137,11 @@ pub fn run_workload(workload: &ExecutableWorkload, config: DriverConfig) -> RunS
                 break;
             }
             if slot.is_none() {
-                *slot = Some(start_new(&mut engine, &mut rng));
+                let Some(instance) = workload.generate(&engine, &mut rng, &mut inserts) else {
+                    break;
+                };
+                let txn = engine.begin(instance.program(), config.isolation);
+                *slot = Some(Slot { txn, instance });
                 to_start -= 1;
             }
         }
@@ -152,46 +155,32 @@ pub fn run_workload(workload: &ExecutableWorkload, config: DriverConfig) -> RunS
             break;
         }
 
-        // Pick a random occupied slot and run its next statement.
+        // Pick a random occupied slot and run its next action: the next statement, or the
+        // commit once every statement ran. Commits are scheduling actions of their own, as in
+        // the paper's schedules, so other transactions may run between a transaction's last
+        // statement and its commit; an empty LTP commits without a step.
         let slot_idx = occupied[rng.gen_range(0..occupied.len())];
         let slot = slots[slot_idx].as_mut().expect("slot is occupied");
-        steps += 1;
-        let step_result = slot.instance.step(&mut engine, slot.txn);
-
-        match step_result {
-            Ok(()) => {
-                if slot.instance.is_done() {
-                    match engine.commit(slot.txn) {
-                        Ok(_) => {
-                            commits += 1;
-                            slots[slot_idx] = None;
-                        }
-                        Err(EngineError::Aborted(reason)) => {
-                            *aborts.entry(reason).or_insert(0) += 1;
-                            slots[slot_idx] = None;
-                        }
-                        Err(other) => panic!("engine misuse during commit: {other}"),
-                    }
+        if slot.instance.is_done() {
+            match engine.commit(slot.txn) {
+                Ok(_) => commits += 1,
+                Err(EngineError::Aborted(reason)) => *aborts.entry(reason).or_insert(0) += 1,
+                Err(other) => panic!("engine misuse during commit: {other}"),
+            }
+            slots[slot_idx] = None;
+        } else {
+            steps += 1;
+            match slot.instance.step(&mut engine, slot.txn) {
+                Ok(()) => {}
+                Err(EngineError::Aborted(reason)) => {
+                    // The engine already rolled the transaction back; the refill at the top of
+                    // the loop re-attempts with fresh parameters.
+                    *aborts.entry(reason).or_insert(0) += 1;
+                    slots[slot_idx] = None;
                 }
+                // Inserts get run-unique keys, so a duplicate key is engine misuse too.
+                Err(other) => panic!("engine misuse during step: {other}"),
             }
-            Err(EngineError::Aborted(reason)) => {
-                // The engine already rolled the transaction back; the refill at the top of the
-                // loop re-attempts with fresh parameters.
-                *aborts.entry(reason).or_insert(0) += 1;
-                slots[slot_idx] = None;
-            }
-            Err(EngineError::DuplicateKey(_)) => {
-                // Application-level conflict (e.g. two concurrent inserts picked the same key):
-                // treat as an application abort and move on.
-                engine
-                    .rollback(slot.txn)
-                    .expect("rollback after duplicate key");
-                *aborts
-                    .entry(AbortReason::ApplicationAbort("duplicate key".into()))
-                    .or_insert(0) += 1;
-                slots[slot_idx] = None;
-            }
-            Err(other) => panic!("engine misuse during step: {other}"),
         }
 
         if commits >= config.target_commits && slots.iter().all(|s| s.is_none()) {
@@ -227,16 +216,13 @@ pub fn compare_isolation_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::{
-        auction_executable, smallbank_executable, AuctionConfig, SmallBankConfig,
-    };
+    use mvrc_benchmarks::{auction, smallbank, tpcc};
+    use mvrc_btp::sql::parse_workload_file;
+    use mvrc_btp::Workload;
 
     #[test]
     fn driver_reaches_the_commit_target_under_low_contention() {
-        let workload = smallbank_executable(SmallBankConfig {
-            customers: 50,
-            initial_balance: 1000,
-        });
+        let workload = ExecutableWorkload::new(&smallbank(), 50);
         let stats = run_workload(
             &workload,
             DriverConfig {
@@ -254,10 +240,7 @@ mod tests {
     #[test]
     fn serial_driver_runs_are_always_serializable() {
         for seed in 0..3 {
-            let workload = smallbank_executable(SmallBankConfig {
-                customers: 4,
-                initial_balance: 100,
-            });
+            let workload = ExecutableWorkload::new(&smallbank(), 4);
             let stats = run_workload(
                 &workload,
                 DriverConfig {
@@ -278,10 +261,7 @@ mod tests {
     #[test]
     fn serializable_runs_never_contain_anomalies() {
         for seed in [1, 2, 3] {
-            let workload = smallbank_executable(SmallBankConfig {
-                customers: 3,
-                initial_balance: 100,
-            });
+            let workload = ExecutableWorkload::new(&smallbank(), 3);
             let stats = run_workload(
                 &workload,
                 DriverConfig {
@@ -304,10 +284,7 @@ mod tests {
         // contention the driver observes a real serialization anomaly.
         let mut found = false;
         for seed in 0..20 {
-            let workload = smallbank_executable(SmallBankConfig {
-                customers: 2,
-                initial_balance: 100,
-            });
+            let workload = ExecutableWorkload::new(&smallbank(), 2);
             let stats = run_workload(
                 &workload,
                 DriverConfig {
@@ -338,10 +315,7 @@ mod tests {
         // {FindBids, PlaceBid} is attested robust against MVRC (Figure 6): no run may contain a
         // cycle, no matter the contention.
         for seed in 0..10 {
-            let workload = auction_executable(AuctionConfig {
-                buyers: 2,
-                max_bid: 20,
-            });
+            let workload = ExecutableWorkload::new(&auction(), 2);
             let stats = run_workload(
                 &workload,
                 DriverConfig {
@@ -360,10 +334,7 @@ mod tests {
 
     #[test]
     fn compare_isolation_levels_runs_every_level() {
-        let workload = smallbank_executable(SmallBankConfig {
-            customers: 4,
-            initial_balance: 500,
-        });
+        let workload = ExecutableWorkload::new(&smallbank(), 4);
         let stats = compare_isolation_levels(
             &workload,
             &IsolationLevel::ALL,
@@ -378,5 +349,52 @@ mod tests {
         assert_eq!(stats[2].isolation, IsolationLevel::Serializable);
         // The serializable level can only abort more (or equally) often than read committed.
         assert!(stats[2].total_aborts() >= stats[0].total_aborts());
+    }
+
+    /// A workload parsed from SQL text, named after its schema.
+    fn sql_workload(text: &str) -> Workload {
+        let (schema, programs) = parse_workload_file(text).unwrap();
+        Workload::new(schema.name().to_string(), schema, programs, &[])
+    }
+
+    #[test]
+    fn a_delete_only_mix_stops_when_every_row_is_gone() {
+        let workload = ExecutableWorkload::new(
+            &sql_workload(
+                "SCHEMA s;\n\
+                 TABLE R0 (a0, a1, PRIMARY KEY (a0));\n\
+                 PROGRAM Del(:X) { DELETE FROM R0 WHERE a0 = :X; }",
+            ),
+            2,
+        );
+        for concurrency in [1, 3] {
+            let stats = run_workload(
+                &workload,
+                DriverConfig {
+                    concurrency,
+                    target_commits: 3,
+                    ..DriverConfig::default()
+                },
+            );
+            assert_eq!(stats.commits, 2, "only two rows exist to delete");
+            assert!(stats.is_serializable());
+        }
+    }
+
+    #[test]
+    fn empty_ltps_commit_without_a_step() {
+        // TPC-C's Delivery unfolds to an LTP without statements (zero loop iterations).
+        let workload = ExecutableWorkload::new(&tpcc(), 2)
+            .restrict(&["Delivery"])
+            .unwrap();
+        let stats = run_workload(
+            &workload,
+            DriverConfig {
+                target_commits: 40,
+                ..DriverConfig::default()
+            },
+        );
+        assert_eq!(stats.commits, 40);
+        assert!(stats.commits_by_program.contains_key("Delivery[1]"));
     }
 }

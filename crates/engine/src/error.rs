@@ -23,8 +23,6 @@ pub enum AbortReason {
     /// A key-based statement addressed a row that does not exist in the visible snapshot
     /// (Section 5.4: "if no tuple with the specified key exists, the transaction must abort").
     MissingRow(String),
-    /// The application logic itself requested an abort (e.g. an integrity check failed).
-    ApplicationAbort(String),
 }
 
 impl fmt::Display for AbortReason {
@@ -39,7 +37,6 @@ impl fmt::Display for AbortReason {
                 )
             }
             AbortReason::MissingRow(key) => write!(f, "key-based statement found no row for {key}"),
-            AbortReason::ApplicationAbort(msg) => write!(f, "application abort: {msg}"),
         }
     }
 }
@@ -70,6 +67,8 @@ pub enum EngineError {
     },
     /// A primary-key value was inserted twice.
     DuplicateKey(String),
+    /// A program name is not part of the workload.
+    UnknownProgram(String),
     /// The transaction was aborted; the operation cannot proceed.
     Aborted(AbortReason),
 }
@@ -94,6 +93,7 @@ impl fmt::Display for EngineError {
                 write!(f, "relation `{relation}` has no attribute `{attribute}`")
             }
             EngineError::DuplicateKey(key) => write!(f, "duplicate primary key {key}"),
+            EngineError::UnknownProgram(name) => write!(f, "unknown program '{name}'"),
             EngineError::Aborted(reason) => write!(f, "transaction aborted: {reason}"),
         }
     }
@@ -121,9 +121,6 @@ mod tests {
         assert!(AbortReason::MissingRow("Account(7)".into())
             .to_string()
             .contains("Account(7)"));
-        assert!(AbortReason::ApplicationAbort("x".into())
-            .to_string()
-            .contains("x"));
     }
 
     #[test]
@@ -148,6 +145,9 @@ mod tests {
         assert!(EngineError::DuplicateKey("R(1)".into())
             .to_string()
             .contains("R(1)"));
+        assert!(EngineError::UnknownProgram("P".into())
+            .to_string()
+            .contains("'P'"));
         assert!(EngineError::Aborted(AbortReason::WriteLocked)
             .to_string()
             .contains("aborted"));

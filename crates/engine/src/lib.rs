@@ -15,9 +15,12 @@
 //!   (optimistic certification).
 //! * [`History`] — a record of every committed transaction's reads and writes, from which the
 //!   *dynamic* serialization graph is built; cycles are concrete serialization anomalies.
-//! * [`ExecutableWorkload`] — runnable SmallBank, Auction and TPC-C workloads
-//!   ([`smallbank_executable`], [`auction_executable`], [`tpcc_executable`]) whose statement
-//!   structure matches the BTPs of `mvrc-benchmarks`.
+//! * [`ProgramInstance::from_ltp`] — the generic lowering of a linear transaction program (an
+//!   `Unfold≤2` LTP of a BTP) onto engine steps, one step per statement. It is the one way
+//!   programs reach the engine.
+//! * [`ExecutableWorkload`] — any `mvrc-btp` [`Workload`](mvrc_btp::Workload) made runnable
+//!   through that lowering: the bundled benchmarks of `mvrc-benchmarks` and user SQL files
+//!   alike, over a small preloaded database whose size sets the contention.
 //! * [`run_workload`] — a seeded, statement-interleaving driver producing [`RunStats`] (commits,
 //!   aborts by reason, serializability report).
 //!
@@ -27,11 +30,9 @@
 //! serializable isolation level pays for its guarantee with extra aborts.
 //!
 //! ```
-//! use mvrc_engine::{
-//!     auction_executable, run_workload, AuctionConfig, DriverConfig, IsolationLevel,
-//! };
+//! use mvrc_engine::{run_workload, DriverConfig, ExecutableWorkload, IsolationLevel};
 //!
-//! let workload = auction_executable(AuctionConfig::default());
+//! let workload = ExecutableWorkload::new(&mvrc_benchmarks::auction(), 2);
 //! let stats = run_workload(&workload, DriverConfig::with_isolation(IsolationLevel::ReadCommitted));
 //! assert!(stats.is_serializable()); // the Auction workload is robust against MVRC
 //! ```
@@ -40,10 +41,10 @@ mod driver;
 mod engine;
 mod error;
 mod history;
+mod lower;
 mod program;
 mod scripted;
 mod storage;
-mod tpcc;
 mod value;
 mod workloads;
 
@@ -54,12 +55,9 @@ pub use history::{
     Anomaly, CommittedTransaction, DynDepKind, DynDependency, History, HistoryReport,
     RecordedPredicateRead, RecordedRead, RecordedWrite, WriteKind,
 };
-pub use program::{Locals, ProgramInstance, StepFn};
+pub use lower::lowered_row;
+pub use program::{ProgramInstance, StepFn};
 pub use scripted::{run_plan, PlanAction, PlanError, ScriptedError, ScriptedRun, StepPlan};
 pub use storage::{CommitTs, Storage, StoredVersion, Table, VersionChain, WriterId};
-pub use tpcc::{tpcc_executable, TpccConfig};
 pub use value::{extract, project, Key, Row, Value};
-pub use workloads::{
-    auction_executable, smallbank_executable, AuctionConfig, ExecutableWorkload, ProgramGenerator,
-    SmallBankConfig,
-};
+pub use workloads::ExecutableWorkload;

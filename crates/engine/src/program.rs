@@ -5,60 +5,22 @@
 //! statement (one chunk) and is executed atomically; between steps the driver may schedule
 //! steps of other concurrent transactions.
 //!
-//! A program instance owns its parameters and local variables in a [`Locals`] map, so each step
-//! can be an independent closure: the auction program's `IF :C < :V` branch, for example, is a
-//! step that reads `:C` from the locals recorded by the previous step.
+//! Instances are built by the generic LTP lowering ([`ProgramInstance::from_ltp`]); a
+//! hand-built instance passes values between its steps through state its closures capture.
 
 use crate::engine::{Engine, TxnToken};
 use crate::error::EngineResult;
-use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
-/// Named parameters and local variables of a program instance (the `:B`, `:V`, `:C` of the
-/// paper's SQL programs).
-#[derive(Debug, Default, Clone)]
-pub struct Locals {
-    values: HashMap<String, Value>,
-}
-
-impl Locals {
-    /// Creates an empty variable environment.
-    pub fn new() -> Self {
-        Locals::default()
-    }
-
-    /// Sets a variable.
-    pub fn set(&mut self, name: &str, value: impl Into<Value>) {
-        self.values.insert(name.to_string(), value.into());
-    }
-
-    /// Reads a variable (`Value::Null` when unset).
-    pub fn get(&self, name: &str) -> Value {
-        self.values.get(name).cloned().unwrap_or(Value::Null)
-    }
-
-    /// Reads an integer variable, defaulting to 0 when unset or non-integer.
-    pub fn get_int(&self, name: &str) -> i64 {
-        self.get(name).as_int().unwrap_or(0)
-    }
-
-    /// Whether the variable has been set.
-    pub fn contains(&self, name: &str) -> bool {
-        self.values.contains_key(name)
-    }
-}
-
 /// One statement-level step of a program instance.
-pub type StepFn = Box<dyn FnMut(&mut Engine, TxnToken, &mut Locals) -> EngineResult<()> + Send>;
+pub type StepFn = Box<dyn FnMut(&mut Engine, TxnToken) -> EngineResult<()> + Send>;
 
 /// A concrete, runnable instantiation of a transaction program: an ordered list of
-/// statement-level steps plus the instance's parameters and locals.
+/// statement-level steps.
 pub struct ProgramInstance {
     program: String,
     steps: Vec<StepFn>,
     next: usize,
-    locals: Locals,
 }
 
 impl fmt::Debug for ProgramInstance {
@@ -72,13 +34,12 @@ impl fmt::Debug for ProgramInstance {
 }
 
 impl ProgramInstance {
-    /// Creates an instance of the named program with the given parameters and steps.
-    pub fn new(program: impl Into<String>, locals: Locals, steps: Vec<StepFn>) -> Self {
+    /// Creates an instance of the named program with the given steps.
+    pub fn new(program: impl Into<String>, steps: Vec<StepFn>) -> Self {
         ProgramInstance {
             program: program.into(),
             steps,
             next: 0,
-            locals,
         }
     }
 
@@ -97,11 +58,6 @@ impl ProgramInstance {
         self.next >= self.steps.len()
     }
 
-    /// Read access to the instance's variables (used by invariant checks in tests).
-    pub fn locals(&self) -> &Locals {
-        &self.locals
-    }
-
     /// Executes the next step: starts a new statement on the engine (refreshing the
     /// read-committed statement snapshot) and runs the step closure.
     ///
@@ -114,7 +70,7 @@ impl ProgramInstance {
         );
         engine.begin_statement(txn)?;
         let idx = self.next;
-        let result = (self.steps[idx])(engine, txn, &mut self.locals);
+        let result = (self.steps[idx])(engine, txn);
         if result.is_ok() {
             self.next += 1;
         }
@@ -126,8 +82,9 @@ impl ProgramInstance {
 mod tests {
     use super::*;
     use crate::engine::IsolationLevel;
-    use crate::value::Key;
+    use crate::value::{Key, Value};
     use mvrc_schema::SchemaBuilder;
+    use std::sync::{Arc, Mutex};
 
     fn engine() -> Engine {
         let mut b = SchemaBuilder::new("s");
@@ -139,47 +96,39 @@ mod tests {
     }
 
     #[test]
-    fn locals_roundtrip() {
-        let mut l = Locals::new();
-        assert_eq!(l.get("x"), Value::Null);
-        assert_eq!(l.get_int("x"), 0);
-        assert!(!l.contains("x"));
-        l.set("x", 7i64);
-        l.set("name", "alice");
-        assert_eq!(l.get_int("x"), 7);
-        assert_eq!(l.get("name"), Value::Str("alice".into()));
-        assert!(l.contains("name"));
-    }
-
-    #[test]
     fn steps_run_in_order_and_share_locals() {
         let mut engine = engine();
         let rel = engine.rel("R").unwrap();
         let attrs = engine.attrs(rel, &["v"]).unwrap();
-        let mut locals = Locals::new();
-        locals.set("key", 1i64);
+        let key = Key::int(1);
+        // The two steps share the value the first one reads through a captured cell.
+        let seen = Arc::new(Mutex::new(Value::Null));
 
-        let read: StepFn = Box::new(move |engine, txn, locals| {
-            let key = Key::int(locals.get_int("key"));
-            let row = engine.read_key(txn, rel, &key, attrs)?.expect("row exists");
-            locals.set("seen", row[1].clone());
-            Ok(())
+        let read: StepFn = Box::new({
+            let (key, seen) = (key.clone(), Arc::clone(&seen));
+            move |engine, txn| {
+                let row = engine.read_key(txn, rel, &key, attrs)?.expect("row exists");
+                *seen.lock().unwrap() = row[1].clone();
+                Ok(())
+            }
         });
-        let write: StepFn = Box::new(move |engine, txn, locals| {
-            let key = Key::int(locals.get_int("key"));
-            let attr = engine.attr(rel, "v").unwrap();
-            let bump = locals.get_int("seen") + 1;
-            engine.update_key(txn, rel, &key, attrs, attrs, |_| {
-                vec![(attr, Value::Int(bump))]
-            })
+        let write: StepFn = Box::new({
+            let (key, seen) = (key.clone(), Arc::clone(&seen));
+            move |engine, txn| {
+                let attr = engine.attr(rel, "v").unwrap();
+                let bump = seen.lock().unwrap().as_int().unwrap() + 1;
+                engine.update_key(txn, rel, &key, attrs, attrs, |_| {
+                    vec![(attr, Value::Int(bump))]
+                })
+            }
         });
 
-        let mut instance = ProgramInstance::new("Bump", locals, vec![read, write]);
+        let mut instance = ProgramInstance::new("Bump", vec![read, write]);
         assert_eq!(instance.program(), "Bump");
         assert_eq!(instance.remaining(), 2);
         let txn = engine.begin("Bump", IsolationLevel::ReadCommitted);
         instance.step(&mut engine, txn).unwrap();
-        assert_eq!(instance.locals().get_int("seen"), 10);
+        assert_eq!(*seen.lock().unwrap(), Value::Int(10));
         instance.step(&mut engine, txn).unwrap();
         assert!(instance.is_done());
         engine.commit(txn).unwrap();
@@ -193,7 +142,7 @@ mod tests {
     #[should_panic(expected = "finished program instance")]
     fn stepping_past_the_end_is_a_bug() {
         let mut engine = engine();
-        let mut instance = ProgramInstance::new("Empty", Locals::new(), vec![]);
+        let mut instance = ProgramInstance::new("Empty", vec![]);
         let txn = engine.begin("Empty", IsolationLevel::ReadCommitted);
         let _ = instance.step(&mut engine, txn);
     }

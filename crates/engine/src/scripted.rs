@@ -328,9 +328,11 @@ pub fn run_plan(
 mod tests {
     use super::*;
     use crate::error::AbortReason;
-    use crate::program::{Locals, StepFn};
+    use crate::program::StepFn;
     use crate::value::{Key, Value};
     use mvrc_schema::SchemaBuilder;
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::Arc;
 
     fn engine() -> Engine {
         let mut b = SchemaBuilder::new("s");
@@ -342,25 +344,30 @@ mod tests {
     }
 
     /// An instance that key-selects `R[0].v` and then key-updates it to `seen + delta`
-    /// (the read-then-write lost-update shape).
+    /// (the read-then-write lost-update shape). The read value passes to the write through a
+    /// captured cell.
     fn read_then_write(engine: &Engine, name: &str, delta: i64) -> ProgramInstance {
         let rel = engine.rel("R").unwrap();
         let attrs = engine.attrs(rel, &["v"]).unwrap();
         let attr = engine.attr(rel, "v").unwrap();
-        let read: StepFn = Box::new(move |engine, txn, locals| {
-            let row = engine
-                .read_key(txn, rel, &Key::int(0), attrs)?
-                .expect("row 0 exists");
-            locals.set("seen", row[1].clone());
-            Ok(())
+        let seen = Arc::new(AtomicI64::new(0));
+        let read: StepFn = Box::new({
+            let seen = Arc::clone(&seen);
+            move |engine, txn| {
+                let row = engine
+                    .read_key(txn, rel, &Key::int(0), attrs)?
+                    .expect("row 0 exists");
+                seen.store(row[1].as_int().unwrap(), Ordering::SeqCst);
+                Ok(())
+            }
         });
-        let write: StepFn = Box::new(move |engine, txn, locals| {
-            let new = locals.get_int("seen") + delta;
+        let write: StepFn = Box::new(move |engine, txn| {
+            let new = seen.load(Ordering::SeqCst) + delta;
             engine.update_key(txn, rel, &Key::int(0), AttrSet::empty(), attrs, move |_| {
                 vec![(attr, Value::Int(new))]
             })
         });
-        ProgramInstance::new(name, Locals::new(), vec![read, write])
+        ProgramInstance::new(name, vec![read, write])
     }
 
     use mvrc_schema::AttrSet;
@@ -552,18 +559,18 @@ mod tests {
         let mut engine = engine();
         let rel = engine.rel("R").unwrap();
         let attrs = engine.attrs(rel, &["v"]).unwrap();
-        let read1: StepFn = Box::new(move |engine, txn, locals| {
-            let row = engine.read_key(txn, rel, &Key::int(0), attrs)?.unwrap();
-            locals.set("first", row[1].clone());
-            Ok(())
-        });
-        let read2: StepFn = Box::new(move |engine, txn, locals| {
-            let row = engine.read_key(txn, rel, &Key::int(0), attrs)?.unwrap();
-            locals.set("second", row[1].clone());
-            Ok(())
-        });
+        let first = Arc::new(AtomicI64::new(0));
+        let second = Arc::new(AtomicI64::new(0));
+        let read_into = |cell: &Arc<AtomicI64>| -> StepFn {
+            let cell = Arc::clone(cell);
+            Box::new(move |engine, txn| {
+                let row = engine.read_key(txn, rel, &Key::int(0), attrs)?.unwrap();
+                cell.store(row[1].as_int().unwrap(), Ordering::SeqCst);
+                Ok(())
+            })
+        };
         let mut instances = vec![
-            ProgramInstance::new("Reader", Locals::new(), vec![read1, read2]),
+            ProgramInstance::new("Reader", vec![read_into(&first), read_into(&second)]),
             read_then_write(&engine, "Writer", 10),
         ];
         let plan = StepPlan::split_schedule(&[2, 2], 0, 1);
@@ -574,9 +581,9 @@ mod tests {
             &plan,
         )
         .unwrap();
-        assert_eq!(instances[0].locals().get_int("first"), 100);
+        assert_eq!(first.load(Ordering::SeqCst), 100);
         assert_eq!(
-            instances[0].locals().get_int("second"),
+            second.load(Ordering::SeqCst),
             110,
             "the resumed statement must observe the commit that happened during the pause"
         );

@@ -58,24 +58,6 @@ impl fmt::Display for Value {
     }
 }
 
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
-
 /// A row: one value per attribute of the relation, in attribute order.
 pub type Row = Vec<Value>;
 
@@ -166,9 +148,6 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Int(-3).to_string(), "-3");
         assert_eq!(Value::Str("abc".into()).to_string(), "'abc'");
-        assert_eq!(Value::from(5i64), Value::Int(5));
-        assert_eq!(Value::from("a"), Value::Str("a".into()));
-        assert_eq!(Value::from(String::from("b")), Value::Str("b".into()));
     }
 
     #[test]

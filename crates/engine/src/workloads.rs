@@ -1,510 +1,200 @@
-//! Concrete, executable versions of the paper's benchmark workloads.
+//! Executable workloads: any [`Workload`] driven through the generic LTP lowering.
 //!
-//! The static analysis works on BTPs (abstract statements); the engine needs *runnable*
-//! programs with real parameters and values. This module provides executable SmallBank and
-//! Auction workloads whose statement structure matches the BTPs in `mvrc-benchmarks` one to
-//! one, so that static verdicts can be validated dynamically:
+//! The static analysis decides robustness for the `Unfold≤2` LTPs of a workload's BTPs; an
+//! [`ExecutableWorkload`] runs exactly those LTPs on the engine, lowered by
+//! [`ProgramInstance::from_ltp`]. Every workload is therefore executable — the bundled
+//! SmallBank, Auction, TPC-C and YCSB-T benchmarks as well as user SQL files — and static
+//! verdicts can be validated dynamically:
 //!
 //! * a program subset attested robust must never produce a serialization-graph cycle when run
 //!   under [`IsolationLevel::ReadCommitted`](crate::IsolationLevel::ReadCommitted);
 //! * for subsets rejected as non-robust, anomalies should (and do) show up under contention.
+//!
+//! The database holds rows `0..rows` of every relation in the lowered layout (row `k` carries
+//! `Int(k)` in every attribute, see [`lowered_row`]). An instance draws one row `k` for all of
+//! its non-insert statements, so every foreign key between them holds, and fewer rows mean more
+//! contention. Inserts write fresh rows `rows, rows + 1, …`, unique within a run.
 
 use crate::engine::Engine;
-use crate::program::{Locals, ProgramInstance, StepFn};
-use crate::value::{Key, Value};
-use mvrc_schema::Schema;
+use crate::error::EngineError;
+use crate::lower::{lowered_key, lowered_row};
+use crate::program::ProgramInstance;
+use mvrc_btp::{LinearProgram, StatementKind, Workload};
+use mvrc_schema::{RelId, Schema};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
 
-/// A named generator of program instances: every call produces a fresh instantiation with
-/// random parameters.
-pub struct ProgramGenerator {
-    /// The program name (matches the BTP name of the corresponding benchmark).
-    pub name: String,
-    /// Relative weight in the workload mix.
-    pub weight: u32,
-    make: Box<dyn Fn(&mut StdRng) -> ProgramInstance + Send + Sync>,
-}
-
-impl ProgramGenerator {
-    /// Creates a generator.
-    pub fn new(
-        name: impl Into<String>,
-        weight: u32,
-        make: impl Fn(&mut StdRng) -> ProgramInstance + Send + Sync + 'static,
-    ) -> Self {
-        ProgramGenerator {
-            name: name.into(),
-            weight,
-            make: Box::new(make),
-        }
-    }
-
-    /// Produces a fresh instance.
-    pub fn generate(&self, rng: &mut StdRng) -> ProgramInstance {
-        (self.make)(rng)
-    }
-}
-
-impl std::fmt::Debug for ProgramGenerator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgramGenerator")
-            .field("name", &self.name)
-            .field("weight", &self.weight)
-            .finish()
-    }
-}
-
-/// A runnable workload: schema, initial database population and the program mix.
+/// A runnable workload: schema, number of preloaded rows per relation and the program mix.
+#[derive(Debug, Clone)]
 pub struct ExecutableWorkload {
     /// Workload name.
     pub name: String,
-    /// The schema (identical to the schema of the corresponding static benchmark).
+    /// The schema (the workload's own).
     pub schema: Schema,
-    setup: Box<dyn Fn(&mut Engine) + Send + Sync>,
-    /// The program generators of the mix.
-    pub generators: Vec<ProgramGenerator>,
+    rows: i64,
+    programs: Vec<ExecutableProgram>,
 }
 
-impl std::fmt::Debug for ExecutableWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecutableWorkload")
-            .field("name", &self.name)
-            .field("generators", &self.generators)
-            .finish()
-    }
+/// One program of the mix: its LTPs, grouped under the BTP name.
+#[derive(Debug, Clone)]
+struct ExecutableProgram {
+    name: String,
+    ltps: Vec<ExecutableLtp>,
+}
+
+#[derive(Debug, Clone)]
+struct ExecutableLtp {
+    ltp: LinearProgram,
+    /// The relations the LTP key-updates or key-deletes: row `k` must still exist in each of
+    /// them for an instance on row `k` to be able to commit.
+    guarded: Vec<RelId>,
 }
 
 impl ExecutableWorkload {
-    /// Creates a workload from its parts.
-    pub fn new(
-        name: impl Into<String>,
-        schema: Schema,
-        setup: impl Fn(&mut Engine) + Send + Sync + 'static,
-        generators: Vec<ProgramGenerator>,
-    ) -> Self {
+    /// Makes `workload` executable over `rows` rows per relation (at least one).
+    pub fn new(workload: &Workload, rows: usize) -> Self {
+        let mut programs: Vec<ExecutableProgram> = Vec::new();
+        for ltp in workload.unfolded() {
+            let mut guarded: Vec<RelId> = ltp
+                .statements()
+                .filter(|(_, s)| {
+                    matches!(
+                        s.kind(),
+                        StatementKind::KeyUpdate | StatementKind::KeyDelete
+                    )
+                })
+                .map(|(_, s)| s.rel())
+                .collect();
+            guarded.sort_unstable_by_key(|r| r.index());
+            guarded.dedup();
+            let lowered = ExecutableLtp { ltp, guarded };
+            match programs
+                .iter_mut()
+                .find(|p| p.name == lowered.ltp.program_name())
+            {
+                Some(program) => program.ltps.push(lowered),
+                None => programs.push(ExecutableProgram {
+                    name: lowered.ltp.program_name().to_string(),
+                    ltps: vec![lowered],
+                }),
+            }
+        }
         ExecutableWorkload {
-            name: name.into(),
-            schema,
-            setup: Box::new(setup),
-            generators,
+            name: workload.name.clone(),
+            schema: workload.schema.clone(),
+            rows: i64::try_from(rows.max(1)).expect("the row count fits in i64"),
+            programs,
         }
     }
 
-    /// Builds a fresh engine with the initial database state loaded.
+    /// Builds a fresh engine with rows `0..rows` loaded into every relation.
     pub fn build_engine(&self) -> Engine {
         let mut engine = Engine::new(self.schema.clone());
-        (self.setup)(&mut engine);
+        for rel in self.schema.relations().map(|r| r.id()) {
+            for k in 0..self.rows {
+                engine
+                    .load(rel, lowered_row(&self.schema, rel, k))
+                    .expect("lowered rows match their relation and are distinct");
+            }
+        }
         engine
     }
 
     /// Restricts the mix to the named programs (used to run exactly the program subsets the
-    /// static analysis attested robust). Unknown names are ignored.
-    pub fn restrict(mut self, names: &[&str]) -> Self {
-        self.generators.retain(|g| names.contains(&g.name.as_str()));
-        self
+    /// static analysis attested robust). Errors with [`EngineError::UnknownProgram`] on the
+    /// first name that is not a program of the workload.
+    pub fn restrict(mut self, names: &[&str]) -> Result<Self, EngineError> {
+        if let Some(unknown) = names
+            .iter()
+            .find(|n| !self.programs.iter().any(|p| p.name == **n))
+        {
+            return Err(EngineError::UnknownProgram(unknown.to_string()));
+        }
+        self.programs.retain(|p| names.contains(&p.name.as_str()));
+        Ok(self)
     }
 
     /// The names of the programs in the mix.
     pub fn program_names(&self) -> Vec<&str> {
-        self.generators.iter().map(|g| g.name.as_str()).collect()
+        self.programs.iter().map(|p| p.name.as_str()).collect()
     }
 
-    /// Picks a generator according to the weights and produces an instance.
-    pub fn generate(&self, rng: &mut StdRng) -> ProgramInstance {
-        assert!(
-            !self.generators.is_empty(),
-            "workload `{}` has no programs",
-            self.name
-        );
-        let total: u32 = self.generators.iter().map(|g| g.weight).sum();
-        let mut pick = rng.gen_range(0..total.max(1));
-        for g in &self.generators {
-            if pick < g.weight {
-                return g.generate(rng);
-            }
-            pick -= g.weight;
-        }
-        self.generators.last().expect("non-empty").generate(rng)
-    }
-}
-
-// --------------------------------------------------------------------------------- SmallBank
-
-/// Configuration of the executable SmallBank workload.
-#[derive(Debug, Clone, Copy)]
-pub struct SmallBankConfig {
-    /// Number of customers loaded at setup. Fewer customers means more contention.
-    pub customers: usize,
-    /// Initial balance of every savings and checking account.
-    pub initial_balance: i64,
-}
-
-impl Default for SmallBankConfig {
-    fn default() -> Self {
-        SmallBankConfig {
-            customers: 10,
-            initial_balance: 1_000,
-        }
-    }
-}
-
-/// Builds the executable SmallBank workload (Appendix E.1): five programs over
-/// `Account(Name, CustomerId)`, `Savings(CustomerId, Balance)` and `Checking(CustomerId,
-/// Balance)`.
-pub fn smallbank_executable(config: SmallBankConfig) -> ExecutableWorkload {
-    let schema = mvrc_benchmarks::smallbank_schema();
-    let customers = config.customers.max(1);
-    let initial = config.initial_balance;
-
-    let setup = move |engine: &mut Engine| {
-        let account = engine.rel("Account").expect("Account relation");
-        let savings = engine.rel("Savings").expect("Savings relation");
-        let checking = engine.rel("Checking").expect("Checking relation");
-        for i in 0..customers as i64 {
-            engine
-                .load(account, vec![Value::Str(format!("c{i}")), Value::Int(i)])
-                .expect("load account");
-            engine
-                .load(savings, vec![Value::Int(i), Value::Int(initial)])
-                .expect("load savings");
-            engine
-                .load(checking, vec![Value::Int(i), Value::Int(initial)])
-                .expect("load checking");
-        }
-    };
-
-    let customer = move |rng: &mut StdRng| rng.gen_range(0..customers as i64);
-
-    // Step helpers -------------------------------------------------------------------------
-
-    // Account lookup: SELECT CustomerId FROM Account WHERE Name = :N (key sel).
-    fn lookup_account(var: &'static str, name_var: &'static str) -> StepFn {
-        Box::new(move |engine, txn, locals| {
-            let account = engine.rel("Account")?;
-            let attrs = engine.attrs(account, &["CustomerId"])?;
-            let name = locals.get(name_var);
-            let key = Key(vec![name]);
-            let row = engine.read_key(txn, account, &key, attrs)?;
-            match row {
-                Some(row) => {
-                    locals.set(var, row[1].clone());
-                    Ok(())
-                }
-                None => Err(crate::error::EngineError::Aborted(
-                    crate::error::AbortReason::MissingRow(format!("Account{key}")),
-                )),
-            }
-        })
-    }
-
-    // SELECT Balance FROM <rel> WHERE CustomerId = :x (key sel).
-    fn read_balance(rel_name: &'static str, id_var: &'static str, out_var: &'static str) -> StepFn {
-        Box::new(move |engine, txn, locals| {
-            let rel = engine.rel(rel_name)?;
-            let attrs = engine.attrs(rel, &["Balance"])?;
-            let key = Key::int(locals.get_int(id_var));
-            if let Some(row) = engine.read_key(txn, rel, &key, attrs)? {
-                locals.set(out_var, row[1].clone());
-            }
-            Ok(())
-        })
-    }
-
-    // UPDATE <rel> SET Balance = <new>(old, locals) WHERE CustomerId = :x (key upd), optionally
-    // remembering the old balance in `remember_old`.
-    fn update_balance(
-        rel_name: &'static str,
-        id_var: &'static str,
-        remember_old: Option<&'static str>,
-        new_balance: impl Fn(i64, &Locals) -> i64 + Send + 'static,
-    ) -> StepFn {
-        Box::new(move |engine, txn, locals| {
-            let rel = engine.rel(rel_name)?;
-            let attrs = engine.attrs(rel, &["Balance"])?;
-            let attr = engine.attr(rel, "Balance")?;
-            let key = Key::int(locals.get_int(id_var));
-            let mut old_seen = 0i64;
-            {
-                let locals_ref: &Locals = locals;
-                engine.update_key(txn, rel, &key, attrs, attrs, |row| {
-                    let old = row[attr.index()].as_int().unwrap_or(0);
-                    old_seen = old;
-                    vec![(attr, Value::Int(new_balance(old, locals_ref)))]
-                })?;
-            }
-            if let Some(var) = remember_old {
-                locals.set(var, old_seen);
-            }
-            Ok(())
-        })
-    }
-
-    let balance = ProgramGenerator::new("Balance", 25, {
-        move |rng: &mut StdRng| {
-            let mut locals = Locals::new();
-            locals.set("N", format!("c{}", customer(rng)));
-            ProgramInstance::new(
-                "Balance",
-                locals,
-                vec![
-                    lookup_account("x", "N"),
-                    read_balance("Savings", "x", "a"),
-                    read_balance("Checking", "x", "b"),
-                ],
-            )
-        }
-    });
-
-    let deposit_checking = ProgramGenerator::new("DepositChecking", 25, {
-        move |rng: &mut StdRng| {
-            let mut locals = Locals::new();
-            locals.set("N", format!("c{}", customer(rng)));
-            locals.set("V", rng.gen_range(1..100i64));
-            ProgramInstance::new(
-                "DepositChecking",
-                locals,
-                vec![
-                    lookup_account("x", "N"),
-                    update_balance("Checking", "x", None, |old, l| old + l.get_int("V")),
-                ],
-            )
-        }
-    });
-
-    let transact_savings = ProgramGenerator::new("TransactSavings", 20, {
-        move |rng: &mut StdRng| {
-            let mut locals = Locals::new();
-            locals.set("N", format!("c{}", customer(rng)));
-            locals.set("V", rng.gen_range(-50..100i64));
-            ProgramInstance::new(
-                "TransactSavings",
-                locals,
-                vec![
-                    lookup_account("x", "N"),
-                    update_balance("Savings", "x", None, |old, l| old + l.get_int("V")),
-                ],
-            )
-        }
-    });
-
-    let amalgamate = ProgramGenerator::new("Amalgamate", 10, {
-        move |rng: &mut StdRng| {
-            let c1 = customer(rng);
-            let mut c2 = customer(rng);
-            if c2 == c1 {
-                c2 = (c1 + 1) % customers as i64;
-            }
-            let mut locals = Locals::new();
-            locals.set("N1", format!("c{c1}"));
-            locals.set("N2", format!("c{c2}"));
-            ProgramInstance::new(
-                "Amalgamate",
-                locals,
-                vec![
-                    lookup_account("x1", "N1"),
-                    lookup_account("x2", "N2"),
-                    update_balance("Savings", "x1", Some("a"), |_, _| 0),
-                    update_balance("Checking", "x1", Some("b"), |_, _| 0),
-                    update_balance("Checking", "x2", None, |old, l| {
-                        old + l.get_int("a") + l.get_int("b")
-                    }),
-                ],
-            )
-        }
-    });
-
-    let write_check = ProgramGenerator::new("WriteCheck", 20, {
-        move |rng: &mut StdRng| {
-            let mut locals = Locals::new();
-            locals.set("N", format!("c{}", customer(rng)));
-            locals.set("V", rng.gen_range(1..150i64));
-            ProgramInstance::new(
-                "WriteCheck",
-                locals,
-                vec![
-                    lookup_account("x", "N"),
-                    read_balance("Savings", "x", "a"),
-                    read_balance("Checking", "x", "b"),
-                    update_balance("Checking", "x", None, |old, l| {
-                        let mut v = l.get_int("V");
-                        if l.get_int("a") + l.get_int("b") < v {
-                            v += 1; // overdraft penalty
-                        }
-                        old - v
-                    }),
-                ],
-            )
-        }
-    });
-
-    ExecutableWorkload::new(
-        "SmallBank",
-        schema,
-        setup,
-        vec![
-            balance,
-            deposit_checking,
-            transact_savings,
-            amalgamate,
-            write_check,
-        ],
-    )
-}
-
-// --------------------------------------------------------------------------------- Auction
-
-/// Configuration of the executable Auction workload (the running example of Section 2).
-#[derive(Debug, Clone, Copy)]
-pub struct AuctionConfig {
-    /// Number of buyers (and bid rows) loaded at setup.
-    pub buyers: usize,
-    /// Upper bound (exclusive) of bid values.
-    pub max_bid: i64,
-}
-
-impl Default for AuctionConfig {
-    fn default() -> Self {
-        AuctionConfig {
-            buyers: 10,
-            max_bid: 100,
-        }
-    }
-}
-
-/// Builds the executable Auction workload: `FindBids(B, T)` and `PlaceBid(B, V)` over
-/// `Buyer(id, calls)`, `Bids(buyerId, bid)` and `Log(id, buyerId, bid)`.
-pub fn auction_executable(config: AuctionConfig) -> ExecutableWorkload {
-    let schema = mvrc_benchmarks::auction_schema();
-    let buyers = config.buyers.max(1);
-    let max_bid = config.max_bid.max(2);
-    let log_counter = Arc::new(AtomicI64::new(0));
-
-    let setup = move |engine: &mut Engine| {
-        let buyer = engine.rel("Buyer").expect("Buyer relation");
-        let bids = engine.rel("Bids").expect("Bids relation");
-        for i in 0..buyers as i64 {
-            engine
-                .load(buyer, vec![Value::Int(i), Value::Int(0)])
-                .expect("load buyer");
-            engine
-                .load(bids, vec![Value::Int(i), Value::Int(1 + i % 10)])
-                .expect("load bid");
-        }
-    };
-
-    // q1/q3: UPDATE Buyer SET calls = calls + 1 WHERE id = :B (key upd).
-    fn bump_calls() -> StepFn {
-        Box::new(|engine, txn, locals| {
-            let buyer = engine.rel("Buyer")?;
-            let attrs = engine.attrs(buyer, &["calls"])?;
-            let attr = engine.attr(buyer, "calls")?;
-            let key = Key::int(locals.get_int("B"));
-            engine.update_key(txn, buyer, &key, attrs, attrs, |row| {
-                vec![(
-                    attr,
-                    Value::Int(row[attr.index()].as_int().unwrap_or(0) + 1),
-                )]
+    /// Draws an instance: a program uniformly, then one of its LTPs uniformly, then one row `k`
+    /// for all non-insert statements. Only LTPs and rows that can commit are drawn: row `k`
+    /// must still exist in every relation the LTP key-updates or key-deletes. Inserts take row
+    /// `rows + *inserts` and count `*inserts` up. `None` when no LTP of the mix can be drawn
+    /// (e.g. a delete-only mix that deleted every row).
+    pub(crate) fn generate(
+        &self,
+        engine: &Engine,
+        rng: &mut StdRng,
+        inserts: &mut i64,
+    ) -> Option<ProgramInstance> {
+        let live_rows = |ltp: &ExecutableLtp| -> Vec<i64> {
+            (0..self.rows)
+                .filter(|&k| {
+                    ltp.guarded.iter().all(|&rel| {
+                        engine
+                            .latest_row(rel, &lowered_key(&self.schema, rel, k))
+                            .is_some()
+                    })
+                })
+                .collect()
+        };
+        let drawable: Vec<Vec<(&ExecutableLtp, Vec<i64>)>> = self
+            .programs
+            .iter()
+            .map(|p| {
+                p.ltps
+                    .iter()
+                    .map(|l| (l, live_rows(l)))
+                    .filter(|(_, rows)| !rows.is_empty())
+                    .collect::<Vec<_>>()
             })
-        })
+            .filter(|ltps| !ltps.is_empty())
+            .collect();
+        if drawable.is_empty() {
+            return None;
+        }
+        let program = &drawable[rng.gen_range(0..drawable.len())];
+        let (lowered, rows) = &program[rng.gen_range(0..program.len())];
+        let k = rows[rng.gen_range(0..rows.len())];
+        let targets: Vec<i64> = lowered
+            .ltp
+            .statements()
+            .map(|(_, s)| {
+                if s.kind() == StatementKind::Insert {
+                    *inserts += 1;
+                    self.rows + *inserts - 1
+                } else {
+                    k
+                }
+            })
+            .collect();
+        Some(ProgramInstance::from_ltp(
+            &self.schema,
+            &lowered.ltp,
+            &targets,
+        ))
     }
-
-    let find_bids = ProgramGenerator::new("FindBids", 50, {
-        move |rng: &mut StdRng| {
-            let mut locals = Locals::new();
-            locals.set("B", rng.gen_range(0..buyers as i64));
-            locals.set("T", rng.gen_range(0..max_bid));
-            // q2: SELECT bid FROM Bids WHERE bid >= :T (pred sel).
-            let scan: StepFn = Box::new(|engine, txn, locals| {
-                let bids = engine.rel("Bids")?;
-                let bid_attrs = engine.attrs(bids, &["bid"])?;
-                let threshold = locals.get_int("T");
-                let rows = engine.scan(txn, bids, bid_attrs, bid_attrs, move |row| {
-                    row[1].as_int().unwrap_or(0) >= threshold
-                })?;
-                locals.set("found", rows.len() as i64);
-                Ok(())
-            });
-            ProgramInstance::new("FindBids", locals, vec![bump_calls(), scan])
-        }
-    });
-
-    let place_bid = ProgramGenerator::new("PlaceBid", 50, {
-        let log_counter = Arc::clone(&log_counter);
-        move |rng: &mut StdRng| {
-            let mut locals = Locals::new();
-            locals.set("B", rng.gen_range(0..buyers as i64));
-            locals.set("V", rng.gen_range(1..max_bid));
-            // q4: SELECT bid INTO :C FROM Bids WHERE buyerId = :B (key sel).
-            let read_bid: StepFn = Box::new(|engine, txn, locals| {
-                let bids = engine.rel("Bids")?;
-                let attrs = engine.attrs(bids, &["bid"])?;
-                let key = Key::int(locals.get_int("B"));
-                if let Some(row) = engine.read_key(txn, bids, &key, attrs)? {
-                    locals.set("C", row[1].clone());
-                }
-                Ok(())
-            });
-            // q5: IF :C < :V THEN UPDATE Bids SET bid = :V WHERE buyerId = :B (key upd | ε).
-            let maybe_raise: StepFn = Box::new(|engine, txn, locals| {
-                if locals.get_int("C") >= locals.get_int("V") {
-                    return Ok(());
-                }
-                let bids = engine.rel("Bids")?;
-                let write = engine.attrs(bids, &["bid"])?;
-                let attr = engine.attr(bids, "bid")?;
-                let key = Key::int(locals.get_int("B"));
-                let v = locals.get_int("V");
-                engine.update_key(
-                    txn,
-                    bids,
-                    &key,
-                    mvrc_schema::AttrSet::empty(),
-                    write,
-                    move |_| vec![(attr, Value::Int(v))],
-                )
-            });
-            // q6: INSERT INTO Log VALUES (:logId, :B, :V) (ins).
-            let insert_log: StepFn = Box::new({
-                let log_counter = Arc::clone(&log_counter);
-                move |engine, txn, locals| {
-                    let log = engine.rel("Log")?;
-                    let id = log_counter.fetch_add(1, Ordering::Relaxed);
-                    engine.insert(
-                        txn,
-                        log,
-                        vec![
-                            Value::Int(id),
-                            Value::Int(locals.get_int("B")),
-                            Value::Int(locals.get_int("V")),
-                        ],
-                    )
-                }
-            });
-            ProgramInstance::new(
-                "PlaceBid",
-                locals,
-                vec![bump_calls(), read_bid, maybe_raise, insert_log],
-            )
-        }
-    });
-
-    ExecutableWorkload::new("Auction", schema, setup, vec![find_bids, place_bid])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::IsolationLevel;
+    use mvrc_benchmarks::{auction, smallbank, tpcc};
     use rand::SeedableRng;
 
+    /// Runs 20 drawn instances one after another (no interleaving).
     fn run_one(workload: &ExecutableWorkload, seed: u64) -> Engine {
         let mut engine = workload.build_engine();
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut inserts = 0;
         for _ in 0..20 {
-            let mut instance = workload.generate(&mut rng);
+            let mut instance = workload
+                .generate(&engine, &mut rng, &mut inserts)
+                .expect("the mix has drawable programs");
             let txn = engine.begin(instance.program(), IsolationLevel::ReadCommitted);
             let mut ok = true;
             while !instance.is_done() {
@@ -522,10 +212,7 @@ mod tests {
 
     #[test]
     fn smallbank_setup_loads_every_account() {
-        let workload = smallbank_executable(SmallBankConfig {
-            customers: 5,
-            initial_balance: 100,
-        });
+        let workload = ExecutableWorkload::new(&smallbank(), 5);
         let engine = workload.build_engine();
         for rel in ["Account", "Savings", "Checking"] {
             let id = engine.rel(rel).unwrap();
@@ -534,10 +221,10 @@ mod tests {
         assert_eq!(
             workload.program_names(),
             vec![
+                "Amalgamate",
                 "Balance",
                 "DepositChecking",
                 "TransactSavings",
-                "Amalgamate",
                 "WriteCheck"
             ]
         );
@@ -545,11 +232,12 @@ mod tests {
 
     #[test]
     fn smallbank_serial_execution_is_serializable_and_conserves_structure() {
-        let workload = smallbank_executable(SmallBankConfig::default());
+        let workload = ExecutableWorkload::new(&smallbank(), 10);
         let engine = run_one(&workload, 42);
-        assert!(
-            engine.history().len() >= 15,
-            "most serial transactions commit"
+        assert_eq!(
+            engine.history().len(),
+            20,
+            "every serial transaction commits"
         );
         let report = engine.history().report(engine.schema());
         assert!(
@@ -561,35 +249,88 @@ mod tests {
 
     #[test]
     fn auction_serial_execution_logs_every_placed_bid() {
-        let workload = auction_executable(AuctionConfig {
-            buyers: 4,
-            max_bid: 50,
-        });
+        let workload = ExecutableWorkload::new(&auction(), 4);
         let engine = run_one(&workload, 7);
         let log = engine.rel("Log").unwrap();
         let commits = engine.history().commits_by_program();
-        let placed = commits.get("PlaceBid").copied().unwrap_or(0);
+        let placed = commits
+            .iter()
+            .filter(|(ltp, _)| ltp.starts_with("PlaceBid"))
+            .map(|(_, n)| n)
+            .sum::<usize>();
+        assert!(placed > 0);
         assert_eq!(
             engine.latest_rows(log).len(),
-            placed,
-            "one log row per committed PlaceBid"
+            4 + placed,
+            "one log row per committed PlaceBid, on top of the preloaded rows"
         );
         let report = engine.history().report(engine.schema());
         assert!(report.is_serializable());
     }
 
     #[test]
+    fn tpcc_setup_loads_every_relation() {
+        let workload = ExecutableWorkload::new(&tpcc(), 3);
+        let engine = workload.build_engine();
+        for relation in workload.schema.relations() {
+            assert_eq!(
+                engine.latest_rows(relation.id()).len(),
+                3,
+                "{} row count",
+                relation.name()
+            );
+        }
+        assert_eq!(workload.program_names().len(), 5);
+    }
+
+    #[test]
+    fn tpcc_serial_execution_commits_and_is_serializable() {
+        let workload = ExecutableWorkload::new(&tpcc(), 4);
+        let engine = run_one(&workload, 3);
+        assert_eq!(
+            engine.history().len(),
+            20,
+            "every serial transaction commits"
+        );
+        let report = engine.history().report(engine.schema());
+        assert!(report.is_serializable());
+        assert_eq!(report.counterflow_edges, 0);
+    }
+
+    #[test]
+    fn tpcc_new_order_inserts_fresh_rows() {
+        let workload = ExecutableWorkload::new(&tpcc(), 2)
+            .restrict(&["NewOrder"])
+            .unwrap();
+        let engine = run_one(&workload, 5);
+        let orders = engine.rel("Orders").unwrap();
+        let new_order = engine.rel("New_Order").unwrap();
+        // Every NewOrder LTP inserts one order and one new-order row, with keys past the
+        // preloaded rows that never collide.
+        assert_eq!(engine.latest_rows(orders).len(), 2 + 20);
+        assert_eq!(engine.latest_rows(new_order).len(), 2 + 20);
+    }
+
+    #[test]
     fn restrict_filters_the_program_mix() {
-        let workload = smallbank_executable(SmallBankConfig::default()).restrict(&[
-            "Balance",
-            "DepositChecking",
-            "NoSuchProgram",
-        ]);
+        let workload = ExecutableWorkload::new(&smallbank(), 10)
+            .restrict(&["Balance", "DepositChecking"])
+            .unwrap();
         assert_eq!(workload.program_names(), vec!["Balance", "DepositChecking"]);
+        let engine = workload.build_engine();
         let mut rng = StdRng::seed_from_u64(1);
+        let mut inserts = 0;
         for _ in 0..20 {
-            let instance = workload.generate(&mut rng);
+            let instance = workload.generate(&engine, &mut rng, &mut inserts).unwrap();
             assert!(["Balance", "DepositChecking"].contains(&instance.program()));
         }
+    }
+
+    #[test]
+    fn restrict_rejects_unknown_programs() {
+        let err = ExecutableWorkload::new(&smallbank(), 10)
+            .restrict(&["Balance", "NoSuchProgram"])
+            .unwrap_err();
+        assert_eq!(err, EngineError::UnknownProgram("NoSuchProgram".into()));
     }
 }

@@ -12,24 +12,21 @@
 //! * Lemma 4.1 holds on every recorded history: only (predicate) rw-antidependencies run
 //!   against the commit order.
 
-use mvrc_benchmarks::{auction, smallbank};
-use mvrc_engine::{
-    auction_executable, run_workload, smallbank_executable, AuctionConfig, DriverConfig,
-    IsolationLevel, SmallBankConfig,
-};
+use mvrc_benchmarks::{auction, smallbank, tpcc, ycsb_t, YcsbtConfig};
+use mvrc_btp::sql::parse_workload_file;
+use mvrc_btp::Workload;
+use mvrc_engine::{run_workload, DriverConfig, ExecutableWorkload, IsolationLevel};
 use mvrc_robustness::{AnalysisSettings, RobustnessSession};
 
-/// High-contention SmallBank: 2 customers, 6 interleaved transactions.
-fn contended_smallbank(programs: &[&str]) -> mvrc_engine::ExecutableWorkload {
-    smallbank_executable(SmallBankConfig {
-        customers: 2,
-        initial_balance: 100,
-    })
-    .restrict(programs)
+/// High-contention SmallBank: 2 rows per relation, 6 interleaved transactions.
+fn contended_smallbank(programs: &[&str]) -> ExecutableWorkload {
+    ExecutableWorkload::new(&smallbank(), 2)
+        .restrict(programs)
+        .expect("known SmallBank program names")
 }
 
 fn drive(
-    workload: &mvrc_engine::ExecutableWorkload,
+    workload: &ExecutableWorkload,
     isolation: IsolationLevel,
     seed: u64,
 ) -> mvrc_engine::RunStats {
@@ -175,10 +172,7 @@ fn auction_is_robust_statically_and_dynamically() {
         "the Auction benchmark is robust against MVRC (Figure 6)"
     );
     for seed in 0..8 {
-        let executable = auction_executable(AuctionConfig {
-            buyers: 2,
-            max_bid: 15,
-        });
+        let executable = ExecutableWorkload::new(&auction(), 2);
         let stats = drive(&executable, IsolationLevel::ReadCommitted, seed);
         assert!(
             stats.is_serializable(),
@@ -192,10 +186,7 @@ fn auction_is_robust_statically_and_dynamically() {
 fn serializable_costs_more_aborts_than_read_committed_on_smallbank() {
     // The motivation of the paper: when a workload is robust, running it under MVRC gives
     // serializability "for free", whereas the serializable level pays with certification aborts.
-    let workload = smallbank_executable(SmallBankConfig {
-        customers: 3,
-        initial_balance: 1_000,
-    });
+    let workload = ExecutableWorkload::new(&smallbank(), 3);
     let mut rc_aborts = 0usize;
     let mut ser_aborts = 0usize;
     for seed in 0..5 {
@@ -224,4 +215,75 @@ fn serializable_costs_more_aborts_than_read_committed_on_smallbank() {
         ser_aborts > rc_aborts,
         "serializable should abort more often than read committed (got {ser_aborts} vs {rc_aborts})"
     );
+}
+
+/// The table test: every program subset of the four bundled benchmarks and of the bundled
+/// `shop.sql` file, driven through the generic LTP lowering at high contention (2 rows per
+/// relation, 6 interleaved transactions, 80 commits). Robust subsets must stay serializable on
+/// each of 10 seeds; non-robust subsets must show an anomaly within 25 seeds. Lemma 4.1 must hold on
+/// every history. The share of non-robust subsets that show an anomaly is the dynamic gauge of
+/// the analysis' precision; today it is all of them.
+#[test]
+fn every_program_subset_behaves_as_its_static_verdict_says() {
+    let (schema, programs) =
+        parse_workload_file(include_str!("../../cli/workloads/shop.sql")).unwrap();
+    let workloads = [
+        smallbank(),
+        auction(),
+        tpcc(),
+        ycsb_t(YcsbtConfig::default()),
+        Workload::new("shop", schema, programs, &[]),
+    ];
+    let settings = AnalysisSettings::paper_default();
+    for workload in workloads {
+        let session = RobustnessSession::new(workload.clone());
+        let executable = ExecutableWorkload::new(&workload, 2);
+        let names: Vec<&str> = workload.programs.iter().map(|p| p.name()).collect();
+        for mask in 1u32..(1 << names.len()) {
+            let subset: Vec<&str> = (0..names.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| names[i])
+                .collect();
+            let robust = session
+                .analyze_programs(&subset, settings)
+                .expect("known program names")
+                .is_robust();
+            let restricted = executable.clone().restrict(&subset).unwrap();
+            let seeds = if robust { 10 } else { 25 };
+            let mut anomaly = None;
+            for seed in 0..seeds {
+                let stats = run_workload(
+                    &restricted,
+                    DriverConfig {
+                        isolation: IsolationLevel::ReadCommitted,
+                        concurrency: 6,
+                        target_commits: 80,
+                        seed,
+                    },
+                );
+                assert_eq!(
+                    stats.report.counterflow_non_antidependency_edges, 0,
+                    "Lemma 4.1, {} {subset:?}, seed {seed}",
+                    workload.name
+                );
+                if !stats.is_serializable() {
+                    anomaly = Some(seed);
+                    break;
+                }
+            }
+            if robust {
+                assert_eq!(
+                    anomaly, None,
+                    "{} {subset:?} is robust, yet a run yielded an anomaly",
+                    workload.name
+                );
+            } else {
+                assert!(
+                    anomaly.is_some(),
+                    "{} {subset:?} is not robust, yet 25 runs showed no anomaly",
+                    workload.name
+                );
+            }
+        }
+    }
 }

@@ -13,10 +13,8 @@
 //! * **Commit targets are always reached** — aborted attempts are regenerated, so the driver
 //!   terminates with exactly the requested number of commits.
 
-use mvrc_engine::{
-    auction_executable, run_workload, smallbank_executable, tpcc_executable, AuctionConfig,
-    DriverConfig, ExecutableWorkload, IsolationLevel, SmallBankConfig, TpccConfig,
-};
+use mvrc_benchmarks::{auction, smallbank, tpcc};
+use mvrc_engine::{run_workload, DriverConfig, ExecutableWorkload, IsolationLevel};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -26,24 +24,14 @@ enum WorkloadChoice {
     Tpcc,
 }
 
+/// The chosen benchmark over `scale` rows per relation (fewer rows, more contention).
 fn build(choice: WorkloadChoice, scale: usize) -> ExecutableWorkload {
-    match choice {
-        WorkloadChoice::SmallBank => smallbank_executable(SmallBankConfig {
-            customers: scale,
-            initial_balance: 100,
-        }),
-        WorkloadChoice::Auction => auction_executable(AuctionConfig {
-            buyers: scale,
-            max_bid: 50,
-        }),
-        WorkloadChoice::Tpcc => tpcc_executable(TpccConfig {
-            warehouses: 1,
-            districts: scale.clamp(1, 3),
-            customers: scale.clamp(1, 4),
-            items: 4,
-            initial_orders: 2,
-        }),
-    }
+    let workload = match choice {
+        WorkloadChoice::SmallBank => smallbank(),
+        WorkloadChoice::Auction => auction(),
+        WorkloadChoice::Tpcc => tpcc(),
+    };
+    ExecutableWorkload::new(&workload, scale)
 }
 
 fn workload_strategy() -> impl Strategy<Value = WorkloadChoice> {

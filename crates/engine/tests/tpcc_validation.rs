@@ -6,23 +6,18 @@
 //!   non-serializable executions (while the serializable level never does).
 //! * In every run, Lemma 4.1 holds: only (predicate) rw-antidependencies run against the commit
 //!   order.
+//! * `{Delivery}` alone, the Section 7.2 false negative, is certified non-robust on its BTP.
 
 use mvrc_benchmarks::tpcc;
-use mvrc_engine::{run_workload, tpcc_executable, DriverConfig, IsolationLevel, TpccConfig};
+use mvrc_engine::{run_workload, DriverConfig, ExecutableWorkload, IsolationLevel};
+use mvrc_hist::{certify_subset, CertifyOutcome};
 use mvrc_robustness::{AnalysisSettings, RobustnessSession};
 
-fn contended_config() -> TpccConfig {
-    TpccConfig {
-        warehouses: 1,
-        districts: 1,
-        customers: 2,
-        items: 4,
-        initial_orders: 2,
-    }
-}
-
+/// High-contention TPC-C: 2 rows per relation, 6 interleaved transactions.
 fn drive(programs: &[&str], isolation: IsolationLevel, seed: u64) -> mvrc_engine::RunStats {
-    let workload = tpcc_executable(contended_config()).restrict(programs);
+    let workload = ExecutableWorkload::new(&tpcc(), 2)
+        .restrict(programs)
+        .expect("known TPC-C program names");
     run_workload(
         &workload,
         DriverConfig {
@@ -112,21 +107,29 @@ fn the_full_tpcc_mix_under_serializable_certification_never_shows_anomalies() {
     }
 }
 
+/// Section 7.2 discusses `{Delivery}` as a false negative: Algorithm 2 rejects it, yet no two
+/// deliveries over one warehouse can both deliver its oldest order — the second finds the
+/// `New_Order` row gone. That argument lives in application semantics ("the oldest order"),
+/// below the resolution of the BTP, which only says that Delivery reads and deletes a
+/// `New_Order` row and updates the order it belongs to. On the BTP the anomaly is real, and
+/// certification realizes it as an executed MVRC history that the independent checker rejects.
 #[test]
-fn delivery_alone_never_misbehaves_even_though_the_analysis_rejects_it() {
-    // Section 7.2 discusses {Delivery} as a known false negative: Algorithm 2 rejects it, but no
-    // two Delivery instances over the same warehouse can both deliver the same oldest order — the
-    // second one aborts because the New_Order row is already gone. Dynamically, Delivery-only
-    // executions therefore stay serializable.
+fn delivery_alone_is_certified_non_robust_on_its_btp() {
     assert!(
         !static_verdict(&["Delivery"]),
-        "{{Delivery}} is rejected by Algorithm 2 (false negative)"
+        "{{Delivery}} is rejected by Algorithm 2"
     );
-    for seed in 0..10 {
-        let stats = drive(&["Delivery"], IsolationLevel::ReadCommitted, seed);
-        assert!(
-            stats.is_serializable(),
-            "seed {seed}: Delivery-only executions are serializable in practice (false negative)"
-        );
-    }
+    let session = RobustnessSession::new(tpcc());
+    let outcome = certify_subset(
+        &session,
+        "tpcc",
+        &["Delivery"],
+        AnalysisSettings::paper_default(),
+    )
+    .expect("the rejection is certified");
+    let CertifyOutcome::Certified(certificate) = outcome else {
+        panic!("a rejected subset certifies, it does not attest");
+    };
+    assert!(!certificate.realization.verdict.serializable);
+    assert!(certificate.realization.find_anomaly_agrees);
 }

@@ -8,9 +8,8 @@
 //! 1. **Instantiation** — every key-based statement of every transaction instance targets a
 //!    shared row (key `0`) of its relation so that conflicts actually materialize; deletes get
 //!    per-instance reserved rows (or the shared row, as a second key-plan variant) and inserts
-//!    get fresh keys. Predicate statements scan with an always-true predicate (selects) or a
-//!    predicate matching exactly the target row (updates/deletes), so the recorded footprints
-//!    match the statements' declared read/pread/write sets.
+//!    get fresh keys. The engine's generic lowering ([`ProgramInstance::from_ltp`]) turns each
+//!    instance into steps that address those rows.
 //! 2. **Scheduling** — the paper's sufficiency proof builds a *multiversion split schedule*:
 //!    the transaction issuing the counterflow antidependency read runs a prefix, every other
 //!    instance then runs serially to completion, and the victim finishes last. We lower exactly
@@ -27,11 +26,10 @@
 use crate::checker::{check, CheckerVerdict};
 use mvrc_btp::{LinearProgram, StatementKind};
 use mvrc_engine::{
-    run_plan, Engine, History, IsolationLevel, Key, Locals, PlanAction, ProgramInstance, Row,
-    StepFn, StepPlan, Value,
+    lowered_row, run_plan, Engine, History, IsolationLevel, PlanAction, ProgramInstance, StepPlan,
 };
 use mvrc_robustness::{NodeId, SummaryGraph, Violation};
-use mvrc_schema::{AttrId, AttrSet, RelId, Schema};
+use mvrc_schema::{RelId, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -274,7 +272,7 @@ fn run_scripted(
     let mut instances: Vec<ProgramInstance> = ltps
         .iter()
         .zip(&targets)
-        .map(|(ltp, t)| build_instance(schema, ltp, t))
+        .map(|(ltp, t)| ProgramInstance::from_ltp(schema, ltp, t))
         .collect();
     run_plan(
         &mut engine,
@@ -321,9 +319,8 @@ fn assign_targets(ltps: &[&LinearProgram], variant: KeyVariant) -> Vec<Vec<i64>>
         .collect()
 }
 
-/// Preloads the shared row and every reserved delete target of each referenced relation. Rows
-/// carry `Int(key)` in every attribute, so single-attribute primary keys line up and narrow
-/// predicates can match on any key attribute.
+/// Preloads the shared row and every reserved delete target of each referenced relation, in the
+/// engine's lowered row layout ([`lowered_row`]).
 fn preload(engine: &mut Engine, schema: &Schema, ltps: &[&LinearProgram], targets: &[Vec<i64>]) {
     let mut rows: BTreeSet<(usize, i64)> = BTreeSet::new();
     for (ltp, ltp_targets) in ltps.iter().zip(targets) {
@@ -337,101 +334,10 @@ fn preload(engine: &mut Engine, schema: &Schema, ltps: &[&LinearProgram], target
     }
     for (rel_index, key) in rows {
         let rel = RelId(rel_index as u16);
-        let arity = schema.relation(rel).attribute_count();
         engine
-            .load(rel, vec![Value::Int(key); arity])
+            .load(rel, lowered_row(schema, rel, key))
             .expect("preload rows are well-formed");
     }
-}
-
-/// Compiles one LTP instance into engine steps, one per statement, using the assigned targets.
-fn build_instance(schema: &Schema, ltp: &LinearProgram, targets: &[i64]) -> ProgramInstance {
-    let mut steps: Vec<StepFn> = Vec::new();
-    for (pos, stmt) in ltp.statements() {
-        let rel = stmt.rel();
-        let relation = schema.relation(rel);
-        let pk = relation.primary_key();
-        let pk_index = pk.iter().next().map(|a| a.index()).unwrap_or(0);
-        // Rows are loaded/inserted with `Int(target)` in every attribute, so the stored key of
-        // the target row is `target` repeated once per primary-key attribute (TPC-C keys are
-        // composite; a single-value `Key::int` would miss every row there).
-        let pk_arity = pk.iter().count().max(1);
-        let arity = relation.attribute_count();
-        let kind = stmt.kind();
-        let read_attrs = stmt.read_attrs();
-        let write_attrs = stmt.write_attrs();
-        let pread_attrs = stmt.pread_attrs();
-        let target = targets[pos];
-        let step: StepFn = Box::new(move |engine, txn, _locals| {
-            match kind {
-                StatementKind::KeySelect => {
-                    let key = Key::composite(vec![Value::Int(target); pk_arity]);
-                    engine.read_key(txn, rel, &key, read_attrs)?;
-                }
-                StatementKind::KeyUpdate => {
-                    let key = Key::composite(vec![Value::Int(target); pk_arity]);
-                    engine.update_key(txn, rel, &key, read_attrs, write_attrs, |row| {
-                        bump(row, write_attrs, pk)
-                    })?;
-                }
-                StatementKind::KeyDelete => {
-                    let key = Key::composite(vec![Value::Int(target); pk_arity]);
-                    engine.delete_key(txn, rel, &key)?;
-                }
-                StatementKind::Insert => {
-                    engine.insert(txn, rel, vec![Value::Int(target); arity])?;
-                }
-                StatementKind::PredSelect => {
-                    engine.scan(txn, rel, pread_attrs, read_attrs, |_| true)?;
-                }
-                StatementKind::PredUpdate => {
-                    // The predicate matches exactly the target row; every match is updated, as
-                    // predicate updates require. The scan already records the matched rows as
-                    // reads with the declared ReadSet, so the per-row update reads nothing.
-                    let matches = engine.scan(txn, rel, pread_attrs, read_attrs, move |row| {
-                        key_attr_is(row, pk_index, target)
-                    })?;
-                    for (key, _) in matches {
-                        engine.update_key(txn, rel, &key, AttrSet::EMPTY, write_attrs, |row| {
-                            bump(row, write_attrs, pk)
-                        })?;
-                    }
-                }
-                StatementKind::PredDelete => {
-                    let matches = engine.scan(txn, rel, pread_attrs, read_attrs, move |row| {
-                        key_attr_is(row, pk_index, target)
-                    })?;
-                    for (key, _) in matches {
-                        engine.delete_key(txn, rel, &key)?;
-                    }
-                }
-            }
-            Ok(())
-        });
-        steps.push(step);
-    }
-    ProgramInstance::new(ltp.name(), Locals::new(), steps)
-}
-
-/// New values for an update: key attributes keep their value (so predicates keep matching),
-/// every other written attribute is bumped — distinct versions without disturbing identity.
-fn bump(row: &Row, write_attrs: AttrSet, pk: AttrSet) -> Vec<(AttrId, Value)> {
-    write_attrs
-        .iter()
-        .map(|a| {
-            let old = row.get(a.index()).cloned().unwrap_or(Value::Null);
-            let new = if pk.contains(a) {
-                old
-            } else {
-                Value::Int(old.as_int().unwrap_or(0) + 1)
-            };
-            (a, new)
-        })
-        .collect()
-}
-
-fn key_attr_is(row: &Row, pk_index: usize, target: i64) -> bool {
-    row.get(pk_index).and_then(Value::as_int) == Some(target)
 }
 
 /// Generates a seeded random scripted interleaving: repeatedly picks an unfinished instance

@@ -15,18 +15,13 @@
 //! cargo run --release --example dynamic_validation
 //! ```
 
-use mvrc_engine::{
-    auction_executable, run_workload, smallbank_executable, AuctionConfig, DriverConfig,
-    IsolationLevel, SmallBankConfig,
-};
+use mvrc_engine::{run_workload, DriverConfig, ExecutableWorkload, IsolationLevel};
 use mvrc_repro::prelude::*;
 
 fn drive_smallbank(programs: &[&str], seed: u64) -> mvrc_engine::RunStats {
-    let workload = smallbank_executable(SmallBankConfig {
-        customers: 2,
-        initial_balance: 100,
-    })
-    .restrict(programs);
+    let workload = ExecutableWorkload::new(&mvrc_repro::benchmarks::smallbank(), 2)
+        .restrict(programs)
+        .expect("known program names");
     run_workload(
         &workload,
         DriverConfig {
@@ -57,7 +52,7 @@ fn main() {
         ],
     ];
 
-    println!("SmallBank under read committed (2 customers, 6 concurrent transactions)");
+    println!("SmallBank under read committed (2 rows per relation, 6 concurrent transactions)");
     println!("{:-<100}", "");
     println!(
         "{:<55} {:>10} {:>14} {:>16}",
@@ -100,11 +95,8 @@ fn main() {
     let auction_session = RobustnessSession::new(auction.clone());
     let verdict = auction_session.is_robust(settings);
     let mut anomalies = 0usize;
+    let workload = ExecutableWorkload::new(&auction, 2);
     for seed in 0..15 {
-        let workload = auction_executable(AuctionConfig {
-            buyers: 2,
-            max_bid: 15,
-        });
         let stats = run_workload(
             &workload,
             DriverConfig {

@@ -11,10 +11,7 @@
 //! cargo run --release --example isolation_cost
 //! ```
 
-use mvrc_engine::{
-    auction_executable, compare_isolation_levels, smallbank_executable, AuctionConfig,
-    DriverConfig, IsolationLevel, SmallBankConfig,
-};
+use mvrc_engine::{compare_isolation_levels, DriverConfig, ExecutableWorkload, IsolationLevel};
 
 fn print_table(title: &str, stats: &[mvrc_engine::RunStats]) {
     println!("{title}");
@@ -48,23 +45,18 @@ fn main() {
     // SmallBank with a hot working set: the full mix is NOT robust against MVRC, so the cheap
     // level occasionally admits anomalies — the price of the cheap level when robustness does
     // not hold.
-    let smallbank = smallbank_executable(SmallBankConfig {
-        customers: 4,
-        initial_balance: 1_000,
-    });
+    let smallbank = ExecutableWorkload::new(&mvrc_repro::benchmarks::smallbank(), 4);
     let stats = compare_isolation_levels(&smallbank, &IsolationLevel::ALL, base);
     print_table(
-        "SmallBank, full mix, 4 customers, 8 concurrent transactions",
+        "SmallBank, full mix, 4 rows per relation, 8 concurrent transactions",
         &stats,
     );
 
     // The robust SmallBank subset {Amalgamate, DepositChecking, TransactSavings}: read committed
     // is both the cheapest level *and* serializable — this is the deployment the paper enables.
-    let robust_subset = smallbank_executable(SmallBankConfig {
-        customers: 4,
-        initial_balance: 1_000,
-    })
-    .restrict(&["Amalgamate", "DepositChecking", "TransactSavings"]);
+    let robust_subset = smallbank
+        .restrict(&["Amalgamate", "DepositChecking", "TransactSavings"])
+        .expect("known program names");
     let stats = compare_isolation_levels(&robust_subset, &IsolationLevel::ALL, base);
     print_table(
         "SmallBank, robust subset {Amalgamate, DepositChecking, TransactSavings}",
@@ -76,13 +68,10 @@ fn main() {
     );
 
     // Auction: robust as a whole (the headline result of the running example).
-    let auction = auction_executable(AuctionConfig {
-        buyers: 4,
-        max_bid: 100,
-    });
+    let auction = ExecutableWorkload::new(&mvrc_repro::benchmarks::auction(), 4);
     let stats = compare_isolation_levels(&auction, &IsolationLevel::ALL, base);
     print_table(
-        "Auction {FindBids, PlaceBid}, 4 buyers, 8 concurrent transactions",
+        "Auction {FindBids, PlaceBid}, 4 rows per relation, 8 concurrent transactions",
         &stats,
     );
     assert!(
