@@ -82,39 +82,6 @@ pub enum Command {
         /// Workload source.
         input: Input,
     },
-    /// `mvrc shard plan <workload> --dir D`: write a snapshot + shard plan for a distributed
-    /// subset sweep.
-    ShardPlan {
-        /// Workload source.
-        input: Input,
-        /// Analysis settings.
-        settings: AnalysisSettings,
-        /// The shard directory to create.
-        dir: String,
-        /// Number of worker processes the plan fans out to.
-        workers: usize,
-        /// Upper bound on shards per popcount level (default: `2 × workers`).
-        shards_per_level: Option<usize>,
-        /// `--resume-from D`: reuse the verdict files of the completed prior run in directory
-        /// `D` (may equal `--dir`), dispatching only the subsets the workload edit invalidated.
-        resume_from: Option<String>,
-    },
-    /// `mvrc shard work --dir D --worker I`: run one worker process of a planned sweep.
-    ShardWork {
-        /// The shard directory holding `plan.json` + snapshot.
-        dir: String,
-        /// This worker's index (`0..workers`).
-        worker: usize,
-        /// Barrier timeout in seconds while waiting for peer verdict files.
-        wait_secs: u64,
-    },
-    /// `mvrc shard merge --dir D`: merge every worker's verdicts into the final exploration.
-    ShardMerge {
-        /// The shard directory.
-        dir: String,
-        /// Output format.
-        format: Format,
-    },
     /// `mvrc serve --tenant NAME=PATH …`: host named tenant sessions as a long-lived daemon.
     Serve {
         /// The address to listen on (`host:port`; port 0 picks a free one).
@@ -218,9 +185,6 @@ COMMANDS:
     subsets      Enumerate the maximal robust program subsets
     graph        Emit the summary graph as Graphviz DOT
     programs     List the programs and their unfolded linear transaction programs
-    shard plan   Snapshot the workload and plan a multi-process subset sweep (--dir D)
-    shard work   Run one worker process of a planned sweep (--dir D --worker I)
-    shard merge  Merge every worker's verdict files into the final exploration (--dir D)
     serve        Host named tenant sessions as a long-lived daemon (--tenant NAME=PATH …);
                  drains gracefully on SIGTERM, persisting snapshot-backed tenants in place
     client       Send one request to a running daemon (--addr host:port <operation>)
@@ -234,7 +198,7 @@ OPTIONS:
     --tuple       track dependencies per tuple instead of per attribute ('tpl dep')
     --no-fk       ignore foreign-key constraint annotations
     --type1       use the type-I cycle condition of Alomari & Fekete instead of type-II
-    --json        print machine-readable JSON (analyze / lint / certify / subsets / shard merge)
+    --json        print machine-readable JSON (analyze / lint / certify / subsets)
     --programs L  comma-separated program names: certify this subset instead of the whole
                   workload (certify)
     --labels      include statement labels on graph edges (graph)
@@ -244,13 +208,6 @@ OPTIONS:
                   only subsets a workload edit invalidated (subsets; requires --cache)
     --cache F     the snapshot file holding the previous run's verdicts; created on the first
                   run, updated on every run (subsets; requires --incremental)
-    --dir D       the shard directory shared by plan, work and merge (shard commands)
-    --workers N   number of worker processes a shard plan fans out to (plan; default 2)
-    --shards N    upper bound on shards per popcount level (plan; default 2 x workers)
-    --resume-from D  reuse the verdict files of the completed run in directory D — may equal
-                  --dir — so only edit-invalidated subsets are dispatched (plan)
-    --worker I    this worker's index, 0-based (work)
-    --wait-secs S barrier timeout while waiting for peer verdicts (work; default 120)
 
 SERVE OPTIONS:
     --listen A        address to bind (default 127.0.0.1:7654; port 0 picks a free one)
@@ -307,16 +264,10 @@ pub fn extract_threads(args: &mut Vec<String>) -> Result<Option<usize>, CliError
 /// Parses the command-line arguments (excluding the binary name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter().map(String::as_str);
-    let mut command = match it.next() {
+    let command = match it.next() {
         None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
-        Some(cmd) => cmd.to_string(),
+        Some(cmd) => cmd,
     };
-    if command == "shard" {
-        let sub = it.next().ok_or_else(|| {
-            CliError::Usage("`shard` needs a subcommand: plan, work or merge".to_string())
-        })?;
-        command = format!("shard {sub}");
-    }
 
     let rest: Vec<&str> = it.collect();
 
@@ -333,26 +284,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut settings = AnalysisSettings::paper_default();
     let mut format = Format::Text;
     let mut labels = false;
-    let mut dir: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut shards_per_level: Option<usize> = None;
-    let mut worker: Option<usize> = None;
-    let mut wait_secs: Option<u64> = None;
     let mut incremental = false;
     let mut programs: Option<Vec<String>> = None;
     let mut cache: Option<String> = None;
-    let mut resume_from: Option<String> = None;
-
-    // Shared parser for `--flag <positive integer>` values.
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        flag: &str,
-        value: Option<&&str>,
-    ) -> Result<T, CliError> {
-        value
-            .and_then(|v| v.parse::<T>().ok())
-            .filter(|v| *v >= T::from(1u8))
-            .ok_or_else(|| CliError::Usage(format!("`{flag}` needs a positive integer")))
-    }
 
     let mut i = 0;
     while i < rest.len() {
@@ -372,13 +306,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     CliError::Usage("`--benchmark` needs a benchmark name".to_string())
                 })?;
                 input = Some(Input::Benchmark((*name).to_string()));
-            }
-            "--dir" => {
-                i += 1;
-                let path = rest
-                    .get(i)
-                    .ok_or_else(|| CliError::Usage("`--dir` needs a directory".to_string()))?;
-                dir = Some((*path).to_string());
             }
             "--incremental" => incremental = true,
             "--programs" => {
@@ -408,35 +335,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 })?;
                 cache = Some((*path).to_string());
             }
-            "--resume-from" => {
-                i += 1;
-                let path = rest.get(i).ok_or_else(|| {
-                    CliError::Usage("`--resume-from` needs a shard directory".to_string())
-                })?;
-                resume_from = Some((*path).to_string());
-            }
-            "--workers" => {
-                i += 1;
-                workers = Some(positive("--workers", rest.get(i))?);
-            }
-            "--shards" => {
-                i += 1;
-                shards_per_level = Some(positive("--shards", rest.get(i))?);
-            }
-            "--worker" => {
-                i += 1;
-                worker = Some(
-                    rest.get(i)
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .ok_or_else(|| {
-                            CliError::Usage("`--worker` needs a 0-based index".to_string())
-                        })?,
-                );
-            }
-            "--wait-secs" => {
-                i += 1;
-                wait_secs = Some(positive("--wait-secs", rest.get(i))?);
-            }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown option `{flag}`")));
             }
@@ -454,9 +352,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         input.ok_or_else(|| {
             CliError::Usage("a workload file or `--benchmark <name>` is required".to_string())
         })
-    };
-    let require_dir = |dir: Option<String>| {
-        dir.ok_or_else(|| CliError::Usage("`--dir <directory>` is required".to_string()))
     };
 
     // `--incremental` and `--cache` only make sense together (and only for `subsets`).
@@ -485,13 +380,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "`--programs` only applies to `certify`".to_string(),
         ));
     }
-    if resume_from.is_some() && command != "shard plan" {
-        return Err(CliError::Usage(
-            "`--resume-from` only applies to `shard plan`".to_string(),
-        ));
-    }
 
-    match command.as_str() {
+    match command {
         "analyze" => Ok(Command::Analyze {
             input: require_input(input)?,
             settings,
@@ -522,41 +412,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "programs" => Ok(Command::Programs {
             input: require_input(input)?,
         }),
-        "shard plan" => Ok(Command::ShardPlan {
-            input: require_input(input)?,
-            settings,
-            dir: require_dir(dir)?,
-            workers: workers.unwrap_or(2),
-            shards_per_level,
-            resume_from,
-        }),
-        "shard work" => {
-            if input.is_some() {
-                return Err(CliError::Usage(
-                    "`shard work` reads its workload from the snapshot; drop the workload argument"
-                        .to_string(),
-                ));
-            }
-            Ok(Command::ShardWork {
-                dir: require_dir(dir)?,
-                worker: worker.ok_or_else(|| {
-                    CliError::Usage("`shard work` needs `--worker <index>`".to_string())
-                })?,
-                wait_secs: wait_secs.unwrap_or(120),
-            })
-        }
-        "shard merge" => {
-            if input.is_some() {
-                return Err(CliError::Usage(
-                    "`shard merge` reads its workload from the snapshot; drop the workload argument"
-                        .to_string(),
-                ));
-            }
-            Ok(Command::ShardMerge {
-                dir: require_dir(dir)?,
-                format,
-            })
-        }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     }
 }
@@ -955,138 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_subcommands_parse() {
-        let cmd = parse_args(&args(&[
-            "shard",
-            "plan",
-            "--benchmark",
-            "smallbank",
-            "--dir",
-            "/tmp/shards",
-            "--workers",
-            "3",
-            "--shards",
-            "8",
-            "--tuple",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::ShardPlan {
-                input,
-                settings,
-                dir,
-                workers,
-                shards_per_level,
-                resume_from,
-            } => {
-                assert_eq!(input, Input::Benchmark("smallbank".into()));
-                assert_eq!(settings.granularity, Granularity::Tuple);
-                assert_eq!(dir, "/tmp/shards");
-                assert_eq!(workers, 3);
-                assert_eq!(shards_per_level, Some(8));
-                assert_eq!(resume_from, None);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-
-        let cmd = parse_args(&args(&[
-            "shard",
-            "plan",
-            "--benchmark",
-            "smallbank",
-            "--dir",
-            "d2",
-            "--resume-from",
-            "d1",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::ShardPlan { resume_from: Some(ref r), .. } if r == "d1"
-        ));
-        // `--resume-from` belongs to `shard plan` alone.
-        assert!(matches!(
-            parse_args(&args(&[
-                "shard",
-                "merge",
-                "--dir",
-                "d",
-                "--resume-from",
-                "d1"
-            ])),
-            Err(CliError::Usage(_))
-        ));
-
-        let cmd = parse_args(&args(&["shard", "work", "--dir", "d", "--worker", "0"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::ShardWork {
-                dir: "d".into(),
-                worker: 0,
-                wait_secs: 120,
-            }
-        );
-        let cmd = parse_args(&args(&[
-            "shard",
-            "work",
-            "--dir",
-            "d",
-            "--worker",
-            "1",
-            "--wait-secs",
-            "5",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::ShardWork {
-                worker: 1,
-                wait_secs: 5,
-                ..
-            }
-        ));
-
-        let cmd = parse_args(&args(&["shard", "merge", "--dir", "d", "--json"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::ShardMerge {
-                dir: "d".into(),
-                format: Format::Json,
-            }
-        );
-    }
-
-    #[test]
-    fn shard_usage_errors_are_reported() {
-        for bad in [
-            vec!["shard"],
-            vec!["shard", "frobnicate", "--dir", "d"],
-            vec!["shard", "plan", "--benchmark", "smallbank"], // missing --dir
-            vec!["shard", "plan", "--dir", "d"],               // missing workload
-            vec![
-                "shard",
-                "plan",
-                "--benchmark",
-                "smallbank",
-                "--dir",
-                "d",
-                "--workers",
-                "0",
-            ],
-            vec!["shard", "work", "--dir", "d"], // missing --worker
-            vec!["shard", "work", "--worker", "0"], // missing --dir
-            vec!["shard", "work", "--dir", "d", "--worker", "x"],
-            vec!["shard", "work", "--dir", "d", "--worker", "0", "w.sql"],
-            vec!["shard", "merge", "--benchmark", "smallbank", "--dir", "d"],
-        ] {
-            assert!(
-                matches!(parse_args(&args(&bad)), Err(CliError::Usage(_))),
-                "expected a usage error for {bad:?}"
-            );
-        }
-    }
-
-    #[test]
     fn threads_extraction_validates_the_count() {
         let mut ok = args(&["analyze", "--threads", "4", "w.sql"]);
         assert_eq!(extract_threads(&mut ok).unwrap(), Some(4));
@@ -1136,6 +859,13 @@ mod tests {
             parse_args(&args(&["analyze", "--benchmark"])),
             Err(CliError::Usage(_))
         ));
+        // One process sweeps every subset: there is no multi-process subcommand or flag.
+        for flag in ["--dir", "--workers", "--worker", "--resume-from"] {
+            assert_eq!(
+                parse_args(&args(&["subsets", "--benchmark", "smallbank", flag, "1"])),
+                Err(CliError::Usage(format!("unknown option `{flag}`")))
+            );
+        }
     }
 
     #[test]

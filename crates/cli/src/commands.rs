@@ -60,27 +60,6 @@ pub fn execute(command: Command) -> Result<CommandOutput, CliError> {
             labels,
         } => graph(&input, settings, labels),
         Command::Programs { input } => programs(&input),
-        Command::ShardPlan {
-            input,
-            settings,
-            dir,
-            workers,
-            shards_per_level,
-            resume_from,
-        } => shard_plan(
-            &input,
-            settings,
-            &dir,
-            workers,
-            shards_per_level,
-            resume_from.as_deref(),
-        ),
-        Command::ShardWork {
-            dir,
-            worker,
-            wait_secs,
-        } => shard_work(&dir, worker, wait_secs),
-        Command::ShardMerge { dir, format } => shard_merge(&dir, format),
         Command::Serve {
             listen,
             tenants,
@@ -492,15 +471,15 @@ fn subsets(
         Some(cache_path) => {
             if Path::new(cache_path).exists() {
                 let (prior, _) = mvrc_dist::open_snapshot(cache_path)
-                    .map_err(|e| CliError::Shard(e.to_string()))?;
+                    .map_err(|e| CliError::Cache(e.to_string()))?;
                 if prior.workload().schema != session.workload().schema {
-                    return Err(CliError::Shard(format!(
+                    return Err(CliError::Cache(format!(
                         "cache `{cache_path}` was computed for a different schema; delete it \
                          to start fresh"
                     )));
                 }
                 if prior.workload().unfold != session.workload().unfold {
-                    return Err(CliError::Shard(format!(
+                    return Err(CliError::Cache(format!(
                         "cache `{cache_path}` was computed with different unfolding options; \
                          delete it to start fresh"
                     )));
@@ -520,7 +499,7 @@ fn subsets(
                 },
             );
             mvrc_dist::save_snapshot(&session, cache_path)
-                .map_err(|e| CliError::Shard(e.to_string()))?;
+                .map_err(|e| CliError::Cache(e.to_string()))?;
             exploration
         }
         None => explore_subsets_with(&session, settings, ExploreOptions::default()),
@@ -579,134 +558,6 @@ fn graph(
         },
     );
     Ok(CommandOutput::ok(dot))
-}
-
-fn shard_plan(
-    input: &Input,
-    settings: AnalysisSettings,
-    dir: &str,
-    workers: usize,
-    shards_per_level: Option<usize>,
-    resume_from: Option<&str>,
-) -> Result<CommandOutput, CliError> {
-    let session = RobustnessSession::new(load_workload(input)?);
-    let mut options = mvrc_dist::PlanOptions::for_workers(workers);
-    if let Some(shards) = shards_per_level {
-        options.shards_per_level = shards;
-    }
-    let plan = mvrc_dist::create_plan_dir_resuming(
-        &session,
-        settings,
-        &options,
-        Path::new(dir),
-        resume_from.map(Path::new),
-    )
-    .map_err(|e| CliError::Shard(e.to_string()))?;
-
-    let mut out = String::new();
-    writeln!(out, "shard directory: {dir}").unwrap();
-    writeln!(
-        out,
-        "snapshot:        {} (fingerprint {:016x})",
-        mvrc_dist::snapshot_path(Path::new(dir)).display(),
-        plan.snapshot_fingerprint
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "workload:        {} ({} programs, {} non-empty subsets)",
-        plan.workload,
-        plan.programs,
-        (1usize << plan.programs) - 1
-    )
-    .unwrap();
-    writeln!(out, "setting:         {settings}").unwrap();
-    writeln!(
-        out,
-        "plan:            {} levels, {} shards, {} workers (run fingerprint {:016x})",
-        plan.levels.len(),
-        plan.shard_count(),
-        plan.workers,
-        plan.run_fingerprint
-    )
-    .unwrap();
-    if let Some(resume) = &plan.resume {
-        writeln!(
-            out,
-            "resume:          {} verdicts reused from run {:016x}; only undecided rank \
-             ranges are dispatched",
-            resume.reused, resume.prior_run_fingerprint
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "next:            start `mvrc shard work --dir {dir} --worker I` for every I in 0..{}, \
-         then `mvrc shard merge --dir {dir}`",
-        plan.workers
-    )
-    .unwrap();
-    Ok(CommandOutput::ok(out))
-}
-
-fn shard_work(dir: &str, worker: usize, wait_secs: u64) -> Result<CommandOutput, CliError> {
-    let report = mvrc_dist::run_worker(
-        Path::new(dir),
-        worker,
-        std::time::Duration::from_secs(wait_secs),
-    )
-    .map_err(|e| CliError::Shard(e.to_string()))?;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "worker {}: swept {} shards across {} levels ({} cycle tests run, {} subsets pruned)",
-        report.worker,
-        report.shards_run,
-        report.levels,
-        report.counters.cycle_tests,
-        report.counters.pruned
-    )
-    .unwrap();
-    Ok(CommandOutput::ok(out))
-}
-
-fn shard_merge(dir: &str, format: Format) -> Result<CommandOutput, CliError> {
-    let report =
-        mvrc_dist::merge_verdicts(Path::new(dir)).map_err(|e| CliError::Shard(e.to_string()))?;
-    let exploration = &report.exploration;
-    let text = match format {
-        // Exactly the `mvrc subsets --json` shape, so a sharded run can be diffed against the
-        // single-process sweep byte for byte (the CI smoke job does).
-        Format::Json => {
-            let value = serde_json::json!({
-                "workload": report.workload,
-                "exploration": exploration,
-            });
-            serde_json::to_string_pretty(&value).expect("exploration serializes")
-        }
-        Format::Text => {
-            let mut out = String::new();
-            writeln!(out, "workload:        {}", report.workload).unwrap();
-            writeln!(out, "setting:         {}", exploration.settings).unwrap();
-            writeln!(out, "programs:        {}", exploration.programs.join(", ")).unwrap();
-            writeln!(out, "robust subsets:  {}", exploration.robust.len()).unwrap();
-            writeln!(
-                out,
-                "cycle tests:     {} run, {} pruned via downward closure (summed across shards)",
-                exploration.cycle_tests, exploration.pruned
-            )
-            .unwrap();
-            writeln!(out, "maximal robust subsets:").unwrap();
-            writeln!(
-                out,
-                "  {}",
-                exploration.render_maximal(|name| report.abbreviate(name))
-            )
-            .unwrap();
-            out
-        }
-    };
-    Ok(CommandOutput::ok(text))
 }
 
 fn programs(input: &Input) -> Result<CommandOutput, CliError> {
@@ -990,60 +841,8 @@ mod tests {
             format: Format::Text,
             cache: Some(cache.to_str().unwrap().to_string()),
         });
-        assert!(matches!(mismatched, Err(CliError::Shard(msg)) if msg.contains("schema")));
+        assert!(matches!(mismatched, Err(CliError::Cache(msg)) if msg.contains("schema")));
         std::fs::remove_file(&cache).ok();
-    }
-
-    #[test]
-    fn shard_merge_json_is_byte_identical_to_subsets_json() {
-        // The dist workers run `run_shard` directly; the merged JSON must match the
-        // single-process `mvrc subsets --json` byte for byte.
-        let single = execute(Command::Subsets {
-            input: Input::Benchmark("smallbank".into()),
-            settings: AnalysisSettings::paper_default(),
-            format: Format::Json,
-            cache: None,
-        })
-        .unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "mvrc-cli-shard-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let dir_str = dir.to_str().unwrap().to_string();
-        execute(Command::ShardPlan {
-            input: Input::Benchmark("smallbank".into()),
-            settings: AnalysisSettings::paper_default(),
-            dir: dir_str.clone(),
-            workers: 2,
-            shards_per_level: None,
-            resume_from: None,
-        })
-        .unwrap();
-        std::thread::scope(|scope| {
-            for worker in 0..2 {
-                let dir_str = dir_str.clone();
-                scope.spawn(move || {
-                    execute(Command::ShardWork {
-                        dir: dir_str,
-                        worker,
-                        wait_secs: 60,
-                    })
-                    .unwrap();
-                });
-            }
-        });
-        let merged = execute(Command::ShardMerge {
-            dir: dir_str,
-            format: Format::Json,
-        })
-        .unwrap();
-        assert_eq!(
-            merged.text, single.text,
-            "shard merge diverged from the single-process sweep"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

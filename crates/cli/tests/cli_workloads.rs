@@ -132,13 +132,21 @@ fn malformed_workload_files_are_reported_with_context() {
 
 #[test]
 fn sweeps_beyond_the_program_limit_exit_2_with_one_line() {
-    // Auction(25) has 50 programs, beyond the sweep limit of 20: both sweep commands refuse it
-    // with a single-line error and exit code 2 instead of panicking.
-    let dir = std::env::temp_dir().join(format!("mvrc-cli-too-wide-{}", std::process::id()));
-    let dir = dir.to_str().unwrap();
+    // Auction(25) has 50 programs, beyond the sweep limit of 20: both sweep invocations refuse
+    // it with a single-line error and exit code 2 instead of panicking.
+    let cache =
+        std::env::temp_dir().join(format!("mvrc-cli-too-wide-{}.mvrcsnap", std::process::id()));
+    let cache = cache.to_str().unwrap();
     for command in [
         vec!["subsets", "--benchmark", "auction-n=25"],
-        vec!["shard", "plan", "--benchmark", "auction-n=25", "--dir", dir],
+        vec![
+            "subsets",
+            "--benchmark",
+            "auction-n=25",
+            "--incremental",
+            "--cache",
+            cache,
+        ],
     ] {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
             .args(&command)
@@ -154,8 +162,120 @@ fn sweeps_beyond_the_program_limit_exit_2_with_one_line() {
         assert!(output.stdout.is_empty(), "{command:?}");
     }
     assert!(
-        !std::path::Path::new(dir).exists(),
-        "the plan is refused before the directory is created"
+        !std::path::Path::new(cache).exists(),
+        "the sweep is refused before the cache is created"
+    );
+}
+
+/// Runs `mvrc` with `args` and returns its stdout, failing the test on a non-zero exit.
+fn mvrc_stdout(args: &[&str]) -> String {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args(args)
+        .output()
+        .expect("spawn mvrc");
+    assert!(
+        output.status.success(),
+        "{args:?} exited with {:?}: {}",
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).expect("UTF-8 output")
+}
+
+#[test]
+fn edit_then_resume_reuses_verdicts_across_real_processes() {
+    // Process 1 sweeps SmallBank without WriteCheck (the file cut before its last program) and
+    // saves the cache; process 2 sweeps the full file from that cache. The 15 non-empty subsets
+    // of the other four programs carry over, so only the 16 subsets with WriteCheck are swept.
+    let dir = std::env::temp_dir();
+    let reduced = dir.join(format!("mvrc-cli-resume-{}.sql", std::process::id()));
+    let cache = dir.join(format!("mvrc-cli-resume-{}.mvrcsnap", std::process::id()));
+    std::fs::remove_file(&cache).ok();
+    let full = workload_path("smallbank.sql");
+    let text = std::fs::read_to_string(&full).unwrap();
+    let cut = text
+        .find("-- WriteCheck")
+        .expect("WriteCheck is the last program");
+    std::fs::write(&reduced, &text[..cut]).unwrap();
+    let cache_str = cache.to_str().unwrap();
+
+    let first = mvrc_stdout(&[
+        "subsets",
+        reduced.to_str().unwrap(),
+        "--incremental",
+        "--cache",
+        cache_str,
+    ]);
+    std::fs::remove_file(&reduced).ok();
+    assert!(first.contains("reused verdicts: 0"), "{first}");
+    // The same resume runs twice, once per output format, each from its own copy of the cache.
+    let json_cache = dir.join(format!(
+        "mvrc-cli-resume-{}-json.mvrcsnap",
+        std::process::id()
+    ));
+    std::fs::copy(&cache, &json_cache).expect("the first run saved its cache");
+    let json_cache_str = json_cache.to_str().unwrap();
+
+    let second = mvrc_stdout(&["subsets", &full, "--incremental", "--cache", cache_str]);
+    let resumed = mvrc_stdout(&[
+        "subsets",
+        &full,
+        "--incremental",
+        "--cache",
+        json_cache_str,
+        "--json",
+    ]);
+    std::fs::remove_file(&cache).ok();
+    std::fs::remove_file(&json_cache).ok();
+    assert!(second.contains("reused verdicts: 15"), "{second}");
+    assert!(second.contains("16 run"), "{second}");
+
+    // The verdicts equal a fresh sweep's; only the counters differ, so compare fields.
+    let fresh = mvrc_stdout(&["subsets", &full, "--json"]);
+    let resumed: serde_json::Value = serde_json::from_str(&resumed).unwrap();
+    let fresh: serde_json::Value = serde_json::from_str(&fresh).unwrap();
+    assert_eq!(resumed["exploration"]["reused"], 15);
+    for field in ["robust", "maximal"] {
+        assert_eq!(
+            resumed["exploration"][field], fresh["exploration"][field],
+            "`{field}` differs from a fresh sweep"
+        );
+    }
+}
+
+#[test]
+fn a_cache_for_another_schema_is_a_cache_error() {
+    let cache = std::env::temp_dir().join(format!(
+        "mvrc-cli-other-schema-{}.mvrcsnap",
+        std::process::id()
+    ));
+    std::fs::remove_file(&cache).ok();
+    let cache_str = cache.to_str().unwrap();
+    mvrc_stdout(&[
+        "subsets",
+        "--benchmark",
+        "smallbank",
+        "--incremental",
+        "--cache",
+        cache_str,
+    ]);
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args([
+            "subsets",
+            "--benchmark",
+            "auction",
+            "--incremental",
+            "--cache",
+            cache_str,
+        ])
+        .output()
+        .expect("spawn mvrc");
+    std::fs::remove_file(&cache).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("mvrc: cache error: ") && stderr.contains("different schema"),
+        "{stderr}"
     );
 }
 

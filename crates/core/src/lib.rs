@@ -89,9 +89,7 @@ pub use settings::{AnalysisSettings, CycleCondition, Granularity};
 pub use slab::{SlabOwner, U32Slab, U64Slab};
 pub use subsets::{
     abbreviate_program_name, explore_subsets, explore_subsets_naive, explore_subsets_with,
-    level_size, plan_range_shards, rebase_cached_sweep, undecided_level_runs, CachedSweep,
-    ExploreOptions, RankRangeSweep, ShardCounters, ShardSpec, SubsetExploration, SweepSeed,
-    TooManyPrograms, MAX_SWEEP_PROGRAMS,
+    CachedSweep, ExploreOptions, SubsetExploration, TooManyPrograms, MAX_SWEEP_PROGRAMS,
 };
 pub use summary::{
     c_dep_conds, describe_edge_in, nc_dep_conds, program_fingerprint, EdgeKind, InducedView,

@@ -209,7 +209,7 @@ impl RobustnessSession {
 
     /// The summary graphs currently cached, in a deterministic order (attribute before tuple
     /// granularity, no-FK before FK — the slot order). This is the serialization hook of the
-    /// `mvrc-dist` snapshot layer: persisting these graphs lets a worker process answer
+    /// `mvrc-dist` snapshot layer: persisting these graphs lets a reopened session answer
     /// queries without re-running any Algorithm 1 edge derivation.
     pub fn cached_graphs(&self) -> Vec<Arc<SummaryGraph>> {
         self.cache

@@ -17,9 +17,8 @@
 //! collected into a `Vec` — peak memory is one small accumulator per active chunk,
 //! O(workers × chunk state), independent of the level size.
 //!
-//! Every chunk — in-process, or a [`ShardSpec`] handed to a `mvrc-dist` worker process — runs
-//! through the one entry point [`RankRangeSweep::run_shard`], which packs up to 64 undecided
-//! masks into `u64` lanes and decides each batch with one lane-parallel traversal of the shared
+//! Every chunk runs through one per-range sweep step, which packs up to 64 undecided masks
+//! into `u64` lanes and decides each batch with one lane-parallel traversal of the shared
 //! graph (the private `kernels` module docs describe the membership-word encoding and the
 //! within-level pruning-soundness argument). [`explore_subsets_naive`], which rebuilds the
 //! summary graph and runs the scalar cycle test per subset, is the oracle it is checked against.
@@ -244,136 +243,24 @@ fn next_same_popcount(mask: usize) -> usize {
     ripple | (((mask ^ ripple) / lowest) >> 2)
 }
 
-/// One shard of a popcount level: the contiguous slice `rank_start..rank_end` of the
-/// colexicographic rank space `0..C(n, level)` of the `level`-subsets.
-///
-/// A `ShardSpec` is the *work description* of the sweep: in-process, every chunk the
-/// `mvrc-par` pool splits off a level is one; across processes, the `mvrc-dist` coordinator
-/// fans planned specs out to worker processes. Either way, [`RankRangeSweep::run_shard`]
-/// executes one spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ShardSpec {
-    /// Popcount of the masks this shard covers (the sweep level).
-    pub level: usize,
-    /// First colexicographic rank covered (inclusive).
-    pub rank_start: usize,
-    /// One past the last rank covered (exclusive).
-    pub rank_end: usize,
+/// Work counters of one or more swept rank ranges: how many cycle tests ran and how many masks
+/// were decided by downward-closure pruning alone. Summing the counters of a partition of the
+/// mask space reproduces the single-sweep accounting exactly (each mask is visited by exactly
+/// one range, and the inherit-or-test decision depends only on the fully published verdicts of
+/// the level above).
+#[derive(Clone, Copy, Default)]
+struct SweepCounters {
+    cycle_tests: usize,
+    pruned: usize,
 }
 
-impl ShardSpec {
-    /// Number of masks the shard covers.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rank_end.saturating_sub(self.rank_start)
-    }
-
-    /// `true` when the shard covers no masks.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rank_end <= self.rank_start
-    }
-}
-
-/// Work counters produced by sweeping one or more shards: how many cycle tests ran and how
-/// many masks were decided by downward-closure pruning alone. Summing the counters of a
-/// partition of the mask space reproduces the single-sweep accounting exactly (each mask is
-/// visited by exactly one shard, and the inherit-or-test decision depends only on the fully
-/// merged verdicts of the level above).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardCounters {
-    /// Number of cycle tests actually run.
-    pub cycle_tests: usize,
-    /// Number of masks attested robust by Proposition 5.2 pruning without a cycle test.
-    pub pruned: usize,
-}
-
-impl ShardCounters {
-    /// Component-wise sum of two counter sets.
-    #[must_use]
-    pub fn merged(self, other: ShardCounters) -> ShardCounters {
-        ShardCounters {
+impl SweepCounters {
+    fn merged(self, other: SweepCounters) -> SweepCounters {
+        SweepCounters {
             cycle_tests: self.cycle_tests + other.cycle_tests,
             pruned: self.pruned + other.pruned,
         }
     }
-}
-
-/// `C(n, level)`: the number of masks on a popcount level, i.e. the size of the rank space
-/// [`ShardSpec`]s partition.
-///
-/// # Panics
-///
-/// Panics when `n` exceeds [`MAX_SWEEP_PROGRAMS`].
-pub fn level_size(n: usize, level: usize) -> usize {
-    Binomials::new(n).c(n, level)
-}
-
-/// Partitions a set of disjoint, ascending rank ranges at one level into at most `shards`
-/// contiguous, non-empty [`ShardSpec`]s of near-equal total size. Chunks that straddle a gap
-/// between ranges are split at the gap, so the spec count can exceed `shards` by at most the
-/// number of ranges. With the single range `(0, C(n, level))` the specs partition the whole
-/// level into near-equal parts (sizes differ by at most one).
-pub fn plan_range_shards(level: usize, ranges: &[(usize, usize)], shards: usize) -> Vec<ShardSpec> {
-    let total: usize = ranges.iter().map(|(s, e)| e.saturating_sub(*s)).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, total);
-    let mut specs = Vec::new();
-    for s in 0..shards {
-        // The s-th near-equal chunk of the *virtual* concatenated rank space, mapped back
-        // onto the real ranges (one spec per overlapped range).
-        let (virt_start, virt_end) = (total * s / shards, total * (s + 1) / shards);
-        let mut offset = 0usize;
-        for &(start, end) in ranges {
-            let len = end - start;
-            let lo = virt_start.max(offset);
-            let hi = virt_end.min(offset + len);
-            if lo < hi {
-                specs.push(ShardSpec {
-                    level,
-                    rank_start: start + (lo - offset),
-                    rank_end: start + (hi - offset),
-                });
-            }
-            offset += len;
-        }
-    }
-    specs
-}
-
-/// The maximal contiguous runs of *undecided* ranks at one popcount level: walks the level's
-/// masks in colexicographic rank order and collects the ranges whose bit in `decided` is
-/// clear. `decided` uses the sweep's verdict-bitset addressing (mask `m` at bit `m % 64` of
-/// word `m / 64`). With an all-zero `decided` this is the single run `(0, C(n, level))`.
-pub fn undecided_level_runs(n: usize, level: usize, decided: &[u64]) -> Vec<(usize, usize)> {
-    let binomials = Binomials::new(n);
-    let size = binomials.c(n, level);
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    if size == 0 {
-        return runs;
-    }
-    let mut mask = unrank_colex(0, level, &binomials);
-    let mut open: Option<usize> = None;
-    for rank in 0..size {
-        let is_decided = decided[mask / 64] & (1u64 << (mask % 64)) != 0;
-        match (is_decided, open) {
-            (false, None) => open = Some(rank),
-            (true, Some(start)) => {
-                runs.push((start, rank));
-                open = None;
-            }
-            _ => {}
-        }
-        if rank + 1 < size {
-            mask = next_same_popcount(mask);
-        }
-    }
-    if let Some(start) = open {
-        runs.push((start, size));
-    }
-    runs
 }
 
 /// The verdicts of one completed subset sweep, as stored in a session's sweep cache: the
@@ -384,9 +271,9 @@ pub fn undecided_level_runs(n: usize, level: usize, decided: &[u64]) -> Vec<(usi
 /// A cached sweep is *self-describing*: it carries its own program identities, so it stays in
 /// the cache untouched across [`RobustnessSession::add_program`] /
 /// [`RobustnessSession::remove_program`] chains and is rebased onto the session's current
-/// program set only when the next incremental sweep runs ([`rebase_cached_sweep`]).
-/// Verdicts are independent of the pruning switch (cross-checked in the test-suite), so one
-/// cache entry per [`AnalysisSettings`] combination suffices.
+/// program set only when the next incremental sweep runs. Verdicts are independent of the
+/// pruning switch (cross-checked in the test-suite), so one cache entry per
+/// [`AnalysisSettings`] combination suffices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedSweep {
     /// The program names the mask bits refer to, in mask-bit order.
@@ -407,14 +294,13 @@ impl CachedSweep {
 /// Verdicts carried into a sweep from a previous run: the robust bits to adopt and the
 /// `decided` bitset saying which masks already have a verdict (robust or not) and must not be
 /// re-tested. Produced by [`rebase_cached_sweep`]; consumed by [`RankRangeSweep::apply_seed`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepSeed {
+struct SweepSeed {
     /// Robust bits to adopt (a subset of `decided`).
-    pub robust: Vec<u64>,
+    robust: Vec<u64>,
     /// Masks with a known verdict; the sweep visits only the complement.
-    pub decided: Vec<u64>,
+    decided: Vec<u64>,
     /// Number of non-empty masks in `decided` — the [`SubsetExploration::reused`] count.
-    pub reused: usize,
+    reused: usize,
 }
 
 /// Rebases a [`CachedSweep`] onto the current program set, yielding the [`SweepSeed`] of
@@ -430,7 +316,7 @@ pub struct SweepSeed {
 /// removals, a bit expansion after additions); masks containing an added program are left
 /// undecided. Returns `None` when nothing carries over (no surviving program, a program count
 /// beyond [`MAX_SWEEP_PROGRAMS`], or inconsistent word sizes).
-pub fn rebase_cached_sweep(
+fn rebase_cached_sweep(
     cached: &CachedSweep,
     programs: &[String],
     program_fingerprints: &[u64],
@@ -494,21 +380,16 @@ pub fn rebase_cached_sweep(
     Some(seed)
 }
 
-/// The resumable core of the subset sweep: a session-backed cycle tester over the shared
-/// summary graph plus the atomic verdict bitset, addressed by [`ShardSpec`] rank ranges.
+/// The core of the subset sweep: a session-backed cycle tester over the shared summary graph
+/// plus the atomic verdict bitset (64 masks per word, mask `m` at bit `m % 64` of word
+/// `m / 64`), swept one rank range at a time.
 ///
-/// This is the public entry point the distributed shard workers of `mvrc-dist` drive — and
-/// what [`explore_subsets_with`] runs on in-process. The split into `run_shard` calls is
-/// *invisible in the result*: verdicts are deterministic per mask, and the pruning decision
-/// for a mask only reads the (fully published) verdicts of the level above, so any partition
-/// of a level — chunks, shards, processes — produces identical verdict bits and identical
-/// summed [`ShardCounters`].
-///
-/// External verdicts (e.g. the merged bits of other worker processes) are folded in through
-/// [`or_verdict_words`](Self::or_verdict_words); [`verdict_words`](Self::verdict_words)
-/// exposes the current bitset for persistence (64 masks per word, mask `m` at bit `m % 64` of
-/// word `m / 64`).
-pub struct RankRangeSweep {
+/// [`explore_subsets_with`] folds every level's rank space through [`run_range`](Self::run_range)
+/// in chunks. The split into chunks is *invisible in the result*: verdicts are deterministic per
+/// mask, and the pruning decision for a mask only reads the (fully published) verdicts of the
+/// level above, so any partition of a level produces identical verdict bits and identical
+/// summed counters.
+struct RankRangeSweep {
     graph: std::sync::Arc<SummaryGraph>,
     settings: AnalysisSettings,
     closure_pruning: bool,
@@ -516,7 +397,7 @@ pub struct RankRangeSweep {
     nodes_per_program: Vec<Vec<NodeId>>,
     binomials: Binomials,
     bits: Vec<AtomicU64>,
-    /// Masks whose verdict was adopted from a seed ([`Self::apply_seed`]): visited shards skip
+    /// Masks whose verdict was adopted from a seed ([`Self::apply_seed`]): visited ranges skip
     /// them without a cycle test or a pruning decision. `None` on a fresh sweep.
     decided: Option<Vec<u64>>,
 }
@@ -549,7 +430,7 @@ impl RankRangeSweep {
     /// Opens a sweep over the session's programs under the given settings, using the session's
     /// cached summary graph (built on first use). Fails with [`TooManyPrograms`] — before any
     /// graph is built — when the session has more than [`MAX_SWEEP_PROGRAMS`] programs.
-    pub fn new(
+    fn new(
         session: &RobustnessSession,
         settings: AnalysisSettings,
         closure_pruning: bool,
@@ -572,7 +453,6 @@ impl RankRangeSweep {
                     .collect()
             })
             .collect();
-        let total = 1usize << n;
         Ok(RankRangeSweep {
             graph,
             settings,
@@ -580,119 +460,68 @@ impl RankRangeSweep {
             programs,
             nodes_per_program,
             binomials: Binomials::new(n),
-            bits: (0..total.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            bits: (0..CachedSweep::word_count_for(n))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             decided: None,
         })
     }
 
-    /// Adopts the verdicts of a [`SweepSeed`] (produced by [`rebase_cached_sweep`] or read
-    /// from a shard-run seed file): the seed's robust bits are OR'd into the verdict bitset
-    /// and its `decided` masks are skipped by every subsequent [`run_shard`](Self::run_shard)
+    /// Adopts the verdicts of a [`SweepSeed`]: the seed's robust bits become the verdict bitset
+    /// and its `decided` masks are skipped by every subsequent [`run_range`](Self::run_range)
     /// call — no cycle test, no pruning decision, zero counter deltas. Must be applied before
-    /// any shard runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the seed's word counts do not match [`word_count`](Self::word_count).
-    pub fn apply_seed(&mut self, seed: &SweepSeed) {
-        assert_eq!(
-            seed.decided.len(),
-            self.bits.len(),
-            "seed decided word count mismatch: got {}, sweep has {}",
-            seed.decided.len(),
-            self.bits.len()
-        );
-        self.or_verdict_words(&seed.robust);
-        self.decided = Some(seed.decided.clone());
+    /// any range runs.
+    fn apply_seed(&mut self, seed: SweepSeed) {
+        debug_assert_eq!(seed.robust.len(), self.bits.len());
+        debug_assert_eq!(seed.decided.len(), self.bits.len());
+        self.bits = seed.robust.into_iter().map(AtomicU64::new).collect();
+        self.decided = Some(seed.decided);
     }
 
-    /// The contiguous rank ranges at `level` that still need visiting: the whole level
-    /// `[(0, C(n, level))]` on a fresh sweep, the complement of the seeded `decided` masks
-    /// after [`apply_seed`](Self::apply_seed) (empty when every mask of the level already has
-    /// a verdict).
-    pub fn undecided_runs(&self, level: usize) -> Vec<(usize, usize)> {
-        match &self.decided {
-            None => {
-                let size = self.level_size(level);
-                if size == 0 {
-                    Vec::new()
-                } else {
-                    vec![(0, size)]
+    /// The maximal contiguous rank ranges at `level` (`1..=n`, so `C(n, level) ≥ 1`) that
+    /// still need visiting: the whole level `[(0, C(n, level))]` on a fresh sweep; after
+    /// [`apply_seed`](Self::apply_seed), the runs of masks (walked in colexicographic rank
+    /// order) whose `decided` bit is clear — empty when every mask of the level already has a
+    /// verdict.
+    fn undecided_runs(&self, level: usize) -> Vec<(usize, usize)> {
+        let size = self.level_size(level);
+        let Some(decided) = &self.decided else {
+            return vec![(0, size)];
+        };
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut mask = unrank_colex(0, level, &self.binomials);
+        let mut open: Option<usize> = None;
+        for rank in 0..size {
+            let is_decided = decided[mask / 64] & (1u64 << (mask % 64)) != 0;
+            match (is_decided, open) {
+                (false, None) => open = Some(rank),
+                (true, Some(start)) => {
+                    runs.push((start, rank));
+                    open = None;
                 }
+                _ => {}
             }
-            Some(decided) => undecided_level_runs(self.programs.len(), level, decided),
-        }
-    }
-
-    /// The counters a *fresh* single-process sweep over the final verdict set would report —
-    /// a pure function of the verdict bits: with pruning on, a mask is pruned exactly when one
-    /// of its one-bit supersets is robust (the supersets' verdicts are fully published before
-    /// the mask's level runs, so the fresh sweep's decision reads the same bits). This is what
-    /// lets a resumed shard run's merge reproduce the fresh sweep's accounting byte for byte
-    /// without re-running any cycle test.
-    pub fn counters_as_fresh(&self) -> ShardCounters {
-        let n = self.programs.len();
-        let total = 1usize << n;
-        if !self.closure_pruning {
-            return ShardCounters {
-                cycle_tests: total - 1,
-                pruned: 0,
-            };
-        }
-        let mut pruned = 0usize;
-        for mask in 1..total {
-            if (0..n).any(|i| mask & (1 << i) == 0 && self.is_marked(mask | (1 << i))) {
-                pruned += 1;
+            if rank + 1 < size {
+                mask = next_same_popcount(mask);
             }
         }
-        ShardCounters {
-            cycle_tests: total - 1 - pruned,
-            pruned,
+        if let Some(start) = open {
+            runs.push((start, size));
         }
+        runs
     }
 
-    /// Number of programs (`n`); masks range over `1..2^n`.
-    pub fn program_count(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Number of `u64` words in the verdict bitset (`⌈2^n / 64⌉`).
-    pub fn word_count(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// `C(n, level)` for this sweep's `n` — the bound on [`ShardSpec`] ranks at a level.
-    pub fn level_size(&self, level: usize) -> usize {
+    /// `C(n, level)` for this sweep's `n`: the size of a level's rank space.
+    fn level_size(&self, level: usize) -> usize {
         self.binomials.c(self.programs.len(), level)
     }
 
-    /// A snapshot of the verdict bitset (64 masks per word).
-    pub fn verdict_words(&self) -> Vec<u64> {
+    /// A copy of the verdict bitset, for the session's [`CachedSweep`].
+    fn verdict_words(&self) -> Vec<u64> {
         self.bits
             .iter()
             .map(|w| w.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// ORs externally produced verdict bits into the sweep — how a shard worker folds in the
-    /// merged verdicts of its peers at a level barrier before descending.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `words` does not have exactly [`word_count`](Self::word_count) entries.
-    pub fn or_verdict_words(&self, words: &[u64]) {
-        assert_eq!(
-            words.len(),
-            self.bits.len(),
-            "verdict word count mismatch: got {}, sweep has {}",
-            words.len(),
-            self.bits.len()
-        );
-        for (slot, &word) in self.bits.iter().zip(words) {
-            if word != 0 {
-                slot.fetch_or(word, Ordering::Relaxed);
-            }
-        }
     }
 
     #[inline]
@@ -744,33 +573,22 @@ impl RankRangeSweep {
             .is_some_and(|d| d[mask / 64] & (1u64 << (mask % 64)) != 0)
     }
 
-    /// Sweeps one shard: unranks the first mask of the range once, then walks the range with
-    /// Gosper's hack, deciding every mask. Verdicts are published into the shared bitset;
-    /// the returned counters cover exactly this range.
+    /// Sweeps the ranks `ranks` of one popcount level: unranks the first mask of the range
+    /// once, then walks the range with Gosper's hack, deciding every mask. Verdicts are
+    /// published into the shared bitset; the returned counters cover exactly this range.
     ///
-    /// Correct accounting requires the caller to respect the level order: every shard of level
-    /// `k + 1` must complete (and, across processes, be merged in) before any shard of level
-    /// `k` runs — [`explore_subsets_with`] and the `mvrc-dist` level barrier both do.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the spec's level or rank range is out of bounds for this sweep.
-    pub fn run_shard(&self, spec: ShardSpec) -> ShardCounters {
+    /// Correct accounting requires the caller to respect the level order: every range of level
+    /// `k + 1` must complete before any range of level `k` runs — [`explore_subsets_with`]'s
+    /// fold barrier does.
+    fn run_range(&self, level: usize, ranks: std::ops::Range<usize>) -> SweepCounters {
         let n = self.programs.len();
-        assert!(
-            spec.level >= 1 && spec.level <= n,
-            "shard level {} out of range 1..={n}",
-            spec.level
+        debug_assert!(
+            (1..=n).contains(&level),
+            "level {level} out of range 1..={n}"
         );
-        assert!(
-            spec.rank_end <= self.level_size(spec.level),
-            "shard ranks {}..{} exceed level size {}",
-            spec.rank_start,
-            spec.rank_end,
-            self.level_size(spec.level)
-        );
-        let mut counters = ShardCounters::default();
-        if spec.is_empty() {
+        debug_assert!(ranks.end <= self.level_size(level));
+        let mut counters = SweepCounters::default();
+        if ranks.is_empty() {
             return counters;
         }
         with_sweep_scratch(|SweepScratch { batch, lanes }| {
@@ -780,10 +598,10 @@ impl RankRangeSweep {
             // a level-k mask reads only its one-bit supersets at level k+1 (fully published
             // before this level ran) — never the in-flight verdicts of its own level — so
             // batching changes neither any pruning decision nor any counter. The final flush
-            // below completes before the shard returns, hence before any level barrier.
-            let mut mask = unrank_colex(spec.rank_start, spec.level, &self.binomials);
+            // below completes before the range returns, hence before the level barrier.
+            let mut mask = unrank_colex(ranks.start, level, &self.binomials);
             batch.clear();
-            for rank in spec.rank_start..spec.rank_end {
+            for rank in ranks.clone() {
                 if !self.is_decided(mask) {
                     let inherited = self.closure_pruning
                         && (0..n).any(|i| mask & (1 << i) == 0 && self.is_marked(mask | (1 << i)));
@@ -799,7 +617,7 @@ impl RankRangeSweep {
                         }
                     }
                 }
-                if rank + 1 < spec.rank_end {
+                if rank + 1 < ranks.end {
                     mask = next_same_popcount(mask);
                 }
             }
@@ -812,9 +630,9 @@ impl RankRangeSweep {
     }
 
     /// Assembles the final [`SubsetExploration`] from the current verdict bits, the summed
-    /// counters of every shard that contributed (across chunks, shards or processes) and the
-    /// number of verdicts adopted from a seed without a visit.
-    pub fn exploration(&self, counters: ShardCounters, reused: usize) -> SubsetExploration {
+    /// counters of every range that ran and the number of verdicts adopted from a seed
+    /// without a visit.
+    fn exploration(&self, counters: SweepCounters, reused: usize) -> SubsetExploration {
         let n = self.programs.len();
         let total = 1usize << n;
         let mut robust: Vec<Vec<usize>> = (1..total)
@@ -877,7 +695,7 @@ pub fn explore_subsets_with(
 ) -> SubsetExploration {
     let mut sweep = RankRangeSweep::new(session, settings, options.closure_pruning)
         .unwrap_or_else(|e| panic!("{e}"));
-    let n = sweep.program_count();
+    let n = sweep.programs.len();
 
     // Incremental mode: rebase the session's cached verdicts (the last completed sweep under
     // these settings) onto the current program set and adopt them as a seed — the sweep then
@@ -891,7 +709,7 @@ pub fn explore_subsets_with(
         if let Some(cached) = session.cached_sweep(settings) {
             if let Some(seed) = rebase_cached_sweep(&cached, session.program_names(), &fps) {
                 reused = seed.reused;
-                sweep.apply_seed(&seed);
+                sweep.apply_seed(seed);
             }
         }
         Some(fps)
@@ -912,7 +730,7 @@ pub fn explore_subsets_with(
     // Robustness verdicts live in the sweep's atomic bitset. Within a level workers publish
     // their own bits concurrently (`fetch_or`); across levels the runtime's fold barrier
     // orders every store of level k+1 before every load at level k, so `Relaxed` suffices.
-    let mut totals = ShardCounters::default();
+    let mut totals = SweepCounters::default();
     for level in (1..=n).rev() {
         // On a fresh sweep this is the single run `(0, C(n, level))`; a seeded sweep only
         // visits the ranks no previous sweep decided (possibly none). Every chunk of a run
@@ -923,15 +741,9 @@ pub fn explore_subsets_with(
                 run_start..run_end,
                 parallelism,
                 64,
-                ShardCounters::default,
-                |acc, chunk| {
-                    acc.merged(sweep.run_shard(ShardSpec {
-                        level,
-                        rank_start: chunk.start,
-                        rank_end: chunk.end,
-                    }))
-                },
-                ShardCounters::merged,
+                SweepCounters::default,
+                |acc, chunk| acc.merged(sweep.run_range(level, chunk)),
+                SweepCounters::merged,
             );
             totals = totals.merged(counters);
         }
@@ -1139,90 +951,23 @@ mod tests {
     }
 
     #[test]
-    fn level_plans_partition_the_rank_space() {
-        for n in 1..=10usize {
-            for level in 1..=n {
-                let size = level_size(n, level);
-                for shards in [1usize, 2, 3, 7, 64] {
-                    let plan = plan_range_shards(level, &[(0, size)], shards);
-                    assert!(plan.len() <= shards.min(size));
-                    // Contiguous, non-empty, exactly covering 0..size.
-                    let mut next = 0;
-                    for spec in &plan {
-                        assert_eq!(spec.level, level);
-                        assert_eq!(spec.rank_start, next);
-                        assert!(!spec.is_empty());
-                        next = spec.rank_end;
-                    }
-                    assert_eq!(next, size);
-                    // Near-equal: sizes differ by at most one.
-                    let lens: Vec<usize> = plan.iter().map(ShardSpec::len).collect();
-                    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                    assert!(max - min <= 1, "uneven plan {lens:?}");
-                }
-            }
-        }
-        assert!(plan_range_shards(3, &[], 4).is_empty());
-    }
-
-    #[test]
     fn rank_range_sweep_partitions_reproduce_the_whole_sweep() {
-        // Running a level in arbitrary shard splits (here: one spec per rank) must reproduce
+        // Running a level in arbitrary range splits (here: one range per rank) must reproduce
         // the monolithic sweep's verdicts and summed counters exactly.
         let session = auction_session();
         let settings = AnalysisSettings::paper_default();
         let reference = explore_subsets(&session, settings);
 
         let sweep = RankRangeSweep::new(&session, settings, true).unwrap();
-        let n = sweep.program_count();
-        let mut totals = ShardCounters::default();
-        for level in (1..=n).rev() {
+        let mut totals = SweepCounters::default();
+        for level in (1..=sweep.programs.len()).rev() {
             for rank in 0..sweep.level_size(level) {
-                totals = totals.merged(sweep.run_shard(ShardSpec {
-                    level,
-                    rank_start: rank,
-                    rank_end: rank + 1,
-                }));
+                totals = totals.merged(sweep.run_range(level, rank..rank + 1));
             }
         }
         let exploration = sweep.exploration(totals, 0);
         assert_eq!(exploration.robust, reference.robust);
         assert_eq!(exploration.maximal, reference.maximal);
-        assert_eq!(exploration.cycle_tests, reference.cycle_tests);
-        assert_eq!(exploration.pruned, reference.pruned);
-    }
-
-    #[test]
-    fn seeded_verdicts_prune_like_locally_computed_ones() {
-        // Simulate the distributed barrier: compute the top level in one sweep, transfer its
-        // verdict words into a fresh sweep, and run only the lower levels there. The second
-        // sweep must prune exactly as if it had computed the top level itself.
-        let session = auction_session();
-        let settings = AnalysisSettings::paper_default();
-        let n = 2;
-
-        let top = RankRangeSweep::new(&session, settings, true).unwrap();
-        let top_counters = top.run_shard(ShardSpec {
-            level: n,
-            rank_start: 0,
-            rank_end: top.level_size(n),
-        });
-        assert_eq!(top_counters.cycle_tests, 1);
-
-        let rest = RankRangeSweep::new(&session, settings, true).unwrap();
-        assert_eq!(rest.word_count(), top.word_count());
-        rest.or_verdict_words(&top.verdict_words());
-        let mut totals = top_counters;
-        for level in (1..n).rev() {
-            totals = totals.merged(rest.run_shard(ShardSpec {
-                level,
-                rank_start: 0,
-                rank_end: rest.level_size(level),
-            }));
-        }
-        let exploration = rest.exploration(totals, 0);
-        let reference = explore_subsets(&session, settings);
-        assert_eq!(exploration.robust, reference.robust);
         assert_eq!(exploration.cycle_tests, reference.cycle_tests);
         assert_eq!(exploration.pruned, reference.pruned);
     }

@@ -256,7 +256,9 @@ fn validate_csr(
         ));
     }
     for v in 0..n {
-        if offsets[v] > offsets[v + 1] {
+        // Bounding each offset by the target count before slicing: the last-offset check
+        // above says nothing about a corrupt offset in the middle.
+        if offsets[v] > offsets[v + 1] || offsets[v + 1] as usize > targets.len() {
             return Err(format!(
                 "{which}-adjacency offsets not monotone at node {v}"
             ));

@@ -1,27 +1,16 @@
-//! Little-endian binary primitives shared by the snapshot and verdict codecs, plus the
-//! FNV-1a fingerprint. Everything is length-prefixed and fixed-width so the encodings are
-//! canonical: equal values produce equal bytes, which is what makes the fingerprint a usable
-//! identity.
+//! Little-endian binary primitives of the snapshot codec, plus the FNV-1a fingerprint.
+//! Everything is length-prefixed and fixed-width so the encodings are canonical: equal values
+//! produce equal bytes, which is what makes the fingerprint a usable identity.
 
 #![forbid(unsafe_code)]
 
-/// FNV-1a, 64-bit: the workload fingerprint. Not cryptographic — it guards against *mistakes*
-/// (merging verdicts of a different workload, opening a truncated or bit-flipped snapshot),
-/// not against adversaries.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// FNV-1a chained over 64-bit little-endian lanes (trailing bytes fold in one at a time, like
-/// [`fnv64`]). The payload fingerprint of snapshot format version 3+: one multiply per eight
-/// bytes instead of one per byte. Version-3 payloads carry the derived CSR/reachability
-/// arrays, so the byte-chained hash — a serial dependency of ~3 cycles *per byte* — would tax
-/// every open with more time than the decode it guards. Still not cryptographic.
+/// byte-chained FNV-1a): the payload fingerprint of snapshot format version 3+, one multiply
+/// per eight bytes instead of one per byte. Version-3 payloads carry the derived
+/// CSR/reachability arrays, so the byte-chained hash — a serial dependency of ~3 cycles *per
+/// byte* — would tax every open with more time than the decode it guards. Not cryptographic:
+/// it guards against *mistakes* (opening a truncated or bit-flipped snapshot), not against
+/// adversaries.
 pub(crate) fn fnv64_words(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut lanes = bytes.chunks_exact(8);
@@ -36,7 +25,7 @@ pub(crate) fn fnv64_words(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Append-only encoder for the snapshot/verdict payloads.
+/// Append-only encoder for the snapshot payload.
 #[derive(Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
@@ -356,6 +345,17 @@ mod tests {
         r.skip_pad8(BASE).unwrap();
         assert!(r.u64_slice(2).is_err());
         assert!(Reader::new(&[]).u32_slice(1).is_err());
+    }
+
+    /// Byte-chained FNV-1a, 64-bit: the reference that [`fnv64_words`] must equal on inputs
+    /// shorter than one lane.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //!
 //! The payload encoding is *canonical* (fixed-width integers, length-prefixed lists, no maps
 //! in nondeterministic order, only the zero-filled alignment padding of the derived blocks),
-//! so the fingerprint doubles as a content identity: the shard protocol of [`crate::shard`]
-//! stamps it into plans and verdict files, and refuses to merge artifacts whose fingerprints
-//! disagree. Every open recomputes the FNV over the payload and rejects any header/payload
-//! mismatch, which catches truncation and bit flips. The fingerprint is the word-lane variant
+//! so the fingerprint doubles as a content identity: equal sessions get equal fingerprints.
+//! Every open recomputes the FNV over the payload and rejects any header/payload mismatch,
+//! which catches truncation and bit flips. The fingerprint is the word-lane variant
 //! of FNV-1a (chained over `u64` LE lanes, one multiply per eight bytes): payloads carry whole
 //! derived arrays, and a byte-chained hash would cost more than the decode it guards.
 //!
@@ -115,8 +114,7 @@ pub enum SnapshotError {
         /// The version found in the header.
         found: u32,
     },
-    /// The fingerprint check failed: either the payload does not hash to the header's
-    /// fingerprint (corruption), or the caller expected a different workload.
+    /// The payload does not hash to the header's fingerprint (truncation or corruption).
     FingerprintMismatch {
         /// The fingerprint that was expected.
         expected: u64,
@@ -367,19 +365,6 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<(RobustnessSession, u64),
     let mapped = cfg!(target_endian = "little").then_some(&map);
     let session = decode_session(map.bytes(), mapped)?;
     Ok((session, fingerprint))
-}
-
-/// Opens a snapshot and additionally requires its fingerprint to equal `expected` — how shard
-/// workers make sure the snapshot on disk is the one their plan was computed for.
-pub fn open_snapshot_expecting(
-    path: impl AsRef<Path>,
-    expected: u64,
-) -> Result<RobustnessSession, SnapshotError> {
-    let (session, found) = open_snapshot(path)?;
-    if found != expected {
-        return Err(SnapshotError::FingerprintMismatch { expected, found });
-    }
-    Ok(session)
 }
 
 // ---------------------------------------------------------------------------
@@ -1079,26 +1064,6 @@ mod tests {
             session_from_snapshot_bytes(&truncated).unwrap_err(),
             SnapshotError::Corrupt(_)
         ));
-    }
-
-    #[test]
-    fn open_snapshot_expecting_rejects_a_different_fingerprint() {
-        let dir = std::env::temp_dir().join(format!("mvrc-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("auction.mvrcsnap");
-        let session = warm_session(auction());
-        let fingerprint = session.save_snapshot(&path).unwrap();
-
-        let reopened = open_snapshot_expecting(&path, fingerprint).unwrap();
-        assert_eq!(reopened.workload().name, "Auction");
-
-        let err = open_snapshot_expecting(&path, fingerprint ^ 1).unwrap_err();
-        assert!(matches!(err, SnapshotError::FingerprintMismatch { .. }));
-        assert!(err.to_string().contains("fingerprint mismatch"));
-
-        let (_, via_trait) = RobustnessSession::open_snapshot(&path).unwrap();
-        assert_eq!(via_trait, fingerprint);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! preserve **every** analysis answer — `analyze`, `is_robust`, `explore_subsets` across the
 //! full evaluation grid — on random synthetic workloads, and the cached graph arrays must
 //! round-trip bit-identically. Corruption (header or payload) and fingerprint mismatches must
-//! be rejected, never mis-read.
+//! be rejected, never mis-read, and no byte string may make the decoder panic.
 
 use mvrc_benchmarks::{synthetic, SyntheticConfig};
 use mvrc_dist::{
@@ -140,19 +140,6 @@ proptest! {
     }
 }
 
-#[test]
-fn wrong_fingerprint_is_rejected_on_open() {
-    let session = RobustnessSession::new(synthetic(SyntheticConfig::default()));
-    session.is_robust(AnalysisSettings::paper_default());
-    let path = scratch_file("fingerprint");
-    let fingerprint = session.save_snapshot(&path).unwrap();
-
-    assert!(mvrc_dist::open_snapshot_expecting(&path, fingerprint).is_ok());
-    let err = mvrc_dist::open_snapshot_expecting(&path, fingerprint.wrapping_add(1)).unwrap_err();
-    assert!(matches!(err, SnapshotError::FingerprintMismatch { .. }));
-    std::fs::remove_file(&path).ok();
-}
-
 /// Re-stamps a (possibly modified) snapshot's header fingerprint so only the *structural*
 /// validation of the payload is exercised, not the FNV check.
 fn restamp(bytes: &mut [u8]) {
@@ -172,6 +159,99 @@ fn restamp(bytes: &mut [u8]) {
         hash
     };
     bytes[12..20].copy_from_slice(&fp.to_le_bytes());
+}
+
+/// `len` pseudo-random bytes expanded from `seed` (SplitMix64), so byte-string strategies need
+/// nothing beyond `any::<u64>()` and an integer range.
+fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
+}
+
+/// A valid snapshot exercising every section: TPC-C (predicate reads, inserts, deletes,
+/// loops), all four cached graphs and one cached sweep.
+fn fuzz_base_snapshot() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let session = RobustnessSession::new(mvrc_benchmarks::tpcc());
+        for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
+            for settings in AnalysisSettings::evaluation_grid(condition) {
+                session.is_robust(settings);
+            }
+        }
+        explore_subsets_with(
+            &session,
+            AnalysisSettings::paper_default(),
+            ExploreOptions {
+                incremental: true,
+                ..ExploreOptions::default()
+            },
+        );
+        snapshot_to_bytes(&session)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The structural decoder behind a valid header (magic, version and a fingerprint that
+    /// matches the payload) sees arbitrary bytes: alone, and after a valid payload prefix so
+    /// the garbage lands in every section. Decoding returns `Ok` or `Err`; a panic or an
+    /// allocation sized by an unchecked length fails the test.
+    #[test]
+    fn arbitrary_bytes_behind_a_valid_header_never_panic(
+        len in 0usize..=512,
+        seed in any::<u64>(),
+        prefix in any::<u64>(),
+    ) {
+        let base = fuzz_base_snapshot();
+        let garbage = seeded_bytes(seed, len);
+
+        let mut alone = base[..20].to_vec();
+        alone.extend_from_slice(&garbage);
+        restamp(&mut alone);
+        prop_assert!(session_from_snapshot_bytes(&alone).is_err());
+
+        let cut = 20 + (prefix as usize) % (base.len() - 20);
+        let mut behind_prefix = base[..cut].to_vec();
+        behind_prefix.extend_from_slice(&garbage);
+        restamp(&mut behind_prefix);
+        let _ = session_from_snapshot_bytes(&behind_prefix);
+    }
+
+    /// Multi-byte overwrites and splices (a range replaced by a different number of bytes)
+    /// anywhere in a valid payload, re-fingerprinted so the structural decoder sees them.
+    #[test]
+    fn splices_and_overwrites_inside_a_valid_snapshot_never_panic(
+        at in any::<u64>(),
+        removed in 2usize..=32,
+        inserted in 0usize..=32,
+        seed in any::<u64>(),
+    ) {
+        let base = fuzz_base_snapshot();
+        let start = 20 + (at as usize) % (base.len() - 20);
+        let end = (start + removed).min(base.len());
+        let patch = seeded_bytes(seed, removed.max(inserted));
+
+        let mut overwritten = base.to_vec();
+        overwritten[start..end].copy_from_slice(&patch[..end - start]);
+        restamp(&mut overwritten);
+        let _ = session_from_snapshot_bytes(&overwritten);
+
+        let mut spliced = base[..start].to_vec();
+        spliced.extend_from_slice(&patch[..inserted]);
+        spliced.extend_from_slice(&base[end..]);
+        restamp(&mut spliced);
+        let _ = session_from_snapshot_bytes(&spliced);
+    }
 }
 
 #[test]
@@ -336,7 +416,7 @@ fn corrupt_sweep_sections_are_rejected_structurally() {
 
 #[test]
 fn ycsb_t_workload_fingerprint_is_deterministic() {
-    // The snapshot/shard fingerprints depend on the generated workload being bit-for-bit
+    // The snapshot fingerprints depend on the generated workload being bit-for-bit
     // reproducible: the same `YcsbtConfig` must yield the same workload fingerprint across
     // two independent generator calls, and a different mix must yield a different one.
     use mvrc_benchmarks::{ycsb_t, YcsbtConfig};
@@ -475,6 +555,14 @@ fn corrupt_derived_blocks_are_rejected_structurally() {
 
     let mut bad = bytes.clone();
     bad[derived_at..derived_at + 4].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
+    restamp(&mut bad);
+    match session_from_snapshot_bytes(&bad).unwrap_err() {
+        SnapshotError::Corrupt(msg) => assert!(msg.contains("offset"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    // An interior offset past the end of the targets: an error, not an out-of-range slice.
+    let mut bad = bytes.clone();
+    bad[derived_at + 4..derived_at + 8].copy_from_slice(&0xb217_3f4eu32.to_le_bytes());
     restamp(&mut bad);
     match session_from_snapshot_bytes(&bad).unwrap_err() {
         SnapshotError::Corrupt(msg) => assert!(msg.contains("offset"), "{msg}"),
