@@ -247,7 +247,8 @@ struct SubsetBenchRow {
     pruned_per_subset_us: f64,
     /// Cycle tests actually run by the pruned sweep (the other paths run `subsets` tests).
     cycle_tests: usize,
-    /// Subsets decided by downward-closure pruning alone.
+    /// Subsets decided by closure pruning alone (subsets of robust sets, supersets of
+    /// non-robust ones).
     pruned_subsets: usize,
     /// Size of the `mvrc-par` worker pool during the run (`MVRC_THREADS` / `--threads`).
     threads: usize,

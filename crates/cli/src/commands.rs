@@ -523,7 +523,7 @@ fn subsets(
             writeln!(out, "robust subsets:  {}", exploration.robust.len()).unwrap();
             writeln!(
                 out,
-                "cycle tests:     {} run, {} pruned via downward closure",
+                "cycle tests:     {} run, {} pruned via downward and upward closure",
                 exploration.cycle_tests, exploration.pruned
             )
             .unwrap();

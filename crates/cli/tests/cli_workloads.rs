@@ -186,7 +186,9 @@ fn mvrc_stdout(args: &[&str]) -> String {
 fn edit_then_resume_reuses_verdicts_across_real_processes() {
     // Process 1 sweeps SmallBank without WriteCheck (the file cut before its last program) and
     // saves the cache; process 2 sweeps the full file from that cache. The 15 non-empty subsets
-    // of the other four programs carry over, so only the 16 subsets with WriteCheck are swept.
+    // of the other four programs carry over, so only the 16 subsets with WriteCheck are visited:
+    // the full set and {WriteCheck} are tested, and both fail, so the other 14 are refuted as
+    // their supersets.
     let dir = std::env::temp_dir();
     let reduced = dir.join(format!("mvrc-cli-resume-{}.sql", std::process::id()));
     let cache = dir.join(format!("mvrc-cli-resume-{}.mvrcsnap", std::process::id()));
@@ -228,13 +230,24 @@ fn edit_then_resume_reuses_verdicts_across_real_processes() {
     std::fs::remove_file(&cache).ok();
     std::fs::remove_file(&json_cache).ok();
     assert!(second.contains("reused verdicts: 15"), "{second}");
-    assert!(second.contains("16 run"), "{second}");
+    assert!(
+        second.contains("2 run, 14 pruned via downward and upward closure"),
+        "{second}"
+    );
 
     // The verdicts equal a fresh sweep's; only the counters differ, so compare fields.
     let fresh = mvrc_stdout(&["subsets", &full, "--json"]);
     let resumed: serde_json::Value = serde_json::from_str(&resumed).unwrap();
     let fresh: serde_json::Value = serde_json::from_str(&fresh).unwrap();
     assert_eq!(resumed["exploration"]["reused"], 15);
+    let visited = ["cycle_tests", "pruned"]
+        .map(|field| resumed["exploration"][field].as_u64().unwrap())
+        .iter()
+        .sum::<u64>();
+    assert_eq!(
+        visited, 16,
+        "exactly the subsets with WriteCheck are visited"
+    );
     for field in ["robust", "maximal"] {
         assert_eq!(
             resumed["exploration"][field], fresh["exploration"][field],

@@ -27,12 +27,13 @@
 //! members), and the type-I / type-II cycle conditions become word AND/OR combinations of
 //! those rows, each `u64` operation deciding the same step for 64 subsets.
 //!
-//! Batching whole rank ranges this way is sound with Proposition 5.2 pruning in effect: the
-//! inheritance check for a level-`k` mask reads only its one-bit supersets, which live at level
-//! `k + 1` — pruning information flows strictly from level `k + 1` down to level `k`, never
-//! within a level. Deferring the publication of a level-`k` verdict until its lane batch
-//! flushes therefore cannot change any pruning decision (or counter) of the same level, and
-//! the level barrier of the sweep guarantees every batch flushes before level `k - 1` starts.
+//! Batching whole word ranges of a level this way is sound with Proposition 5.2 pruning in
+//! effect: the inheritance check for a level-`k` mask reads only its one-bit supersets, which
+//! live at level `k + 1`, and the `refuted` bitset, which is fixed before the levels are walked
+//! — pruning information flows strictly from level `k + 1` down to level `k`, never within a
+//! level. Deferring the publication of a level-`k` verdict until its lane batch flushes
+//! therefore cannot change any pruning decision (or counter) of the same level, and the level
+//! barrier of the sweep guarantees every batch flushes before level `k - 1` starts.
 //!
 //! The structure shared by all lanes — deduplicated edge pairs, counterflow pairs, the
 //! non-counterflow pairs grouped by source, the pair-condition tests of Algorithm 2 — is

@@ -26,10 +26,11 @@
 //! per settings combination and answers every query — full-workload analyses, program subsets,
 //! the [`explore_subsets`] sweep of Section 7 — through cheap views of the cached graphs,
 //! updating them incrementally under workload edits. The subset sweep additionally exploits
-//! downward closure (Proposition 5.2) to skip the cycle test for subsets of known-robust sets,
-//! and runs on the `mvrc-par` work-stealing runtime: each popcount level is *streamed* as
-//! lazily split rank ranges (no level is ever materialized), with the fan-out pinnable through
-//! [`Parallelism`] on the session or on [`ExploreOptions`].
+//! both directions of Proposition 5.2 to skip the cycle test for subsets of known-robust sets
+//! and supersets of known-non-robust ones, and runs on the `mvrc-par` work-stealing runtime:
+//! each popcount level is one lazily split fold over the words of the verdict bitsets (no level
+//! is ever materialized), with the fan-out pinnable through [`Parallelism`] on the session or
+//! on [`ExploreOptions`].
 //!
 //! ```
 //! use mvrc_schema::SchemaBuilder;

@@ -4,24 +4,35 @@
 //! transaction programs that the respective test attests robust (Figures 6 and 7). This module
 //! reproduces that exploration on top of the [`RobustnessSession`]: one cached summary graph
 //! per settings combination, one lane of a bit-sliced traversal per tested subset, and — by
-//! default — **downward-closure pruning** (Proposition 5.2): robustness is preserved under taking
-//! subsets, so masks are enumerated by descending popcount and every subset of a set already
-//! attested robust is marked robust without running its cycle test.
+//! default — **two-sided closure pruning** (Proposition 5.2). Robustness is preserved under
+//! taking subsets, so the attested-robust family is downward closed and its complement, the
+//! non-robust family, is upward closed. Both are decided from their borders (the levelwise
+//! border search of Mannila & Toivonen) instead of by testing every set:
 //!
-//! # Streaming level traversal
+//! 1. The full program set is tested first. If it is robust, every subset inherits robustness.
+//! 2. Otherwise every program alone and every pair is tested; a pair containing a non-robust
+//!    program inherits non-robustness. The non-robust masks form the `refuted` bitset.
+//! 3. `refuted` is closed upward once, by a word-parallel superset-sum pass.
+//! 4. Levels `n − 1` down to 3 are walked in descending popcount order. A refuted mask is
+//!    decided by one bit test; a mask with a robust one-bit superset inherits robustness; every
+//!    other mask becomes a lane of a cycle-test batch.
 //!
-//! Each popcount level is swept as a parallel fold over the *rank space* `0..C(n, k)` of its
-//! `k`-subsets: the `mvrc-par` runtime splits the rank range lazily across its workers, each
-//! chunk positions a cursor by colexicographic unranking (the combinatorial number system) and
-//! then walks masks in numerically increasing order with Gosper's hack. No level is ever
-//! collected into a `Vec` — peak memory is one small accumulator per active chunk,
-//! O(workers × chunk state), independent of the level size.
+//! Soundness of both directions is the same fact: a subset's summary graph is the induced
+//! subgraph of the full one, and an induced subgraph can only lose cycles.
 //!
-//! Every chunk runs through one per-range sweep step, which packs up to 64 undecided masks
-//! into `u64` lanes and decides each batch with one lane-parallel traversal of the shared
-//! graph (the private `kernels` module docs describe the membership-word encoding and the
-//! within-level pruning-soundness argument). [`explore_subsets_naive`], which rebuilds the
-//! summary graph and runs the scalar cycle test per subset, is the oracle it is checked against.
+//! # Word-indexed level traversal
+//!
+//! Verdicts live in bitsets over the masks (mask `m` at bit `m % 64` of word `m / 64`). Since
+//! `popcount(m) = popcount(m / 64) + popcount(m % 64)`, the level-`k` masks of word `w` are the
+//! in-word positions of popcount `k − popcount(w)` — one precomputed `u64` per popcount. Each
+//! level is one parallel fold over the word range: the `mvrc-par` runtime splits it lazily
+//! across its workers, and each chunk picks the still-open masks (neither seeded nor refuted)
+//! of the level out of its words, packs up to 64 of them into `u64` lanes and decides each
+//! batch with one lane-parallel traversal of the shared graph (the private `kernels` module
+//! docs describe the membership-word encoding). Nothing is collected per level: peak memory is
+//! the bitsets plus one small accumulator per active chunk. [`explore_subsets_naive`], which
+//! rebuilds the summary graph and runs the scalar cycle test per subset, is the oracle the
+//! sweep is checked against.
 //!
 //! The sweep is exponential: it accepts at most [`MAX_SWEEP_PROGRAMS`] programs, and
 //! [`TooManyPrograms`] is the typed error for larger workloads.
@@ -36,11 +47,12 @@ use mvrc_par::{fold_chunks, Parallelism, WorkerLocal};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// The largest number of programs a subset sweep accepts. The sweep visits all `2^n - 1`
-/// non-empty subsets, and its rank arithmetic and verdict bitsets are sized for this bound.
+/// non-empty subsets, and its verdict bitsets are sized for this bound.
 pub const MAX_SWEEP_PROGRAMS: usize = 20;
 
 /// A subset sweep was requested over more than [`MAX_SWEEP_PROGRAMS`] programs.
@@ -80,10 +92,11 @@ pub struct ExploreOptions {
     /// threshold and fans out across the `mvrc-par` pool otherwise. Below the default of 64
     /// subsets the whole sweep takes microseconds and fan-out would dominate.
     pub parallel_threshold: usize,
-    /// Exploit downward closure (Proposition 5.2): enumerate masks by descending popcount and
-    /// mark every subset of a known-robust set robust without running its cycle test. Exact —
-    /// the attested-robust family is downward closed because an induced subgraph can only lose
-    /// cycles — and cross-checked against the exhaustive path in the test-suite.
+    /// Exploit both directions of Proposition 5.2: every subset of a known-robust set is robust
+    /// and every superset of a known-non-robust set is non-robust, so such masks are decided
+    /// without running their cycle test (the module docs give the level order). Exact — an
+    /// induced subgraph can only lose cycles — and cross-checked against the exhaustive path
+    /// in the test-suite. With `false`, every one of the `2^n − 1` subsets is cycle-tested.
     pub closure_pruning: bool,
     /// Reuse (and update) the session's [`CachedSweep`] for these settings: verdicts of the
     /// last completed sweep are rebased onto the current program set — after
@@ -138,7 +151,8 @@ pub struct SubsetExploration {
     pub maximal: Vec<Vec<usize>>,
     /// Number of cycle tests actually run (`2^n - 1` minus the subsets decided by pruning).
     pub cycle_tests: usize,
-    /// Number of subsets attested robust by downward-closure pruning alone.
+    /// Number of subsets decided by closure pruning alone, in either direction: attested
+    /// robust as a subset of a robust set, or refuted as a superset of a non-robust one.
     pub pruned: usize,
     /// Number of subsets whose verdict was adopted from a previous sweep without being visited
     /// at all ([`ExploreOptions::incremental`]); `0` on a fresh sweep. Every non-empty subset
@@ -181,73 +195,110 @@ impl SubsetExploration {
     }
 }
 
-/// Pascal's triangle up to `C(n, k)` for `n ≤ MAX_SWEEP_PROGRAMS`: the rank arithmetic of
-/// the streamed traversal (level sizes, colex unranking). Lives on the stack (3.5 KiB) so
-/// opening one costs no allocation per sweep.
-struct Binomials {
-    n: usize,
-    choose: [[usize; MAX_SWEEP_PROGRAMS + 1]; MAX_SWEEP_PROGRAMS + 1],
-}
-
-impl Binomials {
-    fn new(n: usize) -> Self {
-        // The sweep entry points check the bound first and return or report
-        // `TooManyPrograms`; a hard assert so any other caller fails loudly instead of
-        // indexing out of bounds.
-        assert!(
-            n <= MAX_SWEEP_PROGRAMS,
-            "Binomials supports n <= {MAX_SWEEP_PROGRAMS}, got {n}"
-        );
-        let mut choose = [[0usize; MAX_SWEEP_PROGRAMS + 1]; MAX_SWEEP_PROGRAMS + 1];
-        for row in 0..=n {
-            choose[row][0] = 1;
-            for col in 1..=row {
-                let above = if col < row { choose[row - 1][col] } else { 0 };
-                choose[row][col] = choose[row - 1][col - 1] + above;
-            }
-        }
-        Binomials { n, choose }
+/// `POPCOUNT_CLASS[j]` has bit `b` set iff the in-word position `b` (`0..64`) has `j` one bits,
+/// so the level-`k` masks of word `w` are the positions in `POPCOUNT_CLASS[k - popcount(w)]`.
+const POPCOUNT_CLASS: [u64; 7] = {
+    let mut classes = [0u64; 7];
+    let mut b = 0;
+    while b < 64 {
+        classes[(b as u64).count_ones() as usize] |= 1 << b;
+        b += 1;
     }
+    classes
+};
 
-    #[inline]
-    fn c(&self, n: usize, k: usize) -> usize {
-        if k > n {
-            0
-        } else {
-            self.choose[n][k]
+/// `BIT_CLEAR[i]` has bit `b` set iff the in-word position `b` has bit `i` clear (`i < 6`). A
+/// word shifted left by `1 << i` under this mask moves each such mask onto its superset with
+/// program `i` added; shifted right and then masked, it moves each superset back.
+const BIT_CLEAR: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
+/// Words per chunk of a parallel level walk: enough masks per chunk for the lane batches to
+/// fill on dense levels.
+const WORD_GRAIN: usize = 16;
+
+/// The masks whose bits are set in word `w` of a mask bitset, in ascending order.
+fn word_masks(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            w * 64 + b
+        })
+    })
+}
+
+/// The non-empty subset masks of word `w` of an `n`-program mask bitset: every position,
+/// except mask 0 and, when fewer than 6 programs leave the word part-filled, the positions from
+/// `2^n` on.
+fn subset_bits(n: usize, w: usize) -> u64 {
+    let filled = if n >= 6 {
+        u64::MAX
+    } else {
+        (1u64 << (1 << n)) - 1
+    };
+    if w == 0 {
+        filled & !1
+    } else {
+        filled
+    }
+}
+
+/// The masks of popcount `level` (`1..=n`) in word `w`.
+fn level_bits(n: usize, w: usize, level: usize) -> u64 {
+    match level.checked_sub(w.count_ones() as usize) {
+        Some(in_word) if in_word < POPCOUNT_CLASS.len() => {
+            POPCOUNT_CLASS[in_word] & subset_bits(n, w)
+        }
+        _ => 0,
+    }
+}
+
+/// The masks of word `w` with a one-bit superset set in the `n`-program bitset read through
+/// `word`. For a program `i < 6` the superset sits `1 << i` positions higher in the same word;
+/// for `i ≥ 6` it sits at the same position of word `w | 1 << (i − 6)`.
+fn one_bit_supersets(n: usize, w: usize, word: impl Fn(usize) -> u64) -> u64 {
+    let here = word(w);
+    let mut found = 0;
+    for (i, clear) in BIT_CLEAR.iter().enumerate().take(n) {
+        found |= (here >> (1 << i)) & clear;
+    }
+    for i in 6..n {
+        let stride = 1 << (i - 6);
+        if w & stride == 0 {
+            found |= word(w | stride);
+        }
+    }
+    found
+}
+
+/// Closes an `n`-program mask bitset upward, so every superset of a set mask is set: a
+/// superset-sum pass per program, O(n · 2^n / 64) word operations in all.
+fn close_upward(n: usize, words: &mut [u64]) {
+    for word in words.iter_mut() {
+        for (i, clear) in BIT_CLEAR.iter().enumerate().take(n) {
+            *word |= (*word & clear) << (1 << i);
+        }
+    }
+    for i in 6..n {
+        let stride = 1 << (i - 6);
+        for w in (0..words.len()).filter(|w| w & stride == 0) {
+            words[w | stride] |= words[w];
         }
     }
 }
 
-/// The `rank`-th `k`-subset mask of `0..n` in colexicographic order — which coincides with
-/// increasing numeric order of the masks, so [`next_same_popcount`] is its successor function.
-/// Combinatorial number system: pick the largest `c` with `C(c, i) ≤ rank` for `i = k..1`.
-fn unrank_colex(mut rank: usize, k: usize, binomials: &Binomials) -> usize {
-    let mut mask = 0usize;
-    let mut c = binomials.n;
-    for i in (1..=k).rev() {
-        while binomials.c(c, i) > rank {
-            c -= 1;
-        }
-        mask |= 1 << c;
-        rank -= binomials.c(c, i);
-    }
-    mask
-}
-
-/// Gosper's hack: the numerically next mask with the same popcount.
-#[inline]
-fn next_same_popcount(mask: usize) -> usize {
-    let lowest = mask & mask.wrapping_neg();
-    let ripple = mask + lowest;
-    ripple | (((mask ^ ripple) / lowest) >> 2)
-}
-
-/// Work counters of one or more swept rank ranges: how many cycle tests ran and how many masks
-/// were decided by downward-closure pruning alone. Summing the counters of a partition of the
-/// mask space reproduces the single-sweep accounting exactly (each mask is visited by exactly
-/// one range, and the inherit-or-test decision depends only on the fully published verdicts of
-/// the level above).
+/// Work counters of one or more sweep steps: how many cycle tests ran and how many masks were
+/// decided by closure pruning alone. Summing the counters of a partition of a level's words
+/// reproduces the single-sweep accounting exactly (each mask is visited by exactly one range,
+/// and the decision depends only on `refuted` and the fully published verdicts of the level
+/// above).
 #[derive(Clone, Copy, Default)]
 struct SweepCounters {
     cycle_tests: usize,
@@ -293,7 +344,7 @@ impl CachedSweep {
 
 /// Verdicts carried into a sweep from a previous run: the robust bits to adopt and the
 /// `decided` bitset saying which masks already have a verdict (robust or not) and must not be
-/// re-tested. Produced by [`rebase_cached_sweep`]; consumed by [`RankRangeSweep::apply_seed`].
+/// re-tested. Produced by [`rebase_cached_sweep`]; consumed by [`LevelSweep::apply_seed`].
 struct SweepSeed {
     /// Robust bits to adopt (a subset of `decided`).
     robust: Vec<u64>,
@@ -381,25 +432,30 @@ fn rebase_cached_sweep(
 }
 
 /// The core of the subset sweep: a session-backed cycle tester over the shared summary graph
-/// plus the atomic verdict bitset (64 masks per word, mask `m` at bit `m % 64` of word
-/// `m / 64`), swept one rank range at a time.
+/// plus three bitsets over the masks (mask `m` at bit `m % 64` of word `m / 64`): the atomic
+/// robust verdicts, the masks seeded from a previous sweep, and the masks refuted as supersets
+/// of known-non-robust sets.
 ///
-/// [`explore_subsets_with`] folds every level's rank space through [`run_range`](Self::run_range)
-/// in chunks. The split into chunks is *invisible in the result*: verdicts are deterministic per
-/// mask, and the pruning decision for a mask only reads the (fully published) verdicts of the
-/// level above, so any partition of a level produces identical verdict bits and identical
-/// summed counters.
-struct RankRangeSweep {
+/// [`explore_subsets_with`] runs [`decide`](Self::decide), which folds every walked level's
+/// word range through [`run_words`](Self::run_words) in chunks. The split into chunks is
+/// *invisible in the result*: verdicts are deterministic per mask, and the decision for a mask
+/// only reads `refuted` (fixed before the walk) and the fully published verdicts of the level
+/// above, so any partition of a level produces identical verdict bits and identical summed
+/// counters.
+struct LevelSweep {
     graph: std::sync::Arc<SummaryGraph>,
     settings: AnalysisSettings,
     closure_pruning: bool,
     programs: Vec<String>,
     nodes_per_program: Vec<Vec<NodeId>>,
-    binomials: Binomials,
-    bits: Vec<AtomicU64>,
-    /// Masks whose verdict was adopted from a seed ([`Self::apply_seed`]): visited ranges skip
-    /// them without a cycle test or a pruning decision. `None` on a fresh sweep.
-    decided: Option<Vec<u64>>,
+    robust: Vec<AtomicU64>,
+    /// Masks whose verdict was adopted from a seed ([`Self::apply_seed`]): no step visits them,
+    /// and they count as reused. All zero on a fresh sweep.
+    seeded: Vec<u64>,
+    /// Masks known to be non-robust: seeded non-robust verdicts, the failed cycle tests of the
+    /// border levels (the full set, singletons and pairs) and, after the upward closure, every
+    /// superset of those. Fixed while the levels are walked.
+    refuted: Vec<u64>,
 }
 
 /// Per-worker sweep temporaries: the pending-mask batch and the lane matrices. One slot per
@@ -426,7 +482,7 @@ thread_local! {
     static NON_WORKER_SCRATCH: RefCell<SweepScratch> = RefCell::new(SweepScratch::default());
 }
 
-impl RankRangeSweep {
+impl LevelSweep {
     /// Opens a sweep over the session's programs under the given settings, using the session's
     /// cached summary graph (built on first use). Fails with [`TooManyPrograms`] — before any
     /// graph is built — when the session has more than [`MAX_SWEEP_PROGRAMS`] programs.
@@ -453,92 +509,73 @@ impl RankRangeSweep {
                     .collect()
             })
             .collect();
-        Ok(RankRangeSweep {
+        let words = CachedSweep::word_count_for(n);
+        Ok(LevelSweep {
             graph,
             settings,
             closure_pruning,
             programs,
             nodes_per_program,
-            binomials: Binomials::new(n),
-            bits: (0..CachedSweep::word_count_for(n))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            decided: None,
+            robust: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            seeded: vec![0; words],
+            refuted: vec![0; words],
         })
     }
 
-    /// Adopts the verdicts of a [`SweepSeed`]: the seed's robust bits become the verdict bitset
-    /// and its `decided` masks are skipped by every subsequent [`run_range`](Self::run_range)
-    /// call — no cycle test, no pruning decision, zero counter deltas. Must be applied before
-    /// any range runs.
+    /// Adopts the verdicts of a [`SweepSeed`]: the seed's robust bits become the verdict bitset,
+    /// its non-robust verdicts become refuted, and its `decided` masks are skipped by every
+    /// later step — no cycle test, no pruning decision, zero counter deltas. Must be applied
+    /// before [`decide`](Self::decide) runs.
     fn apply_seed(&mut self, seed: SweepSeed) {
-        debug_assert_eq!(seed.robust.len(), self.bits.len());
-        debug_assert_eq!(seed.decided.len(), self.bits.len());
-        self.bits = seed.robust.into_iter().map(AtomicU64::new).collect();
-        self.decided = Some(seed.decided);
-    }
-
-    /// The maximal contiguous rank ranges at `level` (`1..=n`, so `C(n, level) ≥ 1`) that
-    /// still need visiting: the whole level `[(0, C(n, level))]` on a fresh sweep; after
-    /// [`apply_seed`](Self::apply_seed), the runs of masks (walked in colexicographic rank
-    /// order) whose `decided` bit is clear — empty when every mask of the level already has a
-    /// verdict.
-    fn undecided_runs(&self, level: usize) -> Vec<(usize, usize)> {
-        let size = self.level_size(level);
-        let Some(decided) = &self.decided else {
-            return vec![(0, size)];
-        };
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let mut mask = unrank_colex(0, level, &self.binomials);
-        let mut open: Option<usize> = None;
-        for rank in 0..size {
-            let is_decided = decided[mask / 64] & (1u64 << (mask % 64)) != 0;
-            match (is_decided, open) {
-                (false, None) => open = Some(rank),
-                (true, Some(start)) => {
-                    runs.push((start, rank));
-                    open = None;
-                }
-                _ => {}
-            }
-            if rank + 1 < size {
-                mask = next_same_popcount(mask);
-            }
-        }
-        if let Some(start) = open {
-            runs.push((start, size));
-        }
-        runs
-    }
-
-    /// `C(n, level)` for this sweep's `n`: the size of a level's rank space.
-    fn level_size(&self, level: usize) -> usize {
-        self.binomials.c(self.programs.len(), level)
+        debug_assert_eq!(seed.robust.len(), self.robust.len());
+        debug_assert_eq!(seed.decided.len(), self.robust.len());
+        self.refuted = seed
+            .decided
+            .iter()
+            .zip(&seed.robust)
+            .map(|(decided, robust)| decided & !robust)
+            .collect();
+        self.robust = seed.robust.into_iter().map(AtomicU64::new).collect();
+        self.seeded = seed.decided;
     }
 
     /// A copy of the verdict bitset, for the session's [`CachedSweep`].
     fn verdict_words(&self) -> Vec<u64> {
-        self.bits
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
+        (0..self.robust.len())
+            .map(|w| self.robust_word(w))
             .collect()
     }
 
     #[inline]
-    fn is_marked(&self, mask: usize) -> bool {
-        self.bits[mask / 64].load(Ordering::Relaxed) & (1u64 << (mask % 64)) != 0
+    fn robust_word(&self, w: usize) -> u64 {
+        self.robust[w].load(Ordering::Relaxed)
     }
 
     #[inline]
-    fn mark(&self, mask: usize) {
-        self.bits[mask / 64].fetch_or(1u64 << (mask % 64), Ordering::Relaxed);
+    fn is_robust(&self, mask: usize) -> bool {
+        self.robust_word(mask / 64) & (1u64 << (mask % 64)) != 0
     }
 
-    /// Decides a batch of up to 64 undecided masks with one lane-parallel traversal
+    #[inline]
+    fn is_refuted(&self, mask: usize) -> bool {
+        self.refuted[mask / 64] & (1u64 << (mask % 64)) != 0
+    }
+
+    /// Whether `mask` still needs a verdict: neither seeded, refuted nor known robust.
+    fn is_open(&self, mask: usize) -> bool {
+        let w = mask / 64;
+        (self.seeded[w] | self.refuted[w] | self.robust_word(w)) & (1u64 << (mask % 64)) == 0
+    }
+
+    /// The masks of word `w` that have a robust one-bit superset.
+    fn robust_supersets(&self, w: usize) -> u64 {
+        one_bit_supersets(self.programs.len(), w, |v| self.robust_word(v))
+    }
+
+    /// Decides a batch of up to 64 open masks with one lane-parallel traversal
     /// ([`kernels::sweep_lanes`]): lane `i` is mask `masks[i]`, each graph node's membership
     /// word ORs together the lanes whose subset contains the node's program. Robust lanes are
-    /// published into the verdict bitset; the counters were already accounted at batch-fill
-    /// time (one cycle test per lane).
+    /// published into the verdict bitset; the caller counts one cycle test per lane.
     fn flush_lane_batch(&self, masks: &[usize], lanes: &mut kernels::LaneScratch) {
         debug_assert!(!masks.is_empty() && masks.len() <= 64);
         let plan = self.graph.lane_plan(self.settings.condition);
@@ -561,64 +598,140 @@ impl RankRangeSweep {
         };
         let mut robust = kernels::sweep_lanes(plan, lanes, batch);
         while robust != 0 {
-            self.mark(masks[robust.trailing_zeros() as usize]);
+            let mask = masks[robust.trailing_zeros() as usize];
+            self.robust[mask / 64].fetch_or(1u64 << (mask % 64), Ordering::Relaxed);
             robust &= robust - 1;
         }
     }
 
-    #[inline]
-    fn is_decided(&self, mask: usize) -> bool {
-        self.decided
-            .as_ref()
-            .is_some_and(|d| d[mask / 64] & (1u64 << (mask % 64)) != 0)
+    /// Cycle-tests the border masks `masks` on the calling thread and refutes those that fail.
+    fn test_border(&mut self, masks: &[usize]) {
+        with_sweep_scratch(|scratch| {
+            for batch in masks.chunks(64) {
+                self.flush_lane_batch(batch, &mut scratch.lanes);
+            }
+        });
+        for &mask in masks {
+            if !self.is_robust(mask) {
+                self.refuted[mask / 64] |= 1u64 << (mask % 64);
+            }
+        }
     }
 
-    /// Sweeps the ranks `ranks` of one popcount level: unranks the first mask of the range
-    /// once, then walks the range with Gosper's hack, deciding every mask. Verdicts are
-    /// published into the shared bitset; the returned counters cover exactly this range.
+    /// Steps 1–3 of the pruned sweep (see the module docs) over `n ≥ 1` programs: tests the full
+    /// set; if it is robust, every open mask inherits robustness. Otherwise tests every open
+    /// singleton and pair — a pair with a refuted program is refuted untested — and closes
+    /// `refuted` upward. Returns the counters and the levels left to the walk: none, or
+    /// `3..n`.
+    fn decide_borders(&mut self) -> (SweepCounters, Range<usize>) {
+        let n = self.programs.len();
+        let full = (1usize << n) - 1;
+        let mut counters = SweepCounters::default();
+        if self.is_open(full) {
+            self.test_border(&[full]);
+            counters.cycle_tests += 1;
+        }
+        if self.is_robust(full) {
+            for w in 0..self.robust.len() {
+                let open = subset_bits(n, w) & !self.seeded[w] & !self.robust_word(w);
+                self.robust[w].fetch_or(open, Ordering::Relaxed);
+                counters.pruned += open.count_ones() as usize;
+            }
+            return (counters, 0..0);
+        }
+
+        let singletons: Vec<usize> = (0..n)
+            .map(|i| 1 << i)
+            .filter(|&mask| self.is_open(mask))
+            .collect();
+        counters.cycle_tests += singletons.len();
+        self.test_border(&singletons);
+
+        let mut pairs = Vec::new();
+        for j in 1..n {
+            for i in 0..j {
+                let pair = (1 << i) | (1 << j);
+                if !self.is_open(pair) {
+                    continue;
+                }
+                if self.is_refuted(1 << i) || self.is_refuted(1 << j) {
+                    self.refuted[pair / 64] |= 1u64 << (pair % 64);
+                    counters.pruned += 1;
+                } else {
+                    pairs.push(pair);
+                }
+            }
+        }
+        counters.cycle_tests += pairs.len();
+        self.test_border(&pairs);
+
+        close_upward(n, &mut self.refuted);
+        (counters, 3..n)
+    }
+
+    /// Decides every mask and returns the summed counters. `walk(level)` must decide the open
+    /// masks of `level` over all words, through [`run_words`](Self::run_words); it is called
+    /// once per walked level in descending order.
+    fn decide(&mut self, walk: impl Fn(&Self, usize) -> SweepCounters) -> SweepCounters {
+        let n = self.programs.len();
+        let (mut totals, walked) = if self.closure_pruning && n > 0 {
+            self.decide_borders()
+        } else {
+            (SweepCounters::default(), 1..n + 1)
+        };
+        for level in walked.rev() {
+            totals = totals.merged(walk(self, level));
+        }
+        debug_assert!(
+            (0..self.refuted.len()).all(|w| self.refuted[w] & self.robust_supersets(w) == 0),
+            "a refuted mask has a robust one-bit superset"
+        );
+        totals
+    }
+
+    /// Decides the open masks of `level` in the words `words`.
+    /// Verdicts are published into the shared bitset; the returned counters cover exactly these
+    /// words. A refuted mask is counted as pruned; with closure pruning, a mask with a robust
+    /// one-bit superset inherits robustness; every other open mask is packed into a lane batch.
     ///
     /// Correct accounting requires the caller to respect the level order: every range of level
     /// `k + 1` must complete before any range of level `k` runs — [`explore_subsets_with`]'s
     /// fold barrier does.
-    fn run_range(&self, level: usize, ranks: std::ops::Range<usize>) -> SweepCounters {
+    fn run_words(&self, level: usize, words: Range<usize>) -> SweepCounters {
         let n = self.programs.len();
-        debug_assert!(
-            (1..=n).contains(&level),
-            "level {level} out of range 1..={n}"
-        );
-        debug_assert!(ranks.end <= self.level_size(level));
         let mut counters = SweepCounters::default();
-        if ranks.is_empty() {
-            return counters;
-        }
         with_sweep_scratch(|SweepScratch { batch, lanes }| {
-            // Gather the undecided, non-inherited masks of the range into lane batches of 64
-            // and decide each batch with one traversal. Deferring the verdict publication to
-            // the batch flush is sound under Proposition 5.2 pruning: the inheritance check for
-            // a level-k mask reads only its one-bit supersets at level k+1 (fully published
-            // before this level ran) — never the in-flight verdicts of its own level — so
-            // batching changes neither any pruning decision nor any counter. The final flush
-            // below completes before the range returns, hence before the level barrier.
-            let mut mask = unrank_colex(ranks.start, level, &self.binomials);
+            // Deferring the verdict publication to the batch flush is sound: the inheritance
+            // check for a level-k mask reads only its one-bit supersets at level k+1 (fully
+            // published before this level ran) — never the in-flight verdicts of its own level.
+            // The final flush below completes before the range returns, hence before the level
+            // barrier.
             batch.clear();
-            for rank in ranks.clone() {
-                if !self.is_decided(mask) {
-                    let inherited = self.closure_pruning
-                        && (0..n).any(|i| mask & (1 << i) == 0 && self.is_marked(mask | (1 << i)));
-                    if inherited {
-                        self.mark(mask);
-                        counters.pruned += 1;
-                    } else {
-                        counters.cycle_tests += 1;
-                        batch.push(mask);
-                        if batch.len() == 64 {
-                            self.flush_lane_batch(batch, lanes);
-                            batch.clear();
-                        }
-                    }
+            for w in words {
+                let at_level = level_bits(n, w, level) & !self.seeded[w];
+                let refuted = at_level & self.refuted[w];
+                counters.pruned += refuted.count_ones() as usize;
+                let open = at_level & !refuted;
+                if open == 0 {
+                    continue;
                 }
-                if rank + 1 < ranks.end {
-                    mask = next_same_popcount(mask);
+                let inherited = if self.closure_pruning {
+                    open & self.robust_supersets(w)
+                } else {
+                    0
+                };
+                if inherited != 0 {
+                    self.robust[w].fetch_or(inherited, Ordering::Relaxed);
+                    counters.pruned += inherited.count_ones() as usize;
+                }
+                let tested = open & !inherited;
+                counters.cycle_tests += tested.count_ones() as usize;
+                for mask in word_masks(w, tested) {
+                    batch.push(mask);
+                    if batch.len() == 64 {
+                        self.flush_lane_batch(batch, lanes);
+                        batch.clear();
+                    }
                 }
             }
             if !batch.is_empty() {
@@ -629,18 +742,23 @@ impl RankRangeSweep {
         counters
     }
 
-    /// Assembles the final [`SubsetExploration`] from the current verdict bits, the summed
-    /// counters of every range that ran and the number of verdicts adopted from a seed
-    /// without a visit.
+    /// Assembles the final [`SubsetExploration`] from the verdict bits, the summed counters and
+    /// the number of verdicts adopted from a seed without a visit. A robust mask is maximal
+    /// exactly when none of its one-bit supersets is robust, because the robust family is
+    /// downward closed.
     fn exploration(&self, counters: SweepCounters, reused: usize) -> SubsetExploration {
         let n = self.programs.len();
-        let total = 1usize << n;
-        let mut robust: Vec<Vec<usize>> = (1..total)
-            .filter(|&mask| self.is_marked(mask))
-            .map(|mask| (0..n).filter(|i| mask & (1 << i) != 0).collect())
-            .collect();
+        let members =
+            |mask: usize| -> Vec<usize> { (0..n).filter(|i| mask & (1 << i) != 0).collect() };
+        let mut robust = Vec::new();
+        let mut maximal = Vec::new();
+        for w in 0..self.robust.len() {
+            let here = self.robust_word(w);
+            robust.extend(word_masks(w, here).map(members));
+            maximal.extend(word_masks(w, here & !self.robust_supersets(w)).map(members));
+        }
         robust.sort();
-        let maximal = maximal_sets(&robust);
+        maximal.sort();
         SubsetExploration {
             programs: self.programs.clone(),
             settings: self.settings,
@@ -670,16 +788,18 @@ pub fn explore_subsets(
 /// [`explore_subsets`] with explicit options.
 ///
 /// The session's cached summary graph for `settings` is (built once and) shared across the
-/// whole sweep; every subset is decided on a lane of one traversal of that graph restricted to
-/// the subset's nodes. This is sound because Algorithm 1's edges are defined pairwise over
-/// LTPs: the summary graph of a subset equals the induced subgraph of the full summary graph.
+/// whole sweep; every tested subset is decided on a lane of one traversal of that graph
+/// restricted to the subset's nodes. This is sound because Algorithm 1's edges are defined
+/// pairwise over LTPs: the summary graph of a subset equals the induced subgraph of the full
+/// summary graph.
 ///
-/// With `closure_pruning` enabled (the default), masks are processed level by level in
-/// descending popcount order; a mask whose immediate superset (one extra program) is already
-/// known robust inherits robustness by Proposition 5.2 without a cycle test. Levels are
-/// independent-within and ordered-between: each level is one parallel pass over the pool (a
-/// barrier between levels keeps the pruning reads race-free — a level only ever reads verdict
-/// bits of the level above it, which the preceding pass fully published).
+/// With `closure_pruning` enabled (the default), the full set is tested first, then (when it is
+/// not robust) the singletons and pairs, and the remaining levels are walked in descending
+/// popcount order, deciding supersets of non-robust sets and subsets of robust sets without a
+/// cycle test (the module docs give the steps). Levels are independent-within and
+/// ordered-between: each level is one parallel pass over the pool, and the barrier between
+/// levels keeps the pruning reads race-free — a level only ever reads verdict bits of the level
+/// above it, which the preceding pass fully published.
 ///
 /// [`explore_subsets_naive`] retains the literal per-subset reconstruction for cross-checking
 /// and benchmarking.
@@ -693,7 +813,7 @@ pub fn explore_subsets_with(
     settings: AnalysisSettings,
     options: ExploreOptions,
 ) -> SubsetExploration {
-    let mut sweep = RankRangeSweep::new(session, settings, options.closure_pruning)
+    let mut sweep = LevelSweep::new(session, settings, options.closure_pruning)
         .unwrap_or_else(|e| panic!("{e}"));
     let n = sweep.programs.len();
 
@@ -717,8 +837,7 @@ pub fn explore_subsets_with(
         None
     };
 
-    let total = 1usize << n;
-    let parallelism = if total >= options.parallel_threshold {
+    let parallelism = if (1usize << n) >= options.parallel_threshold {
         match options.parallelism {
             Parallelism::Auto => session.parallelism(),
             pinned => pinned,
@@ -730,24 +849,17 @@ pub fn explore_subsets_with(
     // Robustness verdicts live in the sweep's atomic bitset. Within a level workers publish
     // their own bits concurrently (`fetch_or`); across levels the runtime's fold barrier
     // orders every store of level k+1 before every load at level k, so `Relaxed` suffices.
-    let mut totals = SweepCounters::default();
-    for level in (1..=n).rev() {
-        // On a fresh sweep this is the single run `(0, C(n, level))`; a seeded sweep only
-        // visits the ranks no previous sweep decided (possibly none). Every chunk of a run
-        // unranks its first mask once and then steps with Gosper's hack — no level buffer
-        // exists anywhere. The grain of 64 ranks lets the lane batches fill all 64 lanes.
-        for (run_start, run_end) in sweep.undecided_runs(level) {
-            let counters = fold_chunks(
-                run_start..run_end,
-                parallelism,
-                64,
-                SweepCounters::default,
-                |acc, chunk| acc.merged(sweep.run_range(level, chunk)),
-                SweepCounters::merged,
-            );
-            totals = totals.merged(counters);
-        }
-    }
+    let words = sweep.robust.len();
+    let totals = sweep.decide(|sweep, level| {
+        fold_chunks(
+            0..words,
+            parallelism,
+            WORD_GRAIN,
+            SweepCounters::default,
+            |acc, chunk| acc.merged(sweep.run_words(level, chunk)),
+            SweepCounters::merged,
+        )
+    });
 
     let exploration = sweep.exploration(totals, reused);
     if let Some(program_fingerprints) = fingerprints {
@@ -951,25 +1063,50 @@ mod tests {
     }
 
     #[test]
-    fn rank_range_sweep_partitions_reproduce_the_whole_sweep() {
-        // Running a level in arbitrary range splits (here: one range per rank) must reproduce
-        // the monolithic sweep's verdicts and summed counters exactly.
-        let session = auction_session();
+    fn word_range_partitions_reproduce_the_whole_sweep() {
+        // Walking every level one word at a time must reproduce the monolithic sweep's verdicts
+        // and summed counters exactly. A 9-program synthetic workload is mostly non-robust, so
+        // all four steps run: border tests, refuted pairs, the upward closure and the walk of
+        // levels 8..=3 over eight words.
+        let session = RobustnessSession::new(mvrc_benchmarks::synthetic(
+            mvrc_benchmarks::SyntheticConfig {
+                programs: 9,
+                loop_probability: 0.0,
+                optional_probability: 0.0,
+                seed: 3,
+                ..mvrc_benchmarks::SyntheticConfig::default()
+            },
+        ));
         let settings = AnalysisSettings::paper_default();
-        let reference = explore_subsets(&session, settings);
+        let reference = explore_subsets_with(
+            &session,
+            settings,
+            ExploreOptions {
+                parallelism: Parallelism::Serial,
+                ..ExploreOptions::default()
+            },
+        );
+        assert!(reference.pruned > 0 && reference.cycle_tests > 0);
 
-        let sweep = RankRangeSweep::new(&session, settings, true).unwrap();
-        let mut totals = SweepCounters::default();
-        for level in (1..=sweep.programs.len()).rev() {
-            for rank in 0..sweep.level_size(level) {
-                totals = totals.merged(sweep.run_range(level, rank..rank + 1));
+        for closure_pruning in [true, false] {
+            let mut sweep = LevelSweep::new(&session, settings, closure_pruning).unwrap();
+            let words = sweep.robust.len();
+            let totals = sweep.decide(|sweep, level| {
+                (0..words).fold(SweepCounters::default(), |acc, w| {
+                    acc.merged(sweep.run_words(level, w..w + 1))
+                })
+            });
+            let exploration = sweep.exploration(totals, 0);
+            assert_eq!(exploration.robust, reference.robust);
+            assert_eq!(exploration.maximal, reference.maximal);
+            if closure_pruning {
+                assert_eq!(exploration.cycle_tests, reference.cycle_tests);
+                assert_eq!(exploration.pruned, reference.pruned);
+            } else {
+                assert_eq!(exploration.cycle_tests, (1 << 9) - 1);
+                assert_eq!(exploration.pruned, 0);
             }
         }
-        let exploration = sweep.exploration(totals, 0);
-        assert_eq!(exploration.robust, reference.robust);
-        assert_eq!(exploration.maximal, reference.maximal);
-        assert_eq!(exploration.cycle_tests, reference.cycle_tests);
-        assert_eq!(exploration.pruned, reference.pruned);
     }
 
     #[test]
@@ -986,7 +1123,7 @@ mod tests {
             })
             .collect();
         let session = RobustnessSession::from_programs(&schema, &programs);
-        let err = RankRangeSweep::new(&session, AnalysisSettings::paper_default(), true)
+        let err = LevelSweep::new(&session, AnalysisSettings::paper_default(), true)
             .err()
             .expect("21 programs exceed the sweep limit");
         assert_eq!(err, TooManyPrograms { programs: 21 });
@@ -1027,43 +1164,60 @@ mod tests {
     }
 
     #[test]
-    fn binomials_match_the_closed_form() {
-        let b = Binomials::new(20);
-        assert_eq!(b.c(20, 10), 184_756);
-        assert_eq!(b.c(7, 3), 35);
-        assert_eq!(b.c(5, 0), 1);
-        assert_eq!(b.c(5, 5), 1);
-        assert_eq!(b.c(3, 4), 0);
-        for n in 0..=20usize {
-            for k in 1..=n {
-                assert_eq!(
-                    b.c(n, k),
-                    b.c(n - 1, k - 1) + b.c(n - 1, k),
-                    "Pascal identity at C({n}, {k})"
-                );
+    fn level_bits_select_each_popcount_exactly() {
+        for n in 0..=10usize {
+            let words = CachedSweep::word_count_for(n);
+            for k in 0..=n + 1 {
+                let expected: Vec<usize> = (1usize..1 << n)
+                    .filter(|m| m.count_ones() as usize == k)
+                    .collect();
+                let selected: Vec<usize> = (0..words)
+                    .flat_map(|w| word_masks(w, level_bits(n, w, k)))
+                    .collect();
+                assert_eq!(selected, expected, "n={n}, k={k}");
             }
         }
     }
 
     #[test]
-    fn unranking_enumerates_each_level_in_numeric_order() {
-        for n in 1..=10usize {
-            let binomials = Binomials::new(n);
-            for k in 1..=n {
-                let expected: Vec<usize> = (1usize..1 << n)
-                    .filter(|m| m.count_ones() as usize == k)
+    fn word_parallel_closure_and_supersets_match_the_scalar_definitions() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in 1..=9usize {
+            let total = 1usize << n;
+            for _ in 0..8 {
+                // Sparse random families, so the closure does not saturate at once.
+                let family: Vec<bool> = (0..total)
+                    .map(|m| m != 0 && next() % (4 * n as u64) == 0)
                     .collect();
-                assert_eq!(binomials.c(n, k), expected.len());
-                // Direct unranking hits every rank...
-                let unranked: Vec<usize> = (0..expected.len())
-                    .map(|r| unrank_colex(r, k, &binomials))
+                let mut words = vec![0u64; CachedSweep::word_count_for(n)];
+                for m in (0..total).filter(|&m| family[m]) {
+                    words[m / 64] |= 1 << (m % 64);
+                }
+                let is_set = |words: &[u64], m: usize| words[m / 64] & (1 << (m % 64)) != 0;
+
+                let supersets: Vec<usize> = (0..words.len())
+                    .flat_map(|w| word_masks(w, one_bit_supersets(n, w, |v| words[v])))
                     .collect();
-                assert_eq!(unranked, expected, "unrank(n={n}, k={k})");
-                // ...and the Gosper successor walks the same sequence from any start.
-                let mut mask = unrank_colex(0, k, &binomials);
-                for want in &expected {
-                    assert_eq!(mask, *want);
-                    mask = next_same_popcount(mask);
+                let expected: Vec<usize> = (0..total)
+                    .filter(|&m| (0..n).any(|i| m & (1 << i) == 0 && family[m | (1 << i)]))
+                    .collect();
+                assert_eq!(supersets, expected, "one-bit supersets, n={n}");
+
+                let mut closed = words.clone();
+                close_upward(n, &mut closed);
+                for m in 0..total {
+                    let above_a_member = (1..total).any(|s| family[s] && s & m == s);
+                    assert_eq!(
+                        is_set(&closed, m),
+                        above_a_member,
+                        "closure, n={n}, mask {m}"
+                    );
                 }
             }
         }

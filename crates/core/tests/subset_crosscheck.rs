@@ -2,17 +2,19 @@
 //! oracle.
 //!
 //! [`explore_subsets`] decides every subset on a lane of one traversal of the session's cached
-//! summary graph, skips cycle tests via downward-closure pruning (Proposition 5.2), and
-//! *streams* each popcount level as lazily split rank ranges across the `mvrc-par` pool;
-//! [`explore_subsets_with`] with pruning disabled tests every mask the same way;
+//! summary graph, skips cycle tests via two-sided closure pruning (Proposition 5.2: subsets of
+//! robust sets are robust, supersets of non-robust sets are not), and folds each popcount level
+//! as lazily split word ranges across the `mvrc-par` pool; [`explore_subsets_with`] with
+//! pruning disabled tests every mask the same way;
 //! [`explore_subsets_naive`] re-runs Algorithm 1 and the scalar cycle test for every subset.
 //! Both sweeps must agree *exactly* with the oracle — same robust family, same maximal subsets,
 //! every subset either tested or pruned — on every workload (the `assert_agree` cross-check
 //! idiom of the dbcop consistency checker). The property tests drive the comparison over
 //! random synthetic workloads across the full evaluation grid; separate tests pin down the
 //! "exactly one construction per graph-shape combination" contract of the session, the
-//! strictly-fewer-cycle-tests claim of the pruning on TPC-C, and partial lane batches under
-//! serial and forced fan-out sweeps.
+//! strictly-fewer-cycle-tests claim of the pruning on TPC-C, the border bound on the cycle
+//! tests of a 16-program YCSB-T mix, and partial lane batches under serial and forced fan-out
+//! sweeps.
 
 use mvrc_benchmarks::{auction, smallbank, synthetic, tpcc, ycsb_t, SyntheticConfig, YcsbtConfig};
 use mvrc_robustness::{
@@ -102,6 +104,91 @@ proptest! {
             }
         }
     }
+}
+
+/// The subset masks (bit `i` ⇔ program `i`) an exploration attests robust.
+fn robust_masks(exploration: &SubsetExploration) -> Vec<bool> {
+    let mut robust = vec![false; 1 << exploration.programs.len()];
+    for set in &exploration.robust {
+        robust[set.iter().map(|&i| 1usize << i).sum::<usize>()] = true;
+    }
+    robust
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn non_robust_family_is_upward_closed(config in synthetic_config_strategy()) {
+        // The dual of Proposition 5.2's downward closure: every superset of a non-robust set
+        // is non-robust. Checked on the exhaustive sweep, where no pruning can impose it, and
+        // on the pruned sweep that relies on it.
+        let session = RobustnessSession::new(synthetic(config));
+        let n = session.program_names().len();
+        for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
+            for settings in AnalysisSettings::evaluation_grid(condition) {
+                for closure_pruning in [false, true] {
+                    let exploration = explore_subsets_with(
+                        &session,
+                        settings,
+                        ExploreOptions { closure_pruning, ..ExploreOptions::default() },
+                    );
+                    let robust = robust_masks(&exploration);
+                    for mask in (1usize..1 << n).filter(|&m| !robust[m]) {
+                        for extra in (0..n).filter(|i| mask & (1 << i) == 0) {
+                            prop_assert!(
+                                !robust[mask | (1 << extra)],
+                                "{:#b} is not robust but its superset {:#b} is under {}",
+                                mask,
+                                mask | (1 << extra),
+                                settings
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn ycsbt_mix_tests_at_most_the_borders_and_the_maximal_sets() {
+    // A 16-program YCSB-T mix whose non-robustness is all caused by singletons and pairs. The
+    // pruned sweep then tests the full set, the singletons and the pairs, refutes every
+    // superset of a failed border, and cycle-tests a larger mask only when it is robust with
+    // no robust one-bit superset — a maximal set.
+    let session = RobustnessSession::new(ycsb_t(YcsbtConfig {
+        fields: 16,
+        reads: 7,
+        rmws: 6,
+        updates: 0,
+        scans: 2,
+        inserts: 1,
+        fields_per_op: 1,
+    }));
+    let n = session.program_names().len();
+    assert!(n >= 16, "{n} programs");
+    let exploration = explore_subsets(&session, AnalysisSettings::paper_default());
+    assert_eq!(
+        exploration.cycle_tests + exploration.pruned + exploration.reused,
+        (1 << n) - 1
+    );
+
+    // Precondition, from the result: every minimal non-robust set has at most two programs,
+    // so every non-robust mask of three or more programs has a non-robust one-bit subset.
+    let robust = robust_masks(&exploration);
+    for mask in (1usize..1 << n).filter(|&m| !robust[m] && m.count_ones() > 2) {
+        assert!(
+            (0..n).any(|i| mask & (1 << i) != 0 && !robust[mask & !(1 << i)]),
+            "{mask:#b} is a minimal non-robust set of more than two programs"
+        );
+    }
+    let bound = 1 + n + n * (n - 1) / 2 + exploration.maximal.len();
+    assert!(
+        exploration.cycle_tests <= bound,
+        "{} cycle tests exceed 1 + n + C(n, 2) + |maximal| = {bound}",
+        exploration.cycle_tests
+    );
 }
 
 #[test]
