@@ -1,6 +1,6 @@
 //! Figures 6, 7 and 8 — robust subsets per setting and the Auction(n) scalability sweep.
 
-use mvrc_benchmarks::{auction, auction_n, smallbank, tpcc, Workload};
+use mvrc_benchmarks::{auction, auction_n, smallbank, tpcc};
 use mvrc_robustness::{explore_subsets, AnalysisSettings, CycleCondition, RobustnessSession};
 use serde::Serialize;
 use std::time::Instant;
@@ -140,11 +140,6 @@ pub fn render_subset_rows(rows: &[RobustSubsetRow]) -> String {
         ));
     }
     out
-}
-
-/// The benchmarks as [`Workload`]s, exposed for the Criterion benches.
-pub fn bench_workloads() -> Vec<Workload> {
-    vec![smallbank(), tpcc(), auction()]
 }
 
 #[cfg(test)]

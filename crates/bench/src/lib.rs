@@ -1,8 +1,8 @@
 //! # mvrc-bench
 //!
 //! Shared harness code for regenerating every table and figure of the paper's evaluation
-//! (Section 7). The `repro` binary drives these functions from the command line; the Criterion
-//! benches reuse them for timing.
+//! (Section 7). The `repro` binary drives these functions from the command line. Timing the
+//! analyzer is perfbench's job (`perfbench/`); this crate only reproduces the paper's numbers.
 
 pub mod figures;
 pub mod tables;

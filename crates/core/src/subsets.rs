@@ -801,8 +801,7 @@ pub fn explore_subsets(
 /// levels keeps the pruning reads race-free — a level only ever reads verdict bits of the level
 /// above it, which the preceding pass fully published.
 ///
-/// [`explore_subsets_naive`] retains the literal per-subset reconstruction for cross-checking
-/// and benchmarking.
+/// [`explore_subsets_naive`] retains the literal per-subset reconstruction for cross-checking.
 ///
 /// # Panics
 ///
@@ -879,8 +878,8 @@ pub fn explore_subsets_with(
 /// and runs the scalar cycle test on every mask.
 ///
 /// Semantically equivalent to [`explore_subsets`]; kept as the one oracle the lane-parallel
-/// sweep is cross-checked against and as the baseline of the `subset_exploration` Criterion
-/// bench.
+/// sweep is cross-checked against, by verdicts and by graph-build counts (one graph per subset
+/// here, one per sweep there).
 ///
 /// # Panics
 ///

@@ -186,9 +186,8 @@ proptest! {
         edit_count in 1usize..=3,
     ) {
         let tokens = &token_bits.to_le_bytes()[..edit_count];
-        // With pruning off, the containing-subsets bound of the acceptance criterion is
-        // exact: after adding to an n-program workload the re-sweep runs exactly 2^n cycle
-        // tests; after a removal, zero.
+        // With pruning off, the containing-subsets bound is exact: after adding to an
+        // n-program workload the re-sweep runs exactly 2^n cycle tests; after a removal, zero.
         let workload = synthetic(config);
         let pool = workload.programs.clone();
         let schema = workload.schema.clone();

@@ -11,7 +11,8 @@
 //! every subset either tested or pruned — on every workload (the `assert_agree` cross-check
 //! idiom of the dbcop consistency checker). The property tests drive the comparison over
 //! random synthetic workloads across the full evaluation grid; separate tests pin down the
-//! "exactly one construction per graph-shape combination" contract of the session, the
+//! "exactly one construction per graph-shape combination" contract of the session (against
+//! one per subset for the naive oracle, on all four bundled benchmarks), the
 //! strictly-fewer-cycle-tests claim of the pruning on TPC-C, the border bound on the cycle
 //! tests of a 16-program YCSB-T mix, and partial lane batches under serial and forced fan-out
 //! sweeps.
@@ -334,35 +335,68 @@ fn parallelism_pins_do_not_change_results() {
 
 #[test]
 fn session_constructs_exactly_one_graph_per_shape_combination() {
-    let workload = smallbank();
-    let subsets_per_run = (1usize << workload.programs.len()) - 1;
-    let session = RobustnessSession::new(workload);
+    for workload in [
+        smallbank(),
+        tpcc(),
+        auction(),
+        ycsb_t(YcsbtConfig::default()),
+    ] {
+        let name = workload.name.clone();
+        let subsets_per_run = (1usize << workload.programs.len()) - 1;
+        let session = RobustnessSession::new(workload.clone());
 
-    for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
+        for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
+            let before = SummaryGraph::constructions_on_current_thread();
+            let exploration = explore_subsets(&session, settings);
+            let after = SummaryGraph::constructions_on_current_thread();
+            assert!(exploration.robust.len() <= subsets_per_run);
+            assert_eq!(
+                after - before,
+                1,
+                "{name}: explore_subsets must construct exactly one summary graph under {settings}"
+            );
+        }
+
+        // Re-running any sweep hits the session cache: zero further constructions.
         let before = SummaryGraph::constructions_on_current_thread();
-        let exploration = explore_subsets(&session, settings);
-        let after = SummaryGraph::constructions_on_current_thread();
-        assert!(exploration.robust.len() <= subsets_per_run);
-        assert_eq!(
-            after - before,
-            1,
-            "explore_subsets must construct exactly one summary graph under {settings}"
+        explore_subsets(&session, AnalysisSettings::paper_default());
+        explore_subsets(
+            &session,
+            AnalysisSettings::baseline(mvrc_robustness::Granularity::Attribute, true),
         );
+        assert_eq!(
+            SummaryGraph::constructions_on_current_thread(),
+            before,
+            "{name}"
+        );
+
+        // The shared sweep against the naive oracle, as counts rather than timings: on a fresh
+        // session an exhaustive sweep builds one graph and cycle-tests every subset on it,
+        // while the oracle rebuilds a graph per subset. Both run on this thread, so the
+        // thread-local counter sees every construction.
+        let settings = AnalysisSettings::paper_default();
+        let fresh = RobustnessSession::new(workload);
+        let exhaustive = ExploreOptions {
+            closure_pruning: false,
+            parallelism: Parallelism::Serial,
+            ..ExploreOptions::default()
+        };
+        let before = SummaryGraph::constructions_on_current_thread();
+        let shared = explore_subsets_with(&fresh, settings, exhaustive);
+        let shared_builds = SummaryGraph::constructions_on_current_thread() - before;
+        let before = SummaryGraph::constructions_on_current_thread();
+        let naive = explore_subsets_naive(&fresh, settings);
+        let naive_builds = SummaryGraph::constructions_on_current_thread() - before;
+        assert_eq!(shared_builds, 1, "{name}: shared sweep graph builds");
+        assert_eq!(
+            shared.cycle_tests, subsets_per_run,
+            "{name}: shared cycle tests"
+        );
+        assert_eq!(
+            naive_builds, subsets_per_run as u64,
+            "{name}: naive graph builds"
+        );
+        assert_eq!(shared.robust, naive.robust, "{name}: robust subsets");
+        assert_eq!(shared.maximal, naive.maximal, "{name}: maximal subsets");
     }
-
-    // Re-running any sweep hits the session cache: zero further constructions.
-    let before = SummaryGraph::constructions_on_current_thread();
-    explore_subsets(&session, AnalysisSettings::paper_default());
-    explore_subsets(
-        &session,
-        AnalysisSettings::baseline(mvrc_robustness::Granularity::Attribute, true),
-    );
-    assert_eq!(SummaryGraph::constructions_on_current_thread(), before);
-
-    // The retained naive oracle really does reconstruct one graph per subset — the comparison
-    // the Criterion bench `subset_exploration` measures.
-    let before = SummaryGraph::constructions_on_current_thread();
-    explore_subsets_naive(&session, AnalysisSettings::paper_default());
-    let after = SummaryGraph::constructions_on_current_thread();
-    assert_eq!(after - before, subsets_per_run as u64);
 }

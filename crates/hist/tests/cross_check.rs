@@ -78,8 +78,9 @@ proptest! {
             // instead, so a sliver of statically-valid witnesses (e.g. two-instance predicate
             // write skew whose cycle needs a concurrent shared-row update) cannot execute at
             // all. Those surface as `Unrealized`: the verdict stands, the evidence search came
-            // up empty. The four paper benchmarks never hit this (pinned by the golden
-            // fixtures and `repro bench-certify`), so only tolerate it here.
+            // up empty. The four bundled benchmarks never hit this (pinned by the golden
+            // fixtures and `every_non_robust_benchmark_subset_is_certified` in
+            // tests/end_to_end.rs), so only tolerate it here.
             Err(CertifyError::Unrealized { .. }) => {}
             Err(e) => panic!("unexpected certify error ({config:?}): {e}"),
         }

@@ -1,11 +1,11 @@
 //! Frame-layer robustness: hostile or broken peers must never take the daemon down.
 //!
-//! Covers the three failure classes the protocol docs promise to contain: malformed JSON
-//! (error reply, connection survives), oversized frames (error reply *before any body
-//! allocation*, connection closed), and mid-frame disconnects (that connection alone dies;
-//! every other connection keeps working). Plus the request-shape errors above the frame
-//! layer: missing `op`, unknown op, unknown tenant, invalid `settings`, and a subset sweep
-//! over a tenant wider than the sweep accepts.
+//! Covers the three failure classes the protocol docs promise to contain: malformed JSON,
+//! including nesting past the decoder's recursion limit (error reply, connection survives),
+//! oversized frames (error reply *before any body allocation*, connection closed), and
+//! mid-frame disconnects (that connection alone dies; every other connection keeps working).
+//! Plus the request-shape errors above the frame layer: missing `op`, unknown op, unknown
+//! tenant, invalid `settings`, and a subset sweep over a tenant wider than the sweep accepts.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -61,6 +61,31 @@ fn malformed_json_earns_an_error_reply_and_the_connection_survives() {
     }
 
     // Framing stayed intact: a well-formed request on the same connection still works.
+    write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+
+    stop_server(&flag, handle);
+}
+
+#[test]
+fn deeply_nested_frame_earns_an_error_reply_and_the_connection_survives() {
+    let (addr, flag, handle) = start_server();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+
+    // 100,000 nested arrays: a 100 KB frame, far under the size limit, that a parser
+    // recursing once per level without a cap would overflow the connection thread's stack on,
+    // aborting the whole daemon.
+    let body = "[".repeat(100_000);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    let reply = roundtrip_raw(&mut stream, &frame).expect("reply");
+    let error = error_text(&reply);
+    assert!(
+        error.contains("malformed JSON") && error.contains("recursion limit"),
+        "got: {error}"
+    );
+
     write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
     let reply = read_frame(&mut stream).expect("reply");
     assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));

@@ -2,9 +2,10 @@
 //! This example backs every static verdict with executed evidence: for SmallBank subsets
 //! rejected by Algorithm 2 it compiles the analyzer's witness into a concrete MVRC history that
 //! the independent serializability checker rejects, and for subsets attested robust it runs the
-//! sampled attestation battery (the same certification that `repro bench-certify` applies to
-//! every rejected subset, the ground truth behind the false-negative discussion of Section 7.2
-//! of the paper).
+//! sampled attestation battery (the same certification that the test
+//! `every_non_robust_benchmark_subset_is_certified` applies to every rejected subset of the
+//! bundled benchmarks, the ground truth behind the false-negative discussion of Section 7.2 of
+//! the paper).
 //!
 //! ```text
 //! cargo run --release --example counterexample_hunt
