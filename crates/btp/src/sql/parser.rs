@@ -5,6 +5,11 @@ use super::lexer::{tokenize, Token, TokenKind};
 use crate::error::BtpError;
 use crate::span::SourceSpan;
 
+/// How deeply `IF` and loop blocks may nest. The parser recurses once per level, so without a
+/// cap a few kilobytes of nested blocks overflow the stack of the thread parsing them; with it,
+/// deeper nesting is a [`BtpError::SqlParse`] at the block that crosses the limit.
+const MAX_BLOCK_NESTING: usize = 128;
+
 /// Parses a workload script into its `PROGRAM` blocks.
 ///
 /// Catalog declarations (`SCHEMA …;`, `TABLE …;`, `CREATE TABLE …;`, `FOREIGN KEY …;`) may be
@@ -12,7 +17,11 @@ use crate::span::SourceSpan;
 /// [`parse_catalog`](super::parse_catalog).
 pub fn parse_text(text: &str) -> Result<Vec<SqlProgram>, BtpError> {
     let tokens = tokenize(text)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut programs = Vec::new();
     while !parser.at_end() {
         if parser.peek_keyword("schema")
@@ -31,6 +40,8 @@ pub fn parse_text(text: &str) -> Result<Vec<SqlProgram>, BtpError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Number of `IF`/loop blocks enclosing the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -182,10 +193,10 @@ impl Parser {
             return self.parse_delete().map(Some);
         }
         if self.peek_keyword("if") {
-            return self.parse_if().map(Some);
+            return self.nested(Self::parse_if).map(Some);
         }
         if self.peek_keyword("repeat") || self.peek_keyword("for") || self.peek_keyword("while") {
-            return self.parse_loop().map(Some);
+            return self.nested(Self::parse_loop).map(Some);
         }
         Err(self.error(format!("unexpected token {:?}", self.peek())))
     }
@@ -335,6 +346,23 @@ impl Parser {
             where_clause,
             span,
         })
+    }
+
+    /// Parses one `IF`/loop block with `parse`, one level deeper; fails at the block's first
+    /// token when that level would exceed [`MAX_BLOCK_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<SqlStatement, BtpError>,
+    ) -> Result<SqlStatement, BtpError> {
+        if self.depth == MAX_BLOCK_NESTING {
+            return Err(self.error(format!(
+                "blocks nest more than {MAX_BLOCK_NESTING} levels deep"
+            )));
+        }
+        self.depth += 1;
+        let block = parse(self);
+        self.depth -= 1;
+        block
     }
 
     fn parse_if(&mut self) -> Result<SqlStatement, BtpError> {
@@ -691,5 +719,47 @@ mod tests {
             }
             other => panic!("expected update, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn block_nesting_is_capped_with_a_typed_error() {
+        // `levels` IF blocks around one SELECT, each opening on its own line.
+        let nested = |levels: usize| {
+            format!(
+                "PROGRAM P {{\n{}SELECT a FROM R;\n{}}}",
+                "IF :x THEN\n".repeat(levels),
+                "END IF;\n".repeat(levels)
+            )
+        };
+        let programs = parse_text(&nested(MAX_BLOCK_NESTING)).unwrap();
+        let mut depth = 0;
+        let mut body = &programs[0].body;
+        while let [SqlStatement::If { then_branch, .. }] = body.as_slice() {
+            depth += 1;
+            body = then_branch;
+        }
+        assert_eq!(depth, MAX_BLOCK_NESTING);
+
+        for levels in [MAX_BLOCK_NESTING + 1, 100_000] {
+            match parse_text(&nested(levels)).unwrap_err() {
+                BtpError::SqlParse {
+                    line,
+                    column,
+                    message,
+                } => {
+                    // The IF that would open level MAX_BLOCK_NESTING + 1.
+                    assert_eq!((line, column), (MAX_BLOCK_NESTING + 2, 1));
+                    assert!(message.contains("nest"), "{message}");
+                }
+                other => panic!("expected parse error, got {other:?}"),
+            }
+        }
+        // Loops count toward the same limit.
+        let mixed = format!(
+            "PROGRAM P {{ {} SELECT a FROM R; {} }}",
+            "WHILE :x DO ".repeat(MAX_BLOCK_NESTING + 1),
+            "END WHILE; ".repeat(MAX_BLOCK_NESTING + 1)
+        );
+        assert!(matches!(parse_text(&mixed), Err(BtpError::SqlParse { .. })));
     }
 }

@@ -202,8 +202,8 @@ OPTIONS:
     --programs L  comma-separated program names: certify this subset instead of the whole
                   workload (certify)
     --labels      include statement labels on graph edges (graph)
-    --threads N   pin the worker-pool size used by parallel sweeps (default: MVRC_THREADS
-                  or the available parallelism); N must be at least 1
+    --threads N   threads a large subset sweep may use (default: MVRC_THREADS or the
+                  available parallelism); N must be at least 1
     --incremental reuse the previous run's verdicts from the --cache snapshot, re-sweeping
                   only subsets a workload edit invalidated (subsets; requires --cache)
     --cache F     the snapshot file holding the previous run's verdicts; created on the first
@@ -235,9 +235,8 @@ EXIT CODES:
 
 /// Consumes a global `--threads N` option from the argument list, validating the count.
 ///
-/// `--threads 0` is a usage error with a dedicated message — a zero-sized pool cannot run
-/// anything, so the value is rejected here instead of being passed through to the pool
-/// configuration.
+/// `--threads 0` is a usage error with a dedicated message — zero threads cannot run
+/// anything, so the value is rejected here instead of being passed on as a thread count.
 pub fn extract_threads(args: &mut Vec<String>) -> Result<Option<usize>, CliError> {
     let Some(i) = args.iter().position(|a| a == "--threads") else {
         return Ok(None);
@@ -254,7 +253,7 @@ pub fn extract_threads(args: &mut Vec<String>) -> Result<Option<usize>, CliError
     })?;
     if threads == 0 {
         return Err(CliError::Usage(
-            "`--threads 0` is invalid: the worker pool needs at least one thread".to_string(),
+            "`--threads 0` is invalid: a sweep needs at least one thread".to_string(),
         ));
     }
     args.drain(i..=i + 1);
@@ -818,7 +817,7 @@ mod tests {
         let mut absent = args(&["analyze", "w.sql"]);
         assert_eq!(extract_threads(&mut absent).unwrap(), None);
 
-        // `--threads 0` is rejected with a dedicated message instead of reaching the pool.
+        // `--threads 0` is rejected with a dedicated message instead of reaching the thread count.
         let mut zero = args(&["analyze", "--threads", "0", "w.sql"]);
         match extract_threads(&mut zero).unwrap_err() {
             CliError::Usage(msg) => assert!(msg.contains("--threads 0"), "{msg}"),

@@ -36,10 +36,10 @@ pub use error::CliError;
 /// Parses the command line (excluding the binary name) and executes it.
 ///
 /// The global `--threads N` option is consumed here, before command parsing (validation —
-/// including the dedicated `--threads 0` rejection — lives in [`extract_threads`]): it pins
-/// the size of the `mvrc-par` worker pool used by the parallel subset sweeps (equivalent to
-/// setting `MVRC_THREADS=N`). The pool is process-wide and created on first use, so the pin
-/// is best effort when `run` is called more than once in one process.
+/// including the dedicated `--threads 0` rejection — lives in [`extract_threads`]): it sets
+/// how many threads a large subset sweep may use (equivalent to setting `MVRC_THREADS=N`).
+/// The count is process-wide and resolved on first use, so the pin is best effort when `run`
+/// is called more than once in one process.
 pub fn run(args: &[String]) -> Result<CommandOutput, CliError> {
     let mut args = args.to_vec();
     if let Some(threads) = extract_threads(&mut args)? {

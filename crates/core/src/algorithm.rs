@@ -17,11 +17,9 @@ use crate::kernels;
 use crate::settings::CycleCondition;
 use crate::summary::{NodeId, SummaryEdge, SummaryGraph, SummaryGraphView};
 use mvrc_btp::StatementKind;
-use mvrc_par::WorkerLocal;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Witness for a type-I cycle: a counterflow edge that lies on a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -308,7 +306,7 @@ pub fn find_type2_violation(graph: &SummaryGraph) -> Option<Type2Witness> {
 /// of its targets' reach rows), then one row per candidate `P_5` (the union of the source rows
 /// `P_5` reaches). That is `nc_pairs + candidates × sources` row ORs. Every temporary — the
 /// pair-dedup bitset, the representative edges, the candidate list, the source bitset and
-/// both row matrices — lives in reusable per-worker scratch, so repeated calls perform no
+/// both row matrices — lives in reusable thread-local scratch, so repeated calls perform no
 /// universe-sized allocations.
 pub fn find_type2_violation_in<G: SummaryGraphView>(view: &G) -> Option<Type2Witness> {
     let n = view.universe();
@@ -488,9 +486,7 @@ pub fn all_violations_in<G: SummaryGraphView>(
     out
 }
 
-/// Reusable temporaries for [`find_type2_violation_in`]. Pool workers use one [`WorkerLocal`]
-/// slot each (the subset sweep calls the check once per subset), other threads a plain
-/// thread-local. `nc_seen` is self-cleaning: the function clears the bits it set before
+/// Reusable temporaries for [`find_type2_violation_in`], one set per thread. `nc_seen` is self-cleaning: the function clears the bits it set before
 /// returning, so the bitset never needs re-zeroing between calls.
 #[derive(Default)]
 struct Type2Scratch {
@@ -509,18 +505,11 @@ struct Type2Scratch {
 }
 
 fn with_type2_scratch<R>(f: impl FnOnce(&mut Type2Scratch) -> R) -> R {
-    static SCRATCH: OnceLock<WorkerLocal<Type2Scratch>> = OnceLock::new();
-    if mvrc_par::current_worker_index().is_some() {
-        SCRATCH
-            .get_or_init(|| WorkerLocal::new(Type2Scratch::default))
-            .with(f)
-    } else {
-        NON_WORKER_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
-    }
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 thread_local! {
-    static NON_WORKER_SCRATCH: RefCell<Type2Scratch> = RefCell::new(Type2Scratch::default());
+    static SCRATCH: RefCell<Type2Scratch> = RefCell::new(Type2Scratch::default());
 }
 
 #[cfg(test)]

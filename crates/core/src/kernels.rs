@@ -7,13 +7,9 @@
 //! every successor component are already final — the component's own row is just its members'
 //! self bits OR-ed with those successor rows, 64 destination nodes per word operation, one OR
 //! per edge instead of one traversal step per `(source, edge)` pair. Member rows are then
-//! materialized by copying their component's row; above [`PARALLEL_WORDS_THRESHOLD`] total
-//! words that copy fans out over `mvrc-par` row chunks (chunks are reduced in index order, so
-//! the ordered concatenation reassembles the matrix row by row).
-//!
-//! Small closures — every induced view of the subset sweep — stay on a strictly serial path
-//! that draws its temporaries from per-worker scratch, performing no pool interaction and no
-//! steady-state allocation beyond the returned rows.
+//! materialized by copying their component's row. The kernel runs inline on the caller and
+//! draws its temporaries from thread-local scratch, so the induced views of a subset sweep
+//! perform no steady-state allocation beyond the returned rows.
 //!
 //! # Bit-sliced subset sweeps
 //!
@@ -42,14 +38,7 @@
 //! fixpoint over node pairs instead of up to 64 Tarjan condensations.
 
 use crate::settings::CycleCondition;
-use mvrc_par::{fold_chunks, Parallelism, WorkerLocal};
 use std::cell::RefCell;
-use std::sync::OnceLock;
-
-/// Total closure size (`rows · words_per_row`) from which the row materialization is worth
-/// fanning out over the pool. Below it (every subset-sweep view, most full graphs) the whole
-/// kernel runs inline on the caller with reusable scratch.
-pub(crate) const PARALLEL_WORDS_THRESHOLD: usize = 1 << 15;
 
 /// `dst |= src`, word-wise. Chunked by four words so the loop autovectorizes.
 #[inline]
@@ -131,7 +120,7 @@ pub(crate) struct LaneType2Group {
 
 /// Reusable lane-kernel temporaries: the membership words the caller fills per batch, plus the
 /// reachability, per-source and closing-set matrices [`sweep_lanes`] rebuilds from them. Lives
-/// in the per-worker sweep scratch so batches perform no steady-state allocation.
+/// in the per-thread sweep scratch so batches perform no steady-state allocation.
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
     /// Membership words, one per graph node: bit `i` ⇔ the node's program is in subset `i`.
@@ -290,7 +279,7 @@ struct Frame {
     cursor: u32,
 }
 
-/// Reusable Tarjan + condensation temporaries. Sized by the largest closure a worker has
+/// Reusable Tarjan + condensation temporaries. Sized by the largest closure the thread has
 /// computed; the subset-sweep hot loop reuses the same warm buffers for every view.
 #[derive(Default)]
 struct ClosureScratch {
@@ -306,18 +295,11 @@ struct ClosureScratch {
 }
 
 fn with_closure_scratch<R>(f: impl FnOnce(&mut ClosureScratch) -> R) -> R {
-    static SCRATCH: OnceLock<WorkerLocal<ClosureScratch>> = OnceLock::new();
-    if mvrc_par::current_worker_index().is_some() {
-        SCRATCH
-            .get_or_init(|| WorkerLocal::new(ClosureScratch::default))
-            .with(f)
-    } else {
-        NON_WORKER_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
-    }
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 thread_local! {
-    static NON_WORKER_SCRATCH: RefCell<ClosureScratch> = RefCell::new(ClosureScratch::default());
+    static SCRATCH: RefCell<ClosureScratch> = RefCell::new(ClosureScratch::default());
 }
 
 /// Computes the reflexive-transitive closure of a graph given by indexable successor lists,
@@ -334,7 +316,6 @@ pub(crate) fn transitive_closure<SB, D, S>(
     self_bit: SB,
     degree: D,
     successor: S,
-    parallelism: Parallelism,
 ) -> Vec<u64>
 where
     SB: Fn(usize) -> usize,
@@ -345,50 +326,15 @@ where
         return Vec::new();
     }
     assert!(rows < UNVISITED as usize, "closure row count exceeds u32");
-    let total_words = rows * words_per_row;
-    if total_words >= PARALLEL_WORDS_THRESHOLD && parallelism.effective_threads() > 1 {
-        // Large closure: fresh (non-shared) state, so the parallel materialization below can
-        // run even from inside a pool worker without re-entering any scratch slot.
-        let mut state = ClosureScratch::default();
-        condense(
-            &mut state,
-            rows,
-            words_per_row,
-            &self_bit,
-            &degree,
-            &successor,
-        );
-        let rep_rows = &state.rep_rows;
-        let scc_of = &state.scc_of;
-        fold_chunks(
-            0..rows,
-            parallelism,
-            1,
-            Vec::new,
-            |mut out: Vec<u64>, chunk| {
-                out.reserve(chunk.len() * words_per_row);
-                for r in chunk {
-                    let base = scc_of[r] as usize * words_per_row;
-                    out.extend_from_slice(&rep_rows[base..base + words_per_row]);
-                }
-                out
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        )
-    } else {
-        with_closure_scratch(|state| {
-            condense(state, rows, words_per_row, &self_bit, &degree, &successor);
-            let mut out = Vec::with_capacity(total_words);
-            for r in 0..rows {
-                let base = state.scc_of[r] as usize * words_per_row;
-                out.extend_from_slice(&state.rep_rows[base..base + words_per_row]);
-            }
-            out
-        })
-    }
+    with_closure_scratch(|state| {
+        condense(state, rows, words_per_row, &self_bit, &degree, &successor);
+        let mut out = Vec::with_capacity(rows * words_per_row);
+        for r in 0..rows {
+            let base = state.scc_of[r] as usize * words_per_row;
+            out.extend_from_slice(&state.rep_rows[base..base + words_per_row]);
+        }
+        out
+    })
 }
 
 /// Iterative Tarjan SCC condensation plus per-component closure rows.
@@ -535,7 +481,7 @@ mod tests {
         out
     }
 
-    fn closure_of(adj: &[Vec<usize>], parallelism: Parallelism) -> Vec<u64> {
+    fn closure_of(adj: &[Vec<usize>]) -> Vec<u64> {
         let rows = adj.len();
         transitive_closure(
             rows,
@@ -543,7 +489,6 @@ mod tests {
             |r| r,
             |r| adj[r].len(),
             |r, k| adj[r][k],
-            parallelism,
         )
     }
 
@@ -605,18 +550,18 @@ mod tests {
 
     #[test]
     fn empty_and_single_node_graphs() {
-        assert!(closure_of(&[], Parallelism::Serial).is_empty());
+        assert!(closure_of(&[]).is_empty());
         // A single node with no edges reaches exactly itself.
-        assert_eq!(closure_of(&[vec![]], Parallelism::Serial), vec![1]);
+        assert_eq!(closure_of(&[vec![]]), vec![1]);
         // A self-loop changes nothing.
-        assert_eq!(closure_of(&[vec![0]], Parallelism::Serial), vec![1]);
+        assert_eq!(closure_of(&[vec![0]]), vec![1]);
     }
 
     #[test]
     fn cycle_and_chain_close_correctly() {
         // 0 -> 1 -> 2 -> 0 is one SCC; 3 -> 0 sees all of it.
         let adj = vec![vec![1], vec![2], vec![0], vec![0]];
-        let rows = closure_of(&adj, Parallelism::Serial);
+        let rows = closure_of(&adj);
         assert_eq!(rows, vec![0b0111, 0b0111, 0b0111, 0b1111]);
     }
 
@@ -642,15 +587,13 @@ mod tests {
             }
             let words = rows.div_ceil(64).max(1);
             let want = bfs_closure(rows, words, &adj);
-            prop_assert_eq!(&closure_of(&adj, Parallelism::Serial), &want);
-            prop_assert_eq!(&closure_of(&adj, Parallelism::Auto), &want);
+            prop_assert_eq!(&closure_of(&adj), &want);
         }
     }
 
     #[test]
-    fn large_closure_takes_the_parallel_path_and_matches_the_oracle() {
-        // 1024 nodes, 16 words per row -> 16384 rows*words... keep above the threshold by
-        // using 2048 nodes (2048 * 32 = 65536 words): a long chain with shortcut edges.
+    fn large_closure_matches_the_oracle() {
+        // 2048 nodes, 32 words per row: a long chain with shortcut edges.
         let n = 2048;
         let mut adj = vec![Vec::new(); n];
         for (v, succs) in adj.iter_mut().enumerate().take(n - 1) {
@@ -659,10 +602,7 @@ mod tests {
         for v in (0..n).step_by(97) {
             adj[v].push(v / 2);
         }
-        let words = n.div_ceil(64);
-        assert!(n * words >= PARALLEL_WORDS_THRESHOLD);
-        let want = bfs_closure(n, words, &adj);
-        assert_eq!(closure_of(&adj, Parallelism::Auto), want);
-        assert_eq!(closure_of(&adj, Parallelism::Serial), want);
+        let want = bfs_closure(n, n.div_ceil(64), &adj);
+        assert_eq!(closure_of(&adj), want);
     }
 }

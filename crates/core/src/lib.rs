@@ -27,10 +27,10 @@
 //! the [`explore_subsets`] sweep of Section 7 — through cheap views of the cached graphs,
 //! updating them incrementally under workload edits. The subset sweep additionally exploits
 //! both directions of Proposition 5.2 to skip the cycle test for subsets of known-robust sets
-//! and supersets of known-non-robust ones, and runs on the `mvrc-par` work-stealing runtime:
-//! each popcount level is one lazily split fold over the words of the verdict bitsets (no level
-//! is ever materialized), with the fan-out pinnable through [`Parallelism`] on the session or
-//! on [`ExploreOptions`].
+//! and supersets of known-non-robust ones. It walks the popcount levels over the words of the
+//! verdict bitsets (no level is ever materialized); a large sweep splits each level across the
+//! threads of one [`std::thread::scope`], pinnable per call through [`Parallelism`] on
+//! [`ExploreOptions`].
 //!
 //! ```
 //! use mvrc_schema::SchemaBuilder;

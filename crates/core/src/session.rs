@@ -8,7 +8,6 @@ use crate::settings::{AnalysisSettings, CycleCondition, Granularity};
 use crate::subsets::CachedSweep;
 use crate::summary::{program_fingerprint, SummaryGraph, UnknownProgram};
 use mvrc_btp::{unfold, LinearProgram, Program, Workload};
-use mvrc_par::Parallelism;
 use mvrc_schema::Schema;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -103,7 +102,6 @@ pub struct RobustnessSession {
     /// self-describing (they carry their own program list and fingerprints), so workload edits
     /// leave them untouched and the rebase happens lazily at the next incremental sweep.
     sweeps: Mutex<HashMap<AnalysisSettings, CachedSweep>>,
-    parallelism: Parallelism,
 }
 
 impl RobustnessSession {
@@ -123,7 +121,6 @@ impl RobustnessSession {
             ltps,
             cache: Default::default(),
             sweeps: Mutex::new(HashMap::new()),
-            parallelism: Parallelism::Auto,
         }
     }
 
@@ -156,26 +153,7 @@ impl RobustnessSession {
             ltps,
             cache: Default::default(),
             sweeps: Mutex::new(HashMap::new()),
-            parallelism: Parallelism::Auto,
         }
-    }
-
-    /// Pins how much of the `mvrc-par` pool this session's parallel sweeps may use
-    /// ([`Parallelism::Auto`] — the default — means the whole pool). Individual calls can
-    /// still override this through [`crate::ExploreOptions::parallelism`].
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Changes the session's [`Parallelism`] in place; see [`Self::with_parallelism`].
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The session's parallelism pin (how much of the pool sweeps may use).
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// The workload this session analyzes.
@@ -332,7 +310,6 @@ impl RobustnessSession {
             ltps,
             cache,
             sweeps: Mutex::new(HashMap::new()),
-            parallelism: Parallelism::Auto,
         }
     }
 
@@ -476,7 +453,6 @@ impl Clone for RobustnessSession {
                     .expect("session sweep cache poisoned")
                     .clone(),
             ),
-            parallelism: self.parallelism,
         }
     }
 }

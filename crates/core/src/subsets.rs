@@ -25,14 +25,22 @@
 //! Verdicts live in bitsets over the masks (mask `m` at bit `m % 64` of word `m / 64`). Since
 //! `popcount(m) = popcount(m / 64) + popcount(m % 64)`, the level-`k` masks of word `w` are the
 //! in-word positions of popcount `k − popcount(w)` — one precomputed `u64` per popcount. Each
-//! level is one parallel fold over the word range: the `mvrc-par` runtime splits it lazily
-//! across its workers, and each chunk picks the still-open masks (neither seeded nor refuted)
-//! of the level out of its words, packs up to 64 of them into `u64` lanes and decides each
-//! batch with one lane-parallel traversal of the shared graph (the private `kernels` module
-//! docs describe the membership-word encoding). Nothing is collected per level: peak memory is
-//! the bitsets plus one small accumulator per active chunk. [`explore_subsets_naive`], which
-//! rebuilds the summary graph and runs the scalar cycle test per subset, is the oracle the
-//! sweep is checked against.
+//! level is one pass over the word range: a range picks the still-open masks (neither seeded
+//! nor refuted) of the level out of its words, packs up to 64 of them into `u64` lanes and
+//! decides each batch with one lane-parallel traversal of the shared graph (the private
+//! `kernels` module docs describe the membership-word encoding). Nothing is collected per
+//! level: peak memory is the bitsets plus one lane batch per thread.
+//!
+//! # Fan-out
+//!
+//! Small sweeps run inline on the calling thread. A large sweep opens one
+//! [`std::thread::scope`] for its whole level walk: every thread takes word ranges of the
+//! current level from a shared cursor, and a [`Barrier`] separates the levels, so a level
+//! reads only verdicts the level above fully published. [`Parallelism::Auto`] fans out from
+//! [`AUTO_FANOUT_MIN_SUBSETS`] subsets on.
+//!
+//! [`explore_subsets_naive`], which rebuilds the summary graph and runs the scalar cycle test
+//! per subset, is the oracle the sweep is checked against.
 //!
 //! The sweep is exponential: it accepts at most [`MAX_SWEEP_PROGRAMS`] programs, and
 //! [`TooManyPrograms`] is the typed error for larger workloads.
@@ -43,13 +51,14 @@ use crate::session::RobustnessSession;
 use crate::settings::AnalysisSettings;
 use crate::summary::{NodeId, SummaryGraph};
 use mvrc_btp::LinearProgram;
-use mvrc_par::{fold_chunks, Parallelism, WorkerLocal};
+use mvrc_par::Parallelism;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 /// The largest number of programs a subset sweep accepts. The sweep visits all `2^n - 1`
 /// non-empty subsets, and its verdict bitsets are sized for this bound.
@@ -88,10 +97,6 @@ impl std::error::Error for TooManyPrograms {}
 /// Options controlling the subset exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExploreOptions {
-    /// The sweep runs serially when the total number of subsets (`2^n`) is below this
-    /// threshold and fans out across the `mvrc-par` pool otherwise. Below the default of 64
-    /// subsets the whole sweep takes microseconds and fan-out would dominate.
-    pub parallel_threshold: usize,
     /// Exploit both directions of Proposition 5.2: every subset of a known-robust set is robust
     /// and every superset of a known-non-robust set is non-robust, so such masks are decided
     /// without running their cycle test (the module docs give the level order). Exact — an
@@ -115,9 +120,11 @@ pub struct ExploreOptions {
     /// size. (Not serialized, like `incremental` itself.)
     #[serde(skip, default = "default_incremental_min_subsets")]
     pub incremental_min_subsets: usize,
-    /// How much of the pool the sweep may use. [`Parallelism::Auto`] defers to the session's
-    /// [`RobustnessSession::parallelism`] setting; any other value overrides it for this call.
-    /// (Not serialized: a thread cap is an execution detail, not part of the result's shape.)
+    /// How many threads the level walk may use. [`Parallelism::Auto`] fans out only from 2^18
+    /// subsets (18 programs) on, where two threads measured faster than one;
+    /// [`Parallelism::Threads`] fans out at any size whose levels span more than one 16-word
+    /// range (from 11 programs on). [`Parallelism::Serial`] runs inline. (Not serialized: a
+    /// thread cap is an execution detail, not part of the result's shape.)
     #[serde(skip)]
     pub parallelism: Parallelism,
 }
@@ -125,7 +132,6 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
-            parallel_threshold: 64,
             closure_pruning: true,
             incremental: false,
             incremental_min_subsets: default_incremental_min_subsets(),
@@ -219,9 +225,16 @@ const BIT_CLEAR: [u64; 6] = [
     0x0000_0000_ffff_ffff,
 ];
 
-/// Words per chunk of a parallel level walk: enough masks per chunk for the lane batches to
-/// fill on dense levels.
+/// Words per range a thread of a parallel level walk takes at once: enough masks per range
+/// for the lane batches to fill on dense levels.
 const WORD_GRAIN: usize = 16;
+
+/// The subset count (`2^n`) from which [`Parallelism::Auto`] fans the level walk out. On a
+/// 2-core host (straight-line synthetic workloads, seed 7, median sweep times), two threads
+/// were no faster than one below it (0.30 against 0.30–0.43 ms at 2^16 subsets, 0.40–0.65
+/// against 0.51–0.70 ms at 2^17) and faster from it on (1.20–1.27 against 1.07–1.17 ms at
+/// 2^18, 5.1–5.3 against 3.8–4.0 ms at 2^20). One spawn and 17 level barriers cost ~0.18 ms.
+const AUTO_FANOUT_MIN_SUBSETS: usize = 1 << 18;
 
 /// The masks whose bits are set in word `w` of a mask bitset, in ascending order.
 fn word_masks(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
@@ -436,8 +449,8 @@ fn rebase_cached_sweep(
 /// robust verdicts, the masks seeded from a previous sweep, and the masks refuted as supersets
 /// of known-non-robust sets.
 ///
-/// [`explore_subsets_with`] runs [`decide`](Self::decide), which folds every walked level's
-/// word range through [`run_words`](Self::run_words) in chunks. The split into chunks is
+/// [`explore_subsets_with`] runs [`decide`](Self::decide), which passes every walked level's
+/// word range through [`run_words`](Self::run_words) in ranges. The split into ranges is
 /// *invisible in the result*: verdicts are deterministic per mask, and the decision for a mask
 /// only reads `refuted` (fixed before the walk) and the fully published verdicts of the level
 /// above, so any partition of a level produces identical verdict bits and identical summed
@@ -458,9 +471,8 @@ struct LevelSweep {
     refuted: Vec<u64>,
 }
 
-/// Per-worker sweep temporaries: the pending-mask batch and the lane matrices. One slot per
-/// pool worker (plus a thread-local for non-pool callers), so sweeps split into many small
-/// chunks stop churning allocations.
+/// Per-thread sweep temporaries: the pending-mask batch and the lane matrices, so a sweep
+/// split into many small ranges does not churn allocations.
 #[derive(Default)]
 struct SweepScratch {
     batch: Vec<usize>,
@@ -468,18 +480,11 @@ struct SweepScratch {
 }
 
 fn with_sweep_scratch<R>(f: impl FnOnce(&mut SweepScratch) -> R) -> R {
-    static SCRATCH: OnceLock<WorkerLocal<SweepScratch>> = OnceLock::new();
-    if mvrc_par::current_worker_index().is_some() {
-        SCRATCH
-            .get_or_init(|| WorkerLocal::new(SweepScratch::default))
-            .with(f)
-    } else {
-        NON_WORKER_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
-    }
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 thread_local! {
-    static NON_WORKER_SCRATCH: RefCell<SweepScratch> = RefCell::new(SweepScratch::default());
+    static SCRATCH: RefCell<SweepScratch> = RefCell::new(SweepScratch::default());
 }
 
 impl LevelSweep {
@@ -669,24 +674,81 @@ impl LevelSweep {
         (counters, 3..n)
     }
 
-    /// Decides every mask and returns the summed counters. `walk(level)` must decide the open
-    /// masks of `level` over all words, through [`run_words`](Self::run_words); it is called
-    /// once per walked level in descending order.
-    fn decide(&mut self, walk: impl Fn(&Self, usize) -> SweepCounters) -> SweepCounters {
+    /// Decides every mask with up to `threads` threads and returns the summed counters.
+    fn decide(&mut self, threads: usize) -> SweepCounters {
         let n = self.programs.len();
-        let (mut totals, walked) = if self.closure_pruning && n > 0 {
+        let (borders, walked) = if self.closure_pruning && n > 0 {
             self.decide_borders()
         } else {
             (SweepCounters::default(), 1..n + 1)
         };
-        for level in walked.rev() {
-            totals = totals.merged(walk(self, level));
-        }
+        let totals = borders.merged(self.walk_levels(walked, threads));
         debug_assert!(
             (0..self.refuted.len()).all(|w| self.refuted[w] & self.robust_supersets(w) == 0),
             "a refuted mask has a robust one-bit superset"
         );
         totals
+    }
+
+    /// Decides the open masks of `levels`, in descending order, through
+    /// [`run_words`](Self::run_words). With one thread, or one [`WORD_GRAIN`] range per level,
+    /// the walk runs inline. Otherwise one scope holds `threads − 1` helpers besides the caller
+    /// for the whole walk: each thread takes word ranges (at least [`WORD_GRAIN`] words) of the
+    /// current level from that level's cursor, and the barrier after each level publishes its
+    /// verdicts (the barrier's synchronization orders every `Relaxed` store of level `k + 1`
+    /// before every load at level `k`). A panic in one thread is carried past the remaining
+    /// barriers, so no thread waits forever, and is resumed on the caller once the scope has
+    /// joined.
+    fn walk_levels(&self, levels: Range<usize>, threads: usize) -> SweepCounters {
+        let words = self.robust.len();
+        let threads = threads.min(words.div_ceil(WORD_GRAIN));
+        if threads <= 1 {
+            return levels.rev().fold(SweepCounters::default(), |acc, level| {
+                acc.merged(self.run_words(level, 0..words))
+            });
+        }
+        let cursors: Vec<AtomicUsize> = levels.clone().map(|_| AtomicUsize::new(0)).collect();
+        let barrier = Barrier::new(threads);
+        // About eight ranges per thread and level: on 2^20 subsets, 16-word ranges meant 1,024
+        // increments of one contended cursor per level and made two threads slower than one.
+        let grain = WORD_GRAIN.max(words / (threads * 8));
+        let walk = || {
+            let mut counters = SweepCounters::default();
+            let mut panic = None;
+            for (level, cursor) in levels.clone().rev().zip(&cursors) {
+                if panic.is_none() {
+                    let step = catch_unwind(AssertUnwindSafe(|| {
+                        let mut step = SweepCounters::default();
+                        loop {
+                            let start = cursor.fetch_add(grain, Ordering::Relaxed);
+                            if start >= words {
+                                return step;
+                            }
+                            let end = (start + grain).min(words);
+                            step = step.merged(self.run_words(level, start..end));
+                        }
+                    }));
+                    match step {
+                        Ok(step) => counters = counters.merged(step),
+                        Err(payload) => panic = Some(payload),
+                    }
+                }
+                barrier.wait();
+            }
+            panic.map_or(Ok(counters), Err)
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(walk)).collect();
+            let mut totals = walk();
+            for helper in helpers {
+                let theirs = helper.join().expect("sweep threads catch their own panics");
+                totals = match (totals, theirs) {
+                    (Ok(ours), Ok(theirs)) => Ok(ours.merged(theirs)),
+                    (Err(payload), _) | (_, Err(payload)) => Err(payload),
+                };
+            }
+            totals.unwrap_or_else(|payload| resume_unwind(payload))
+        })
     }
 
     /// Decides the open masks of `level` in the words `words`.
@@ -695,8 +757,8 @@ impl LevelSweep {
     /// one-bit superset inherits robustness; every other open mask is packed into a lane batch.
     ///
     /// Correct accounting requires the caller to respect the level order: every range of level
-    /// `k + 1` must complete before any range of level `k` runs — [`explore_subsets_with`]'s
-    /// fold barrier does.
+    /// `k + 1` must complete before any range of level `k` runs — the level barrier of
+    /// [`walk_levels`](Self::walk_levels) does.
     fn run_words(&self, level: usize, words: Range<usize>) -> SweepCounters {
         let n = self.programs.len();
         let mut counters = SweepCounters::default();
@@ -797,9 +859,9 @@ pub fn explore_subsets(
 /// not robust) the singletons and pairs, and the remaining levels are walked in descending
 /// popcount order, deciding supersets of non-robust sets and subsets of robust sets without a
 /// cycle test (the module docs give the steps). Levels are independent-within and
-/// ordered-between: each level is one parallel pass over the pool, and the barrier between
-/// levels keeps the pruning reads race-free — a level only ever reads verdict bits of the level
-/// above it, which the preceding pass fully published.
+/// ordered-between: a fanned-out sweep splits each level into word ranges across its threads,
+/// and the barrier between levels keeps the pruning reads race-free — a level only ever reads
+/// verdict bits of the level above it, which the preceding pass fully published.
 ///
 /// [`explore_subsets_naive`] retains the literal per-subset reconstruction for cross-checking.
 ///
@@ -836,29 +898,11 @@ pub fn explore_subsets_with(
         None
     };
 
-    let parallelism = if (1usize << n) >= options.parallel_threshold {
-        match options.parallelism {
-            Parallelism::Auto => session.parallelism(),
-            pinned => pinned,
-        }
-    } else {
-        Parallelism::Serial
+    let threads = match options.parallelism {
+        Parallelism::Auto if (1usize << n) < AUTO_FANOUT_MIN_SUBSETS => 1,
+        parallelism => parallelism.effective_threads(),
     };
-
-    // Robustness verdicts live in the sweep's atomic bitset. Within a level workers publish
-    // their own bits concurrently (`fetch_or`); across levels the runtime's fold barrier
-    // orders every store of level k+1 before every load at level k, so `Relaxed` suffices.
-    let words = sweep.robust.len();
-    let totals = sweep.decide(|sweep, level| {
-        fold_chunks(
-            0..words,
-            parallelism,
-            WORD_GRAIN,
-            SweepCounters::default,
-            |acc, chunk| acc.merged(sweep.run_words(level, chunk)),
-            SweepCounters::merged,
-        )
-    });
+    let totals = sweep.decide(threads);
 
     let exploration = sweep.exploration(totals, reused);
     if let Some(program_fingerprints) = fingerprints {
@@ -1090,10 +1134,13 @@ mod tests {
         for closure_pruning in [true, false] {
             let mut sweep = LevelSweep::new(&session, settings, closure_pruning).unwrap();
             let words = sweep.robust.len();
-            let totals = sweep.decide(|sweep, level| {
-                (0..words).fold(SweepCounters::default(), |acc, w| {
-                    acc.merged(sweep.run_words(level, w..w + 1))
-                })
+            let (borders, walked) = if closure_pruning {
+                sweep.decide_borders()
+            } else {
+                (SweepCounters::default(), 1..10)
+            };
+            let totals = walked.rev().fold(borders, |acc, level| {
+                (0..words).fold(acc, |acc, w| acc.merged(sweep.run_words(level, w..w + 1)))
             });
             let exploration = sweep.exploration(totals, 0);
             assert_eq!(exploration.robust, reference.robust);

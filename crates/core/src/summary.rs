@@ -17,7 +17,6 @@ use crate::settings::{AnalysisSettings, CycleCondition, Granularity};
 use crate::slab::{U32Slab, U64Slab};
 use crate::tables::{c_dep_table, nc_dep_table};
 use mvrc_btp::{LinearProgram, Statement, StmtPos};
-use mvrc_par::{Parallelism, WorkerLocal};
 use mvrc_schema::Schema;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -452,7 +451,6 @@ impl SummaryGraph {
                 |v| v,
                 |v| out.slice(v).len(),
                 |v, k| self.edges[out.slice(v)[k] as usize].to,
-                Parallelism::Auto,
             );
             Reachability {
                 words_per_row,
@@ -590,7 +588,7 @@ impl SummaryGraph {
     /// edits it serves ([`add_ltps`](Self::add_ltps) and [`remove_nodes`](Self::remove_nodes)
     /// do not advance the counter). Thread-local so concurrently running tests cannot interfere
     /// with each other (the parallel subset enumeration itself never constructs graphs on
-    /// worker threads).
+    /// its helper threads).
     pub fn constructions_on_current_thread() -> u64 {
         CONSTRUCTIONS.with(Cell::get)
     }
@@ -747,9 +745,8 @@ impl SummaryGraph {
     ///
     /// The construction iterates **only the member nodes' adjacency lists** — `O(Σ deg(m))`
     /// over the members `m`, not `O(E)` over the parent's full edge list — and draws its
-    /// temporaries (membership mask, position lookup) from a reusable per-worker scratch slot
-    /// of the `mvrc-par` pool, so the subset-exploration hot loop performs no universe-sized
-    /// allocations per view. The member-local reachability is computed by the word-parallel
+    /// temporaries (membership mask, position lookup) from a reusable thread-local scratch, so
+    /// the subset-exploration hot loop performs no universe-sized allocations per view. The member-local reachability is computed by the word-parallel
     /// SCC-condensation kernel of the `kernels` module over the kept edges.
     ///
     /// Since the edges of `SuG(𝒫)` are defined pairwise over the LTPs of `𝒫` (Algorithm 1
@@ -770,9 +767,7 @@ impl SummaryGraph {
         let out = self.out_csr();
 
         // Kept edges in CSR layout, grouped by source member, plus each kept edge's target
-        // *member position* (`succ_pos`), which is what the closure kernel walks below. The
-        // kernel runs outside the scratch borrow so a universe-sized view may fan its row
-        // materialization out over the pool without re-entering any scratch slot.
+        // *member position* (`succ_pos`), which is what the closure kernel walks below.
         let (out_csr, out_offsets, in_csr, in_offsets, succ_pos) =
             with_induced_scratch(|scratch| {
                 scratch.mask.clear();
@@ -833,7 +828,6 @@ impl SummaryGraph {
             |p| members[p],
             |p| out_offsets[p + 1] - out_offsets[p],
             |p, k| succ_pos[out_offsets[p] + k] as usize,
-            Parallelism::Auto,
         );
 
         InducedView {
@@ -1267,12 +1261,8 @@ pub fn c_dep_conds(
 }
 
 /// Reusable temporaries for [`SummaryGraph::induced`]: membership mask and node-id →
-/// member-position lookup. Pool workers use one [`WorkerLocal`] slot each, so a
-/// worker sweeping thousands of subset views touches the same warm buffers for the whole
-/// sweep (the arena's lifetime and sizing are tied to the pool, not to whatever threads
-/// happen to exist); application threads — which also execute fold chunks inline, and run
-/// every serial sweep — keep a plain thread-local so the hot path stays a borrow, not a
-/// checkout through the arena's shared spare lock.
+/// member-position lookup, one set per thread, so a thread sweeping thousands of subset views
+/// touches the same warm buffers for the whole sweep.
 #[derive(Default)]
 struct InducedScratch {
     mask: Vec<u64>,
@@ -1280,20 +1270,13 @@ struct InducedScratch {
 }
 
 fn with_induced_scratch<R>(f: impl FnOnce(&mut InducedScratch) -> R) -> R {
-    static SCRATCH: OnceLock<WorkerLocal<InducedScratch>> = OnceLock::new();
-    if mvrc_par::current_worker_index().is_some() {
-        SCRATCH
-            .get_or_init(|| WorkerLocal::new(InducedScratch::default))
-            .with(f)
-    } else {
-        NON_WORKER_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
-    }
+    INDUCED_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 thread_local! {
     static CONSTRUCTIONS: Cell<u64> = const { Cell::new(0) };
     static CLOSURES: Cell<u64> = const { Cell::new(0) };
-    static NON_WORKER_SCRATCH: std::cell::RefCell<InducedScratch> =
+    static INDUCED_SCRATCH: std::cell::RefCell<InducedScratch> =
         std::cell::RefCell::new(InducedScratch::default());
 }
 

@@ -3,8 +3,8 @@
 //!
 //! [`explore_subsets`] decides every subset on a lane of one traversal of the session's cached
 //! summary graph, skips cycle tests via two-sided closure pruning (Proposition 5.2: subsets of
-//! robust sets are robust, supersets of non-robust sets are not), and folds each popcount level
-//! as lazily split word ranges across the `mvrc-par` pool; [`explore_subsets_with`] with
+//! robust sets are robust, supersets of non-robust sets are not), and splits each popcount
+//! level into word ranges across its threads when it fans out; [`explore_subsets_with`] with
 //! pruning disabled tests every mask the same way;
 //! [`explore_subsets_naive`] re-runs Algorithm 1 and the scalar cycle test for every subset.
 //! Both sweeps must agree *exactly* with the oracle — same robust family, same maximal subsets,
@@ -14,8 +14,8 @@
 //! "exactly one construction per graph-shape combination" contract of the session (against
 //! one per subset for the naive oracle, on all four bundled benchmarks), the
 //! strictly-fewer-cycle-tests claim of the pruning on TPC-C, the border bound on the cycle
-//! tests of a 16-program YCSB-T mix, and partial lane batches under serial and forced fan-out
-//! sweeps.
+//! tests of a 16-program YCSB-T mix, partial lane batches, and identical results under every
+//! thread pin on a sweep large enough to split across threads.
 
 use mvrc_benchmarks::{auction, smallbank, synthetic, tpcc, ycsb_t, SyntheticConfig, YcsbtConfig};
 use mvrc_robustness::{
@@ -214,13 +214,12 @@ fn parallel_enumeration_agrees_on_larger_workloads() {
             &session,
             AnalysisSettings::baseline(mvrc_robustness::Granularity::Attribute, true),
         );
-        // An absurd threshold forces the serial path even on the larger workload; the result
-        // must not depend on the fan-out decision.
+        // The result must not depend on the fan-out decision.
         let serial = explore_subsets_with(
             &session,
             AnalysisSettings::paper_default(),
             ExploreOptions {
-                parallel_threshold: usize::MAX,
+                parallelism: Parallelism::Serial,
                 ..ExploreOptions::default()
             },
         );
@@ -248,8 +247,8 @@ fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
     // Lane packing must be exact for batches smaller than 64: TPC-C's levels are all partial
     // (the largest, C(5, 3) or C(5, 2), holds 10 masks), while YCSB-T's 63 non-empty subsets
     // fill a single batch all but one lane. The naive oracle runs the scalar cycle test per
-    // subset; serially and under forced fan-out (both workloads sit below the default
-    // threshold), with and without pruning, the lane-parallel sweep must agree with it.
+    // subset; serially and with two threads requested, with and without pruning, the
+    // lane-parallel sweep must agree with it.
     for workload in [tpcc(), ycsb_t(YcsbtConfig::default())] {
         let session = RobustnessSession::new(workload);
         for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
@@ -258,16 +257,15 @@ fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
                 ..AnalysisSettings::paper_default()
             };
             let naive = explore_subsets_naive(&session, settings);
-            for (what, parallel_threshold, parallelism) in [
-                ("serial", usize::MAX, Parallelism::Serial),
-                ("fan-out", 1, Parallelism::Auto),
+            for (what, parallelism) in [
+                ("serial", Parallelism::Serial),
+                ("two threads", Parallelism::Threads(2)),
             ] {
                 for closure_pruning in [true, false] {
                     let sweep = explore_subsets_with(
                         &session,
                         settings,
                         ExploreOptions {
-                            parallel_threshold,
                             parallelism,
                             closure_pruning,
                             ..ExploreOptions::default()
@@ -298,38 +296,47 @@ fn closure_pruning_saves_cycle_tests_on_tpcc() {
 
 #[test]
 fn parallelism_pins_do_not_change_results() {
-    // The verdicts (and the pruning counters, which are scheduling-independent because levels
-    // are barrier-separated) must not depend on how much of the pool the sweep may use —
-    // whether pinned per call or per session.
-    let session = RobustnessSession::new(tpcc());
+    // The verdicts and the counters (scheduling-independent because levels are
+    // barrier-separated) must not depend on how many threads the sweep may use. TPC-C's single
+    // bitset word never splits; the 14-program straight-line synthetic has 256 words, sixteen
+    // word ranges per level, so `Threads(2)` really divides each level between two threads.
+    let straight_line = synthetic(SyntheticConfig {
+        programs: 14,
+        loop_probability: 0.0,
+        optional_probability: 0.0,
+        seed: 7,
+        ..SyntheticConfig::default()
+    });
     let settings = AnalysisSettings::paper_default();
-    let reference = explore_subsets(&session, settings);
-    for parallelism in [
-        Parallelism::Serial,
-        Parallelism::Threads(1),
-        Parallelism::Threads(2),
-        Parallelism::Threads(usize::MAX),
-        Parallelism::Auto,
-    ] {
-        let pinned = explore_subsets_with(
-            &session,
-            settings,
-            ExploreOptions {
-                parallelism,
-                ..ExploreOptions::default()
-            },
-        );
-        assert_eq!(pinned.robust, reference.robust, "under {parallelism:?}");
-        assert_eq!(pinned.cycle_tests, reference.cycle_tests);
-        assert_eq!(pinned.pruned, reference.pruned);
-
-        let session_pinned = RobustnessSession::new(tpcc()).with_parallelism(parallelism);
-        assert_eq!(session_pinned.parallelism(), parallelism);
-        let via_session = explore_subsets(&session_pinned, settings);
-        assert_eq!(
-            via_session.robust, reference.robust,
-            "under {parallelism:?}"
-        );
+    for workload in [tpcc(), straight_line] {
+        let session = RobustnessSession::new(workload);
+        for closure_pruning in [true, false] {
+            let sweep = |parallelism| {
+                explore_subsets_with(
+                    &session,
+                    settings,
+                    ExploreOptions {
+                        parallelism,
+                        closure_pruning,
+                        ..ExploreOptions::default()
+                    },
+                )
+            };
+            let reference = sweep(Parallelism::Serial);
+            for parallelism in [
+                Parallelism::Threads(1),
+                Parallelism::Threads(2),
+                Parallelism::Threads(usize::MAX),
+                Parallelism::Auto,
+            ] {
+                let pinned = sweep(parallelism);
+                let what = format!("{parallelism:?}, closure pruning {closure_pruning}");
+                assert_eq!(pinned.robust, reference.robust, "{what}");
+                assert_eq!(pinned.maximal, reference.maximal, "{what}");
+                assert_eq!(pinned.cycle_tests, reference.cycle_tests, "{what}");
+                assert_eq!(pinned.pruned, reference.pruned, "{what}");
+            }
+        }
     }
 }
 

@@ -1,96 +1,73 @@
 //! # mvrc-par
 //!
-//! A small work-stealing parallel runtime: the execution substrate under the exponential
-//! subset sweeps of `mvrc-robustness`, and a general fork–join library for the rest of the
-//! workspace.
+//! The thread-count policy of the workspace's one parallel job: the large subset sweep of
+//! `mvrc-robustness`. There is no pool. A sweep that fans out opens one
+//! [`std::thread::scope`] for its whole level walk and joins it before returning; every
+//! other computation runs inline on the calling thread.
 //!
-//! The workspace previously vendored an *eager* rayon stand-in that materialized every
-//! parallel pass into a `Vec` and cut it into one contiguous chunk per thread. This crate
-//! replaces it with the real architecture:
-//!
-//! * a **persistent global thread pool** ([`pool_thread_count`], [`configure_thread_count`]),
-//!   created lazily on first use and sized by `MVRC_THREADS` or the available parallelism;
-//! * **per-worker deques with stealing** in the Chase–Lev discipline (owner pops LIFO at the
-//!   back, thieves steal FIFO from the front), plus an injection queue for parallelism entered
-//!   from application threads;
-//! * structured fork–join: [`join`] and [`scope`], with panic propagation across the fork and
-//!   full work-stealing while blocked (a waiting thread helps instead of idling);
-//! * **lazy index-range splitting** ([`fold_chunks`], [`for_each_chunk`],
-//!   [`for_each_index`]): subranges are deferred to the pool and split further only while
-//!   idle workers exist, with adaptive grain sizes — peak memory is O(threads × chunk), never
-//!   O(items);
-//! * the rayon-style adaptor surface ([`prelude`], `into_par_iter`/`par_iter` with `map`,
-//!   `filter`, `filter_map`, `collect`, `sum`, `count`, `for_each`) so existing call sites
-//!   keep compiling, now lazy end to end;
-//! * [`WorkerLocal`] scratch arenas keyed by worker slot, replacing ad-hoc thread-locals;
-//! * a [`Parallelism`] handle for pinning the fan-out of an individual operation.
+//! The process-wide thread count is resolved once, on first use, from (in order):
+//! [`configure_thread_count`] (the CLI's `--threads N`), the `MVRC_THREADS` environment
+//! variable, and [`std::thread::available_parallelism`]. A [`Parallelism`] value caps the
+//! fan-out of one call.
 //!
 //! # Example
 //!
 //! ```
-//! use mvrc_par::{fold_chunks, join, Parallelism};
+//! use mvrc_par::{planned_thread_count, Parallelism};
 //!
-//! let (evens, odds) = join(
-//!     || (0..1_000).filter(|n| n % 2 == 0).count(),
-//!     || (0..1_000).filter(|n| n % 2 == 1).count(),
-//! );
-//! assert_eq!(evens + odds, 1_000);
-//!
-//! // Sum 0..10_000 without ever materializing the range.
-//! let total: u64 = fold_chunks(
-//!     0..10_000,
-//!     Parallelism::Auto,
-//!     0,
-//!     || 0u64,
-//!     |acc, chunk| acc + chunk.map(|i| i as u64).sum::<u64>(),
-//!     |a, b| a + b,
-//! );
-//! assert_eq!(total, 10_000 * 9_999 / 2);
+//! assert!(planned_thread_count() >= 1);
+//! assert_eq!(Parallelism::Serial.effective_threads(), 1);
+//! assert_eq!(Parallelism::Auto.effective_threads(), planned_thread_count());
+//! assert_eq!(Parallelism::Threads(usize::MAX).effective_threads(), planned_thread_count());
 //! ```
 
-mod iter;
-mod job;
-mod join_scope;
-mod latch;
-mod pool;
-mod range;
-mod worker_local;
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
-pub use iter::{
-    current_num_threads, prelude, FilterMapProducer, FilterProducer, IntoParallelIterator,
-    IntoParallelRefIterator, MapProducer, ParIter, ParallelIterator, Producer, RangeProducer,
-    SliceProducer, VecProducer,
-};
-pub use join_scope::{join, scope, Scope};
-pub use pool::{
-    configure_thread_count, current_worker_index, planned_thread_count, pool_thread_count,
-};
-pub use range::{fold_chunks, for_each_chunk, for_each_index};
-pub use worker_local::WorkerLocal;
+/// The resolved process-wide thread count.
+static THREADS: OnceLock<usize> = OnceLock::new();
 
-/// How much of the pool one parallel operation may use.
+/// Requests a process-wide thread count (values of `0` behave like `1`).
 ///
-/// The pool itself is global and fixed-size; a `Parallelism` value caps the *fan-out* of an
-/// individual call, so a library can expose "run this serially" or "use at most k threads"
-/// without the process juggling multiple pools.
+/// The count is resolved once: the request takes effect only when it comes before the first
+/// [`planned_thread_count`] query. Returns `true` when the resolved count equals the request.
+pub fn configure_thread_count(threads: usize) -> bool {
+    let threads = threads.max(1);
+    *THREADS.get_or_init(|| threads) == threads
+}
+
+/// The process-wide thread count: a [`configure_thread_count`] request, else `MVRC_THREADS`,
+/// else the available parallelism. Resolved on the first call and fixed afterwards.
+pub fn planned_thread_count() -> usize {
+    *THREADS.get_or_init(|| {
+        std::env::var("MVRC_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    })
+}
+
+/// How many threads one parallel operation may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
-    /// Use every pool worker (the default).
+    /// Use [`planned_thread_count`] threads when the operation is large enough to gain from
+    /// them (the operation decides what "large enough" is); run inline otherwise.
     #[default]
     Auto,
-    /// Run inline on the calling thread; the pool is not touched (nor started).
+    /// Run inline on the calling thread.
     Serial,
-    /// Cap the operation at this many concurrent strands. Values of `0` behave like `1`;
-    /// values at or above the pool size behave like [`Parallelism::Auto`]. The cap is
-    /// enforced by splitting the work into at most this many chunks, trading steal-based
-    /// load balancing for the bound.
+    /// Use this many threads regardless of the operation's size. Values of `0` behave like
+    /// `1`; values above [`planned_thread_count`] are capped at it.
     Threads(usize),
 }
 
 impl Parallelism {
-    /// Number of threads this operation may occupy (`1` means run inline). Uses the *planned*
-    /// pool size: sizing a computation must not itself start the pool — workers spawn when
-    /// the first job is pushed.
+    /// Number of threads this operation may occupy (`1` means run inline).
     pub fn effective_threads(self) -> usize {
         match self {
             Parallelism::Serial => 1,
@@ -98,15 +75,37 @@ impl Parallelism {
             Parallelism::Threads(n) => n.clamp(1, planned_thread_count()),
         }
     }
+}
 
-    /// The pinned chunk length enforcing a [`Parallelism::Threads`] cap over `len` items, or
-    /// `None` when the adaptive grain applies.
-    pub(crate) fn chunk_len(self, len: usize) -> Option<usize> {
-        match self {
-            Parallelism::Threads(n) if n.max(1) < planned_thread_count() => {
-                Some(len.div_ceil(n.max(1)).max(1))
-            }
-            _ => None,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_count_honors_env_override() {
+        // The CI matrix runs the suite under MVRC_THREADS=1; when the variable is set it must
+        // win over available_parallelism.
+        if let Some(requested) = std::env::var("MVRC_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+        {
+            assert_eq!(planned_thread_count(), requested);
         }
+        // Resolved once: a later request for another count is refused.
+        let resolved = planned_thread_count();
+        assert!(configure_thread_count(resolved));
+        assert!(!configure_thread_count(resolved + 1));
+        assert_eq!(planned_thread_count(), resolved);
+    }
+
+    #[test]
+    fn thread_caps_stay_within_one_and_the_planned_count() {
+        let planned = planned_thread_count();
+        assert_eq!(Parallelism::Serial.effective_threads(), 1);
+        assert_eq!(Parallelism::Threads(0).effective_threads(), 1);
+        assert_eq!(Parallelism::Threads(1).effective_threads(), 1);
+        assert_eq!(Parallelism::Threads(2).effective_threads(), planned.min(2));
+        assert_eq!(Parallelism::Auto.effective_threads(), planned);
     }
 }

@@ -5,7 +5,8 @@
 //! oversized frames (error reply *before any body allocation*, connection closed), and
 //! mid-frame disconnects (that connection alone dies; every other connection keeps working).
 //! Plus the request-shape errors above the frame layer: missing `op`, unknown op, unknown
-//! tenant, invalid `settings`, and a subset sweep over a tenant wider than the sweep accepts.
+//! tenant, invalid `settings`, SQL blocks nested past the parser's limit, and a subset sweep
+//! over a tenant wider than the sweep accepts.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -85,6 +86,35 @@ fn deeply_nested_frame_earns_an_error_reply_and_the_connection_survives() {
         error.contains("malformed JSON") && error.contains("recursion limit"),
         "got: {error}"
     );
+
+    write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+
+    stop_server(&flag, handle);
+}
+
+#[test]
+fn deeply_nested_program_sql_earns_an_error_reply_and_the_connection_survives() {
+    let (addr, flag, handle) = start_server();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+
+    // 4,000 nested IF blocks: a ~90 KB frame, one JSON string deep, whose SQL a parser
+    // recursing once per block without a cap would overflow the connection thread's stack on,
+    // aborting the whole daemon.
+    let sql = format!(
+        "PROGRAM Deep(:C) {{ {} SELECT Balance FROM Savings WHERE CustomerId = :C; {} }}",
+        "IF :C THEN ".repeat(4_000),
+        "END IF; ".repeat(4_000)
+    );
+    write_frame(
+        &mut stream,
+        &json!({"op": "add_program", "tenant": "bank", "program_sql": sql}),
+    )
+    .expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    let error = error_text(&reply);
+    assert!(error.contains("nest"), "got: {error}");
 
     write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
     let reply = read_frame(&mut stream).expect("reply");

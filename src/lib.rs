@@ -8,7 +8,7 @@
 //!
 //! * [`schema`] — relational schemas, attribute sets, foreign keys ([`mvrc_schema`]).
 //! * [`btp`] — basic/linear transaction programs, unfolding, the SQL front-end ([`mvrc_btp`]).
-//! * [`par`] — the work-stealing parallel runtime under the analysis layers ([`mvrc_par`]).
+//! * [`par`] — the thread-count policy of the parallel subset sweep ([`mvrc_par`]).
 //! * [`robustness`] — summary graphs (Algorithm 1) and the robustness tests (Algorithm 2 and the
 //!   type-I baseline) ([`mvrc_robustness`]).
 //! * [`benchmarks`] — SmallBank, TPC-C, Auction, Auction(n) and the synthetic generator
