@@ -15,7 +15,7 @@
 
 use crate::kernels;
 use crate::settings::CycleCondition;
-use crate::summary::{NodeId, SummaryEdge, SummaryGraph, SummaryGraphView};
+use crate::summary::{NodeId, PrefetchedView, SummaryEdge, SummaryGraph, SummaryGraphView};
 use mvrc_btp::StatementKind;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -163,6 +163,19 @@ fn pair_condition<G: SummaryGraphView>(
 /// induced view shares with the full graph — so one compilation serves every subset of the
 /// sweep, and whether a concrete edge pair exists *in a lane's view* reduces to membership
 /// bits the kernel tests per word.
+///
+/// The type-II groups list, per counterflow node pair `(P_4, P_5)`, the distinct `P_3` with a
+/// concrete edge pair `(e_2: P_3 → P_4, e_3: P_4 → P_5)` passing the pair condition, ordered by
+/// `(candidate, P_4)` with ascending `P_3`; pairs with no `P_3` get no group. The condition
+/// splits into a part that depends on `e_2` alone — `e_2` is counterflow or its source
+/// statement is an ordered-pair kind — and the positional test `e_3.from_stmt < e_2.to_stmt`
+/// (`LinearProgram::precedes` compares positions). So one scan of each counterflow source
+/// `P_4`'s in-edges files every `P_3` either into an `always` row or into the row of
+/// `e_2.to_stmt`; suffix-ORing those statement rows makes `after[s]` the `P_3` of every in-edge
+/// entering at position `s` or later, and each counterflow `e_3` leaving `P_4` ORs
+/// `always | after[e_3.from_stmt + 1]` into its group row. That costs
+/// `O(E + cf·words + nodes·statements·words)` for `E` edges, `cf` counterflow edges and
+/// `words = ⌈n / 64⌉` words per row, instead of one pair-condition call per adjacent edge pair.
 pub(crate) fn compile_lane_plan(
     graph: &SummaryGraph,
     condition: CycleCondition,
@@ -208,40 +221,11 @@ pub(crate) fn compile_lane_plan(
     candidates.sort_unstable();
     candidates.dedup();
 
-    let mut type2_groups = Vec::new();
-    let mut type2_froms = Vec::new();
-    if condition == CycleCondition::TypeII {
-        // Distinct (candidate, P_4, P_3) triples over concrete edges: which in-edges of a
-        // counterflow source pass the pair condition, grouped per counterflow node pair.
-        let mut triples: Vec<(u32, u32, u32)> = Vec::new();
-        for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-            let ci = candidates
-                .binary_search(&(e3.to as u32))
-                .expect("counterflow target is a candidate by construction")
-                as u32;
-            for e2 in view.view_edges_to(e3.from) {
-                if pair_condition(&view, e2, e3) {
-                    triples.push((ci, e3.from as u32, e2.from as u32));
-                }
-            }
-        }
-        triples.sort_unstable();
-        triples.dedup();
-        let mut i = 0;
-        while i < triples.len() {
-            let (ci, cf_from, _) = triples[i];
-            let start = type2_froms.len() as u32;
-            while i < triples.len() && triples[i].0 == ci && triples[i].1 == cf_from {
-                type2_froms.push(triples[i].2);
-                i += 1;
-            }
-            type2_groups.push(kernels::LaneType2Group {
-                cf_from,
-                candidate: ci,
-                froms: (start, type2_froms.len() as u32),
-            });
-        }
-    }
+    let (type2_groups, type2_froms) = if condition == CycleCondition::TypeII {
+        compile_type2_groups(&view, &cf_pairs, &candidates)
+    } else {
+        (Vec::new(), Vec::new())
+    };
 
     kernels::LanePlan {
         universe: n,
@@ -254,6 +238,76 @@ pub(crate) fn compile_lane_plan(
         type2_groups,
         type2_froms,
     }
+}
+
+/// The type-II groups and their flat `P_3` store, built from per-node statement-suffix rows as
+/// [`compile_lane_plan`] describes.
+fn compile_type2_groups(
+    view: &PrefetchedView<'_>,
+    cf_pairs: &[(u32, u32)],
+    candidates: &[u32],
+) -> (Vec<kernels::LaneType2Group>, Vec<u32>) {
+    let words = view.universe().div_ceil(64).max(1);
+    // Candidates ascend with their node id, so `(candidate, P_4)` order is `(P_5, P_4)` order.
+    let mut group_keys: Vec<(u32, u32)> = cf_pairs.iter().map(|&(p4, p5)| (p5, p4)).collect();
+    group_keys.sort_unstable();
+    let mut rows = vec![0u64; group_keys.len() * words];
+    let mut always = vec![0u64; words];
+    let mut after: Vec<u64> = Vec::new();
+    let mut cf_sources: Vec<u32> = cf_pairs.iter().map(|&(p4, _)| p4).collect();
+    cf_sources.dedup();
+    for &p4 in &cf_sources {
+        let statements = view.node(p4 as NodeId).len();
+        always.fill(0);
+        after.clear();
+        after.resize((statements + 1) * words, 0);
+        for e2 in view.view_edges_to(p4 as NodeId) {
+            let row = if e2.kind.is_counterflow()
+                || ordered_pair_kind(view.node(e2.from).statement(e2.from_stmt).kind())
+            {
+                &mut always[..]
+            } else {
+                &mut after[e2.to_stmt * words..][..words]
+            };
+            kernels::set_bit(row, e2.from);
+        }
+        for s in (0..statements).rev() {
+            let (head, tail) = after.split_at_mut((s + 1) * words);
+            kernels::or_into(&mut head[s * words..], &tail[..words]);
+        }
+        for e3 in view.view_counterflow_edges_from(p4 as NodeId) {
+            let g = group_keys
+                .binary_search(&(e3.to as u32, p4))
+                .expect("counterflow pair is a group key by construction");
+            let row = &mut rows[g * words..][..words];
+            kernels::or_into(row, &always);
+            kernels::or_into(row, &after[(e3.from_stmt + 1) * words..][..words]);
+        }
+    }
+
+    let mut groups = Vec::new();
+    let mut froms = Vec::new();
+    for (&(p5, p4), row) in group_keys.iter().zip(rows.chunks_exact(words)) {
+        let start = froms.len() as u32;
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                froms.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        if froms.len() as u32 > start {
+            groups.push(kernels::LaneType2Group {
+                cf_from: p4,
+                candidate: candidates
+                    .binary_search(&p5)
+                    .expect("counterflow target is a candidate by construction")
+                    as u32,
+                froms: (start, froms.len() as u32),
+            });
+        }
+    }
+    (groups, froms)
 }
 
 /// Algorithm 2, literal transcription of the paper's pseudocode (triple loop over edges).
@@ -722,6 +776,83 @@ mod tests {
             // Both verdicts occur, so the comparison is not vacuous.
             assert!(violated > 0 && violated < subsets.len(), "{condition:?}");
         }
+    }
+
+    /// The type-II groups of a lane plan by literal enumeration: one pair-condition call per
+    /// adjacent edge pair `(e_2, e_3)`, the passing `(candidate, P_4, P_3)` triples sorted and
+    /// deduplicated, then grouped per `(candidate, P_4)`.
+    fn literal_type2_groups(
+        graph: &SummaryGraph,
+        candidates: &[u32],
+    ) -> (Vec<kernels::LaneType2Group>, Vec<u32>) {
+        let view = graph.prefetched();
+        let mut triples: Vec<(u32, u32, u32)> = Vec::new();
+        for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
+            let ci = candidates.binary_search(&(e3.to as u32)).unwrap() as u32;
+            for e2 in view.view_edges_to(e3.from) {
+                if pair_condition(&view, e2, e3) {
+                    triples.push((ci, e3.from as u32, e2.from as u32));
+                }
+            }
+        }
+        triples.sort_unstable();
+        triples.dedup();
+        let mut groups: Vec<kernels::LaneType2Group> = Vec::new();
+        let mut froms = Vec::new();
+        for &(ci, p4, p3) in &triples {
+            match groups.last_mut() {
+                Some(g) if (g.candidate, g.cf_from) == (ci, p4) => g.froms.1 += 1,
+                _ => groups.push(kernels::LaneType2Group {
+                    cf_from: p4,
+                    candidate: ci,
+                    froms: (froms.len() as u32, froms.len() as u32 + 1),
+                }),
+            }
+            froms.push(p3);
+        }
+        (groups, froms)
+    }
+
+    #[test]
+    fn type2_lane_groups_equal_the_literal_pair_enumeration() {
+        // The paper's four benchmarks plus 40 seeded synthetic workloads, whose loops and
+        // optional branches give LTPs of several statements, so the statement suffix of the
+        // positional test decides some pairs.
+        let mut workloads = mvrc_benchmarks::paper_benchmarks();
+        workloads.push(mvrc_benchmarks::ycsb_t(
+            mvrc_benchmarks::YcsbtConfig::default(),
+        ));
+        workloads.extend((0..40).map(|seed| {
+            mvrc_benchmarks::synthetic(mvrc_benchmarks::SyntheticConfig {
+                seed,
+                ..mvrc_benchmarks::SyntheticConfig::default()
+            })
+        }));
+        let (mut groups_seen, mut rejected, mut positional) = (0, 0, 0);
+        for workload in workloads {
+            let name = workload.name.clone();
+            let session = crate::RobustnessSession::new(workload);
+            let graph = session.graph(AnalysisSettings::paper_default());
+            let plan = compile_lane_plan(&graph, CycleCondition::TypeII);
+            let (groups, froms) = literal_type2_groups(&graph, &plan.candidates);
+            assert_eq!(plan.type2_groups, groups, "type-II groups of {name}");
+            assert_eq!(plan.type2_froms, froms, "type-II froms of {name}");
+            groups_seen += groups.len();
+            let view = graph.prefetched();
+            for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
+                for e2 in view.view_edges_to(e3.from) {
+                    let by_e2 = e2.kind.is_counterflow()
+                        || ordered_pair_kind(view.node(e2.from).statement(e2.from_stmt).kind());
+                    if !pair_condition(&view, e2, e3) {
+                        rejected += 1;
+                    } else if !by_e2 {
+                        positional += 1;
+                    }
+                }
+            }
+        }
+        // Neither side of the positional test is vacuous.
+        assert!(groups_seen > 0 && rejected > 0 && positional > 0);
     }
 
     #[test]

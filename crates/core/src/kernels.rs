@@ -35,7 +35,13 @@
 //! non-counterflow pairs grouped by source, the pair-condition tests of Algorithm 2 — is
 //! compiled once per graph and condition into a [`LanePlan`]
 //! (`crate::algorithm::compile_lane_plan`) and cached on the graph, so a batch costs one
-//! fixpoint over node pairs instead of up to 64 Tarjan condensations.
+//! fixpoint over node pairs instead of up to 64 Tarjan condensations. The type-II groups are
+//! built from per-node statement-suffix bitsets: one scan of each counterflow source `P_4`'s
+//! in-edges files every `P_3` into an `always` row (the pair condition holds whatever `e_3`
+//! is) or into the row of the statement its edge enters; suffix-ORing the statement rows
+//! leaves one row per counterflow edge to OR in, so compiling costs
+//! `O(E + cf·words + nodes·statements·words)` rather than one pair-condition test per adjacent
+//! edge pair.
 
 use crate::settings::CycleCondition;
 use std::cell::RefCell;
@@ -99,7 +105,10 @@ pub(crate) struct LanePlan {
     /// row each.
     pub(crate) candidates: Vec<u32>,
     /// The type-II final loop, grouped per `(candidate, P_4)`: which `P_3` nodes complete an
-    /// adjacent edge pair satisfying the pair condition of Theorem 6.4.
+    /// adjacent edge pair satisfying the pair condition of Theorem 6.4. Sorted by
+    /// `(candidate, P_4)`, each group's `P_3` ascending, no empty group. Built per `P_4` from
+    /// statement-suffix rows — `P_3` by the statement its edge enters, suffix-ORed, plus an
+    /// `always` row — in `O(E + cf·words + nodes·statements·words)`.
     pub(crate) type2_groups: Vec<LaneType2Group>,
     /// Flat backing store for the [`LaneType2Group::froms`] ranges.
     pub(crate) type2_froms: Vec<u32>,
@@ -108,7 +117,7 @@ pub(crate) struct LanePlan {
 /// One group of the type-II final loop: for a fixed counterflow node pair `(P_4, P_5)`, the
 /// distinct `P_3` nodes with a concrete adjacent edge pair `(P_3 → P_4, P_4 → P_5)` passing
 /// the pair condition.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LaneType2Group {
     /// `P_4`, the counterflow edge's source; its membership word gates the whole group.
     pub(crate) cf_from: u32,

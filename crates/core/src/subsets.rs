@@ -54,6 +54,7 @@ use mvrc_btp::LinearProgram;
 use mvrc_par::Parallelism;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::cmp;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -151,9 +152,11 @@ pub struct SubsetExploration {
     pub programs: Vec<String>,
     /// The analysis settings used.
     pub settings: AnalysisSettings,
-    /// Every subset (as sorted index vectors) attested robust.
+    /// Every subset (as sorted index vectors) attested robust, in lexicographic order of the
+    /// index vectors.
     pub robust: Vec<Vec<usize>>,
-    /// The maximal robust subsets (no robust strict superset exists).
+    /// The maximal robust subsets (no robust strict superset exists), in lexicographic order
+    /// of the index vectors.
     pub maximal: Vec<Vec<usize>>,
     /// Number of cycle tests actually run (`2^n - 1` minus the subsets decided by pruning).
     pub cycle_tests: usize,
@@ -245,6 +248,39 @@ fn word_masks(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
             w * 64 + b
         })
     })
+}
+
+/// Orders two subset masks as their ascending index lists compare lexicographically, in O(1):
+/// both lists agree below the lowest differing bit `i`, where the mask holding `i` continues
+/// with `i` and the other with its next higher member — or ends, making it a prefix that sorts
+/// first.
+fn lexicographic_cmp(&a: &usize, &b: &usize) -> cmp::Ordering {
+    let diff = a ^ b;
+    let low = diff & diff.wrapping_neg();
+    if low == 0 {
+        return cmp::Ordering::Equal;
+    }
+    let (holder_first, other) = if a & low != 0 {
+        (cmp::Ordering::Less, b)
+    } else {
+        (cmp::Ordering::Greater, a)
+    };
+    if other & !(low - 1) == 0 {
+        holder_first.reverse()
+    } else {
+        holder_first
+    }
+}
+
+/// The ascending index list of a subset mask.
+fn mask_members(mask: usize) -> Vec<usize> {
+    let mut members = Vec::with_capacity(mask.count_ones() as usize);
+    let mut bits = mask;
+    while bits != 0 {
+        members.push(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+    members
 }
 
 /// The non-empty subset masks of word `w` of an `n`-program mask bitset: every position,
@@ -809,23 +845,23 @@ impl LevelSweep {
     /// exactly when none of its one-bit supersets is robust, because the robust family is
     /// downward closed.
     fn exploration(&self, counters: SweepCounters, reused: usize) -> SubsetExploration {
-        let n = self.programs.len();
-        let members =
-            |mask: usize| -> Vec<usize> { (0..n).filter(|i| mask & (1 << i) != 0).collect() };
         let mut robust = Vec::new();
         let mut maximal = Vec::new();
         for w in 0..self.robust.len() {
             let here = self.robust_word(w);
-            robust.extend(word_masks(w, here).map(members));
-            maximal.extend(word_masks(w, here & !self.robust_supersets(w)).map(members));
+            if here == 0 {
+                continue;
+            }
+            robust.extend(word_masks(w, here));
+            maximal.extend(word_masks(w, here & !self.robust_supersets(w)));
         }
-        robust.sort();
-        maximal.sort();
+        robust.sort_unstable_by(lexicographic_cmp);
+        maximal.sort_unstable_by(lexicographic_cmp);
         SubsetExploration {
             programs: self.programs.clone(),
             settings: self.settings,
-            robust,
-            maximal,
+            robust: robust.into_iter().map(mask_members).collect(),
+            maximal: maximal.into_iter().map(mask_members).collect(),
             cycle_tests: counters.cycle_tests,
             pruned: counters.pruned,
             reused,
@@ -1046,6 +1082,20 @@ mod tests {
 
         let programs = vec![fb.build(), pb.build()];
         RobustnessSession::from_programs(&schema, &programs)
+    }
+
+    #[test]
+    fn mask_comparator_orders_masks_like_their_index_lists() {
+        for n in 0..=10 {
+            let mut masks: Vec<usize> = (1..1usize << n).collect();
+            masks.sort_by(lexicographic_cmp);
+            let mut lists: Vec<Vec<usize>> = (1..1usize << n)
+                .map(|m| (0..n).filter(|i| m & (1 << i) != 0).collect())
+                .collect();
+            lists.sort();
+            let sorted: Vec<Vec<usize>> = masks.into_iter().map(mask_members).collect();
+            assert_eq!(sorted, lists, "n = {n}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A published `Arc<T>` with an epoch counter; see the module docs.
 #[derive(Debug)]
@@ -45,17 +45,28 @@ impl<T> EpochCell<T> {
     pub fn load(&self) -> (u64, Arc<T>) {
         // Lock first: the epoch is bumped inside the same critical section, so the pair is
         // always consistent.
-        let slot = self.slot.lock().expect("epoch slot poisoned");
+        let slot = self.lock_slot();
         (self.epoch.load(Ordering::Acquire), Arc::clone(&slot))
     }
 
     /// Atomically publishes a successor value and bumps the epoch. Returns the new epoch.
     pub fn publish(&self, value: Arc<T>) -> u64 {
-        let mut slot = self.slot.lock().expect("epoch slot poisoned");
-        *slot = value;
+        let mut slot = self.lock_slot();
+        let previous = std::mem::replace(&mut *slot, value);
         // Release pairs with the acquire in `epoch()`: a reader that observes the new epoch
         // and then takes the lock is guaranteed to see the new value.
-        self.epoch.fetch_add(1, Ordering::Release) + 1
+        let epoch = self.epoch.fetch_add(1, Ordering::Release) + 1;
+        drop(slot);
+        // The replaced value is dropped outside the critical section, so no user `Drop` runs
+        // under the slot lock.
+        drop(previous);
+        epoch
+    }
+
+    /// The slot lock, recovered if poisoned: every critical section leaves a complete `Arc` in
+    /// the slot and runs no user code, so a poisoned lock still guards a consistent value.
+    fn lock_slot(&self) -> MutexGuard<'_, Arc<T>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

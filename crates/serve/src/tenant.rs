@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mvrc_dist::SessionSnapshotExt;
 use mvrc_robustness::{RobustnessSession, SummaryGraph};
@@ -218,11 +218,18 @@ impl Tenant {
     /// leaves the published state untouched), and atomically publishes the successor. Edits
     /// are serialized by the tenant's edit lock; readers keep querying the previous session
     /// until the publish and then refresh via their epoch caches. Returns the new epoch.
+    ///
+    /// An `apply` that panics poisons the edit lock; the next edit recovers it, which is sound
+    /// because the lock guards no data and a successor is only published after `apply`
+    /// returns `Ok` — a panicking edit leaves the published state untouched.
     pub fn edit(
         &self,
         apply: impl FnOnce(&mut RobustnessSession) -> Result<(), String>,
     ) -> Result<u64, String> {
-        let _guard = self.edit_lock.lock().expect("tenant edit lock poisoned");
+        let _guard = self
+            .edit_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let (_, current) = self.cell.load();
         let mut next = (*current).clone();
         apply(&mut next)?;
@@ -243,5 +250,37 @@ impl Tenant {
             .map_err(|e| format!("tenant `{}`: persisting: {e}", self.name))?;
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
         Ok(true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn a_panicking_edit_leaves_the_tenant_editable() {
+        let tenant = Tenant::from_workload("bank", mvrc_benchmarks::smallbank());
+        let programs = tenant.cell().load().1.program_names().len();
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            tenant.edit(|_| panic!("edit panicked mid-apply"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(
+            tenant.cell().epoch(),
+            0,
+            "a panicking edit publishes nothing"
+        );
+
+        let epoch = tenant
+            .edit(|session| {
+                session
+                    .remove_program("WriteCheck")
+                    .map_err(|e| e.to_string())
+            })
+            .expect("the edit after a panic succeeds");
+        assert_eq!(epoch, 1);
+        assert_eq!(tenant.cell().epoch(), 1);
+        assert_eq!(tenant.cell().load().1.program_names().len(), programs - 1);
     }
 }
