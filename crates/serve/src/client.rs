@@ -61,8 +61,7 @@ impl Client {
 
     /// Sends one request and returns the raw response envelope.
     pub fn request(&mut self, request: &Value) -> Result<Value, ClientError> {
-        write_frame(&mut self.stream, request)
-            .map_err(|e| ClientError::Frame(FrameError::Io(e)))?;
+        write_frame(&mut self.stream, request)?;
         Ok(read_frame(&mut self.stream)?)
     }
 

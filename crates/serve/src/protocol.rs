@@ -25,15 +25,19 @@
 //!   still well-delimited.
 //! * **Mid-frame disconnects** — a peer vanishing between the length prefix and the last body
 //!   byte surfaces as [`FrameError::Closed`]/[`FrameError::Io`] on that connection alone.
+//! * **Oversized replies** — a body that renders past [`MAX_FRAME_BYTES`] is refused by
+//!   [`write_frame`] with [`FrameError::BodyTooLarge`] before any byte is written, so the
+//!   server answers with an error reply instead and the connection stays open.
 
 #![forbid(unsafe_code)]
 
 use serde_json::Value;
 use std::io::{Read, Write};
 
-/// Upper bound on a frame body, requests and responses alike (16 MiB). Large enough for any
-/// subset exploration this workspace produces, small enough that a corrupt length prefix
-/// cannot drive an allocation into the gigabytes.
+/// Upper bound on a frame body, requests and responses alike (16 MiB): small enough that a
+/// corrupt length prefix cannot drive an allocation into the gigabytes. Some replies do not
+/// fit — the subset exploration of 20 read-only YCSB-T programs lists 1,048,575 robust subsets
+/// in ~28 MB — and are answered with an error reply (see [`write_frame`]).
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
 /// A frame-layer failure.
@@ -50,6 +54,11 @@ pub enum FrameError {
     },
     /// The body is not valid JSON.
     BadJson(String),
+    /// An outgoing body exceeds [`MAX_FRAME_BYTES`]; nothing was written.
+    BodyTooLarge {
+        /// The rendered body length.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -62,6 +71,10 @@ impl std::fmt::Display for FrameError {
                 "frame of {declared} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
             ),
             FrameError::BadJson(msg) => write!(f, "malformed JSON body: {msg}"),
+            FrameError::BodyTooLarge { len } => write!(
+                f,
+                "outgoing body of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+            ),
         }
     }
 }
@@ -99,26 +112,27 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Value, FrameError> {
 
 /// Writes one JSON value as a frame.
 ///
-/// # Panics
-///
-/// Panics when the rendered body exceeds [`MAX_FRAME_BYTES`] — the server constructs every
-/// outgoing value itself, so an oversized reply is a programming error, not peer input.
-pub fn write_frame(stream: &mut impl Write, value: &Value) -> std::io::Result<()> {
+/// A body that renders past [`MAX_FRAME_BYTES`] returns [`FrameError::BodyTooLarge`] and writes
+/// nothing, so the stream stays in sync; I/O failures return [`FrameError::Io`].
+pub fn write_frame(stream: &mut impl Write, value: &Value) -> Result<(), FrameError> {
     let body = serde_json::to_string(value).expect("a JSON value serializes");
-    assert!(
-        body.len() <= MAX_FRAME_BYTES,
-        "outgoing frame of {} bytes exceeds the frame limit",
-        body.len()
-    );
+    if body.len() > MAX_FRAME_BYTES {
+        return Err(FrameError::BodyTooLarge { len: body.len() });
+    }
     let prefix = (body.len() as u32).to_le_bytes();
-    stream.write_all(&prefix)?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream
+        .write_all(&prefix)
+        .and_then(|()| stream.write_all(body.as_bytes()))
+        .and_then(|()| stream.flush())
+        .map_err(FrameError::Io)
 }
 
-/// Builds a success response envelope.
+/// Builds a success response envelope, moving `result` into it.
 pub fn ok_response(result: Value) -> Value {
-    serde_json::json!({ "ok": true, "result": result })
+    Value::Object(vec![
+        ("ok".to_string(), Value::Bool(true)),
+        ("result".to_string(), result),
+    ])
 }
 
 /// Builds an error response envelope.
@@ -150,6 +164,22 @@ mod tests {
             read_frame(&mut cursor),
             Err(FrameError::Oversized { declared }) if declared == u32::MAX as usize
         ));
+    }
+
+    #[test]
+    fn an_oversized_body_is_refused_before_anything_is_written() {
+        // Two quotes around the string push the body one byte past the limit.
+        let value = Value::String("x".repeat(MAX_FRAME_BYTES - 1));
+        let mut buf = Vec::new();
+        assert!(matches!(
+            write_frame(&mut buf, &value),
+            Err(FrameError::BodyTooLarge { len }) if len == MAX_FRAME_BYTES + 1
+        ));
+        assert!(buf.is_empty());
+        // At the limit it is written.
+        let value = Value::String("x".repeat(MAX_FRAME_BYTES - 2));
+        write_frame(&mut buf, &value).unwrap();
+        assert_eq!(buf.len(), 4 + MAX_FRAME_BYTES);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use mvrc_robustness::{
 use serde_json::{json, Value};
 
 use crate::epoch::EpochCache;
-use crate::protocol::{error_response, ok_response, write_frame, MAX_FRAME_BYTES};
+use crate::protocol::{error_response, ok_response, write_frame, FrameError, MAX_FRAME_BYTES};
 use crate::signal;
 use crate::tenant::Tenant;
 
@@ -302,17 +302,33 @@ fn handle_connection(
             }
             NextRequest::BadJson(msg) => {
                 let reply = error_response(format!("malformed JSON body: {msg}"));
-                if write_frame(&mut stream, &reply).is_err() {
+                if !send_reply(&mut stream, &reply) {
                     return;
                 }
             }
             NextRequest::Request(request) => {
                 let (reply, close) = dispatch(&request, &tenants, &mut caches, &local_shutdown);
-                if write_frame(&mut stream, &reply).is_err() || close {
+                if !send_reply(&mut stream, &reply) || close {
                     return;
                 }
             }
         }
+    }
+}
+
+/// Writes one reply; a reply too large for a frame is answered with an error reply instead.
+/// Returns whether the connection is still usable.
+fn send_reply(stream: &mut TcpStream, reply: &Value) -> bool {
+    match write_frame(stream, reply) {
+        Ok(()) => true,
+        Err(FrameError::BodyTooLarge { len }) => write_frame(
+            stream,
+            &error_response(format!(
+                "reply of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+            )),
+        )
+        .is_ok(),
+        Err(_) => false,
     }
 }
 

@@ -5,8 +5,8 @@
 //! oversized frames (error reply *before any body allocation*, connection closed), and
 //! mid-frame disconnects (that connection alone dies; every other connection keeps working).
 //! Plus the request-shape errors above the frame layer: missing `op`, unknown op, unknown
-//! tenant, invalid `settings`, SQL blocks nested past the parser's limit, and a subset sweep
-//! over a tenant wider than the sweep accepts.
+//! tenant, invalid `settings`, SQL blocks nested past the parser's limit, a subset sweep
+//! over a tenant wider than the sweep accepts, and a reply too large for a frame.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -14,7 +14,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mvrc_serve::{read_frame, write_frame, FrameError, ServeConfig, Server, Tenant};
+use mvrc_serve::{
+    read_frame, write_frame, FrameError, ServeConfig, Server, Tenant, MAX_FRAME_BYTES,
+};
 use serde_json::{json, Value};
 
 fn start_server() -> (SocketAddr, Arc<AtomicBool>, JoinHandle<Result<(), String>>) {
@@ -261,6 +263,38 @@ fn subset_sweep_on_a_too_wide_tenant_is_an_error_reply_and_the_connection_surviv
     write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
     let reply = read_frame(&mut stream).expect("reply");
     assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+
+    stop_server(&flag, handle);
+}
+
+#[test]
+fn reply_past_the_frame_limit_is_an_error_reply_and_the_connection_survives() {
+    // Every `is_robust` reply echoes the workload name, so a 16 MiB name renders a reply past
+    // the frame limit; replies that large also come from real sweeps (20 read-only YCSB-T
+    // programs have 1,048,575 robust subsets, ~28 MB of JSON).
+    let mut workload = mvrc_benchmarks::smallbank();
+    workload.name = "n".repeat(MAX_FRAME_BYTES);
+    let tenant = Tenant::from_workload("huge", workload);
+    let server = Server::bind(&ServeConfig::default(), vec![tenant]).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let flag = server.shutdown_flag();
+    let handle = std::thread::spawn(move || server.run());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+
+    write_frame(&mut stream, &json!({"op": "is_robust", "tenant": "huge"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    let error = error_text(&reply);
+    assert!(
+        error.starts_with("reply of ")
+            && error.ends_with(&format!(
+                " bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit"
+            )),
+        "{error}"
+    );
+
+    write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    assert_eq!(reply.get("result").and_then(Value::as_str), Some("pong"));
 
     stop_server(&flag, handle);
 }
