@@ -1,9 +1,9 @@
-//! Catalog (DDL) parsing: self-contained workload files.
+//! Catalog declarations of self-contained workload files and the [`Schema`] they build.
 //!
 //! [`parse_workload`](super::parse_workload) needs an already-built [`Schema`]. For tooling
 //! (the `mvrc` command-line analyzer, user-provided workload files) it is more convenient when
-//! a single file describes the whole workload — schema *and* programs. This module adds a small
-//! DDL dialect for that purpose:
+//! a single file describes the whole workload — schema *and* programs. The front end therefore
+//! accepts a small DDL dialect next to the `PROGRAM` blocks:
 //!
 //! ```text
 //! SCHEMA auction;
@@ -25,320 +25,85 @@
 //! * `FOREIGN KEY [<name>:] <dom> (<attrs>) REFERENCES <range> (<attrs>);` declares a foreign
 //!   key; the name is optional (`fk1`, `fk2`, … are generated).
 //!
-//! [`parse_catalog`] extracts the schema from such a file (ignoring the `PROGRAM` blocks);
-//! [`parse_workload_file`] does both passes and returns the schema together with the translated
-//! BTPs.
+//! The parser reads the declarations in the same pass as the programs; this module holds what
+//! it collects and builds the [`Schema`] from it once the whole file has parsed.
 
-use super::lexer::{tokenize, Token, TokenKind};
-use super::parser::parse_text;
-use super::translate::translate_workload;
 use crate::error::BtpError;
-use crate::program::Program;
 use mvrc_schema::{Schema, SchemaBuilder};
 
 /// A parsed `TABLE` declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct TableDecl {
-    name: String,
-    attributes: Vec<String>,
-    primary_key: Vec<String>,
-    line: usize,
-    column: usize,
+pub(super) struct TableDecl {
+    pub name: String,
+    pub attributes: Vec<String>,
+    pub primary_key: Vec<String>,
+    pub line: usize,
+    pub column: usize,
 }
 
 /// A parsed `FOREIGN KEY` declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ForeignKeyDecl {
-    name: String,
-    dom: String,
-    dom_attrs: Vec<String>,
-    range: String,
-    range_attrs: Vec<String>,
-    line: usize,
-    column: usize,
+pub(super) struct ForeignKeyDecl {
+    pub name: String,
+    pub dom: String,
+    pub dom_attrs: Vec<String>,
+    pub range: String,
+    pub range_attrs: Vec<String>,
+    pub line: usize,
+    pub column: usize,
 }
 
-/// Parses the catalog declarations of a workload file into a [`Schema`], ignoring any `PROGRAM`
-/// blocks in the same file.
-pub fn parse_catalog(text: &str) -> Result<Schema, BtpError> {
-    let tokens = tokenize(text)?;
-    let mut cursor = Cursor { tokens, pos: 0 };
-    let mut schema_name = String::from("workload");
-    let mut tables: Vec<TableDecl> = Vec::new();
-    let mut fks: Vec<ForeignKeyDecl> = Vec::new();
-    let mut fk_counter = 0usize;
-
-    while !cursor.at_end() {
-        if cursor.eat_keyword("schema") {
-            schema_name = cursor.expect_ident("schema name")?;
-            cursor.expect_semicolon()?;
-        } else if cursor.peek_keyword("table") || cursor.peek_keyword("create") {
-            cursor.eat_keyword("create");
-            cursor.expect_keyword("table")?;
-            tables.push(cursor.parse_table()?);
-        } else if cursor.eat_keyword("foreign") {
-            cursor.expect_keyword("key")?;
-            fk_counter += 1;
-            fks.push(cursor.parse_foreign_key(fk_counter)?);
-        } else if cursor.peek_keyword("program") {
-            cursor.skip_program_block()?;
-        } else {
-            return Err(cursor.error(
-                "expected a catalog declaration (SCHEMA, TABLE, FOREIGN KEY) or a PROGRAM block",
-            ));
-        }
-    }
-
-    if tables.is_empty() {
-        return Err(BtpError::SqlParse {
-            line: 1,
-            column: 1,
-            message: "the workload file declares no TABLE".into(),
-        });
-    }
-
-    let mut builder = SchemaBuilder::new(&schema_name);
-    for table in &tables {
-        let attrs: Vec<&str> = table.attributes.iter().map(String::as_str).collect();
-        let pk: Vec<&str> = table.primary_key.iter().map(String::as_str).collect();
-        builder
-            .relation(&table.name, &attrs, &pk)
-            .map_err(|e| BtpError::SqlParse {
-                line: table.line,
-                column: table.column,
-                message: format!("invalid TABLE `{}`: {e}", table.name),
-            })?;
-    }
-    for fk in &fks {
-        let dom_attrs: Vec<&str> = fk.dom_attrs.iter().map(String::as_str).collect();
-        let range_attrs: Vec<&str> = fk.range_attrs.iter().map(String::as_str).collect();
-        builder
-            .foreign_key_by_names(&fk.name, &fk.dom, &dom_attrs, &fk.range, &range_attrs)
-            .map_err(|e| BtpError::SqlParse {
-                line: fk.line,
-                column: fk.column,
-                message: format!("invalid FOREIGN KEY `{}`: {e}", fk.name),
-            })?;
-    }
-    Ok(builder.build())
+/// The catalog declarations of a workload file, each kind in source order.
+#[derive(Debug, Default)]
+pub(super) struct Catalog {
+    /// The name of the last `SCHEMA` declaration, if any.
+    pub name: Option<String>,
+    pub tables: Vec<TableDecl>,
+    pub foreign_keys: Vec<ForeignKeyDecl>,
 }
 
-/// Parses a self-contained workload file (catalog declarations plus `PROGRAM` blocks) and
-/// returns the schema together with the translated programs.
-pub fn parse_workload_file(text: &str) -> Result<(Schema, Vec<Program>), BtpError> {
-    let schema = parse_catalog(text)?;
-    let parsed = parse_text(text)?;
-    let programs = translate_workload(&schema, &parsed)?;
-    Ok((schema, programs))
-}
-
-struct Cursor {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Cursor {
-    fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
-    }
-
-    /// Line/column of the current token (or, at end of input, the last token).
-    fn position(&self) -> (usize, usize) {
-        self.tokens
-            .get(self.pos)
-            .or_else(|| self.tokens.last())
-            .map_or((1, 1), |t| (t.line, t.column))
-    }
-
-    fn error(&self, message: impl Into<String>) -> BtpError {
-        let (line, column) = self.position();
-        BtpError::SqlParse {
-            line,
-            column,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
-    }
-
-    fn peek_keyword(&self, kw: &str) -> bool {
-        self.peek().is_some_and(|k| k.is_keyword(kw))
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.peek_keyword(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), BtpError> {
-        if self.eat_keyword(kw) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{}`", kw.to_uppercase())))
-        }
-    }
-
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek() == Some(kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), BtpError> {
-        if self.eat(kind) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected {what}")))
-        }
-    }
-
-    fn expect_semicolon(&mut self) -> Result<(), BtpError> {
-        self.expect(&TokenKind::Semicolon, "`;`")
-    }
-
-    fn expect_ident(&mut self, what: &str) -> Result<String, BtpError> {
-        match self.peek().cloned() {
-            Some(TokenKind::Ident(name)) => {
-                self.pos += 1;
-                Ok(name)
-            }
-            _ => Err(self.error(format!("expected {what}"))),
-        }
-    }
-
-    /// Parses `<name> ( attr [, attr]* [, PRIMARY KEY ( attr [, attr]* )] ) ;` after the
-    /// `TABLE` keyword.
-    fn parse_table(&mut self) -> Result<TableDecl, BtpError> {
-        let (line, column) = self.position();
-        let name = self.expect_ident("table name")?;
-        self.expect(&TokenKind::LParen, "`(` after the table name")?;
-        let mut attributes = Vec::new();
-        let mut primary_key = Vec::new();
-        loop {
-            if self.eat(&TokenKind::RParen) {
-                break;
-            }
-            if self.eat(&TokenKind::Comma) {
-                continue;
-            }
-            if self.peek_keyword("primary") {
-                self.pos += 1;
-                self.expect_keyword("key")?;
-                self.expect(&TokenKind::LParen, "`(` after PRIMARY KEY")?;
-                loop {
-                    if self.eat(&TokenKind::RParen) {
-                        break;
-                    }
-                    if self.eat(&TokenKind::Comma) {
-                        continue;
-                    }
-                    primary_key.push(self.expect_ident("primary-key attribute")?);
-                }
-                continue;
-            }
-            attributes.push(self.expect_ident("attribute name")?);
-        }
-        self.expect_semicolon()?;
-        if attributes.is_empty() {
+impl Catalog {
+    /// Builds the declared [`Schema`]. Its errors are semantic, so the caller reports them only
+    /// after the whole file parsed.
+    pub fn build(&self) -> Result<Schema, BtpError> {
+        if self.tables.is_empty() {
             return Err(BtpError::SqlParse {
-                line,
-                column,
-                message: format!("table `{name}` declares no attributes"),
+                line: 1,
+                column: 1,
+                message: "the workload file declares no TABLE".into(),
             });
         }
-        if primary_key.is_empty() {
-            primary_key.push(attributes[0].clone());
-        }
-        Ok(TableDecl {
-            name,
-            attributes,
-            primary_key,
-            line,
-            column,
-        })
-    }
 
-    /// Parses `[<name> :] <dom> ( attrs ) REFERENCES <range> ( attrs ) ;` after `FOREIGN KEY`.
-    fn parse_foreign_key(&mut self, counter: usize) -> Result<ForeignKeyDecl, BtpError> {
-        let (line, column) = self.position();
-        let first = self.expect_ident("foreign key name or domain relation")?;
-        // Three accepted shapes: `f1 : Bids (…)` (colon token), `f1: Bids (…)` (the lexer fuses
-        // `:Bids` into a parameter token) and the anonymous `Bids (…)`.
-        let (name, dom) = if self.eat(&TokenKind::Colon) {
-            (first, self.expect_ident("domain relation")?)
-        } else if let Some(TokenKind::Param(dom)) = self.peek().cloned() {
-            self.pos += 1;
-            (first, dom)
-        } else {
-            (format!("fk{counter}"), first)
-        };
-        let dom_attrs = self.parse_attr_list("domain attribute")?;
-        self.expect_keyword("references")?;
-        let range = self.expect_ident("referenced relation")?;
-        let range_attrs = self.parse_attr_list("referenced attribute")?;
-        self.expect_semicolon()?;
-        Ok(ForeignKeyDecl {
-            name,
-            dom,
-            dom_attrs,
-            range,
-            range_attrs,
-            line,
-            column,
-        })
-    }
-
-    fn parse_attr_list(&mut self, what: &str) -> Result<Vec<String>, BtpError> {
-        self.expect(&TokenKind::LParen, "`(`")?;
-        let mut attrs = Vec::new();
-        loop {
-            if self.eat(&TokenKind::RParen) {
-                break;
-            }
-            if self.eat(&TokenKind::Comma) {
-                continue;
-            }
-            attrs.push(self.expect_ident(what)?);
+        let mut builder = SchemaBuilder::new(self.name.as_deref().unwrap_or("workload"));
+        for table in &self.tables {
+            let attrs: Vec<&str> = table.attributes.iter().map(String::as_str).collect();
+            let pk: Vec<&str> = table.primary_key.iter().map(String::as_str).collect();
+            builder
+                .relation(&table.name, &attrs, &pk)
+                .map_err(|e| BtpError::SqlParse {
+                    line: table.line,
+                    column: table.column,
+                    message: format!("invalid TABLE `{}`: {e}", table.name),
+                })?;
         }
-        if attrs.is_empty() {
-            return Err(self.error(format!("expected at least one {what}")));
+        for fk in &self.foreign_keys {
+            let dom_attrs: Vec<&str> = fk.dom_attrs.iter().map(String::as_str).collect();
+            let range_attrs: Vec<&str> = fk.range_attrs.iter().map(String::as_str).collect();
+            builder
+                .foreign_key_by_names(&fk.name, &fk.dom, &dom_attrs, &fk.range, &range_attrs)
+                .map_err(|e| BtpError::SqlParse {
+                    line: fk.line,
+                    column: fk.column,
+                    message: format!("invalid FOREIGN KEY `{}`: {e}", fk.name),
+                })?;
         }
-        Ok(attrs)
-    }
-
-    /// Skips a `PROGRAM name(...) { … }` block, tracking brace nesting.
-    fn skip_program_block(&mut self) -> Result<(), BtpError> {
-        self.expect_keyword("program")?;
-        // Skip until the opening brace.
-        while !self.at_end() && !self.eat(&TokenKind::LBrace) {
-            self.pos += 1;
-        }
-        let mut depth = 1usize;
-        while depth > 0 {
-            match self.peek() {
-                Some(TokenKind::LBrace) => depth += 1,
-                Some(TokenKind::RBrace) => depth -= 1,
-                None => return Err(self.error("unterminated PROGRAM block")),
-                _ => {}
-            }
-            self.pos += 1;
-        }
-        Ok(())
+        Ok(builder.build())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::sql::parse_workload_file;
 
     const AUCTION_FILE: &str = r#"
         SCHEMA auction;
@@ -367,7 +132,7 @@ mod tests {
 
     #[test]
     fn parses_the_auction_catalog() {
-        let schema = parse_catalog(AUCTION_FILE).unwrap();
+        let schema = parse_workload_file(AUCTION_FILE).unwrap().0;
         assert_eq!(schema.name(), "auction");
         assert_eq!(schema.relation_count(), 3);
         assert_eq!(schema.foreign_key_count(), 2);
@@ -390,7 +155,7 @@ mod tests {
 
     #[test]
     fn primary_key_defaults_to_the_first_attribute() {
-        let schema = parse_catalog("TABLE T (a, b, c);").unwrap();
+        let schema = parse_workload_file("TABLE T (a, b, c);").unwrap().0;
         let t = schema.relation_by_name("T").unwrap();
         assert!(t.primary_key().contains(t.attr_by_name("a").unwrap()));
         assert_eq!(t.primary_key().len(), 1);
@@ -403,7 +168,7 @@ mod tests {
             CREATE TABLE Child (id, parentId, PRIMARY KEY (id));
             FOREIGN KEY Child (parentId) REFERENCES Parent (id);
         "#;
-        let schema = parse_catalog(text).unwrap();
+        let schema = parse_workload_file(text).unwrap().0;
         assert_eq!(schema.relation_count(), 2);
         assert_eq!(schema.foreign_key_count(), 1);
         assert!(schema.foreign_key_by_name("fk1").is_some());
@@ -416,7 +181,7 @@ mod tests {
             TABLE Customer (c_id, c_d_id, c_w_id, PRIMARY KEY (c_id, c_d_id, c_w_id));
             FOREIGN KEY f2: Customer (c_d_id, c_w_id) REFERENCES District (d_id, d_w_id);
         "#;
-        let schema = parse_catalog(text).unwrap();
+        let schema = parse_workload_file(text).unwrap().0;
         assert_eq!(
             schema
                 .relation_by_name("District")
@@ -433,26 +198,39 @@ mod tests {
     #[test]
     fn useful_errors_for_malformed_declarations() {
         // No tables at all.
-        let err = parse_catalog("SCHEMA s;").unwrap_err();
+        let err = parse_workload_file("SCHEMA s;").unwrap_err();
         assert!(err.to_string().contains("no TABLE"), "{err}");
         // Unknown attribute in the primary key.
-        let err = parse_catalog("TABLE T (a, b, PRIMARY KEY (zzz));").unwrap_err();
+        let err = parse_workload_file("TABLE T (a, b, PRIMARY KEY (zzz));").unwrap_err();
         assert!(err.to_string().contains("invalid TABLE"), "{err}");
         // Foreign key over an undeclared relation.
-        let err = parse_catalog("TABLE T (a); FOREIGN KEY T (a) REFERENCES Nope (x);").unwrap_err();
+        let err =
+            parse_workload_file("TABLE T (a); FOREIGN KEY T (a) REFERENCES Nope (x);").unwrap_err();
         assert!(err.to_string().contains("invalid FOREIGN KEY"), "{err}");
         // Unexpected top-level token.
-        let err = parse_catalog("TABLE T (a); SELECT a FROM T;").unwrap_err();
+        let err = parse_workload_file("TABLE T (a); SELECT a FROM T;").unwrap_err();
         assert!(
             err.to_string().contains("expected a catalog declaration"),
             "{err}"
         );
         // Empty attribute list.
-        let err = parse_catalog("TABLE T ();").unwrap_err();
+        let err = parse_workload_file("TABLE T ();").unwrap_err();
         assert!(err.to_string().contains("no attributes"), "{err}");
         // Unterminated program block.
-        let err = parse_catalog("TABLE T (a); PROGRAM P() { SELECT a FROM T;").unwrap_err();
+        let err = parse_workload_file("TABLE T (a); PROGRAM P() { SELECT a FROM T;").unwrap_err();
         assert!(err.to_string().contains("unterminated"), "{err}");
+        // Syntax errors come in source order, and before the semantic catalog errors: the
+        // program's `FRM` is reported, not the missing TABLE, nor the bad TABLE after it.
+        for text in [
+            "PROGRAM P() {\n SELECT a FRM T; }",
+            "PROGRAM P() {\n SELECT a FRM T; }\nTABLE T (;",
+        ] {
+            let err = parse_workload_file(text).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "SQL parse error at line 2, column 11: expected `FROM`"
+            );
+        }
     }
 
     #[test]

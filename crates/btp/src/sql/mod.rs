@@ -38,9 +38,17 @@
 //!
 //! ## Self-contained workload files
 //!
-//! The [`parse_catalog`] / [`parse_workload_file`] functions additionally accept a small DDL
-//! dialect (`SCHEMA`, `TABLE`, `FOREIGN KEY` declarations) so that a single file can describe
-//! schema *and* programs — this is what the `mvrc` command-line analyzer consumes.
+//! [`parse_workload_file`] additionally builds the schema from a small DDL dialect (`SCHEMA`,
+//! `TABLE`, `FOREIGN KEY` declarations) so that a single file can describe schema *and*
+//! programs — this is what the `mvrc` command-line analyzer consumes. Every entry point lexes
+//! the text once and parses declarations and `PROGRAM` blocks in one pass, in source order;
+//! [`parse_workload`] and [`parse_program`] parse the declarations too and then drop them.
+//!
+//! Errors come in a fixed order: a lexical error, else the first syntax error in the text
+//! (a declaration's or a program's, whichever comes first), else a semantic catalog error
+//! (`declares no TABLE`, `invalid TABLE`, `invalid FOREIGN KEY`), else a translation error. A
+//! `PROGRAM` block that runs into the end of the input is an `unterminated PROGRAM block`,
+//! whatever construct inside it was still open.
 //!
 //! ## Classification rules (Appendix A)
 //!
@@ -61,7 +69,6 @@ mod parser;
 mod translate;
 
 pub use ast::{CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
-pub use catalog::{parse_catalog, parse_workload_file};
 pub use parser::parse_text;
 pub use translate::{translate_program, translate_workload};
 
@@ -74,6 +81,15 @@ use mvrc_schema::Schema;
 pub fn parse_workload(schema: &Schema, text: &str) -> Result<Vec<Program>, BtpError> {
     let parsed = parse_text(text)?;
     translate_workload(schema, &parsed)
+}
+
+/// Parses a self-contained workload file (catalog declarations plus `PROGRAM` blocks) and
+/// returns the schema together with the translated programs.
+pub fn parse_workload_file(text: &str) -> Result<(Schema, Vec<Program>), BtpError> {
+    let (catalog, parsed) = parser::parse_source(text)?;
+    let schema = catalog.build()?;
+    let programs = translate_workload(&schema, &parsed)?;
+    Ok((schema, programs))
 }
 
 /// Parses a script expected to contain exactly one program.

@@ -1,6 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
 use super::ast::{Assignment, CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
+use super::catalog::{Catalog, ForeignKeyDecl, TableDecl};
 use super::lexer::{tokenize, Token, TokenKind};
 use crate::error::BtpError;
 use crate::span::SourceSpan;
@@ -13,28 +14,52 @@ const MAX_BLOCK_NESTING: usize = 128;
 /// Parses a workload script into its `PROGRAM` blocks.
 ///
 /// Catalog declarations (`SCHEMA …;`, `TABLE …;`, `CREATE TABLE …;`, `FOREIGN KEY …;`) may be
-/// interleaved with the programs; they are skipped here and handled by
-/// [`parse_catalog`](super::parse_catalog).
+/// interleaved with the programs; they are parsed like in
+/// [`parse_workload_file`](super::parse_workload_file), so a malformed one is an error, and
+/// then dropped.
 pub fn parse_text(text: &str) -> Result<Vec<SqlProgram>, BtpError> {
-    let tokens = tokenize(text)?;
+    parse_source(text).map(|(_, programs)| programs)
+}
+
+/// Lexes `text` once and parses its catalog declarations and `PROGRAM` blocks in source order,
+/// stopping at the first syntax error.
+pub(super) fn parse_source(text: &str) -> Result<(Catalog, Vec<SqlProgram>), BtpError> {
     let mut parser = Parser {
-        tokens,
+        tokens: tokenize(text)?,
         pos: 0,
         depth: 0,
     };
+    let mut catalog = Catalog::default();
     let mut programs = Vec::new();
     while !parser.at_end() {
-        if parser.peek_keyword("schema")
-            || parser.peek_keyword("table")
-            || parser.peek_keyword("create")
-            || parser.peek_keyword("foreign")
-        {
-            parser.skip_through_semicolon();
-            continue;
+        if parser.eat_keyword("schema") {
+            catalog.name = Some(parser.expect_ident("schema name")?);
+            parser.expect_semicolon()?;
+        } else if parser.peek_keyword("table") || parser.peek_keyword("create") {
+            parser.eat_keyword("create");
+            parser.expect_keyword("table")?;
+            catalog.tables.push(parser.parse_table()?);
+        } else if parser.eat_keyword("foreign") {
+            parser.expect_keyword("key")?;
+            let ordinal = catalog.foreign_keys.len() + 1;
+            catalog
+                .foreign_keys
+                .push(parser.parse_foreign_key(ordinal)?);
+        } else if parser.eat_keyword("program") {
+            match parser.parse_program() {
+                Ok(program) => programs.push(program),
+                // Whatever construct was open, a program that runs into the end of the input
+                // is unterminated.
+                Err(_) if parser.at_end() => return Err(parser.error("unterminated PROGRAM block")),
+                Err(e) => return Err(e),
+            }
+        } else {
+            return Err(parser.error(
+                "expected a catalog declaration (SCHEMA, TABLE, FOREIGN KEY) or a PROGRAM block",
+            ));
         }
-        programs.push(parser.parse_program()?);
     }
-    Ok(programs)
+    Ok((catalog, programs))
 }
 
 struct Parser {
@@ -85,16 +110,6 @@ impl Parser {
         kind
     }
 
-    /// Skips tokens up to and including the next top-level semicolon (used to ignore catalog
-    /// declarations, which are handled by the catalog parser).
-    fn skip_through_semicolon(&mut self) {
-        while let Some(kind) = self.advance() {
-            if kind == TokenKind::Semicolon {
-                break;
-            }
-        }
-    }
-
     fn eat_keyword(&mut self, kw: &str) -> bool {
         if self.peek_keyword(kw) {
             self.pos += 1;
@@ -129,18 +144,123 @@ impl Parser {
         }
     }
 
+    fn expect_semicolon(&mut self) -> Result<(), BtpError> {
+        self.expect(&TokenKind::Semicolon, "`;`")
+    }
+
     fn expect_ident(&mut self, what: &str) -> Result<String, BtpError> {
-        match self.advance() {
-            Some(TokenKind::Ident(s)) => Ok(s),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                Err(self.error(format!("expected {what}")))
+        match self.peek() {
+            Some(TokenKind::Ident(s)) => {
+                let s = s.clone();
+                self.pos += 1;
+                Ok(s)
             }
+            _ => Err(self.error(format!("expected {what}"))),
         }
     }
 
+    /// Parses `<name> ( attr [, attr]* [, PRIMARY KEY ( attr [, attr]* )] ) ;` after the
+    /// `TABLE` keyword.
+    fn parse_table(&mut self) -> Result<TableDecl, BtpError> {
+        let span = self.span();
+        let name = self.expect_ident("table name")?;
+        self.expect(&TokenKind::LParen, "`(` after the table name")?;
+        let mut attributes = Vec::new();
+        let mut primary_key = Vec::new();
+        loop {
+            if self.eat(&TokenKind::RParen) {
+                break;
+            }
+            if self.eat(&TokenKind::Comma) {
+                continue;
+            }
+            if self.eat_keyword("primary") {
+                self.expect_keyword("key")?;
+                self.expect(&TokenKind::LParen, "`(` after PRIMARY KEY")?;
+                loop {
+                    if self.eat(&TokenKind::RParen) {
+                        break;
+                    }
+                    if self.eat(&TokenKind::Comma) {
+                        continue;
+                    }
+                    primary_key.push(self.expect_ident("primary-key attribute")?);
+                }
+                continue;
+            }
+            attributes.push(self.expect_ident("attribute name")?);
+        }
+        self.expect_semicolon()?;
+        if attributes.is_empty() {
+            return Err(BtpError::SqlParse {
+                line: span.line,
+                column: span.column,
+                message: format!("table `{name}` declares no attributes"),
+            });
+        }
+        if primary_key.is_empty() {
+            primary_key.push(attributes[0].clone());
+        }
+        Ok(TableDecl {
+            name,
+            attributes,
+            primary_key,
+            line: span.line,
+            column: span.column,
+        })
+    }
+
+    /// Parses `[<name> :] <dom> ( attrs ) REFERENCES <range> ( attrs ) ;` after `FOREIGN KEY`;
+    /// an anonymous key is named `fk<ordinal>`.
+    fn parse_foreign_key(&mut self, ordinal: usize) -> Result<ForeignKeyDecl, BtpError> {
+        let span = self.span();
+        let first = self.expect_ident("foreign key name or domain relation")?;
+        // Three accepted shapes: `f1 : Bids (…)` (colon token), `f1: Bids (…)` (the lexer fuses
+        // `:Bids` into a parameter token) and the anonymous `Bids (…)`.
+        let (name, dom) = if self.eat(&TokenKind::Colon) {
+            (first, self.expect_ident("domain relation")?)
+        } else if let Some(TokenKind::Param(dom)) = self.peek().cloned() {
+            self.pos += 1;
+            (first, dom)
+        } else {
+            (format!("fk{ordinal}"), first)
+        };
+        let dom_attrs = self.parse_attr_list("domain attribute")?;
+        self.expect_keyword("references")?;
+        let range = self.expect_ident("referenced relation")?;
+        let range_attrs = self.parse_attr_list("referenced attribute")?;
+        self.expect_semicolon()?;
+        Ok(ForeignKeyDecl {
+            name,
+            dom,
+            dom_attrs,
+            range,
+            range_attrs,
+            line: span.line,
+            column: span.column,
+        })
+    }
+
+    fn parse_attr_list(&mut self, what: &str) -> Result<Vec<String>, BtpError> {
+        self.expect(&TokenKind::LParen, "`(`")?;
+        let mut attrs = Vec::new();
+        loop {
+            if self.eat(&TokenKind::RParen) {
+                break;
+            }
+            if self.eat(&TokenKind::Comma) {
+                continue;
+            }
+            attrs.push(self.expect_ident(what)?);
+        }
+        if attrs.is_empty() {
+            return Err(self.error(format!("expected at least one {what}")));
+        }
+        Ok(attrs)
+    }
+
+    /// Parses `<name> [( :param [, :param]* )] { statements }` after the `PROGRAM` keyword.
     fn parse_program(&mut self) -> Result<SqlProgram, BtpError> {
-        self.expect_keyword("program")?;
         let name = self.expect_ident("program name")?;
         let mut params = Vec::new();
         if self.eat(&TokenKind::LParen) {
@@ -456,18 +576,16 @@ impl Parser {
         let mut comparisons = Vec::new();
         loop {
             let left = self.parse_expression()?;
-            let op = match self.advance() {
+            let op = match self.peek() {
                 Some(TokenKind::Eq) => CompareOp::Eq,
                 Some(TokenKind::NotEq) => CompareOp::NotEq,
                 Some(TokenKind::Lt) => CompareOp::Lt,
                 Some(TokenKind::Le) => CompareOp::Le,
                 Some(TokenKind::Gt) => CompareOp::Gt,
                 Some(TokenKind::Ge) => CompareOp::Ge,
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.error("expected comparison operator in WHERE clause"));
-                }
+                _ => return Err(self.error("expected comparison operator in WHERE clause")),
             };
+            self.pos += 1;
             let right = self.parse_expression()?;
             comparisons.push(Comparison { left, op, right });
             if !self.eat_keyword("and") {
@@ -698,7 +816,30 @@ mod tests {
             other => panic!("expected parse error, got {other:?}"),
         }
         assert!(parse_text("PROGRAM P { UPDATE R SET WHERE a = 1; }").is_err());
-        assert!(parse_text("SELECT a FROM R;").is_err());
+        let message = |text: &str| parse_text(text).unwrap_err().to_string();
+        assert_eq!(
+            message("SELECT a FROM R;"),
+            "SQL parse error at line 1, column 1: \
+             expected a catalog declaration (SCHEMA, TABLE, FOREIGN KEY) or a PROGRAM block"
+        );
+        // Declarations next to the programs are parsed, not skipped.
+        assert_eq!(
+            message("TABLE X (;\nPROGRAM P { SELECT a FROM R; }"),
+            "SQL parse error at line 1, column 10: expected attribute name"
+        );
+        // A body that runs into the end of the input, whatever construct is open.
+        for text in [
+            "PROGRAM P {\n SELECT a FROM R;",
+            "PROGRAM P {\nIF :x THEN\n SELECT a FROM R;",
+        ] {
+            let last_line = text.lines().count();
+            assert_eq!(
+                message(text),
+                format!(
+                    "SQL parse error at line {last_line}, column 17: unterminated PROGRAM block"
+                )
+            );
+        }
     }
 
     #[test]

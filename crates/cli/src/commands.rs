@@ -197,19 +197,23 @@ fn bool_at(value: &serde_json::Value, path: &[&str]) -> Option<bool> {
     at.as_bool()
 }
 
+/// Reads and parses a workload file, returning the workload together with the file's text
+/// (which `lint` quotes in its diagnostics).
+fn read_workload_file(path: &str) -> Result<(Workload, String), CliError> {
+    let text = fs::read_to_string(path).map_err(|e| CliError::Io {
+        path: path.to_string(),
+        message: e.to_string(),
+    })?;
+    let (schema, programs) =
+        parse_workload_file(&text).map_err(|e| CliError::Workload(e.to_string()))?;
+    let name = schema.name().to_string();
+    Ok((Workload::new(name, schema, programs, &[]), text))
+}
+
 /// Loads a workload from a file or resolves a built-in benchmark.
 pub fn load_workload(input: &Input) -> Result<Workload, CliError> {
     match input {
-        Input::File(path) => {
-            let text = fs::read_to_string(path).map_err(|e| CliError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let (schema, programs) =
-                parse_workload_file(&text).map_err(|e| CliError::Workload(e.to_string()))?;
-            let name = schema.name().to_string();
-            Ok(Workload::new(name, schema, programs, &[]))
-        }
+        Input::File(path) => read_workload_file(path).map(|(workload, _)| workload),
         Input::Benchmark(name) => match name.as_str() {
             "smallbank" => Ok(mvrc_benchmarks::smallbank()),
             "tpcc" | "tpc-c" => Ok(mvrc_benchmarks::tpcc()),
@@ -298,9 +302,9 @@ fn analyze(
 
 /// `mvrc lint`: dangerous-cycle diagnostics with source spans plus a promotion repair.
 ///
-/// Workload files are re-read here (instead of through [`load_workload`]) so the diagnostics
-/// can quote the offending source lines and prefix locations with the file name. Exit code `1`
-/// means diagnostics were reported, matching `analyze`'s not-robust contract.
+/// Workload files keep their text here (instead of going through [`load_workload`]) so the
+/// diagnostics can quote the offending source lines and prefix locations with the file name.
+/// Exit code `1` means diagnostics were reported, matching `analyze`'s not-robust contract.
 fn lint(
     input: &Input,
     settings: AnalysisSettings,
@@ -308,18 +312,8 @@ fn lint(
 ) -> Result<CommandOutput, CliError> {
     let (workload, source_name, source_text) = match input {
         Input::File(path) => {
-            let text = fs::read_to_string(path).map_err(|e| CliError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let (schema, programs) =
-                parse_workload_file(&text).map_err(|e| CliError::Workload(e.to_string()))?;
-            let name = schema.name().to_string();
-            (
-                Workload::new(name, schema, programs, &[]),
-                Some(path.clone()),
-                Some(text),
-            )
+            let (workload, text) = read_workload_file(path)?;
+            (workload, Some(path.clone()), Some(text))
         }
         Input::Benchmark(_) => (load_workload(input)?, None, None),
     };

@@ -36,7 +36,7 @@ pub use mvrc_schema as schema;
 
 /// Commonly used items, re-exported for convenient glob imports in examples and applications.
 pub mod prelude {
-    pub use mvrc_btp::sql::{parse_catalog, parse_workload, parse_workload_file};
+    pub use mvrc_btp::sql::{parse_workload, parse_workload_file};
     pub use mvrc_btp::{
         unfold_set_le2, LinearProgram, Program, ProgramBuilder, StatementKind, Workload,
     };
