@@ -42,6 +42,16 @@ pub enum BtpError {
         /// Description of the parse failure.
         message: String,
     },
+    /// A program of a workload text unfolds to more LTPs than the analyzer admits; see
+    /// [`MAX_PROGRAM_LTPS`](crate::sql::MAX_PROGRAM_LTPS).
+    TooManyLtps {
+        /// The program's name.
+        program: String,
+        /// How many LTPs `Unfold≤2` would produce before duplicates are dropped (saturating).
+        count: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for BtpError {
@@ -78,6 +88,15 @@ impl fmt::Display for BtpError {
                     "SQL parse error at line {line}, column {column}: {message}"
                 )
             }
+            BtpError::TooManyLtps {
+                program,
+                count,
+                limit,
+            } => write!(
+                f,
+                "program `{program}` unfolds to {count} LTPs under Unfold≤2, \
+                 more than the limit of {limit}"
+            ),
         }
     }
 }

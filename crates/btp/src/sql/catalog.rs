@@ -30,39 +30,41 @@
 
 use crate::error::BtpError;
 use mvrc_schema::{Schema, SchemaBuilder};
+use std::borrow::Cow;
 
-/// A parsed `TABLE` declaration.
+/// A parsed `TABLE` declaration; its names borrow from the workload text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(super) struct TableDecl {
-    pub name: String,
-    pub attributes: Vec<String>,
-    pub primary_key: Vec<String>,
+pub(super) struct TableDecl<'a> {
+    pub name: &'a str,
+    pub attributes: Vec<&'a str>,
+    pub primary_key: Vec<&'a str>,
     pub line: usize,
     pub column: usize,
 }
 
-/// A parsed `FOREIGN KEY` declaration.
+/// A parsed `FOREIGN KEY` declaration; its names borrow from the workload text, except the
+/// generated name of an anonymous key.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(super) struct ForeignKeyDecl {
-    pub name: String,
-    pub dom: String,
-    pub dom_attrs: Vec<String>,
-    pub range: String,
-    pub range_attrs: Vec<String>,
+pub(super) struct ForeignKeyDecl<'a> {
+    pub name: Cow<'a, str>,
+    pub dom: &'a str,
+    pub dom_attrs: Vec<&'a str>,
+    pub range: &'a str,
+    pub range_attrs: Vec<&'a str>,
     pub line: usize,
     pub column: usize,
 }
 
 /// The catalog declarations of a workload file, each kind in source order.
 #[derive(Debug, Default)]
-pub(super) struct Catalog {
+pub(super) struct Catalog<'a> {
     /// The name of the last `SCHEMA` declaration, if any.
-    pub name: Option<String>,
-    pub tables: Vec<TableDecl>,
-    pub foreign_keys: Vec<ForeignKeyDecl>,
+    pub name: Option<&'a str>,
+    pub tables: Vec<TableDecl<'a>>,
+    pub foreign_keys: Vec<ForeignKeyDecl<'a>>,
 }
 
-impl Catalog {
+impl Catalog<'_> {
     /// Builds the declared [`Schema`]. Its errors are semantic, so the caller reports them only
     /// after the whole file parsed.
     pub fn build(&self) -> Result<Schema, BtpError> {
@@ -74,12 +76,10 @@ impl Catalog {
             });
         }
 
-        let mut builder = SchemaBuilder::new(self.name.as_deref().unwrap_or("workload"));
+        let mut builder = SchemaBuilder::new(self.name.unwrap_or("workload"));
         for table in &self.tables {
-            let attrs: Vec<&str> = table.attributes.iter().map(String::as_str).collect();
-            let pk: Vec<&str> = table.primary_key.iter().map(String::as_str).collect();
             builder
-                .relation(&table.name, &attrs, &pk)
+                .relation(table.name, &table.attributes, &table.primary_key)
                 .map_err(|e| BtpError::SqlParse {
                     line: table.line,
                     column: table.column,
@@ -87,10 +87,8 @@ impl Catalog {
                 })?;
         }
         for fk in &self.foreign_keys {
-            let dom_attrs: Vec<&str> = fk.dom_attrs.iter().map(String::as_str).collect();
-            let range_attrs: Vec<&str> = fk.range_attrs.iter().map(String::as_str).collect();
             builder
-                .foreign_key_by_names(&fk.name, &fk.dom, &dom_attrs, &fk.range, &range_attrs)
+                .foreign_key_by_names(&fk.name, fk.dom, &fk.dom_attrs, fk.range, &fk.range_attrs)
                 .map_err(|e| BtpError::SqlParse {
                     line: fk.line,
                     column: fk.column,

@@ -43,12 +43,17 @@
 //! programs — this is what the `mvrc` command-line analyzer consumes. Every entry point lexes
 //! the text once and parses declarations and `PROGRAM` blocks in one pass, in source order;
 //! [`parse_workload`] and [`parse_program`] parse the declarations too and then drop them.
+//! The tokens borrow their text from the input and identifiers carry a keyword tag set while
+//! lexing, so the parser compares tags and allocates a `String` only for what the AST (or
+//! the built schema) keeps. Positions are 1-based lines and columns counted in characters.
 //!
 //! Errors come in a fixed order: a lexical error, else the first syntax error in the text
 //! (a declaration's or a program's, whichever comes first), else a semantic catalog error
 //! (`declares no TABLE`, `invalid TABLE`, `invalid FOREIGN KEY`), else a translation error. A
 //! `PROGRAM` block that runs into the end of the input is an `unterminated PROGRAM block`,
-//! whatever construct inside it was still open.
+//! whatever construct inside it was still open. Translation counts a program's LTPs on its
+//! expression before anything is unfolded, and a program above [`MAX_PROGRAM_LTPS`] is a
+//! [`BtpError::TooManyLtps`].
 //!
 //! ## Classification rules (Appendix A)
 //!
@@ -70,7 +75,7 @@ mod translate;
 
 pub use ast::{CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
 pub use parser::parse_text;
-pub use translate::{translate_program, translate_workload};
+pub use translate::{translate_program, translate_workload, MAX_PROGRAM_LTPS};
 
 use crate::error::BtpError;
 use crate::program::Program;
@@ -102,5 +107,69 @@ pub fn parse_program(schema: &Schema, text: &str) -> Result<Program, BtpError> {
             column: 1,
             message: format!("expected exactly one PROGRAM block, found {n}"),
         }),
+    }
+}
+
+#[cfg(test)]
+mod testgen;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every 20th seeded mutant: 200 texts, from all four sources.
+    const GOLDEN_STRIDE: usize = 20;
+
+    /// One line per sampled mutant and entry point: the `Display` text of the error, or `ok`.
+    fn error_lines() -> String {
+        let sources = testgen::sources();
+        let schemas: Vec<Schema> = sources
+            .iter()
+            .map(
+                |source| match parse_workload_file(&testgen::strip_comments(source)) {
+                    Ok((schema, _)) => schema,
+                    // The Auction SQL declares no tables; its schema is built in code.
+                    Err(_) => testgen::auction_schema(),
+                },
+            )
+            .collect();
+        let show = |result: Result<(), BtpError>| match result {
+            Ok(()) => "ok".to_string(),
+            Err(e) => e.to_string(),
+        };
+        let mut out = String::new();
+        for (index, (source, text)) in testgen::mutants().into_iter().enumerate() {
+            if index % GOLDEN_STRIDE != 0 {
+                continue;
+            }
+            let file = show(parse_workload_file(&text).map(drop));
+            let program = show(parse_program(&schemas[source], &text).map(drop));
+            out.push_str(&format!(
+                "{index} file: {file}\n{index} program: {program}\n"
+            ));
+        }
+        out
+    }
+
+    /// Pins the error text of both entry points on a sample of the seeded mutants, so a change
+    /// of the token representation cannot silently alter a message (`unexpected token …`
+    /// renders the offending token). `MVRC_BLESS=1` rewrites the file instead.
+    #[test]
+    fn parse_errors_match_the_golden_file() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/sql_parse_errors.txt"
+        );
+        let lines = error_lines();
+        if std::env::var_os("MVRC_BLESS").is_some() {
+            std::fs::write(path, &lines).expect("write the golden file");
+            return;
+        }
+        let pinned = std::fs::read_to_string(path).expect("golden file; bless with MVRC_BLESS=1");
+        assert!(pinned.contains("unexpected token Some("));
+        for (got, want) in lines.lines().zip(pinned.lines()) {
+            assert_eq!(got, want);
+        }
+        assert_eq!(lines.lines().count(), pinned.lines().count());
     }
 }

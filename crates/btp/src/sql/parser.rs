@@ -2,7 +2,7 @@
 
 use super::ast::{Assignment, CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
 use super::catalog::{Catalog, ForeignKeyDecl, TableDecl};
-use super::lexer::{tokenize, Token, TokenKind};
+use super::lexer::{describe, tokenize, Keyword, Token, TokenKind};
 use crate::error::BtpError;
 use crate::span::SourceSpan;
 
@@ -23,7 +23,7 @@ pub fn parse_text(text: &str) -> Result<Vec<SqlProgram>, BtpError> {
 
 /// Lexes `text` once and parses its catalog declarations and `PROGRAM` blocks in source order,
 /// stopping at the first syntax error.
-pub(super) fn parse_source(text: &str) -> Result<(Catalog, Vec<SqlProgram>), BtpError> {
+pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram>), BtpError> {
     let mut parser = Parser {
         tokens: tokenize(text)?,
         pos: 0,
@@ -32,20 +32,20 @@ pub(super) fn parse_source(text: &str) -> Result<(Catalog, Vec<SqlProgram>), Btp
     let mut catalog = Catalog::default();
     let mut programs = Vec::new();
     while !parser.at_end() {
-        if parser.eat_keyword("schema") {
-            catalog.name = Some(parser.expect_ident("schema name")?);
+        if parser.eat_keyword(Keyword::Schema) {
+            catalog.name = Some(parser.expect_ident_str("schema name")?);
             parser.expect_semicolon()?;
-        } else if parser.peek_keyword("table") || parser.peek_keyword("create") {
-            parser.eat_keyword("create");
-            parser.expect_keyword("table")?;
+        } else if parser.peek_keyword(Keyword::Table) || parser.peek_keyword(Keyword::Create) {
+            parser.eat_keyword(Keyword::Create);
+            parser.expect_keyword(Keyword::Table)?;
             catalog.tables.push(parser.parse_table()?);
-        } else if parser.eat_keyword("foreign") {
-            parser.expect_keyword("key")?;
+        } else if parser.eat_keyword(Keyword::Foreign) {
+            parser.expect_keyword(Keyword::Key)?;
             let ordinal = catalog.foreign_keys.len() + 1;
             catalog
                 .foreign_keys
                 .push(parser.parse_foreign_key(ordinal)?);
-        } else if parser.eat_keyword("program") {
+        } else if parser.eat_keyword(Keyword::Program) {
             match parser.parse_program() {
                 Ok(program) => programs.push(program),
                 // Whatever construct was open, a program that runs into the end of the input
@@ -62,14 +62,17 @@ pub(super) fn parse_source(text: &str) -> Result<(Catalog, Vec<SqlProgram>), Btp
     Ok((catalog, programs))
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// A cursor over the tokens of one text. Tokens borrow from the text and are `Copy`, so
+/// looking at or consuming one allocates nothing; a `String` is made only for what the AST
+/// keeps.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Number of `IF`/loop blocks enclosing the current position.
     depth: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -94,40 +97,43 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<TokenKind> {
+        self.tokens.get(self.pos).map(|t| t.kind)
     }
 
-    fn peek_keyword(&self, kw: &str) -> bool {
-        self.peek().is_some_and(|k| k.is_keyword(kw))
+    fn peek_keyword(&self, kw: Keyword) -> bool {
+        self.peek() == Some(TokenKind::Ident(kw))
     }
 
-    fn advance(&mut self) -> Option<TokenKind> {
-        let kind = self.tokens.get(self.pos).map(|t| t.kind.clone());
-        if kind.is_some() {
+    /// Consumes the current token, if any.
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let token = self.tokens.get(self.pos).copied();
+        if token.is_some() {
             self.pos += 1;
         }
-        kind
+        token
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.peek_keyword(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    /// Consumes the current token and returns its text; only call after a successful `peek`.
+    fn bump_text(&mut self) -> &'a str {
+        let text = self.tokens[self.pos].text;
+        self.pos += 1;
+        text
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), BtpError> {
+    fn eat_keyword(&mut self, kw: Keyword) -> bool {
+        self.eat(TokenKind::Ident(kw))
+    }
+
+    fn expect_keyword(&mut self, kw: Keyword) -> Result<(), BtpError> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
-            Err(self.error(format!("expected `{}`", kw.to_uppercase())))
+            Err(self.error(format!("expected `{}`", kw.as_str())))
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.peek() == Some(kind) {
             self.pos += 1;
             true
@@ -136,7 +142,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), BtpError> {
+    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<(), BtpError> {
         if self.eat(kind) {
             Ok(())
         } else {
@@ -145,50 +151,51 @@ impl Parser {
     }
 
     fn expect_semicolon(&mut self) -> Result<(), BtpError> {
-        self.expect(&TokenKind::Semicolon, "`;`")
+        self.expect(TokenKind::Semicolon, "`;`")
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, BtpError> {
+    /// Consumes an identifier (a keyword counts as one) and returns its text.
+    fn expect_ident_str(&mut self, what: &str) -> Result<&'a str, BtpError> {
         match self.peek() {
-            Some(TokenKind::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
+            Some(TokenKind::Ident(_)) => Ok(self.bump_text()),
             _ => Err(self.error(format!("expected {what}"))),
         }
     }
 
+    fn expect_ident(&mut self, what: &str) -> Result<String, BtpError> {
+        self.expect_ident_str(what).map(str::to_string)
+    }
+
     /// Parses `<name> ( attr [, attr]* [, PRIMARY KEY ( attr [, attr]* )] ) ;` after the
     /// `TABLE` keyword.
-    fn parse_table(&mut self) -> Result<TableDecl, BtpError> {
+    fn parse_table(&mut self) -> Result<TableDecl<'a>, BtpError> {
         let span = self.span();
-        let name = self.expect_ident("table name")?;
-        self.expect(&TokenKind::LParen, "`(` after the table name")?;
+        let name = self.expect_ident_str("table name")?;
+        self.expect(TokenKind::LParen, "`(` after the table name")?;
         let mut attributes = Vec::new();
         let mut primary_key = Vec::new();
         loop {
-            if self.eat(&TokenKind::RParen) {
+            if self.eat(TokenKind::RParen) {
                 break;
             }
-            if self.eat(&TokenKind::Comma) {
+            if self.eat(TokenKind::Comma) {
                 continue;
             }
-            if self.eat_keyword("primary") {
-                self.expect_keyword("key")?;
-                self.expect(&TokenKind::LParen, "`(` after PRIMARY KEY")?;
+            if self.eat_keyword(Keyword::Primary) {
+                self.expect_keyword(Keyword::Key)?;
+                self.expect(TokenKind::LParen, "`(` after PRIMARY KEY")?;
                 loop {
-                    if self.eat(&TokenKind::RParen) {
+                    if self.eat(TokenKind::RParen) {
                         break;
                     }
-                    if self.eat(&TokenKind::Comma) {
+                    if self.eat(TokenKind::Comma) {
                         continue;
                     }
-                    primary_key.push(self.expect_ident("primary-key attribute")?);
+                    primary_key.push(self.expect_ident_str("primary-key attribute")?);
                 }
                 continue;
             }
-            attributes.push(self.expect_ident("attribute name")?);
+            attributes.push(self.expect_ident_str("attribute name")?);
         }
         self.expect_semicolon()?;
         if attributes.is_empty() {
@@ -199,7 +206,7 @@ impl Parser {
             });
         }
         if primary_key.is_empty() {
-            primary_key.push(attributes[0].clone());
+            primary_key.push(attributes[0]);
         }
         Ok(TableDecl {
             name,
@@ -212,22 +219,21 @@ impl Parser {
 
     /// Parses `[<name> :] <dom> ( attrs ) REFERENCES <range> ( attrs ) ;` after `FOREIGN KEY`;
     /// an anonymous key is named `fk<ordinal>`.
-    fn parse_foreign_key(&mut self, ordinal: usize) -> Result<ForeignKeyDecl, BtpError> {
+    fn parse_foreign_key(&mut self, ordinal: usize) -> Result<ForeignKeyDecl<'a>, BtpError> {
         let span = self.span();
-        let first = self.expect_ident("foreign key name or domain relation")?;
+        let first = self.expect_ident_str("foreign key name or domain relation")?;
         // Three accepted shapes: `f1 : Bids (…)` (colon token), `f1: Bids (…)` (the lexer fuses
         // `:Bids` into a parameter token) and the anonymous `Bids (…)`.
-        let (name, dom) = if self.eat(&TokenKind::Colon) {
-            (first, self.expect_ident("domain relation")?)
-        } else if let Some(TokenKind::Param(dom)) = self.peek().cloned() {
-            self.pos += 1;
-            (first, dom)
+        let (name, dom) = if self.eat(TokenKind::Colon) {
+            (first.into(), self.expect_ident_str("domain relation")?)
+        } else if self.peek() == Some(TokenKind::Param) {
+            (first.into(), self.bump_text())
         } else {
-            (format!("fk{ordinal}"), first)
+            (format!("fk{ordinal}").into(), first)
         };
         let dom_attrs = self.parse_attr_list("domain attribute")?;
-        self.expect_keyword("references")?;
-        let range = self.expect_ident("referenced relation")?;
+        self.expect_keyword(Keyword::References)?;
+        let range = self.expect_ident_str("referenced relation")?;
         let range_attrs = self.parse_attr_list("referenced attribute")?;
         self.expect_semicolon()?;
         Ok(ForeignKeyDecl {
@@ -241,17 +247,17 @@ impl Parser {
         })
     }
 
-    fn parse_attr_list(&mut self, what: &str) -> Result<Vec<String>, BtpError> {
-        self.expect(&TokenKind::LParen, "`(`")?;
+    fn parse_attr_list(&mut self, what: &str) -> Result<Vec<&'a str>, BtpError> {
+        self.expect(TokenKind::LParen, "`(`")?;
         let mut attrs = Vec::new();
         loop {
-            if self.eat(&TokenKind::RParen) {
+            if self.eat(TokenKind::RParen) {
                 break;
             }
-            if self.eat(&TokenKind::Comma) {
+            if self.eat(TokenKind::Comma) {
                 continue;
             }
-            attrs.push(self.expect_ident(what)?);
+            attrs.push(self.expect_ident_str(what)?);
         }
         if attrs.is_empty() {
             return Err(self.error(format!("expected at least one {what}")));
@@ -263,18 +269,19 @@ impl Parser {
     fn parse_program(&mut self) -> Result<SqlProgram, BtpError> {
         let name = self.expect_ident("program name")?;
         let mut params = Vec::new();
-        if self.eat(&TokenKind::LParen) {
-            while !self.eat(&TokenKind::RParen) {
-                match self.advance() {
-                    Some(TokenKind::Param(p)) => params.push(p),
-                    Some(TokenKind::Comma) => {}
+        if self.eat(TokenKind::LParen) {
+            while !self.eat(TokenKind::RParen) {
+                // The offending token is consumed before the error names a position.
+                match self.bump() {
+                    Some(t) if t.kind == TokenKind::Param => params.push(t.text.to_string()),
+                    Some(t) if t.kind == TokenKind::Comma => {}
                     _ => return Err(self.error("expected `:parameter` in program header")),
                 }
             }
         }
-        self.expect(&TokenKind::LBrace, "`{` to open the program body")?;
+        self.expect(TokenKind::LBrace, "`{` to open the program body")?;
         let body = self.parse_statements_until(&[Terminator::RBrace])?;
-        self.expect(&TokenKind::RBrace, "`}` to close the program body")?;
+        self.expect(TokenKind::RBrace, "`}` to close the program body")?;
         Ok(SqlProgram { name, params, body })
     }
 
@@ -285,7 +292,7 @@ impl Parser {
         let mut statements = Vec::new();
         loop {
             // Drop stray semicolons.
-            while self.eat(&TokenKind::Semicolon) {}
+            while self.eat(TokenKind::Semicolon) {}
             if self.at_end() || terminators.iter().any(|t| t.matches(self)) {
                 return Ok(statements);
             }
@@ -296,34 +303,37 @@ impl Parser {
     }
 
     fn parse_statement(&mut self) -> Result<Option<SqlStatement>, BtpError> {
-        if self.eat_keyword("commit") {
-            self.eat(&TokenKind::Semicolon);
-            return Ok(None);
+        let Some(TokenKind::Ident(keyword)) = self.peek() else {
+            return Err(self.unexpected_token());
+        };
+        match keyword {
+            Keyword::Commit => {
+                self.pos += 1;
+                self.eat(TokenKind::Semicolon);
+                Ok(None)
+            }
+            Keyword::Select => self.parse_select().map(Some),
+            Keyword::Update => self.parse_update().map(Some),
+            Keyword::Insert => self.parse_insert().map(Some),
+            Keyword::Delete => self.parse_delete().map(Some),
+            Keyword::If => self.nested(Self::parse_if).map(Some),
+            Keyword::Repeat | Keyword::For | Keyword::While => {
+                self.nested(Self::parse_loop).map(Some)
+            }
+            _ => Err(self.unexpected_token()),
         }
-        if self.peek_keyword("select") {
-            return self.parse_select().map(Some);
-        }
-        if self.peek_keyword("update") {
-            return self.parse_update().map(Some);
-        }
-        if self.peek_keyword("insert") {
-            return self.parse_insert().map(Some);
-        }
-        if self.peek_keyword("delete") {
-            return self.parse_delete().map(Some);
-        }
-        if self.peek_keyword("if") {
-            return self.nested(Self::parse_if).map(Some);
-        }
-        if self.peek_keyword("repeat") || self.peek_keyword("for") || self.peek_keyword("while") {
-            return self.nested(Self::parse_loop).map(Some);
-        }
-        Err(self.error(format!("unexpected token {:?}", self.peek())))
+    }
+
+    fn unexpected_token(&self) -> BtpError {
+        self.error(format!(
+            "unexpected token {}",
+            describe(self.tokens.get(self.pos))
+        ))
     }
 
     fn parse_select(&mut self) -> Result<SqlStatement, BtpError> {
         let span = self.span();
-        self.expect_keyword("select")?;
+        self.expect_keyword(Keyword::Select)?;
         let mut columns = Vec::new();
         let mut star = false;
         loop {
@@ -332,35 +342,28 @@ impl Parser {
                     star = true;
                     self.pos += 1;
                 }
-                Some(TokenKind::Ident(_))
-                    if !self.peek_keyword("from") && !self.peek_keyword("into") =>
-                {
-                    let mut col = self.expect_ident("column name")?;
+                Some(TokenKind::Ident(kw)) if kw != Keyword::From && kw != Keyword::Into => {
+                    let mut col = self.bump_text();
                     // Qualified column `alias.column` — keep only the column name.
-                    if self.eat(&TokenKind::Dot) {
-                        col = self.expect_ident("column after `.`")?;
+                    if self.eat(TokenKind::Dot) {
+                        col = self.expect_ident_str("column after `.`")?;
                     }
-                    columns.push(col);
+                    columns.push(col.to_string());
                 }
                 _ => break,
             }
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        if self.eat_keyword("into") {
+        if self.eat_keyword(Keyword::Into) {
             // Host variables receiving the result; irrelevant to the analysis.
-            while let Some(TokenKind::Param(_)) = self.peek() {
-                self.pos += 1;
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
+            self.skip_params();
         }
-        self.expect_keyword("from")?;
+        self.expect_keyword(Keyword::From)?;
         let relation = self.expect_ident("relation name")?;
         let where_clause = self.parse_optional_where()?;
-        self.eat(&TokenKind::Semicolon);
+        self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::Select {
             relation,
             columns,
@@ -370,45 +373,49 @@ impl Parser {
         })
     }
 
+    /// Skips a comma-separated list of host parameters (an `INTO` target list).
+    fn skip_params(&mut self) {
+        while self.eat(TokenKind::Param) {
+            if !self.eat(TokenKind::Comma) {
+                break;
+            }
+        }
+    }
+
     fn parse_update(&mut self) -> Result<SqlStatement, BtpError> {
         let span = self.span();
-        self.expect_keyword("update")?;
+        self.expect_keyword(Keyword::Update)?;
         let relation = self.expect_ident("relation name")?;
-        self.expect_keyword("set")?;
+        self.expect_keyword(Keyword::Set)?;
         let mut assignments = Vec::new();
         loop {
             let target = self.expect_ident("assignment target")?;
-            self.expect(&TokenKind::Eq, "`=` in assignment")?;
+            self.expect(TokenKind::Eq, "`=` in assignment")?;
             let expr = self.parse_expression()?;
             assignments.push(Assignment { target, expr });
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
         let where_clause = self.parse_optional_where()?;
         let mut returning = Vec::new();
-        if self.eat_keyword("returning") {
+        if self.eat_keyword(Keyword::Returning) {
             loop {
                 match self.peek() {
-                    Some(TokenKind::Ident(_)) if !self.peek_keyword("into") => {
-                        returning.push(self.expect_ident("returning column")?);
+                    Some(TokenKind::Ident(kw)) if kw != Keyword::Into => {
+                        returning.push(self.bump_text().to_string());
                     }
                     _ => break,
                 }
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            if self.eat_keyword("into") {
-                while let Some(TokenKind::Param(_)) = self.peek() {
-                    self.pos += 1;
-                    if !self.eat(&TokenKind::Comma) {
-                        break;
-                    }
-                }
+            if self.eat_keyword(Keyword::Into) {
+                self.skip_params();
             }
         }
-        self.eat(&TokenKind::Semicolon);
+        self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::Update {
             relation,
             assignments,
@@ -420,32 +427,35 @@ impl Parser {
 
     fn parse_insert(&mut self) -> Result<SqlStatement, BtpError> {
         let span = self.span();
-        self.expect_keyword("insert")?;
-        self.expect_keyword("into")?;
+        self.expect_keyword(Keyword::Insert)?;
+        self.expect_keyword(Keyword::Into)?;
         let relation = self.expect_ident("relation name")?;
         let mut columns = Vec::new();
-        if self.eat(&TokenKind::LParen) {
-            while !self.eat(&TokenKind::RParen) {
-                match self.advance() {
-                    Some(TokenKind::Ident(c)) => columns.push(c),
-                    Some(TokenKind::Comma) => {}
+        if self.eat(TokenKind::LParen) {
+            while !self.eat(TokenKind::RParen) {
+                // The offending token is consumed before the error names a position.
+                match self.bump() {
+                    Some(t) if matches!(t.kind, TokenKind::Ident(_)) => {
+                        columns.push(t.text.to_string())
+                    }
+                    Some(t) if t.kind == TokenKind::Comma => {}
                     _ => return Err(self.error("expected column name in INSERT column list")),
                 }
             }
         }
-        self.expect_keyword("values")?;
-        self.expect(&TokenKind::LParen, "`(` before VALUES list")?;
+        self.expect_keyword(Keyword::Values)?;
+        self.expect(TokenKind::LParen, "`(` before VALUES list")?;
         let mut values = Vec::new();
         loop {
             let expr = self.parse_expression()?;
             values.push(expr);
-            if self.eat(&TokenKind::Comma) {
+            if self.eat(TokenKind::Comma) {
                 continue;
             }
-            self.expect(&TokenKind::RParen, "`)` after VALUES list")?;
+            self.expect(TokenKind::RParen, "`)` after VALUES list")?;
             break;
         }
-        self.eat(&TokenKind::Semicolon);
+        self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::Insert {
             relation,
             columns,
@@ -456,11 +466,11 @@ impl Parser {
 
     fn parse_delete(&mut self) -> Result<SqlStatement, BtpError> {
         let span = self.span();
-        self.expect_keyword("delete")?;
-        self.expect_keyword("from")?;
+        self.expect_keyword(Keyword::Delete)?;
+        self.expect_keyword(Keyword::From)?;
         let relation = self.expect_ident("relation name")?;
         let where_clause = self.parse_optional_where()?;
-        self.eat(&TokenKind::Semicolon);
+        self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::Delete {
             relation,
             where_clause,
@@ -485,34 +495,40 @@ impl Parser {
         block
     }
 
-    fn parse_if(&mut self) -> Result<SqlStatement, BtpError> {
-        self.expect_keyword("if")?;
-        // The condition involves host variables only; skip tokens until THEN (or a `:` style
-        // shorthand where THEN is omitted and the body starts right away is not supported).
-        while !self.peek_keyword("then") {
+    /// Skips tokens up to the keyword `kw`; at the end of the input, fails with `missing`.
+    fn skip_to_keyword(&mut self, kw: Keyword, missing: &str) -> Result<(), BtpError> {
+        while !self.peek_keyword(kw) {
             if self.at_end() {
-                return Err(self.error("expected `THEN` after IF condition"));
+                return Err(self.error(missing));
             }
             self.pos += 1;
         }
-        self.expect_keyword("then")?;
+        Ok(())
+    }
+
+    fn parse_if(&mut self) -> Result<SqlStatement, BtpError> {
+        self.expect_keyword(Keyword::If)?;
+        // The condition involves host variables only; skip tokens until THEN (or a `:` style
+        // shorthand where THEN is omitted and the body starts right away is not supported).
+        self.skip_to_keyword(Keyword::Then, "expected `THEN` after IF condition")?;
+        self.expect_keyword(Keyword::Then)?;
         let then_branch = self.parse_statements_until(&[
-            Terminator::Keyword("else"),
-            Terminator::Keyword("endif"),
-            Terminator::EndPair("end", "if"),
+            Terminator::Keyword(Keyword::Else),
+            Terminator::Keyword(Keyword::EndIf),
+            Terminator::EndPair(Keyword::If),
         ])?;
         let mut else_branch = Vec::new();
-        if self.eat_keyword("else") {
+        if self.eat_keyword(Keyword::Else) {
             else_branch = self.parse_statements_until(&[
-                Terminator::Keyword("endif"),
-                Terminator::EndPair("end", "if"),
+                Terminator::Keyword(Keyword::EndIf),
+                Terminator::EndPair(Keyword::If),
             ])?;
         }
-        if !self.eat_keyword("endif") {
-            self.expect_keyword("end")?;
-            self.expect_keyword("if")?;
+        if !self.eat_keyword(Keyword::EndIf) {
+            self.expect_keyword(Keyword::End)?;
+            self.expect_keyword(Keyword::If)?;
         }
-        self.eat(&TokenKind::Semicolon);
+        self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::If {
             then_branch,
             else_branch,
@@ -520,57 +536,51 @@ impl Parser {
     }
 
     fn parse_loop(&mut self) -> Result<SqlStatement, BtpError> {
-        if self.eat_keyword("repeat") {
+        if self.eat_keyword(Keyword::Repeat) {
             let body = self.parse_statements_until(&[
-                Terminator::Keyword("endrepeat"),
-                Terminator::EndPair("end", "repeat"),
-                Terminator::Keyword("until"),
+                Terminator::Keyword(Keyword::EndRepeat),
+                Terminator::EndPair(Keyword::Repeat),
+                Terminator::Keyword(Keyword::Until),
             ])?;
-            if self.eat_keyword("until") {
+            if self.eat_keyword(Keyword::Until) {
                 // Skip the loop condition up to the terminating semicolon.
-                while !self.eat(&TokenKind::Semicolon) {
+                while !self.eat(TokenKind::Semicolon) {
                     if self.at_end() {
                         break;
                     }
                     self.pos += 1;
                 }
-            } else if !self.eat_keyword("endrepeat") {
-                self.expect_keyword("end")?;
-                self.expect_keyword("repeat")?;
+            } else if !self.eat_keyword(Keyword::EndRepeat) {
+                self.expect_keyword(Keyword::End)?;
+                self.expect_keyword(Keyword::Repeat)?;
             }
-            self.eat(&TokenKind::Semicolon);
+            self.eat(TokenKind::Semicolon);
             return Ok(SqlStatement::Loop { body });
         }
-        let is_for = self.eat_keyword("for");
-        if !is_for {
-            self.expect_keyword("while")?;
+        if !self.eat_keyword(Keyword::For) {
+            self.expect_keyword(Keyword::While)?;
         }
         // Skip the loop header up to DO (FOR each item DO … / WHILE cond DO …).
-        while !self.peek_keyword("do") {
-            if self.at_end() {
-                return Err(self.error("expected `DO` after loop header"));
-            }
-            self.pos += 1;
-        }
-        self.expect_keyword("do")?;
+        self.skip_to_keyword(Keyword::Do, "expected `DO` after loop header")?;
+        self.expect_keyword(Keyword::Do)?;
         let body = self.parse_statements_until(&[
-            Terminator::Keyword("endfor"),
-            Terminator::Keyword("endwhile"),
-            Terminator::EndPair("end", "for"),
-            Terminator::EndPair("end", "while"),
+            Terminator::Keyword(Keyword::EndFor),
+            Terminator::Keyword(Keyword::EndWhile),
+            Terminator::EndPair(Keyword::For),
+            Terminator::EndPair(Keyword::While),
         ])?;
-        if !self.eat_keyword("endfor") && !self.eat_keyword("endwhile") {
-            self.expect_keyword("end")?;
-            if !self.eat_keyword("for") {
-                self.expect_keyword("while")?;
+        if !self.eat_keyword(Keyword::EndFor) && !self.eat_keyword(Keyword::EndWhile) {
+            self.expect_keyword(Keyword::End)?;
+            if !self.eat_keyword(Keyword::For) {
+                self.expect_keyword(Keyword::While)?;
             }
         }
-        self.eat(&TokenKind::Semicolon);
+        self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::Loop { body })
     }
 
     fn parse_optional_where(&mut self) -> Result<Option<Condition>, BtpError> {
-        if !self.eat_keyword("where") {
+        if !self.eat_keyword(Keyword::Where) {
             return Ok(None);
         }
         let mut comparisons = Vec::new();
@@ -588,7 +598,7 @@ impl Parser {
             self.pos += 1;
             let right = self.parse_expression()?;
             comparisons.push(Comparison { left, op, right });
-            if !self.eat_keyword("and") {
+            if !self.eat_keyword(Keyword::And) {
                 break;
             }
         }
@@ -600,36 +610,23 @@ impl Parser {
     fn parse_expression(&mut self) -> Result<Vec<Value>, BtpError> {
         let mut operands = Vec::new();
         loop {
-            match self.peek().cloned() {
-                Some(TokenKind::Ident(name)) => {
-                    self.pos += 1;
+            let operand = match self.peek() {
+                Some(TokenKind::Ident(_)) => {
+                    let mut name = self.bump_text();
                     // Qualified name `alias.column`.
-                    if self.eat(&TokenKind::Dot) {
-                        let column = self.expect_ident("column after `.`")?;
-                        operands.push(Value::Column(column));
-                    } else {
-                        operands.push(Value::Column(name));
+                    if self.eat(TokenKind::Dot) {
+                        name = self.expect_ident_str("column after `.`")?;
                     }
+                    Value::Column(name.to_string())
                 }
-                Some(TokenKind::Param(p)) => {
-                    self.pos += 1;
-                    operands.push(Value::Param(p));
-                }
-                Some(TokenKind::Number(n)) => {
-                    self.pos += 1;
-                    operands.push(Value::Number(n));
-                }
-                Some(TokenKind::Str(s)) => {
-                    self.pos += 1;
-                    operands.push(Value::Str(s));
-                }
+                Some(TokenKind::Param) => Value::Param(self.bump_text().to_string()),
+                Some(TokenKind::Number) => Value::Number(self.bump_text().to_string()),
+                Some(TokenKind::Str) => Value::Str(self.bump_text().to_string()),
                 _ => return Err(self.error("expected expression operand")),
-            }
+            };
+            operands.push(operand);
             match self.peek() {
-                Some(TokenKind::Plus)
-                | Some(TokenKind::Minus)
-                | Some(TokenKind::Star)
-                | Some(TokenKind::Slash) => {
+                Some(TokenKind::Plus | TokenKind::Minus | TokenKind::Star | TokenKind::Slash) => {
                     self.pos += 1;
                 }
                 _ => break,
@@ -642,21 +639,22 @@ impl Parser {
 /// A construct that terminates a statement list.
 enum Terminator {
     RBrace,
-    Keyword(&'static str),
-    EndPair(&'static str, &'static str),
+    Keyword(Keyword),
+    /// `END` followed by the keyword.
+    EndPair(Keyword),
 }
 
 impl Terminator {
     fn matches(&self, parser: &Parser) -> bool {
-        match self {
-            Terminator::RBrace => parser.peek() == Some(&TokenKind::RBrace),
+        match *self {
+            Terminator::RBrace => parser.peek() == Some(TokenKind::RBrace),
             Terminator::Keyword(kw) => parser.peek_keyword(kw),
-            Terminator::EndPair(first, second) => {
-                parser.peek_keyword(first)
+            Terminator::EndPair(second) => {
+                parser.peek_keyword(Keyword::End)
                     && parser
                         .tokens
                         .get(parser.pos + 1)
-                        .is_some_and(|t| t.kind.is_keyword(second))
+                        .is_some_and(|t| t.kind == TokenKind::Ident(second))
             }
         }
     }

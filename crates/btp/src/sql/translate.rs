@@ -1,34 +1,73 @@
 //! Translation of parsed SQL programs into BTPs (Appendix A of the paper).
 
-use super::ast::{SqlProgram, SqlStatement, Value};
+use super::ast::{Comparison, Condition, SqlProgram, SqlStatement, Value};
 use crate::error::BtpError;
 use crate::program::{FkConstraint, Program, ProgramExpr, StmtId};
 use crate::span::SourceSpan;
 use crate::statement::{Statement, StatementKind};
-use mvrc_schema::{AttrId, AttrSet, Relation, Schema};
-use std::collections::HashMap;
+use crate::unfold::{unfolding_count, UnfoldOptions};
+use mvrc_schema::{AttrId, AttrSet, ForeignKey, RelId, Relation, Schema};
+use std::fmt::Write;
 
 /// Translates every parsed program of a workload.
 pub fn translate_workload(
     schema: &Schema,
     programs: &[SqlProgram],
 ) -> Result<Vec<Program>, BtpError> {
+    let fks = FksByDom::new(schema);
     programs
         .iter()
-        .map(|p| translate_program(schema, p))
+        .map(|p| translate(schema, &fks, p))
         .collect()
 }
 
+/// The most LTPs one program of a workload text may unfold to (`Unfold≤2`, counted before
+/// duplicates are dropped); a program above it is a [`BtpError::TooManyLtps`].
+///
+/// Algorithm 1's summary graph has a node per LTP statement and grows quadratically in them, so
+/// time and memory follow this count. `mvrc analyze` on one-program files, on a 2-core VM:
+///
+/// | program | LTPs | time | peak RSS |
+/// |---|---|---|---|
+/// | 3 nested `WHILE` loops, one `UPDATE` per level | 183 | 0.25 s | 105 MB |
+/// | 8 optional `UPDATE`s | 256 | 0.12 s | 53 MB |
+/// | 9 optional `UPDATE`s | 512 | 0.64 s | 256 MB |
+/// | 10 optional `UPDATE`s | 1,024 | 3.2 s | 1.2 GB |
+/// | 4 nested `WHILE` loops | 33,673 | OOM-killed at 15.6 GB | — |
+///
+/// The limit keeps one program within about a second and 256 MB. Every bundled workload
+/// unfolds to at most 13 LTPs per program.
+pub const MAX_PROGRAM_LTPS: u64 = 512;
+
 /// Translates a single parsed program into a BTP, inferring foreign-key constraints from host
-/// parameter reuse.
+/// parameter reuse. Fails before anything is unfolded when the program would unfold to more
+/// than [`MAX_PROGRAM_LTPS`] LTPs.
 pub fn translate_program(schema: &Schema, program: &SqlProgram) -> Result<Program, BtpError> {
+    translate(schema, &FksByDom::new(schema), program)
+}
+
+fn translate(
+    schema: &Schema,
+    fks: &FksByDom<'_>,
+    program: &SqlProgram,
+) -> Result<Program, BtpError> {
     let mut ctx = TranslateCtx {
         schema,
+        fks,
         statements: Vec::new(),
         bindings: Vec::new(),
+        binding_ends: Vec::new(),
         spans: Vec::new(),
     };
     let body = ctx.translate_block(&program.body)?;
+    let count = unfolding_count(&body, UnfoldOptions::default().max_loop_iterations);
+    if count > MAX_PROGRAM_LTPS {
+        return Err(BtpError::TooManyLtps {
+            program: program.name.clone(),
+            count,
+            limit: MAX_PROGRAM_LTPS,
+        });
+    }
     let fk_constraints = ctx.infer_fk_constraints();
     let spans = ctx.spans;
     Ok(
@@ -37,17 +76,49 @@ pub fn translate_program(schema: &Schema, program: &SqlProgram) -> Result<Progra
     )
 }
 
-struct TranslateCtx<'a> {
+/// A schema's foreign keys grouped by domain relation: those over relation `r` are
+/// `fks[starts[r]..starts[r + 1]]`, in id order. Foreign-key inference then visits only the
+/// keys leaving a relation the program's statements access, not every key of the schema.
+struct FksByDom<'a> {
+    starts: Vec<usize>,
+    fks: Vec<&'a ForeignKey>,
+}
+
+impl<'a> FksByDom<'a> {
+    fn new(schema: &'a Schema) -> Self {
+        let mut fks: Vec<&ForeignKey> = schema.foreign_keys().collect();
+        // Stable: keys over one relation stay in id order.
+        fks.sort_by_key(|fk| fk.dom());
+        let mut starts = vec![0; schema.relation_count() + 1];
+        for fk in &fks {
+            starts[fk.dom().index() + 1] += 1;
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        FksByDom { starts, fks }
+    }
+
+    fn over(&self, dom: RelId) -> &[&'a ForeignKey] {
+        &self.fks[self.starts[dom.index()]..self.starts[dom.index() + 1]]
+    }
+}
+
+struct TranslateCtx<'a, 'p> {
     schema: &'a Schema,
+    fks: &'a FksByDom<'a>,
     statements: Vec<Statement>,
-    /// For every statement: the map from attribute to the host parameter it is bound to by an
-    /// equality predicate (or by an INSERT value). Used for foreign-key inference.
-    bindings: Vec<HashMap<AttrId, String>>,
+    /// The attributes each statement binds to a host parameter by an equality predicate (or by
+    /// an INSERT value), with the parameter's name, one run per statement in statement order.
+    /// Used for foreign-key inference.
+    bindings: Vec<(AttrId, &'p str)>,
+    /// For every statement: where its run in `bindings` ends (the next one's starts there).
+    binding_ends: Vec<usize>,
     /// For every statement: where it starts in the SQL source (parallel to `statements`).
     spans: Vec<Option<SourceSpan>>,
 }
 
-impl<'a> TranslateCtx<'a> {
+impl<'a, 'p> TranslateCtx<'a, 'p> {
     fn relation(&self, name: &str) -> Result<&'a Relation, BtpError> {
         self.schema
             .relation_by_name(name)
@@ -71,23 +142,44 @@ impl<'a> TranslateCtx<'a> {
     }
 
     fn next_name(&self) -> String {
-        format!("q{}", self.statements.len() + 1)
+        let mut name = String::with_capacity(6);
+        name.push('q');
+        write!(name, "{}", self.statements.len() + 1).expect("writing to a String cannot fail");
+        name
     }
 
-    fn add(
-        &mut self,
-        statement: Statement,
-        bindings: HashMap<AttrId, String>,
-        span: SourceSpan,
-    ) -> StmtId {
+    /// Adds a statement; its bindings are those recorded by [`bind`](Self::bind) since the
+    /// previous one was added.
+    fn add(&mut self, statement: Statement, span: SourceSpan) -> StmtId {
         let id = StmtId(self.statements.len() as u16);
         self.statements.push(statement);
-        self.bindings.push(bindings);
+        self.binding_ends.push(self.bindings.len());
         self.spans.push(Some(span));
         id
     }
 
-    fn translate_block(&mut self, block: &[SqlStatement]) -> Result<ProgramExpr, BtpError> {
+    /// Binds `attr` of the statement being translated to `param`, replacing an earlier binding
+    /// of `attr` by the same statement.
+    fn bind(&mut self, attr: AttrId, param: &'p str) {
+        let start = self.binding_ends.last().copied().unwrap_or(0);
+        match self.bindings[start..].iter_mut().find(|(a, _)| *a == attr) {
+            Some(binding) => binding.1 = param,
+            None => self.bindings.push((attr, param)),
+        }
+    }
+
+    /// The parameter the statement at `index` binds `attr` to.
+    fn binding(&self, index: usize, attr: AttrId) -> Option<&'p str> {
+        let start = index
+            .checked_sub(1)
+            .map_or(0, |prev| self.binding_ends[prev]);
+        self.bindings[start..self.binding_ends[index]]
+            .iter()
+            .find(|(a, _)| *a == attr)
+            .map(|&(_, p)| p)
+    }
+
+    fn translate_block(&mut self, block: &'p [SqlStatement]) -> Result<ProgramExpr, BtpError> {
         let mut parts = Vec::with_capacity(block.len());
         for stmt in block {
             parts.push(self.translate_statement(stmt)?);
@@ -99,7 +191,7 @@ impl<'a> TranslateCtx<'a> {
         })
     }
 
-    fn translate_statement(&mut self, stmt: &SqlStatement) -> Result<ProgramExpr, BtpError> {
+    fn translate_statement(&mut self, stmt: &'p SqlStatement) -> Result<ProgramExpr, BtpError> {
         match stmt {
             SqlStatement::Select {
                 relation,
@@ -122,7 +214,7 @@ impl<'a> TranslateCtx<'a> {
                     (StatementKind::PredSelect, Some(analysis.pread))
                 };
                 let statement = Statement::new(name, rel, kind, pread, Some(read), None)?;
-                Ok(self.add(statement, analysis.bindings, *span).into())
+                Ok(self.add(statement, *span).into())
             }
             SqlStatement::Update {
                 relation,
@@ -151,7 +243,7 @@ impl<'a> TranslateCtx<'a> {
                     (StatementKind::PredUpdate, Some(analysis.pread))
                 };
                 let statement = Statement::new(name, rel, kind, pread, Some(read), Some(write))?;
-                Ok(self.add(statement, analysis.bindings, *span).into())
+                Ok(self.add(statement, *span).into())
             }
             SqlStatement::Insert {
                 relation,
@@ -160,7 +252,6 @@ impl<'a> TranslateCtx<'a> {
                 span,
             } => {
                 let rel = self.relation(relation)?;
-                let mut bindings = HashMap::new();
                 // Pair values with attributes either positionally or through the column list and
                 // record parameter bindings for foreign-key inference.
                 for (idx, value) in values.iter().enumerate() {
@@ -174,12 +265,12 @@ impl<'a> TranslateCtx<'a> {
                         columns.get(idx).map(|c| self.attr(rel, c)).transpose()?
                     };
                     if let (Some(attr), [Value::Param(p)]) = (attr, value.as_slice()) {
-                        bindings.insert(attr, p.clone());
+                        self.bind(attr, p);
                     }
                 }
                 let name = self.next_name();
                 let statement = Statement::new(name, rel, StatementKind::Insert, None, None, None)?;
-                Ok(self.add(statement, bindings, *span).into())
+                Ok(self.add(statement, *span).into())
             }
             SqlStatement::Delete {
                 relation,
@@ -195,7 +286,7 @@ impl<'a> TranslateCtx<'a> {
                     (StatementKind::PredDelete, Some(analysis.pread))
                 };
                 let statement = Statement::new(name, rel, kind, pread, None, None)?;
-                Ok(self.add(statement, analysis.bindings, *span).into())
+                Ok(self.add(statement, *span).into())
             }
             SqlStatement::If {
                 then_branch,
@@ -216,10 +307,11 @@ impl<'a> TranslateCtx<'a> {
         }
     }
 
+    /// Classifies a `WHERE` clause and binds its equality-bound attributes.
     fn analyze_where(
-        &self,
+        &mut self,
         rel: &Relation,
-        where_clause: Option<&super::ast::Condition>,
+        where_clause: Option<&'p Condition>,
     ) -> Result<WhereAnalysis, BtpError> {
         let Some(cond) = where_clause else {
             // No WHERE clause: a scan over the whole relation, i.e. predicate-based with an
@@ -227,30 +319,28 @@ impl<'a> TranslateCtx<'a> {
             return Ok(WhereAnalysis {
                 key_based: false,
                 pread: AttrSet::empty(),
-                bindings: HashMap::new(),
             });
         };
         let mut pread = AttrSet::empty();
-        for col in cond.columns() {
-            pread.insert(self.attr(rel, &col)?);
+        for col in cond.comparisons.iter().flat_map(Comparison::columns) {
+            pread.insert(self.attr(rel, col)?);
         }
         let mut bound = AttrSet::empty();
-        let mut bindings = HashMap::new();
-        for (col, value) in cond.bindings() {
+        for (col, value) in cond
+            .comparisons
+            .iter()
+            .filter_map(Comparison::column_binding)
+        {
             let attr = self.attr(rel, col)?;
             bound.insert(attr);
             if let Some(p) = value.as_param() {
-                bindings.insert(attr, p.to_string());
+                self.bind(attr, p);
             }
         }
         // Key-based: the equality-bound attributes cover the primary key (Appendix A
         // "key-condition intended to find a tuple by its primary key").
         let key_based = rel.primary_key().is_subset_of(bound);
-        Ok(WhereAnalysis {
-            key_based,
-            pread,
-            bindings,
-        })
+        Ok(WhereAnalysis { key_based, pread })
     }
 
     /// Infers foreign-key constraints `q_j = f(q_i)` from parameter reuse: when the foreign-key
@@ -258,20 +348,14 @@ impl<'a> TranslateCtx<'a> {
     /// bound to the same host parameters, every instantiation necessarily respects `f`.
     fn infer_fk_constraints(&self) -> Vec<FkConstraint> {
         let mut constraints = Vec::new();
-        for fk in self.schema.foreign_keys() {
-            for (i, qi) in self.statements.iter().enumerate() {
-                if qi.rel() != fk.dom() {
-                    continue;
-                }
+        for (i, qi) in self.statements.iter().enumerate() {
+            for fk in self.fks.over(qi.rel()) {
                 for (j, qj) in self.statements.iter().enumerate() {
                     if i == j || qj.rel() != fk.range() || !qj.kind().identifies_single_tuple() {
                         continue;
                     }
                     let all_pairs_match = fk.attr_pairs().all(|(dom_attr, range_attr)| {
-                        match (
-                            self.bindings[i].get(&dom_attr),
-                            self.bindings[j].get(&range_attr),
-                        ) {
+                        match (self.binding(i, dom_attr), self.binding(j, range_attr)) {
                             (Some(a), Some(b)) => a == b,
                             _ => false,
                         }
@@ -286,6 +370,8 @@ impl<'a> TranslateCtx<'a> {
                 }
             }
         }
+        // The program lists its constraints by foreign key, then `q_i`, then `q_j`.
+        constraints.sort_unstable_by_key(|c| (c.fk, c.dom_stmt, c.range_stmt));
         constraints
     }
 }
@@ -293,30 +379,13 @@ impl<'a> TranslateCtx<'a> {
 struct WhereAnalysis {
     key_based: bool,
     pread: AttrSet,
-    bindings: HashMap<AttrId, String>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::parse_workload;
-    use mvrc_schema::SchemaBuilder;
-
-    fn auction_schema() -> Schema {
-        let mut sb = SchemaBuilder::new("auction");
-        let buyer = sb.relation("Buyer", &["id", "calls"], &["id"]).unwrap();
-        let bids = sb
-            .relation("Bids", &["buyerId", "bid"], &["buyerId"])
-            .unwrap();
-        let log = sb
-            .relation("Log", &["id", "buyerId", "bid"], &["id"])
-            .unwrap();
-        sb.foreign_key("f1", bids, &["buyerId"], buyer, &["id"])
-            .unwrap();
-        sb.foreign_key("f2", log, &["buyerId"], buyer, &["id"])
-            .unwrap();
-        sb.build()
-    }
+    use crate::sql::testgen::{self, auction_schema};
+    use crate::sql::{parse_workload, parse_workload_file};
 
     const AUCTION_SQL: &str = r#"
         PROGRAM FindBids(:B, :T) {
@@ -500,5 +569,47 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(programs[0].body(), ProgramExpr::Loop(_)));
+    }
+
+    /// A one-table file whose program nests `depth` `WHILE` loops with one `UPDATE` per level.
+    fn nested_while_file(depth: usize) -> String {
+        format!(
+            "TABLE T (id, a, PRIMARY KEY (id));\nPROGRAM P(:x) {{\n{}{}}}\n",
+            "WHILE :x DO UPDATE T SET a = a + 1 WHERE id = :x;\n".repeat(depth),
+            "END WHILE;\n".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn programs_beyond_the_ltp_limit_are_refused_before_unfolding() {
+        let (_, programs) = parse_workload_file(&nested_while_file(3)).unwrap();
+        assert_eq!(crate::unfold_le2(&programs[0]).len(), 183);
+        for (depth, count) in [(4, 33_673), (5, 1_133_904_603)] {
+            assert_eq!(
+                parse_workload_file(&nested_while_file(depth)).unwrap_err(),
+                BtpError::TooManyLtps {
+                    program: "P".into(),
+                    count,
+                    limit: MAX_PROGRAM_LTPS,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn bundled_workloads_stay_far_below_the_ltp_limit() {
+        for source in testgen::sources() {
+            let programs = match parse_workload_file(source) {
+                Ok((_, programs)) => programs,
+                Err(_) => parse_workload(&auction_schema(), source).unwrap(),
+            };
+            for program in &programs {
+                assert!(
+                    unfolding_count(program.body(), 2) <= 13,
+                    "{}",
+                    program.name()
+                );
+            }
+        }
     }
 }

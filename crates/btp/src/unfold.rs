@@ -58,6 +58,32 @@ pub fn unfold(program: &Program, options: UnfoldOptions) -> Vec<LinearProgram> {
         .collect()
 }
 
+/// How many statement sequences unfolding `expr` with loops bounded by `max_loop_iterations`
+/// yields before duplicates are dropped, saturating at `u64::MAX`. It is computed from the
+/// expression alone, so it can bound an unfolding before any sequence is built: a sequence
+/// multiplies its parts' counts, a choice adds them, an optional part adds one (the empty
+/// sequence), and `loop(P)` with `P` counting `c` gives `1 + c + … + c^max_loop_iterations`.
+pub(crate) fn unfolding_count(expr: &ProgramExpr, max_loop_iterations: usize) -> u64 {
+    let count = |e: &ProgramExpr| unfolding_count(e, max_loop_iterations);
+    match expr {
+        ProgramExpr::Statement(_) | ProgramExpr::Empty => 1,
+        ProgramExpr::Seq(parts) => parts
+            .iter()
+            .fold(1, |total, part| total.saturating_mul(count(part))),
+        ProgramExpr::Choice(a, b) => count(a).saturating_add(count(b)),
+        ProgramExpr::Optional(a) => count(a).saturating_add(1),
+        ProgramExpr::Loop(body) => {
+            let per_iteration = count(body);
+            let (mut total, mut power) = (1u64, 1u64);
+            for _ in 0..max_loop_iterations.max(1) {
+                power = power.saturating_mul(per_iteration);
+                total = total.saturating_add(power);
+            }
+            total
+        }
+    }
+}
+
 /// A statement occurrence within one unfolding, together with the loop-iteration context it was
 /// produced in. The context is used to pair foreign-key constraints only between occurrences
 /// that belong to the same iteration of every shared enclosing loop.
@@ -433,5 +459,43 @@ mod tests {
         lens.sort_unstable();
         lens.dedup();
         assert_eq!(lens, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn unfolding_count_matches_the_expansion_before_deduplication() {
+        let q = |i: u16| ProgramExpr::Statement(StmtId(i));
+        // `depth` nested loops, each level a statement followed by the next level.
+        let nested = |depth: u16| {
+            (0..depth).fold(ProgramExpr::Empty, |inner, level| {
+                ProgramExpr::looped(ProgramExpr::seq([q(level), inner]))
+            })
+        };
+        let exprs = [
+            q(0),
+            ProgramExpr::Empty,
+            ProgramExpr::seq([q(0), ProgramExpr::optional(q(1)), q(2)]),
+            ProgramExpr::choice(
+                ProgramExpr::seq([q(0), ProgramExpr::looped(q(1))]),
+                ProgramExpr::optional(ProgramExpr::choice(q(2), q(3))),
+            ),
+            ProgramExpr::looped(ProgramExpr::choice(q(0), ProgramExpr::optional(q(1)))),
+            nested(1),
+            nested(2),
+            nested(3),
+        ];
+        for expr in &exprs {
+            for iterations in 1..=3 {
+                let count = unfolding_count(expr, iterations);
+                if count > 1000 {
+                    continue; // nested(3) with 3 iterations: 621,436 sequences
+                }
+                let expanded = expand(&annotate(expr, &mut 0), iterations).len();
+                assert_eq!(count, expanded as u64);
+            }
+        }
+        // Each level `c` of the nested loops counts 1 + c + c² under Unfold≤2.
+        let counts: Vec<u64> = (1..=5).map(|d| unfolding_count(&nested(d), 2)).collect();
+        assert_eq!(counts, [3, 13, 183, 33_673, 1_133_904_603]);
+        assert_eq!(unfolding_count(&nested(12), 2), u64::MAX);
     }
 }

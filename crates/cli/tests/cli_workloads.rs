@@ -167,6 +167,49 @@ fn sweeps_beyond_the_program_limit_exit_2_with_one_line() {
     );
 }
 
+/// A one-table file whose program nests `depth` `WHILE` loops with one `UPDATE` per level.
+fn nested_while_file(depth: usize) -> String {
+    let mut sql = String::from("TABLE T (id, a, PRIMARY KEY (id));\nPROGRAM P(:x) {\n");
+    for _ in 0..depth {
+        sql.push_str("WHILE :x DO\n  UPDATE T SET a = a + 1 WHERE id = :x;\n");
+    }
+    sql.push_str(&"END WHILE;\n".repeat(depth));
+    sql + "}\n"
+}
+
+#[test]
+fn programs_beyond_the_ltp_limit_exit_2_with_one_line() {
+    // Depth 4 unfolds to 33,673 LTPs, depth 5 to over 10^9; both are refused before anything is
+    // unfolded, while depth 3 (183 LTPs) is analyzed.
+    for (depth, ltps) in [(3, None), (4, Some(33_673)), (5, Some(1_133_904_603))] {
+        let path = std::env::temp_dir().join(format!(
+            "mvrc-cli-nested-{depth}-{}.sql",
+            std::process::id()
+        ));
+        std::fs::write(&path, nested_while_file(depth)).unwrap();
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+            .args(["analyze", path.to_str().unwrap()])
+            .output()
+            .expect("spawn mvrc");
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let Some(ltps) = ltps else {
+            assert!(output.status.success(), "depth {depth}: {stderr}");
+            continue;
+        };
+        assert_eq!(output.status.code(), Some(2), "depth {depth}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!(
+                "mvrc: invalid workload: program `P` unfolds to {ltps} LTPs under Unfold≤2, \
+                 more than the limit of {}\n",
+                mvrc_btp::sql::MAX_PROGRAM_LTPS
+            )
+        );
+        assert!(output.stdout.is_empty());
+    }
+}
+
 /// Runs `mvrc` with `args` and returns its stdout, failing the test on a non-zero exit.
 fn mvrc_stdout(args: &[&str]) -> String {
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))

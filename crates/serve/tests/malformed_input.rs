@@ -5,8 +5,9 @@
 //! oversized frames (error reply *before any body allocation*, connection closed), and
 //! mid-frame disconnects (that connection alone dies; every other connection keeps working).
 //! Plus the request-shape errors above the frame layer: missing `op`, unknown op, unknown
-//! tenant, invalid `settings`, SQL blocks nested past the parser's limit, a subset sweep
-//! over a tenant wider than the sweep accepts, and a reply too large for a frame.
+//! tenant, invalid `settings`, SQL blocks nested past the parser's limit, a program that
+//! unfolds to more LTPs than the front end admits, a subset sweep over a tenant wider than the
+//! sweep accepts, and a reply too large for a frame.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -121,6 +122,37 @@ fn deeply_nested_program_sql_earns_an_error_reply_and_the_connection_survives() 
     write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
     let reply = read_frame(&mut stream).expect("reply");
     assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+
+    stop_server(&flag, handle);
+}
+
+#[test]
+fn program_sql_beyond_the_ltp_limit_earns_an_error_reply_and_the_connection_survives() {
+    let (addr, flag, handle) = start_server();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+
+    // Four nested loops: a 300-byte program that unfolds to 33,673 LTPs, whose summary graph
+    // would exhaust the memory of the whole daemon.
+    let sql = format!(
+        "PROGRAM Nested(:C) {{ {} {} }}",
+        "WHILE :C DO UPDATE Savings SET Balance = Balance + 1 WHERE CustomerId = :C; ".repeat(4),
+        "END WHILE; ".repeat(4)
+    );
+    write_frame(
+        &mut stream,
+        &json!({"op": "add_program", "tenant": "bank", "program_sql": sql}),
+    )
+    .expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    let error = error_text(&reply);
+    assert!(
+        error.contains("unfolds to 33673 LTPs") && error.contains("limit"),
+        "got: {error}"
+    );
+
+    write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    assert_eq!(reply.get("result"), Some(&json!("pong")), "{reply:?}");
 
     stop_server(&flag, handle);
 }
