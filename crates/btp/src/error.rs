@@ -52,6 +52,15 @@ pub enum BtpError {
         /// The limit it exceeds.
         limit: u64,
     },
+    /// The programs of a workload together unfold to more LTPs than the analyzer admits; see
+    /// [`MAX_WORKLOAD_LTPS`](crate::sql::MAX_WORKLOAD_LTPS).
+    TooManyWorkloadLtps {
+        /// How many LTPs `Unfold≤2` would produce over all programs, before duplicates are
+        /// dropped (saturating).
+        count: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for BtpError {
@@ -96,6 +105,11 @@ impl fmt::Display for BtpError {
                 f,
                 "program `{program}` unfolds to {count} LTPs under Unfold≤2, \
                  more than the limit of {limit}"
+            ),
+            BtpError::TooManyWorkloadLtps { count, limit } => write!(
+                f,
+                "the workload's programs unfold to {count} LTPs under Unfold≤2, \
+                 more than the workload limit of {limit}"
             ),
         }
     }

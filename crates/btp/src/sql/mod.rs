@@ -52,8 +52,9 @@
 //! (`declares no TABLE`, `invalid TABLE`, `invalid FOREIGN KEY`), else a translation error. A
 //! `PROGRAM` block that runs into the end of the input is an `unterminated PROGRAM block`,
 //! whatever construct inside it was still open. Translation counts a program's LTPs on its
-//! expression before anything is unfolded, and a program above [`MAX_PROGRAM_LTPS`] is a
-//! [`BtpError::TooManyLtps`].
+//! expression before anything is unfolded: a program above [`MAX_PROGRAM_LTPS`] is a
+//! [`BtpError::TooManyLtps`], and a workload whose programs together exceed
+//! [`MAX_WORKLOAD_LTPS`] is a [`BtpError::TooManyWorkloadLtps`].
 //!
 //! ## Classification rules (Appendix A)
 //!
@@ -75,7 +76,9 @@ mod translate;
 
 pub use ast::{CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
 pub use parser::parse_text;
-pub use translate::{translate_program, translate_workload, MAX_PROGRAM_LTPS};
+pub use translate::{
+    check_workload_ltps, translate_program, translate_workload, MAX_PROGRAM_LTPS, MAX_WORKLOAD_LTPS,
+};
 
 use crate::error::BtpError;
 use crate::program::Program;

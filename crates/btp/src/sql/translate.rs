@@ -9,16 +9,20 @@ use crate::unfold::{unfolding_count, UnfoldOptions};
 use mvrc_schema::{AttrId, AttrSet, ForeignKey, RelId, Relation, Schema};
 use std::fmt::Write;
 
-/// Translates every parsed program of a workload.
+/// Translates every parsed program of a workload. Fails before anything is unfolded when a
+/// program would unfold to more than [`MAX_PROGRAM_LTPS`] LTPs, or all of them together to
+/// more than [`MAX_WORKLOAD_LTPS`].
 pub fn translate_workload(
     schema: &Schema,
     programs: &[SqlProgram],
 ) -> Result<Vec<Program>, BtpError> {
     let fks = FksByDom::new(schema);
-    programs
+    let programs = programs
         .iter()
         .map(|p| translate(schema, &fks, p))
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    check_workload_ltps(&programs)?;
+    Ok(programs)
 }
 
 /// The most LTPs one program of a workload text may unfold to (`Unfold≤2`, counted before
@@ -38,6 +42,46 @@ pub fn translate_workload(
 /// The limit keeps one program within about a second and 256 MB. Every bundled workload
 /// unfolds to at most 13 LTPs per program.
 pub const MAX_PROGRAM_LTPS: u64 = 512;
+
+/// The most LTPs all programs of a workload together may unfold to (the sum of their
+/// [`MAX_PROGRAM_LTPS`] counts); above it, [`check_workload_ltps`] fails with a
+/// [`BtpError::TooManyWorkloadLtps`].
+///
+/// The summary graph is quadratic in the workload's LTPs, not in one program's, so programs
+/// under the per-program limit still add up. Programs of 8 and 9 optional `UPDATE`s (256 and
+/// 512 LTPs, as in the table above), `mvrc analyze` on the same VM:
+///
+/// | programs | LTPs | time | peak RSS |
+/// |---|---|---|---|
+/// | 2 × 256 | 512 | 0.41 s | 206 MB |
+/// | 3 × 256 | 768 | 1.3 s | 458 MB |
+/// | 512 + 256 | 768 | 1.3 s | 533 MB |
+/// | 2 × 512 | 1,024 | 3.0 s | 1.0 GB |
+/// | 4 × 512 | 2,048 | aborts in Algorithm 1 asking for a 5 GB `Vec` | — |
+///
+/// The limit is the 1,024 row: two programs at the per-program limit, about three seconds
+/// and 1 GB per summary graph. The bundled workload files unfold to at most 30 LTPs, and
+/// Auction(100), the largest generated file the benchmark times, to 300.
+pub const MAX_WORKLOAD_LTPS: u64 = 1024;
+
+/// Sums how many LTPs `programs` unfold to under `Unfold≤2` (before duplicates are dropped,
+/// saturating) and fails with [`BtpError::TooManyWorkloadLtps`] above [`MAX_WORKLOAD_LTPS`].
+/// Nothing is unfolded: the count is read off each program's expression. Returns the total.
+pub fn check_workload_ltps<'a>(
+    programs: impl IntoIterator<Item = &'a Program>,
+) -> Result<u64, BtpError> {
+    let loop_bound = UnfoldOptions::default().max_loop_iterations;
+    let count = programs.into_iter().fold(0u64, |total, program| {
+        total.saturating_add(unfolding_count(program.body(), loop_bound))
+    });
+    if count > MAX_WORKLOAD_LTPS {
+        return Err(BtpError::TooManyWorkloadLtps {
+            count,
+            limit: MAX_WORKLOAD_LTPS,
+        });
+    }
+    Ok(count)
+}
 
 /// Translates a single parsed program into a BTP, inferring foreign-key constraints from host
 /// parameter reuse. Fails before anything is unfolded when the program would unfold to more
@@ -610,6 +654,42 @@ mod tests {
                     program.name()
                 );
             }
+            assert!(check_workload_ltps(&programs).unwrap() <= 30);
+        }
+        // The largest generated input the analyzer is timed on: Auction(100), 300 LTPs.
+        let (_, programs) = parse_workload_file(&testgen::auction_n_sql(100)).unwrap();
+        assert_eq!(check_workload_ltps(&programs), Ok(300));
+    }
+
+    /// A one-table file of programs with `optionals[i]` optional `UPDATE`s each, so program
+    /// `i` unfolds to `2^optionals[i]` LTPs.
+    fn optional_updates_file(optionals: &[usize]) -> String {
+        let mut sql = String::from("TABLE T (id, a, PRIMARY KEY (id));\n");
+        for (i, &k) in optionals.iter().enumerate() {
+            sql.push_str(&format!("PROGRAM P{i}(:x) {{\n"));
+            for _ in 0..k {
+                sql.push_str("IF :x THEN UPDATE T SET a = a + 1 WHERE id = :x; END IF;\n");
+            }
+            sql.push_str("}\n");
+        }
+        sql
+    }
+
+    #[test]
+    fn workloads_beyond_the_total_ltp_limit_are_refused_before_unfolding() {
+        // Two programs at the per-program limit fill the workload budget exactly.
+        let (_, programs) = parse_workload_file(&optional_updates_file(&[9, 9])).unwrap();
+        assert_eq!(check_workload_ltps(&programs), Ok(MAX_WORKLOAD_LTPS));
+        // One LTP more, or four such programs (the 1.2 KB file that used to abort in
+        // Algorithm 1), is refused — each program on its own is within its limit.
+        for (optionals, count) in [(&[9, 9, 0][..], 1025), (&[9, 9, 9, 9][..], 2048)] {
+            assert_eq!(
+                parse_workload_file(&optional_updates_file(optionals)).unwrap_err(),
+                BtpError::TooManyWorkloadLtps {
+                    count,
+                    limit: MAX_WORKLOAD_LTPS,
+                }
+            );
         }
     }
 }

@@ -210,6 +210,41 @@ fn programs_beyond_the_ltp_limit_exit_2_with_one_line() {
     }
 }
 
+#[test]
+fn workloads_beyond_the_total_ltp_limit_exit_2_with_one_line() {
+    // Four programs of nine optional updates: 512 LTPs each, every one within the per-program
+    // limit, 2,048 together. Algorithm 1's graph over them used to abort the process asking
+    // for a 5 GB `Vec`; the budget refuses the 1.2 KB file before anything is unfolded.
+    let program = |i: usize| {
+        format!(
+            "PROGRAM P{i}(:x) {{\n{}}}\n",
+            "  IF :x THEN UPDATE T SET a = a + 1 WHERE id = :x; END IF;\n".repeat(9)
+        )
+    };
+    let sql = format!(
+        "TABLE T (id, a, PRIMARY KEY (id));\n{}",
+        (0..4).map(program).collect::<String>()
+    );
+    let path = std::env::temp_dir().join(format!("mvrc-cli-wide-{}.sql", std::process::id()));
+    std::fs::write(&path, sql).unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args(["analyze", path.to_str().unwrap()])
+        .output()
+        .expect("spawn mvrc");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        format!(
+            "mvrc: invalid workload: the workload's programs unfold to 2048 LTPs under \
+             Unfold≤2, more than the workload limit of {}\n",
+            mvrc_btp::sql::MAX_WORKLOAD_LTPS
+        )
+    );
+    assert!(output.stdout.is_empty());
+}
+
 /// Runs `mvrc` with `args` and returns its stdout, failing the test on a non-zero exit.
 fn mvrc_stdout(args: &[&str]) -> String {
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))

@@ -63,9 +63,7 @@ pub struct RobustnessOutcome {
 impl RobustnessOutcome {
     /// Runs the robustness test selected by `condition` on a summary graph.
     ///
-    /// Goes through [`SummaryGraph::prefetched`] so the derived-array slabs are deref'd once
-    /// up front — on a snapshot-backed graph, querying through the plain `&SummaryGraph` view
-    /// would pay a virtual dispatch per reachability probe.
+    /// Goes through [`SummaryGraph::prefetched`], the full-graph view.
     pub fn evaluate(graph: &SummaryGraph, condition: CycleCondition) -> Self {
         Self::evaluate_view(&graph.prefetched(), condition)
     }

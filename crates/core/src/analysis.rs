@@ -30,9 +30,8 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    /// Builds a report from an already-constructed summary graph, through
-    /// [`SummaryGraph::prefetched`] so a snapshot-backed graph pays no slab dispatch per
-    /// reachability probe.
+    /// Builds a report from an already-constructed summary graph, through its
+    /// [`SummaryGraph::prefetched`] view.
     pub fn from_graph(graph: &SummaryGraph, settings: AnalysisSettings) -> Self {
         Self::from_view(&graph.prefetched(), settings)
     }

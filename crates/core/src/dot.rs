@@ -28,7 +28,7 @@ impl Default for DotOptions {
 
 /// Renders a summary graph as a DOT digraph.
 pub fn to_dot(graph: &SummaryGraph, options: DotOptions) -> String {
-    to_dot_view(graph, options)
+    to_dot_view(&graph.prefetched(), options)
 }
 
 /// Renders any summary-graph view (full graph or induced subgraph) as a DOT digraph.

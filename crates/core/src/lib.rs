@@ -70,7 +70,6 @@ mod dot;
 mod kernels;
 mod session;
 mod settings;
-mod slab;
 mod subsets;
 mod summary;
 pub mod tables;
@@ -87,7 +86,6 @@ pub use mvrc_btp::Workload;
 pub use mvrc_par::Parallelism;
 pub use session::RobustnessSession;
 pub use settings::{AnalysisSettings, CycleCondition, Granularity};
-pub use slab::{SlabOwner, U32Slab, U64Slab};
 pub use subsets::{
     abbreviate_program_name, explore_subsets, explore_subsets_naive, explore_subsets_with,
     CachedSweep, ExploreOptions, SubsetExploration, TooManyPrograms, MAX_SWEEP_PROGRAMS,

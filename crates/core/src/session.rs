@@ -458,9 +458,9 @@ impl Clone for RobustnessSession {
 }
 
 // Compile-time `Send`/`Sync` audit: the serve daemon shares `Arc<RobustnessSession>`s (and
-// through them `Arc<SummaryGraph>`s, including snapshot-backed ones whose slabs borrow an
-// `Arc<dyn SlabOwner>`) across reader threads. A session field regressing to a non-`Sync`
-// type must fail compilation here, not in a downstream crate.
+// through them `Arc<SummaryGraph>`s, warm-opened from snapshots or built fresh) across reader
+// threads. A session field regressing to a non-`Sync` type must fail compilation here, not in
+// a downstream crate.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<RobustnessSession>();

@@ -14,7 +14,6 @@
 
 use crate::kernels;
 use crate::settings::{AnalysisSettings, CycleCondition, Granularity};
-use crate::slab::{U32Slab, U64Slab};
 use crate::tables::{c_dep_table, nc_dep_table};
 use mvrc_btp::{LinearProgram, Statement, StmtPos};
 use mvrc_schema::Schema;
@@ -152,13 +151,12 @@ pub fn program_fingerprint<'a>(ltps: impl IntoIterator<Item = &'a LinearProgram>
 /// node of the underlying id space (the *universe*). The full graph tracks every node; an
 /// [`InducedView`] tracks only its members, so a view over `m` of `n` nodes costs `m · ⌈n/64⌉`
 /// words instead of `n · ⌈n/64⌉`. The rows are computed by the word-parallel SCC-condensation
-/// closure of the `kernels` module (the former BFS-per-source survives only as a test oracle)
-/// and live in a [`U64Slab`], so a graph reopened from a snapshot borrows them
-/// straight out of the snapshot mapping.
+/// closure of the `kernels` module (the former BFS-per-source survives only as a test oracle);
+/// a graph reopened from a snapshot gets them decoded from the file instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Reachability {
     words_per_row: usize,
-    bits: U64Slab,
+    bits: Vec<u64>,
 }
 
 impl Reachability {
@@ -174,11 +172,11 @@ impl Reachability {
 
 /// Edge indices in compressed-sparse-row layout, grouped by one endpoint:
 /// `targets[offsets[v]..offsets[v + 1]]` are the indices (ascending) of the edges whose
-/// endpoint is `v`. Stored in slabs so snapshot-backed graphs borrow the arrays in place.
+/// endpoint is `v`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Csr {
-    offsets: U32Slab,
-    targets: U32Slab,
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
 }
 
 impl Csr {
@@ -201,10 +199,7 @@ impl Csr {
             targets[cursor[v] as usize] = idx as u32;
             cursor[v] += 1;
         }
-        Csr {
-            offsets: offsets.into(),
-            targets: targets.into(),
-        }
+        Csr { offsets, targets }
     }
 
     #[inline]
@@ -213,21 +208,21 @@ impl Csr {
     }
 }
 
-/// The derived arrays of a [`SummaryGraph`], as slabs — what the snapshot layer
-/// persists and hands back to [`SummaryGraph::from_snapshot_parts_with_derived`] so a warm
-/// start installs borrowed arrays instead of re-deriving them.
+/// The derived arrays of a [`SummaryGraph`] — what the snapshot layer persists and hands
+/// back to [`SummaryGraph::from_snapshot_parts_with_derived`] so a warm start installs the
+/// decoded arrays instead of re-deriving them.
 pub struct SummaryGraphDerived {
     /// Out-adjacency CSR offsets (`n + 1` entries).
-    pub out_offsets: U32Slab,
+    pub out_offsets: Vec<u32>,
     /// Out-adjacency CSR targets: edge indices grouped by source node.
-    pub out_targets: U32Slab,
+    pub out_targets: Vec<u32>,
     /// In-adjacency CSR offsets (`n + 1` entries).
-    pub in_offsets: U32Slab,
+    pub in_offsets: Vec<u32>,
     /// In-adjacency CSR targets: edge indices grouped by target node.
-    pub in_targets: U32Slab,
+    pub in_targets: Vec<u32>,
     /// Reachability rows, `n · ⌈n/64⌉` words row-major (`⌈0/64⌉` reads as `1`; see
     /// [`SummaryGraph::reachability_words`]).
-    pub reach_bits: U64Slab,
+    pub reach_bits: Vec<u64>,
 }
 
 /// Checks that `csr` is byte-identical to the CSR [`Csr::build`] would derive: correct
@@ -242,10 +237,8 @@ fn validate_csr(
     endpoint: impl Fn(&SummaryEdge) -> usize,
     which: &str,
 ) -> Result<(), String> {
-    // Deref the slabs once up front: snapshot-backed CSRs pay a virtual call per slab
-    // access, and this walk is O(E) on the open path.
-    let offsets: &[u32] = &csr.offsets;
-    let targets: &[u32] = &csr.targets;
+    let offsets = &csr.offsets;
+    let targets = &csr.targets;
     if offsets.len() != n + 1 || offsets[0] != 0 {
         return Err(format!("{which}-adjacency offsets malformed"));
     }
@@ -288,8 +281,8 @@ fn validate_csr(
 /// from `(nodes, edges)`: construction and incremental edits stop at the edge list, and each
 /// derived array is built on first use — a sweep that queries only out-adjacency never pays
 /// for the in-adjacency or the closure. A graph reopened from an `mvrc-dist` snapshot
-/// has the derived arrays pre-installed as borrowed slabs of the snapshot mapping
-/// ([`SummaryGraph::from_snapshot_parts_with_derived`]) and never derives anything.
+/// has the derived arrays pre-installed, decoded from the file
+/// ([`SummaryGraph::from_snapshot_parts_with_derived`]), and never derives anything.
 ///
 /// `PartialEq` compares every derived array as well (forcing their derivation) — the
 /// bit-identity contract of the `mvrc-dist` snapshot round-trip tests.
@@ -454,7 +447,7 @@ impl SummaryGraph {
             );
             Reachability {
                 words_per_row,
-                bits: rows.into(),
+                bits: rows,
             }
         })
     }
@@ -527,16 +520,15 @@ impl SummaryGraph {
     /// snapshot layer.
     ///
     /// `nodes` must be the already-widened LTPs the graph was built over, `edges` its complete
-    /// Algorithm 1 edge list and `derived` its derived arrays (typically borrowed straight out
-    /// of a snapshot mapping). They are installed after structural validation; no edge
-    /// derivation, no adjacency build and **no closure computation** runs, so opening a
-    /// snapshot is O(validation) in the edge count and advances neither the construction
-    /// counter nor the closure counter.
+    /// Algorithm 1 edge list and `derived` its derived arrays (decoded from a snapshot file).
+    /// They are installed after structural validation; no edge derivation, no adjacency build
+    /// and **no closure computation** runs, so opening a snapshot is O(validation) in the edge
+    /// count and advances neither the construction counter nor the closure counter.
     ///
     /// Validation checks that the adjacency arrays are exactly the CSR this graph would derive
     /// from `edges` (offset monotonicity, group membership, ascending edge indices per group —
     /// which together force bit-identity with a fresh derivation) and that the reachability
-    /// slab has the exact derived dimensions. The reachability *contents* are not recomputed —
+    /// rows have the exact derived dimensions. The reachability *contents* are not recomputed —
     /// they are covered by the snapshot file's fingerprint, which the caller verifies.
     pub fn from_snapshot_parts_with_derived(
         nodes: Vec<Arc<LinearProgram>>,
@@ -566,7 +558,7 @@ impl SummaryGraph {
         let words_per_row = n.div_ceil(64).max(1);
         if derived.reach_bits.len() != n * words_per_row {
             return Err(format!(
-                "reachability slab has {} words, expected {}",
+                "reachability rows have {} words, expected {}",
                 derived.reach_bits.len(),
                 n * words_per_row
             ));
@@ -625,22 +617,6 @@ impl SummaryGraph {
     pub fn reachability_words(&self) -> (usize, &[u64]) {
         let reach = self.reachability();
         (reach.words_per_row, &reach.bits)
-    }
-
-    /// `true` when every derived array (both CSRs and the reachability slab) *borrows* a
-    /// shared owner ([`crate::SlabOwner`]) rather than owning its words — what a
-    /// snapshot warm start installs, and how the `mvrc-dist` tests assert the open really was
-    /// zero-copy. Forces derivation, so on a freshly constructed graph this derives owned
-    /// arrays and returns `false`.
-    pub fn derived_arrays_shared(&self) -> bool {
-        let out = self.out_csr();
-        let in_ = self.in_csr();
-        let reach = self.reachability();
-        out.offsets.is_shared()
-            && out.targets.is_shared()
-            && in_.offsets.is_shared()
-            && in_.targets.is_shared()
-            && reach.bits.is_shared()
     }
 
     /// The settings the graph was constructed under.
@@ -734,7 +710,7 @@ impl SummaryGraph {
 
     /// Renders an edge with program and statement names (diagnostics, DOT export).
     pub fn describe_edge(&self, edge: &SummaryEdge) -> String {
-        describe_edge_in(self, edge)
+        describe_edge_between(self.node(edge.from), self.node(edge.to), edge)
     }
 
     /// The induced subgraph over a set of node ids.
@@ -787,11 +763,8 @@ impl SummaryGraph {
                 let mut out_offsets = Vec::with_capacity(m + 1);
                 let mut in_degree = vec![0usize; m];
                 out_offsets.push(0);
-                // Deref the parent's CSR slabs once, outside the member loop: on a
-                // snapshot-backed graph each slab access is a virtual call, and the sweep
-                // builds one view per subset.
-                let parent_offsets: &[u32] = &out.offsets;
-                let parent_targets: &[u32] = &out.targets;
+                let parent_offsets = &out.offsets;
+                let parent_targets = &out.targets;
                 for &member in &members {
                     for &edge_idx in &parent_targets
                         [parent_offsets[member] as usize..parent_offsets[member + 1] as usize]
@@ -839,7 +812,7 @@ impl SummaryGraph {
             in_offsets,
             reach: Reachability {
                 words_per_row: words,
-                bits: rows.into(),
+                bits: rows,
             },
         }
     }
@@ -896,7 +869,9 @@ fn widen_ltps(
     }
 }
 
-/// Read access to a summary graph or an induced subgraph of one.
+/// Read access to a summary graph or an induced subgraph of one: implemented by
+/// [`PrefetchedView`] ([`SummaryGraph::prefetched`]) for the whole graph and by
+/// [`InducedView`] ([`SummaryGraph::induced`]) for a subset of its nodes.
 ///
 /// The robustness cycle tests ([`crate::find_type2_violation`] and friends) are written against
 /// this trait so that one [`SummaryGraph`] constructed over the full LTP set can answer queries
@@ -949,8 +924,10 @@ pub trait SummaryGraphView {
 
 /// Renders an edge of any view with program and statement names.
 pub fn describe_edge_in<G: SummaryGraphView + ?Sized>(view: &G, edge: &SummaryEdge) -> String {
-    let from = view.node(edge.from);
-    let to = view.node(edge.to);
+    describe_edge_between(view.node(edge.from), view.node(edge.to), edge)
+}
+
+fn describe_edge_between(from: &LinearProgram, to: &LinearProgram, edge: &SummaryEdge) -> String {
     format!(
         "{} --[{} -> {}, {}]--> {}",
         from.name(),
@@ -961,55 +938,12 @@ pub fn describe_edge_in<G: SummaryGraphView + ?Sized>(view: &G, edge: &SummaryEd
     )
 }
 
-impl SummaryGraphView for SummaryGraph {
-    fn universe(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        0..self.nodes.len()
-    }
-
-    fn node(&self, id: NodeId) -> &LinearProgram {
-        &self.nodes[id]
-    }
-
-    fn view_edges(&self) -> impl Iterator<Item = &SummaryEdge> + '_ {
-        self.edges.iter()
-    }
-
-    fn view_edges_to(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
-        self.edges_to(node)
-    }
-
-    fn view_counterflow_edges_from(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
-        self.counterflow_edges_from(node)
-    }
-
-    fn view_reachable(&self, from: NodeId, to: NodeId) -> bool {
-        self.reachability().get(from, to)
-    }
-
-    fn view_reachable_row(&self, from: NodeId) -> &[u64] {
-        self.reachability().row(from)
-    }
-
-    fn view_node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn view_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-/// A full-graph view with the derived arrays *prefetched*: both CSRs and the reachability
-/// words are deref'd out of their slabs once, at construction, so the cycle-test kernels index
-/// plain slices. On an owned graph this is a wash, but on a snapshot-backed graph each slab
-/// access goes through a virtual [`crate::SlabOwner`] call — per reachability query, that
-/// virtual dispatch dominated the word-parallel type-II scan (millions of single-bit probes),
-/// making a zero-copy warm start *slower* to query than an owned decode. Hoisting the deref
-/// restores identical query costs for owned and mapped graphs.
+/// The full-graph view, with the derived arrays *prefetched*: both CSRs and the reachability
+/// words are taken out of their lazily initialised `OnceLock`s once, at construction, so the
+/// cycle-test kernels index plain slices instead of re-checking each lock per edge walk or
+/// reachability probe (the word-parallel type-II scan makes millions of single-bit probes).
+/// It is the only [`SummaryGraphView`] over a whole graph: every cycle test, the DOT
+/// renderer and the witness checks go through [`SummaryGraph::prefetched`].
 pub struct PrefetchedView<'g> {
     graph: &'g SummaryGraph,
     out_offsets: &'g [u32],

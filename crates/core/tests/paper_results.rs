@@ -342,7 +342,7 @@ fn optimized_and_naive_algorithm2_agree_on_all_benchmarks() {
                 "{context}: optimized and naive Algorithm 2 disagree"
             );
             for witness in optimized.iter().chain(&naive) {
-                assert_valid_type2_witness(&*graph, witness, &context);
+                assert_valid_type2_witness(&graph.prefetched(), witness, &context);
             }
         }
     }

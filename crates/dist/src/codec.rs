@@ -2,8 +2,6 @@
 //! Everything is length-prefixed and fixed-width so the encodings are canonical: equal values
 //! produce equal bytes, which is what makes the fingerprint a usable identity.
 
-#![forbid(unsafe_code)]
-
 /// FNV-1a chained over 64-bit little-endian lanes (trailing bytes fold in one at a time, like
 /// byte-chained FNV-1a): the payload fingerprint of snapshot format version 3+, one multiply
 /// per eight bytes instead of one per byte. Version-3 payloads carry the derived
@@ -29,6 +27,8 @@ pub(crate) fn fnv64_words(bytes: &[u8]) -> u64 {
 #[derive(Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
+    /// The first value [`Self::len`] could not fit into its `u32` field.
+    overflow: Option<usize>,
 }
 
 impl Writer {
@@ -36,8 +36,12 @@ impl Writer {
         Writer::default()
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    /// The encoded bytes, or the first value that did not fit its `u32` field.
+    pub(crate) fn into_bytes(self) -> Result<Vec<u8>, usize> {
+        match self.overflow {
+            None => Ok(self.buf),
+            Some(value) => Err(value),
+        }
     }
 
     pub(crate) fn u8(&mut self, v: u8) {
@@ -60,10 +64,15 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Collection lengths and statement positions: encoded as `u32` (a snapshot with more
-    /// than `u32::MAX` elements in one list is not a thing this format supports).
+    /// Collection lengths, statement positions and node ids: encoded as `u32`. A value beyond
+    /// `u32::MAX` does not fit the format; the first one is kept, and [`Self::into_bytes`]
+    /// returns it instead of the bytes.
     pub(crate) fn len(&mut self, v: usize) {
-        self.u32(u32::try_from(v).expect("snapshot list length exceeds u32"));
+        let fitted = u32::try_from(v).unwrap_or_else(|_| {
+            self.overflow.get_or_insert(v);
+            u32::MAX
+        });
+        self.u32(fitted);
     }
 
     pub(crate) fn str(&mut self, v: &str) {
@@ -83,7 +92,8 @@ impl Writer {
 
     /// Zero-pads until the *absolute* file offset `base + len()` is 8-byte aligned — `base`
     /// is the number of bytes (the snapshot header) that precede this payload in the file.
-    /// Alignment is what lets a mapped reader reinterpret the array that follows in place.
+    /// Format 3 carries this padding before each graph's derived arrays; it is written and
+    /// checked so the bytes stay those of the format.
     pub(crate) fn pad8(&mut self, base: usize) {
         while (base + self.buf.len()) % 8 != 0 {
             self.buf.push(0);
@@ -237,12 +247,10 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    /// Skips a raw array of `bytes` bytes, returning the payload offset it started at — how
-    /// the mapped open walks *past* an array it will borrow in place rather than decode.
-    pub(crate) fn skip_raw(&mut self, bytes: usize) -> Result<usize, String> {
-        let start = self.pos;
-        self.take(bytes)?;
-        Ok(start)
+    /// Skips `bytes` bytes — how the snapshot decoder walks past a section whose decoded
+    /// value it already holds.
+    pub(crate) fn skip_raw(&mut self, bytes: usize) -> Result<(), String> {
+        self.take(bytes).map(|_| ())
     }
 }
 
@@ -263,7 +271,7 @@ mod tests {
         w.str("héllo");
         w.opt_u64(None);
         w.opt_u64(Some(42));
-        let bytes = w.into_bytes();
+        let bytes = w.into_bytes().unwrap();
 
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -290,17 +298,27 @@ mod tests {
         // A length prefix claiming more bytes than remain is rejected up front.
         let mut w = Writer::new();
         w.u32(1000);
-        let bytes = w.into_bytes();
+        let bytes = w.into_bytes().unwrap();
         let mut r = Reader::new(&bytes);
         assert!(r.len().is_err());
 
         // Invalid UTF-8 is an error.
         let mut w = Writer::new();
         w.len(2);
-        let mut bytes = w.into_bytes();
+        let mut bytes = w.into_bytes().unwrap();
         bytes.extend_from_slice(&[0xff, 0xfe]);
         let mut r = Reader::new(&bytes);
         assert!(r.str().is_err());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn values_beyond_u32_are_an_error_not_a_panic() {
+        let mut w = Writer::new();
+        w.len(7);
+        w.len(u32::MAX as usize + 1);
+        w.len(usize::MAX);
+        assert_eq!(w.into_bytes(), Err(u32::MAX as usize + 1));
     }
 
     #[test]
@@ -316,13 +334,14 @@ mod tests {
         w.u32_slice(&[1, 2, 3, 4]); // even count keeps 8-alignment
         w.pad8(BASE); // already aligned: no-op
         w.u64_slice(&[42]);
-        let bytes = w.into_bytes();
+        let bytes = w.into_bytes().unwrap();
 
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 1);
         r.skip_pad8(BASE).unwrap();
         assert_eq!(r.position(), words_at);
-        assert_eq!(r.skip_raw(16).unwrap(), words_at);
+        r.skip_raw(16).unwrap();
+        assert_eq!(r.position(), words_at + 16);
         let mut r2 = Reader::new(&bytes);
         r2.u8().unwrap();
         r2.skip_pad8(BASE).unwrap();

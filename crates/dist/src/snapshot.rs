@@ -42,20 +42,19 @@
 //! | reachability | `n · max(⌈n/64⌉, 1)` row-major `u64` closure words |
 //!
 //! All lengths are implied by the entry's node and edge counts (no prefixes), and the `u32`
-//! count is always even, so the `u64` closure words land 8-byte aligned too. The alignment is
-//! what makes the block *mappable*: [`open_snapshot`] reads the file into one 8-byte-aligned
-//! buffer ([`crate::mmap::SnapshotMap`]) and installs each graph's arrays as **zero-copy
-//! borrowed slabs** over that buffer ([`SummaryGraph::from_snapshot_parts_with_derived`]) —
-//! a warm start performs no per-element decode, no edge derivation, no adjacency build and no
-//! closure computation, verified in tests via the construction and closure counters. The
-//! adjacency arrays are structurally validated against the edge list on open (bit-identity
-//! with a fresh derivation is forced); the closure words are covered by the fingerprint. The
-//! round-trip is **bit-identical** on every graph array — `reopened.graph(s) ==
-//! original.graph(s)` including the derived arrays — and re-serializing a reopened snapshot
-//! reproduces its bytes.
+//! count is always even, so the `u64` closure words land 8-byte aligned too. The decoder does
+//! not rely on the alignment; the padding is part of format 3, and keeping it is what lets
+//! every format-3 file open and every save write the same bytes as before.
 //!
-//! [`session_from_snapshot_bytes`] — the byte-slice entry point, also the only path on
-//! big-endian hosts — decodes the same block into owned arrays instead of borrowing.
+//! There is one decoder, [`session_from_snapshot_bytes`]; [`open_snapshot`] reads the file
+//! and calls it. It decodes each graph's arrays into owned vectors and installs them
+//! ([`SummaryGraph::from_snapshot_parts_with_derived`]): a warm start runs no edge
+//! derivation, no adjacency build and no closure computation, verified in tests via the
+//! construction and closure counters. The adjacency arrays are structurally validated
+//! against the edge list on open (bit-identity with a fresh derivation is forced); the
+//! closure words are covered by the fingerprint. The round-trip is **bit-identical** on every
+//! graph array — `reopened.graph(s) == original.graph(s)` including the derived arrays — and
+//! re-serializing a reopened snapshot reproduces its bytes.
 //!
 //! # Sweep section
 //!
@@ -69,17 +68,14 @@
 //! | programs | `u32` count, then per program a string name and a `u64` structural fingerprint |
 //! | robust bitset | `u32` word count (`⌈2^n / 64⌉` for `n` programs), then the `u64` words |
 
-#![forbid(unsafe_code)]
-
 use crate::codec::{fnv64_words, Reader, Writer};
-use crate::mmap::SnapshotMap;
 use mvrc_btp::{
     FkConstraint, LinearFkConstraint, LinearProgram, Program, ProgramExpr, Statement,
     StatementKind, StmtId, UnfoldOptions, Workload,
 };
 use mvrc_robustness::{
     AnalysisSettings, CachedSweep, CycleCondition, EdgeKind, Granularity, RobustnessSession,
-    SummaryEdge, SummaryGraph, SummaryGraphDerived, U32Slab, U64Slab, MAX_SWEEP_PROGRAMS,
+    SummaryEdge, SummaryGraph, SummaryGraphDerived, MAX_SWEEP_PROGRAMS,
 };
 use mvrc_schema::{AttrSet, FkId, RelId, Schema, SchemaBuilder};
 use std::fmt;
@@ -123,6 +119,12 @@ pub enum SnapshotError {
     },
     /// The payload is structurally invalid (truncated, out-of-range ids, …).
     Corrupt(String),
+    /// The session does not fit the format: a length, statement position or node id exceeds
+    /// the `u32` field that holds it.
+    TooLarge {
+        /// The first value that did not fit.
+        value: usize,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -140,6 +142,10 @@ impl fmt::Display for SnapshotError {
                 "workload fingerprint mismatch: expected {expected:016x}, found {found:016x}"
             ),
             SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
+            SnapshotError::TooLarge { value } => write!(
+                f,
+                "session too large for a snapshot: {value} exceeds a u32 length or index field"
+            ),
         }
     }
 }
@@ -174,8 +180,10 @@ impl SessionSnapshotExt for RobustnessSession {
     }
 }
 
-/// Serializes a session into snapshot bytes (header + payload).
-pub fn snapshot_to_bytes(session: &RobustnessSession) -> Vec<u8> {
+/// Serializes a session into snapshot bytes (header + payload). Fails with
+/// [`SnapshotError::TooLarge`] when a length, statement position or node id does not fit the
+/// format's `u32` fields.
+pub fn snapshot_to_bytes(session: &RobustnessSession) -> Result<Vec<u8>, SnapshotError> {
     let mut payload = Writer::new();
     encode_workload(&mut payload, session.workload());
     let ltps = session.ltps();
@@ -193,14 +201,16 @@ pub fn snapshot_to_bytes(session: &RobustnessSession) -> Vec<u8> {
     for (settings, sweep) in &sweeps {
         encode_cached_sweep(&mut payload, *settings, sweep);
     }
-    let payload = payload.into_bytes();
+    let payload = payload
+        .into_bytes()
+        .map_err(|value| SnapshotError::TooLarge { value })?;
 
     let mut bytes = Vec::with_capacity(20 + payload.len());
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
     bytes.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&fnv64_words(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    bytes
+    Ok(bytes)
 }
 
 /// Cache of decoded LTP-list sections, keyed by their exact encoded byte span.
@@ -270,14 +280,9 @@ fn check_header(bytes: &[u8]) -> Result<u64, SnapshotError> {
     Ok(actual)
 }
 
-/// Decodes a header-checked snapshot's payload into a session. `mapped` selects the
-/// zero-copy path for the derived blocks (`None` decodes them into owned arrays); `bytes` is
-/// the whole file (header included), and must be the mapping's own bytes when `mapped` is
-/// `Some`.
-fn decode_session(
-    bytes: &[u8],
-    mapped: Option<&Arc<SnapshotMap>>,
-) -> Result<RobustnessSession, SnapshotError> {
+/// Decodes a header-checked snapshot's payload into a session; `bytes` is the whole file
+/// (header included).
+fn decode_session(bytes: &[u8]) -> Result<RobustnessSession, SnapshotError> {
     let payload = &bytes[HEADER_LEN..];
     let mut r = Reader::new(payload);
     let workload = decode_workload(&mut r)?;
@@ -296,12 +301,7 @@ fn decode_session(
         entries: vec![(ltp_section, NodeSource::Borrowed(&ltps))],
     };
     for _ in 0..graph_count {
-        graphs.push(decode_graph(
-            &mut r,
-            &workload.schema,
-            mapped,
-            &mut node_cache,
-        )?);
+        graphs.push(decode_graph(&mut r, &workload.schema, &mut node_cache)?);
     }
     drop(node_cache);
     let sweep_count = r.len()?;
@@ -322,14 +322,12 @@ fn decode_session(
 }
 
 /// Deserializes a session from snapshot bytes, returning it with the verified fingerprint.
-///
-/// Always produces a session with *owned* graph arrays (the slice has no stable owner to
-/// borrow from); [`open_snapshot`] is the zero-copy path.
+/// The one snapshot decoder: [`open_snapshot`] reads a file and calls it.
 pub fn session_from_snapshot_bytes(
     bytes: &[u8],
 ) -> Result<(RobustnessSession, u64), SnapshotError> {
     let fingerprint = check_header(bytes)?;
-    Ok((decode_session(bytes, None)?, fingerprint))
+    Ok((decode_session(bytes)?, fingerprint))
 }
 
 /// [`SessionSnapshotExt::save_snapshot`] as a free function.
@@ -338,7 +336,7 @@ pub fn save_snapshot(
     path: impl AsRef<Path>,
 ) -> Result<u64, SnapshotError> {
     let path = path.as_ref();
-    let bytes = snapshot_to_bytes(session);
+    let bytes = snapshot_to_bytes(session)?;
     let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
     std::fs::write(path, &bytes).map_err(|e| SnapshotError::Io {
         path: path.display().to_string(),
@@ -349,22 +347,16 @@ pub fn save_snapshot(
 
 /// [`SessionSnapshotExt::open_snapshot`] as a free function.
 ///
-/// The warm-start path: the file is read once into an 8-byte-aligned [`SnapshotMap`] and, on
-/// little-endian hosts, every graph's CSR adjacency and reachability arrays are installed as
-/// zero-copy borrowed slabs over that mapping — no per-element decode, no edge derivation, no
-/// closure computation. Big-endian hosts fall back to the owned decode of
-/// [`session_from_snapshot_bytes`].
+/// The warm-start path: reads the file and decodes it with [`session_from_snapshot_bytes`].
+/// Every graph's CSR adjacency and reachability arrays come from the file — no edge
+/// derivation, no closure computation.
 pub fn open_snapshot(path: impl AsRef<Path>) -> Result<(RobustnessSession, u64), SnapshotError> {
     let path = path.as_ref();
-    let map = SnapshotMap::open(path).map_err(|e| SnapshotError::Io {
+    let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })?;
-    let fingerprint = check_header(map.bytes())?;
-    let map = Arc::new(map);
-    let mapped = cfg!(target_endian = "little").then_some(&map);
-    let session = decode_session(map.bytes(), mapped)?;
-    Ok((session, fingerprint))
+    session_from_snapshot_bytes(&bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -689,8 +681,8 @@ fn encode_ltp(w: &mut Writer, ltp: &LinearProgram) {
     w.len(ltp.fk_constraints().len());
     for c in ltp.fk_constraints() {
         w.u16(c.fk.0);
-        w.u32(u32::try_from(c.dom_pos).expect("LTP position exceeds u32"));
-        w.u32(u32::try_from(c.range_pos).expect("LTP position exceeds u32"));
+        w.len(c.dom_pos);
+        w.len(c.range_pos);
     }
 }
 
@@ -782,11 +774,11 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
     }
     w.len(graph.edge_count());
     for edge in graph.edges() {
-        w.u32(u32::try_from(edge.from).expect("node id exceeds u32"));
-        w.u32(u32::try_from(edge.from_stmt).expect("statement position exceeds u32"));
+        w.len(edge.from);
+        w.len(edge.from_stmt);
         w.u8(u8::from(edge.kind.is_counterflow()));
-        w.u32(u32::try_from(edge.to_stmt).expect("statement position exceeds u32"));
-        w.u32(u32::try_from(edge.to).expect("node id exceeds u32"));
+        w.len(edge.to_stmt);
+        w.len(edge.to);
     }
     // The derived block (forces derivation, which is idempotent and deterministic —
     // re-serializing a reopened snapshot reproduces the words bit for bit). Lengths are
@@ -806,7 +798,6 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
 fn decode_graph<'a>(
     r: &mut Reader<'a>,
     schema: &Schema,
-    mapped: Option<&Arc<SnapshotMap>>,
     node_cache: &mut NodeSectionCache<'a, '_>,
 ) -> Result<SummaryGraph, SnapshotError> {
     let settings = decode_settings(r)?;
@@ -879,41 +870,12 @@ fn decode_graph<'a>(
     let n = node_count;
     let reach_len = n * n.div_ceil(64).max(1);
     r.skip_pad8(HEADER_LEN)?;
-    let parts = match mapped {
-        None => SummaryGraphDerived {
-            out_offsets: r.u32_slice(n + 1)?.into(),
-            out_targets: r.u32_slice(edge_count)?.into(),
-            in_offsets: r.u32_slice(n + 1)?.into(),
-            in_targets: r.u32_slice(edge_count)?.into(),
-            reach_bits: r.u64_slice(reach_len)?.into(),
-        },
-        Some(map) => {
-            // Walk past each array, carving a shared slab over the mapping in its place.
-            // `skip_raw` returns the array's payload offset and bounds-checks the walk, so
-            // every slab range lies inside the mapping; the absolute (header-inclusive)
-            // offsets are exactly element-aligned thanks to the padding and the even `u32`
-            // count (the `u64` closure words start 8-byte aligned).
-            let owner: Arc<dyn mvrc_robustness::SlabOwner> = Arc::clone(map) as _;
-            let u32_slab = |r: &mut Reader<'_>, len: usize| -> Result<U32Slab, String> {
-                let at = HEADER_LEN + r.skip_raw(len * 4)?;
-                debug_assert_eq!(at % 4, 0);
-                Ok(U32Slab::shared(Arc::clone(&owner), at / 4, len))
-            };
-            let out_offsets = u32_slab(r, n + 1)?;
-            let out_targets = u32_slab(r, edge_count)?;
-            let in_offsets = u32_slab(r, n + 1)?;
-            let in_targets = u32_slab(r, edge_count)?;
-            let at = HEADER_LEN + r.skip_raw(reach_len * 8)?;
-            debug_assert_eq!(at % 8, 0);
-            let reach_bits = U64Slab::shared(owner, at / 8, reach_len);
-            SummaryGraphDerived {
-                out_offsets,
-                out_targets,
-                in_offsets,
-                in_targets,
-                reach_bits,
-            }
-        }
+    let parts = SummaryGraphDerived {
+        out_offsets: r.u32_slice(n + 1)?,
+        out_targets: r.u32_slice(edge_count)?,
+        in_offsets: r.u32_slice(n + 1)?,
+        in_targets: r.u32_slice(edge_count)?,
+        reach_bits: r.u64_slice(reach_len)?,
     };
     SummaryGraph::from_snapshot_parts_with_derived(nodes, edges, settings, parts)
         .map_err(SnapshotError::Corrupt)
@@ -999,7 +961,7 @@ mod tests {
     fn snapshot_round_trips_the_paper_benchmarks_bit_identically() {
         for workload in [smallbank(), tpcc(), auction()] {
             let session = warm_session(workload);
-            let bytes = snapshot_to_bytes(&session);
+            let bytes = snapshot_to_bytes(&session).unwrap();
             let before = SummaryGraph::constructions_on_current_thread();
             let (reopened, fingerprint) = session_from_snapshot_bytes(&bytes).unwrap();
             assert_eq!(
@@ -1020,14 +982,14 @@ mod tests {
                 );
             }
             // Canonical encoding: re-serializing the reopened session reproduces the bytes.
-            assert_eq!(snapshot_to_bytes(&reopened), bytes);
+            assert_eq!(snapshot_to_bytes(&reopened).unwrap(), bytes);
         }
     }
 
     #[test]
     fn header_corruption_is_rejected() {
         let session = warm_session(auction());
-        let bytes = snapshot_to_bytes(&session);
+        let bytes = snapshot_to_bytes(&session).unwrap();
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;

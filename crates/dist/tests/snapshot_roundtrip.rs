@@ -2,7 +2,8 @@
 //! preserve **every** analysis answer — `analyze`, `is_robust`, `explore_subsets` across the
 //! full evaluation grid — on random synthetic workloads, and the cached graph arrays must
 //! round-trip bit-identically. Corruption (header or payload) and fingerprint mismatches must
-//! be rejected, never mis-read, and no byte string may make the decoder panic.
+//! be rejected, never mis-read — from bytes in memory and from files on disk — and no byte
+//! string may make the decoder panic.
 
 use mvrc_benchmarks::{synthetic, SyntheticConfig};
 use mvrc_dist::{
@@ -69,7 +70,7 @@ proptest! {
             }
         }
 
-        let bytes = snapshot_to_bytes(&session);
+        let bytes = snapshot_to_bytes(&session).unwrap();
         let constructions_before = SummaryGraph::constructions_on_current_thread();
         let (reopened, fingerprint) = session_from_snapshot_bytes(&bytes).unwrap();
         prop_assert_ne!(fingerprint, 0);
@@ -125,7 +126,7 @@ proptest! {
             AnalysisSettings::paper_default(),
             ExploreOptions { incremental: true, ..ExploreOptions::default() },
         );
-        let bytes = snapshot_to_bytes(&session);
+        let bytes = snapshot_to_bytes(&session).unwrap();
 
         // Flipping any single byte must be caught: the header checks reject magic/version
         // damage, the FNV fingerprint rejects payload damage, and a (deliberately) restamped
@@ -137,6 +138,20 @@ proptest! {
 
         // Truncation anywhere strictly inside the file is caught too.
         prop_assert!(session_from_snapshot_bytes(&bytes[..idx]).is_err());
+
+        // The same damage written to disk fails `open_snapshot` with a decode error, not an
+        // I/O error.
+        for damaged in [&corrupted[..], &bytes[..idx]] {
+            let opened = open_written("flip", damaged).map(|(_, fingerprint)| fingerprint);
+            let typed = matches!(
+                opened,
+                Err(SnapshotError::BadMagic
+                    | SnapshotError::UnsupportedVersion { .. }
+                    | SnapshotError::FingerprintMismatch { .. }
+                    | SnapshotError::Corrupt(_))
+            );
+            prop_assert!(typed, "damaged file opened or failed untyped: {:?}", opened);
+        }
     }
 }
 
@@ -195,7 +210,7 @@ fn fuzz_base_snapshot() -> &'static [u8] {
                 ..ExploreOptions::default()
             },
         );
-        snapshot_to_bytes(&session)
+        snapshot_to_bytes(&session).unwrap()
     })
 }
 
@@ -257,8 +272,8 @@ proptest! {
 #[test]
 fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
     // The one cross-build pin of the snapshot layout: a committed snapshot of a warmed Auction
-    // session (all four graphs plus one cached sweep) must open zero-copy to graphs identical
-    // to a fresh build, and both the reopened and the fresh session must serialize to exactly
+    // session (all four graphs plus one cached sweep) must open to graphs identical to a fresh
+    // build, and both the reopened and the fresh session must serialize to exactly
     // the committed bytes. Regenerate intentionally with
     // `MVRC_BLESS=1 cargo test -p mvrc-dist --test snapshot_roundtrip`.
     let path = concat!(
@@ -293,10 +308,6 @@ fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
     assert_eq!(reopened.workload().name, "Auction");
     assert_eq!(reopened.cached_graph_count(), 4);
     for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
-        assert!(
-            reopened.graph(settings).derived_arrays_shared(),
-            "the fixture must open zero-copy under {settings}"
-        );
         assert_eq!(
             *reopened.graph(settings),
             *fresh.graph(settings),
@@ -306,12 +317,12 @@ fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
     assert_eq!(reopened.cached_sweep_count(), 1);
     assert_eq!(reopened.cached_sweeps(), fresh.cached_sweeps());
     assert_eq!(
-        snapshot_to_bytes(&reopened),
+        snapshot_to_bytes(&reopened).unwrap(),
         bytes,
         "re-serializing the fixture must reproduce it"
     );
     assert_eq!(
-        snapshot_to_bytes(&fresh),
+        snapshot_to_bytes(&fresh).unwrap(),
         bytes,
         "the snapshot layout changed; if intentional, regenerate with MVRC_BLESS=1"
     );
@@ -344,7 +355,7 @@ fn version_2_round_trip_preserves_the_sweep_cache() {
     let original = explore_subsets_with(&session, settings, incremental);
     assert_eq!(session.cached_sweep_count(), 1);
 
-    let bytes = snapshot_to_bytes(&session);
+    let bytes = snapshot_to_bytes(&session).unwrap();
     assert_eq!(
         u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
         mvrc_dist::SNAPSHOT_FORMAT_VERSION
@@ -353,7 +364,7 @@ fn version_2_round_trip_preserves_the_sweep_cache() {
     assert_eq!(reopened.cached_sweeps(), session.cached_sweeps());
     // Canonical: re-serializing the reopened session reproduces the bytes, sweep section
     // included.
-    assert_eq!(snapshot_to_bytes(&reopened), bytes);
+    assert_eq!(snapshot_to_bytes(&reopened).unwrap(), bytes);
 
     // The reopened cache is *live*: an incremental sweep on the reopened session reuses every
     // verdict without a single cycle test.
@@ -371,7 +382,7 @@ fn corrupt_sweep_sections_are_rejected_structurally() {
     let session = RobustnessSession::new(synthetic(SyntheticConfig::default()));
     let settings = AnalysisSettings::paper_default();
     session.is_robust(settings);
-    let without = snapshot_to_bytes(&session);
+    let without = snapshot_to_bytes(&session).unwrap();
     explore_subsets_with(
         &session,
         settings,
@@ -380,7 +391,7 @@ fn corrupt_sweep_sections_are_rejected_structurally() {
             ..ExploreOptions::default()
         },
     );
-    let with = snapshot_to_bytes(&session);
+    let with = snapshot_to_bytes(&session).unwrap();
     assert!(with.len() > without.len());
     let section = without.len() - 4; // offset of the sweep-count u32
                                      // Payloads share the prefix up to the sweep count (headers differ in the fingerprint).
@@ -423,7 +434,11 @@ fn ycsb_t_workload_fingerprint_is_deterministic() {
     let fp = |config: YcsbtConfig| {
         let session = RobustnessSession::new(ycsb_t(config));
         session.is_robust(AnalysisSettings::paper_default());
-        u64::from_le_bytes(snapshot_to_bytes(&session)[12..20].try_into().unwrap())
+        u64::from_le_bytes(
+            snapshot_to_bytes(&session).unwrap()[12..20]
+                .try_into()
+                .unwrap(),
+        )
     };
     assert_eq!(fp(YcsbtConfig::default()), fp(YcsbtConfig::default()));
     assert_ne!(
@@ -443,17 +458,17 @@ fn snapshots_of_different_workloads_have_different_fingerprints() {
         seed: 1234,
         ..SyntheticConfig::default()
     }));
-    let fp_a = u64::from_le_bytes(snapshot_to_bytes(&a)[12..20].try_into().unwrap());
-    let fp_b = u64::from_le_bytes(snapshot_to_bytes(&b)[12..20].try_into().unwrap());
+    let fp_a = u64::from_le_bytes(snapshot_to_bytes(&a).unwrap()[12..20].try_into().unwrap());
+    let fp_b = u64::from_le_bytes(snapshot_to_bytes(&b).unwrap()[12..20].try_into().unwrap());
     assert_ne!(fp_a, fp_b);
 }
 
 #[test]
 fn warm_open_is_zero_copy_and_rederives_nothing() {
     // The warm-start contract: opening a snapshot installs every graph's derived arrays as
-    // borrowed slabs over the file mapping, and *no* derivation runs afterwards — queries on
-    // the reopened session advance neither the construction counter (no Algorithm 1) nor the
-    // closure counter (no reachability rebuild).
+    // decoded from the file, and *no* derivation runs afterwards — queries on the reopened
+    // session advance neither the construction counter (no Algorithm 1) nor the closure
+    // counter (no reachability rebuild).
     let session = RobustnessSession::new(mvrc_benchmarks::auction());
     for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
         for settings in AnalysisSettings::evaluation_grid(condition) {
@@ -468,11 +483,6 @@ fn warm_open_is_zero_copy_and_rederives_nothing() {
     let (reopened, _) = mvrc_dist::open_snapshot(&path).unwrap();
     for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
         for settings in AnalysisSettings::evaluation_grid(condition) {
-            // Zero-copy: the graph's CSRs and closure borrow the snapshot mapping.
-            assert!(
-                reopened.graph(settings).derived_arrays_shared(),
-                "warm-opened graph must borrow the mapping under {settings}"
-            );
             assert_eq!(reopened.is_robust(settings), session.is_robust(settings));
             // Subset queries run on induced views of the installed arrays.
             let sweep = explore_subsets(&reopened, settings);
@@ -489,14 +499,6 @@ fn warm_open_is_zero_copy_and_rederives_nothing() {
         closures_before,
         "a warm open must not recompute a reachability closure"
     );
-    // The owned decode path (the byte-slice entry point / big-endian fallback) agrees with
-    // the mapped path on every array, it just owns its words.
-    let bytes = std::fs::read(&path).unwrap();
-    let (owned, _) = session_from_snapshot_bytes(&bytes).unwrap();
-    for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
-        assert!(!owned.graph(settings).derived_arrays_shared());
-        assert_eq!(*owned.graph(settings), *reopened.graph(settings));
-    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -504,8 +506,8 @@ fn warm_open_is_zero_copy_and_rederives_nothing() {
 fn derived_block_alignment_holds_for_any_section_parity() {
     // The derived block is padded to absolute 8-byte alignment, so its position depends on
     // everything encoded before it. Workload names of every length mod 8 shift the graph
-    // section across all byte parities; each variant must round-trip through both open paths
-    // and re-encode canonically.
+    // section across all byte parities; each variant must round-trip through a file and
+    // re-encode canonically.
     for pad in 0..8usize {
         let mut workload = synthetic(SyntheticConfig {
             programs: 2,
@@ -517,16 +519,12 @@ fn derived_block_alignment_holds_for_any_section_parity() {
 
         let path = scratch_file(&format!("parity-{pad}"));
         session.save_snapshot(&path).unwrap();
-        let (mapped, _) = mvrc_dist::open_snapshot(&path).unwrap();
+        let (reopened, _) = mvrc_dist::open_snapshot(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let (owned, _) = session_from_snapshot_bytes(&bytes).unwrap();
         let settings = AnalysisSettings::paper_default();
-        assert!(mapped.graph(settings).derived_arrays_shared());
-        assert_eq!(*mapped.graph(settings), *session.graph(settings));
-        assert_eq!(*owned.graph(settings), *session.graph(settings));
-        // Canonical: both reopened sessions re-serialize to the original bytes.
-        assert_eq!(snapshot_to_bytes(&mapped), bytes);
-        assert_eq!(snapshot_to_bytes(&owned), bytes);
+        assert_eq!(*reopened.graph(settings), *session.graph(settings));
+        // Canonical: the reopened session re-serializes to the original bytes.
+        assert_eq!(snapshot_to_bytes(&reopened).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
     }
 }
@@ -538,7 +536,7 @@ fn corrupt_derived_blocks_are_rejected_structurally() {
     let session = RobustnessSession::new(mvrc_benchmarks::auction());
     let settings = AnalysisSettings::paper_default();
     session.is_robust(settings);
-    let bytes = snapshot_to_bytes(&session);
+    let bytes = snapshot_to_bytes(&session).unwrap();
 
     // The derived block sits at the end of the (single) graph entry; the reachability words
     // are its 8-byte-aligned tail, preceded by the two CSRs. Corrupt an offset array word:
@@ -577,4 +575,81 @@ fn corrupt_derived_blocks_are_rejected_structurally() {
         session_from_snapshot_bytes(&truncated).unwrap_err(),
         SnapshotError::Corrupt(_)
     ));
+}
+
+/// Writes `bytes` to a fresh file, opens it with `open_snapshot` and removes the file again.
+fn open_written(tag: &str, bytes: &[u8]) -> Result<(RobustnessSession, u64), SnapshotError> {
+    let path = scratch_file(tag);
+    std::fs::write(&path, bytes).unwrap();
+    let opened = mvrc_dist::open_snapshot(&path);
+    std::fs::remove_file(&path).ok();
+    opened
+}
+
+#[test]
+fn damaged_snapshot_files_fail_open_with_typed_errors() {
+    // `open_snapshot` reads the file and runs the one decoder; every damaged file must come
+    // back as the matching typed error, never as a panic or a misread session.
+    let bytes = fuzz_base_snapshot();
+    assert!(open_written("intact", bytes).is_ok());
+    let is_corrupt = |r: Result<_, SnapshotError>| matches!(r, Err(SnapshotError::Corrupt(_)));
+    let is_mismatch =
+        |r: Result<_, SnapshotError>| matches!(r, Err(SnapshotError::FingerprintMismatch { .. }));
+
+    // Truncated files: shorter than the header, then cut inside the payload, as written and
+    // with the fingerprint restamped so the structural decoder sees the cut.
+    for cut in [0, 10, 19] {
+        assert!(
+            is_corrupt(open_written("short", &bytes[..cut])),
+            "cut at {cut}"
+        );
+    }
+    let payload = bytes.len() - 20;
+    for cut in [20, 21, 20 + payload / 3, 20 + payload / 2, bytes.len() - 1] {
+        assert!(
+            is_mismatch(open_written("cut", &bytes[..cut])),
+            "cut at {cut}"
+        );
+        let mut restamped = bytes[..cut].to_vec();
+        restamp(&mut restamped);
+        assert!(
+            is_corrupt(open_written("cut-restamped", &restamped)),
+            "cut at {cut}"
+        );
+    }
+
+    // Bit flips: in the magic, in the stamped fingerprint, and across the payload.
+    let mut bad_magic = bytes.to_vec();
+    bad_magic[3] ^= 0x04;
+    assert_eq!(
+        open_written("magic", &bad_magic).unwrap_err(),
+        SnapshotError::BadMagic
+    );
+    for at in [12, 19, 20, payload / 2, bytes.len() - 1] {
+        let mut flipped = bytes.to_vec();
+        flipped[at] ^= 0x01;
+        assert!(is_mismatch(open_written("flip", &flipped)), "flip at {at}");
+    }
+
+    // Wrong format versions.
+    for version in [0u32, 2, 4, u32::MAX] {
+        let mut other = bytes.to_vec();
+        other[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            open_written("version", &other).unwrap_err(),
+            SnapshotError::UnsupportedVersion { found: version }
+        );
+    }
+
+    // Trailing bytes after the last section, as written and restamped.
+    for extra in [1usize, 3, 8] {
+        let mut trailing = bytes.to_vec();
+        trailing.resize(bytes.len() + extra, 0);
+        assert!(is_mismatch(open_written("trailing", &trailing)));
+        restamp(&mut trailing);
+        match open_written("trailing-restamped", &trailing).unwrap_err() {
+            SnapshotError::Corrupt(msg) => assert!(msg.contains("trailing"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
 }

@@ -480,6 +480,12 @@ fn tenant_op(
             let outcome = tenant.edit(|session| {
                 let program = mvrc_btp::sql::parse_program(session.schema(), sql)
                     .map_err(|e| e.to_string())?;
+                // The edited workload must fit the LTP budget before Algorithm 1 sees it: the
+                // tenant's programs, less the one being replaced, plus the new one.
+                let programs = &session.workload().programs;
+                let kept = programs.iter().filter(|p| p.name() != program.name());
+                mvrc_btp::sql::check_workload_ltps(kept.chain([&program]))
+                    .map_err(|e| e.to_string())?;
                 if replace {
                     session.replace_program(program).map_err(|e| e.to_string())
                 } else if session.program_names().iter().any(|n| n == program.name()) {

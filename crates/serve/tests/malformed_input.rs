@@ -5,9 +5,9 @@
 //! oversized frames (error reply *before any body allocation*, connection closed), and
 //! mid-frame disconnects (that connection alone dies; every other connection keeps working).
 //! Plus the request-shape errors above the frame layer: missing `op`, unknown op, unknown
-//! tenant, invalid `settings`, SQL blocks nested past the parser's limit, a program that
-//! unfolds to more LTPs than the front end admits, a subset sweep over a tenant wider than the
-//! sweep accepts, and a reply too large for a frame.
+//! tenant, invalid `settings`, SQL blocks nested past the parser's limit, a program (or a
+//! workload) that unfolds to more LTPs than the front end admits, a subset sweep over a tenant
+//! wider than the sweep accepts, and a reply too large for a frame.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -147,6 +147,51 @@ fn program_sql_beyond_the_ltp_limit_earns_an_error_reply_and_the_connection_surv
     let error = error_text(&reply);
     assert!(
         error.contains("unfolds to 33673 LTPs") && error.contains("limit"),
+        "got: {error}"
+    );
+
+    write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    assert_eq!(reply.get("result"), Some(&json!("pong")), "{reply:?}");
+
+    stop_server(&flag, handle);
+}
+
+#[test]
+fn programs_beyond_the_workload_ltp_limit_earn_an_error_reply_and_the_connection_survives() {
+    let (addr, flag, handle) = start_server();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut edit = |op: &str, name: &str| {
+        // Nine optional updates: 512 LTPs, the per-program limit.
+        let sql = format!(
+            "PROGRAM {name}(:C) {{ {}}}",
+            "IF :C THEN UPDATE Savings SET Balance = Balance + 1 WHERE CustomerId = :C; END IF; "
+                .repeat(9)
+        );
+        write_frame(
+            &mut stream,
+            &json!({"op": op, "tenant": "bank", "program_sql": sql}),
+        )
+        .expect("write");
+        read_frame(&mut stream).expect("reply")
+    };
+
+    // SmallBank plus one such program fits the workload budget, and so does replacing it
+    // (the replaced program no longer counts); a second one does not.
+    for (op, name) in [("add_program", "Wide1"), ("replace_program", "Wide1")] {
+        let reply = edit(op, name);
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{reply:?}"
+        );
+    }
+    let error = error_text(&edit("add_program", "Wide2"));
+    assert!(
+        error.contains(&format!(
+            "more than the workload limit of {}",
+            mvrc_btp::sql::MAX_WORKLOAD_LTPS
+        )),
         "got: {error}"
     );
 

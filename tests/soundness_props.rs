@@ -105,7 +105,7 @@ proptest! {
             let naive = find_type2_violation_naive(&graph);
             prop_assert_eq!(optimized.is_some(), naive.is_some());
             for witness in optimized.iter().chain(&naive) {
-                assert_valid_type2_witness(&*graph, witness, &settings.label());
+                assert_valid_type2_witness(&graph.prefetched(), witness, &settings.label());
             }
         }
     }
