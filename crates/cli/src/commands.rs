@@ -3,8 +3,9 @@
 use crate::args::{ClientOp, Command, Format, Input};
 use crate::error::CliError;
 use mvrc_benchmarks::Workload;
-use mvrc_btp::sql::parse_workload_file;
+use mvrc_btp::sql::{check_workload_ltps, parse_workload_file, MAX_WORKLOAD_LTPS};
 use mvrc_btp::unfold_set_le2;
+use mvrc_btp::BtpError;
 use mvrc_robustness::{
     abbreviate_program_name, explore_subsets_with, to_dot, AnalysisSettings, DotOptions,
     ExploreOptions, RobustnessSession, TooManyPrograms,
@@ -214,28 +215,53 @@ fn read_workload_file(path: &str) -> Result<(Workload, String), CliError> {
 pub fn load_workload(input: &Input) -> Result<Workload, CliError> {
     match input {
         Input::File(path) => read_workload_file(path).map(|(workload, _)| workload),
-        Input::Benchmark(name) => match name.as_str() {
-            "smallbank" => Ok(mvrc_benchmarks::smallbank()),
-            "tpcc" | "tpc-c" => Ok(mvrc_benchmarks::tpcc()),
-            "auction" => Ok(mvrc_benchmarks::auction()),
-            "ycsb-t" | "ycsbt" => Ok(mvrc_benchmarks::ycsb_t(
-                mvrc_benchmarks::YcsbtConfig::default(),
-            )),
-            scaled if scaled.starts_with("auction-n=") => {
-                let n: usize = scaled["auction-n=".len()..].parse().map_err(|_| {
-                    CliError::Usage(format!("invalid scaling factor in `{scaled}`"))
-                })?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "auction-n needs a scaling factor ≥ 1".into(),
-                    ));
-                }
-                Ok(mvrc_benchmarks::auction_n(n))
+        Input::Benchmark(name) => {
+            let workload = builtin_benchmark(name)?;
+            // Built in Rust, so no workload text went through the translator's budget.
+            check_workload_ltps(&workload.programs).map_err(workload_error)?;
+            Ok(workload)
+        }
+    }
+}
+
+fn workload_error(e: BtpError) -> CliError {
+    CliError::Workload(e.to_string())
+}
+
+/// The `--benchmark` workload called `name`.
+fn builtin_benchmark(name: &str) -> Result<Workload, CliError> {
+    match name {
+        "smallbank" => Ok(mvrc_benchmarks::smallbank()),
+        "tpcc" | "tpc-c" => Ok(mvrc_benchmarks::tpcc()),
+        "auction" => Ok(mvrc_benchmarks::auction()),
+        "ycsb-t" | "ycsbt" => Ok(mvrc_benchmarks::ycsb_t(
+            mvrc_benchmarks::YcsbtConfig::default(),
+        )),
+        scaled if scaled.starts_with("auction-n=") => {
+            let n: usize = scaled["auction-n=".len()..].parse().map_err(|_| {
+                CliError::Usage(format!("invalid scaling factor in `{scaled}`"))
+            })?;
+            if n == 0 {
+                return Err(CliError::Usage(
+                    "auction-n needs a scaling factor ≥ 1".into(),
+                ));
             }
-            other => Err(CliError::Usage(format!(
-                "unknown benchmark `{other}` (expected smallbank, tpcc, auction, auction-n=<N> or ycsb-t)"
-            ))),
-        },
+            // Its items are alike, so the budget can refuse a huge `n` before `2n` programs
+            // are built.
+            let count = check_workload_ltps(&mvrc_benchmarks::auction_n(1).programs)
+                .map_err(workload_error)?
+                .saturating_mul(n as u64);
+            if count > MAX_WORKLOAD_LTPS {
+                return Err(workload_error(BtpError::TooManyWorkloadLtps {
+                    count,
+                    limit: MAX_WORKLOAD_LTPS,
+                }));
+            }
+            Ok(mvrc_benchmarks::auction_n(n))
+        }
+        other => Err(CliError::Usage(format!(
+            "unknown benchmark `{other}` (expected smallbank, tpcc, auction, auction-n=<N> or ycsb-t)"
+        ))),
     }
 }
 
@@ -667,6 +693,24 @@ mod tests {
         assert!(load_workload(&Input::Benchmark("auction-n=0".into())).is_err());
         assert!(load_workload(&Input::Benchmark("auction-n=x".into())).is_err());
         assert!(load_workload(&Input::Benchmark("nope".into())).is_err());
+        // Auction(n) unfolds to 3n LTPs: 341 items fit the workload budget of 1,024, 342 do not.
+        assert_eq!(
+            load_workload(&Input::Benchmark("auction-n=341".into()))
+                .unwrap()
+                .programs
+                .len(),
+            682
+        );
+        let err = load_workload(&Input::Benchmark("auction-n=342".into())).unwrap_err();
+        assert!(matches!(err, CliError::Workload(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "invalid workload: the workload's programs unfold to 1026 LTPs under Unfold≤2, \
+             more than the workload limit of 1024"
+        );
+        // A scaling factor far past the budget is refused before its programs are built.
+        let err = load_workload(&Input::Benchmark(format!("auction-n={}", usize::MAX)));
+        assert!(matches!(err, Err(CliError::Workload(_))));
     }
 
     #[test]

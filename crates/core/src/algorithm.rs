@@ -5,10 +5,14 @@
 //!   (**type-I cycle**).
 //! * [`find_type2_violation`] / [`find_type2_violation_naive`] — Algorithm 2 of the paper: a
 //!   workload is attested robust when the summary graph has no **type-II cycle** (Theorem 6.4).
-//!   The naive variant mirrors the paper's pseudocode literally; the default variant is an
-//!   algebraically equivalent reformulation that factors the search through precomputed
-//!   reachability bitsets and is considerably faster on large graphs. Both are cross-checked in
-//!   the test-suite and the benchmark harness.
+//!   The naive variant mirrors the paper's pseudocode literally and is kept as the oracle of
+//!   the test suite. The default variant makes one pass over the edges: it files each
+//!   in-edge `e_2` of a node into a statement-suffix row (the pair condition), builds each
+//!   counterflow target's closing row from the non-counterflow adjacency and the reachability
+//!   rows, and tests each counterflow edge `e_3` with one row intersection. Its witness is the
+//!   one the literal search order gives: the first closing `e_3` in edge order, then the first
+//!   passing `e_2` into `e_3.from`, then the first non-counterflow `e_1` in edge order that
+//!   closes the cycle. [`all_violations`] reports the same witness per blamed `e_3`.
 //!
 //! Both tests are *sound but incomplete* (Proposition 6.5): a `robust = true` verdict guarantees
 //! robustness against MVRC, a `robust = false` verdict may be a false negative.
@@ -341,10 +345,10 @@ pub fn find_type2_violation_naive_in<G: SummaryGraphView>(view: &G) -> Option<Ty
 /// condition such that *some* non-counterflow edge `(P_1 → P_2)` closes the cycle
 /// (`P_3` reachable from `P_2` and `P_1` reachable from `P_5`).
 ///
-/// The existence of the closing non-counterflow edge is precomputed as one closing-set bitset
-/// per candidate `P_5` (the `P_3` nodes some closing edge reaches back to), built from the
-/// graph's reachability rows by factoring through the edges' sources `P_1`; the innermost loop
-/// of the naive version becomes a single bit test.
+/// Both halves of that search become row operations: the `P_3` of the passing `e_2` are one
+/// statement-suffix row per `(P_4, e_3.from_stmt)`, and the `P_3` some closing edge reaches
+/// back to are one closing row per `P_5`; `e_3` closes a type-II cycle iff the two rows
+/// intersect. The innermost loop of the naive version becomes a single row `AND`.
 pub fn find_type2_violation(graph: &SummaryGraph) -> Option<Type2Witness> {
     find_type2_violation_in(&graph.prefetched())
 }
@@ -353,121 +357,38 @@ pub fn find_type2_violation(graph: &SummaryGraph) -> Option<Type2Witness> {
 /// widths) live in the view's [`universe`](SummaryGraphView::universe), so induced views share
 /// the parent graph's numbering.
 ///
-/// The closing sets are accumulated in two word-parallel passes over the view's shared
-/// reachability rows (`kernels::or_into`): one row per non-counterflow source `P_1` (the union
-/// of its targets' reach rows), then one row per candidate `P_5` (the union of the source rows
-/// `P_5` reaches). That is `nc_pairs + candidates × sources` row ORs. Every temporary — the
-/// pair-dedup bitset, the representative edges, the candidate list, the source bitset and
-/// both row matrices — lives in reusable thread-local scratch, so repeated calls perform no
-/// universe-sized allocations.
+/// One pass over the view's edges fills three structures in thread-local scratch: the
+/// non-counterflow adjacency as bit rows, the counterflow edges in edge order, and per node
+/// `P_4` one row per statement position that files the `P_3` of every in-edge `e_2`. The pair
+/// condition splits into a part that depends on `e_2` alone — `e_2` is counterflow or its
+/// source statement is an ordered-pair kind — and the positional test
+/// `e_3.from_stmt < e_2.to_stmt`, so `e_2` goes into the past-the-end row of `P_4` in the first
+/// case and into the row of `e_2.to_stmt` otherwise. Suffix-ORing a counterflow source's rows
+/// (once, on its first `e_3`) makes row `s` hold the `P_3` of every `e_2` that passes the pair
+/// condition with an `e_3` leaving statement `s - 1` — the factoring
+/// `compile_type2_groups` uses for the lane plan.
+///
+/// The closing row of `P_5` is `⋃ reach(P_2)` over the non-counterflow edges `P_1 → P_2` with
+/// `P_1` reachable from `P_5`; it is built on first use, and the ORs stop as soon as it equals
+/// `reach(P_5)`, its upper bound (every such `P_2` is reachable from `P_5`).
+///
+/// Witnesses are chosen in a fixed order: the first counterflow `e_3` in edge order that
+/// closes a cycle, the first `e_2` into `e_3.from` (in [`view_edges_to`] order) that passes
+/// the pair condition with its `P_3` in the closing row, and the first non-counterflow `e_1`
+/// in edge order with `P_3` reachable from `e_1.to` and `e_1.from` reachable from `P_5`.
+/// Every temporary lives in reusable thread-local scratch, so repeated calls perform no
+/// allocations once it has grown to the largest universe seen.
+///
+/// [`view_edges_to`]: SummaryGraphView::view_edges_to
 pub fn find_type2_violation_in<G: SummaryGraphView>(view: &G) -> Option<Type2Witness> {
-    let n = view.universe();
-    if n == 0 {
-        return None;
-    }
-    let words = n.div_ceil(64).max(1);
-
     with_type2_scratch(|scratch| {
-        // Distinct (P_1, P_2) node pairs connected by a non-counterflow edge, represented by
-        // one arbitrary representative edge each (the statements of e_1 are irrelevant to the
-        // cycle condition). The dedup bitset persists across calls and is wiped by clearing
-        // exactly the bits just set — never a full `n²`-bit sweep.
-        let seen_words = (n * n).div_ceil(64);
-        if scratch.nc_seen.len() < seen_words {
-            scratch.nc_seen.resize(seen_words, 0);
-        }
-        scratch.nc_pairs.clear();
-        for e in view.view_edges().filter(|e| !e.kind.is_counterflow()) {
-            let key = e.from * n + e.to;
-            if !kernels::test_bit(&scratch.nc_seen, key) {
-                kernels::set_bit(&mut scratch.nc_seen, key);
-                scratch.nc_pairs.push(*e);
-            }
-        }
-        for i in 0..scratch.nc_pairs.len() {
-            let e = scratch.nc_pairs[i];
-            kernels::clear_bit(&mut scratch.nc_seen, e.from * n + e.to);
-        }
-        if scratch.nc_pairs.is_empty() {
+        if !scratch.load(view) {
             return None;
         }
-
-        // The candidate P_5 nodes are exactly the targets of counterflow edges. For each such
-        // node compute the set of P_3 nodes for which a closing non-counterflow pair exists:
-        //   close[P_5] = ⋃ { reach_row(P_2) : (P_1 → P_2) non-counterflow, P_1 reachable from
-        //   P_5 },
-        // factored through the pair sources: first nc_close[P_1] = ⋃ reach_row(P_2) over P_1's
-        // non-counterflow successors, then close[P_5] = ⋃ nc_close[P_1] over the sources P_1
-        // reachable from P_5.
-        scratch.candidates.clear();
-        scratch.candidates.extend(
-            view.view_edges()
-                .filter(|e| e.kind.is_counterflow())
-                .map(|e| e.to),
-        );
-        scratch.candidates.sort_unstable();
-        scratch.candidates.dedup();
-        if scratch.candidates.is_empty() {
-            return None;
-        }
-        scratch.sources.clear();
-        scratch.sources.resize(words, 0);
-        if scratch.nc_close.len() < n * words {
-            scratch.nc_close.resize(n * words, 0);
-        }
-        for e in &scratch.nc_pairs {
-            let row = &mut scratch.nc_close[e.from * words..(e.from + 1) * words];
-            if !kernels::test_bit(&scratch.sources, e.from) {
-                // First pair from this source: its row holds a previous call's data.
-                kernels::set_bit(&mut scratch.sources, e.from);
-                row.fill(0);
-            }
-            kernels::or_into(row, view.view_reachable_row(e.to));
-        }
-        scratch.close.clear();
-        scratch.close.resize(scratch.candidates.len() * words, 0);
-        for (ci, &p5) in scratch.candidates.iter().enumerate() {
-            let acc = &mut scratch.close[ci * words..(ci + 1) * words];
-            let reach = view.view_reachable_row(p5);
-            for (w, (&r, &s)) in reach.iter().zip(&scratch.sources).enumerate() {
-                let mut bits = r & s;
-                while bits != 0 {
-                    let p1 = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    kernels::or_into(acc, &scratch.nc_close[p1 * words..(p1 + 1) * words]);
-                }
-            }
-        }
-
-        // Enumerate adjacent pairs (e_2, e_3) with e_3 counterflow.
-        for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-            let ci = scratch
-                .candidates
-                .binary_search(&e3.to)
-                .expect("counterflow target is a candidate by construction");
-            let close_row = &scratch.close[ci * words..(ci + 1) * words];
-            for e2 in view.view_edges_to(e3.from) {
-                if !pair_condition(view, e2, e3) {
-                    continue;
-                }
-                let p3 = e2.from;
-                if !kernels::test_bit(close_row, p3) {
-                    continue;
-                }
-                // Recover a concrete closing non-counterflow edge for the witness.
-                let e1 = scratch
-                    .nc_pairs
-                    .iter()
-                    .find(|e| view.view_reachable(e.to, p3) && view.view_reachable(e3.to, e.from))
-                    .expect("closing edge exists by construction of the close bitset");
-                return Some(Type2Witness {
-                    non_counterflow_edge: *e1,
-                    middle_edge: *e2,
-                    counterflow_edge: *e3,
-                });
-            }
-        }
-        None
+        (0..scratch.cf_edges.len()).find_map(|i| {
+            let e3 = scratch.cf_edges[i];
+            scratch.witness(view, &e3)
+        })
     })
 }
 
@@ -477,9 +398,8 @@ pub fn find_type2_violation_in<G: SummaryGraphView>(view: &G) -> Option<Type2Wit
 /// Violations are deduplicated by the statement pair their counterflow edge blames — the
 /// `(program, statement) → (program, statement)` quadruple — because a diagnostics consumer
 /// wants one report per offending statement pair, not one per cycle routing through it. The
-/// result order follows the graph's edge order and is deterministic.
-///
-/// Not performance-tuned: linting runs once per workload, unlike the subset-sweep hot path.
+/// result order follows the graph's edge order and is deterministic. A type-II violation is
+/// the witness [`find_type2_violation_in`] would pick for its counterflow edge.
 pub fn all_violations(graph: &SummaryGraph, condition: CycleCondition) -> Vec<Violation> {
     all_violations_in(&graph.prefetched(), condition)
 }
@@ -503,57 +423,188 @@ pub fn all_violations_in<G: SummaryGraphView>(
                 }
             }
         }
-        CycleCondition::TypeII => {
-            for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-                if seen.contains(&(e3.from, e3.from_stmt, e3.to, e3.to_stmt)) {
+        CycleCondition::TypeII => with_type2_scratch(|scratch| {
+            if !scratch.load(view) {
+                return;
+            }
+            for i in 0..scratch.cf_edges.len() {
+                let e3 = scratch.cf_edges[i];
+                let key = (e3.from, e3.from_stmt, e3.to, e3.to_stmt);
+                if seen.contains(&key) {
                     continue;
                 }
-                // One representative cycle per blamed counterflow edge: the first adjacent
-                // middle edge satisfying the pair condition together with the first
-                // non-counterflow edge that closes the cycle (mirrors the naive Algorithm 2
-                // loop with the roles reordered).
-                let witness = view.view_edges_to(e3.from).find_map(|e2| {
-                    if !pair_condition(view, e2, e3) {
-                        return None;
-                    }
-                    view.view_edges()
-                        .find(|e1| {
-                            !e1.kind.is_counterflow()
-                                && view.view_reachable(e1.to, e2.from)
-                                && view.view_reachable(e3.to, e1.from)
-                        })
-                        .map(|e1| Type2Witness {
-                            non_counterflow_edge: *e1,
-                            middle_edge: *e2,
-                            counterflow_edge: *e3,
-                        })
-                });
-                if let Some(w) = witness {
-                    seen.insert((e3.from, e3.from_stmt, e3.to, e3.to_stmt));
+                if let Some(w) = scratch.witness(view, &e3) {
+                    seen.insert(key);
                     out.push(Violation::TypeII(w));
                 }
             }
-        }
+        }),
     }
     out
 }
 
-/// Reusable temporaries for [`find_type2_violation_in`], one set per thread. `nc_seen` is self-cleaning: the function clears the bits it set before
-/// returning, so the bitset never needs re-zeroing between calls.
+/// Reusable temporaries of the type-II test, one set per thread. Rows are `words =
+/// ⌈universe / 64⌉` words wide, one bit per node id. [`Type2Scratch::load`] fills them from
+/// one pass over a view's edges; [`Type2Scratch::witness`] then decides one counterflow edge.
 #[derive(Default)]
 struct Type2Scratch {
-    nc_seen: Vec<u64>,
-    nc_pairs: Vec<SummaryEdge>,
-    candidates: Vec<NodeId>,
-    /// Bitset of the `P_1` nodes with at least one non-counterflow pair (`words` wide).
+    words: usize,
+    /// Non-counterflow adjacency, node-indexed rows: bit `P_2` of row `P_1` ⇔ an edge
+    /// `P_1 → P_2`. Setting a bit twice is the whole pair dedup.
+    nc_succ: Vec<u64>,
+    /// The nodes `P_1` with at least one non-counterflow out-edge.
     sources: Vec<u64>,
-    /// Per-source closing rows, node-indexed (`universe × words`): row `P_1` is the union of
-    /// `reach_row(P_2)` over the non-counterflow pairs `(P_1, P_2)`. Only the rows of
-    /// `sources` are valid; each call zeroes a source's row before accumulating into it.
-    nc_close: Vec<u64>,
-    /// Closing-set rows, one per candidate `P_5`, in candidate order: the union of
-    /// `nc_close[P_1]` over the sources `P_1` reachable from `P_5`.
+    /// The view's counterflow edges, in edge order.
+    cf_edges: Vec<SummaryEdge>,
+    /// The statement rows of each of the view's nodes, `(first, past the end)`: node `v` owns
+    /// the `len(v) + 1` rows `first..=past_end`. Entries of other nodes are stale, never read.
+    rows: Vec<(usize, usize)>,
+    /// Per statement row: is the statement an ordered-pair kind? (`false` past the end.)
+    ordered: Vec<bool>,
+    /// Statement rows of `P_3`, `words` each: row `(P_4, s)` holds the sources of the in-edges
+    /// `e_2` of `P_4` entering statement `s`, and the past-the-end row those of the in-edges
+    /// that pass the pair condition whatever `e_3` is. After [`Type2Scratch::witness`]
+    /// suffix-ORs a node (`suffixed`), row `s` is the union of its rows `s..`.
+    after: Vec<u64>,
+    /// The counterflow sources `P_4` whose statement rows are suffix-ORed.
+    suffixed: Vec<u64>,
+    /// Closing rows, node-indexed: row `P_5` is valid once `P_5` is in `closed`.
     close: Vec<u64>,
+    closed: Vec<u64>,
+    /// The non-counterflow successors of the sources `P_5` reaches (one row).
+    targets: Vec<u64>,
+}
+
+impl Type2Scratch {
+    /// The one pass over `view`'s edges. Returns `false` when the view has no counterflow or
+    /// no non-counterflow edge, so no type-II cycle.
+    fn load<G: SummaryGraphView>(&mut self, view: &G) -> bool {
+        let n = view.universe();
+        let words = n.div_ceil(64).max(1);
+        self.words = words;
+        self.rows.resize(n, (0, 0));
+        self.ordered.clear();
+        for v in view.node_ids() {
+            let first = self.ordered.len();
+            self.ordered.extend(
+                view.node(v)
+                    .statements()
+                    .map(|(_, q)| ordered_pair_kind(q.kind())),
+            );
+            self.rows[v] = (first, self.ordered.len());
+            self.ordered.push(false);
+        }
+        self.after.clear();
+        self.after.resize(self.ordered.len() * words, 0);
+        self.nc_succ.clear();
+        self.nc_succ.resize(n * words, 0);
+        if self.close.len() < n * words {
+            self.close.resize(n * words, 0);
+        }
+        for bits in [&mut self.sources, &mut self.suffixed, &mut self.closed] {
+            bits.clear();
+            bits.resize(words, 0);
+        }
+        self.cf_edges.clear();
+
+        for e in view.view_edges() {
+            let (first, past_end) = self.rows[e.to];
+            let (from_word, from_bit) = (e.from / 64, 1u64 << (e.from % 64));
+            let row = if e.kind.is_counterflow() {
+                self.cf_edges.push(*e);
+                past_end
+            } else {
+                self.sources[from_word] |= from_bit;
+                self.nc_succ[e.from * words + e.to / 64] |= 1u64 << (e.to % 64);
+                if self.ordered[self.rows[e.from].0 + e.from_stmt] {
+                    past_end
+                } else {
+                    first + e.to_stmt
+                }
+            };
+            self.after[row * words + from_word] |= from_bit;
+        }
+        !self.cf_edges.is_empty() && self.sources.iter().any(|&w| w != 0)
+    }
+
+    /// The type-II witness through the counterflow edge `e3`, if `e3` closes a cycle.
+    fn witness<G: SummaryGraphView>(&mut self, view: &G, e3: &SummaryEdge) -> Option<Type2Witness> {
+        let words = self.words;
+        let (p4, p5) = (e3.from, e3.to);
+        let (base, past_end) = self.rows[p4];
+        if !kernels::test_bit(&self.suffixed, p4) {
+            kernels::set_bit(&mut self.suffixed, p4);
+            for r in (base..past_end).rev() {
+                let (head, tail) = self.after.split_at_mut((r + 1) * words);
+                kernels::or_into(&mut head[r * words..], &tail[..words]);
+            }
+        }
+        let row = (base + e3.from_stmt + 1) * words..(base + e3.from_stmt + 2) * words;
+        if self.after[row.clone()].iter().all(|&w| w == 0) {
+            return None;
+        }
+        self.build_close(view, p5);
+        let close = &self.close[p5 * words..][..words];
+        if !self.after[row].iter().zip(close).any(|(&a, &c)| a & c != 0) {
+            return None;
+        }
+        let e2 = view
+            .view_edges_to(p4)
+            .find(|e2| pair_condition(view, e2, e3) && kernels::test_bit(close, e2.from))
+            .expect("a passing P_3 in the closing row has an in-edge by construction");
+        let p3 = e2.from;
+        let e1 = view
+            .view_edges()
+            .find(|e| {
+                !e.kind.is_counterflow()
+                    && view.view_reachable(e.to, p3)
+                    && view.view_reachable(p5, e.from)
+            })
+            .expect("closing edge exists by construction of the closing row");
+        Some(Type2Witness {
+            non_counterflow_edge: *e1,
+            middle_edge: *e2,
+            counterflow_edge: *e3,
+        })
+    }
+
+    /// Builds `close[P_5]` unless it is built already. The non-counterflow successors `P_2` of
+    /// the sources `P_5` reaches go in first (reachability is reflexive, so each lies in its own
+    /// reach row), then their reach rows; both stages stop once the row equals `reach(P_5)`.
+    fn build_close<G: SummaryGraphView>(&mut self, view: &G, p5: NodeId) {
+        let words = self.words;
+        if kernels::test_bit(&self.closed, p5) {
+            return;
+        }
+        kernels::set_bit(&mut self.closed, p5);
+        let reach = view.view_reachable_row(p5);
+        let row = &mut self.close[p5 * words..][..words];
+        row.fill(0);
+        for (w, (&r, &s)) in reach.iter().zip(&self.sources).enumerate() {
+            let mut bits = r & s;
+            while bits != 0 {
+                let p1 = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                kernels::or_into(row, &self.nc_succ[p1 * words..][..words]);
+                if row == reach {
+                    return;
+                }
+            }
+        }
+        self.targets.clear();
+        self.targets.extend_from_slice(row);
+        for (w, &word) in self.targets.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let p2 = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                kernels::or_into(row, view.view_reachable_row(p2));
+                if row == reach {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 fn with_type2_scratch<R>(f: impl FnOnce(&mut Type2Scratch) -> R) -> R {
@@ -562,6 +613,118 @@ fn with_type2_scratch<R>(f: impl FnOnce(&mut Type2Scratch) -> R) -> R {
 
 thread_local! {
     static SCRATCH: RefCell<Type2Scratch> = RefCell::new(Type2Scratch::default());
+}
+
+/// The type-II test as it stood before the one-pass rewrite: a pair-dedup bitset, per-source
+/// closing rows and one pair-condition call per adjacent edge pair, plus the nested rescan of
+/// the type-II branch of [`all_violations_in`]. Kept only to pin the witnesses the rewrite must
+/// reproduce.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn find_type2_violation_in<G: SummaryGraphView>(view: &G) -> Option<Type2Witness> {
+        let n = view.universe();
+        if n == 0 {
+            return None;
+        }
+        let words = n.div_ceil(64).max(1);
+        let mut nc_seen = vec![0u64; (n * n).div_ceil(64)];
+        let mut nc_pairs: Vec<SummaryEdge> = Vec::new();
+        for e in view.view_edges().filter(|e| !e.kind.is_counterflow()) {
+            let key = e.from * n + e.to;
+            if !kernels::test_bit(&nc_seen, key) {
+                kernels::set_bit(&mut nc_seen, key);
+                nc_pairs.push(*e);
+            }
+        }
+        if nc_pairs.is_empty() {
+            return None;
+        }
+        let mut candidates: Vec<NodeId> = view
+            .view_edges()
+            .filter(|e| e.kind.is_counterflow())
+            .map(|e| e.to)
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        if candidates.is_empty() {
+            return None;
+        }
+        let mut sources = vec![0u64; words];
+        let mut nc_close = vec![0u64; n * words];
+        for e in &nc_pairs {
+            kernels::set_bit(&mut sources, e.from);
+            kernels::or_into(
+                &mut nc_close[e.from * words..(e.from + 1) * words],
+                view.view_reachable_row(e.to),
+            );
+        }
+        let mut close = vec![0u64; candidates.len() * words];
+        for (ci, &p5) in candidates.iter().enumerate() {
+            let acc = &mut close[ci * words..(ci + 1) * words];
+            let reach = view.view_reachable_row(p5);
+            for (w, (&r, &s)) in reach.iter().zip(&sources).enumerate() {
+                let mut bits = r & s;
+                while bits != 0 {
+                    let p1 = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    kernels::or_into(acc, &nc_close[p1 * words..(p1 + 1) * words]);
+                }
+            }
+        }
+        for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
+            let ci = candidates.binary_search(&e3.to).unwrap();
+            let close_row = &close[ci * words..(ci + 1) * words];
+            for e2 in view.view_edges_to(e3.from) {
+                if !pair_condition(view, e2, e3) || !kernels::test_bit(close_row, e2.from) {
+                    continue;
+                }
+                let p3 = e2.from;
+                let e1 = nc_pairs
+                    .iter()
+                    .find(|e| view.view_reachable(e.to, p3) && view.view_reachable(e3.to, e.from))
+                    .unwrap();
+                return Some(Type2Witness {
+                    non_counterflow_edge: *e1,
+                    middle_edge: *e2,
+                    counterflow_edge: *e3,
+                });
+            }
+        }
+        None
+    }
+
+    pub(super) fn all_type2_violations_in<G: SummaryGraphView>(view: &G) -> Vec<Violation> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
+            if seen.contains(&(e3.from, e3.from_stmt, e3.to, e3.to_stmt)) {
+                continue;
+            }
+            let witness = view.view_edges_to(e3.from).find_map(|e2| {
+                if !pair_condition(view, e2, e3) {
+                    return None;
+                }
+                view.view_edges()
+                    .find(|e1| {
+                        !e1.kind.is_counterflow()
+                            && view.view_reachable(e1.to, e2.from)
+                            && view.view_reachable(e3.to, e1.from)
+                    })
+                    .map(|e1| Type2Witness {
+                        non_counterflow_edge: *e1,
+                        middle_edge: *e2,
+                        counterflow_edge: *e3,
+                    })
+            });
+            if let Some(w) = witness {
+                seen.insert((e3.from, e3.from_stmt, e3.to, e3.to_stmt));
+                out.push(Violation::TypeII(w));
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -851,6 +1014,214 @@ mod tests {
         }
         // Neither side of the positional test is vacuous.
         assert!(groups_seen > 0 && rejected > 0 && positional > 0);
+    }
+
+    /// Asserts that the one-pass type-II test and `all_violations_in` return exactly the
+    /// reference witnesses on `view`; returns whether it has a type-II cycle.
+    fn assert_reference_witnesses<G: SummaryGraphView>(
+        view: &G,
+        label: &dyn Fn() -> String,
+    ) -> bool {
+        let witness = find_type2_violation_in(view);
+        assert_eq!(
+            witness,
+            super::reference::find_type2_violation_in(view),
+            "type-II witness of {}",
+            label()
+        );
+        assert_eq!(
+            all_violations_in(view, CycleCondition::TypeII),
+            super::reference::all_type2_violations_in(view),
+            "type-II violations of {}",
+            label()
+        );
+        witness.is_some()
+    }
+
+    #[test]
+    fn one_pass_type2_test_picks_the_reference_witnesses() {
+        // The paper's benchmarks, YCSB-T, Auction(n) and 40 seeded synthetic workloads under
+        // every evaluation setting, on the full graph and on every program subset of the
+        // workloads with at most 8 programs.
+        let mut workloads = mvrc_benchmarks::paper_benchmarks();
+        workloads.push(mvrc_benchmarks::ycsb_t(
+            mvrc_benchmarks::YcsbtConfig::default(),
+        ));
+        workloads.extend([1, 3, 20].map(mvrc_benchmarks::auction_n));
+        workloads.extend((0..40).map(|seed| {
+            mvrc_benchmarks::synthetic(mvrc_benchmarks::SyntheticConfig {
+                seed,
+                ..mvrc_benchmarks::SyntheticConfig::default()
+            })
+        }));
+        let (mut violated, mut robust) = (0, 0);
+        for workload in workloads {
+            let name = workload.name.clone();
+            let session = crate::RobustnessSession::new(workload);
+            let programs = session.program_names();
+            for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
+                let graph = session.graph(settings);
+                let mut tally = |found: bool| {
+                    if found {
+                        violated += 1;
+                    } else {
+                        robust += 1;
+                    }
+                };
+                tally(assert_reference_witnesses(&graph.prefetched(), &|| {
+                    format!("{name} under {settings}")
+                }));
+                if programs.len() > 8 {
+                    continue;
+                }
+                for mask in 1usize..1 << programs.len() {
+                    let subset: Vec<&str> = (0..programs.len())
+                        .filter(|i| mask & (1 << i) != 0)
+                        .map(|i| programs[i].as_str())
+                        .collect();
+                    let view = graph.induced_for_programs(&subset).unwrap();
+                    tally(assert_reference_witnesses(&view, &|| {
+                        format!("{name} {subset:?} under {settings}")
+                    }));
+                }
+            }
+        }
+        // Both verdicts occur, so the comparison is not vacuous.
+        assert!(
+            violated > 0 && robust > 0,
+            "{violated} violated, {robust} robust"
+        );
+    }
+
+    /// A summary-graph view over an arbitrary edge list, with its closure computed by a plain
+    /// fixpoint: it reaches graphs Algorithm 1 never builds, such as a counterflow edge with
+    /// no non-counterflow companion, where a closing row needs more than the non-counterflow
+    /// successors of the sources `P_5` reaches.
+    struct EdgeListView {
+        nodes: Vec<LinearProgram>,
+        edges: Vec<SummaryEdge>,
+        words: usize,
+        reach: Vec<u64>,
+    }
+
+    impl EdgeListView {
+        fn new(nodes: Vec<LinearProgram>, edges: Vec<SummaryEdge>) -> Self {
+            let n = nodes.len();
+            let words = n.div_ceil(64).max(1);
+            let mut reach = vec![0u64; n * words];
+            for v in 0..n {
+                kernels::set_bit(&mut reach[v * words..][..words], v);
+            }
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for e in &edges {
+                    for w in 0..words {
+                        let add = reach[e.to * words + w] & !reach[e.from * words + w];
+                        if add != 0 {
+                            reach[e.from * words + w] |= add;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            EdgeListView {
+                nodes,
+                edges,
+                words,
+                reach,
+            }
+        }
+    }
+
+    impl SummaryGraphView for EdgeListView {
+        fn universe(&self) -> usize {
+            self.nodes.len()
+        }
+
+        fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+            0..self.nodes.len()
+        }
+
+        fn node(&self, id: NodeId) -> &LinearProgram {
+            &self.nodes[id]
+        }
+
+        fn view_edges(&self) -> impl Iterator<Item = &SummaryEdge> + '_ {
+            self.edges.iter()
+        }
+
+        fn view_edges_to(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
+            self.edges.iter().filter(move |e| e.to == node)
+        }
+
+        fn view_counterflow_edges_from(
+            &self,
+            node: NodeId,
+        ) -> impl Iterator<Item = &SummaryEdge> + '_ {
+            self.edges
+                .iter()
+                .filter(move |e| e.from == node && e.kind.is_counterflow())
+        }
+
+        fn view_reachable(&self, from: NodeId, to: NodeId) -> bool {
+            kernels::test_bit(self.view_reachable_row(from), to)
+        }
+
+        fn view_reachable_row(&self, from: NodeId) -> &[u64] {
+            &self.reach[from * self.words..][..self.words]
+        }
+    }
+
+    #[test]
+    fn one_pass_type2_test_picks_the_reference_witnesses_on_random_edge_lists() {
+        // Random edge lists over the LTPs of a synthetic workload, whose statement kinds and
+        // positions make every branch of the pair condition occur.
+        let session = crate::RobustnessSession::new(mvrc_benchmarks::synthetic(
+            mvrc_benchmarks::SyntheticConfig::default(),
+        ));
+        let ltps = session.ltps().to_vec();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut violated, mut robust) = (0, 0);
+        for round in 0..2000 {
+            let nodes: Vec<LinearProgram> = (0..2 + next(6))
+                .map(|_| ltps[next(ltps.len())].clone())
+                .collect();
+            let edges: Vec<SummaryEdge> = (0..next(4 * nodes.len()))
+                .map(|_| {
+                    let (from, to) = (next(nodes.len()), next(nodes.len()));
+                    SummaryEdge {
+                        from,
+                        from_stmt: next(nodes[from].len()),
+                        kind: if next(3) == 0 {
+                            crate::summary::EdgeKind::Counterflow
+                        } else {
+                            crate::summary::EdgeKind::NonCounterflow
+                        },
+                        to_stmt: next(nodes[to].len()),
+                        to,
+                    }
+                })
+                .collect();
+            let view = EdgeListView::new(nodes, edges);
+            let found = assert_reference_witnesses(&view, &|| format!("random round {round}"));
+            assert_eq!(found, find_type2_violation_naive_in(&view).is_some());
+            if found {
+                violated += 1;
+            } else {
+                robust += 1;
+            }
+        }
+        assert!(
+            violated > 0 && robust > 0,
+            "{violated} violated, {robust} robust"
+        );
     }
 
     #[test]

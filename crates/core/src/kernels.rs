@@ -153,12 +153,14 @@ pub(crate) struct LaneScratch {
 ///
 /// `scratch.member` holds the membership words (bits outside `batch` must be zero). The
 /// verdicts are exactly those of the scalar per-subset cycle tests: the reachability fixpoint
-/// mirrors induced-view closure per lane, and the type-II closing sets are factored through
-/// their sources exactly as in `find_type2_violation_in`, with every row lane-masked:
-/// `nc_close[P_1]` unions the reach rows of `P_1`'s non-counterflow targets `P_2`, then
-/// `close[P_5]` unions `reach[P_5][P_1] & nc_close[P_1]` over the sources — `nc_pairs +
-/// candidates × sources` row operations of `universe` words each. A lane is violated when some
-/// pair-condition group finds its `P_3` bit set with `P_4` a member. Witness *choice* may
+/// mirrors induced-view closure per lane, and the type-II closing sets are the closing rows of
+/// `find_type2_violation_in` — `close[P_5]` is the union of `reach(P_2)` over the
+/// non-counterflow pairs `(P_1, P_2)` with `P_1` reachable from `P_5` — factored through the
+/// sources `P_1` and with every row lane-masked: `nc_close[P_1]` unions the reach rows of
+/// `P_1`'s non-counterflow targets `P_2`, then `close[P_5]` unions
+/// `reach[P_5][P_1] & nc_close[P_1]` over the sources — `nc_pairs + candidates × sources` row
+/// operations of `universe` words each. A lane is violated when some pair-condition group finds
+/// its `P_3` bit set with `P_4` a member. Witness *choice* may
 /// differ from the scalar search order; witness *existence* (all the sweep records) cannot.
 pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64) -> u64 {
     let n = plan.universe;

@@ -294,6 +294,8 @@ pub struct SummaryGraph {
     /// one from snapshot parts bumps reference counts only.
     nodes: Vec<Arc<LinearProgram>>,
     edges: Vec<SummaryEdge>,
+    /// How many of `edges` are counterflow, counted wherever the edge list is built or edited.
+    counterflow_edges: usize,
     settings: AnalysisSettings,
     out_adj: OnceLock<Csr>,
     in_adj: OnceLock<Csr>,
@@ -316,8 +318,8 @@ impl PartialEq for SummaryGraph {
 }
 
 /// Derives the Algorithm 1 edges between one ordered node pair `(i, j)` and appends them to
-/// `edges`. Factored out so that incremental maintenance re-derives exactly the pairs touching
-/// changed nodes.
+/// `edges`, returning how many of them are counterflow. Factored out so that incremental
+/// maintenance re-derives exactly the pairs touching changed nodes.
 fn push_pair_edges(
     i: NodeId,
     pi: &LinearProgram,
@@ -325,7 +327,8 @@ fn push_pair_edges(
     pj: &LinearProgram,
     settings: AnalysisSettings,
     edges: &mut Vec<SummaryEdge>,
-) {
+) -> usize {
+    let mut counterflow = 0;
     for (pos_i, qi) in pi.statements() {
         for (pos_j, qj) in pj.statements() {
             if qi.rel() != qj.rel() {
@@ -349,6 +352,7 @@ fn push_pair_edges(
                 None => c_dep_conds(pi, pos_i, qi, pj, pos_j, qj, settings.use_foreign_keys),
             };
             if allow_c {
+                counterflow += 1;
                 edges.push(SummaryEdge {
                     from: i,
                     from_stmt: pos_i,
@@ -359,6 +363,7 @@ fn push_pair_edges(
             }
         }
     }
+    counterflow
 }
 
 impl SummaryGraph {
@@ -372,24 +377,27 @@ impl SummaryGraph {
         let nodes = widen_ltps(ltps, schema, settings.granularity);
 
         let mut edges = Vec::new();
+        let mut counterflow = 0;
         for (i, pi) in nodes.iter().enumerate() {
             for (j, pj) in nodes.iter().enumerate() {
-                push_pair_edges(i, pi, j, pj, settings, &mut edges);
+                counterflow += push_pair_edges(i, pi, j, pj, settings, &mut edges);
             }
         }
 
-        SummaryGraph::new_lazy(nodes, edges, settings)
+        SummaryGraph::new_lazy(nodes, edges, counterflow, settings)
     }
 
     /// A graph whose derived arrays (adjacency CSR, closure) are built on first use.
     fn new_lazy(
         nodes: Vec<Arc<LinearProgram>>,
         edges: Vec<SummaryEdge>,
+        counterflow_edges: usize,
         settings: AnalysisSettings,
     ) -> Self {
         SummaryGraph {
             nodes,
             edges,
+            counterflow_edges,
             settings,
             out_adj: OnceLock::new(),
             in_adj: OnceLock::new(),
@@ -468,7 +476,8 @@ impl SummaryGraph {
                 if i < old_n && j < old_n {
                     continue;
                 }
-                push_pair_edges(i, pi, j, pj, self.settings, &mut self.edges);
+                self.counterflow_edges +=
+                    push_pair_edges(i, pi, j, pj, self.settings, &mut self.edges);
             }
         }
         self.clear_derived();
@@ -504,15 +513,18 @@ impl SummaryGraph {
             idx += 1;
             k
         });
+        let mut counterflow = 0;
         self.edges.retain_mut(|e| {
             if keep[e.from] && keep[e.to] {
                 e.from = new_id[e.from];
                 e.to = new_id[e.to];
+                counterflow += usize::from(e.kind.is_counterflow());
                 true
             } else {
                 false
             }
         });
+        self.counterflow_edges = counterflow;
         self.clear_derived();
     }
 
@@ -537,7 +549,9 @@ impl SummaryGraph {
         derived: SummaryGraphDerived,
     ) -> Result<Self, String> {
         let n = nodes.len();
+        let mut counterflow = 0;
         for e in &edges {
+            counterflow += usize::from(e.kind.is_counterflow());
             if e.from >= n || e.to >= n {
                 return Err(format!("graph edge endpoint out of range ({n} nodes)"));
             }
@@ -563,7 +577,7 @@ impl SummaryGraph {
                 n * words_per_row
             ));
         }
-        let graph = SummaryGraph::new_lazy(nodes, edges, settings);
+        let graph = SummaryGraph::new_lazy(nodes, edges, counterflow, settings);
         let _ = graph.out_adj.set(out);
         let _ = graph.in_adj.set(in_);
         let _ = graph.reach.set(Reachability {
@@ -636,10 +650,7 @@ impl SummaryGraph {
 
     /// Number of counterflow edges, the parenthesized count in Table 2.
     pub fn counterflow_edge_count(&self) -> usize {
-        self.edges
-            .iter()
-            .filter(|e| e.kind.is_counterflow())
-            .count()
+        self.counterflow_edges
     }
 
     /// The LTP at a node.
@@ -938,35 +949,32 @@ fn describe_edge_between(from: &LinearProgram, to: &LinearProgram, edge: &Summar
     )
 }
 
-/// The full-graph view, with the derived arrays *prefetched*: both CSRs and the reachability
-/// words are taken out of their lazily initialised `OnceLock`s once, at construction, so the
-/// cycle-test kernels index plain slices instead of re-checking each lock per edge walk or
-/// reachability probe (the word-parallel type-II scan makes millions of single-bit probes).
+/// The full-graph view, with the derived arrays *prefetched*: the out-adjacency CSR and the
+/// reachability words are taken out of their lazily initialised `OnceLock`s once, at
+/// construction, so the cycle-test kernels index plain slices instead of re-checking each lock
+/// per edge walk or reachability probe. The in-adjacency CSR is fetched on the first
+/// [`view_edges_to`](SummaryGraphView::view_edges_to) call instead: only witness recovery and
+/// the lane-plan compiler walk in-edges, so a robust verdict never derives it.
 /// It is the only [`SummaryGraphView`] over a whole graph: every cycle test, the DOT
 /// renderer and the witness checks go through [`SummaryGraph::prefetched`].
 pub struct PrefetchedView<'g> {
     graph: &'g SummaryGraph,
     out_offsets: &'g [u32],
     out_targets: &'g [u32],
-    in_offsets: &'g [u32],
-    in_targets: &'g [u32],
     words_per_row: usize,
     reach_bits: &'g [u64],
 }
 
 impl SummaryGraph {
-    /// A [`PrefetchedView`] over the whole graph. Forces derivation of the CSRs and the
-    /// reachability closure (a no-op on warm-started graphs, which have them installed).
+    /// A [`PrefetchedView`] over the whole graph. Forces derivation of the out-adjacency CSR and
+    /// the reachability closure (a no-op on warm-started graphs, which have them installed).
     pub fn prefetched(&self) -> PrefetchedView<'_> {
         let out = self.out_csr();
-        let in_ = self.in_csr();
         let reach = self.reachability();
         PrefetchedView {
             graph: self,
             out_offsets: &out.offsets,
             out_targets: &out.targets,
-            in_offsets: &in_.offsets,
-            in_targets: &in_.targets,
             words_per_row: reach.words_per_row,
             reach_bits: &reach.bits,
         }
@@ -991,9 +999,7 @@ impl SummaryGraphView for PrefetchedView<'_> {
     }
 
     fn view_edges_to(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
-        self.in_targets[self.in_offsets[node] as usize..self.in_offsets[node + 1] as usize]
-            .iter()
-            .map(move |&idx| &self.graph.edges[idx as usize])
+        self.graph.edges_to(node)
     }
 
     fn view_counterflow_edges_from(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
@@ -1019,6 +1025,10 @@ impl SummaryGraphView for PrefetchedView<'_> {
 
     fn view_edge_count(&self) -> usize {
         self.graph.edges.len()
+    }
+
+    fn view_counterflow_edge_count(&self) -> usize {
+        self.graph.counterflow_edges
     }
 }
 
@@ -1496,6 +1506,10 @@ mod tests {
             inc_edges.sort();
             fresh_edges.sort();
             assert_eq!(inc_edges, fresh_edges);
+            assert_eq!(
+                incremental.counterflow_edge_count(),
+                fresh.counterflow_edge_count()
+            );
             for i in 0..2 {
                 for j in 0..2 {
                     assert_eq!(incremental.reachable(i, j), fresh.reachable(i, j));
@@ -1523,6 +1537,10 @@ mod tests {
         got.sort();
         want.sort();
         assert_eq!(got, want);
+        assert_eq!(
+            graph.counterflow_edge_count(),
+            fresh.counterflow_edge_count()
+        );
         assert_eq!(graph.reachable(0, 0), fresh.reachable(0, 0));
     }
 }

@@ -94,6 +94,10 @@ proptest! {
                 let report = session.analyze(settings);
                 let reopened_report = reopened.analyze(settings);
                 prop_assert_eq!(reopened_report.is_robust(), report.is_robust());
+                prop_assert_eq!(
+                    reopened_report.counterflow_edge_count,
+                    report.counterflow_edge_count
+                );
                 // The whole subset sweep, counters included.
                 let sweep = explore_subsets(&session, settings);
                 let reopened_sweep = explore_subsets(&reopened, settings);

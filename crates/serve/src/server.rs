@@ -11,7 +11,7 @@
 //! | op | fields | result |
 //! |----|--------|--------|
 //! | `ping` | — | `"pong"` |
-//! | `stats` | — | per-tenant counters (see [`module docs`](crate)) |
+//! | `stats` | — | per-tenant counters (see [`module docs`](crate)) and the server-wide `panics` |
 //! | `shutdown` | — | `"draining"`; the daemon then drains exactly as on SIGTERM |
 //! | `analyze` | `tenant`, `settings`? | same JSON as `mvrc analyze --json` |
 //! | `is_robust` | `tenant`, `settings`? | `{workload, robust, epoch}` |
@@ -24,14 +24,19 @@
 //!
 //! `settings` is an optional serialized [`AnalysisSettings`] object; omitting it selects the
 //! paper-default setting, exactly like running the CLI without settings flags.
+//!
+//! A panic while a request is served is answered with an `internal error: …` envelope on a
+//! connection that stays open; it drops that connection's epoch caches and counts in the
+//! `panics` field of `stats`.
 
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,6 +88,8 @@ pub struct Server {
     /// Server-local drain flag, set by the wire-level `shutdown` op. Kept separate from the
     /// process-global SIGTERM flag so several servers in one test process drain independently.
     local_shutdown: Arc<AtomicBool>,
+    /// How many requests panicked, over every connection (`stats` reports it).
+    panics: Arc<AtomicU64>,
 }
 
 impl Server {
@@ -106,6 +113,7 @@ impl Server {
             tenants: Arc::new(map),
             persist_secs: config.persist_secs,
             local_shutdown: Arc::new(AtomicBool::new(false)),
+            panics: Arc::new(AtomicU64::new(0)),
         };
         if let Some(path) = &config.port_file {
             let addr = server.local_addr()?;
@@ -164,8 +172,9 @@ impl Server {
                 Ok((stream, _peer)) => {
                     let tenants = Arc::clone(&self.tenants);
                     let local_shutdown = Arc::clone(&self.local_shutdown);
+                    let panics = Arc::clone(&self.panics);
                     handles.push(std::thread::spawn(move || {
-                        handle_connection(stream, tenants, local_shutdown);
+                        handle_connection(stream, tenants, local_shutdown, panics);
                     }));
                     handles.retain(|h| !h.is_finished());
                 }
@@ -280,6 +289,7 @@ fn handle_connection(
     mut stream: TcpStream,
     tenants: Arc<BTreeMap<String, Arc<Tenant>>>,
     local_shutdown: Arc<AtomicBool>,
+    panics: Arc<AtomicU64>,
 ) {
     // The short timeout turns blocking reads into drain-flag poll points.
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
@@ -307,7 +317,9 @@ fn handle_connection(
                 }
             }
             NextRequest::Request(request) => {
-                let (reply, close) = dispatch(&request, &tenants, &mut caches, &local_shutdown);
+                let (reply, close) = guarded(&panics, &mut caches, |caches| {
+                    dispatch(&request, &tenants, caches, &local_shutdown, &panics)
+                });
                 if !send_reply(&mut stream, &reply) || close {
                     return;
                 }
@@ -332,12 +344,36 @@ fn send_reply(stream: &mut TcpStream, reply: &Value) -> bool {
     }
 }
 
+/// Runs `serve` (one request's dispatch) so that a panic inside it cannot end the connection:
+/// the panic is answered with an `internal error` envelope, the connection's epoch caches are
+/// dropped (the panic may have left one half-refreshed) and `panics` is bumped.
+fn guarded(
+    panics: &AtomicU64,
+    caches: &mut HashMap<String, EpochCache<RobustnessSession>>,
+    serve: impl FnOnce(&mut HashMap<String, EpochCache<RobustnessSession>>) -> (Value, bool),
+) -> (Value, bool) {
+    match panic::catch_unwind(AssertUnwindSafe(|| serve(caches))) {
+        Ok(reply) => reply,
+        Err(payload) => {
+            caches.clear();
+            panics.fetch_add(1, Ordering::Relaxed);
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            (error_response(format!("internal error: {message}")), false)
+        }
+    }
+}
+
 /// Routes one request; returns the response envelope and whether to close the connection.
 fn dispatch(
     request: &Value,
     tenants: &BTreeMap<String, Arc<Tenant>>,
     caches: &mut HashMap<String, EpochCache<RobustnessSession>>,
     local_shutdown: &AtomicBool,
+    panics: &AtomicU64,
 ) -> (Value, bool) {
     let Some(op) = request.get("op").and_then(Value::as_str) else {
         return (error_response("request has no string `op` field"), false);
@@ -348,7 +384,7 @@ fn dispatch(
             local_shutdown.store(true, Ordering::SeqCst);
             (ok_response(json!("draining")), true)
         }
-        "stats" => (ok_response(stats_value(tenants)), false),
+        "stats" => (ok_response(stats_value(tenants, panics)), false),
         "analyze" | "is_robust" | "explore_subsets" | "lint" | "add_program" | "remove_program"
         | "replace_program" | "persist" => (tenant_op(op, request, tenants, caches), false),
         _ => (error_response(format!("unknown op `{op}`")), false),
@@ -531,7 +567,7 @@ fn edit_reply(tenant: &Tenant, outcome: Result<u64, String>) -> Value {
 }
 
 /// Renders the `stats` result: one row per tenant, in name order.
-fn stats_value(tenants: &BTreeMap<String, Arc<Tenant>>) -> Value {
+fn stats_value(tenants: &BTreeMap<String, Arc<Tenant>>, panics: &AtomicU64) -> Value {
     let rows: Vec<Value> = tenants
         .values()
         .map(|tenant| {
@@ -561,5 +597,34 @@ fn stats_value(tenants: &BTreeMap<String, Arc<Tenant>>) -> Value {
             })
         })
         .collect();
-    json!({ "tenants": rows })
+    json!({ "tenants": rows, "panics": panics.load(Ordering::Relaxed) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_request_is_answered_and_the_connection_keeps_serving() {
+        let tenants = BTreeMap::new();
+        let shutdown = AtomicBool::new(false);
+        let panics = AtomicU64::new(0);
+        let mut caches = HashMap::new();
+        caches.insert("bank".to_string(), EpochCache::new());
+        let (reply, close) = guarded(&panics, &mut caches, |_| panic!("boom at {}", 7));
+        assert_eq!(reply, error_response("internal error: boom at 7"));
+        assert!(!close);
+        assert!(
+            caches.is_empty(),
+            "a panic drops the connection's epoch caches"
+        );
+
+        let mut serve = |op: &str| {
+            guarded(&panics, &mut caches, |caches| {
+                dispatch(&json!({ "op": op }), &tenants, caches, &shutdown, &panics)
+            })
+        };
+        assert_eq!(serve("stats").0["result"]["panics"], json!(1));
+        assert_eq!(serve("ping"), (ok_response(json!("pong")), false));
+    }
 }
