@@ -61,6 +61,15 @@ pub enum BtpError {
         /// The limit it exceeds.
         limit: u64,
     },
+    /// The LTPs of a workload may give more summary-graph edges than the analyzer admits; see
+    /// [`MAX_WORKLOAD_EDGES`](crate::sql::MAX_WORKLOAD_EDGES).
+    TooManyWorkloadEdges {
+        /// The upper bound on the edges, `2·Σ_r s_r²` over the statement occurrences `s_r`
+        /// on each relation `r` (saturating).
+        bound: u64,
+        /// The limit it exceeds.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for BtpError {
@@ -110,6 +119,11 @@ impl fmt::Display for BtpError {
                 f,
                 "the workload's programs unfold to {count} LTPs under Unfold≤2, \
                  more than the workload limit of {limit}"
+            ),
+            BtpError::TooManyWorkloadEdges { bound, limit } => write!(
+                f,
+                "the workload's LTPs may give up to {bound} summary-graph edges, \
+                 more than the edge limit of {limit}"
             ),
         }
     }

@@ -54,7 +54,9 @@
 //! whatever construct inside it was still open. Translation counts a program's LTPs on its
 //! expression before anything is unfolded: a program above [`MAX_PROGRAM_LTPS`] is a
 //! [`BtpError::TooManyLtps`], and a workload whose programs together exceed
-//! [`MAX_WORKLOAD_LTPS`] is a [`BtpError::TooManyWorkloadLtps`].
+//! [`MAX_WORKLOAD_LTPS`] is a [`BtpError::TooManyWorkloadLtps`]. A second walk counts the
+//! statement occurrences per relation: a workload whose LTPs may give more than
+//! [`MAX_WORKLOAD_EDGES`] summary-graph edges is a [`BtpError::TooManyWorkloadEdges`].
 //!
 //! ## Classification rules (Appendix A)
 //!
@@ -77,7 +79,8 @@ mod translate;
 pub use ast::{CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
 pub use parser::parse_text;
 pub use translate::{
-    check_workload_ltps, translate_program, translate_workload, MAX_PROGRAM_LTPS, MAX_WORKLOAD_LTPS,
+    check_workload_ltps, translate_program, translate_workload, MAX_PROGRAM_LTPS,
+    MAX_WORKLOAD_EDGES, MAX_WORKLOAD_LTPS,
 };
 
 use crate::error::BtpError;

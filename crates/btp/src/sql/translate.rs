@@ -5,13 +5,13 @@ use crate::error::BtpError;
 use crate::program::{FkConstraint, Program, ProgramExpr, StmtId};
 use crate::span::SourceSpan;
 use crate::statement::{Statement, StatementKind};
-use crate::unfold::{unfolding_count, UnfoldOptions};
+use crate::unfold::{add_statement_occurrences, unfolding_count, UnfoldOptions};
 use mvrc_schema::{AttrId, AttrSet, ForeignKey, RelId, Relation, Schema};
 use std::fmt::Write;
 
 /// Translates every parsed program of a workload. Fails before anything is unfolded when a
 /// program would unfold to more than [`MAX_PROGRAM_LTPS`] LTPs, or all of them together to
-/// more than [`MAX_WORKLOAD_LTPS`].
+/// more than [`MAX_WORKLOAD_LTPS`] LTPs or more than [`MAX_WORKLOAD_EDGES`] possible edges.
 pub fn translate_workload(
     schema: &Schema,
     programs: &[SqlProgram],
@@ -58,26 +58,66 @@ pub const MAX_PROGRAM_LTPS: u64 = 512;
 /// | 512 + 256 | 768 | 1.3 s | 533 MB |
 /// | 2 × 512 | 1,024 | 3.0 s | 1.0 GB |
 /// | 4 × 512 | 2,048 | aborts in Algorithm 1 asking for a 5 GB `Vec` | — |
+/// | 1 program of 12,000 `UPDATE`s | 1 | aborts in Algorithm 1 asking for a 5 GB `Vec` (3 GB cap) | — |
 ///
 /// The limit is the 1,024 row: two programs at the per-program limit, about three seconds
 /// and 1 GB per summary graph. The bundled workload files unfold to at most 30 LTPs, and
-/// Auction(100), the largest generated file the benchmark times, to 300.
+/// Auction(100), the largest generated file the benchmark times, to 300. The last row is
+/// within this limit: LTPs do not bound statements, which [`MAX_WORKLOAD_EDGES`] does.
 pub const MAX_WORKLOAD_LTPS: u64 = 1024;
+
+/// The most summary-graph edges the LTPs of a workload may give by the bound of
+/// [`check_workload_ltps`]; above it, that check fails with a
+/// [`BtpError::TooManyWorkloadEdges`].
+///
+/// The LTP budget does not bound statements: one program of 12,000 copies of one `UPDATE` is
+/// a single LTP. Algorithm 1 derives at most two edges (one of each kind) per ordered pair of
+/// statement occurrences on the same relation, so `2·Σ_r s_r²`, with `s_r` the statement
+/// occurrences on relation `r` over all LTPs, bounds the edge count. One-table files of
+/// `UPDATE T SET a = a + 1 WHERE id = :x;` statements, `mvrc analyze` on a 2-core VM under a
+/// 3 GB address-space cap:
+///
+/// | program(s) | bound | edges | time | peak RSS |
+/// |---|---|---|---|---|
+/// | 2 × 512 LTPs (the 2 × 512 row above) | 42,467,328 | 21,233,664 | 1.2 s | 815 MB |
+/// | one LTP of 4,000 statements | 32,000,000 | 16,000,000 | 0.9 s | 618 MB |
+/// | one LTP of 12,000 statements | 288,000,000 | — | aborts asking for a 5 GB `Vec` | — |
+///
+/// The limit admits the 2 × 512 row, the most the LTP budget lets through on one relation.
+/// The bundled workload files bound at most 1,648 edges (TPC-C), and Auction(341), the
+/// largest Auction(n) within the LTP budget, 6,744,098.
+pub const MAX_WORKLOAD_EDGES: u64 = 50_000_000;
 
 /// Sums how many LTPs `programs` unfold to under `Unfold≤2` (before duplicates are dropped,
 /// saturating) and fails with [`BtpError::TooManyWorkloadLtps`] above [`MAX_WORKLOAD_LTPS`].
-/// Nothing is unfolded: the count is read off each program's expression. Returns the total.
+/// A second walk over each expression counts the statement occurrences per relation over all
+/// LTPs and fails with [`BtpError::TooManyWorkloadEdges`] when they bound the summary graph's
+/// edges above [`MAX_WORKLOAD_EDGES`]. Nothing is unfolded: both are read off each program's
+/// expression.
+/// Returns the LTP total.
 pub fn check_workload_ltps<'a>(
     programs: impl IntoIterator<Item = &'a Program>,
 ) -> Result<u64, BtpError> {
     let loop_bound = UnfoldOptions::default().max_loop_iterations;
-    let count = programs.into_iter().fold(0u64, |total, program| {
-        total.saturating_add(unfolding_count(program.body(), loop_bound))
-    });
+    let (mut count, mut occurrences) = (0u64, Vec::new());
+    for program in programs {
+        count = count.saturating_add(unfolding_count(program.body(), loop_bound));
+        let rel_of = |id| usize::from(program.statement(id).rel().0);
+        add_statement_occurrences(program.body(), 1, &rel_of, loop_bound, &mut occurrences);
+    }
     if count > MAX_WORKLOAD_LTPS {
         return Err(BtpError::TooManyWorkloadLtps {
             count,
             limit: MAX_WORKLOAD_LTPS,
+        });
+    }
+    let bound = occurrences.iter().fold(0u64, |edges, &s| {
+        edges.saturating_add(s.saturating_mul(s).saturating_mul(2))
+    });
+    if bound > MAX_WORKLOAD_EDGES {
+        return Err(BtpError::TooManyWorkloadEdges {
+            bound,
+            limit: MAX_WORKLOAD_EDGES,
         });
     }
     Ok(count)
@@ -656,9 +696,40 @@ mod tests {
             }
             assert!(check_workload_ltps(&programs).unwrap() <= 30);
         }
-        // The largest generated input the analyzer is timed on: Auction(100), 300 LTPs.
+        // The largest generated input the analyzer is timed on: Auction(100), 300 LTPs; and
+        // the largest Auction(n) within the LTP budget passes the edge budget too.
         let (_, programs) = parse_workload_file(&testgen::auction_n_sql(100)).unwrap();
         assert_eq!(check_workload_ltps(&programs), Ok(300));
+        let (_, programs) = parse_workload_file(&testgen::auction_n_sql(341)).unwrap();
+        assert_eq!(check_workload_ltps(&programs), Ok(1023));
+    }
+
+    /// A one-table file of one program of `count` copies of one key-based `UPDATE`: one LTP of
+    /// `count` statements.
+    fn long_program_file(count: usize) -> String {
+        format!(
+            "TABLE T (id, a, PRIMARY KEY (id));\nPROGRAM P(:x) {{\n{}}}\n",
+            "UPDATE T SET a = a + 1 WHERE id = :x;\n".repeat(count)
+        )
+    }
+
+    #[test]
+    fn workloads_beyond_the_edge_bound_are_refused_before_unfolding() {
+        // One LTP of 4,000 statements: bound 2 · 4,000² edges, within the limit.
+        let (_, programs) = parse_workload_file(&long_program_file(4_000)).unwrap();
+        assert_eq!(check_workload_ltps(&programs), Ok(1));
+        // 12,000 statements (the 480 KB file that used to abort in Algorithm 1): refused.
+        assert_eq!(
+            parse_workload_file(&long_program_file(12_000)).unwrap_err(),
+            BtpError::TooManyWorkloadEdges {
+                bound: 288_000_000,
+                limit: MAX_WORKLOAD_EDGES,
+            }
+        );
+        // Occurrences count per relation over every LTP: two programs of nine optional
+        // `UPDATE`s hold 2 · 9 · 256 of them, bound 2 · 4,608² edges, within the limit.
+        let (_, programs) = parse_workload_file(&optional_updates_file(&[9, 9])).unwrap();
+        assert_eq!(check_workload_ltps(&programs), Ok(MAX_WORKLOAD_LTPS));
     }
 
     /// A one-table file of programs with `optionals[i]` optional `UPDATE`s each, so program

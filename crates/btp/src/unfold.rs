@@ -84,6 +84,64 @@ pub(crate) fn unfolding_count(expr: &ProgramExpr, max_loop_iterations: usize) ->
     }
 }
 
+/// Adds to `occurrences[rel_of(q)]`, for every statement occurrence `q` in the sequences that
+/// unfolding `expr` yields before duplicates are dropped, `weight` (saturating; `occurrences`
+/// grows as needed). Like [`unfolding_count`] it reads the expression alone: a part of a
+/// sequence is repeated once per combination of the other parts' sequences, and the body of
+/// `loop(P)` with `P` counting `c` once per body instance of `P^i`, `Σ_{i ≤ max} i·c^(i-1)` times.
+pub(crate) fn add_statement_occurrences(
+    expr: &ProgramExpr,
+    weight: u64,
+    rel_of: &impl Fn(StmtId) -> usize,
+    max_loop_iterations: usize,
+    occurrences: &mut Vec<u64>,
+) {
+    let add = |e: &ProgramExpr, w: u64, occurrences: &mut Vec<u64>| {
+        add_statement_occurrences(e, w, rel_of, max_loop_iterations, occurrences)
+    };
+    match expr {
+        ProgramExpr::Statement(id) => {
+            let rel = rel_of(*id);
+            if occurrences.len() <= rel {
+                occurrences.resize(rel + 1, 0);
+            }
+            occurrences[rel] = occurrences[rel].saturating_add(weight);
+        }
+        ProgramExpr::Empty => {}
+        ProgramExpr::Seq(parts) => {
+            // `after[i]`: how many sequences the parts behind part `i` combine to.
+            let mut after = vec![1u64; parts.len()];
+            for i in (1..parts.len()).rev() {
+                after[i - 1] =
+                    after[i].saturating_mul(unfolding_count(&parts[i], max_loop_iterations));
+            }
+            let mut before = 1u64;
+            for (part, after) in parts.iter().zip(after) {
+                add(
+                    part,
+                    weight.saturating_mul(before).saturating_mul(after),
+                    occurrences,
+                );
+                before = before.saturating_mul(unfolding_count(part, max_loop_iterations));
+            }
+        }
+        ProgramExpr::Choice(a, b) => {
+            add(a, weight, occurrences);
+            add(b, weight, occurrences);
+        }
+        ProgramExpr::Optional(a) => add(a, weight, occurrences),
+        ProgramExpr::Loop(body) => {
+            let per_iteration = unfolding_count(body, max_loop_iterations);
+            let (mut instances, mut power) = (0u64, 1u64);
+            for i in 1..=max_loop_iterations.max(1) as u64 {
+                instances = instances.saturating_add(power.saturating_mul(i));
+                power = power.saturating_mul(per_iteration);
+            }
+            add(body, weight.saturating_mul(instances), occurrences);
+        }
+    }
+}
+
 /// A statement occurrence within one unfolding, together with the loop-iteration context it was
 /// produced in. The context is used to pair foreign-key constraints only between occurrences
 /// that belong to the same iteration of every shared enclosing loop.
@@ -483,19 +541,35 @@ mod tests {
             nested(2),
             nested(3),
         ];
+        // Each statement stands for its own relation, so the occurrence counts are per
+        // statement.
+        let rel_of = |id: StmtId| id.index();
         for expr in &exprs {
             for iterations in 1..=3 {
                 let count = unfolding_count(expr, iterations);
                 if count > 1000 {
                     continue; // nested(3) with 3 iterations: 621,436 sequences
                 }
-                let expanded = expand(&annotate(expr, &mut 0), iterations).len();
-                assert_eq!(count, expanded as u64);
+                let expanded = expand(&annotate(expr, &mut 0), iterations);
+                assert_eq!(count, expanded.len() as u64);
+                let mut expected = Vec::new();
+                for occ in expanded.iter().flatten() {
+                    if expected.len() <= occ.stmt.index() {
+                        expected.resize(occ.stmt.index() + 1, 0);
+                    }
+                    expected[occ.stmt.index()] += 1;
+                }
+                let mut occurrences = Vec::new();
+                add_statement_occurrences(expr, 1, &rel_of, iterations, &mut occurrences);
+                assert_eq!(occurrences, expected, "{expr:?}");
             }
         }
         // Each level `c` of the nested loops counts 1 + c + c² under Unfold≤2.
         let counts: Vec<u64> = (1..=5).map(|d| unfolding_count(&nested(d), 2)).collect();
         assert_eq!(counts, [3, 13, 183, 33_673, 1_133_904_603]);
         assert_eq!(unfolding_count(&nested(12), 2), u64::MAX);
+        let mut occurrences = Vec::new();
+        add_statement_occurrences(&nested(12), 1, &rel_of, 2, &mut occurrences);
+        assert_eq!(occurrences[0], u64::MAX);
     }
 }

@@ -245,6 +245,35 @@ fn workloads_beyond_the_total_ltp_limit_exit_2_with_one_line() {
     assert!(output.stdout.is_empty());
 }
 
+#[test]
+fn a_program_beyond_the_edge_bound_exits_2_with_one_line() {
+    // One LTP of 12,000 key-based updates of one table: within every LTP limit, but Algorithm
+    // 1's graph over it used to abort the process asking for a 5 GB `Vec`; the edge bound
+    // refuses the 480 KB file before anything is unfolded.
+    let sql = format!(
+        "TABLE T (id, a, PRIMARY KEY (id));\nPROGRAM P(:x) {{\n{}}}\n",
+        "UPDATE T SET a = a + 1 WHERE id = :x;\n".repeat(12_000)
+    );
+    let path = std::env::temp_dir().join(format!("mvrc-cli-long-{}.sql", std::process::id()));
+    std::fs::write(&path, sql).unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args(["analyze", path.to_str().unwrap()])
+        .output()
+        .expect("spawn mvrc");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        format!(
+            "mvrc: invalid workload: the workload's LTPs may give up to 288000000 \
+             summary-graph edges, more than the edge limit of {}\n",
+            mvrc_btp::sql::MAX_WORKLOAD_EDGES
+        )
+    );
+    assert!(output.stdout.is_empty());
+}
+
 /// Runs `mvrc` with `args` and returns its stdout, failing the test on a non-zero exit.
 fn mvrc_stdout(args: &[&str]) -> String {
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))

@@ -170,9 +170,9 @@ impl Reachability {
     }
 }
 
-/// Edge indices in compressed-sparse-row layout, grouped by one endpoint:
-/// `targets[offsets[v]..offsets[v + 1]]` are the indices (ascending) of the edges whose
-/// endpoint is `v`.
+/// The in-adjacency in compressed-sparse-row layout: `targets[offsets[v]..offsets[v + 1]]` are
+/// the indices (ascending) of the edges entering `v`. The out-adjacency needs no such array:
+/// the edge list itself is grouped by source (see [`SummaryGraph`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Csr {
     offsets: Vec<u32>,
@@ -180,24 +180,17 @@ struct Csr {
 }
 
 impl Csr {
-    fn build(n: usize, edges: &[SummaryEdge], endpoint: impl Fn(&SummaryEdge) -> usize) -> Csr {
-        assert!(
-            u32::try_from(edges.len()).is_ok(),
-            "summary graph exceeds u32 edge indices"
-        );
+    fn build(n: usize, edges: &[SummaryEdge]) -> Csr {
         let mut offsets = vec![0u32; n + 1];
         for e in edges {
-            offsets[endpoint(e) + 1] += 1;
+            offsets[e.to + 1] += 1;
         }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
+        prefix_sum(&mut offsets);
         let mut cursor = offsets.clone();
         let mut targets = vec![0u32; edges.len()];
         for (idx, e) in edges.iter().enumerate() {
-            let v = endpoint(e);
-            targets[cursor[v] as usize] = idx as u32;
-            cursor[v] += 1;
+            targets[cursor[e.to] as usize] = idx as u32;
+            cursor[e.to] += 1;
         }
         Csr { offsets, targets }
     }
@@ -210,12 +203,9 @@ impl Csr {
 
 /// The derived arrays of a [`SummaryGraph`] — what the snapshot layer persists and hands
 /// back to [`SummaryGraph::from_snapshot_parts_with_derived`] so a warm start installs the
-/// decoded arrays instead of re-deriving them.
+/// decoded arrays instead of re-deriving them. The out-adjacency offsets are not among them:
+/// they are counted off the edge list while it is validated.
 pub struct SummaryGraphDerived {
-    /// Out-adjacency CSR offsets (`n + 1` entries).
-    pub out_offsets: Vec<u32>,
-    /// Out-adjacency CSR targets: edge indices grouped by source node.
-    pub out_targets: Vec<u32>,
     /// In-adjacency CSR offsets (`n + 1` entries).
     pub in_offsets: Vec<u32>,
     /// In-adjacency CSR targets: edge indices grouped by target node.
@@ -225,49 +215,52 @@ pub struct SummaryGraphDerived {
     pub reach_bits: Vec<u64>,
 }
 
-/// Checks that `csr` is byte-identical to the CSR [`Csr::build`] would derive: correct
-/// dimensions, monotone offsets covering every edge, and per group only in-range, strictly
-/// ascending edge indices with the right endpoint. Ascending order within groups plus the
-/// total length forces every edge index to appear exactly once (an index can only ever sit in
-/// its own endpoint's group).
-fn validate_csr(
-    csr: &Csr,
-    n: usize,
-    edges: &[SummaryEdge],
-    endpoint: impl Fn(&SummaryEdge) -> usize,
-    which: &str,
-) -> Result<(), String> {
+/// Turns per-node counts at `offsets[v + 1]` into CSR offsets, in place.
+fn prefix_sum(offsets: &mut [u32]) {
+    for v in 1..offsets.len() {
+        offsets[v] += offsets[v - 1];
+    }
+}
+
+/// The one edge order of a [`SummaryGraph`]: edges sort strictly ascending by this key, the
+/// order in which Algorithm 1 visits node pairs, statement pairs and the two edge kinds.
+fn edge_order(e: &SummaryEdge) -> (NodeId, NodeId, StmtPos, StmtPos, EdgeKind) {
+    (e.from, e.to, e.from_stmt, e.to_stmt, e.kind)
+}
+
+/// Checks that `csr` is byte-identical to the in-adjacency [`Csr::build`] would derive:
+/// correct dimensions, monotone offsets covering every edge, and per group only in-range,
+/// strictly ascending indices of edges entering that node. Ascending order within groups plus
+/// the total length forces every edge index to appear exactly once (an index can only ever sit
+/// in its own target's group).
+fn validate_in_csr(csr: &Csr, n: usize, edges: &[SummaryEdge]) -> Result<(), String> {
     let offsets = &csr.offsets;
     let targets = &csr.targets;
     if offsets.len() != n + 1 || offsets[0] != 0 {
-        return Err(format!("{which}-adjacency offsets malformed"));
+        return Err("in-adjacency offsets malformed".to_string());
     }
     if targets.len() != edges.len() || *offsets.last().unwrap() as usize != edges.len() {
-        return Err(format!(
-            "{which}-adjacency does not cover the edge list exactly"
-        ));
+        return Err("in-adjacency does not cover the edge list exactly".to_string());
     }
     for v in 0..n {
         // Bounding each offset by the target count before slicing: the last-offset check
         // above says nothing about a corrupt offset in the middle.
         if offsets[v] > offsets[v + 1] || offsets[v + 1] as usize > targets.len() {
-            return Err(format!(
-                "{which}-adjacency offsets not monotone at node {v}"
-            ));
+            return Err(format!("in-adjacency offsets not monotone at node {v}"));
         }
         let group = &targets[offsets[v] as usize..offsets[v + 1] as usize];
         for (k, &t) in group.iter().enumerate() {
             if t as usize >= edges.len() {
-                return Err(format!("{which}-adjacency edge index {t} out of range"));
+                return Err(format!("in-adjacency edge index {t} out of range"));
             }
-            if endpoint(&edges[t as usize]) != v {
+            if edges[t as usize].to != v {
                 return Err(format!(
-                    "{which}-adjacency edge {t} grouped under wrong node {v}"
+                    "in-adjacency edge {t} grouped under wrong node {v}"
                 ));
             }
             if k > 0 && group[k - 1] >= t {
                 return Err(format!(
-                    "{which}-adjacency group of node {v} not strictly ascending"
+                    "in-adjacency group of node {v} not strictly ascending"
                 ));
             }
         }
@@ -277,12 +270,17 @@ fn validate_csr(
 
 /// The summary graph over a set of LTPs.
 ///
-/// The adjacency (CSR edge-index arrays) and the reachability closure are *lazily derived*
-/// from `(nodes, edges)`: construction and incremental edits stop at the edge list, and each
-/// derived array is built on first use — a sweep that queries only out-adjacency never pays
-/// for the in-adjacency or the closure. A graph reopened from an `mvrc-dist` snapshot
-/// has the derived arrays pre-installed, decoded from the file
-/// ([`SummaryGraph::from_snapshot_parts_with_derived`]), and never derives anything.
+/// The edge list has one order: strictly ascending `(from, to, from_stmt, to_stmt, kind)`,
+/// the order in which Algorithm 1 visits node pairs. [`construct`](Self::construct) produces
+/// it, and both edits keep it, so an edited graph is the graph a fresh build over the same
+/// LTPs makes, edge for edge. The list is therefore grouped by source, and the out-adjacency
+/// is `n + 1` offsets into it, kept up to date with the list.
+///
+/// The in-adjacency (a CSR of edge indices grouped by target) and the reachability closure
+/// are *lazily derived* from `(nodes, edges)`: each is built on first use — a robust verdict
+/// never pays for the in-adjacency. A graph reopened from an `mvrc-dist` snapshot has them
+/// pre-installed, decoded from the file ([`SummaryGraph::from_snapshot_parts_with_derived`]),
+/// and never derives anything.
 ///
 /// `PartialEq` compares every derived array as well (forcing their derivation) — the
 /// bit-identity contract of the `mvrc-dist` snapshot round-trip tests.
@@ -293,11 +291,13 @@ pub struct SummaryGraph {
     /// by reference instead of deep-cloning them per entry; cloning a graph or reassembling
     /// one from snapshot parts bumps reference counts only.
     nodes: Vec<Arc<LinearProgram>>,
+    /// The edges in the one edge order ([`edge_order`]).
     edges: Vec<SummaryEdge>,
+    /// `edges[out_offsets[v]..out_offsets[v + 1]]` are the edges leaving node `v`.
+    out_offsets: Vec<u32>,
     /// How many of `edges` are counterflow, counted wherever the edge list is built or edited.
     counterflow_edges: usize,
     settings: AnalysisSettings,
-    out_adj: OnceLock<Csr>,
     in_adj: OnceLock<Csr>,
     reach: OnceLock<Reachability>,
     /// Bit-sliced sweep plans ([`kernels::LanePlan`]), one slot per cycle condition, compiled
@@ -311,7 +311,7 @@ impl PartialEq for SummaryGraph {
         self.nodes == other.nodes
             && self.edges == other.edges
             && self.settings == other.settings
-            && self.out_csr() == other.out_csr()
+            && self.out_offsets == other.out_offsets
             && self.in_csr() == other.in_csr()
             && self.reachability() == other.reachability()
     }
@@ -371,44 +371,26 @@ impl SummaryGraph {
     ///
     /// The `granularity` setting is applied by widening every defined attribute set to the full
     /// attribute set of its relation; the `use_foreign_keys` setting controls the foreign-key
-    /// suppression inside `cDepConds`.
+    /// suppression inside `cDepConds`. The build is [`add_ltps`](Self::add_ltps) on the empty
+    /// graph, so a fresh and an extended graph come out of the same row loop.
     pub fn construct(ltps: &[LinearProgram], schema: &Schema, settings: AnalysisSettings) -> Self {
         CONSTRUCTIONS.with(|c| c.set(c.get() + 1));
-        let nodes = widen_ltps(ltps, schema, settings.granularity);
-
-        let mut edges = Vec::new();
-        let mut counterflow = 0;
-        for (i, pi) in nodes.iter().enumerate() {
-            for (j, pj) in nodes.iter().enumerate() {
-                counterflow += push_pair_edges(i, pi, j, pj, settings, &mut edges);
-            }
-        }
-
-        SummaryGraph::new_lazy(nodes, edges, counterflow, settings)
-    }
-
-    /// A graph whose derived arrays (adjacency CSR, closure) are built on first use.
-    fn new_lazy(
-        nodes: Vec<Arc<LinearProgram>>,
-        edges: Vec<SummaryEdge>,
-        counterflow_edges: usize,
-        settings: AnalysisSettings,
-    ) -> Self {
-        SummaryGraph {
-            nodes,
-            edges,
-            counterflow_edges,
+        let mut graph = SummaryGraph {
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            out_offsets: vec![0],
+            counterflow_edges: 0,
             settings,
-            out_adj: OnceLock::new(),
             in_adj: OnceLock::new(),
             reach: OnceLock::new(),
             lane_plans: [OnceLock::new(), OnceLock::new()],
-        }
+        };
+        graph.add_ltps(ltps, schema);
+        graph
     }
 
-    /// Drops every derived array; each is re-derived lazily on its next use.
+    /// Drops every lazily derived array; each is re-derived on its next use.
     fn clear_derived(&mut self) {
-        self.out_adj = OnceLock::new();
         self.in_adj = OnceLock::new();
         self.reach = OnceLock::new();
         self.lane_plans = [OnceLock::new(), OnceLock::new()];
@@ -425,16 +407,10 @@ impl SummaryGraph {
         slot.get_or_init(|| crate::algorithm::compile_lane_plan(self, condition))
     }
 
-    /// The out-adjacency CSR (edge indices grouped by source), derived on first use.
-    fn out_csr(&self) -> &Csr {
-        self.out_adj
-            .get_or_init(|| Csr::build(self.nodes.len(), &self.edges, |e| e.from))
-    }
-
     /// The in-adjacency CSR (edge indices grouped by target), derived on first use.
     fn in_csr(&self) -> &Csr {
         self.in_adj
-            .get_or_init(|| Csr::build(self.nodes.len(), &self.edges, |e| e.to))
+            .get_or_init(|| Csr::build(self.nodes.len(), &self.edges))
     }
 
     /// The reachability closure, derived on first use by the word-parallel SCC-condensation
@@ -445,13 +421,12 @@ impl SummaryGraph {
             CLOSURES.with(|c| c.set(c.get() + 1));
             let n = self.nodes.len();
             let words_per_row = n.div_ceil(64).max(1);
-            let out = self.out_csr();
             let rows = kernels::transitive_closure(
                 n,
                 words_per_row,
                 |v| v,
-                |v| out.slice(v).len(),
-                |v, k| self.edges[out.slice(v)[k] as usize].to,
+                |v| self.edges_from(v).len(),
+                |v, k| self.edges_from(v)[k].to,
             );
             Reachability {
                 words_per_row,
@@ -463,23 +438,38 @@ impl SummaryGraph {
     /// Incrementally extends the graph with additional LTPs.
     ///
     /// Because Algorithm 1 derives edges pairwise, only the edge rows touching the new nodes
-    /// have to be computed: the `(old, new)`, `(new, old)` and `(new, new)` pairs. Existing
-    /// edges are untouched; the derived arrays (adjacency, closure — neither is preserved
-    /// under node addition) are invalidated and rebuilt lazily on next use. The construction
-    /// counter does **not** advance.
+    /// have to be computed: the `(old, new)`, `(new, old)` and `(new, new)` pairs. The list is
+    /// rebuilt in the one edge order — each old row `i` keeps its edges and is followed by its
+    /// `(i, new)` edges, then come the new rows — so the result equals a fresh
+    /// [`construct`](Self::construct) over the old and new LTPs. The lazily derived arrays
+    /// (in-adjacency, closure — neither is preserved under node addition) are invalidated and
+    /// rebuilt on next use. The construction counter does **not** advance.
     pub fn add_ltps(&mut self, ltps: &[LinearProgram], schema: &Schema) {
         let old_n = self.nodes.len();
         self.nodes
             .extend(widen_ltps(ltps, schema, self.settings.granularity));
+        let n = self.nodes.len();
+        let old_edges = std::mem::take(&mut self.edges);
+        let mut edges = Vec::with_capacity(old_edges.len());
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        out_offsets.push(0);
         for (i, pi) in self.nodes.iter().enumerate() {
-            for (j, pj) in self.nodes.iter().enumerate() {
-                if i < old_n && j < old_n {
-                    continue;
-                }
+            let new_targets = if i < old_n {
+                let row = self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize;
+                edges.extend_from_slice(&old_edges[row]);
+                old_n..n
+            } else {
+                0..n
+            };
+            for j in new_targets {
                 self.counterflow_edges +=
-                    push_pair_edges(i, pi, j, pj, self.settings, &mut self.edges);
+                    push_pair_edges(i, pi, j, &self.nodes[j], self.settings, &mut edges);
             }
+            out_offsets
+                .push(u32::try_from(edges.len()).expect("summary graph exceeds u32 edge indices"));
         }
+        self.edges = edges;
+        self.out_offsets = out_offsets;
         self.clear_derived();
     }
 
@@ -487,8 +477,9 @@ impl SummaryGraph {
     /// ids: surviving nodes are renumbered to `0..new_len` in their existing order.
     ///
     /// No Algorithm 1 work is performed at all — the edges between surviving nodes are exactly
-    /// the surviving edges (edge derivation is pairwise); adjacency and reachability are
-    /// invalidated and re-derived lazily.
+    /// the surviving edges (edge derivation is pairwise), and the renumbering is monotone, so
+    /// they stay in the one edge order. The out-adjacency offsets are recounted; in-adjacency
+    /// and reachability are invalidated and re-derived lazily.
     pub fn remove_nodes(&mut self, remove: &[NodeId]) {
         let n = self.nodes.len();
         let mut keep = vec![true; n];
@@ -514,16 +505,20 @@ impl SummaryGraph {
             k
         });
         let mut counterflow = 0;
+        let mut out_offsets = vec![0u32; next + 1];
         self.edges.retain_mut(|e| {
             if keep[e.from] && keep[e.to] {
                 e.from = new_id[e.from];
                 e.to = new_id[e.to];
                 counterflow += usize::from(e.kind.is_counterflow());
+                out_offsets[e.from + 1] += 1;
                 true
             } else {
                 false
             }
         });
+        prefix_sum(&mut out_offsets);
+        self.out_offsets = out_offsets;
         self.counterflow_edges = counterflow;
         self.clear_derived();
     }
@@ -532,15 +527,18 @@ impl SummaryGraph {
     /// snapshot layer.
     ///
     /// `nodes` must be the already-widened LTPs the graph was built over, `edges` its complete
-    /// Algorithm 1 edge list and `derived` its derived arrays (decoded from a snapshot file).
-    /// They are installed after structural validation; no edge derivation, no adjacency build
-    /// and **no closure computation** runs, so opening a snapshot is O(validation) in the edge
-    /// count and advances neither the construction counter nor the closure counter.
+    /// Algorithm 1 edge list in the one edge order and `derived` its derived arrays (decoded
+    /// from a snapshot file). They are installed after structural validation; no edge
+    /// derivation, no adjacency build and **no closure computation** runs, so opening a
+    /// snapshot is O(validation) in the edge count and advances neither the construction
+    /// counter nor the closure counter.
     ///
-    /// Validation checks that the adjacency arrays are exactly the CSR this graph would derive
-    /// from `edges` (offset monotonicity, group membership, ascending edge indices per group —
-    /// which together force bit-identity with a fresh derivation) and that the reachability
-    /// rows have the exact derived dimensions. The reachability *contents* are not recomputed —
+    /// Validation makes one pass over the edges that range-checks them, checks that they are
+    /// strictly ascending in the edge order and counts the out-adjacency offsets. It then
+    /// checks that the in-adjacency is exactly the CSR this graph would derive from `edges`
+    /// (offset monotonicity, group membership, ascending edge indices per group — which
+    /// together force bit-identity with a fresh derivation) and that the reachability rows
+    /// have the exact derived dimensions. The reachability *contents* are not recomputed —
     /// they are covered by the snapshot file's fingerprint, which the caller verifies.
     pub fn from_snapshot_parts_with_derived(
         nodes: Vec<Arc<LinearProgram>>,
@@ -550,25 +548,26 @@ impl SummaryGraph {
     ) -> Result<Self, String> {
         let n = nodes.len();
         let mut counterflow = 0;
-        for e in &edges {
-            counterflow += usize::from(e.kind.is_counterflow());
+        let mut out_offsets = vec![0u32; n + 1];
+        for (k, e) in edges.iter().enumerate() {
             if e.from >= n || e.to >= n {
                 return Err(format!("graph edge endpoint out of range ({n} nodes)"));
             }
             if e.from_stmt >= nodes[e.from].len() || e.to_stmt >= nodes[e.to].len() {
                 return Err("graph edge statement position out of range".to_string());
             }
+            if k > 0 && edge_order(&edges[k - 1]) >= edge_order(e) {
+                return Err(format!("graph edge {k} is out of the edge order"));
+            }
+            counterflow += usize::from(e.kind.is_counterflow());
+            out_offsets[e.from + 1] += 1;
         }
-        let out = Csr {
-            offsets: derived.out_offsets,
-            targets: derived.out_targets,
-        };
+        prefix_sum(&mut out_offsets);
         let in_ = Csr {
             offsets: derived.in_offsets,
             targets: derived.in_targets,
         };
-        validate_csr(&out, n, &edges, |e| e.from, "out")?;
-        validate_csr(&in_, n, &edges, |e| e.to, "in")?;
+        validate_in_csr(&in_, n, &edges)?;
         let words_per_row = n.div_ceil(64).max(1);
         if derived.reach_bits.len() != n * words_per_row {
             return Err(format!(
@@ -577,14 +576,19 @@ impl SummaryGraph {
                 n * words_per_row
             ));
         }
-        let graph = SummaryGraph::new_lazy(nodes, edges, counterflow, settings);
-        let _ = graph.out_adj.set(out);
-        let _ = graph.in_adj.set(in_);
-        let _ = graph.reach.set(Reachability {
-            words_per_row,
-            bits: derived.reach_bits,
-        });
-        Ok(graph)
+        Ok(SummaryGraph {
+            nodes,
+            edges,
+            out_offsets,
+            counterflow_edges: counterflow,
+            settings,
+            in_adj: OnceLock::from(in_),
+            reach: OnceLock::from(Reachability {
+                words_per_row,
+                bits: derived.reach_bits,
+            }),
+            lane_plans: [OnceLock::new(), OnceLock::new()],
+        })
     }
 
     /// Number of `SummaryGraph::construct` calls made by the current thread.
@@ -609,14 +613,6 @@ impl SummaryGraph {
     /// warm starts rebuild nothing, and views always compute their own member-local rows.
     pub fn closures_computed_on_current_thread() -> u64 {
         CLOSURES.with(Cell::get)
-    }
-
-    /// The out-adjacency CSR arrays `(offsets, targets)` — edge indices grouped by source
-    /// node, `n + 1` offsets over `edge_count` targets. Forces derivation; exposed for the
-    /// `mvrc-dist` snapshot writer, which persists the derived arrays verbatim.
-    pub fn out_adjacency(&self) -> (&[u32], &[u32]) {
-        let csr = self.out_csr();
-        (&csr.offsets, &csr.targets)
     }
 
     /// The in-adjacency CSR arrays `(offsets, targets)` — edge indices grouped by target node.
@@ -675,17 +671,15 @@ impl SummaryGraph {
         self.nodes.iter().position(|n| n.name() == name)
     }
 
-    /// All edges.
+    /// All edges, in the one edge order (see [`SummaryGraph`]).
     pub fn edges(&self) -> &[SummaryEdge] {
         &self.edges
     }
 
-    /// Edges leaving a node.
-    pub fn edges_from(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> {
-        self.out_csr()
-            .slice(node)
-            .iter()
-            .map(move |&idx| &self.edges[idx as usize])
+    /// Edges leaving a node: one contiguous run of the edge list.
+    #[inline]
+    pub fn edges_from(&self, node: NodeId) -> &[SummaryEdge] {
+        &self.edges[self.out_offsets[node] as usize..self.out_offsets[node + 1] as usize]
     }
 
     /// Edges entering a node.
@@ -698,12 +692,14 @@ impl SummaryGraph {
 
     /// Counterflow edges leaving a node.
     pub fn counterflow_edges_from(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> {
-        self.edges_from(node).filter(|e| e.kind.is_counterflow())
+        self.edges_from(node)
+            .iter()
+            .filter(|e| e.kind.is_counterflow())
     }
 
     /// Edges between a specific pair of nodes.
     pub fn edges_between(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = &SummaryEdge> {
-        self.edges_from(from).filter(move |e| e.to == to)
+        self.edges_from(from).iter().filter(move |e| e.to == to)
     }
 
     /// Reachability `from →* to` over all edges; every node reaches itself (zero-length path).
@@ -730,8 +726,8 @@ impl SummaryGraph {
     /// and recomputes only the reachability closure, which — unlike the edge set — is not
     /// preserved under taking induced subgraphs (paths may run through excluded nodes).
     ///
-    /// The construction iterates **only the member nodes' adjacency lists** — `O(Σ deg(m))`
-    /// over the members `m`, not `O(E)` over the parent's full edge list — and draws its
+    /// The construction iterates **only the member nodes' runs of the edge list** —
+    /// `O(Σ deg(m))` over the members `m`, not `O(E)` over the parent's full edge list — and draws its
     /// temporaries (membership mask, position lookup) from a reusable thread-local scratch, so
     /// the subset-exploration hot loop performs no universe-sized allocations per view. The member-local reachability is computed by the word-parallel
     /// SCC-condensation kernel of the `kernels` module over the kept edges.
@@ -751,7 +747,6 @@ impl SummaryGraph {
         let n = self.nodes.len();
         let m = members.len();
         let words = n.div_ceil(64).max(1);
-        let out = self.out_csr();
 
         // Kept edges in CSR layout, grouped by source member, plus each kept edge's target
         // *member position* (`succ_pos`), which is what the closure kernel walks below.
@@ -774,15 +769,12 @@ impl SummaryGraph {
                 let mut out_offsets = Vec::with_capacity(m + 1);
                 let mut in_degree = vec![0usize; m];
                 out_offsets.push(0);
-                let parent_offsets = &out.offsets;
-                let parent_targets = &out.targets;
                 for &member in &members {
-                    for &edge_idx in &parent_targets
-                        [parent_offsets[member] as usize..parent_offsets[member + 1] as usize]
-                    {
-                        let to = self.edges[edge_idx as usize].to;
+                    let first = self.out_offsets[member] as usize;
+                    for (k, edge) in self.edges_from(member).iter().enumerate() {
+                        let to = edge.to;
                         if in_mask(to) {
-                            out_csr.push(edge_idx as usize);
+                            out_csr.push(first + k);
                             succ_pos.push(scratch.pos_of[to]);
                             in_degree[scratch.pos_of[to] as usize] += 1;
                         }
@@ -949,32 +941,27 @@ fn describe_edge_between(from: &LinearProgram, to: &LinearProgram, edge: &Summar
     )
 }
 
-/// The full-graph view, with the derived arrays *prefetched*: the out-adjacency CSR and the
-/// reachability words are taken out of their lazily initialised `OnceLock`s once, at
-/// construction, so the cycle-test kernels index plain slices instead of re-checking each lock
-/// per edge walk or reachability probe. The in-adjacency CSR is fetched on the first
-/// [`view_edges_to`](SummaryGraphView::view_edges_to) call instead: only witness recovery and
-/// the lane-plan compiler walk in-edges, so a robust verdict never derives it.
+/// The full-graph view, with the reachability words *prefetched*: they are taken out of their
+/// lazily initialised `OnceLock` once, at construction, so the cycle-test kernels index a plain
+/// slice instead of re-checking the lock per reachability probe. Out-edges are contiguous runs
+/// of the graph's edge list, read through its offsets. The in-adjacency CSR is fetched on the
+/// first [`view_edges_to`](SummaryGraphView::view_edges_to) call instead: only witness
+/// recovery and the lane-plan compiler walk in-edges, so a robust verdict never derives it.
 /// It is the only [`SummaryGraphView`] over a whole graph: every cycle test, the DOT
 /// renderer and the witness checks go through [`SummaryGraph::prefetched`].
 pub struct PrefetchedView<'g> {
     graph: &'g SummaryGraph,
-    out_offsets: &'g [u32],
-    out_targets: &'g [u32],
     words_per_row: usize,
     reach_bits: &'g [u64],
 }
 
 impl SummaryGraph {
-    /// A [`PrefetchedView`] over the whole graph. Forces derivation of the out-adjacency CSR and
-    /// the reachability closure (a no-op on warm-started graphs, which have them installed).
+    /// A [`PrefetchedView`] over the whole graph. Forces derivation of the reachability closure
+    /// (a no-op on warm-started graphs, which have it installed).
     pub fn prefetched(&self) -> PrefetchedView<'_> {
-        let out = self.out_csr();
         let reach = self.reachability();
         PrefetchedView {
             graph: self,
-            out_offsets: &out.offsets,
-            out_targets: &out.targets,
             words_per_row: reach.words_per_row,
             reach_bits: &reach.bits,
         }
@@ -1003,10 +990,7 @@ impl SummaryGraphView for PrefetchedView<'_> {
     }
 
     fn view_counterflow_edges_from(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
-        self.out_targets[self.out_offsets[node] as usize..self.out_offsets[node + 1] as usize]
-            .iter()
-            .map(move |&idx| &self.graph.edges[idx as usize])
-            .filter(|e| e.kind.is_counterflow())
+        self.graph.counterflow_edges_from(node)
     }
 
     #[inline]
@@ -1303,7 +1287,7 @@ mod tests {
         assert!(graph.node_by_name("Nope").is_none());
         // Two FindBids copies: q1 conflicts with q1 across all 4 ordered node pairs.
         assert_eq!(graph.edge_count(), 4);
-        assert_eq!(graph.edges_from(0).count(), 2);
+        assert_eq!(graph.edges_from(0).len(), 2);
         assert_eq!(graph.edges_to(1).count(), 2);
         assert_eq!(graph.edges_between(0, 1).count(), 1);
         assert_eq!(graph.counterflow_edges_from(0).count(), 0);
@@ -1492,7 +1476,8 @@ mod tests {
                 ..settings()
             },
         ] {
-            let mut incremental = SummaryGraph::construct(std::slice::from_ref(&a), &schema, s);
+            // Two old rows, so the new edges of row 0 must land before row 1.
+            let mut incremental = SummaryGraph::construct(&[a.clone(), b.clone()], &schema, s);
             let before = SummaryGraph::constructions_on_current_thread();
             incremental.add_ltps(std::slice::from_ref(&b), &schema);
             assert_eq!(
@@ -1500,21 +1485,14 @@ mod tests {
                 before,
                 "incremental extension must not count as a construction"
             );
-            let fresh = SummaryGraph::construct(&[a.clone(), b.clone()], &schema, s);
-            let mut inc_edges = incremental.edges().to_vec();
-            let mut fresh_edges = fresh.edges().to_vec();
-            inc_edges.sort();
-            fresh_edges.sort();
-            assert_eq!(inc_edges, fresh_edges);
+            let fresh = SummaryGraph::construct(&[a.clone(), b.clone(), b.clone()], &schema, s);
+            // The same edges in the same order, and the same derived arrays.
+            assert_eq!(incremental.edges(), fresh.edges());
             assert_eq!(
                 incremental.counterflow_edge_count(),
                 fresh.counterflow_edge_count()
             );
-            for i in 0..2 {
-                for j in 0..2 {
-                    assert_eq!(incremental.reachable(i, j), fresh.reachable(i, j));
-                }
-            }
+            assert_eq!(incremental, fresh);
         }
     }
 
@@ -1532,15 +1510,11 @@ mod tests {
         let fresh = SummaryGraph::construct(&[b], &schema, settings());
         assert_eq!(graph.node_count(), 1);
         assert_eq!(graph.node(0).name(), "Writer");
-        let mut got = graph.edges().to_vec();
-        let mut want = fresh.edges().to_vec();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
+        assert_eq!(graph.edges(), fresh.edges());
         assert_eq!(
             graph.counterflow_edge_count(),
             fresh.counterflow_edge_count()
         );
-        assert_eq!(graph.reachable(0, 0), fresh.reachable(0, 0));
+        assert_eq!(graph, fresh);
     }
 }

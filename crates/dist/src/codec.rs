@@ -3,9 +3,9 @@
 //! produce equal bytes, which is what makes the fingerprint a usable identity.
 
 /// FNV-1a chained over 64-bit little-endian lanes (trailing bytes fold in one at a time, like
-/// byte-chained FNV-1a): the payload fingerprint of snapshot format version 3+, one multiply
-/// per eight bytes instead of one per byte. Version-3 payloads carry the derived
-/// CSR/reachability arrays, so the byte-chained hash — a serial dependency of ~3 cycles *per
+/// byte-chained FNV-1a): the payload fingerprint of a snapshot, one multiply per eight bytes
+/// instead of one per byte. Payloads carry the derived in-adjacency and reachability arrays,
+/// so the byte-chained hash — a serial dependency of ~3 cycles *per
 /// byte* — would tax every open with more time than the decode it guards. Not cryptographic:
 /// it guards against *mistakes* (opening a truncated or bit-flipped snapshot), not against
 /// adversaries.
@@ -88,21 +88,6 @@ impl Writer {
                 self.u64(bits);
             }
         }
-    }
-
-    /// Zero-pads until the *absolute* file offset `base + len()` is 8-byte aligned — `base`
-    /// is the number of bytes (the snapshot header) that precede this payload in the file.
-    /// Format 3 carries this padding before each graph's derived arrays; it is written and
-    /// checked so the bytes stay those of the format.
-    pub(crate) fn pad8(&mut self, base: usize) {
-        while (base + self.buf.len()) % 8 != 0 {
-            self.buf.push(0);
-        }
-    }
-
-    /// The current payload length in bytes (the next write's payload offset).
-    pub(crate) fn position(&self) -> usize {
-        self.buf.len()
     }
 
     /// A raw `u32` array, little-endian, no length prefix (the caller's schema implies it).
@@ -217,18 +202,6 @@ impl<'a> Reader<'a> {
         &self.buf[self.pos..]
     }
 
-    /// Consumes the zero padding [`Writer::pad8`] wrote: skips until `base + position()` is
-    /// 8-byte aligned, rejecting non-zero pad bytes (the encoding stays canonical).
-    pub(crate) fn skip_pad8(&mut self, base: usize) -> Result<(), String> {
-        while (base + self.pos) % 8 != 0 {
-            let b = self.u8()?;
-            if b != 0 {
-                return Err(format!("non-zero alignment padding byte {b:#04x}"));
-            }
-        }
-        Ok(())
-    }
-
     /// A raw little-endian `u32` array of `len` elements, decoded into an owned vector.
     pub(crate) fn u32_slice(&mut self, len: usize) -> Result<Vec<u32>, String> {
         let bytes = self.take(len.checked_mul(4).ok_or("u32 array length overflow")?)?;
@@ -271,6 +244,8 @@ mod tests {
         w.str("héllo");
         w.opt_u64(None);
         w.opt_u64(Some(42));
+        w.u32_slice(&[1, 2, 3]);
+        w.u64_slice(&[u64::MAX, 7]);
         let bytes = w.into_bytes().unwrap();
 
         let mut r = Reader::new(&bytes);
@@ -284,6 +259,8 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.opt_u64().unwrap(), None);
         assert_eq!(r.opt_u64().unwrap(), Some(42));
+        assert_eq!(r.u32_slice(3).unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.u64_slice(2).unwrap(), vec![u64::MAX, 7]);
         assert!(r.is_at_end());
     }
 
@@ -294,6 +271,10 @@ mod tests {
 
         let mut r = Reader::new(&[2]);
         assert!(r.bool().is_err());
+
+        // Truncated raw arrays.
+        assert!(Reader::new(&[0; 15]).u64_slice(2).is_err());
+        assert!(Reader::new(&[]).u32_slice(1).is_err());
 
         // A length prefix claiming more bytes than remain is rejected up front.
         let mut w = Writer::new();
@@ -319,51 +300,6 @@ mod tests {
         w.len(u32::MAX as usize + 1);
         w.len(usize::MAX);
         assert_eq!(w.into_bytes(), Err(u32::MAX as usize + 1));
-    }
-
-    #[test]
-    fn alignment_padding_and_raw_slices_round_trip() {
-        // A 20-byte "header" precedes the payload, like the real snapshot.
-        const BASE: usize = 20;
-        let mut w = Writer::new();
-        w.u8(1); // knock the offset off alignment
-        w.pad8(BASE);
-        assert_eq!((BASE + w.position()) % 8, 0);
-        let words_at = w.position();
-        w.u64_slice(&[u64::MAX, 7]);
-        w.u32_slice(&[1, 2, 3, 4]); // even count keeps 8-alignment
-        w.pad8(BASE); // already aligned: no-op
-        w.u64_slice(&[42]);
-        let bytes = w.into_bytes().unwrap();
-
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 1);
-        r.skip_pad8(BASE).unwrap();
-        assert_eq!(r.position(), words_at);
-        r.skip_raw(16).unwrap();
-        assert_eq!(r.position(), words_at + 16);
-        let mut r2 = Reader::new(&bytes);
-        r2.u8().unwrap();
-        r2.skip_pad8(BASE).unwrap();
-        assert_eq!(r2.u64_slice(2).unwrap(), vec![u64::MAX, 7]);
-        assert_eq!(r2.u32_slice(4).unwrap(), vec![1, 2, 3, 4]);
-        r2.skip_pad8(BASE).unwrap();
-        assert_eq!(r2.u64_slice(1).unwrap(), vec![42]);
-        assert!(r2.is_at_end());
-
-        // Non-zero padding is rejected: the encoding stays canonical.
-        let mut bad = bytes.clone();
-        bad[1] = 0xff; // first pad byte
-        let mut r = Reader::new(&bad);
-        r.u8().unwrap();
-        assert!(r.skip_pad8(BASE).unwrap_err().contains("padding"));
-
-        // Truncated raw arrays are errors, not panics.
-        let mut r = Reader::new(&bytes[..words_at + 4]);
-        r.u8().unwrap();
-        r.skip_pad8(BASE).unwrap();
-        assert!(r.u64_slice(2).is_err());
-        assert!(Reader::new(&[]).u32_slice(1).is_err());
     }
 
     /// Byte-chained FNV-1a, 64-bit: the reference that [`fnv64_words`] must equal on inputs

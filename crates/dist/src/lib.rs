@@ -5,9 +5,10 @@
 //! [`snapshot`] is a versioned, self-describing binary format (magic, format version,
 //! workload fingerprint) that persists a
 //! [`RobustnessSession`](mvrc_robustness::RobustnessSession): workload, unfolded LTPs, every
-//! cached summary graph — *including* the derived CSR adjacency and reachability-closure
-//! arrays, which [`open_snapshot`] decodes and installs as they are — and the sweep cache of
-//! the last subset sweep per setting. A reopened session answers queries without re-unfolding
+//! cached summary graph — its edges in the graph's one edge order, *including* the derived
+//! in-adjacency CSR and reachability-closure arrays, which [`open_snapshot`] decodes and
+//! installs as they are (the out-adjacency offsets are counted off the ordered edges) — and
+//! the sweep cache of the last subset sweep per setting. A reopened session answers queries without re-unfolding
 //! the workload, re-deriving a single Algorithm 1 edge or recomputing a single closure word;
 //! the round-trip is bit-identical on the graph arrays. A build reads one format version; a
 //! file of another version fails with a typed error and is rebuilt from the workload.

@@ -15,13 +15,13 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 8    | magic `MVRCSNAP` ([`SNAPSHOT_MAGIC`]) |
-//! | 8      | 4    | format version, `u32` LE ([`SNAPSHOT_FORMAT_VERSION`], currently 3) |
+//! | 8      | 4    | format version, `u32` LE ([`SNAPSHOT_FORMAT_VERSION`], currently 4) |
 //! | 12     | 8    | workload fingerprint, `u64` LE — FNV-1a over the payload |
 //! | 20     | …    | payload: workload section, LTP section, graph section, sweep section |
 //!
 //! The payload encoding is *canonical* (fixed-width integers, length-prefixed lists, no maps
-//! in nondeterministic order, only the zero-filled alignment padding of the derived blocks),
-//! so the fingerprint doubles as a content identity: equal sessions get equal fingerprints.
+//! in nondeterministic order, no padding), so the fingerprint doubles as a content identity:
+//! equal sessions get equal fingerprints.
 //! Every open recomputes the FNV over the payload and rejects any header/payload mismatch,
 //! which catches truncation and bit flips. The fingerprint is the word-lane variant
 //! of FNV-1a (chained over `u64` LE lanes, one multiply per eight bytes): payloads carry whole
@@ -29,32 +29,32 @@
 //!
 //! # Graph section
 //!
-//! Per cached granularity/foreign-key combination, the graph section stores the widened LTP
-//! nodes, the complete Algorithm 1 edge list and an alignment-padded block of the graph's
-//! *derived* arrays — the compressed-sparse-row adjacency and the word-parallel reachability
-//! closure. After the edge list, each graph encodes:
+//! Per cached granularity/foreign-key combination, the graph section stores the settings, the
+//! widened LTP nodes, the complete Algorithm 1 edge list and the graph's *derived* arrays:
 //!
 //! | field | encoding |
 //! |-------|----------|
-//! | padding | zero bytes until the absolute file offset is 8-byte aligned |
-//! | out-CSR | `n + 1` offset `u32`s, then `E` target `u32`s (edge indices grouped by source) |
+//! | settings | granularity byte, foreign-key bool, condition byte |
+//! | nodes | `u32` count `n`, then the LTPs |
+//! | edges | `u32` count `E`, then per edge `from`, `from_stmt` (`u32`), kind byte, `to_stmt`, `to` (`u32`) |
 //! | in-CSR | `n + 1` offset `u32`s, then `E` target `u32`s (edge indices grouped by target) |
 //! | reachability | `n · max(⌈n/64⌉, 1)` row-major `u64` closure words |
 //!
-//! All lengths are implied by the entry's node and edge counts (no prefixes), and the `u32`
-//! count is always even, so the `u64` closure words land 8-byte aligned too. The decoder does
-//! not rely on the alignment; the padding is part of format 3, and keeping it is what lets
-//! every format-3 file open and every save write the same bytes as before.
+//! The lengths of the derived arrays are implied by `n` and `E` (no prefixes). The edges are
+//! stored in the summary graph's one edge order, strictly ascending
+//! `(from, to, from_stmt, to_stmt, kind)`, so they are grouped by source and the out-adjacency
+//! is not stored: the decoder checks the order with one compare per edge, in the loop that
+//! range-checks the edges, and counts the out-adjacency offsets there.
 //!
 //! There is one decoder, [`session_from_snapshot_bytes`]; [`open_snapshot`] reads the file
 //! and calls it. It decodes each graph's arrays into owned vectors and installs them
 //! ([`SummaryGraph::from_snapshot_parts_with_derived`]): a warm start runs no edge
 //! derivation, no adjacency build and no closure computation, verified in tests via the
-//! construction and closure counters. The adjacency arrays are structurally validated
-//! against the edge list on open (bit-identity with a fresh derivation is forced); the
-//! closure words are covered by the fingerprint. The round-trip is **bit-identical** on every
-//! graph array — `reopened.graph(s) == original.graph(s)` including the derived arrays — and
-//! re-serializing a reopened snapshot reproduces its bytes.
+//! construction and closure counters. The edge order and the in-adjacency are structurally
+//! validated against the edge list on open (bit-identity with a fresh derivation is forced);
+//! the closure words are covered by the fingerprint. The round-trip is **bit-identical** on
+//! every graph array — `reopened.graph(s) == original.graph(s)` including the derived arrays —
+//! and re-serializing a reopened snapshot reproduces its bytes.
 //!
 //! # Sweep section
 //!
@@ -87,10 +87,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MVRCSNAP";
 
 /// The snapshot format version (header offset 8): written by every save, and the only version
 /// this build opens.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
-/// The header length in bytes; payload offsets are relative to it, and the derived blocks are
-/// padded to absolute (header-inclusive) 8-byte alignment.
+/// The header length in bytes; payload offsets are relative to it.
 const HEADER_LEN: usize = 20;
 
 /// Errors produced by snapshot encoding, decoding and file I/O.
@@ -348,7 +347,7 @@ pub fn save_snapshot(
 /// [`SessionSnapshotExt::open_snapshot`] as a free function.
 ///
 /// The warm-start path: reads the file and decodes it with [`session_from_snapshot_bytes`].
-/// Every graph's CSR adjacency and reachability arrays come from the file — no edge
+/// Every graph's in-adjacency and reachability arrays come from the file — no edge
 /// derivation, no closure computation.
 pub fn open_snapshot(path: impl AsRef<Path>) -> Result<(RobustnessSession, u64), SnapshotError> {
     let path = path.as_ref();
@@ -780,18 +779,13 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
         w.len(edge.to_stmt);
         w.len(edge.to);
     }
-    // The derived block (forces derivation, which is idempotent and deterministic —
+    // The derived arrays (forces derivation, which is idempotent and deterministic —
     // re-serializing a reopened snapshot reproduces the words bit for bit). Lengths are
     // implied by the node/edge counts above; see the module docs for the layout.
-    let (out_offsets, out_targets) = graph.out_adjacency();
     let (in_offsets, in_targets) = graph.in_adjacency();
     let (_, reach_bits) = graph.reachability_words();
-    w.pad8(HEADER_LEN);
-    w.u32_slice(out_offsets);
-    w.u32_slice(out_targets);
     w.u32_slice(in_offsets);
     w.u32_slice(in_targets);
-    debug_assert_eq!((HEADER_LEN + w.position()) % 8, 0, "even u32 count");
     w.u64_slice(reach_bits);
 }
 
@@ -832,7 +826,6 @@ fn decode_graph<'a>(
             nodes
         }
     };
-    let node_count = nodes.len();
     let edge_count = r.len()?;
     let mut edges = Vec::with_capacity(edge_count);
     for _ in 0..edge_count {
@@ -849,15 +842,6 @@ fn decode_graph<'a>(
         };
         let to_stmt = r.u32()? as usize;
         let to = r.u32()? as usize;
-        let valid = from < nodes.len()
-            && to < nodes.len()
-            && from_stmt < nodes[from].len()
-            && to_stmt < nodes[to].len();
-        if !valid {
-            return Err(SnapshotError::Corrupt(
-                "summary edge endpoint out of range".to_string(),
-            ));
-        }
         edges.push(SummaryEdge {
             from,
             from_stmt,
@@ -867,12 +851,11 @@ fn decode_graph<'a>(
         });
     }
 
-    let n = node_count;
+    // `from_snapshot_parts_with_derived` range-checks the edges, checks their order and counts
+    // the out-adjacency offsets, in one pass.
+    let n = nodes.len();
     let reach_len = n * n.div_ceil(64).max(1);
-    r.skip_pad8(HEADER_LEN)?;
     let parts = SummaryGraphDerived {
-        out_offsets: r.u32_slice(n + 1)?,
-        out_targets: r.u32_slice(edge_count)?,
         in_offsets: r.u32_slice(n + 1)?,
         in_targets: r.u32_slice(edge_count)?,
         reach_bits: r.u64_slice(reach_len)?,

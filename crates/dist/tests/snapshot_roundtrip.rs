@@ -159,6 +159,115 @@ proptest! {
     }
 }
 
+/// Warms the graph of every granularity/foreign-key combination, so every edit below has to
+/// keep four cached graphs up to date.
+fn warm_every_graph(session: &RobustnessSession) {
+    for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
+        session.graph(settings);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// Incremental edits give the graph a fresh build makes: after every step of a random
+    /// chain of `add_program`, `remove_program` and `replace_program` calls, each cached graph
+    /// equals (edge order and derived arrays included) the graph of a fresh session over the
+    /// same programs in the same order, and the two graph-only sessions serialize to the same
+    /// snapshot bytes.
+    #[test]
+    fn edit_chains_give_the_graphs_and_bytes_of_a_fresh_session(
+        config in synthetic_config_strategy(),
+        extra_programs in 1usize..=3,
+        steps in 1usize..=6,
+        seed in any::<u64>(),
+    ) {
+        // The pool holds every program the chain may add; the session starts with a prefix.
+        let pool = synthetic(SyntheticConfig {
+            programs: config.programs + extra_programs,
+            ..config
+        });
+        let mut start = pool.clone();
+        start.programs.truncate(config.programs);
+        let mut session = RobustnessSession::new(start);
+        warm_every_graph(&session);
+
+        let picks = seeded_bytes(seed, 2 * steps);
+        for step in picks.chunks(2) {
+            let (op, pick) = (step[0] % 3, usize::from(step[1]));
+            let present = session.program_names().to_vec();
+            let absent: Vec<_> = pool
+                .programs
+                .iter()
+                .filter(|p| !present.iter().any(|n| n == p.name()))
+                .collect();
+            match op {
+                0 if !absent.is_empty() => {
+                    session.add_program(absent[pick % absent.len()].clone());
+                }
+                1 if present.len() > 1 => {
+                    session.remove_program(&present[pick % present.len()]).unwrap();
+                }
+                _ => {
+                    // Another pool program's body under the name of a present one.
+                    let name = &present[pick % present.len()];
+                    let body = &pool.programs[(pick / 7) % pool.programs.len()];
+                    session.replace_program(body.renamed(name.as_str())).unwrap();
+                }
+            }
+
+            let fresh = RobustnessSession::new(session.workload().clone());
+            warm_every_graph(&fresh);
+            for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
+                prop_assert_eq!(
+                    &*session.graph(settings),
+                    &*fresh.graph(settings),
+                    "edited graph differs from a fresh build under {}", settings
+                );
+            }
+            prop_assert_eq!(snapshot_to_bytes(&session).unwrap(), snapshot_to_bytes(&fresh).unwrap());
+        }
+    }
+}
+
+#[test]
+fn removing_and_re_adding_a_benchmark_program_gives_a_fresh_session() {
+    // Every program of SmallBank and TPC-C, removed and added back (so it moves to the end of
+    // the program order): the edited session's graphs, snapshot bytes and violation lists
+    // under both cycle conditions equal those of a fresh session over the new order.
+    for workload in [mvrc_benchmarks::smallbank(), mvrc_benchmarks::tpcc()] {
+        for program in workload.programs.clone() {
+            let mut session = RobustnessSession::new(workload.clone());
+            warm_every_graph(&session);
+            session.remove_program(program.name()).unwrap();
+            session.add_program(program.clone());
+            let fresh = RobustnessSession::new(session.workload().clone());
+            warm_every_graph(&fresh);
+            for condition in [CycleCondition::TypeI, CycleCondition::TypeII] {
+                for settings in AnalysisSettings::evaluation_grid(condition) {
+                    let (edited, built) = (session.graph(settings), fresh.graph(settings));
+                    assert_eq!(
+                        *edited,
+                        *built,
+                        "{} round trip under {settings}",
+                        program.name()
+                    );
+                    assert_eq!(
+                        mvrc_robustness::all_violations(&edited, condition),
+                        mvrc_robustness::all_violations(&built, condition),
+                        "{} round trip under {settings}",
+                        program.name()
+                    );
+                }
+            }
+            assert_eq!(
+                snapshot_to_bytes(&session).unwrap(),
+                snapshot_to_bytes(&fresh).unwrap()
+            );
+        }
+    }
+}
+
 /// Re-stamps a (possibly modified) snapshot's header fingerprint so only the *structural*
 /// validation of the payload is exercised, not the FNV check.
 fn restamp(bytes: &mut [u8]) {
@@ -274,7 +383,7 @@ proptest! {
 }
 
 #[test]
-fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
+fn version_4_fixture_opens_with_identical_graphs() {
     // The one cross-build pin of the snapshot layout: a committed snapshot of a warmed Auction
     // session (all four graphs plus one cached sweep) must open to graphs identical to a fresh
     // build, and both the reopened and the fresh session must serialize to exactly
@@ -282,7 +391,7 @@ fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
     // `MVRC_BLESS=1 cargo test -p mvrc-dist --test snapshot_roundtrip`.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/auction_v3.mvrcsnap"
+        "/tests/fixtures/auction_v4.mvrcsnap"
     );
     let fresh = RobustnessSession::new(mvrc_benchmarks::auction());
     for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
@@ -305,7 +414,7 @@ fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| panic!("missing fixture {path} ({e}); run with MVRC_BLESS=1"));
     assert_eq!(&bytes[0..8], b"MVRCSNAP");
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
 
     let (reopened, fingerprint) = mvrc_dist::open_snapshot(path).unwrap();
     assert_ne!(fingerprint, 0);
@@ -332,7 +441,7 @@ fn version_3_fixture_opens_zero_copy_with_identical_graphs() {
     );
 
     // Files of any other format version fail typed; the cache is rebuilt instead.
-    for version in [1u32, 2, 4] {
+    for version in [1u32, 2, 3, 5] {
         let mut other = bytes.clone();
         other[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -507,53 +616,25 @@ fn warm_open_is_zero_copy_and_rederives_nothing() {
 }
 
 #[test]
-fn derived_block_alignment_holds_for_any_section_parity() {
-    // The derived block is padded to absolute 8-byte alignment, so its position depends on
-    // everything encoded before it. Workload names of every length mod 8 shift the graph
-    // section across all byte parities; each variant must round-trip through a file and
-    // re-encode canonically.
-    for pad in 0..8usize {
-        let mut workload = synthetic(SyntheticConfig {
-            programs: 2,
-            ..SyntheticConfig::default()
-        });
-        workload.name = format!("P{}", "x".repeat(pad));
-        let session = RobustnessSession::new(workload);
-        session.is_robust(AnalysisSettings::paper_default());
-
-        let path = scratch_file(&format!("parity-{pad}"));
-        session.save_snapshot(&path).unwrap();
-        let (reopened, _) = mvrc_dist::open_snapshot(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let settings = AnalysisSettings::paper_default();
-        assert_eq!(*reopened.graph(settings), *session.graph(settings));
-        // Canonical: the reopened session re-serializes to the original bytes.
-        assert_eq!(snapshot_to_bytes(&reopened).unwrap(), bytes);
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-#[test]
 fn corrupt_derived_blocks_are_rejected_structurally() {
-    // A restamped snapshot whose derived CSR words were tampered with must fail the
+    // A restamped snapshot whose in-adjacency words were tampered with must fail the
     // structural bit-identity validation, not silently install a wrong adjacency.
     let session = RobustnessSession::new(mvrc_benchmarks::auction());
     let settings = AnalysisSettings::paper_default();
     session.is_robust(settings);
     let bytes = snapshot_to_bytes(&session).unwrap();
 
-    // The derived block sits at the end of the (single) graph entry; the reachability words
-    // are its 8-byte-aligned tail, preceded by the two CSRs. Corrupt an offset array word:
-    // the first out-CSR offset is always 0, so force it to a large value.
+    // The derived arrays sit at the end of the (single) graph entry: the in-CSR, then the
+    // reachability words. Corrupt an offset array word: the first in-CSR offset is always 0,
+    // so force it to a large value.
     let (n, e) = {
         let graph = session.graph(settings);
         (graph.node_count(), graph.edge_count())
     };
     let words = n * n.div_ceil(64).max(1);
-    let derived_bytes = ((n + 1) * 2 + e * 2) * 4 + words * 8;
+    let derived_bytes = (n + 1 + e) * 4 + words * 8;
     // Sweep section (empty: 4-byte zero count) trails the graph section.
     let derived_at = bytes.len() - 4 - derived_bytes;
-    assert_eq!(derived_at % 8, 0, "derived block must be 8-byte aligned");
 
     let mut bad = bytes.clone();
     bad[derived_at..derived_at + 4].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
@@ -579,6 +660,45 @@ fn corrupt_derived_blocks_are_rejected_structurally() {
         session_from_snapshot_bytes(&truncated).unwrap_err(),
         SnapshotError::Corrupt(_)
     ));
+}
+
+#[test]
+fn edges_out_of_the_edge_order_are_rejected_structurally() {
+    // The out-adjacency is not stored: it is counted off an edge list that must be strictly
+    // ascending in the one edge order. A restamped snapshot with two adjacent edges swapped
+    // must fail that check, not install a graph whose out-edges are not contiguous.
+    let session = RobustnessSession::new(mvrc_benchmarks::smallbank());
+    let settings = AnalysisSettings::paper_default();
+    session.is_robust(settings);
+    let bytes = snapshot_to_bytes(&session).unwrap();
+    let graph = session.graph(settings);
+    let encode = |e: &mvrc_robustness::SummaryEdge| {
+        let mut out = Vec::with_capacity(17);
+        out.extend_from_slice(&(e.from as u32).to_le_bytes());
+        out.extend_from_slice(&(e.from_stmt as u32).to_le_bytes());
+        out.push(u8::from(e.kind.is_counterflow()));
+        out.extend_from_slice(&(e.to_stmt as u32).to_le_bytes());
+        out.extend_from_slice(&(e.to as u32).to_le_bytes());
+        out
+    };
+    for pair in [0, graph.edge_count() / 2, graph.edge_count() - 2] {
+        let (a, b) = (
+            encode(&graph.edges()[pair]),
+            encode(&graph.edges()[pair + 1]),
+        );
+        let run = [a.clone(), b.clone()].concat();
+        let at = bytes
+            .windows(run.len())
+            .position(|w| w == run)
+            .expect("the encoded edge pair is in the snapshot");
+        let mut swapped = bytes.clone();
+        swapped[at..at + run.len()].copy_from_slice(&[b, a].concat());
+        restamp(&mut swapped);
+        match session_from_snapshot_bytes(&swapped).unwrap_err() {
+            SnapshotError::Corrupt(msg) => assert!(msg.contains("edge order"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
 /// Writes `bytes` to a fresh file, opens it with `open_snapshot` and removes the file again.
@@ -636,7 +756,7 @@ fn damaged_snapshot_files_fail_open_with_typed_errors() {
     }
 
     // Wrong format versions.
-    for version in [0u32, 2, 4, u32::MAX] {
+    for version in [0u32, 3, 5, u32::MAX] {
         let mut other = bytes.to_vec();
         other[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(

@@ -6,7 +6,8 @@
 //! mid-frame disconnects (that connection alone dies; every other connection keeps working).
 //! Plus the request-shape errors above the frame layer: missing `op`, unknown op, unknown
 //! tenant, invalid `settings`, SQL blocks nested past the parser's limit, a program (or a
-//! workload) that unfolds to more LTPs than the front end admits, a subset sweep over a tenant
+//! workload) that unfolds to more LTPs, or may give more summary-graph edges, than the front
+//! end admits, a subset sweep over a tenant
 //! wider than the sweep accepts, and a reply too large for a frame.
 
 use std::io::{Read, Write};
@@ -191,6 +192,38 @@ fn programs_beyond_the_workload_ltp_limit_earn_an_error_reply_and_the_connection
         error.contains(&format!(
             "more than the workload limit of {}",
             mvrc_btp::sql::MAX_WORKLOAD_LTPS
+        )),
+        "got: {error}"
+    );
+
+    write_frame(&mut stream, &json!({"op": "ping"})).expect("write");
+    let reply = read_frame(&mut stream).expect("reply");
+    assert_eq!(reply.get("result"), Some(&json!("pong")), "{reply:?}");
+
+    stop_server(&flag, handle);
+}
+
+#[test]
+fn a_program_beyond_the_edge_bound_earns_an_error_reply_and_the_connection_survives() {
+    let (addr, flag, handle) = start_server();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // One LTP of 12,000 updates of one table, a 780 KB frame: within every LTP limit, but its
+    // summary graph used to abort the daemon asking for a 5 GB `Vec` (an abort is no panic,
+    // so nothing could answer it).
+    let sql = format!(
+        "PROGRAM Long(:C) {{ {}}}",
+        "UPDATE Savings SET Balance = Balance + 1 WHERE CustomerId = :C; ".repeat(12_000)
+    );
+    write_frame(
+        &mut stream,
+        &json!({"op": "add_program", "tenant": "bank", "program_sql": sql}),
+    )
+    .expect("write");
+    let error = error_text(&read_frame(&mut stream).expect("reply"));
+    assert!(
+        error.contains(&format!(
+            "more than the edge limit of {}",
+            mvrc_btp::sql::MAX_WORKLOAD_EDGES
         )),
         "got: {error}"
     );
