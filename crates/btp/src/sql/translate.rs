@@ -29,17 +29,19 @@ pub fn translate_workload(
 /// duplicates are dropped); a program above it is a [`BtpError::TooManyLtps`].
 ///
 /// Algorithm 1's summary graph has a node per LTP statement and grows quadratically in them, so
-/// time and memory follow this count. `mvrc analyze` on one-program files, on a 2-core VM:
+/// time and memory follow this count. `mvrc analyze` on one-program files, on a 2-core VM
+/// (20-byte edges; the last two rows were measured before this limit existed, with 40-byte
+/// edges, and are refused at once now):
 ///
 /// | program | LTPs | time | peak RSS |
 /// |---|---|---|---|
-/// | 3 nested `WHILE` loops, one `UPDATE` per level | 183 | 0.25 s | 105 MB |
-/// | 8 optional `UPDATE`s | 256 | 0.12 s | 53 MB |
-/// | 9 optional `UPDATE`s | 512 | 0.64 s | 256 MB |
+/// | 3 nested `WHILE` loops, one `UPDATE` per level | 183 | 0.13 s | 45 MB |
+/// | 8 optional `UPDATE`s | 256 | 0.06 s | 23 MB |
+/// | 9 optional `UPDATE`s | 512 | 0.30 s | 105 MB |
 /// | 10 optional `UPDATE`s | 1,024 | 3.2 s | 1.2 GB |
 /// | 4 nested `WHILE` loops | 33,673 | OOM-killed at 15.6 GB | — |
 ///
-/// The limit keeps one program within about a second and 256 MB. Every bundled workload
+/// The limit keeps one program well within a second and 256 MB. Every bundled workload
 /// unfolds to at most 13 LTPs per program.
 pub const MAX_PROGRAM_LTPS: u64 = 512;
 
@@ -49,19 +51,22 @@ pub const MAX_PROGRAM_LTPS: u64 = 512;
 ///
 /// The summary graph is quadratic in the workload's LTPs, not in one program's, so programs
 /// under the per-program limit still add up. Programs of 8 and 9 optional `UPDATE`s (256 and
-/// 512 LTPs, as in the table above), `mvrc analyze` on the same VM:
+/// 512 LTPs, as in the table above), `mvrc analyze` on the same VM (median of 5 runs, 20-byte
+/// edges):
 ///
 /// | programs | LTPs | time | peak RSS |
 /// |---|---|---|---|
-/// | 2 × 256 | 512 | 0.41 s | 206 MB |
-/// | 3 × 256 | 768 | 1.3 s | 458 MB |
-/// | 512 + 256 | 768 | 1.3 s | 533 MB |
-/// | 2 × 512 | 1,024 | 3.0 s | 1.0 GB |
-/// | 4 × 512 | 2,048 | aborts in Algorithm 1 asking for a 5 GB `Vec` | — |
-/// | 1 program of 12,000 `UPDATE`s | 1 | aborts in Algorithm 1 asking for a 5 GB `Vec` (3 GB cap) | — |
+/// | 2 × 256 | 512 | 0.23 s | 83 MB |
+/// | 3 × 256 | 768 | 0.52 s | 184 MB |
+/// | 512 + 256 | 768 | 0.62 s | 215 MB |
+/// | 2 × 512 | 1,024 | 1.2 s | 410 MB |
+/// | 4 × 512 | 2,048 | refused at once by this limit | — |
+/// | 1 program of 12,000 `UPDATE`s | 1 | refused at once by [`MAX_WORKLOAD_EDGES`] | — |
 ///
-/// The limit is the 1,024 row: two programs at the per-program limit, about three seconds
-/// and 1 GB per summary graph. The bundled workload files unfold to at most 30 LTPs, and
+/// The limit is the 1,024 row: two programs at the per-program limit, about a second and
+/// 410 MB per summary graph (CI analyzes it under a 900 MiB address-space cap). Before
+/// either limit, the 4 × 512 and 12,000-`UPDATE` rows aborted in Algorithm 1 asking for a
+/// 5 GB `Vec`. The bundled workload files unfold to at most 30 LTPs, and
 /// Auction(100), the largest generated file the benchmark times, to 300. The last row is
 /// within this limit: LTPs do not bound statements, which [`MAX_WORKLOAD_EDGES`] does.
 pub const MAX_WORKLOAD_LTPS: u64 = 1024;
@@ -79,9 +84,9 @@ pub const MAX_WORKLOAD_LTPS: u64 = 1024;
 ///
 /// | program(s) | bound | edges | time | peak RSS |
 /// |---|---|---|---|---|
-/// | 2 × 512 LTPs (the 2 × 512 row above) | 42,467,328 | 21,233,664 | 1.2 s | 815 MB |
-/// | one LTP of 4,000 statements | 32,000,000 | 16,000,000 | 0.9 s | 618 MB |
-/// | one LTP of 12,000 statements | 288,000,000 | — | aborts asking for a 5 GB `Vec` | — |
+/// | 2 × 512 LTPs (the 2 × 512 row above) | 42,467,328 | 21,233,664 | 1.2 s | 410 MB |
+/// | one LTP of 4,000 statements | 32,000,000 | 16,000,000 | 0.8 s | 313 MB |
+/// | one LTP of 12,000 statements | 288,000,000 | — | refused at once; aborted asking for a 5 GB `Vec` before | — |
 ///
 /// The limit admits the 2 × 512 row, the most the LTP budget lets through on one relation.
 /// The bundled workload files bound at most 1,648 edges (TPC-C), and Auction(341), the

@@ -124,7 +124,7 @@ pub fn find_type1_violation(graph: &SummaryGraph) -> Option<Type1Witness> {
 /// [`find_type1_violation`] over any summary-graph view.
 pub fn find_type1_violation_in<G: SummaryGraphView>(view: &G) -> Option<Type1Witness> {
     view.view_edges()
-        .find(|e| e.kind.is_counterflow() && view.view_reachable(e.to, e.from))
+        .find(|e| e.kind.is_counterflow() && view.view_reachable(e.to as usize, e.from as usize))
         .map(|e| Type1Witness {
             counterflow_edge: *e,
         })
@@ -152,9 +152,13 @@ fn pair_condition<G: SummaryGraphView>(
     debug_assert_eq!(middle.to, counterflow.from);
     middle.kind.is_counterflow()
         || view
-            .node(counterflow.from)
-            .precedes(counterflow.from_stmt, middle.to_stmt)
-        || ordered_pair_kind(view.node(middle.from).statement(middle.from_stmt).kind())
+            .node(counterflow.from as usize)
+            .precedes(counterflow.from_stmt as usize, middle.to_stmt as usize)
+        || ordered_pair_kind(
+            view.node(middle.from as usize)
+                .statement(middle.from_stmt as usize)
+                .kind(),
+        )
 }
 
 /// Compiles the lane-independent [`kernels::LanePlan`] of a summary graph for the bit-sliced
@@ -189,7 +193,7 @@ pub(crate) fn compile_lane_plan(
     let mut cf_pairs: Vec<(u32, u32)> = Vec::new();
     let mut nc_pairs: Vec<(u32, u32)> = Vec::new();
     for e in view.view_edges() {
-        let pair = (e.from as u32, e.to as u32);
+        let pair = (e.from, e.to);
         if e.from != e.to {
             edge_pairs.push(pair);
         }
@@ -265,13 +269,16 @@ fn compile_type2_groups(
         after.resize((statements + 1) * words, 0);
         for e2 in view.view_edges_to(p4 as NodeId) {
             let row = if e2.kind.is_counterflow()
-                || ordered_pair_kind(view.node(e2.from).statement(e2.from_stmt).kind())
-            {
+                || ordered_pair_kind(
+                    view.node(e2.from as usize)
+                        .statement(e2.from_stmt as usize)
+                        .kind(),
+                ) {
                 &mut always[..]
             } else {
-                &mut after[e2.to_stmt * words..][..words]
+                &mut after[e2.to_stmt as usize * words..][..words]
             };
-            kernels::set_bit(row, e2.from);
+            kernels::set_bit(row, e2.from as usize);
         }
         for s in (0..statements).rev() {
             let (head, tail) = after.split_at_mut((s + 1) * words);
@@ -279,11 +286,11 @@ fn compile_type2_groups(
         }
         for e3 in view.view_counterflow_edges_from(p4 as NodeId) {
             let g = group_keys
-                .binary_search(&(e3.to as u32, p4))
+                .binary_search(&(e3.to, p4))
                 .expect("counterflow pair is a group key by construction");
             let row = &mut rows[g * words..][..words];
             kernels::or_into(row, &always);
-            kernels::or_into(row, &after[(e3.from_stmt + 1) * words..][..words]);
+            kernels::or_into(row, &after[(e3.from_stmt as usize + 1) * words..][..words]);
         }
     }
 
@@ -324,11 +331,13 @@ pub fn find_type2_violation_naive(graph: &SummaryGraph) -> Option<Type2Witness> 
 pub fn find_type2_violation_naive_in<G: SummaryGraphView>(view: &G) -> Option<Type2Witness> {
     for e1 in view.view_edges().filter(|e| !e.kind.is_counterflow()) {
         for e2 in view.view_edges() {
-            if !view.view_reachable(e1.to, e2.from) {
+            if !view.view_reachable(e1.to as usize, e2.from as usize) {
                 continue;
             }
-            for e3 in view.view_counterflow_edges_from(e2.to) {
-                if view.view_reachable(e3.to, e1.from) && pair_condition(view, e2, e3) {
+            for e3 in view.view_counterflow_edges_from(e2.to as usize) {
+                if view.view_reachable(e3.to as usize, e1.from as usize)
+                    && pair_condition(view, e2, e3)
+                {
                     return Some(Type2Witness {
                         non_counterflow_edge: *e1,
                         middle_edge: *e2,
@@ -414,7 +423,7 @@ pub fn all_violations_in<G: SummaryGraphView>(
     match condition {
         CycleCondition::TypeI => {
             for e in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-                if view.view_reachable(e.to, e.from)
+                if view.view_reachable(e.to as usize, e.from as usize)
                     && seen.insert((e.from, e.from_stmt, e.to, e.to_stmt))
                 {
                     out.push(Violation::TypeI(Type1Witness {
@@ -508,18 +517,19 @@ impl Type2Scratch {
         self.cf_edges.clear();
 
         for e in view.view_edges() {
-            let (first, past_end) = self.rows[e.to];
-            let (from_word, from_bit) = (e.from / 64, 1u64 << (e.from % 64));
+            let (from, to) = (e.from as usize, e.to as usize);
+            let (first, past_end) = self.rows[to];
+            let (from_word, from_bit) = (from / 64, 1u64 << (from % 64));
             let row = if e.kind.is_counterflow() {
                 self.cf_edges.push(*e);
                 past_end
             } else {
                 self.sources[from_word] |= from_bit;
-                self.nc_succ[e.from * words + e.to / 64] |= 1u64 << (e.to % 64);
-                if self.ordered[self.rows[e.from].0 + e.from_stmt] {
+                self.nc_succ[from * words + to / 64] |= 1u64 << (to % 64);
+                if self.ordered[self.rows[from].0 + e.from_stmt as usize] {
                     past_end
                 } else {
-                    first + e.to_stmt
+                    first + e.to_stmt as usize
                 }
             };
             self.after[row * words + from_word] |= from_bit;
@@ -530,7 +540,7 @@ impl Type2Scratch {
     /// The type-II witness through the counterflow edge `e3`, if `e3` closes a cycle.
     fn witness<G: SummaryGraphView>(&mut self, view: &G, e3: &SummaryEdge) -> Option<Type2Witness> {
         let words = self.words;
-        let (p4, p5) = (e3.from, e3.to);
+        let (p4, p5) = (e3.from as usize, e3.to as usize);
         let (base, past_end) = self.rows[p4];
         if !kernels::test_bit(&self.suffixed, p4) {
             kernels::set_bit(&mut self.suffixed, p4);
@@ -539,7 +549,8 @@ impl Type2Scratch {
                 kernels::or_into(&mut head[r * words..], &tail[..words]);
             }
         }
-        let row = (base + e3.from_stmt + 1) * words..(base + e3.from_stmt + 2) * words;
+        let after_stmt = base + e3.from_stmt as usize + 1;
+        let row = after_stmt * words..(after_stmt + 1) * words;
         if self.after[row.clone()].iter().all(|&w| w == 0) {
             return None;
         }
@@ -550,15 +561,15 @@ impl Type2Scratch {
         }
         let e2 = view
             .view_edges_to(p4)
-            .find(|e2| pair_condition(view, e2, e3) && kernels::test_bit(close, e2.from))
+            .find(|e2| pair_condition(view, e2, e3) && kernels::test_bit(close, e2.from as usize))
             .expect("a passing P_3 in the closing row has an in-edge by construction");
-        let p3 = e2.from;
+        let p3 = e2.from as usize;
         let e1 = view
             .view_edges()
             .find(|e| {
                 !e.kind.is_counterflow()
-                    && view.view_reachable(e.to, p3)
-                    && view.view_reachable(p5, e.from)
+                    && view.view_reachable(e.to as usize, p3)
+                    && view.view_reachable(p5, e.from as usize)
             })
             .expect("closing edge exists by construction of the closing row");
         Some(Type2Witness {
@@ -632,7 +643,7 @@ mod reference {
         let mut nc_seen = vec![0u64; (n * n).div_ceil(64)];
         let mut nc_pairs: Vec<SummaryEdge> = Vec::new();
         for e in view.view_edges().filter(|e| !e.kind.is_counterflow()) {
-            let key = e.from * n + e.to;
+            let key = e.from as usize * n + e.to as usize;
             if !kernels::test_bit(&nc_seen, key) {
                 kernels::set_bit(&mut nc_seen, key);
                 nc_pairs.push(*e);
@@ -644,7 +655,7 @@ mod reference {
         let mut candidates: Vec<NodeId> = view
             .view_edges()
             .filter(|e| e.kind.is_counterflow())
-            .map(|e| e.to)
+            .map(|e| e.to as usize)
             .collect();
         candidates.sort_unstable();
         candidates.dedup();
@@ -654,10 +665,11 @@ mod reference {
         let mut sources = vec![0u64; words];
         let mut nc_close = vec![0u64; n * words];
         for e in &nc_pairs {
-            kernels::set_bit(&mut sources, e.from);
+            let from = e.from as usize;
+            kernels::set_bit(&mut sources, from);
             kernels::or_into(
-                &mut nc_close[e.from * words..(e.from + 1) * words],
-                view.view_reachable_row(e.to),
+                &mut nc_close[from * words..(from + 1) * words],
+                view.view_reachable_row(e.to as usize),
             );
         }
         let mut close = vec![0u64; candidates.len() * words];
@@ -674,16 +686,20 @@ mod reference {
             }
         }
         for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-            let ci = candidates.binary_search(&e3.to).unwrap();
+            let ci = candidates.binary_search(&(e3.to as usize)).unwrap();
             let close_row = &close[ci * words..(ci + 1) * words];
-            for e2 in view.view_edges_to(e3.from) {
-                if !pair_condition(view, e2, e3) || !kernels::test_bit(close_row, e2.from) {
+            for e2 in view.view_edges_to(e3.from as usize) {
+                if !pair_condition(view, e2, e3) || !kernels::test_bit(close_row, e2.from as usize)
+                {
                     continue;
                 }
-                let p3 = e2.from;
+                let p3 = e2.from as usize;
                 let e1 = nc_pairs
                     .iter()
-                    .find(|e| view.view_reachable(e.to, p3) && view.view_reachable(e3.to, e.from))
+                    .find(|e| {
+                        view.view_reachable(e.to as usize, p3)
+                            && view.view_reachable(e3.to as usize, e.from as usize)
+                    })
                     .unwrap();
                 return Some(Type2Witness {
                     non_counterflow_edge: *e1,
@@ -702,15 +718,15 @@ mod reference {
             if seen.contains(&(e3.from, e3.from_stmt, e3.to, e3.to_stmt)) {
                 continue;
             }
-            let witness = view.view_edges_to(e3.from).find_map(|e2| {
+            let witness = view.view_edges_to(e3.from as usize).find_map(|e2| {
                 if !pair_condition(view, e2, e3) {
                     return None;
                 }
                 view.view_edges()
                     .find(|e1| {
                         !e1.kind.is_counterflow()
-                            && view.view_reachable(e1.to, e2.from)
-                            && view.view_reachable(e3.to, e1.from)
+                            && view.view_reachable(e1.to as usize, e2.from as usize)
+                            && view.view_reachable(e3.to as usize, e1.from as usize)
                     })
                     .map(|e1| Type2Witness {
                         non_counterflow_edge: *e1,
@@ -949,10 +965,10 @@ mod tests {
         let view = graph.prefetched();
         let mut triples: Vec<(u32, u32, u32)> = Vec::new();
         for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-            let ci = candidates.binary_search(&(e3.to as u32)).unwrap() as u32;
-            for e2 in view.view_edges_to(e3.from) {
+            let ci = candidates.binary_search(&e3.to).unwrap() as u32;
+            for e2 in view.view_edges_to(e3.from as usize) {
                 if pair_condition(&view, e2, e3) {
-                    triples.push((ci, e3.from as u32, e2.from as u32));
+                    triples.push((ci, e3.from, e2.from));
                 }
             }
         }
@@ -1001,9 +1017,13 @@ mod tests {
             groups_seen += groups.len();
             let view = graph.prefetched();
             for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-                for e2 in view.view_edges_to(e3.from) {
+                for e2 in view.view_edges_to(e3.from as usize) {
                     let by_e2 = e2.kind.is_counterflow()
-                        || ordered_pair_kind(view.node(e2.from).statement(e2.from_stmt).kind());
+                        || ordered_pair_kind(
+                            view.node(e2.from as usize)
+                                .statement(e2.from_stmt as usize)
+                                .kind(),
+                        );
                     if !pair_condition(&view, e2, e3) {
                         rejected += 1;
                     } else if !by_e2 {
@@ -1116,10 +1136,11 @@ mod tests {
             while changed {
                 changed = false;
                 for e in &edges {
+                    let (from, to) = (e.from as usize, e.to as usize);
                     for w in 0..words {
-                        let add = reach[e.to * words + w] & !reach[e.from * words + w];
+                        let add = reach[to * words + w] & !reach[from * words + w];
                         if add != 0 {
-                            reach[e.from * words + w] |= add;
+                            reach[from * words + w] |= add;
                             changed = true;
                         }
                     }
@@ -1152,7 +1173,7 @@ mod tests {
         }
 
         fn view_edges_to(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
-            self.edges.iter().filter(move |e| e.to == node)
+            self.edges.iter().filter(move |e| e.to as usize == node)
         }
 
         fn view_counterflow_edges_from(
@@ -1161,7 +1182,7 @@ mod tests {
         ) -> impl Iterator<Item = &SummaryEdge> + '_ {
             self.edges
                 .iter()
-                .filter(move |e| e.from == node && e.kind.is_counterflow())
+                .filter(move |e| e.from as usize == node && e.kind.is_counterflow())
         }
 
         fn view_reachable(&self, from: NodeId, to: NodeId) -> bool {
@@ -1191,21 +1212,21 @@ mod tests {
         let (mut violated, mut robust) = (0, 0);
         for round in 0..2000 {
             let nodes: Vec<LinearProgram> = (0..2 + next(6))
-                .map(|_| ltps[next(ltps.len())].clone())
+                .map(|_| (*ltps[next(ltps.len())]).clone())
                 .collect();
             let edges: Vec<SummaryEdge> = (0..next(4 * nodes.len()))
                 .map(|_| {
                     let (from, to) = (next(nodes.len()), next(nodes.len()));
                     SummaryEdge {
-                        from,
-                        from_stmt: next(nodes[from].len()),
+                        from: from as u32,
+                        from_stmt: next(nodes[from].len()) as u32,
                         kind: if next(3) == 0 {
                             crate::summary::EdgeKind::Counterflow
                         } else {
                             crate::summary::EdgeKind::NonCounterflow
                         },
-                        to_stmt: next(nodes[to].len()),
-                        to,
+                        to_stmt: next(nodes[to].len()) as u32,
+                        to: to as u32,
                     }
                 })
                 .collect();
@@ -1227,7 +1248,11 @@ mod tests {
     #[test]
     fn empty_graph_is_robust() {
         let schema = schema();
-        let graph = SummaryGraph::construct(&[], &schema, AnalysisSettings::paper_default());
+        let graph = SummaryGraph::construct::<LinearProgram>(
+            &[],
+            &schema,
+            AnalysisSettings::paper_default(),
+        );
         assert!(find_type1_violation(&graph).is_none());
         assert!(find_type2_violation(&graph).is_none());
         assert!(find_type2_violation_naive(&graph).is_none());

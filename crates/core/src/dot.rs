@@ -43,12 +43,16 @@ pub fn to_dot_view<G: SummaryGraphView>(view: &G, options: DotOptions) -> String
 
     if options.merge_parallel_edges {
         // Group edges by (from, to, kind) and join their labels.
-        let mut groups: BTreeMap<(usize, usize, bool), Vec<String>> = BTreeMap::new();
+        let mut groups: BTreeMap<(u32, u32, bool), Vec<String>> = BTreeMap::new();
         for e in view.view_edges() {
             let label = format!(
                 "{}→{}",
-                view.node(e.from).statement(e.from_stmt).name(),
-                view.node(e.to).statement(e.to_stmt).name()
+                view.node(e.from as usize)
+                    .statement(e.from_stmt as usize)
+                    .name(),
+                view.node(e.to as usize)
+                    .statement(e.to_stmt as usize)
+                    .name()
             );
             groups
                 .entry((e.from, e.to, e.kind.is_counterflow()))
@@ -69,8 +73,12 @@ pub fn to_dot_view<G: SummaryGraphView>(view: &G, options: DotOptions) -> String
         for e in view.view_edges() {
             let label = format!(
                 "{}→{}",
-                view.node(e.from).statement(e.from_stmt).name(),
-                view.node(e.to).statement(e.to_stmt).name()
+                view.node(e.from as usize)
+                    .statement(e.from_stmt as usize)
+                    .name(),
+                view.node(e.to as usize)
+                    .statement(e.to_stmt as usize)
+                    .name()
             );
             write_edge(
                 &mut out,
@@ -88,8 +96,8 @@ pub fn to_dot_view<G: SummaryGraphView>(view: &G, options: DotOptions) -> String
 
 fn write_edge(
     out: &mut String,
-    from: usize,
-    to: usize,
+    from: u32,
+    to: u32,
     counterflow: bool,
     label: &str,
     with_label: bool,

@@ -93,7 +93,8 @@ impl GraphKey {
 pub struct RobustnessSession {
     workload: Workload,
     program_names: Vec<String>,
-    ltps: Vec<LinearProgram>,
+    /// The unfolded LTPs, `Arc`-shared with the nodes of the attribute-granularity graphs.
+    ltps: Vec<Arc<LinearProgram>>,
     /// One slot per granularity/foreign-key combination ([`GraphKey::slot`]); built on first
     /// use, then read lock-free (an [`OnceLock`] read is a single atomic acquire-load).
     cache: [OnceLock<Arc<SummaryGraph>>; GRAPH_SLOTS],
@@ -114,7 +115,7 @@ impl RobustnessSession {
             .iter()
             .map(|p| p.name().to_string())
             .collect();
-        let ltps = workload.unfolded();
+        let ltps = workload.unfolded().into_iter().map(Arc::new).collect();
         RobustnessSession {
             workload,
             program_names,
@@ -150,7 +151,7 @@ impl RobustnessSession {
         RobustnessSession {
             workload: Workload::new(schema.name(), schema.clone(), Vec::new(), &[]),
             program_names,
-            ltps,
+            ltps: ltps.into_iter().map(Arc::new).collect(),
             cache: Default::default(),
             sweeps: Mutex::new(HashMap::new()),
         }
@@ -172,7 +173,7 @@ impl RobustnessSession {
     }
 
     /// The unfolded LTPs, in program order.
-    pub fn ltps(&self) -> &[LinearProgram] {
+    pub fn ltps(&self) -> &[Arc<LinearProgram>] {
         &self.ltps
     }
 
@@ -202,7 +203,14 @@ impl RobustnessSession {
     pub fn program_fingerprints(&self) -> Vec<u64> {
         self.program_names
             .iter()
-            .map(|name| program_fingerprint(self.ltps.iter().filter(|l| l.program_name() == name)))
+            .map(|name| {
+                program_fingerprint(
+                    self.ltps
+                        .iter()
+                        .filter(|l| l.program_name() == name)
+                        .map(|l| &**l),
+                )
+            })
             .collect()
     }
 
@@ -278,7 +286,7 @@ impl RobustnessSession {
     /// Algorithm 1 edge derivation either).
     pub fn from_snapshot_parts(
         workload: Workload,
-        ltps: Vec<LinearProgram>,
+        ltps: Vec<Arc<LinearProgram>>,
         graphs: Vec<SummaryGraph>,
     ) -> Self {
         let program_names: Vec<String> = if workload.programs.is_empty() {
@@ -374,7 +382,10 @@ impl RobustnessSession {
             "add_program: a program named `{}` already exists in the session",
             program.name()
         );
-        let new_ltps = unfold(&program, self.workload.unfold);
+        let new_ltps: Vec<Arc<LinearProgram>> = unfold(&program, self.workload.unfold)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         self.program_names.push(program.name().to_string());
         self.workload.programs.push(program);
         for slot in &mut self.cache {

@@ -980,6 +980,7 @@ pub fn explore_subsets_naive(
                 .ltps()
                 .iter()
                 .filter(|l| l.program_name() == name)
+                .map(|l| &**l)
                 .collect()
         })
         .collect();

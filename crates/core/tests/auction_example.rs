@@ -49,13 +49,13 @@ fn figure4_has_exactly_one_counterflow_edge_from_findbids_to_placebid1() {
         .collect();
     assert_eq!(counterflow.len(), 1);
     let edge = counterflow[0];
-    let from = graph.node(edge.from);
-    let to = graph.node(edge.to);
+    let from = graph.node(edge.from as usize);
+    let to = graph.node(edge.to as usize);
     assert_eq!(from.name(), "FindBids");
     // The counterflow edge targets the PlaceBid unfolding that contains q5 (the conditional
     // update), labelled q2 → q5 in Figure 4.
-    assert_eq!(from.statement(edge.from_stmt).name(), "q2");
-    assert_eq!(to.statement(edge.to_stmt).name(), "q5");
+    assert_eq!(from.statement(edge.from_stmt as usize).name(), "q2");
+    assert_eq!(to.statement(edge.to_stmt as usize).name(), "q5");
     assert_eq!(to.program_name(), "PlaceBid");
     assert_eq!(to.len(), 4);
 }
@@ -69,7 +69,7 @@ fn figure4_buyer_updates_connect_every_pair_of_programs() {
         .edges()
         .iter()
         .filter(|e| {
-            let from_stmt = graph.node(e.from).statement(e.from_stmt);
+            let from_stmt = graph.node(e.from as usize).statement(e.from_stmt as usize);
             matches!(from_stmt.name(), "q1" | "q3")
         })
         .count();
@@ -88,7 +88,10 @@ fn figure4_buyer_updates_connect_every_pair_of_programs() {
 fn figure4_contains_a_type1_but_no_type2_cycle() {
     let graph = figure4_graph();
     let type1 = find_type1_violation(&graph).expect("Figure 4 contains a type-I cycle");
-    assert_eq!(graph.node(type1.counterflow_edge.from).name(), "FindBids");
+    assert_eq!(
+        graph.node(type1.counterflow_edge.from as usize).name(),
+        "FindBids"
+    );
     assert!(
         find_type2_violation(&graph).is_none(),
         "Figure 4 contains no type-II cycle"
@@ -120,12 +123,12 @@ fn example_schedule_dependencies_are_witnessed_by_summary_edges() {
 
     assert!(graph.edges_between(pb1, pb1).any(|e| {
         e.kind == EdgeKind::NonCounterflow
-            && graph.node(pb1).statement(e.from_stmt).name() == "q3"
-            && graph.node(pb1).statement(e.to_stmt).name() == "q3"
+            && graph.node(pb1).statement(e.from_stmt as usize).name() == "q3"
+            && graph.node(pb1).statement(e.to_stmt as usize).name() == "q3"
     }));
     assert!(graph.edges_between(fb, pb1).any(|e| {
         e.kind == EdgeKind::Counterflow
-            && graph.node(fb).statement(e.from_stmt).name() == "q2"
-            && graph.node(pb1).statement(e.to_stmt).name() == "q5"
+            && graph.node(fb).statement(e.from_stmt as usize).name() == "q2"
+            && graph.node(pb1).statement(e.to_stmt as usize).name() == "q5"
     }));
 }

@@ -22,15 +22,17 @@ pub fn assert_valid_type2_witness<G: SummaryGraphView>(view: &G, w: &Type2Witnes
     assert!(e3.kind.is_counterflow(), "{context}: e3 is not counterflow");
     assert_eq!(e2.to, e3.from, "{context}: e2 does not enter e3's source");
     assert!(
-        view.view_reachable(e1.to, e2.from),
+        view.view_reachable(e1.to as usize, e2.from as usize),
         "{context}: P3 is not reachable from P2"
     );
     assert!(
-        view.view_reachable(e3.to, e1.from),
+        view.view_reachable(e3.to as usize, e1.from as usize),
         "{context}: P1 is not reachable from P5"
     );
     let ordered_kind = matches!(
-        view.node(e2.from).statement(e2.from_stmt).kind(),
+        view.node(e2.from as usize)
+            .statement(e2.from_stmt as usize)
+            .kind(),
         StatementKind::KeySelect
             | StatementKind::PredSelect
             | StatementKind::PredUpdate
@@ -38,7 +40,9 @@ pub fn assert_valid_type2_witness<G: SummaryGraphView>(view: &G, w: &Type2Witnes
     );
     assert!(
         e2.kind.is_counterflow()
-            || view.node(e3.from).precedes(e3.from_stmt, e2.to_stmt)
+            || view
+                .node(e3.from as usize)
+                .precedes(e3.from_stmt as usize, e2.to_stmt as usize)
             || ordered_kind,
         "{context}: the pair (e2, e3) fails the pair condition"
     );

@@ -222,35 +222,10 @@ pub fn snapshot_to_bytes(session: &RobustnessSession) -> Result<Vec<u8>, Snapsho
 /// whose upcoming bytes equal an already-decoded span can skip the parse — and with it every
 /// per-statement validation — and hand out the *same* decoded nodes by reference:
 /// [`SummaryGraph`] nodes are `Arc`-shared, so every graph entry after the first match costs
-/// reference-count bumps, not a deep clone. The session LTP section is seeded borrowed and
-/// upgraded to an `Arc` list the first time a graph entry actually matches it, so opens whose
-/// graphs all use widened (tuple-granularity) nodes never pay the conversion.
-struct NodeSectionCache<'a, 'l> {
-    entries: Vec<(&'a [u8], NodeSource<'l>)>,
-}
-
-enum NodeSource<'l> {
-    /// The session LTP section — borrowed; converted to an `Arc` list on first use.
-    Borrowed(&'l [LinearProgram]),
-    /// An `Arc`-shared node list decoded from an earlier graph entry (or upgraded from the
-    /// session LTP section).
-    Shared(Vec<Arc<LinearProgram>>),
-}
-
-impl NodeSource<'_> {
-    /// The decoded nodes as an `Arc` list, upgrading a borrowed source in place so the
-    /// deep clone happens at most once per distinct node section.
-    fn arcs(&mut self) -> Vec<Arc<LinearProgram>> {
-        match self {
-            NodeSource::Borrowed(ltps) => {
-                let arcs: Vec<Arc<LinearProgram>> =
-                    ltps.iter().map(|l| Arc::new(l.clone())).collect();
-                *self = NodeSource::Shared(arcs.clone());
-                arcs
-            }
-            NodeSource::Shared(arcs) => arcs.clone(),
-        }
-    }
+/// reference-count bumps, not a deep clone. The session LTP section is decoded into `Arc`s
+/// too and seeds the cache, so attribute-granularity graphs share the session's LTPs.
+struct NodeSectionCache<'a> {
+    entries: Vec<(&'a [u8], Vec<Arc<LinearProgram>>)>,
 }
 
 /// Validates the 20-byte header and the payload fingerprint, returning the fingerprint.
@@ -289,7 +264,7 @@ fn decode_session(bytes: &[u8]) -> Result<RobustnessSession, SnapshotError> {
     let ltp_count = r.len()?;
     let mut ltps = Vec::with_capacity(ltp_count);
     for _ in 0..ltp_count {
-        ltps.push(decode_ltp(&mut r, &workload.schema)?);
+        ltps.push(Arc::new(decode_ltp(&mut r, &workload.schema)?));
     }
     let ltp_section = &payload[ltp_section_start..r.position()];
     let graph_count = r.len()?;
@@ -297,12 +272,11 @@ fn decode_session(bytes: &[u8]) -> Result<RobustnessSession, SnapshotError> {
     // Seed the node cache with the session LTP section: attribute-granularity graphs
     // usually re-encode it verbatim, and granularity-mates share node sets with each other.
     let mut node_cache = NodeSectionCache {
-        entries: vec![(ltp_section, NodeSource::Borrowed(&ltps))],
+        entries: vec![(ltp_section, ltps.clone())],
     };
     for _ in 0..graph_count {
         graphs.push(decode_graph(&mut r, &workload.schema, &mut node_cache)?);
     }
-    drop(node_cache);
     let sweep_count = r.len()?;
     let mut sweeps: Vec<(AnalysisSettings, CachedSweep)> = Vec::with_capacity(sweep_count);
     for _ in 0..sweep_count {
@@ -773,11 +747,11 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
     }
     w.len(graph.edge_count());
     for edge in graph.edges() {
-        w.len(edge.from);
-        w.len(edge.from_stmt);
+        w.u32(edge.from);
+        w.u32(edge.from_stmt);
         w.u8(u8::from(edge.kind.is_counterflow()));
-        w.len(edge.to_stmt);
-        w.len(edge.to);
+        w.u32(edge.to_stmt);
+        w.u32(edge.to);
     }
     // The derived arrays (forces derivation, which is idempotent and deterministic —
     // re-serializing a reopened snapshot reproduces the words bit for bit). Lengths are
@@ -792,7 +766,7 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
 fn decode_graph<'a>(
     r: &mut Reader<'a>,
     schema: &Schema,
-    node_cache: &mut NodeSectionCache<'a, '_>,
+    node_cache: &mut NodeSectionCache<'a>,
 ) -> Result<SummaryGraph, SnapshotError> {
     let settings = decode_settings(r)?;
     // The node section (count prefix + LTPs): if its bytes equal an already-decoded span,
@@ -807,10 +781,9 @@ fn decode_graph<'a>(
         .position(|(span, _)| rest.starts_with(span));
     let nodes = match cached {
         Some(at) => {
-            let (span, source) = &mut node_cache.entries[at];
-            let nodes = source.arcs();
+            let (span, nodes) = &node_cache.entries[at];
             r.skip_raw(span.len())?;
-            nodes
+            nodes.clone()
         }
         None => {
             let node_count = r.len()?;
@@ -820,17 +793,15 @@ fn decode_graph<'a>(
             }
             let span = &rest[..r.position() - node_section_start];
             // The clone below is `node_count` reference-count bumps, not a re-decode.
-            node_cache
-                .entries
-                .push((span, NodeSource::Shared(nodes.clone())));
+            node_cache.entries.push((span, nodes.clone()));
             nodes
         }
     };
     let edge_count = r.len()?;
     let mut edges = Vec::with_capacity(edge_count);
     for _ in 0..edge_count {
-        let from = r.u32()? as usize;
-        let from_stmt = r.u32()? as usize;
+        let from = r.u32()?;
+        let from_stmt = r.u32()?;
         let kind = match r.u8()? {
             0 => EdgeKind::NonCounterflow,
             1 => EdgeKind::Counterflow,
@@ -840,8 +811,8 @@ fn decode_graph<'a>(
                 )))
             }
         };
-        let to_stmt = r.u32()? as usize;
-        let to = r.u32()? as usize;
+        let to_stmt = r.u32()?;
+        let to = r.u32()?;
         edges.push(SummaryEdge {
             from,
             from_stmt,

@@ -674,11 +674,11 @@ fn edges_out_of_the_edge_order_are_rejected_structurally() {
     let graph = session.graph(settings);
     let encode = |e: &mvrc_robustness::SummaryEdge| {
         let mut out = Vec::with_capacity(17);
-        out.extend_from_slice(&(e.from as u32).to_le_bytes());
-        out.extend_from_slice(&(e.from_stmt as u32).to_le_bytes());
+        out.extend_from_slice(&e.from.to_le_bytes());
+        out.extend_from_slice(&e.from_stmt.to_le_bytes());
         out.push(u8::from(e.kind.is_counterflow()));
-        out.extend_from_slice(&(e.to_stmt as u32).to_le_bytes());
-        out.extend_from_slice(&(e.to as u32).to_le_bytes());
+        out.extend_from_slice(&e.to_stmt.to_le_bytes());
+        out.extend_from_slice(&e.to.to_le_bytes());
         out
     };
     for pair in [0, graph.edge_count() / 2, graph.edge_count() - 2] {

@@ -299,10 +299,10 @@ fn attest(
 fn witness_edges(graph: &SummaryGraph, violation: &Violation) -> Vec<WitnessEdge> {
     let edge = |role: &str, e: mvrc_robustness::SummaryEdge| WitnessEdge {
         role: role.to_string(),
-        from: graph.node(e.from).name().to_string(),
-        from_stmt: e.from_stmt,
-        to: graph.node(e.to).name().to_string(),
-        to_stmt: e.to_stmt,
+        from: graph.node(e.from as usize).name().to_string(),
+        from_stmt: e.from_stmt as usize,
+        to: graph.node(e.to as usize).name().to_string(),
+        to_stmt: e.to_stmt as usize,
     };
     match violation {
         Violation::TypeI(w) => vec![edge("counterflow", w.counterflow_edge)],

@@ -195,20 +195,26 @@ fn witness_cast(violation: &Violation) -> (NodeId, usize, Vec<NodeId>) {
     match violation {
         Violation::TypeI(w) => {
             let cf = w.counterflow_edge;
-            (cf.from, cf.from_stmt, vec![cf.to])
+            (
+                cf.from as NodeId,
+                cf.from_stmt as usize,
+                vec![cf.to as NodeId],
+            )
         }
         Violation::TypeII(w) => {
             // Cycle: nc.from -> nc.to ~> middle.from -> middle.to (= cf.from) -> cf.to ~> back.
             let cf = w.counterflow_edge;
             (
-                cf.from,
-                cf.from_stmt,
-                vec![
+                cf.from as NodeId,
+                cf.from_stmt as usize,
+                [
                     cf.to,
                     w.non_counterflow_edge.from,
                     w.non_counterflow_edge.to,
                     w.middle_edge.from,
-                ],
+                ]
+                .map(|node| node as NodeId)
+                .to_vec(),
             )
         }
     }

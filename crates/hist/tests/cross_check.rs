@@ -97,7 +97,7 @@ proptest! {
             return Ok(());
         }
         let ltps: Vec<_> = session.ltps().to_vec();
-        let refs: Vec<&mvrc_btp::LinearProgram> = ltps.iter().collect();
+        let refs: Vec<&mvrc_btp::LinearProgram> = ltps.iter().map(|l| &**l).collect();
         if refs.is_empty() {
             return Ok(());
         }
@@ -124,7 +124,7 @@ proptest! {
         let workload = synthetic(config);
         let session = RobustnessSession::new(workload);
         let ltps: Vec<_> = session.ltps().to_vec();
-        let refs: Vec<&mvrc_btp::LinearProgram> = ltps.iter().collect();
+        let refs: Vec<&mvrc_btp::LinearProgram> = ltps.iter().map(|l| &**l).collect();
         if refs.is_empty() {
             return Ok(());
         }

@@ -199,8 +199,8 @@ fn edge_label(
 ) -> EdgeLabel {
     EdgeLabel {
         role: role.to_string(),
-        from: statement_ref(workload, graph, edge.from, edge.from_stmt),
-        to: statement_ref(workload, graph, edge.to, edge.to_stmt),
+        from: statement_ref(workload, graph, edge.from as usize, edge.from_stmt as usize),
+        to: statement_ref(workload, graph, edge.to as usize, edge.to_stmt as usize),
         rendered: graph.describe_edge(edge),
     }
 }

@@ -114,15 +114,20 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Value, FrameError> {
 ///
 /// A body that renders past [`MAX_FRAME_BYTES`] returns [`FrameError::BodyTooLarge`] and writes
 /// nothing, so the stream stays in sync; I/O failures return [`FrameError::Io`].
+///
+/// Prefix and body go out in one `write_all`: written separately, the body of every frame
+/// would wait out the peer's delayed acknowledgement (~40 ms) on a socket without
+/// `TCP_NODELAY`.
 pub fn write_frame(stream: &mut impl Write, value: &Value) -> Result<(), FrameError> {
     let body = serde_json::to_string(value).expect("a JSON value serializes");
     if body.len() > MAX_FRAME_BYTES {
         return Err(FrameError::BodyTooLarge { len: body.len() });
     }
-    let prefix = (body.len() as u32).to_le_bytes();
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body.as_bytes());
     stream
-        .write_all(&prefix)
-        .and_then(|()| stream.write_all(body.as_bytes()))
+        .write_all(&frame)
         .and_then(|()| stream.flush())
         .map_err(FrameError::Io)
 }
@@ -151,6 +156,42 @@ mod tests {
         write_frame(&mut buf, &value).unwrap();
         let mut cursor = &buf[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), value);
+        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+    }
+
+    /// A writer that takes every byte it is offered and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut out = CountingWriter::default();
+        let values: Vec<Value> = (0..3)
+            .map(|n| serde_json::json!({"op": "ping", "n": n}))
+            .collect();
+        for (k, value) in values.iter().enumerate() {
+            write_frame(&mut out, value).unwrap();
+            assert_eq!(out.writes, k + 1, "frame {k} took more than one write");
+        }
+        let mut cursor = &out.bytes[..];
+        for value in &values {
+            assert_eq!(&read_frame(&mut cursor).unwrap(), value);
+        }
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
     }
 
