@@ -1,7 +1,7 @@
 //! Ergonomic, schema-validated construction of BTPs.
 
 use crate::error::BtpError;
-use crate::program::{FkConstraint, Program, ProgramExpr, StmtId};
+use crate::program::{FkConstraint, Program, ProgramExpr, StmtId, MAX_PROGRAM_STATEMENTS};
 use crate::statement::{Statement, StatementKind};
 use mvrc_schema::{AttrSet, Relation, Schema};
 
@@ -51,17 +51,24 @@ impl<'a> ProgramBuilder<'a> {
             })
     }
 
-    fn add_statement(&mut self, statement: Statement) -> StmtId {
-        let id = StmtId(self.statements.len() as u16);
+    fn add_statement(&mut self, statement: Statement) -> Result<StmtId, BtpError> {
+        let count = self.statements.len();
+        if count == MAX_PROGRAM_STATEMENTS {
+            return Err(BtpError::TooManyStatements {
+                program: self.name.clone(),
+                count: count + 1,
+                limit: MAX_PROGRAM_STATEMENTS,
+            });
+        }
         self.statements.push(statement);
-        id
+        Ok(StmtId(count as u16))
     }
 
     /// Declares an `ins` statement over `rel`.
     pub fn insert(&mut self, name: &str, rel: &str) -> Result<StmtId, BtpError> {
         let rel = self.relation(rel)?;
         let stmt = Statement::new(name, rel, StatementKind::Insert, None, None, None)?;
-        Ok(self.add_statement(stmt))
+        self.add_statement(stmt)
     }
 
     /// Declares a `key sel` statement over `rel` reading `read` attributes.
@@ -69,7 +76,7 @@ impl<'a> ProgramBuilder<'a> {
         let rel = self.relation(rel)?;
         let read = self.attrs(rel, read)?;
         let stmt = Statement::new(name, rel, StatementKind::KeySelect, None, Some(read), None)?;
-        Ok(self.add_statement(stmt))
+        self.add_statement(stmt)
     }
 
     /// Declares a `pred sel` statement over `rel` with predicate attributes `pread` and read
@@ -92,7 +99,7 @@ impl<'a> ProgramBuilder<'a> {
             Some(read),
             None,
         )?;
-        Ok(self.add_statement(stmt))
+        self.add_statement(stmt)
     }
 
     /// Declares a `key upd` statement over `rel` reading `read` and writing `write` attributes.
@@ -114,7 +121,7 @@ impl<'a> ProgramBuilder<'a> {
             Some(read),
             Some(write),
         )?;
-        Ok(self.add_statement(stmt))
+        self.add_statement(stmt)
     }
 
     /// Declares a `pred upd` statement over `rel` with predicate attributes `pread`, reading
@@ -139,14 +146,14 @@ impl<'a> ProgramBuilder<'a> {
             Some(read),
             Some(write),
         )?;
-        Ok(self.add_statement(stmt))
+        self.add_statement(stmt)
     }
 
     /// Declares a `key del` statement over `rel`.
     pub fn key_delete(&mut self, name: &str, rel: &str) -> Result<StmtId, BtpError> {
         let rel = self.relation(rel)?;
         let stmt = Statement::new(name, rel, StatementKind::KeyDelete, None, None, None)?;
-        Ok(self.add_statement(stmt))
+        self.add_statement(stmt)
     }
 
     /// Declares a `pred del` statement over `rel` with predicate attributes `pread`.
@@ -166,7 +173,7 @@ impl<'a> ProgramBuilder<'a> {
             None,
             None,
         )?;
-        Ok(self.add_statement(stmt))
+        self.add_statement(stmt)
     }
 
     /// Appends an expression to the top-level sequence.
@@ -398,5 +405,24 @@ mod tests {
         pb.choice(a.into(), b.into());
         let p = pb.build();
         assert_eq!(p.to_string(), "P := (qa | qb)");
+    }
+
+    #[test]
+    fn a_program_holds_at_most_65536_statements() {
+        let schema = auction_schema();
+        let mut pb = ProgramBuilder::new(&schema, "P");
+        for k in 0..MAX_PROGRAM_STATEMENTS {
+            let id = pb.key_select("q", "Buyer", &["calls"]).unwrap();
+            assert_eq!(id.index(), k);
+        }
+        assert_eq!(
+            pb.insert("q", "Log").unwrap_err(),
+            BtpError::TooManyStatements {
+                program: "P".into(),
+                count: 65_537,
+                limit: 65_536,
+            }
+        );
+        assert_eq!(pb.build().statement_count(), 65_536);
     }
 }

@@ -42,6 +42,15 @@ pub enum BtpError {
         /// Description of the parse failure.
         message: String,
     },
+    /// A program declares more statements than a [`StmtId`](crate::StmtId) can number.
+    TooManyStatements {
+        /// The program's name.
+        program: String,
+        /// How many statements it declares (for a builder, counting the one refused).
+        count: usize,
+        /// The limit it exceeds.
+        limit: usize,
+    },
     /// A program of a workload text unfolds to more LTPs than the analyzer admits; see
     /// [`MAX_PROGRAM_LTPS`](crate::sql::MAX_PROGRAM_LTPS).
     TooManyLtps {
@@ -106,6 +115,14 @@ impl fmt::Display for BtpError {
                     "SQL parse error at line {line}, column {column}: {message}"
                 )
             }
+            BtpError::TooManyStatements {
+                program,
+                count,
+                limit,
+            } => write!(
+                f,
+                "program `{program}` declares {count} statements, more than the limit of {limit}"
+            ),
             BtpError::TooManyLtps {
                 program,
                 count,

@@ -44,19 +44,25 @@
 //! the text once and parses declarations and `PROGRAM` blocks in one pass, in source order;
 //! [`parse_workload`] and [`parse_program`] parse the declarations too and then drop them.
 //! The tokens borrow their text from the input and identifiers carry a keyword tag set while
-//! lexing, so the parser compares tags and allocates a `String` only for what the AST (or
-//! the built schema) keeps. Positions are 1-based lines and columns counted in characters.
+//! lexing, so the parser compares tags, not strings. The AST ([`SqlProgram`] and the types
+//! under it) borrows every name and literal from the input too, so parsing allocates no
+//! `String` per identifier; only the names of the translated [`Program`] and its statements
+//! (and of the built schema) are owned. Positions are 1-based lines and columns counted in
+//! characters.
 //!
 //! Errors come in a fixed order: a lexical error, else the first syntax error in the text
 //! (a declaration's or a program's, whichever comes first), else a semantic catalog error
 //! (`declares no TABLE`, `invalid TABLE`, `invalid FOREIGN KEY`), else a translation error. A
 //! `PROGRAM` block that runs into the end of the input is an `unterminated PROGRAM block`,
-//! whatever construct inside it was still open. Translation counts a program's LTPs on its
-//! expression before anything is unfolded: a program above [`MAX_PROGRAM_LTPS`] is a
-//! [`BtpError::TooManyLtps`], and a workload whose programs together exceed
-//! [`MAX_WORKLOAD_LTPS`] is a [`BtpError::TooManyWorkloadLtps`]. A second walk counts the
-//! statement occurrences per relation: a workload whose LTPs may give more than
-//! [`MAX_WORKLOAD_EDGES`] summary-graph edges is a [`BtpError::TooManyWorkloadEdges`].
+//! whatever construct inside it was still open. A program of more than 65,536 statements, or
+//! a catalog of more than 65,536 tables or foreign keys, is refused before its 16-bit ids
+//! could wrap ([`BtpError::TooManyStatements`], `invalid TABLE`, `invalid FOREIGN KEY`).
+//! Translation counts a program's LTPs on its expression before anything is unfolded: a
+//! program above [`MAX_PROGRAM_LTPS`] is a [`BtpError::TooManyLtps`], and a workload whose
+//! programs together exceed [`MAX_WORKLOAD_LTPS`] is a [`BtpError::TooManyWorkloadLtps`]. A
+//! second walk counts the statement occurrences per relation: a workload whose LTPs may give
+//! more than [`MAX_WORKLOAD_EDGES`] summary-graph edges is a
+//! [`BtpError::TooManyWorkloadEdges`].
 //!
 //! ## Classification rules (Appendix A)
 //!

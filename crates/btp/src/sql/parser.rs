@@ -17,13 +17,13 @@ const MAX_BLOCK_NESTING: usize = 128;
 /// interleaved with the programs; they are parsed like in
 /// [`parse_workload_file`](super::parse_workload_file), so a malformed one is an error, and
 /// then dropped.
-pub fn parse_text(text: &str) -> Result<Vec<SqlProgram>, BtpError> {
+pub fn parse_text(text: &str) -> Result<Vec<SqlProgram<'_>>, BtpError> {
     parse_source(text).map(|(_, programs)| programs)
 }
 
 /// Lexes `text` once and parses its catalog declarations and `PROGRAM` blocks in source order,
 /// stopping at the first syntax error.
-pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram>), BtpError> {
+pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram<'_>>), BtpError> {
     let mut parser = Parser {
         tokens: tokenize(text)?,
         pos: 0,
@@ -33,7 +33,7 @@ pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram>),
     let mut programs = Vec::new();
     while !parser.at_end() {
         if parser.eat_keyword(Keyword::Schema) {
-            catalog.name = Some(parser.expect_ident_str("schema name")?);
+            catalog.name = Some(parser.expect_ident("schema name")?);
             parser.expect_semicolon()?;
         } else if parser.peek_keyword(Keyword::Table) || parser.peek_keyword(Keyword::Create) {
             parser.eat_keyword(Keyword::Create);
@@ -62,9 +62,8 @@ pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram>),
     Ok((catalog, programs))
 }
 
-/// A cursor over the tokens of one text. Tokens borrow from the text and are `Copy`, so
-/// looking at or consuming one allocates nothing; a `String` is made only for what the AST
-/// keeps.
+/// A cursor over the tokens of one text. Tokens borrow from the text and are `Copy`, and so
+/// does every name the AST keeps: looking at or consuming a token allocates nothing.
 struct Parser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
@@ -155,22 +154,18 @@ impl<'a> Parser<'a> {
     }
 
     /// Consumes an identifier (a keyword counts as one) and returns its text.
-    fn expect_ident_str(&mut self, what: &str) -> Result<&'a str, BtpError> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'a str, BtpError> {
         match self.peek() {
             Some(TokenKind::Ident(_)) => Ok(self.bump_text()),
             _ => Err(self.error(format!("expected {what}"))),
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, BtpError> {
-        self.expect_ident_str(what).map(str::to_string)
-    }
-
     /// Parses `<name> ( attr [, attr]* [, PRIMARY KEY ( attr [, attr]* )] ) ;` after the
     /// `TABLE` keyword.
     fn parse_table(&mut self) -> Result<TableDecl<'a>, BtpError> {
         let span = self.span();
-        let name = self.expect_ident_str("table name")?;
+        let name = self.expect_ident("table name")?;
         self.expect(TokenKind::LParen, "`(` after the table name")?;
         let mut attributes = Vec::new();
         let mut primary_key = Vec::new();
@@ -191,11 +186,11 @@ impl<'a> Parser<'a> {
                     if self.eat(TokenKind::Comma) {
                         continue;
                     }
-                    primary_key.push(self.expect_ident_str("primary-key attribute")?);
+                    primary_key.push(self.expect_ident("primary-key attribute")?);
                 }
                 continue;
             }
-            attributes.push(self.expect_ident_str("attribute name")?);
+            attributes.push(self.expect_ident("attribute name")?);
         }
         self.expect_semicolon()?;
         if attributes.is_empty() {
@@ -221,11 +216,11 @@ impl<'a> Parser<'a> {
     /// an anonymous key is named `fk<ordinal>`.
     fn parse_foreign_key(&mut self, ordinal: usize) -> Result<ForeignKeyDecl<'a>, BtpError> {
         let span = self.span();
-        let first = self.expect_ident_str("foreign key name or domain relation")?;
+        let first = self.expect_ident("foreign key name or domain relation")?;
         // Three accepted shapes: `f1 : Bids (…)` (colon token), `f1: Bids (…)` (the lexer fuses
         // `:Bids` into a parameter token) and the anonymous `Bids (…)`.
         let (name, dom) = if self.eat(TokenKind::Colon) {
-            (first.into(), self.expect_ident_str("domain relation")?)
+            (first.into(), self.expect_ident("domain relation")?)
         } else if self.peek() == Some(TokenKind::Param) {
             (first.into(), self.bump_text())
         } else {
@@ -233,7 +228,7 @@ impl<'a> Parser<'a> {
         };
         let dom_attrs = self.parse_attr_list("domain attribute")?;
         self.expect_keyword(Keyword::References)?;
-        let range = self.expect_ident_str("referenced relation")?;
+        let range = self.expect_ident("referenced relation")?;
         let range_attrs = self.parse_attr_list("referenced attribute")?;
         self.expect_semicolon()?;
         Ok(ForeignKeyDecl {
@@ -257,7 +252,7 @@ impl<'a> Parser<'a> {
             if self.eat(TokenKind::Comma) {
                 continue;
             }
-            attrs.push(self.expect_ident_str(what)?);
+            attrs.push(self.expect_ident(what)?);
         }
         if attrs.is_empty() {
             return Err(self.error(format!("expected at least one {what}")));
@@ -266,14 +261,14 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses `<name> [( :param [, :param]* )] { statements }` after the `PROGRAM` keyword.
-    fn parse_program(&mut self) -> Result<SqlProgram, BtpError> {
+    fn parse_program(&mut self) -> Result<SqlProgram<'a>, BtpError> {
         let name = self.expect_ident("program name")?;
         let mut params = Vec::new();
         if self.eat(TokenKind::LParen) {
             while !self.eat(TokenKind::RParen) {
                 // The offending token is consumed before the error names a position.
                 match self.bump() {
-                    Some(t) if t.kind == TokenKind::Param => params.push(t.text.to_string()),
+                    Some(t) if t.kind == TokenKind::Param => params.push(t.text),
                     Some(t) if t.kind == TokenKind::Comma => {}
                     _ => return Err(self.error("expected `:parameter` in program header")),
                 }
@@ -288,7 +283,7 @@ impl<'a> Parser<'a> {
     fn parse_statements_until(
         &mut self,
         terminators: &[Terminator],
-    ) -> Result<Vec<SqlStatement>, BtpError> {
+    ) -> Result<Vec<SqlStatement<'a>>, BtpError> {
         let mut statements = Vec::new();
         loop {
             // Drop stray semicolons.
@@ -302,7 +297,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_statement(&mut self) -> Result<Option<SqlStatement>, BtpError> {
+    fn parse_statement(&mut self) -> Result<Option<SqlStatement<'a>>, BtpError> {
         let Some(TokenKind::Ident(keyword)) = self.peek() else {
             return Err(self.unexpected_token());
         };
@@ -331,7 +326,7 @@ impl<'a> Parser<'a> {
         ))
     }
 
-    fn parse_select(&mut self) -> Result<SqlStatement, BtpError> {
+    fn parse_select(&mut self) -> Result<SqlStatement<'a>, BtpError> {
         let span = self.span();
         self.expect_keyword(Keyword::Select)?;
         let mut columns = Vec::new();
@@ -346,9 +341,9 @@ impl<'a> Parser<'a> {
                     let mut col = self.bump_text();
                     // Qualified column `alias.column` — keep only the column name.
                     if self.eat(TokenKind::Dot) {
-                        col = self.expect_ident_str("column after `.`")?;
+                        col = self.expect_ident("column after `.`")?;
                     }
-                    columns.push(col.to_string());
+                    columns.push(col);
                 }
                 _ => break,
             }
@@ -382,7 +377,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_update(&mut self) -> Result<SqlStatement, BtpError> {
+    fn parse_update(&mut self) -> Result<SqlStatement<'a>, BtpError> {
         let span = self.span();
         self.expect_keyword(Keyword::Update)?;
         let relation = self.expect_ident("relation name")?;
@@ -403,7 +398,7 @@ impl<'a> Parser<'a> {
             loop {
                 match self.peek() {
                     Some(TokenKind::Ident(kw)) if kw != Keyword::Into => {
-                        returning.push(self.bump_text().to_string());
+                        returning.push(self.bump_text());
                     }
                     _ => break,
                 }
@@ -425,7 +420,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_insert(&mut self) -> Result<SqlStatement, BtpError> {
+    fn parse_insert(&mut self) -> Result<SqlStatement<'a>, BtpError> {
         let span = self.span();
         self.expect_keyword(Keyword::Insert)?;
         self.expect_keyword(Keyword::Into)?;
@@ -435,9 +430,7 @@ impl<'a> Parser<'a> {
             while !self.eat(TokenKind::RParen) {
                 // The offending token is consumed before the error names a position.
                 match self.bump() {
-                    Some(t) if matches!(t.kind, TokenKind::Ident(_)) => {
-                        columns.push(t.text.to_string())
-                    }
+                    Some(t) if matches!(t.kind, TokenKind::Ident(_)) => columns.push(t.text),
                     Some(t) if t.kind == TokenKind::Comma => {}
                     _ => return Err(self.error("expected column name in INSERT column list")),
                 }
@@ -464,7 +457,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_delete(&mut self) -> Result<SqlStatement, BtpError> {
+    fn parse_delete(&mut self) -> Result<SqlStatement<'a>, BtpError> {
         let span = self.span();
         self.expect_keyword(Keyword::Delete)?;
         self.expect_keyword(Keyword::From)?;
@@ -482,8 +475,8 @@ impl<'a> Parser<'a> {
     /// token when that level would exceed [`MAX_BLOCK_NESTING`].
     fn nested(
         &mut self,
-        parse: fn(&mut Self) -> Result<SqlStatement, BtpError>,
-    ) -> Result<SqlStatement, BtpError> {
+        parse: fn(&mut Self) -> Result<SqlStatement<'a>, BtpError>,
+    ) -> Result<SqlStatement<'a>, BtpError> {
         if self.depth == MAX_BLOCK_NESTING {
             return Err(self.error(format!(
                 "blocks nest more than {MAX_BLOCK_NESTING} levels deep"
@@ -506,7 +499,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn parse_if(&mut self) -> Result<SqlStatement, BtpError> {
+    fn parse_if(&mut self) -> Result<SqlStatement<'a>, BtpError> {
         self.expect_keyword(Keyword::If)?;
         // The condition involves host variables only; skip tokens until THEN (or a `:` style
         // shorthand where THEN is omitted and the body starts right away is not supported).
@@ -535,7 +528,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_loop(&mut self) -> Result<SqlStatement, BtpError> {
+    fn parse_loop(&mut self) -> Result<SqlStatement<'a>, BtpError> {
         if self.eat_keyword(Keyword::Repeat) {
             let body = self.parse_statements_until(&[
                 Terminator::Keyword(Keyword::EndRepeat),
@@ -579,7 +572,7 @@ impl<'a> Parser<'a> {
         Ok(SqlStatement::Loop { body })
     }
 
-    fn parse_optional_where(&mut self) -> Result<Option<Condition>, BtpError> {
+    fn parse_optional_where(&mut self) -> Result<Option<Condition<'a>>, BtpError> {
         if !self.eat_keyword(Keyword::Where) {
             return Ok(None);
         }
@@ -607,7 +600,7 @@ impl<'a> Parser<'a> {
 
     /// Parses a flattened arithmetic expression (operands joined by `+`, `-`, `*`, `/`) and
     /// returns its operands. Qualified columns `alias.column` are reduced to the column name.
-    fn parse_expression(&mut self) -> Result<Vec<Value>, BtpError> {
+    fn parse_expression(&mut self) -> Result<Vec<Value<'a>>, BtpError> {
         let mut operands = Vec::new();
         loop {
             let operand = match self.peek() {
@@ -615,13 +608,13 @@ impl<'a> Parser<'a> {
                     let mut name = self.bump_text();
                     // Qualified name `alias.column`.
                     if self.eat(TokenKind::Dot) {
-                        name = self.expect_ident_str("column after `.`")?;
+                        name = self.expect_ident("column after `.`")?;
                     }
-                    Value::Column(name.to_string())
+                    Value::Column(name)
                 }
-                Some(TokenKind::Param) => Value::Param(self.bump_text().to_string()),
-                Some(TokenKind::Number) => Value::Number(self.bump_text().to_string()),
-                Some(TokenKind::Str) => Value::Str(self.bump_text().to_string()),
+                Some(TokenKind::Param) => Value::Param(self.bump_text()),
+                Some(TokenKind::Number) => Value::Number(self.bump_text()),
+                Some(TokenKind::Str) => Value::Str(self.bump_text()),
                 _ => return Err(self.error("expected expression operand")),
             };
             operands.push(operand);
@@ -772,17 +765,14 @@ mod tests {
                 ..
             } => {
                 assert_eq!(assignments.len(), 1);
-                assert_eq!(
-                    returning,
-                    &vec!["d_next_o_id".to_string(), "d_tax".to_string()]
-                );
+                assert_eq!(returning, &vec!["d_next_o_id", "d_tax"]);
                 assert_eq!(where_clause.as_ref().unwrap().comparisons.len(), 2);
             }
             other => panic!("expected update, got {other:?}"),
         }
         match &programs[0].body[1] {
             SqlStatement::Select { columns, .. } => {
-                assert_eq!(columns, &vec!["Balance".to_string()])
+                assert_eq!(columns, &vec!["Balance"])
             }
             other => panic!("expected select, got {other:?}"),
         }
@@ -870,7 +860,8 @@ mod tests {
                 "END IF;\n".repeat(levels)
             )
         };
-        let programs = parse_text(&nested(MAX_BLOCK_NESTING)).unwrap();
+        let text = nested(MAX_BLOCK_NESTING);
+        let programs = parse_text(&text).unwrap();
         let mut depth = 0;
         let mut body = &programs[0].body;
         while let [SqlStatement::If { then_branch, .. }] = body.as_slice() {

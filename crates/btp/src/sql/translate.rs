@@ -2,7 +2,7 @@
 
 use super::ast::{Comparison, Condition, SqlProgram, SqlStatement, Value};
 use crate::error::BtpError;
-use crate::program::{FkConstraint, Program, ProgramExpr, StmtId};
+use crate::program::{FkConstraint, Program, ProgramExpr, StmtId, MAX_PROGRAM_STATEMENTS};
 use crate::span::SourceSpan;
 use crate::statement::{Statement, StatementKind};
 use crate::unfold::{add_statement_occurrences, unfolding_count, UnfoldOptions};
@@ -14,7 +14,7 @@ use std::fmt::Write;
 /// more than [`MAX_WORKLOAD_LTPS`] LTPs or more than [`MAX_WORKLOAD_EDGES`] possible edges.
 pub fn translate_workload(
     schema: &Schema,
-    programs: &[SqlProgram],
+    programs: &[SqlProgram<'_>],
 ) -> Result<Vec<Program>, BtpError> {
     let fks = FksByDom::new(schema);
     let programs = programs
@@ -131,19 +131,28 @@ pub fn check_workload_ltps<'a>(
 /// Translates a single parsed program into a BTP, inferring foreign-key constraints from host
 /// parameter reuse. Fails before anything is unfolded when the program would unfold to more
 /// than [`MAX_PROGRAM_LTPS`] LTPs.
-pub fn translate_program(schema: &Schema, program: &SqlProgram) -> Result<Program, BtpError> {
+pub fn translate_program(schema: &Schema, program: &SqlProgram<'_>) -> Result<Program, BtpError> {
     translate(schema, &FksByDom::new(schema), program)
 }
 
 fn translate(
     schema: &Schema,
     fks: &FksByDom<'_>,
-    program: &SqlProgram,
+    program: &SqlProgram<'_>,
 ) -> Result<Program, BtpError> {
+    // Counted before any statement is numbered: a `StmtId` past the limit would wrap.
+    let count = statement_count(&program.body);
+    if count > MAX_PROGRAM_STATEMENTS {
+        return Err(BtpError::TooManyStatements {
+            program: program.name.to_string(),
+            count,
+            limit: MAX_PROGRAM_STATEMENTS,
+        });
+    }
     let mut ctx = TranslateCtx {
         schema,
         fks,
-        statements: Vec::new(),
+        statements: Vec::with_capacity(count),
         bindings: Vec::new(),
         binding_ends: Vec::new(),
         spans: Vec::new(),
@@ -152,17 +161,36 @@ fn translate(
     let count = unfolding_count(&body, UnfoldOptions::default().max_loop_iterations);
     if count > MAX_PROGRAM_LTPS {
         return Err(BtpError::TooManyLtps {
-            program: program.name.clone(),
+            program: program.name.to_string(),
             count,
             limit: MAX_PROGRAM_LTPS,
         });
     }
     let fk_constraints = ctx.infer_fk_constraints();
     let spans = ctx.spans;
-    Ok(
-        Program::from_parts(program.name.clone(), ctx.statements, body, fk_constraints)
-            .with_spans(spans),
+    Ok(Program::from_parts(
+        program.name.to_string(),
+        ctx.statements,
+        body,
+        fk_constraints,
     )
+    .with_spans(spans))
+}
+
+/// How many BTP statements `block` translates to: one per `SELECT`, `UPDATE`, `INSERT` and
+/// `DELETE`, in every branch and loop body.
+fn statement_count(block: &[SqlStatement<'_>]) -> usize {
+    block
+        .iter()
+        .map(|stmt| match stmt {
+            SqlStatement::If {
+                then_branch,
+                else_branch,
+            } => statement_count(then_branch) + statement_count(else_branch),
+            SqlStatement::Loop { body } => statement_count(body),
+            _ => 1,
+        })
+        .sum()
 }
 
 /// A schema's foreign keys grouped by domain relation: those over relation `r` are
@@ -222,7 +250,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
             })
     }
 
-    fn attrs(&self, rel: &Relation, names: &[String]) -> Result<AttrSet, BtpError> {
+    fn attrs(&self, rel: &Relation, names: &[&str]) -> Result<AttrSet, BtpError> {
         let mut set = AttrSet::empty();
         for name in names {
             set.insert(self.attr(rel, name)?);
@@ -268,7 +296,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
             .map(|&(_, p)| p)
     }
 
-    fn translate_block(&mut self, block: &'p [SqlStatement]) -> Result<ProgramExpr, BtpError> {
+    fn translate_block(&mut self, block: &[SqlStatement<'p>]) -> Result<ProgramExpr, BtpError> {
         let mut parts = Vec::with_capacity(block.len());
         for stmt in block {
             parts.push(self.translate_statement(stmt)?);
@@ -280,7 +308,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
         })
     }
 
-    fn translate_statement(&mut self, stmt: &'p SqlStatement) -> Result<ProgramExpr, BtpError> {
+    fn translate_statement(&mut self, stmt: &SqlStatement<'p>) -> Result<ProgramExpr, BtpError> {
         match stmt {
             SqlStatement::Select {
                 relation,
@@ -316,7 +344,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                 let mut write = AttrSet::empty();
                 let mut read = AttrSet::empty();
                 for a in assignments {
-                    write.insert(self.attr(rel, &a.target)?);
+                    write.insert(self.attr(rel, a.target)?);
                     for v in &a.expr {
                         if let Some(col) = v.as_column() {
                             read.insert(self.attr(rel, col)?);
@@ -400,7 +428,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
     fn analyze_where(
         &mut self,
         rel: &Relation,
-        where_clause: Option<&'p Condition>,
+        where_clause: Option<&Condition<'p>>,
     ) -> Result<WhereAnalysis, BtpError> {
         let Some(cond) = where_clause else {
             // No WHERE clause: a scan over the whole relation, i.e. predicate-based with an
@@ -767,5 +795,38 @@ mod tests {
                 }
             );
         }
+    }
+
+    #[test]
+    fn programs_beyond_65536_statements_are_refused_before_numbering() {
+        // Statements in branches count too: reads spread over 1,000 tables (within the edge
+        // bound), then one update in each branch of an IF.
+        let file = |reads: usize| {
+            let mut sql: String = (0..1000).map(|k| format!("TABLE T{k} (a, b);\n")).collect();
+            sql.push_str("PROGRAM P(:x) {\n");
+            for k in 0..reads {
+                sql.push_str(&format!("SELECT b FROM T{} WHERE a = :x;\n", k % 1000));
+            }
+            sql.push_str(
+                "IF :x THEN UPDATE T0 SET b = :x WHERE a = :x; \
+                 ELSE UPDATE T0 SET b = 1 WHERE a = :x; END IF;\n}\n",
+            );
+            sql
+        };
+        let (_, programs) = parse_workload_file(&file(65_534)).unwrap();
+        let p = &programs[0];
+        assert_eq!(p.statement_count(), 65_536);
+        // The last statement keeps its own id: it is the ELSE branch's update.
+        let last = p.statement(StmtId(65_535));
+        assert_eq!(last.kind(), StatementKind::KeyUpdate);
+        assert_eq!(last.name(), "q65536");
+        assert_eq!(
+            parse_workload_file(&file(65_535)).unwrap_err(),
+            BtpError::TooManyStatements {
+                program: "P".into(),
+                count: 65_537,
+                limit: MAX_PROGRAM_STATEMENTS,
+            }
+        );
     }
 }

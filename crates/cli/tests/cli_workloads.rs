@@ -274,6 +274,69 @@ fn a_program_beyond_the_edge_bound_exits_2_with_one_line() {
     assert!(output.stdout.is_empty());
 }
 
+/// Writes `sql` to a temporary file, runs `mvrc analyze` on it and returns the exit code, the
+/// stdout and the stderr.
+fn analyze_text(name: &str, sql: &str) -> (Option<i32>, String, String) {
+    let path = std::env::temp_dir().join(format!("mvrc-cli-{name}-{}.sql", std::process::id()));
+    std::fs::write(&path, sql).unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args(["analyze", path.to_str().unwrap()])
+        .output()
+        .expect("spawn mvrc");
+    std::fs::remove_file(&path).ok();
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// 1,000 tables; program `P` of `selects` reads spread over them and one update of `T999`,
+/// and program `R` reading `T999`. (A program of 65,536 statements, the most a program may
+/// declare, is accepted: `mvrc_btp`'s translation tests check that.)
+fn many_statements_file(selects: usize) -> String {
+    let mut sql = String::new();
+    for k in 0..1000 {
+        sql.push_str(&format!("TABLE T{k} (a, b);\n"));
+    }
+    sql.push_str("PROGRAM P(:x, :v) {\n");
+    for k in 0..selects {
+        sql.push_str(&format!("SELECT b FROM T{} WHERE a = :x;\n", k % 1000));
+    }
+    sql.push_str("UPDATE T999 SET b = :v WHERE a = :x;\n}\n");
+    sql.push_str("PROGRAM R(:x) { SELECT b FROM T999 WHERE a = :x; }\n");
+    sql
+}
+
+#[test]
+fn ids_past_16_bits_exit_2_with_one_line() {
+    // 65,537 statements: the last one, the only update, used to be numbered like the first
+    // select, and the file was reported robust with no edges.
+    let (code, stdout, stderr) = analyze_text("statements", &many_statements_file(65_536));
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "mvrc: invalid workload: program `P` declares 65537 statements, more than the limit \
+         of 65536\n"
+    );
+    assert!(stdout.is_empty());
+
+    // 65,537 tables: `T65536` used to be numbered like `T0`.
+    let mut sql = String::new();
+    for k in 0..=65_536 {
+        sql.push_str(&format!("TABLE T{k} (a, b);\n"));
+    }
+    sql.push_str("PROGRAM P(:x, :v) { UPDATE T65536 SET b = :v WHERE a = :x; }\n");
+    let (code, stdout, stderr) = analyze_text("relations", &sql);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "mvrc: invalid workload: SQL parse error at line 65537, column 7: invalid TABLE \
+         `T65536`: the schema already declares 65536 relations, the most it can hold\n"
+    );
+    assert!(stdout.is_empty());
+}
+
 /// Runs `mvrc` with `args` and returns its stdout, failing the test on a non-zero exit.
 fn mvrc_stdout(args: &[&str]) -> String {
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))

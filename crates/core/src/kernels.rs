@@ -1,15 +1,19 @@
 //! Word-parallel bitset kernels: the transitive-closure and row-combination primitives behind
 //! [`crate::SummaryGraph`] reachability and the type-II robustness check.
 //!
-//! The closure replaces the former BFS-per-source. One iterative Tarjan pass condenses the
-//! graph into strongly connected components; Tarjan completes components in *reverse
-//! topological order*, so by the time a component pops off the stack the reachability rows of
-//! every successor component are already final — the component's own row is just its members'
-//! self bits OR-ed with those successor rows, 64 destination nodes per word operation, one OR
-//! per edge instead of one traversal step per `(source, edge)` pair. Member rows are then
-//! materialized by copying their component's row. The kernel runs inline on the caller and
-//! draws its temporaries from thread-local scratch, so the induced views of a subset sweep
-//! perform no steady-state allocation beyond the returned rows.
+//! The closure ([`transitive_closure`]) works on node-adjacency bit rows, since Algorithm 2
+//! only asks which nodes reach which: its caller sets one adjacency row of `⌈n/64⌉` words per
+//! node in one pass over the edges, and the kernel transposes them into reverse-adjacency rows
+//! (64×64 bit blocks at a time, or bit by bit when the rows are sparse). Three word-scan passes
+//! then condense and close the rows, each finding the next unvisited node as the lowest bit of
+//! `row & unvisited`: a DFS over the adjacency rows records the finish order; a walk over the
+//! reverse rows in reverse finish order yields the strongly connected components in
+//! topological order; and, sinks first, each component's row is its members' bits OR-ed with
+//! the final row of the component of every successor bit not yet in it. That is
+//! `O(n · ⌈n/64⌉)` word operations plus the fill — a complete digraph at node level, like the
+//! Auction(n) graphs with far more edges than node pairs, costs no more than a sparse one. The
+//! kernel runs inline on the caller and draws its temporaries from thread-local scratch, so an
+//! induced view allocates nothing beyond the returned rows.
 //!
 //! # Bit-sliced subset sweeps
 //!
@@ -35,7 +39,7 @@
 //! non-counterflow pairs grouped by source, the pair-condition tests of Algorithm 2 — is
 //! compiled once per graph and condition into a [`LanePlan`]
 //! (`crate::algorithm::compile_lane_plan`) and cached on the graph, so a batch costs one
-//! fixpoint over node pairs instead of up to 64 Tarjan condensations. The type-II groups are
+//! fixpoint over node pairs instead of up to 64 closures. The type-II groups are
 //! built from per-node statement-suffix bitsets: one scan of each counterflow source `P_4`'s
 //! in-edges files every `P_3` into an `always` row (the pair condition holds whatever `e_3`
 //! is) or into the row of the statement its edge enters; suffix-ORing the statement rows
@@ -281,189 +285,260 @@ pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64
     batch & !violated
 }
 
-const UNVISITED: u32 = u32::MAX;
-
-/// One explicit DFS frame of the iterative Tarjan walk: a node and how many of its successors
-/// have been examined.
-struct Frame {
-    node: u32,
-    cursor: u32,
+/// The adjacency a [`transitive_closure`] call closes, filled by its caller: one row of
+/// `⌈n/64⌉` words per node id, holding the node's member successors.
+pub(crate) struct AdjacencyRows<'s> {
+    words: usize,
+    rows: &'s mut [u64],
+    /// The word the pending bits belong to, and the bits. Edge lists come grouped by source
+    /// and sorted by target, so consecutive edges mostly set bits of one word; ORing them in a
+    /// register instead of through memory halves the cost of filling Auction(100)'s rows.
+    at: usize,
+    bits: u64,
 }
 
-/// Reusable Tarjan + condensation temporaries. Sized by the largest closure the thread has
-/// computed; the subset-sweep hot loop reuses the same warm buffers for every view.
+impl AdjacencyRows<'_> {
+    /// Records an edge between two member nodes.
+    #[inline]
+    pub(crate) fn add_edge(&mut self, from: usize, to: usize) {
+        let at = from * self.words + to / 64;
+        if at != self.at {
+            self.rows[self.at] |= self.bits;
+            self.at = at;
+            self.bits = 0;
+        }
+        self.bits |= 1u64 << (to % 64);
+    }
+}
+
+/// Reusable temporaries of [`transitive_closure`], one set per thread and sized by the
+/// largest closure the thread has computed, so a small induced view allocates nothing but the
+/// rows it returns. Rows and per-node entries are indexed by node id, `64 · words` of them.
 #[derive(Default)]
 struct ClosureScratch {
-    index: Vec<u32>,
-    lowlink: Vec<u32>,
-    on_stack: Vec<u64>,
-    stack: Vec<u32>,
-    frames: Vec<Frame>,
-    scc_of: Vec<u32>,
-    members: Vec<u32>,
-    /// One reachability row per component, in completion (reverse topological) order.
-    rep_rows: Vec<u64>,
-}
-
-fn with_closure_scratch<R>(f: impl FnOnce(&mut ClosureScratch) -> R) -> R {
-    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+    /// Adjacency rows: the member successors of each node.
+    adj: Vec<u64>,
+    /// Reverse-adjacency rows, the transpose of `adj`: the member predecessors of each node.
+    radj: Vec<u64>,
+    /// Member bits the current pass has not visited yet.
+    unvisited: Vec<u64>,
+    /// Pass 1's explicit DFS stack: a node and the next word of its adjacency row to scan.
+    frames: Vec<(u32, u32)>,
+    /// Members in DFS finish order.
+    finish: Vec<u32>,
+    /// The first member of each member's component: pass 3 reads a closed component's row
+    /// there.
+    lead: Vec<u32>,
+    /// Members grouped by component, components in topological order: component `c` is
+    /// `comp_nodes[comp_start[c]..comp_start[c + 1]]`, its first member the walk's root.
+    comp_nodes: Vec<u32>,
+    comp_start: Vec<u32>,
+    /// Each member's closure row.
+    closed: Vec<u64>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<ClosureScratch> = RefCell::new(ClosureScratch::default());
 }
 
-/// Computes the reflexive-transitive closure of a graph given by indexable successor lists,
-/// returning one bitset row per node (`rows · words_per_row` words, node `i`'s row at
-/// `i * words_per_row`).
+/// Computes the reflexive-transitive closure of the graph over the member nodes of `member`
+/// (a bitset over node ids, `⌈n/64⌉` words), returning one `member.len()`-word row per member
+/// in id order: the nodes the member reaches through members only, itself included.
 ///
-/// Rows are indexed `0..rows`; row `r`'s *column* bit is `self_bit(r)`, which lets an induced
-/// view emit rows per member position while keeping columns in the parent graph's node-id
-/// space. `successor(r, k)` is the `k`-th out-neighbour of `r` (a row index), for
-/// `k < degree(r)`; the closure is reflexive — `self_bit(r)` is always set in row `r`.
-pub(crate) fn transitive_closure<SB, D, S>(
-    rows: usize,
-    words_per_row: usize,
-    self_bit: SB,
-    degree: D,
-    successor: S,
-) -> Vec<u64>
-where
-    SB: Fn(usize) -> usize,
-    D: Fn(usize) -> usize,
-    S: Fn(usize, usize) -> usize,
-{
-    if rows == 0 {
-        return Vec::new();
-    }
-    assert!(rows < UNVISITED as usize, "closure row count exceeds u32");
-    with_closure_scratch(|state| {
-        condense(state, rows, words_per_row, &self_bit, &degree, &successor);
-        let mut out = Vec::with_capacity(rows * words_per_row);
-        for r in 0..rows {
-            let base = state.scc_of[r] as usize * words_per_row;
-            out.extend_from_slice(&state.rep_rows[base..base + words_per_row]);
-        }
-        out
-    })
+/// `fill` records the edges ([`AdjacencyRows::add_edge`]) and the kernel transposes the
+/// adjacency rows into reverse-adjacency rows. Three passes then close them, each finding the
+/// next node to visit with a word scan, `row & unvisited`: a DFS over the adjacency rows
+/// records the finish order; a walk over the reverse rows in reverse finish order yields one
+/// strongly connected component per walk, in topological order; and the components, taken in
+/// reverse of that order, each start from their members' bits and OR in the final row of the
+/// component of every successor bit not yet in the row. That is `O(n · ⌈n/64⌉)` word
+/// operations plus the fill, against one step per edge of an edge-walking condensation.
+pub(crate) fn transitive_closure(
+    member: &[u64],
+    fill: impl FnOnce(&mut AdjacencyRows<'_>),
+) -> Vec<u64> {
+    SCRATCH.with(|scratch| close_rows(&mut scratch.borrow_mut(), member, fill))
 }
 
-/// Iterative Tarjan SCC condensation plus per-component closure rows.
-///
-/// Fills `state.scc_of` (component id per row, ids in completion order) and `state.rep_rows`
-/// (one row per component). When a component completes, all its out-edges lead either into the
-/// component itself (contributing nothing beyond the members' self bits, which are OR-ed in
-/// directly) or into an already-completed component whose row is final — so a single pass of
-/// word-ORs per edge yields the exact closure.
-fn condense<SB, D, S>(
-    state: &mut ClosureScratch,
-    rows: usize,
-    words_per_row: usize,
-    self_bit: &SB,
-    degree: &D,
-    successor: &S,
-) where
-    SB: Fn(usize) -> usize,
-    D: Fn(usize) -> usize,
-    S: Fn(usize, usize) -> usize,
-{
-    state.index.clear();
-    state.index.resize(rows, UNVISITED);
-    state.lowlink.clear();
-    state.lowlink.resize(rows, 0);
-    state.scc_of.clear();
-    state.scc_of.resize(rows, UNVISITED);
-    state.on_stack.clear();
-    state.on_stack.resize(rows.div_ceil(64).max(1), 0);
-    state.stack.clear();
-    state.frames.clear();
-    state.rep_rows.clear();
-    let mut next_index: u32 = 0;
-    let mut scc_count: u32 = 0;
-
-    for root in 0..rows {
-        if state.index[root] != UNVISITED {
-            continue;
+fn close_rows(
+    s: &mut ClosureScratch,
+    member: &[u64],
+    fill: impl FnOnce(&mut AdjacencyRows<'_>),
+) -> Vec<u64> {
+    let words = member.len();
+    let row = |v: usize| v * words..(v + 1) * words;
+    for rows in [&mut s.adj, &mut s.radj, &mut s.closed] {
+        rows.clear();
+        rows.resize(64 * words * words, 0);
+    }
+    let mut adjacency = AdjacencyRows {
+        words,
+        rows: &mut s.adj,
+        at: 0,
+        bits: 0,
+    };
+    fill(&mut adjacency);
+    let (at, bits) = (adjacency.at, adjacency.bits);
+    s.adj[at] |= bits;
+    // Reverse rows: a 64×64 block transpose costs the same however few bits it moves, so a
+    // sparse adjacency (the small views certification and repair build by the hundred) moves
+    // its bits one at a time instead.
+    let edges: usize = s.adj.iter().map(|w| w.count_ones() as usize).sum();
+    if edges < 64 * words * words {
+        for (from, succ) in s.adj.chunks_exact(words).enumerate() {
+            for (w, &bits) in succ.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let to = w * 64 + bits.trailing_zeros() as usize;
+                    set_bit(&mut s.radj[row(to)], from);
+                    bits &= bits - 1;
+                }
+            }
         }
-        state.index[root] = next_index;
-        state.lowlink[root] = next_index;
-        next_index += 1;
-        state.stack.push(root as u32);
-        set_bit(&mut state.on_stack, root);
-        state.frames.push(Frame {
-            node: root as u32,
-            cursor: 0,
-        });
+    } else {
+        transpose(&s.adj, &mut s.radj, words);
+    }
 
-        while !state.frames.is_empty() {
-            let top = state.frames.len() - 1;
-            let v = state.frames[top].node as usize;
-            let deg_v = degree(v);
-            let mut descended = false;
-            while (state.frames[top].cursor as usize) < deg_v {
-                let k = state.frames[top].cursor as usize;
-                state.frames[top].cursor += 1;
-                let w = successor(v, k);
-                if state.index[w] == UNVISITED {
-                    state.index[w] = next_index;
-                    state.lowlink[w] = next_index;
-                    next_index += 1;
-                    state.stack.push(w as u32);
-                    set_bit(&mut state.on_stack, w);
-                    state.frames.push(Frame {
-                        node: w as u32,
-                        cursor: 0,
-                    });
-                    descended = true;
-                    break;
-                } else if test_bit(&state.on_stack, w) && state.index[w] < state.lowlink[v] {
-                    state.lowlink[v] = state.index[w];
+    // Pass 1: DFS over the adjacency rows, from every unvisited member in id order.
+    s.unvisited.clear();
+    s.unvisited.extend_from_slice(member);
+    s.finish.clear();
+    for k in 0..words {
+        while s.unvisited[k] != 0 {
+            let root = k * 64 + s.unvisited[k].trailing_zeros() as usize;
+            clear_bit(&mut s.unvisited, root);
+            s.frames.push((root as u32, 0));
+            while let Some(top) = s.frames.last_mut() {
+                let succ = &s.adj[row(top.0 as usize)];
+                let mut next = None;
+                while (top.1 as usize) < words {
+                    let w = top.1 as usize;
+                    let bits = succ[w] & s.unvisited[w];
+                    if bits != 0 {
+                        next = Some(w * 64 + bits.trailing_zeros() as usize);
+                        break;
+                    }
+                    top.1 += 1;
                 }
-            }
-            if descended {
-                continue;
-            }
-            state.frames.pop();
-            let low_v = state.lowlink[v];
-            if let Some(parent) = state.frames.last() {
-                let p = parent.node as usize;
-                if low_v < state.lowlink[p] {
-                    state.lowlink[p] = low_v;
-                }
-            }
-            if low_v != state.index[v] {
-                continue;
-            }
-            // `v` is a component root: pop its members, then build the component row.
-            state.members.clear();
-            loop {
-                let w = state.stack.pop().expect("Tarjan stack underflow");
-                clear_bit(&mut state.on_stack, w as usize);
-                state.scc_of[w as usize] = scc_count;
-                state.members.push(w);
-                if w as usize == v {
-                    break;
-                }
-            }
-            let row_base = scc_count as usize * words_per_row;
-            state.rep_rows.resize(row_base + words_per_row, 0);
-            for mi in 0..state.members.len() {
-                let m = state.members[mi] as usize;
-                set_bit(&mut state.rep_rows[row_base..], self_bit(m));
-                for k in 0..degree(m) {
-                    let w_scc = state.scc_of[successor(m, k)];
-                    debug_assert_ne!(w_scc, UNVISITED, "successor of a completed SCC unvisited");
-                    if w_scc != scc_count {
-                        let (done, current) = state.rep_rows.split_at_mut(row_base);
-                        or_into(
-                            &mut current[..words_per_row],
-                            &done[w_scc as usize * words_per_row..][..words_per_row],
-                        );
+                match next {
+                    Some(v) => {
+                        clear_bit(&mut s.unvisited, v);
+                        s.frames.push((v as u32, 0));
+                    }
+                    None => {
+                        s.finish.push(top.0);
+                        s.frames.pop();
                     }
                 }
             }
-            scc_count += 1;
         }
+    }
+
+    // Pass 2: walk the reverse rows in reverse finish order; each walk is one component.
+    s.unvisited.copy_from_slice(member);
+    s.lead.resize(64 * words, 0);
+    s.comp_nodes.clear();
+    s.comp_start.clear();
+    for &root in s.finish.iter().rev() {
+        if !test_bit(&s.unvisited, root as usize) {
+            continue;
+        }
+        clear_bit(&mut s.unvisited, root as usize);
+        s.comp_start.push(s.comp_nodes.len() as u32);
+        s.comp_nodes.push(root);
+        let mut next = s.comp_nodes.len() - 1;
+        while next < s.comp_nodes.len() {
+            let v = s.comp_nodes[next] as usize;
+            next += 1;
+            s.lead[v] = root;
+            for (w, &pred) in s.radj[row(v)].iter().enumerate() {
+                let mut bits = pred & s.unvisited[w];
+                s.unvisited[w] &= !bits;
+                while bits != 0 {
+                    s.comp_nodes.push((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+    s.comp_start.push(s.comp_nodes.len() as u32);
+
+    // Pass 3: sinks first, so every successor component's row is final when it is read. The
+    // component's row is built in its first member's row, then copied to the others.
+    for c in (0..s.comp_start.len() - 1).rev() {
+        let nodes = &s.comp_nodes[s.comp_start[c] as usize..s.comp_start[c + 1] as usize];
+        let first = nodes[0] as usize;
+        let (before, rest) = s.closed.split_at_mut(first * words);
+        let (acc, after) = rest.split_at_mut(words);
+        for &v in nodes {
+            set_bit(acc, v as usize);
+        }
+        for &v in nodes {
+            let succ = &s.adj[row(v as usize)];
+            for w in 0..words {
+                let mut pending = succ[w] & !acc[w];
+                while pending != 0 {
+                    // The successor's component closed earlier, so it does not lead with `first`.
+                    let lead = s.lead[w * 64 + pending.trailing_zeros() as usize] as usize;
+                    let done = if lead < first {
+                        &before[row(lead)]
+                    } else {
+                        &after[row(lead - first - 1)]
+                    };
+                    or_into(acc, done);
+                    pending &= pending - 1;
+                    pending &= !acc[w];
+                }
+            }
+        }
+        for &v in &nodes[1..] {
+            s.closed.copy_within(row(first), v as usize * words);
+        }
+    }
+    let mut out = Vec::with_capacity(s.comp_nodes.len() * words);
+    for (k, &bits) in member.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            out.extend_from_slice(&s.closed[row(k * 64 + bits.trailing_zeros() as usize)]);
+            bits &= bits - 1;
+        }
+    }
+    out
+}
+
+/// Writes the transpose of the square bit matrix `src` into `dst`, both as `64 · words` rows
+/// of `words` words (column `c` of a row is bit `c % 64` of its word `c / 64`), one 64×64
+/// block at a time.
+fn transpose(src: &[u64], dst: &mut [u64], words: usize) {
+    let mut block = [0u64; 64];
+    for bi in 0..words {
+        for bj in 0..words {
+            for (i, word) in block.iter_mut().enumerate() {
+                *word = src[(bi * 64 + i) * words + bj];
+            }
+            transpose64(&mut block);
+            for (i, &word) in block.iter().enumerate() {
+                dst[(bj * 64 + i) * words + bi] = word;
+            }
+        }
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place (bit `c` of `a[r]` moves to bit `r` of `a[c]`) by
+/// swapping ever smaller off-diagonal blocks: 32×32, then 16×16, down to single bits.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> width) ^ a[k + width]) & mask;
+            a[k] ^= t << width;
+            a[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 
@@ -472,17 +547,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The retained oracle: one BFS per source over the same successor encoding.
-    fn bfs_closure(rows: usize, words_per_row: usize, adj: &[Vec<usize>]) -> Vec<u64> {
-        let mut out = vec![0u64; rows * words_per_row];
-        for start in 0..rows {
-            let mut visited = vec![false; rows];
+    /// The retained oracle: one BFS per member over the edges between members. Rows follow
+    /// the members (ascending), columns are node ids.
+    fn bfs_closure(adj: &[Vec<usize>], members: &[usize]) -> Vec<u64> {
+        let words = adj.len().div_ceil(64).max(1);
+        let is_member = |v: usize| members.binary_search(&v).is_ok();
+        let mut out = vec![0u64; members.len() * words];
+        for (row, &start) in members.iter().enumerate() {
+            let mut visited = vec![false; adj.len()];
             let mut stack = vec![start];
             visited[start] = true;
             while let Some(v) = stack.pop() {
-                out[start * words_per_row + v / 64] |= 1u64 << (v % 64);
+                out[row * words + v / 64] |= 1u64 << (v % 64);
                 for &w in &adj[v] {
-                    if !visited[w] {
+                    if is_member(w) && !visited[w] {
                         visited[w] = true;
                         stack.push(w);
                     }
@@ -492,15 +570,37 @@ mod tests {
         out
     }
 
+    /// The kernel's closure of the view of `adj` induced by `members` (ascending).
+    fn closure_of_members(adj: &[Vec<usize>], members: &[usize]) -> Vec<u64> {
+        let mut mask = vec![0u64; adj.len().div_ceil(64).max(1)];
+        for &v in members {
+            set_bit(&mut mask, v);
+        }
+        transitive_closure(&mask, |rows| {
+            for &v in members {
+                for &w in &adj[v] {
+                    if members.binary_search(&w).is_ok() {
+                        rows.add_edge(v, w);
+                    }
+                }
+            }
+        })
+    }
+
     fn closure_of(adj: &[Vec<usize>]) -> Vec<u64> {
-        let rows = adj.len();
-        transitive_closure(
-            rows,
-            rows.div_ceil(64).max(1),
-            |r| r,
-            |r| adj[r].len(),
-            |r, k| adj[r][k],
-        )
+        closure_of_members(adj, &(0..adj.len()).collect::<Vec<_>>())
+    }
+
+    /// A splitmix-style generator: the vendored proptest has no collection strategies, so
+    /// graph shapes and member subsets are derived from one seed.
+    fn generator(seed: u64) -> impl FnMut() -> usize {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        }
     }
 
     #[test]
@@ -583,23 +683,102 @@ mod tests {
             edge_count in 0usize..256,
             seed in 1u64..u64::MAX,
         ) {
-            // Edges from a splitmix-style generator: the vendored proptest has no collection
-            // strategies, so the graph shape is derived from one seed.
-            let mut state = seed;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (state >> 33) as usize
-            };
+            let mut next = generator(seed);
             let mut adj = vec![Vec::new(); rows];
             for _ in 0..edge_count {
                 let from = next() % rows;
                 let to = next() % rows;
                 adj[from].push(to);
             }
-            let words = rows.div_ceil(64).max(1);
-            let want = bfs_closure(rows, words, &adj);
-            prop_assert_eq!(&closure_of(&adj), &want);
+            let all: Vec<usize> = (0..rows).collect();
+            prop_assert_eq!(&closure_of(&adj), &bfs_closure(&adj, &all));
         }
+
+        #[test]
+        fn induced_closure_matches_bfs_oracle_on_random_member_subsets(
+            rows in 0usize..200,
+            density in 0usize..4,
+            keep in 0usize..5,
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut next = generator(seed);
+            let mut adj = vec![Vec::new(); rows];
+            for _ in 0..rows * [0, 1, 3, 8][density] {
+                let from = next() % rows;
+                let to = next() % rows;
+                adj[from].push(to);
+            }
+            // Keep each node with probability keep/4: from no member to all of them.
+            let members: Vec<usize> = (0..rows).filter(|_| next() % 4 < keep).collect();
+            prop_assert_eq!(&closure_of_members(&adj, &members), &bfs_closure(&adj, &members));
+        }
+    }
+
+    #[test]
+    fn induced_closure_matches_the_oracle_on_chains_complete_graphs_and_self_loops() {
+        let mut next = generator(7);
+        for n in [0, 1, 2, 63, 64, 65, 127, 128, 129, 200] {
+            let chain: Vec<Vec<usize>> = (0..n)
+                .map(|v| if v + 1 < n { vec![v + 1] } else { Vec::new() })
+                .collect();
+            // The chain closed into one cycle, with every node on a self-loop too.
+            let ring: Vec<Vec<usize>> = (0..n).map(|v| vec![v, (v + 1) % n]).collect();
+            let complete: Vec<Vec<usize>> = (0..n).map(|_| (0..n).collect()).collect();
+            let self_loops: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
+            // A chain walked backwards with shortcut edges: many components, each a node.
+            let back: Vec<Vec<usize>> = (0..n)
+                .map(|v| {
+                    if v == 0 {
+                        Vec::new()
+                    } else {
+                        vec![v - 1, v / 2]
+                    }
+                })
+                .collect();
+            for adj in [&chain, &ring, &complete, &self_loops, &back] {
+                let all: Vec<usize> = (0..n).collect();
+                let every_other: Vec<usize> = (0..n).step_by(2).collect();
+                let random: Vec<usize> = (0..n).filter(|_| next() % 3 != 0).collect();
+                let last: Vec<usize> = n.checked_sub(1).into_iter().collect();
+                for members in [&all, &every_other, &random, &last, &Vec::new()] {
+                    assert_eq!(
+                        closure_of_members(adj, members),
+                        bfs_closure(adj, members),
+                        "n = {n}, members = {members:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_moves_every_bit_across_the_diagonal() {
+        let mut next = generator(11);
+        for _ in 0..20 {
+            let mut a = [0u64; 64];
+            for word in &mut a {
+                *word = (next() as u64) << 33 ^ next() as u64;
+            }
+            let mut t = a;
+            transpose64(&mut t);
+            for (r, &row) in a.iter().enumerate() {
+                for (c, &column) in t.iter().enumerate() {
+                    assert_eq!(column >> r & 1, row >> c & 1, "bit ({r}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closure_rows_have_member_columns_only() {
+        // Members {1, 3} of 0 -> 1 -> 2 -> 3: node 2 is not a member, so 1 does not reach 3,
+        // and no row carries a non-member column.
+        let adj = vec![vec![1], vec![2], vec![3], vec![]];
+        assert_eq!(closure_of_members(&adj, &[1, 3]), vec![0b0010, 0b1000]);
+        assert_eq!(
+            closure_of_members(&adj, &[0, 1, 3]),
+            vec![0b0011, 0b0010, 0b1000]
+        );
     }
 
     #[test]
@@ -613,7 +792,7 @@ mod tests {
         for v in (0..n).step_by(97) {
             adj[v].push(v / 2);
         }
-        let want = bfs_closure(n, n.div_ceil(64), &adj);
-        assert_eq!(closure_of(&adj), want);
+        let all: Vec<usize> = (0..n).collect();
+        assert_eq!(closure_of(&adj), bfs_closure(&adj, &all));
     }
 }

@@ -179,9 +179,9 @@ pub fn program_fingerprint<'a>(ltps: impl IntoIterator<Item = &'a LinearProgram>
 /// A compact bit-matrix recording reachability: one row per tracked source node, one bit per
 /// node of the underlying id space (the *universe*). The full graph tracks every node; an
 /// [`InducedView`] tracks only its members, so a view over `m` of `n` nodes costs `m · ⌈n/64⌉`
-/// words instead of `n · ⌈n/64⌉`. The rows are computed by the word-parallel SCC-condensation
-/// closure of the `kernels` module (the former BFS-per-source survives only as a test oracle);
-/// a graph reopened from a snapshot gets them decoded from the file instead.
+/// words instead of `n · ⌈n/64⌉`. The rows are computed by the `kernels` module's closure over
+/// node-adjacency bit rows (a BFS per source survives only as a test oracle); a graph reopened
+/// from a snapshot gets them decoded from the file instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Reachability {
     words_per_row: usize,
@@ -549,24 +549,29 @@ impl SummaryGraph {
             .get_or_init(|| Csr::build(self.nodes.len(), &self.edges))
     }
 
-    /// The reachability closure, derived on first use by the word-parallel SCC-condensation
-    /// kernel. Each actual derivation advances the thread-local closure counter
+    /// The reachability closure, derived on first use: one pass over the edge list sets the
+    /// adjacency bit row of every node, and the `kernels` closure closes them; nothing but the
+    /// closure rows is kept. Each actual derivation advances the thread-local closure counter
     /// ([`Self::closures_computed_on_current_thread`]) — snapshot-installed closures never do.
     fn reachability(&self) -> &Reachability {
         self.reach.get_or_init(|| {
             CLOSURES.with(|c| c.set(c.get() + 1));
             let n = self.nodes.len();
             let words_per_row = n.div_ceil(64).max(1);
-            let rows = kernels::transitive_closure(
-                n,
-                words_per_row,
-                |v| v,
-                |v| self.edges_from(v).len(),
-                |v, k| self.edges_from(v)[k].to as usize,
-            );
+            // Every node is a member; the last word keeps only the bits below `n`.
+            let mut all = vec![u64::MAX; words_per_row];
+            all[words_per_row - 1] = match n % 64 {
+                0 if n > 0 => u64::MAX,
+                r => (1u64 << r) - 1,
+            };
+            let bits = kernels::transitive_closure(&all, |rows| {
+                for e in &self.edges {
+                    rows.add_edge(e.from as usize, e.to as usize);
+                }
+            });
             Reachability {
                 words_per_row,
-                bits: rows,
+                bits,
             }
         })
     }
@@ -889,10 +894,11 @@ impl SummaryGraph {
     /// preserved under taking induced subgraphs (paths may run through excluded nodes).
     ///
     /// The construction iterates **only the member nodes' runs of the edge list** —
-    /// `O(Σ deg(m))` over the members `m`, not `O(E)` over the parent's full edge list — and draws its
-    /// temporaries (membership mask, position lookup) from a reusable thread-local scratch, so
-    /// the subset-exploration hot loop performs no universe-sized allocations per view. The member-local reachability is computed by the word-parallel
-    /// SCC-condensation kernel of the `kernels` module over the kept edges.
+    /// `O(Σ deg(m))` over the members `m`, not `O(E)` over the parent's full edge list — and
+    /// draws its temporaries (membership mask, position lookup) from a reusable thread-local
+    /// scratch. The loop that keeps the edges also sets each member's adjacency bit row, and
+    /// the `kernels` closure, whose temporaries are per-thread scratch too, closes them into
+    /// the member-local reachability.
     ///
     /// Since the edges of `SuG(𝒫)` are defined pairwise over the LTPs of `𝒫` (Algorithm 1
     /// consults only `P_i` and `P_j` for an edge between them), the induced view over the nodes
@@ -900,8 +906,8 @@ impl SummaryGraph {
     /// subset exploration construct a single graph instead of one per subset.
     pub fn induced(&self, members: &[NodeId]) -> InducedView<'_> {
         let mut members = members.to_vec();
-        // The subset-exploration hot loop always passes strictly ascending ids; only pay for
-        // normalization when the caller didn't.
+        // Most callers pass strictly ascending ids; only pay for normalization when the
+        // caller didn't.
         if !members.windows(2).all(|w| w[0] < w[1]) {
             members.sort_unstable();
             members.dedup();
@@ -910,63 +916,55 @@ impl SummaryGraph {
         let m = members.len();
         let words = n.div_ceil(64).max(1);
 
-        // Kept edges in CSR layout, grouped by source member, plus each kept edge's target
-        // *member position* (`succ_pos`), which is what the closure kernel walks below.
-        let (out_csr, out_offsets, in_csr, in_offsets, succ_pos) =
-            with_induced_scratch(|scratch| {
-                scratch.mask.clear();
-                scratch.mask.resize(words, 0);
-                scratch.pos_of.resize(n.max(1), 0);
-                for (pos, &id) in members.iter().enumerate() {
-                    assert!(id < n, "induced(): node id {id} out of range ({n} nodes)");
-                    scratch.mask[id / 64] |= 1u64 << (id % 64);
-                    // Stale entries for non-members are never read: every read is guarded by
-                    // the membership mask.
-                    scratch.pos_of[id] = pos as u32;
-                }
-                let in_mask = |id: NodeId| scratch.mask[id / 64] & (1u64 << (id % 64)) != 0;
+        // Kept edges in CSR layout, grouped by source member; the same loop records them as
+        // the adjacency the closure kernel closes. Its rows follow the member positions, and
+        // columns are universe node ids (so views share the parent's bitset numbering).
+        let (out_csr, out_offsets, in_csr, in_offsets, rows) = with_induced_scratch(|scratch| {
+            scratch.mask.clear();
+            scratch.mask.resize(words, 0);
+            scratch.pos_of.resize(n.max(1), 0);
+            for (pos, &id) in members.iter().enumerate() {
+                assert!(id < n, "induced(): node id {id} out of range ({n} nodes)");
+                scratch.mask[id / 64] |= 1u64 << (id % 64);
+                // Stale entries for non-members are never read: every read is guarded by
+                // the membership mask.
+                scratch.pos_of[id] = pos as u32;
+            }
+            let (mask, pos_of) = (&scratch.mask, &scratch.pos_of);
 
-                let mut out_csr = Vec::new();
-                let mut succ_pos: Vec<u32> = Vec::new();
-                let mut out_offsets = Vec::with_capacity(m + 1);
-                let mut in_degree = vec![0usize; m];
-                out_offsets.push(0);
+            let mut out_csr = Vec::new();
+            let mut out_offsets = Vec::with_capacity(m + 1);
+            let mut in_degree = vec![0usize; m];
+            out_offsets.push(0);
+            let rows = kernels::transitive_closure(mask, |rows| {
                 for &member in &members {
                     let first = self.out_offsets[member] as usize;
                     for (k, edge) in self.edges_from(member).iter().enumerate() {
                         let to = edge.to as usize;
-                        if in_mask(to) {
+                        if kernels::test_bit(mask, to) {
+                            let to_pos = pos_of[to] as usize;
                             out_csr.push(first + k);
-                            succ_pos.push(scratch.pos_of[to]);
-                            in_degree[scratch.pos_of[to] as usize] += 1;
+                            in_degree[to_pos] += 1;
+                            rows.add_edge(member, to);
                         }
                     }
                     out_offsets.push(out_csr.len());
                 }
-                let mut in_offsets = Vec::with_capacity(m + 1);
-                in_offsets.push(0);
-                for &d in &in_degree {
-                    in_offsets.push(in_offsets.last().unwrap() + d);
-                }
-                let mut cursor = in_offsets.clone();
-                let mut in_csr = vec![0usize; out_csr.len()];
-                for &edge_idx in &out_csr {
-                    let pos = scratch.pos_of[self.edges[edge_idx].to as usize] as usize;
-                    in_csr[cursor[pos]] = edge_idx;
-                    cursor[pos] += 1;
-                }
-                (out_csr, out_offsets, in_csr, in_offsets, succ_pos)
             });
-
-        // Rows are member positions, columns are universe node ids (so views share the
-        // parent's bitset numbering).
-        let rows = kernels::transitive_closure(
-            m,
-            words,
-            |p| members[p],
-            |p| out_offsets[p + 1] - out_offsets[p],
-            |p, k| succ_pos[out_offsets[p] + k] as usize,
-        );
+            let mut in_offsets = Vec::with_capacity(m + 1);
+            in_offsets.push(0);
+            for &d in &in_degree {
+                in_offsets.push(in_offsets.last().unwrap() + d);
+            }
+            let mut cursor = in_offsets.clone();
+            let mut in_csr = vec![0usize; out_csr.len()];
+            for &edge_idx in &out_csr {
+                let pos = pos_of[self.edges[edge_idx].to as usize] as usize;
+                in_csr[cursor[pos]] = edge_idx;
+                cursor[pos] += 1;
+            }
+            (out_csr, out_offsets, in_csr, in_offsets, rows)
+        });
 
         InducedView {
             graph: self,
@@ -1194,7 +1192,7 @@ impl SummaryGraphView for PrefetchedView<'_> {
 /// by member *position* (ids are mapped by binary search over the sorted member list), and the
 /// reachability matrix holds one row per member — so a view over `m` of `n` nodes costs
 /// `O(Σ deg(members) + m · n/64)` space, independent of the parent's total edge count. Building
-/// a view is `O(Σ deg(members))` plus the member-local BFS, compared to re-running Algorithm 1,
+/// a view is `O(Σ deg(members))` plus the member-local closure, compared to re-running Algorithm 1,
 /// which is quadratic in statements with attribute-set and foreign-key reasoning per pair.
 #[derive(Debug, Clone)]
 pub struct InducedView<'g> {
@@ -1360,8 +1358,8 @@ pub fn c_dep_conds(
 }
 
 /// Reusable temporaries for [`SummaryGraph::induced`]: membership mask and node-id →
-/// member-position lookup, one set per thread, so a thread sweeping thousands of subset views
-/// touches the same warm buffers for the whole sweep.
+/// member-position lookup, one set per thread, so a thread building many views (certifying
+/// every subset of a workload) reuses warm buffers.
 #[derive(Default)]
 struct InducedScratch {
     mask: Vec<u64>,
@@ -1893,5 +1891,96 @@ mod tests {
             "{edges_seen} edges, {counterflow_seen} counterflow, \
              {fk_suppressed} FK suppressions, {edits} edits"
         );
+    }
+
+    /// The oracle for the closure kernel: one BFS per member over the edges between members,
+    /// one `⌈n/64⌉`-word row per member (ascending), columns node ids.
+    fn bfs_rows(graph: &SummaryGraph, members: &[NodeId]) -> Vec<u64> {
+        let n = graph.node_count();
+        let words = n.div_ceil(64).max(1);
+        let is_member = |v: usize| members.binary_search(&v).is_ok();
+        let mut rows = vec![0u64; members.len() * words];
+        for (row, &start) in members.iter().enumerate() {
+            let mut seen = vec![false; n];
+            let mut stack = vec![start];
+            seen[start] = true;
+            while let Some(v) = stack.pop() {
+                rows[row * words + v / 64] |= 1u64 << (v % 64);
+                for e in graph.edges_from(v) {
+                    let to = e.to as usize;
+                    if is_member(to) && !seen[to] {
+                        seen[to] = true;
+                        stack.push(to);
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn closure_rows_match_a_bfs_over_the_edges_for_graphs_and_induced_views() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut workloads: Vec<(Schema, Vec<LinearProgram>)> =
+            (0..30).map(|_| generated_workload(&mut rng)).collect();
+        // 63, 66 and 129 nodes: rows of one full word, of a partial second word, and of three
+        // words with one bit in the last.
+        for n in [21, 22, 43] {
+            let w = mvrc_benchmarks::auction_n(n);
+            workloads.push((w.schema.clone(), w.unfolded()));
+        }
+        let mut views = 0;
+        for (k, (schema, ltps)) in workloads.iter().enumerate() {
+            let graph = SummaryGraph::construct(ltps, schema, settings());
+            let n = graph.node_count();
+            let before = SummaryGraph::closures_computed_on_current_thread();
+            let (words, bits) = graph.reachability_words();
+            assert_eq!(words, n.div_ceil(64).max(1));
+            assert_eq!(bits.len(), n * words, "workload {k}");
+            let all: Vec<NodeId> = (0..n).collect();
+            assert_eq!(bits, bfs_rows(&graph, &all), "workload {k}");
+            for _ in 0..6 {
+                let keep = 1 + rng.below(4);
+                let members: Vec<NodeId> = (0..n).filter(|_| rng.below(4) < keep).collect();
+                let view = graph.induced(&members);
+                let want = bfs_rows(&graph, &members);
+                for (pos, &m) in members.iter().enumerate() {
+                    assert_eq!(
+                        view.view_reachable_row(m),
+                        &want[pos * words..(pos + 1) * words],
+                        "workload {k}, members {members:?}"
+                    );
+                }
+                views += 1;
+            }
+            // One derivation per graph: reads, prefetched views and induced views reuse it.
+            assert!(n == 0 || graph.reachable(0, 0));
+            let _ = graph.prefetched();
+            assert_eq!(
+                SummaryGraph::closures_computed_on_current_thread(),
+                before + 1,
+                "workload {k}"
+            );
+            // A graph reopened with its derived arrays derives nothing.
+            let csr = graph.in_csr();
+            let reopened = SummaryGraph::from_snapshot_parts_with_derived(
+                graph.shared_nodes().to_vec(),
+                graph.edges().to_vec(),
+                settings(),
+                SummaryGraphDerived {
+                    in_offsets: csr.offsets.clone(),
+                    in_targets: csr.targets.clone(),
+                    reach_bits: bits.to_vec(),
+                },
+            )
+            .unwrap();
+            assert_eq!(reopened.reachability_words().1, bits);
+            assert_eq!(
+                SummaryGraph::closures_computed_on_current_thread(),
+                before + 1,
+                "workload {k}"
+            );
+        }
+        assert_eq!(views, workloads.len() * 6);
     }
 }

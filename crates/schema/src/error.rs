@@ -34,6 +34,10 @@ pub enum SchemaError {
     UnknownRelation(String),
     /// A primary key was declared empty.
     EmptyPrimaryKey(String),
+    /// The schema already declares as many relations as [`RelId`](crate::RelId) can number.
+    TooManyRelations,
+    /// The schema already declares as many foreign keys as [`FkId`](crate::FkId) can number.
+    TooManyForeignKeys,
     /// A foreign key with the same name already exists.
     DuplicateForeignKey(String),
     /// A foreign key maps between attribute lists of different lengths.
@@ -85,6 +89,16 @@ impl fmt::Display for SchemaError {
             SchemaError::EmptyPrimaryKey(name) => {
                 write!(f, "relation `{name}` must declare a non-empty primary key")
             }
+            SchemaError::TooManyRelations => write!(
+                f,
+                "the schema already declares {} relations, the most it can hold",
+                crate::relation::MAX_RELATIONS
+            ),
+            SchemaError::TooManyForeignKeys => write!(
+                f,
+                "the schema already declares {} foreign keys, the most it can hold",
+                crate::foreign_key::MAX_FOREIGN_KEYS
+            ),
             SchemaError::DuplicateForeignKey(name) => {
                 write!(f, "foreign key `{name}` is declared twice")
             }

@@ -9,6 +9,9 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FkId(pub u16);
 
+/// The most foreign keys a schema can declare: every [`FkId`] fits in 16 bits.
+pub(crate) const MAX_FOREIGN_KEYS: usize = 1 << 16;
+
 impl FkId {
     /// Zero-based index of the foreign key in the schema's catalog.
     #[inline]

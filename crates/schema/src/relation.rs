@@ -4,6 +4,9 @@ use crate::attrs::{AttrId, AttrSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The most relations a schema can declare: every [`RelId`] fits in 16 bits.
+pub(crate) const MAX_RELATIONS: usize = 1 << 16;
+
 /// Identifier of a relation within a [`Schema`](crate::Schema).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RelId(pub u16);

@@ -2,8 +2,8 @@
 
 use crate::attrs::{AttrSet, MAX_ATTRS};
 use crate::error::SchemaError;
-use crate::foreign_key::{FkId, ForeignKey};
-use crate::relation::{RelId, Relation};
+use crate::foreign_key::{FkId, ForeignKey, MAX_FOREIGN_KEYS};
+use crate::relation::{RelId, Relation, MAX_RELATIONS};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -156,6 +156,9 @@ impl SchemaBuilder {
         if self.rel_by_name.contains_key(name) {
             return Err(SchemaError::DuplicateRelation(name.to_string()));
         }
+        if self.relations.len() == MAX_RELATIONS {
+            return Err(SchemaError::TooManyRelations);
+        }
         if attributes.is_empty() {
             return Err(SchemaError::EmptyRelation(name.to_string()));
         }
@@ -213,6 +216,9 @@ impl SchemaBuilder {
     ) -> Result<FkId, SchemaError> {
         if self.fk_names.contains_key(name) {
             return Err(SchemaError::DuplicateForeignKey(name.to_string()));
+        }
+        if self.foreign_keys.len() == MAX_FOREIGN_KEYS {
+            return Err(SchemaError::TooManyForeignKeys);
         }
         if dom_attrs.len() != range_attrs.len() {
             return Err(SchemaError::ForeignKeyArityMismatch {
@@ -422,5 +428,32 @@ mod tests {
         let rendered = s.to_string();
         assert!(rendered.contains("Buyer(id, calls)"));
         assert!(rendered.contains("f1: Bids{buyerId} -> Buyer{id}"));
+    }
+
+    #[test]
+    fn a_schema_holds_at_most_65536_relations_and_foreign_keys() {
+        let mut b = SchemaBuilder::new("s");
+        for k in 0..MAX_RELATIONS {
+            let id = b.relation(&format!("R{k}"), &["a"], &["a"]).unwrap();
+            assert_eq!(id.index(), k);
+        }
+        assert_eq!(
+            b.relation("R65536", &["a"], &["a"]).unwrap_err(),
+            SchemaError::TooManyRelations
+        );
+        for k in 0..MAX_FOREIGN_KEYS {
+            let id = b
+                .foreign_key(&format!("f{k}"), RelId(1), &["a"], RelId(0), &["a"])
+                .unwrap();
+            assert_eq!(id.index(), k);
+        }
+        assert_eq!(
+            b.foreign_key("f65536", RelId(1), &["a"], RelId(0), &["a"])
+                .unwrap_err(),
+            SchemaError::TooManyForeignKeys
+        );
+        let schema = b.build();
+        assert_eq!(schema.relation_count(), 65_536);
+        assert_eq!(schema.foreign_key_count(), 65_536);
     }
 }
