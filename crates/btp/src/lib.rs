@@ -70,7 +70,7 @@ mod workload;
 pub use builder::ProgramBuilder;
 pub use error::BtpError;
 pub use linear::{LinearFkConstraint, LinearProgram, StmtPos};
-pub use program::{FkConstraint, Program, ProgramExpr, StmtId};
+pub use program::{FkConstraint, Program, ProgramExpr, StmtId, MAX_PROGRAM_STATEMENTS};
 pub use span::SourceSpan;
 pub use statement::{Statement, StatementKind};
 pub use unfold::{unfold, unfold_le2, unfold_set, unfold_set_le2, UnfoldOptions};

@@ -9,8 +9,9 @@ use std::fmt;
 
 /// The most statements a program can declare: every [`StmtId`] fits in 16 bits. Above it, the
 /// SQL front end and [`ProgramBuilder`](crate::ProgramBuilder) fail with
-/// [`BtpError::TooManyStatements`](crate::BtpError::TooManyStatements).
-pub(crate) const MAX_PROGRAM_STATEMENTS: usize = 1 << 16;
+/// [`BtpError::TooManyStatements`](crate::BtpError::TooManyStatements), and snapshot decoding
+/// refuses the program as corrupt.
+pub const MAX_PROGRAM_STATEMENTS: usize = 1 << 16;
 
 /// Identifier of a statement within its [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]

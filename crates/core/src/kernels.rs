@@ -4,9 +4,8 @@
 //! The closure ([`transitive_closure`]) works on node-adjacency bit rows, since Algorithm 2
 //! only asks which nodes reach which: its caller sets one adjacency row of `⌈n/64⌉` words per
 //! node in one pass over the edges, and the kernel transposes them into reverse-adjacency rows
-//! (64×64 bit blocks at a time, or bit by bit when the rows are sparse). Three word-scan passes
-//! then condense and close the rows, each finding the next unvisited node as the lowest bit of
-//! `row & unvisited`: a DFS over the adjacency rows records the finish order; a walk over the
+//! 64×64 bit blocks at a time. Three word-scan passes then condense and close the rows, each
+//! finding the next unvisited node as the lowest bit of `row & unvisited`: a DFS over the adjacency rows records the finish order; a walk over the
 //! reverse rows in reverse finish order yields the strongly connected components in
 //! topological order; and, sinks first, each component's row is its members' bits OR-ed with
 //! the final row of the component of every successor bit not yet in it. That is
@@ -290,24 +289,13 @@ pub(crate) fn sweep_lanes(plan: &LanePlan, scratch: &mut LaneScratch, batch: u64
 pub(crate) struct AdjacencyRows<'s> {
     words: usize,
     rows: &'s mut [u64],
-    /// The word the pending bits belong to, and the bits. Edge lists come grouped by source
-    /// and sorted by target, so consecutive edges mostly set bits of one word; ORing them in a
-    /// register instead of through memory halves the cost of filling Auction(100)'s rows.
-    at: usize,
-    bits: u64,
 }
 
 impl AdjacencyRows<'_> {
     /// Records an edge between two member nodes.
     #[inline]
     pub(crate) fn add_edge(&mut self, from: usize, to: usize) {
-        let at = from * self.words + to / 64;
-        if at != self.at {
-            self.rows[self.at] |= self.bits;
-            self.at = at;
-            self.bits = 0;
-        }
-        self.bits |= 1u64 << (to % 64);
+        self.rows[from * self.words + to / 64] |= 1u64 << (to % 64);
     }
 }
 
@@ -371,33 +359,11 @@ fn close_rows(
         rows.clear();
         rows.resize(64 * words * words, 0);
     }
-    let mut adjacency = AdjacencyRows {
+    fill(&mut AdjacencyRows {
         words,
         rows: &mut s.adj,
-        at: 0,
-        bits: 0,
-    };
-    fill(&mut adjacency);
-    let (at, bits) = (adjacency.at, adjacency.bits);
-    s.adj[at] |= bits;
-    // Reverse rows: a 64×64 block transpose costs the same however few bits it moves, so a
-    // sparse adjacency (the small views certification and repair build by the hundred) moves
-    // its bits one at a time instead.
-    let edges: usize = s.adj.iter().map(|w| w.count_ones() as usize).sum();
-    if edges < 64 * words * words {
-        for (from, succ) in s.adj.chunks_exact(words).enumerate() {
-            for (w, &bits) in succ.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let to = w * 64 + bits.trailing_zeros() as usize;
-                    set_bit(&mut s.radj[row(to)], from);
-                    bits &= bits - 1;
-                }
-            }
-        }
-    } else {
-        transpose(&s.adj, &mut s.radj, words);
-    }
+    });
+    transpose(&s.adj, &mut s.radj, words);
 
     // Pass 1: DFS over the adjacency rows, from every unvisited member in id order.
     s.unvisited.clear();

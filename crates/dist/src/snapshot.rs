@@ -71,7 +71,7 @@
 use crate::codec::{fnv64_words, Reader, Writer};
 use mvrc_btp::{
     FkConstraint, LinearFkConstraint, LinearProgram, Program, ProgramExpr, Statement,
-    StatementKind, StmtId, UnfoldOptions, Workload,
+    StatementKind, StmtId, UnfoldOptions, Workload, MAX_PROGRAM_STATEMENTS,
 };
 use mvrc_robustness::{
     AnalysisSettings, CachedSweep, CycleCondition, EdgeKind, Granularity, RobustnessSession,
@@ -609,6 +609,12 @@ fn encode_program(w: &mut Writer, program: &Program) {
 fn decode_program(r: &mut Reader<'_>, schema: &Schema) -> Result<Program, SnapshotError> {
     let name = r.str()?;
     let stmt_count = r.len()?;
+    // Statement ids are 16 bits: a larger program would alias its statements.
+    if stmt_count > MAX_PROGRAM_STATEMENTS {
+        return Err(SnapshotError::Corrupt(format!(
+            "program `{name}` has {stmt_count} statements, more than {MAX_PROGRAM_STATEMENTS}"
+        )));
+    }
     let mut statements = Vec::with_capacity(stmt_count);
     for _ in 0..stmt_count {
         statements.push(decode_statement(r, schema)?);
@@ -980,6 +986,33 @@ mod tests {
             session_from_snapshot_bytes(&truncated).unwrap_err(),
             SnapshotError::Corrupt(_)
         ));
+    }
+
+    #[test]
+    fn a_program_of_more_statements_than_ids_is_corrupt() {
+        // A well-formed program record of 65,537 copies of one statement, an empty body and no
+        // foreign-key constraints: decodable in every part but its statement count.
+        let workload = auction();
+        let stmt = workload.programs[0].statements().next().unwrap().1;
+        let encode = |count: usize| {
+            let mut w = Writer::new();
+            w.str("P");
+            w.len(count);
+            for _ in 0..count {
+                encode_statement(&mut w, stmt);
+            }
+            encode_expr(&mut w, &ProgramExpr::Empty);
+            w.len(0);
+            w.into_bytes().unwrap()
+        };
+        let decode = |bytes: &[u8]| decode_program(&mut Reader::new(bytes), &workload.schema);
+
+        let at_limit = decode(&encode(MAX_PROGRAM_STATEMENTS)).unwrap();
+        assert_eq!(at_limit.statement_count(), MAX_PROGRAM_STATEMENTS);
+        match decode(&encode(MAX_PROGRAM_STATEMENTS + 1)).unwrap_err() {
+            SnapshotError::Corrupt(msg) => assert!(msg.contains("65537 statements"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
