@@ -279,6 +279,7 @@ impl<'a> ProgramBuilder<'a> {
             ProgramExpr::Seq(self.body)
         };
         Program::from_parts(self.name, self.statements, body, self.fk_constraints)
+            .expect("`add_statement` refuses statements past the limit")
     }
 }
 

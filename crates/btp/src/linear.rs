@@ -9,6 +9,7 @@ use crate::statement::Statement;
 use mvrc_schema::FkId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A position of a statement within a [`LinearProgram`].
 pub type StmtPos = usize;
@@ -25,10 +26,11 @@ pub struct LinearFkConstraint {
 }
 
 /// A linear transaction program: a named sequence of statements with foreign-key constraints.
+/// The LTPs unfolded from one program share its name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearProgram {
     pub(crate) name: String,
-    pub(crate) program_name: String,
+    pub(crate) program_name: Arc<str>,
     pub(crate) statements: Vec<Statement>,
     pub(crate) origins: Vec<StmtId>,
     pub(crate) fk_constraints: Vec<LinearFkConstraint>,
@@ -41,7 +43,7 @@ impl LinearProgram {
     /// from; when building LTPs by hand it can simply be the positional identity.
     pub fn new(
         name: impl Into<String>,
-        program_name: impl Into<String>,
+        program_name: impl Into<Arc<str>>,
         statements: Vec<Statement>,
         origins: Vec<StmtId>,
         fk_constraints: Vec<LinearFkConstraint>,
@@ -91,7 +93,7 @@ impl LinearProgram {
             .collect();
         LinearProgram {
             name: program.name().to_string(),
-            program_name: program.name().to_string(),
+            program_name: program.name.clone(),
             statements,
             origins: order,
             fk_constraints,

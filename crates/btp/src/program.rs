@@ -1,16 +1,18 @@
 //! Basic transaction programs: statements, control-flow expressions and foreign-key
 //! constraint annotations.
 
+use crate::error::BtpError;
 use crate::span::SourceSpan;
 use crate::statement::Statement;
 use mvrc_schema::FkId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
-/// The most statements a program can declare: every [`StmtId`] fits in 16 bits. Above it, the
-/// SQL front end and [`ProgramBuilder`](crate::ProgramBuilder) fail with
-/// [`BtpError::TooManyStatements`](crate::BtpError::TooManyStatements), and snapshot decoding
-/// refuses the program as corrupt.
+/// The most statements a program can declare: every [`StmtId`] fits in 16 bits. Above it,
+/// [`Program::from_parts`], the SQL front end and [`ProgramBuilder`](crate::ProgramBuilder)
+/// fail with [`BtpError::TooManyStatements`], and snapshot decoding refuses the program as
+/// corrupt.
 pub const MAX_PROGRAM_STATEMENTS: usize = 1 << 16;
 
 /// Identifier of a statement within its [`Program`].
@@ -141,7 +143,8 @@ pub struct FkConstraint {
 /// constraint annotations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Program {
-    pub(crate) name: String,
+    /// Shared with the LTPs unfolded from the program.
+    pub(crate) name: Arc<str>,
     pub(crate) statements: Vec<Statement>,
     pub(crate) body: ProgramExpr,
     pub(crate) fk_constraints: Vec<FkConstraint>,
@@ -154,19 +157,30 @@ pub struct Program {
 impl Program {
     /// Creates a program from parts. Prefer [`ProgramBuilder`](crate::ProgramBuilder) which
     /// validates statements and constraints against a schema.
+    ///
+    /// Fails with [`BtpError::TooManyStatements`] above [`MAX_PROGRAM_STATEMENTS`] statements,
+    /// whose ids would wrap.
     pub fn from_parts(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         statements: Vec<Statement>,
         body: ProgramExpr,
         fk_constraints: Vec<FkConstraint>,
-    ) -> Self {
-        Program {
-            name: name.into(),
+    ) -> Result<Self, BtpError> {
+        let name = name.into();
+        if statements.len() > MAX_PROGRAM_STATEMENTS {
+            return Err(BtpError::TooManyStatements {
+                program: name.to_string(),
+                count: statements.len(),
+                limit: MAX_PROGRAM_STATEMENTS,
+            });
+        }
+        Ok(Program {
+            name,
             statements,
             body,
             fk_constraints,
             spans: Vec::new(),
-        }
+        })
     }
 
     /// Attaches source spans (parallel to the statement table) to the program. The SQL
@@ -204,10 +218,23 @@ impl Program {
 
     /// Returns a copy of the program under a different name (program names must be unique
     /// within a workload; renaming lets a program template be instantiated several times).
-    pub fn renamed(&self, name: impl Into<String>) -> Self {
+    pub fn renamed(&self, name: impl Into<Arc<str>>) -> Self {
         Program {
             name: name.into(),
             ..self.clone()
+        }
+    }
+
+    /// Returns a copy of the program whose statement `id` is `edit(id, statement)`; the body,
+    /// constraints and source spans stay. The statement count cannot change, so neither can
+    /// the ids.
+    pub fn map_statements(&self, mut edit: impl FnMut(StmtId, &Statement) -> Statement) -> Self {
+        Program {
+            name: self.name.clone(),
+            statements: self.statements().map(|(id, s)| edit(id, s)).collect(),
+            body: self.body.clone(),
+            fk_constraints: self.fk_constraints.clone(),
+            spans: self.spans.clone(),
         }
     }
 
@@ -327,7 +354,7 @@ mod tests {
             ProgramExpr::Statement(StmtId(0)),
             ProgramExpr::optional(ProgramExpr::Statement(StmtId(1))),
         ]);
-        Program::from_parts("P", vec![q0, q1], body, vec![])
+        Program::from_parts("P", vec![q0, q1], body, vec![]).unwrap()
     }
 
     #[test]
@@ -352,7 +379,8 @@ mod tests {
                 ProgramExpr::Statement(StmtId(1)),
             ]),
             vec![],
-        );
+        )
+        .unwrap();
         assert!(linear.is_linear());
     }
 
@@ -380,7 +408,8 @@ mod tests {
             p.statements.clone(),
             ProgramExpr::looped(ProgramExpr::Statement(StmtId(0))),
             vec![],
-        );
+        )
+        .unwrap();
         assert_eq!(with_loop.to_string(), "L := loop(q0)");
     }
 
@@ -399,6 +428,42 @@ mod tests {
     #[should_panic(expected = "span table length")]
     fn mismatched_span_table_panics() {
         let _ = sample_program().with_spans(vec![None]);
+    }
+
+    #[test]
+    fn from_parts_refuses_more_statements_than_ids() {
+        let q0 = sample_program().statement(StmtId(0)).clone();
+        let parts = |count: usize| {
+            Program::from_parts(
+                "P",
+                vec![q0.clone(); count],
+                ProgramExpr::Statement(StmtId(0)),
+                vec![],
+            )
+        };
+        let accepted = parts(MAX_PROGRAM_STATEMENTS).unwrap();
+        let last = accepted.statements().last().map(|(id, _)| id);
+        assert_eq!(last, Some(StmtId(u16::MAX)));
+        assert_eq!(
+            parts(MAX_PROGRAM_STATEMENTS + 1).unwrap_err(),
+            BtpError::TooManyStatements {
+                program: "P".into(),
+                count: MAX_PROGRAM_STATEMENTS + 1,
+                limit: MAX_PROGRAM_STATEMENTS,
+            }
+        );
+    }
+
+    #[test]
+    fn map_statements_keeps_body_constraints_and_spans() {
+        let span = SourceSpan { line: 2, column: 1 };
+        let p = sample_program().with_spans(vec![None, Some(span)]);
+        let q0 = p.statement(StmtId(0)).clone();
+        let edited = p.map_statements(|_, _| q0.clone());
+        assert_eq!(edited.statement(StmtId(1)), &q0);
+        assert_eq!(edited.to_string(), "P := q0; (q0 | ε)");
+        assert_eq!(edited.span(StmtId(1)), Some(span));
+        assert_eq!(edited.fk_constraints(), p.fk_constraints());
     }
 
     #[test]

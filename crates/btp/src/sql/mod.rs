@@ -44,10 +44,14 @@
 //! the text once and parses declarations and `PROGRAM` blocks in one pass, in source order;
 //! [`parse_workload`] and [`parse_program`] parse the declarations too and then drop them.
 //! The tokens borrow their text from the input and identifiers carry a keyword tag set while
-//! lexing, so the parser compares tags, not strings. The AST ([`SqlProgram`] and the types
-//! under it) borrows every name and literal from the input too, so parsing allocates no
-//! `String` per identifier; only the names of the translated [`Program`] and its statements
-//! (and of the built schema) are owned. Positions are 1-based lines and columns counted in
+//! lexing, so the parser compares tags, not strings. The AST ([`SqlText`] and the types under
+//! it) borrows every name and literal from the input too, and it is flat: the statements,
+//! names, operands, comparisons, assignments and `VALUES` expressions of a whole text sit in
+//! one buffer per kind, and a node refers to its children as a [`Run`] of one of them. So
+//! parsing allocates per text, not per statement or identifier. Translation names the
+//! statements `q1`, `q2`, … once per workload and shares each name with every program and LTP
+//! that has a statement at that position; only the names of the translated [`Program`]s (and
+//! of the built schema) are owned. Positions are 1-based lines and columns counted in
 //! characters.
 //!
 //! Errors come in a fixed order: a lexical error, else the first syntax error in the text
@@ -82,11 +86,14 @@ mod lexer;
 mod parser;
 mod translate;
 
-pub use ast::{CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
+pub use ast::{
+    Assignment, Block, CompareOp, Comparison, Condition, Names, Operands, Run, SqlProgram,
+    SqlStatement, SqlText, Value,
+};
 pub use parser::parse_text;
 pub use translate::{
-    check_workload_ltps, translate_program, translate_workload, MAX_PROGRAM_LTPS,
-    MAX_WORKLOAD_EDGES, MAX_WORKLOAD_LTPS,
+    check_workload_ltps, translate_workload, MAX_PROGRAM_LTPS, MAX_WORKLOAD_EDGES,
+    MAX_WORKLOAD_LTPS,
 };
 
 use crate::error::BtpError;

@@ -1,6 +1,9 @@
 //! Recursive-descent parser for the SQL subset.
 
-use super::ast::{Assignment, CompareOp, Comparison, Condition, SqlProgram, SqlStatement, Value};
+use super::ast::{
+    Assignment, Block, CompareOp, Comparison, Condition, Operands, Run, SqlProgram, SqlStatement,
+    SqlText, Value,
+};
 use super::catalog::{Catalog, ForeignKeyDecl, TableDecl};
 use super::lexer::{describe, tokenize, Keyword, Token, TokenKind};
 use crate::error::BtpError;
@@ -17,20 +20,21 @@ const MAX_BLOCK_NESTING: usize = 128;
 /// interleaved with the programs; they are parsed like in
 /// [`parse_workload_file`](super::parse_workload_file), so a malformed one is an error, and
 /// then dropped.
-pub fn parse_text(text: &str) -> Result<Vec<SqlProgram<'_>>, BtpError> {
-    parse_source(text).map(|(_, programs)| programs)
+pub fn parse_text(text: &str) -> Result<SqlText<'_>, BtpError> {
+    parse_source(text).map(|(_, parsed)| parsed)
 }
 
 /// Lexes `text` once and parses its catalog declarations and `PROGRAM` blocks in source order,
 /// stopping at the first syntax error.
-pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram<'_>>), BtpError> {
+pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, SqlText<'_>), BtpError> {
     let mut parser = Parser {
         tokens: tokenize(text)?,
         pos: 0,
         depth: 0,
+        ast: SqlText::default(),
+        open: Vec::new(),
     };
     let mut catalog = Catalog::default();
-    let mut programs = Vec::new();
     while !parser.at_end() {
         if parser.eat_keyword(Keyword::Schema) {
             catalog.name = Some(parser.expect_ident("schema name")?);
@@ -47,7 +51,7 @@ pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram<'_
                 .push(parser.parse_foreign_key(ordinal)?);
         } else if parser.eat_keyword(Keyword::Program) {
             match parser.parse_program() {
-                Ok(program) => programs.push(program),
+                Ok(program) => parser.ast.programs.push(program),
                 // Whatever construct was open, a program that runs into the end of the input
                 // is unterminated.
                 Err(_) if parser.at_end() => return Err(parser.error("unterminated PROGRAM block")),
@@ -59,16 +63,22 @@ pub(super) fn parse_source(text: &str) -> Result<(Catalog<'_>, Vec<SqlProgram<'_
             ));
         }
     }
-    Ok((catalog, programs))
+    Ok((catalog, parser.ast))
 }
 
 /// A cursor over the tokens of one text. Tokens borrow from the text and are `Copy`, and so
-/// does every name the AST keeps: looking at or consuming a token allocates nothing.
+/// does every name the AST keeps: looking at or consuming a token allocates nothing. The nodes
+/// go into the buffers of `ast`, each run of children in one piece: a list's entries are
+/// pushed as they parse, except statements, whose blocks nest; those wait in `open` until
+/// their block ends.
 struct Parser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
     /// Number of `IF`/loop blocks enclosing the current position.
     depth: usize,
+    ast: SqlText<'a>,
+    /// The statements parsed so far of every block still open, outermost block first.
+    open: Vec<SqlStatement<'a>>,
 }
 
 impl<'a> Parser<'a> {
@@ -263,17 +273,18 @@ impl<'a> Parser<'a> {
     /// Parses `<name> [( :param [, :param]* )] { statements }` after the `PROGRAM` keyword.
     fn parse_program(&mut self) -> Result<SqlProgram<'a>, BtpError> {
         let name = self.expect_ident("program name")?;
-        let mut params = Vec::new();
+        let start = self.ast.names.len();
         if self.eat(TokenKind::LParen) {
             while !self.eat(TokenKind::RParen) {
                 // The offending token is consumed before the error names a position.
                 match self.bump() {
-                    Some(t) if t.kind == TokenKind::Param => params.push(t.text),
+                    Some(t) if t.kind == TokenKind::Param => self.ast.names.push(t.text),
                     Some(t) if t.kind == TokenKind::Comma => {}
                     _ => return Err(self.error("expected `:parameter` in program header")),
                 }
             }
         }
+        let params = Run::since(start, &self.ast.names);
         self.expect(TokenKind::LBrace, "`{` to open the program body")?;
         let body = self.parse_statements_until(&[Terminator::RBrace])?;
         self.expect(TokenKind::RBrace, "`}` to close the program body")?;
@@ -283,16 +294,18 @@ impl<'a> Parser<'a> {
     fn parse_statements_until(
         &mut self,
         terminators: &[Terminator],
-    ) -> Result<Vec<SqlStatement<'a>>, BtpError> {
-        let mut statements = Vec::new();
+    ) -> Result<Block<'a>, BtpError> {
+        let mark = self.open.len();
         loop {
             // Drop stray semicolons.
             while self.eat(TokenKind::Semicolon) {}
             if self.at_end() || terminators.iter().any(|t| t.matches(self)) {
-                return Ok(statements);
+                let start = self.ast.statements.len();
+                self.ast.statements.extend(self.open.drain(mark..));
+                return Ok(Run::since(start, &self.ast.statements));
             }
             if let Some(stmt) = self.parse_statement()? {
-                statements.push(stmt);
+                self.open.push(stmt);
             }
         }
     }
@@ -329,7 +342,7 @@ impl<'a> Parser<'a> {
     fn parse_select(&mut self) -> Result<SqlStatement<'a>, BtpError> {
         let span = self.span();
         self.expect_keyword(Keyword::Select)?;
-        let mut columns = Vec::new();
+        let start = self.ast.names.len();
         let mut star = false;
         loop {
             match self.peek() {
@@ -343,7 +356,7 @@ impl<'a> Parser<'a> {
                     if self.eat(TokenKind::Dot) {
                         col = self.expect_ident("column after `.`")?;
                     }
-                    columns.push(col);
+                    self.ast.names.push(col);
                 }
                 _ => break,
             }
@@ -351,6 +364,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+        let columns = Run::since(start, &self.ast.names);
         if self.eat_keyword(Keyword::Into) {
             // Host variables receiving the result; irrelevant to the analysis.
             self.skip_params();
@@ -382,23 +396,25 @@ impl<'a> Parser<'a> {
         self.expect_keyword(Keyword::Update)?;
         let relation = self.expect_ident("relation name")?;
         self.expect_keyword(Keyword::Set)?;
-        let mut assignments = Vec::new();
+        let start = self.ast.assignments.len();
         loop {
             let target = self.expect_ident("assignment target")?;
             self.expect(TokenKind::Eq, "`=` in assignment")?;
             let expr = self.parse_expression()?;
-            assignments.push(Assignment { target, expr });
+            self.ast.assignments.push(Assignment { target, expr });
             if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
+        let assignments = Run::since(start, &self.ast.assignments);
         let where_clause = self.parse_optional_where()?;
-        let mut returning = Vec::new();
+        let start = self.ast.names.len();
         if self.eat_keyword(Keyword::Returning) {
             loop {
                 match self.peek() {
                     Some(TokenKind::Ident(kw)) if kw != Keyword::Into => {
-                        returning.push(self.bump_text());
+                        let column = self.bump_text();
+                        self.ast.names.push(column);
                     }
                     _ => break,
                 }
@@ -410,6 +426,7 @@ impl<'a> Parser<'a> {
                 self.skip_params();
             }
         }
+        let returning = Run::since(start, &self.ast.names);
         self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::Update {
             relation,
@@ -425,29 +442,31 @@ impl<'a> Parser<'a> {
         self.expect_keyword(Keyword::Insert)?;
         self.expect_keyword(Keyword::Into)?;
         let relation = self.expect_ident("relation name")?;
-        let mut columns = Vec::new();
+        let start = self.ast.names.len();
         if self.eat(TokenKind::LParen) {
             while !self.eat(TokenKind::RParen) {
                 // The offending token is consumed before the error names a position.
                 match self.bump() {
-                    Some(t) if matches!(t.kind, TokenKind::Ident(_)) => columns.push(t.text),
+                    Some(t) if matches!(t.kind, TokenKind::Ident(_)) => self.ast.names.push(t.text),
                     Some(t) if t.kind == TokenKind::Comma => {}
                     _ => return Err(self.error("expected column name in INSERT column list")),
                 }
             }
         }
+        let columns = Run::since(start, &self.ast.names);
         self.expect_keyword(Keyword::Values)?;
         self.expect(TokenKind::LParen, "`(` before VALUES list")?;
-        let mut values = Vec::new();
+        let start = self.ast.values.len();
         loop {
             let expr = self.parse_expression()?;
-            values.push(expr);
+            self.ast.values.push(expr);
             if self.eat(TokenKind::Comma) {
                 continue;
             }
             self.expect(TokenKind::RParen, "`)` after VALUES list")?;
             break;
         }
+        let values = Run::since(start, &self.ast.values);
         self.eat(TokenKind::Semicolon);
         Ok(SqlStatement::Insert {
             relation,
@@ -510,7 +529,7 @@ impl<'a> Parser<'a> {
             Terminator::Keyword(Keyword::EndIf),
             Terminator::EndPair(Keyword::If),
         ])?;
-        let mut else_branch = Vec::new();
+        let mut else_branch = Run::default();
         if self.eat_keyword(Keyword::Else) {
             else_branch = self.parse_statements_until(&[
                 Terminator::Keyword(Keyword::EndIf),
@@ -576,7 +595,7 @@ impl<'a> Parser<'a> {
         if !self.eat_keyword(Keyword::Where) {
             return Ok(None);
         }
-        let mut comparisons = Vec::new();
+        let start = self.ast.comparisons.len();
         loop {
             let left = self.parse_expression()?;
             let op = match self.peek() {
@@ -590,18 +609,18 @@ impl<'a> Parser<'a> {
             };
             self.pos += 1;
             let right = self.parse_expression()?;
-            comparisons.push(Comparison { left, op, right });
+            self.ast.comparisons.push(Comparison { left, op, right });
             if !self.eat_keyword(Keyword::And) {
                 break;
             }
         }
-        Ok(Some(Condition { comparisons }))
+        Ok(Some(Run::since(start, &self.ast.comparisons)))
     }
 
     /// Parses a flattened arithmetic expression (operands joined by `+`, `-`, `*`, `/`) and
     /// returns its operands. Qualified columns `alias.column` are reduced to the column name.
-    fn parse_expression(&mut self) -> Result<Vec<Value<'a>>, BtpError> {
-        let mut operands = Vec::new();
+    fn parse_expression(&mut self) -> Result<Operands<'a>, BtpError> {
+        let start = self.ast.operands.len();
         loop {
             let operand = match self.peek() {
                 Some(TokenKind::Ident(_)) => {
@@ -617,7 +636,7 @@ impl<'a> Parser<'a> {
                 Some(TokenKind::Str) => Value::Str(self.bump_text()),
                 _ => return Err(self.error("expected expression operand")),
             };
-            operands.push(operand);
+            self.ast.operands.push(operand);
             match self.peek() {
                 Some(TokenKind::Plus | TokenKind::Minus | TokenKind::Star | TokenKind::Slash) => {
                     self.pos += 1;
@@ -625,7 +644,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        Ok(operands)
+        Ok(Run::since(start, &self.ast.operands))
     }
 }
 
@@ -659,7 +678,7 @@ mod tests {
 
     #[test]
     fn parses_the_auction_programs() {
-        let programs = parse_text(
+        let text = parse_text(
             r#"
             PROGRAM FindBids(:B, :T) {
                 UPDATE Buyer SET calls = calls + 1 WHERE id = :B;
@@ -678,18 +697,30 @@ mod tests {
             "#,
         )
         .unwrap();
+        let programs = &text.programs;
         assert_eq!(programs.len(), 2);
         assert_eq!(programs[0].name, "FindBids");
-        assert_eq!(programs[0].params, vec!["B", "T"]);
+        assert_eq!(text[programs[0].params], ["B", "T"]);
         assert_eq!(programs[0].body.len(), 2);
-        assert_eq!(programs[1].body.len(), 4);
-        assert!(matches!(programs[1].body[2], SqlStatement::If { .. }));
-        assert!(matches!(programs[1].body[3], SqlStatement::Insert { .. }));
+        let place_bid = &text[programs[1].body];
+        assert_eq!(place_bid.len(), 4);
+        assert!(matches!(place_bid[2], SqlStatement::If { .. }));
+        match place_bid[3] {
+            SqlStatement::Insert {
+                columns, values, ..
+            } => {
+                assert!(columns.is_empty());
+                let values: Vec<_> = text[values].iter().map(|&v| &text[v]).collect();
+                let param = |p| [Value::Param(p)];
+                assert_eq!(values, [&param("logId")[..], &param("B"), &param("V")]);
+            }
+            other => panic!("expected insert, got {other:?}"),
+        }
     }
 
     #[test]
     fn parses_loops_and_deletes() {
-        let programs = parse_text(
+        let text = parse_text(
             r#"
             PROGRAM Delivery(:w_id) {
                 FOR each district DO
@@ -700,13 +731,13 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(programs.len(), 1);
-        let body = &programs[0].body;
+        assert_eq!(text.programs.len(), 1);
+        let body = &text[text.programs[0].body];
         assert_eq!(body.len(), 1);
-        match &body[0] {
+        match body[0] {
             SqlStatement::Loop { body } => {
                 assert_eq!(body.len(), 2);
-                assert!(matches!(body[1], SqlStatement::Delete { .. }));
+                assert!(matches!(text[body][1], SqlStatement::Delete { .. }));
             }
             other => panic!("expected loop, got {other:?}"),
         }
@@ -714,7 +745,7 @@ mod tests {
 
     #[test]
     fn parses_if_else_and_repeat() {
-        let programs = parse_text(
+        let text = parse_text(
             r#"
             PROGRAM P {
                 IF :x < 3 THEN
@@ -729,9 +760,9 @@ mod tests {
             "#,
         )
         .unwrap();
-        let body = &programs[0].body;
+        let body = &text[text.programs[0].body];
         assert_eq!(body.len(), 2);
-        match &body[0] {
+        match body[0] {
             SqlStatement::If {
                 then_branch,
                 else_branch,
@@ -746,7 +777,7 @@ mod tests {
 
     #[test]
     fn update_with_returning_and_qualified_columns() {
-        let programs = parse_text(
+        let text = parse_text(
             r#"
             PROGRAM P {
                 UPDATE district SET d_next_o_id = d_next_o_id + 1
@@ -757,22 +788,33 @@ mod tests {
             "#,
         )
         .unwrap();
-        match &programs[0].body[0] {
+        let body = &text[text.programs[0].body];
+        match body[0] {
             SqlStatement::Update {
                 assignments,
                 returning,
                 where_clause,
                 ..
             } => {
-                assert_eq!(assignments.len(), 1);
-                assert_eq!(returning, &vec!["d_next_o_id", "d_tax"]);
-                assert_eq!(where_clause.as_ref().unwrap().comparisons.len(), 2);
+                let [assignment] = text[assignments] else {
+                    panic!("expected one assignment");
+                };
+                assert_eq!(assignment.target, "d_next_o_id");
+                let operands = [Value::Column("d_next_o_id"), Value::Number("1")];
+                assert_eq!(text[assignment.expr], operands);
+                assert_eq!(text[returning], ["d_next_o_id", "d_tax"]);
+                let conjuncts = &text[where_clause.unwrap()];
+                assert_eq!(conjuncts.len(), 2);
+                assert_eq!(
+                    text.column_binding(conjuncts[1]),
+                    Some(("d_w_id", Value::Param("w_id")))
+                );
             }
             other => panic!("expected update, got {other:?}"),
         }
-        match &programs[0].body[1] {
+        match body[1] {
             SqlStatement::Select { columns, .. } => {
-                assert_eq!(columns, &vec!["Balance"])
+                assert_eq!(text[columns], ["Balance"])
             }
             other => panic!("expected select, got {other:?}"),
         }
@@ -780,12 +822,12 @@ mod tests {
 
     #[test]
     fn select_star_and_missing_where() {
-        let programs = parse_text("PROGRAM P { SELECT * FROM R; }").unwrap();
-        match &programs[0].body[0] {
+        let text = parse_text("PROGRAM P { SELECT * FROM R; }").unwrap();
+        match text[text.programs[0].body][0] {
             SqlStatement::Select {
                 star, where_clause, ..
             } => {
-                assert!(*star);
+                assert!(star);
                 assert!(where_clause.is_none());
             }
             other => panic!("expected select, got {other:?}"),
@@ -832,17 +874,18 @@ mod tests {
 
     #[test]
     fn statements_carry_their_source_spans() {
-        let programs = parse_text(
+        let text = parse_text(
             "PROGRAM P {\n    SELECT a FROM R WHERE k = :x;\n    UPDATE R SET a = 1 WHERE k = :x;\n}",
         )
         .unwrap();
-        match &programs[0].body[0] {
+        let body = &text[text.programs[0].body];
+        match body[0] {
             SqlStatement::Select { span, .. } => {
                 assert_eq!((span.line, span.column), (2, 5));
             }
             other => panic!("expected select, got {other:?}"),
         }
-        match &programs[0].body[1] {
+        match body[1] {
             SqlStatement::Update { span, .. } => {
                 assert_eq!((span.line, span.column), (3, 5));
             }
@@ -860,11 +903,11 @@ mod tests {
                 "END IF;\n".repeat(levels)
             )
         };
-        let text = nested(MAX_BLOCK_NESTING);
-        let programs = parse_text(&text).unwrap();
+        let source = nested(MAX_BLOCK_NESTING);
+        let text = parse_text(&source).unwrap();
         let mut depth = 0;
-        let mut body = &programs[0].body;
-        while let [SqlStatement::If { then_branch, .. }] = body.as_slice() {
+        let mut body = text.programs[0].body;
+        while let [SqlStatement::If { then_branch, .. }] = text[body] {
             depth += 1;
             body = then_branch;
         }

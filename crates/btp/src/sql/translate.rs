@@ -1,25 +1,33 @@
 //! Translation of parsed SQL programs into BTPs (Appendix A of the paper).
 
-use super::ast::{Comparison, Condition, SqlProgram, SqlStatement, Value};
+use super::ast::{Block, Condition, SqlProgram, SqlStatement, SqlText, Value};
 use crate::error::BtpError;
 use crate::program::{FkConstraint, Program, ProgramExpr, StmtId, MAX_PROGRAM_STATEMENTS};
 use crate::span::SourceSpan;
 use crate::statement::{Statement, StatementKind};
 use crate::unfold::{add_statement_occurrences, unfolding_count, UnfoldOptions};
 use mvrc_schema::{AttrId, AttrSet, ForeignKey, RelId, Relation, Schema};
-use std::fmt::Write;
+use std::sync::Arc;
 
 /// Translates every parsed program of a workload. Fails before anything is unfolded when a
 /// program would unfold to more than [`MAX_PROGRAM_LTPS`] LTPs, or all of them together to
 /// more than [`MAX_WORKLOAD_LTPS`] LTPs or more than [`MAX_WORKLOAD_EDGES`] possible edges.
-pub fn translate_workload(
-    schema: &Schema,
-    programs: &[SqlProgram<'_>],
-) -> Result<Vec<Program>, BtpError> {
+pub fn translate_workload(schema: &Schema, text: &SqlText<'_>) -> Result<Vec<Program>, BtpError> {
     let fks = FksByDom::new(schema);
-    let programs = programs
+    let mut ctx = TranslateCtx {
+        schema,
+        fks: &fks,
+        text,
+        names: Vec::new(),
+        statements: Vec::new(),
+        bindings: Vec::new(),
+        binding_ends: Vec::new(),
+        spans: Vec::new(),
+    };
+    let programs = text
+        .programs
         .iter()
-        .map(|p| translate(schema, &fks, p))
+        .map(|p| ctx.translate(p))
         .collect::<Result<Vec<_>, _>>()?;
     check_workload_ltps(&programs)?;
     Ok(programs)
@@ -128,66 +136,17 @@ pub fn check_workload_ltps<'a>(
     Ok(count)
 }
 
-/// Translates a single parsed program into a BTP, inferring foreign-key constraints from host
-/// parameter reuse. Fails before anything is unfolded when the program would unfold to more
-/// than [`MAX_PROGRAM_LTPS`] LTPs.
-pub fn translate_program(schema: &Schema, program: &SqlProgram<'_>) -> Result<Program, BtpError> {
-    translate(schema, &FksByDom::new(schema), program)
-}
-
-fn translate(
-    schema: &Schema,
-    fks: &FksByDom<'_>,
-    program: &SqlProgram<'_>,
-) -> Result<Program, BtpError> {
-    // Counted before any statement is numbered: a `StmtId` past the limit would wrap.
-    let count = statement_count(&program.body);
-    if count > MAX_PROGRAM_STATEMENTS {
-        return Err(BtpError::TooManyStatements {
-            program: program.name.to_string(),
-            count,
-            limit: MAX_PROGRAM_STATEMENTS,
-        });
-    }
-    let mut ctx = TranslateCtx {
-        schema,
-        fks,
-        statements: Vec::with_capacity(count),
-        bindings: Vec::new(),
-        binding_ends: Vec::new(),
-        spans: Vec::new(),
-    };
-    let body = ctx.translate_block(&program.body)?;
-    let count = unfolding_count(&body, UnfoldOptions::default().max_loop_iterations);
-    if count > MAX_PROGRAM_LTPS {
-        return Err(BtpError::TooManyLtps {
-            program: program.name.to_string(),
-            count,
-            limit: MAX_PROGRAM_LTPS,
-        });
-    }
-    let fk_constraints = ctx.infer_fk_constraints();
-    let spans = ctx.spans;
-    Ok(Program::from_parts(
-        program.name.to_string(),
-        ctx.statements,
-        body,
-        fk_constraints,
-    )
-    .with_spans(spans))
-}
-
 /// How many BTP statements `block` translates to: one per `SELECT`, `UPDATE`, `INSERT` and
 /// `DELETE`, in every branch and loop body.
-fn statement_count(block: &[SqlStatement<'_>]) -> usize {
-    block
+fn statement_count(text: &SqlText<'_>, block: Block<'_>) -> usize {
+    text[block]
         .iter()
-        .map(|stmt| match stmt {
+        .map(|stmt| match *stmt {
             SqlStatement::If {
                 then_branch,
                 else_branch,
-            } => statement_count(then_branch) + statement_count(else_branch),
-            SqlStatement::Loop { body } => statement_count(body),
+            } => statement_count(text, then_branch) + statement_count(text, else_branch),
+            SqlStatement::Loop { body } => statement_count(text, body),
             _ => 1,
         })
         .sum()
@@ -221,9 +180,15 @@ impl<'a> FksByDom<'a> {
     }
 }
 
+/// What translating the programs of one text needs. The program being translated owns
+/// `statements` and `spans`; the other buffers serve every program in turn, so the statement
+/// names `q1`, `q2`, … are made once and shared by the statements of all programs.
 struct TranslateCtx<'a, 'p> {
     schema: &'a Schema,
     fks: &'a FksByDom<'a>,
+    text: &'a SqlText<'p>,
+    /// `names[i]` is `q{i + 1}`, the name of every program's statement `i`.
+    names: Vec<Arc<str>>,
     statements: Vec<Statement>,
     /// The attributes each statement binds to a host parameter by an equality predicate (or by
     /// an INSERT value), with the parameter's name, one run per statement in statement order.
@@ -236,6 +201,38 @@ struct TranslateCtx<'a, 'p> {
 }
 
 impl<'a, 'p> TranslateCtx<'a, 'p> {
+    /// Translates one parsed program into a BTP, inferring foreign-key constraints from host
+    /// parameter reuse. Fails before anything is unfolded when the program would unfold to
+    /// more than [`MAX_PROGRAM_LTPS`] LTPs.
+    fn translate(&mut self, program: &SqlProgram<'p>) -> Result<Program, BtpError> {
+        // Counted before any statement is numbered: a `StmtId` past the limit would wrap.
+        let count = statement_count(self.text, program.body);
+        if count > MAX_PROGRAM_STATEMENTS {
+            return Err(BtpError::TooManyStatements {
+                program: program.name.to_string(),
+                count,
+                limit: MAX_PROGRAM_STATEMENTS,
+            });
+        }
+        self.statements = Vec::with_capacity(count);
+        self.spans = Vec::with_capacity(count);
+        self.bindings.clear();
+        self.binding_ends.clear();
+        let body = self.translate_block(program.body)?;
+        let count = unfolding_count(&body, UnfoldOptions::default().max_loop_iterations);
+        if count > MAX_PROGRAM_LTPS {
+            return Err(BtpError::TooManyLtps {
+                program: program.name.to_string(),
+                count,
+                limit: MAX_PROGRAM_LTPS,
+            });
+        }
+        let fk_constraints = self.infer_fk_constraints();
+        let statements = std::mem::take(&mut self.statements);
+        let spans = std::mem::take(&mut self.spans);
+        Ok(Program::from_parts(program.name, statements, body, fk_constraints)?.with_spans(spans))
+    }
+
     fn relation(&self, name: &str) -> Result<&'a Relation, BtpError> {
         self.schema
             .relation_by_name(name)
@@ -258,11 +255,13 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
         Ok(set)
     }
 
-    fn next_name(&self) -> String {
-        let mut name = String::with_capacity(6);
-        name.push('q');
-        write!(name, "{}", self.statements.len() + 1).expect("writing to a String cannot fail");
-        name
+    fn next_name(&mut self) -> Arc<str> {
+        let index = self.statements.len();
+        while self.names.len() <= index {
+            let name = format!("q{}", self.names.len() + 1);
+            self.names.push(name.into());
+        }
+        self.names[index].clone()
     }
 
     /// Adds a statement; its bindings are those recorded by [`bind`](Self::bind) since the
@@ -296,9 +295,10 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
             .map(|&(_, p)| p)
     }
 
-    fn translate_block(&mut self, block: &[SqlStatement<'p>]) -> Result<ProgramExpr, BtpError> {
+    fn translate_block(&mut self, block: Block<'p>) -> Result<ProgramExpr, BtpError> {
+        let text = self.text;
         let mut parts = Vec::with_capacity(block.len());
-        for stmt in block {
+        for &stmt in &text[block] {
             parts.push(self.translate_statement(stmt)?);
         }
         Ok(match parts.len() {
@@ -308,7 +308,8 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
         })
     }
 
-    fn translate_statement(&mut self, stmt: &SqlStatement<'p>) -> Result<ProgramExpr, BtpError> {
+    fn translate_statement(&mut self, stmt: SqlStatement<'p>) -> Result<ProgramExpr, BtpError> {
+        let text = self.text;
         match stmt {
             SqlStatement::Select {
                 relation,
@@ -318,12 +319,12 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                 span,
             } => {
                 let rel = self.relation(relation)?;
-                let read = if *star {
+                let read = if star {
                     rel.all_attrs()
                 } else {
-                    self.attrs(rel, columns)?
+                    self.attrs(rel, &text[columns])?
                 };
-                let analysis = self.analyze_where(rel, where_clause.as_ref())?;
+                let analysis = self.analyze_where(rel, where_clause)?;
                 let name = self.next_name();
                 let (kind, pread) = if analysis.key_based {
                     (StatementKind::KeySelect, None)
@@ -331,7 +332,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                     (StatementKind::PredSelect, Some(analysis.pread))
                 };
                 let statement = Statement::new(name, rel, kind, pread, Some(read), None)?;
-                Ok(self.add(statement, *span).into())
+                Ok(self.add(statement, span).into())
             }
             SqlStatement::Update {
                 relation,
@@ -343,16 +344,16 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                 let rel = self.relation(relation)?;
                 let mut write = AttrSet::empty();
                 let mut read = AttrSet::empty();
-                for a in assignments {
+                for a in &text[assignments] {
                     write.insert(self.attr(rel, a.target)?);
-                    for v in &a.expr {
+                    for v in &text[a.expr] {
                         if let Some(col) = v.as_column() {
                             read.insert(self.attr(rel, col)?);
                         }
                     }
                 }
-                read = read.union(self.attrs(rel, returning)?);
-                let analysis = self.analyze_where(rel, where_clause.as_ref())?;
+                read = read.union(self.attrs(rel, &text[returning])?);
+                let analysis = self.analyze_where(rel, where_clause)?;
                 let name = self.next_name();
                 let (kind, pread) = if analysis.key_based {
                     (StatementKind::KeyUpdate, None)
@@ -360,7 +361,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                     (StatementKind::PredUpdate, Some(analysis.pread))
                 };
                 let statement = Statement::new(name, rel, kind, pread, Some(read), Some(write))?;
-                Ok(self.add(statement, *span).into())
+                Ok(self.add(statement, span).into())
             }
             SqlStatement::Insert {
                 relation,
@@ -369,9 +370,10 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                 span,
             } => {
                 let rel = self.relation(relation)?;
+                let columns = &text[columns];
                 // Pair values with attributes either positionally or through the column list and
                 // record parameter bindings for foreign-key inference.
-                for (idx, value) in values.iter().enumerate() {
+                for (idx, &value) in text[values].iter().enumerate() {
                     let attr = if columns.is_empty() {
                         if idx < rel.attribute_count() {
                             Some(AttrId(idx as u8))
@@ -381,13 +383,13 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                     } else {
                         columns.get(idx).map(|c| self.attr(rel, c)).transpose()?
                     };
-                    if let (Some(attr), [Value::Param(p)]) = (attr, value.as_slice()) {
+                    if let (Some(attr), [Value::Param(p)]) = (attr, &text[value]) {
                         self.bind(attr, p);
                     }
                 }
                 let name = self.next_name();
                 let statement = Statement::new(name, rel, StatementKind::Insert, None, None, None)?;
-                Ok(self.add(statement, *span).into())
+                Ok(self.add(statement, span).into())
             }
             SqlStatement::Delete {
                 relation,
@@ -395,7 +397,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                 span,
             } => {
                 let rel = self.relation(relation)?;
-                let analysis = self.analyze_where(rel, where_clause.as_ref())?;
+                let analysis = self.analyze_where(rel, where_clause)?;
                 let name = self.next_name();
                 let (kind, pread) = if analysis.key_based {
                     (StatementKind::KeyDelete, None)
@@ -403,7 +405,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                     (StatementKind::PredDelete, Some(analysis.pread))
                 };
                 let statement = Statement::new(name, rel, kind, pread, None, None)?;
-                Ok(self.add(statement, *span).into())
+                Ok(self.add(statement, span).into())
             }
             SqlStatement::If {
                 then_branch,
@@ -428,7 +430,7 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
     fn analyze_where(
         &mut self,
         rel: &Relation,
-        where_clause: Option<&Condition<'p>>,
+        where_clause: Option<Condition<'p>>,
     ) -> Result<WhereAnalysis, BtpError> {
         let Some(cond) = where_clause else {
             // No WHERE clause: a scan over the whole relation, i.e. predicate-based with an
@@ -438,16 +440,13 @@ impl<'a, 'p> TranslateCtx<'a, 'p> {
                 pread: AttrSet::empty(),
             });
         };
+        let text = self.text;
         let mut pread = AttrSet::empty();
-        for col in cond.comparisons.iter().flat_map(Comparison::columns) {
+        for col in text[cond].iter().flat_map(|&c| text.columns(c)) {
             pread.insert(self.attr(rel, col)?);
         }
         let mut bound = AttrSet::empty();
-        for (col, value) in cond
-            .comparisons
-            .iter()
-            .filter_map(Comparison::column_binding)
-        {
+        for (col, value) in text[cond].iter().filter_map(|&c| text.column_binding(c)) {
             let attr = self.attr(rel, col)?;
             bound.insert(attr);
             if let Some(p) = value.as_param() {

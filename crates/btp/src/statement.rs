@@ -8,6 +8,7 @@ use crate::error::BtpError;
 use mvrc_schema::{AttrSet, RelId, Relation};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The type of a statement: `type(q)` in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -123,10 +124,11 @@ impl fmt::Display for StatementKind {
 ///
 /// `read_set`, `write_set` and `pread_set` model `ReadSet(q)`, `WriteSet(q)` and `PReadSet(q)`;
 /// `None` encodes the paper's `⊥` (undefined), `Some(AttrSet::EMPTY)` encodes a defined but
-/// empty set.
+/// empty set. The name is shared: a clone, e.g. each LTP occurrence of the statement, copies
+/// no text.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Statement {
-    name: String,
+    name: Arc<str>,
     rel: RelId,
     kind: StatementKind,
     read_set: Option<AttrSet>,
@@ -141,7 +143,7 @@ impl Statement {
     /// which is needed both to validate that the provided sets are subsets of `Attr(R)` and to
     /// fill in the write set of inserts and deletes (which is always `Attr(R)`).
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         rel: &Relation,
         kind: StatementKind,
         pread_set: Option<AttrSet>,
@@ -154,7 +156,7 @@ impl Statement {
             if let Some(s) = set {
                 if !s.is_subset_of(all) {
                     return Err(BtpError::InvalidStatement {
-                        statement: name.clone(),
+                        statement: name.to_string(),
                         reason: format!("{which} is not a subset of Attr({})", rel.name()),
                     });
                 }
@@ -166,7 +168,7 @@ impl Statement {
         check_subset(write_set, "WriteSet")?;
 
         let invalid = |reason: &str| BtpError::InvalidStatement {
-            statement: name.clone(),
+            statement: name.to_string(),
             reason: reason.to_string(),
         };
 

@@ -292,8 +292,7 @@ fn analyze_text(name: &str, sql: &str) -> (Option<i32>, String, String) {
 }
 
 /// 1,000 tables; program `P` of `selects` reads spread over them and one update of `T999`,
-/// and program `R` reading `T999`. (A program of 65,536 statements, the most a program may
-/// declare, is accepted: `mvrc_btp`'s translation tests check that.)
+/// and program `R` reading `T999`.
 fn many_statements_file(selects: usize) -> String {
     let mut sql = String::new();
     for k in 0..1000 {
@@ -335,6 +334,32 @@ fn ids_past_16_bits_exit_2_with_one_line() {
          `T65536`: the schema already declares 65536 relations, the most it can hold\n"
     );
     assert!(stdout.is_empty());
+}
+
+#[test]
+fn a_straight_line_program_of_65536_statements_is_analyzed() {
+    // 65,535 reads spread over `T0`..`T998`, then one update of `T999`: the most statements a
+    // program may declare, in one sequence. `Unfold≤2` must be linear in them: copying the
+    // sequence prefix per statement takes ~16 s here.
+    let mut sql = String::new();
+    for k in 0..1000 {
+        sql.push_str(&format!("TABLE T{k} (a, b);\n"));
+    }
+    sql.push_str("PROGRAM P(:x, :v) {\n");
+    for k in 0..65_535 {
+        sql.push_str(&format!("SELECT b FROM T{} WHERE a = :x;\n", k % 999));
+    }
+    sql.push_str("UPDATE T999 SET b = :v WHERE a = :x;\n}\n");
+    let (code, stdout, stderr) = analyze_text("straight", &sql);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    for line in [
+        "unfolded LTPs:      1",
+        "summary graph:      1 nodes, 1 edges (0 counterflow)",
+        "verdict:            robust against MVRC (type-II condition)",
+    ] {
+        assert!(stdout.contains(line), "{stdout}");
+    }
 }
 
 /// Runs `mvrc` with `args` and returns its stdout, failing the test on a non-zero exit.

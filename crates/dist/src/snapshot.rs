@@ -71,7 +71,7 @@
 use crate::codec::{fnv64_words, Reader, Writer};
 use mvrc_btp::{
     FkConstraint, LinearFkConstraint, LinearProgram, Program, ProgramExpr, Statement,
-    StatementKind, StmtId, UnfoldOptions, Workload, MAX_PROGRAM_STATEMENTS,
+    StatementKind, StmtId, UnfoldOptions, Workload,
 };
 use mvrc_robustness::{
     AnalysisSettings, CachedSweep, CycleCondition, EdgeKind, Granularity, RobustnessSession,
@@ -507,7 +507,7 @@ fn decode_statement(r: &mut Reader<'_>, schema: &Schema) -> Result<Statement, Sn
     let read = r.opt_u64()?.map(AttrSet::from_bits);
     let write = r.opt_u64()?.map(AttrSet::from_bits);
     Statement::new(
-        &name,
+        name.as_str(),
         schema.relation(RelId(rel_idx as u16)),
         kind,
         pread,
@@ -609,12 +609,6 @@ fn encode_program(w: &mut Writer, program: &Program) {
 fn decode_program(r: &mut Reader<'_>, schema: &Schema) -> Result<Program, SnapshotError> {
     let name = r.str()?;
     let stmt_count = r.len()?;
-    // Statement ids are 16 bits: a larger program would alias its statements.
-    if stmt_count > MAX_PROGRAM_STATEMENTS {
-        return Err(SnapshotError::Corrupt(format!(
-            "program `{name}` has {stmt_count} statements, more than {MAX_PROGRAM_STATEMENTS}"
-        )));
-    }
     let mut statements = Vec::with_capacity(stmt_count);
     for _ in 0..stmt_count {
         statements.push(decode_statement(r, schema)?);
@@ -640,7 +634,9 @@ fn decode_program(r: &mut Reader<'_>, schema: &Schema) -> Result<Program, Snapsh
             range_stmt: StmtId(range_stmt),
         });
     }
-    Ok(Program::from_parts(name, statements, body, fk_constraints))
+    // Statement ids are 16 bits: `from_parts` refuses a program that would alias its statements.
+    Program::from_parts(name, statements, body, fk_constraints)
+        .map_err(|e| SnapshotError::Corrupt(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -906,6 +902,7 @@ fn decode_cached_sweep(
 mod tests {
     use super::*;
     use mvrc_benchmarks::{auction, smallbank, tpcc};
+    use mvrc_btp::MAX_PROGRAM_STATEMENTS;
 
     fn warm_session(workload: Workload) -> RobustnessSession {
         let session = RobustnessSession::new(workload);

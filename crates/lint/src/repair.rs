@@ -65,37 +65,22 @@ pub fn promotion_candidates(program: &Program) -> Vec<StmtId> {
 /// the attributes it read (or, for reads of no attributes, the whole tuple — an update must
 /// write something). Non-select ids in `promoted` are left unchanged.
 pub fn promote_program(schema: &Schema, program: &Program, promoted: &BTreeSet<StmtId>) -> Program {
-    let statements: Vec<Statement> = program
-        .statements()
-        .map(|(id, stmt)| {
-            let (kind, pread) = match stmt.kind() {
-                StatementKind::KeySelect if promoted.contains(&id) => {
-                    (StatementKind::KeyUpdate, None)
-                }
-                StatementKind::PredSelect if promoted.contains(&id) => {
-                    (StatementKind::PredUpdate, stmt.pread_set())
-                }
-                _ => return stmt.clone(),
-            };
-            let rel = schema.relation(stmt.rel());
-            let write = match stmt.read_set() {
-                Some(read) if !read.is_empty() => read,
-                _ => rel.all_attrs(),
-            };
-            Statement::new(stmt.name(), rel, kind, pread, stmt.read_set(), Some(write))
-                .expect("promoted statement satisfies the Figure 5 constraints")
-        })
-        .collect();
-    let spans = (0..program.statement_count())
-        .map(|i| program.span(StmtId(i as u16)))
-        .collect();
-    Program::from_parts(
-        program.name(),
-        statements,
-        program.body().clone(),
-        program.fk_constraints().to_vec(),
-    )
-    .with_spans(spans)
+    program.map_statements(|id, stmt| {
+        let (kind, pread) = match stmt.kind() {
+            StatementKind::KeySelect if promoted.contains(&id) => (StatementKind::KeyUpdate, None),
+            StatementKind::PredSelect if promoted.contains(&id) => {
+                (StatementKind::PredUpdate, stmt.pread_set())
+            }
+            _ => return stmt.clone(),
+        };
+        let rel = schema.relation(stmt.rel());
+        let write = match stmt.read_set() {
+            Some(read) if !read.is_empty() => read,
+            _ => rel.all_attrs(),
+        };
+        Statement::new(stmt.name(), rel, kind, pread, stmt.read_set(), Some(write))
+            .expect("promoted statement satisfies the Figure 5 constraints")
+    })
 }
 
 /// Applies a promotion set to a workload, returning the edited workload.
