@@ -451,11 +451,9 @@ fn render_certify_text(outcome: &mvrc_hist::CertifyOutcome) -> String {
             let _ = writeln!(out, "anomaly:   {}", r.anomaly);
             let _ = writeln!(
                 out,
-                "checker:   non-serializable ({} conflicts, cycle of {} edges); \
-                 engine agreement: {}",
+                "checker:   non-serializable ({} conflicts, cycle of {} edges)",
                 r.verdict.conflicts,
-                r.verdict.cycle.len(),
-                r.find_anomaly_agrees
+                r.verdict.cycle.len()
             );
         }
         mvrc_hist::CertifyOutcome::Attested(a) => {
@@ -615,7 +613,11 @@ mod tests {
         assert_eq!(out.exit_code, 1);
         assert!(out.text.contains("NOT ROBUST"), "{}", out.text);
         assert!(out.text.contains("anomaly:"), "{}", out.text);
-        assert!(out.text.contains("engine agreement: true"), "{}", out.text);
+        assert!(
+            out.text.contains("checker:   non-serializable"),
+            "{}",
+            out.text
+        );
     }
 
     #[test]

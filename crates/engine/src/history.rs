@@ -1,20 +1,28 @@
-//! Execution histories and the online serializability checker.
+//! Execution histories and the one serializability decider over them.
 //!
 //! The engine records what every committed transaction read and wrote — including the commit
 //! timestamps of the versions that were observed — and this module turns that record into a
 //! *dynamic* serialization graph: the concrete counterpart of the serialization graph `SeG(s)`
-//! of Section 3.4. The checker is used to
+//! of Section 3.4. [`History::dependencies`] derives its edges and
+//! [`History::serialization_order`] decides it: a serialization order, or a cycle. Every caller
+//! goes through these two functions: [`History::find_anomaly`], [`History::report`] (and so the
+//! [`RunStats`](crate::RunStats) of [`run_workload`](crate::run_workload)) and the certificates
+//! of `mvrc-hist`.
 //!
-//! * detect anomalies (cycles) in executions of workloads that the static analysis rejected,
-//! * confirm the absence of anomalies in executions of workloads attested robust, and
-//! * validate Lemma 4.1 and Theorem 4.2 on real executions: in a history produced under
-//!   read-committed, only (predicate) rw-antidependencies may run counter to the commit order,
-//!   and every cycle must be a type-II cycle.
+//! The MVRC they assume is the one of Vandevoort et al. (VLDB 2021) that the paper reuses, and
+//! the one [`IsolationLevel::ReadCommitted`](crate::IsolationLevel::ReadCommitted) executes:
+//! every statement reads the last committed version (statement-level read-last-committed), the
+//! version order of a row is the commit order of its writers, and there are no dirty writes (a
+//! transaction never overwrites an uncommitted version). Under that model a committed history
+//! is conflict serializable exactly when its dependency graph is acyclic, and only (predicate)
+//! rw-antidependencies may run against the commit order (Lemma 4.1); every cycle is then a
+//! type-II cycle (Theorem 4.2).
 
 use crate::storage::{CommitTs, WriterId};
 use crate::value::Key;
 use mvrc_schema::{AttrSet, RelId, Schema};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 /// The kind of a recorded write.
@@ -218,173 +226,173 @@ impl History {
         self.committed.is_empty()
     }
 
-    /// Computes every dependency edge between committed transactions.
+    /// Computes every dependency edge between committed transactions, sorted by
+    /// `(from, to, kind)` without duplicates.
     ///
     /// Dependencies follow Section 3.4 at attribute granularity:
     /// * `ww` — both wrote a common attribute of the same row; direction follows commit order.
     /// * `wr` — the writer's version is the one observed by the reader, or an earlier one.
     /// * `rw` — the reader observed a version older than the one the writer installed.
-    /// * `pred-wr` / `pred-rw` — as above, with the writer's row version compared against the
-    ///   predicate's read timestamp; inserts and deletes conflict regardless of attribute
+    /// * `pred-wr` / `pred-rw` — as above, with the writer's commit timestamp compared against
+    ///   the predicate's read timestamp; inserts and deletes conflict regardless of attribute
     ///   overlap.
+    ///
+    /// The derivation is cell-indexed: writes are grouped by `(relation, key)` and by relation,
+    /// so a read meets only the writers of its own row and a predicate read only the writers of
+    /// its relation.
     pub fn dependencies(&self) -> Vec<DynDependency> {
-        let mut edges = Vec::new();
-        let n = self.committed.len();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                self.dependencies_between(i, j, &mut edges);
+        type Writers<'a> = Vec<(usize, &'a RecordedWrite)>;
+        let mut by_cell: BTreeMap<(RelId, &Key), Writers<'_>> = BTreeMap::new();
+        let mut by_rel: BTreeMap<RelId, Writers<'_>> = BTreeMap::new();
+        for (t, txn) in self.committed.iter().enumerate() {
+            for write in &txn.writes {
+                by_cell
+                    .entry((write.rel, &write.key))
+                    .or_default()
+                    .push((t, write));
+                by_rel.entry(write.rel).or_default().push((t, write));
             }
         }
-        edges.sort_by_key(|e| (e.from, e.to, e.kind as u8, e.counterflow));
+        let commit_ts = |t: usize| self.committed[t].commit_ts;
+        let mut edges = Vec::new();
+        let mut push = |from: usize, to: usize, kind: DynDepKind| {
+            edges.push(DynDependency {
+                from,
+                to,
+                kind,
+                counterflow: commit_ts(to) < commit_ts(from),
+            });
+        };
+
+        // ww: within each cell, writers of a common attribute are ordered by commit timestamp.
+        for writers in by_cell.values() {
+            for (a, &(ti, wi)) in writers.iter().enumerate() {
+                for &(tj, wj) in &writers[a + 1..] {
+                    if ti != tj && wi.attrs.intersects(wj.attrs) {
+                        let (from, to) = if commit_ts(ti) < commit_ts(tj) {
+                            (ti, tj)
+                        } else {
+                            (tj, ti)
+                        };
+                        push(from, to, DynDepKind::Ww);
+                    }
+                }
+            }
+        }
+
+        for (t, txn) in self.committed.iter().enumerate() {
+            // wr / rw: the observed timestamp splits the writers of the read's cell into version
+            // sources (committed at or before the observation) and overwriters (after it).
+            for read in &txn.reads {
+                for &(w, write) in by_cell.get(&(read.rel, &read.key)).into_iter().flatten() {
+                    if w == t || !write.attrs.intersects(read.attrs) {
+                        continue;
+                    }
+                    if commit_ts(w) <= read.observed_ts {
+                        push(w, t, DynDepKind::Wr);
+                    } else {
+                        push(t, w, DynDepKind::Rw);
+                    }
+                }
+            }
+            // pred-wr / pred-rw: a predicate read meets every writer of its relation.
+            for pred in &txn.pred_reads {
+                for &(w, write) in by_rel.get(&pred.rel).into_iter().flatten() {
+                    if w == t
+                        || !(write.kind.always_conflicts_with_predicates()
+                            || write.attrs.intersects(pred.pread_attrs))
+                    {
+                        continue;
+                    }
+                    if commit_ts(w) <= pred.read_ts {
+                        push(w, t, DynDepKind::PredicateWr);
+                    } else {
+                        push(t, w, DynDepKind::PredicateRw);
+                    }
+                }
+            }
+        }
+        edges.sort_unstable_by_key(|e| (e.from, e.to, e.kind as u8));
         edges.dedup();
         edges
     }
 
-    fn dependencies_between(&self, i: usize, j: usize, edges: &mut Vec<DynDependency>) {
-        let ti = &self.committed[i];
-        let tj = &self.committed[j];
-        let push = |edges: &mut Vec<DynDependency>, kind: DynDepKind| {
-            edges.push(DynDependency {
-                from: i,
-                to: j,
-                kind,
-                counterflow: tj.commit_ts < ti.commit_ts,
-            });
-        };
-
-        // ww: Ti installed a version before Tj on a common attribute of the same row.
-        for wi in &ti.writes {
-            for wj in &tj.writes {
-                if wi.rel == wj.rel
-                    && wi.key == wj.key
-                    && wi.attrs.intersects(wj.attrs)
-                    && ti.commit_ts < tj.commit_ts
-                {
-                    push(edges, DynDepKind::Ww);
-                }
-            }
-        }
-
-        // wr: Tj read a version that Ti wrote (or a later one than Ti's).
-        for wi in &ti.writes {
-            for rj in &tj.reads {
-                if wi.rel == rj.rel
-                    && wi.key == rj.key
-                    && wi.attrs.intersects(rj.attrs)
-                    && ti.commit_ts <= rj.observed_ts
-                {
-                    push(edges, DynDepKind::Wr);
-                }
-            }
-        }
-
-        // rw: Ti read a version older than the one Tj wrote.
-        for ri in &ti.reads {
-            for wj in &tj.writes {
-                if ri.rel == wj.rel
-                    && ri.key == wj.key
-                    && ri.attrs.intersects(wj.attrs)
-                    && ri.observed_ts < tj.commit_ts
-                {
-                    push(edges, DynDepKind::Rw);
-                }
-            }
-        }
-
-        // pred-wr: Ti's write was visible to Tj's predicate read.
-        for wi in &ti.writes {
-            for pj in &tj.pred_reads {
-                if wi.rel == pj.rel
-                    && ti.commit_ts <= pj.read_ts
-                    && (wi.kind.always_conflicts_with_predicates()
-                        || wi.attrs.intersects(pj.pread_attrs))
-                {
-                    push(edges, DynDepKind::PredicateWr);
-                }
-            }
-        }
-
-        // pred-rw: Tj installed a version newer than Ti's predicate read timestamp.
-        for pi in &ti.pred_reads {
-            for wj in &tj.writes {
-                if pi.rel == wj.rel
-                    && pi.read_ts < tj.commit_ts
-                    && (wj.kind.always_conflicts_with_predicates()
-                        || pi.pread_attrs.intersects(wj.attrs))
-                {
-                    push(edges, DynDepKind::PredicateRw);
-                }
-            }
-        }
-    }
-
-    /// Searches the dynamic serialization graph for a cycle. Returns `None` when the history is
-    /// conflict serializable.
-    pub fn find_anomaly(&self) -> Option<Anomaly> {
-        let edges = self.dependencies();
-        self.find_anomaly_in(&edges)
-    }
-
-    /// Cycle search over precomputed edges (lets callers reuse [`History::dependencies`]).
-    pub fn find_anomaly_in(&self, edges: &[DynDependency]) -> Option<Anomaly> {
+    /// Decides conflict serializability over `edges` (normally [`History::dependencies`]).
+    ///
+    /// Kahn's algorithm peels transactions without unpeeled predecessors, smallest index first.
+    /// It peels everything exactly when the graph is acyclic, and the peel order is then a
+    /// serialization order: `Ok(order)`, indices into [`History::committed`]. Otherwise the
+    /// residual holds every cycle and everything downstream of one, so a forward walk could end
+    /// in a residual sink. The backward walk cannot: a residual transaction keeps a residual
+    /// predecessor (peeled ones only lowered its indegree), so walking first residual
+    /// predecessors from the smallest residual index revisits a node, and the revisited segment,
+    /// reversed, is the cycle returned as `Err(anomaly)`. Between two transactions the cycle takes
+    /// the edge of the smallest kind (`ww` < `wr` < `rw` < `pred-wr` < `pred-rw`).
+    pub fn serialization_order(&self, edges: &[DynDependency]) -> Result<Vec<usize>, Anomaly> {
         let n = self.committed.len();
-        let mut adj: Vec<Vec<&DynDependency>> = vec![Vec::new(); n];
-        for e in edges {
-            adj[e.from].push(e);
+        let mut pairs: Vec<(usize, usize)> = edges.iter().map(|e| (e.from, e.to)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut indegree = vec![0usize; n];
+        for &(from, to) in &pairs {
+            succ[from].push(to);
+            preds[to].push(from);
+            indegree[to] += 1;
         }
-
-        // Iterative DFS with colors; on finding a back edge, reconstruct the cycle from the
-        // current stack.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let mut color = vec![Color::White; n];
-        for start in 0..n {
-            if color[start] != Color::White {
-                continue;
-            }
-            // stack entries: (node, incoming edge used to reach it, next child index)
-            let mut stack: Vec<(usize, Option<DynDependency>, usize)> = vec![(start, None, 0)];
-            color[start] = Color::Gray;
-            while let Some(&mut (node, _, ref mut next)) = stack.last_mut() {
-                if *next < adj[node].len() {
-                    let edge = *adj[node][*next];
-                    *next += 1;
-                    match color[edge.to] {
-                        Color::White => {
-                            color[edge.to] = Color::Gray;
-                            stack.push((edge.to, Some(edge), 0));
-                        }
-                        Color::Gray => {
-                            // Found a cycle: edges from edge.to ... node, then the closing edge.
-                            let mut cycle = Vec::new();
-                            let pos = stack
-                                .iter()
-                                .position(|(n, _, _)| *n == edge.to)
-                                .expect("gray node must be on the DFS stack");
-                            for (_, incoming, _) in &stack[pos + 1..] {
-                                cycle.push(
-                                    incoming.expect("non-root stack entries have incoming edges"),
-                                );
-                            }
-                            cycle.push(edge);
-                            return Some(Anomaly { cycle });
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color[node] = Color::Black;
-                    stack.pop();
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&v| indegree[v] == 0).map(Reverse).collect();
+        let mut peeled = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(v)) = ready.pop() {
+            peeled[v] = true;
+            order.push(v);
+            for &w in &succ[v] {
+                indegree[w] -= 1;
+                if indegree[w] == 0 {
+                    ready.push(Reverse(w));
                 }
             }
         }
-        None
+        let Some(start) = peeled.iter().position(|&p| !p) else {
+            return Ok(order);
+        };
+        let mut walk = vec![start];
+        let mut on_walk = vec![false; n];
+        on_walk[start] = true;
+        let nodes = loop {
+            let v = walk[walk.len() - 1];
+            let next = *preds[v]
+                .iter()
+                .find(|&&w| !peeled[w])
+                .expect("residual nodes keep a residual predecessor");
+            if on_walk[next] {
+                let pos = walk.iter().position(|&x| x == next).expect("on the walk");
+                let mut nodes = walk.split_off(pos);
+                nodes.reverse();
+                break nodes;
+            }
+            on_walk[next] = true;
+            walk.push(next);
+        };
+        let cycle = (0..nodes.len())
+            .map(|i| {
+                let (from, to) = (nodes[i], nodes[(i + 1) % nodes.len()]);
+                *edges
+                    .iter()
+                    .filter(|e| (e.from, e.to) == (from, to))
+                    .min_by_key(|e| e.kind as u8)
+                    .expect("cycle steps are edges")
+            })
+            .collect();
+        Err(Anomaly { cycle })
+    }
+
+    /// The anomaly [`History::serialization_order`] finds over [`History::dependencies`], or
+    /// `None` when the history is conflict serializable.
+    pub fn find_anomaly(&self) -> Option<Anomaly> {
+        self.serialization_order(&self.dependencies()).err()
     }
 
     /// A compact report over the whole history: edge counts, counterflow statistics and the
@@ -396,7 +404,7 @@ impl History {
             .iter()
             .filter(|e| e.counterflow && !e.kind.is_antidependency())
             .count();
-        let anomaly = self.find_anomaly_in(&edges);
+        let anomaly = self.serialization_order(&edges).err();
         HistoryReport {
             relations: schema.relation_count(),
             committed: self.committed.len(),
@@ -653,6 +661,80 @@ mod tests {
             desc.contains("T1") && desc.contains("T2"),
             "description: {desc}"
         );
+    }
+
+    /// A history of `n` empty transactions, for running the decider on hand-made edges.
+    fn blank_history(n: u64) -> History {
+        let mut h = History::new();
+        for t in 1..=n {
+            h.record(txn(t, "T", t));
+        }
+        h
+    }
+
+    fn ww_edges(pairs: &[(usize, usize)]) -> Vec<DynDependency> {
+        pairs
+            .iter()
+            .map(|&(from, to)| DynDependency {
+                from,
+                to,
+                kind: DynDepKind::Ww,
+                counterflow: to < from,
+            })
+            .collect()
+    }
+
+    fn assert_closed(anomaly: &Anomaly) {
+        for (i, e) in anomaly.cycle.iter().enumerate() {
+            assert_eq!(e.to, anomaly.cycle[(i + 1) % anomaly.cycle.len()].from);
+        }
+    }
+
+    #[test]
+    fn the_peel_orders_a_diamond_and_walks_back_from_a_sink_to_the_cycle() {
+        // Acyclic: a diamond peels smallest index first.
+        let diamond = ww_edges(&[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        assert_eq!(
+            blank_history(4).serialization_order(&diamond).unwrap(),
+            vec![0, 1, 2, 3]
+        );
+
+        // Cyclic: a triangle plus a tail.
+        let cyclic = ww_edges(&[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let anomaly = blank_history(4).serialization_order(&cyclic).unwrap_err();
+        assert_eq!(anomaly.cycle.len(), 3);
+        assert_closed(&anomaly);
+
+        // The smallest residual index is a *sink* hanging off the cycle: the extraction walk
+        // starts there, so it must move against the edges (every residual node keeps a
+        // residual predecessor, not necessarily a successor) to reach the cycle.
+        let sink_first = ww_edges(&[(1, 2), (2, 1), (1, 0)]);
+        let anomaly = blank_history(3)
+            .serialization_order(&sink_first)
+            .unwrap_err();
+        assert_eq!(anomaly.cycle.len(), 2);
+        assert_closed(&anomaly);
+        assert!(anomaly.cycle.iter().all(|e| e.from != 0 && e.to != 0));
+    }
+
+    #[test]
+    fn a_cycle_step_takes_the_smallest_kind_between_its_two_transactions() {
+        let mut edges = ww_edges(&[(1, 0)]);
+        edges.push(DynDependency {
+            from: 0,
+            to: 1,
+            kind: DynDepKind::PredicateRw,
+            counterflow: false,
+        });
+        edges.push(DynDependency {
+            from: 0,
+            to: 1,
+            kind: DynDepKind::Wr,
+            counterflow: false,
+        });
+        let anomaly = blank_history(2).serialization_order(&edges).unwrap_err();
+        let kinds: Vec<_> = anomaly.cycle.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![DynDepKind::Ww, DynDepKind::Wr]);
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //!   no dirty writes), [`IsolationLevel::SnapshotIsolation`] or [`IsolationLevel::Serializable`]
 //!   (optimistic certification).
 //! * [`History`] — a record of every committed transaction's reads and writes, from which the
-//!   *dynamic* serialization graph is built; cycles are concrete serialization anomalies.
+//!   *dynamic* serialization graph is built; cycles are concrete serialization anomalies. This is
+//!   the one serializability decider of the workspace: [`History::dependencies`] derives the
+//!   graph cell by cell and [`History::serialization_order`] peels it into a serialization
+//!   order or a cycle. [`run_workload`], [`History::find_anomaly`], [`History::report`] and the
+//!   certificates of `mvrc-hist` all use it; `mvrc-hist`'s `tests/cross_check.rs` holds its one
+//!   oracle.
 //! * [`ProgramInstance::from_ltp`] — the generic lowering of a linear transaction program (an
 //!   `Unfold≤2` LTP of a BTP) onto engine steps, one step per statement. It is the one way
 //!   programs reach the engine.

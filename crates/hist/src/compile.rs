@@ -19,11 +19,10 @@
 //!    (plus a duplicate victim), for witnesses whose canonical split aborts (write locks) or
 //!    stays serializable.
 //!
-//! Every executed history is judged by the independent [`checker`](crate::checker); the first
-//! one it rejects becomes the certificate, cross-checked against the engine's own
-//! [`History::find_anomaly`].
+//! Every executed history is judged by the [`checker`](crate::checker); the first one it
+//! rejects becomes the certificate.
 
-use crate::checker::{check, CheckerVerdict};
+use crate::checker::{judge, CheckerVerdict};
 use mvrc_btp::{LinearProgram, StatementKind};
 use mvrc_engine::{
     lowered_row, run_plan, Engine, History, IsolationLevel, PlanAction, ProgramInstance, StepPlan,
@@ -96,12 +95,13 @@ pub struct Realization {
     pub interleaving: Vec<PlanStep>,
     /// Commit order as transaction indices.
     pub commit_order: Vec<usize>,
-    /// The engine's own anomaly rendering (`T1 -rw-> T2 -ww-> T1`), for human readers.
+    /// The verdict's cycle rendered by [`mvrc_engine::Anomaly::describe`], counterflow edges
+    /// marked with `*` (`T1 -rw*-> T2 -ww-> T1`), for human readers.
     pub anomaly: String,
-    /// The independent checker's verdict (must be non-serializable).
+    /// The checker's verdict (non-serializable).
     pub verdict: CheckerVerdict,
-    /// Whether [`History::find_anomaly`] agrees with the independent checker. Always `true`
-    /// for realizations this module returns.
+    /// Always `true`: the anomaly and the verdict come from one decision
+    /// ([`History::find_anomaly`] decides the same way). Kept for consumers of the field.
     pub find_anomaly_agrees: bool,
 }
 
@@ -109,8 +109,8 @@ pub struct Realization {
 pub const FALLBACK_SEEDS: u64 = 128;
 
 /// Tries to realize a violation witness over the given subset as an executed history that the
-/// independent checker rejects. Deterministic: the same graph, subset, and witness always
-/// produce the same realization.
+/// checker rejects. Deterministic: the same graph, subset, and witness always produce the same
+/// realization.
 pub fn realize_violation(
     schema: &Schema,
     graph: &SummaryGraph,
@@ -220,31 +220,22 @@ fn witness_cast(violation: &Violation) -> (NodeId, usize, Vec<NodeId>) {
     }
 }
 
-/// Judges an executed history; returns a realization when the independent checker rejects it.
+/// Judges an executed history; returns a realization when the checker rejects it.
 fn evaluate(
     history: &History,
     ltps: &[&LinearProgram],
     variant: KeyVariant,
     plan: &StepPlan,
 ) -> Option<Realization> {
-    let verdict = check(history);
-    if verdict.serializable {
-        return None;
-    }
-    let anomaly = history.find_anomaly();
-    let find_anomaly_agrees = anomaly.is_some();
-    debug_assert!(
-        find_anomaly_agrees,
-        "independent checker and History::find_anomaly both decide CSR and must agree"
-    );
+    let (verdict, anomaly) = judge(history);
     Some(Realization {
         instances: ltps.iter().map(|l| l.name().to_string()).collect(),
         key_variant: variant.label().to_string(),
         interleaving: plan_steps(plan),
         commit_order: plan.commit_order(),
-        anomaly: anomaly.map(|a| a.describe(history)).unwrap_or_default(),
+        anomaly: anomaly?.describe(history),
         verdict,
-        find_anomaly_agrees,
+        find_anomaly_agrees: true,
     })
 }
 

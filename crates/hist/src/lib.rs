@@ -6,7 +6,7 @@
 //! The static analysis of *"Detecting Robustness against MVRC for Transaction Programs with
 //! Predicate Reads"* (EDBT 2023) answers "can this program set ever produce a non-serializable
 //! execution under multi-version Read Committed?" from the summary graph alone. Its verdicts
-//! deserve independent corroboration, and this crate closes the loop:
+//! deserve corroboration by executions, and this crate closes the loop:
 //!
 //! ```text
 //!   analyzer ──violation witness──▶ witness compiler ──scripted plan──▶ engine (MVRC)
@@ -14,14 +14,14 @@
 //!      │                                                                executed
 //!   agreement                                                           history
 //!   asserted                                                               │
-//!      └────────────── independent serializability checker ◀───────────────┘
+//!      └──────────────────── serializability checker ◀─────────────────────┘
 //! ```
 //!
-//! * [`checker`] — an independent conflict-serializability checker over
-//!   [`mvrc_engine::History`]: re-derives the conflict relation from raw records (cell-indexed,
-//!   not pairwise), decides SER twice — Kahn-style saturation *and* a constrained-linearization
-//!   commit-order search — and cross-checks the two on every call. It never looks at the
-//!   summary graph.
+//! * [`checker`] — [`check`] maps the engine's one serializability decision over an
+//!   [`mvrc_engine::History`] ([`History::dependencies`](mvrc_engine::History::dependencies)
+//!   derives the conflicts from raw records, [`History::serialization_order`](
+//!   mvrc_engine::History::serialization_order) peels them into an order or a cycle) onto the
+//!   [`CheckerVerdict`] of a certificate. It never looks at the summary graph.
 //! * [`compile`] — the witness compiler: lowers a [`mvrc_robustness::Violation`] onto the
 //!   engine as a *multiversion split schedule* (the paper's sufficiency construction) with
 //!   deterministic parameter instantiation, enumerating split points, instance lists, and
@@ -31,9 +31,10 @@
 //!   [`Attestation`] for robust ones (seeded sample executions, all checker-accepted), and
 //!   [`CertifyExt`] hangs `certify_non_robust` off [`mvrc_robustness::RobustnessSession`].
 //!
-//! Every certificate is double-checked: the independent checker's verdict must agree with the
-//! engine's own [`mvrc_engine::History::find_anomaly`] — two implementations of conflict
-//! serializability, derived separately, failing together or not at all.
+//! There is one decider in the engine and one oracle in the tests: `tests/cross_check.rs`
+//! re-derives every history's conflicts with a pairwise scan and decides them with a
+//! linearization search, and asserts that the production path gives the same facts and the
+//! same decision on random executions.
 
 pub mod certify;
 pub mod checker;
@@ -43,9 +44,7 @@ pub use certify::{
     certify_subset, Attestation, Certificate, CertifyError, CertifyExt, CertifyOutcome,
     WitnessEdge, ATTEST_SEEDS,
 };
-pub use checker::{
-    check, conflicts, linearize, saturate, CheckerVerdict, Conflict, ConflictKind, CycleStep,
-};
+pub use checker::{check, CheckerVerdict, CycleStep};
 pub use compile::{
     random_plan, random_plan_bounded, random_run, realize_violation, KeyVariant, PlanStep,
     Realization, FALLBACK_SEEDS,

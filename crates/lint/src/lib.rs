@@ -24,7 +24,7 @@ mod repair;
 pub use render::render_text;
 pub use repair::{
     apply_promotions, minimal_promotion_repair, promote_program, promotion_candidates,
-    PromotionSite, RepairSuggestion,
+    PromotionSite, RepairSuggestion, MAX_REPAIR_PROBES,
 };
 
 use mvrc_btp::{SourceSpan, StmtPos, Workload};

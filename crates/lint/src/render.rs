@@ -1,6 +1,6 @@
 //! Rustc-style text rendering of a [`LintReport`].
 
-use crate::{LintReport, StatementRef};
+use crate::{LintReport, StatementRef, MAX_REPAIR_PROBES};
 use std::fmt::Write;
 
 /// Renders a report in compiler style.
@@ -73,6 +73,13 @@ pub fn render_text(report: &LintReport, source: Option<&str>) -> String {
             },
             report.settings.label,
         );
+        if !repair.minimal {
+            let _ = writeln!(
+                out,
+                "  = note: the search stopped after {MAX_REPAIR_PROBES} probes; a smaller robust \
+                 set may exist"
+            );
+        }
     }
     out
 }

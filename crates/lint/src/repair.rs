@@ -10,13 +10,20 @@
 //! attested-robust and is *1-minimal*: dropping any single promotion leaves the workload
 //! non-robust. Candidate edits are driven through [`RobustnessSession::replace_program`], so
 //! every probe reuses the session's incrementally maintained summary graphs instead of
-//! rebuilding Algorithm 1 from scratch.
+//! rebuilding Algorithm 1 from scratch. The search runs at most [`MAX_REPAIR_PROBES`] probes;
+//! past that it returns the robust set it has reached, marked not minimal.
 
 use mvrc_btp::{Program, SourceSpan, Statement, StatementKind, StmtId, Workload};
 use mvrc_robustness::{AnalysisSettings, RobustnessSession};
 use mvrc_schema::Schema;
 use serde::Serialize;
 use std::collections::BTreeSet;
+
+/// The most robustness probes (one dropped promotion each) [`minimal_promotion_repair`] runs.
+/// A workload with more promotion candidates than this gets the robust set reached when the
+/// cap hits, with [`RepairSuggestion::minimal`] `false`, instead of a search quadratic in its
+/// size.
+pub const MAX_REPAIR_PROBES: usize = 256;
 
 /// One suggested promotion: a read statement of a program to re-issue as an update.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -43,6 +50,10 @@ pub struct RepairSuggestion {
     /// `true` when a fresh [`RobustnessSession`] over the promoted workload re-attested
     /// robustness with `is_robust` (always checked; recorded for the JSON consumer).
     pub verified: bool,
+    /// `true` when the search reached its fixpoint, so dropping any single promotion leaves the
+    /// workload non-robust; `false` when it stopped at [`MAX_REPAIR_PROBES`] with a robust set
+    /// that may not be 1-minimal.
+    pub minimal: bool,
 }
 
 /// The statements of a program eligible for promotion: its selects.
@@ -109,7 +120,9 @@ pub fn apply_promotions(workload: &Workload, promotions: &[PromotionSite]) -> Wo
 /// robust without it. Because promotion is not monotone — an update statement introduces new
 /// ww/wr edges that can themselves close cycles — the pruning loop runs to a fixpoint, so every
 /// surviving promotion has been re-tested against the final set: the result is 1-minimal.
-/// Every probe is a [`RobustnessSession::replace_program`] edit against cached graphs.
+/// Every probe is a [`RobustnessSession::replace_program`] edit against cached graphs. After
+/// [`MAX_REPAIR_PROBES`] probes the search stops with the current set, which is robust (every
+/// kept drop was), and reports it as not minimal.
 pub fn minimal_promotion_repair(
     workload: &Workload,
     settings: AnalysisSettings,
@@ -137,13 +150,21 @@ pub fn minimal_promotion_repair(
         return None;
     }
 
-    loop {
+    let mut probes = 0;
+    let mut minimal = true;
+    'search: loop {
         let mut changed = false;
         for (p, candidates) in per_program.iter().enumerate() {
             for &id in candidates {
-                if !active[p].remove(&id) {
+                if !active[p].contains(&id) {
                     continue;
                 }
+                if probes == MAX_REPAIR_PROBES {
+                    minimal = false;
+                    break 'search;
+                }
+                probes += 1;
+                active[p].remove(&id);
                 session
                     .replace_program(promote_program(schema, &workload.programs[p], &active[p]))
                     .expect("program came from this workload");
@@ -198,5 +219,6 @@ pub fn minimal_promotion_repair(
     Some(RepairSuggestion {
         promotions,
         verified,
+        minimal,
     })
 }

@@ -9,7 +9,10 @@
 use mvrc_benchmarks::{auction, smallbank, synthetic, SyntheticConfig};
 use mvrc_btp::sql::parse_workload_file;
 use mvrc_btp::Workload;
-use mvrc_lint::{apply_promotions, lint_workload, minimal_promotion_repair, LintOptions};
+use mvrc_lint::{
+    apply_promotions, lint_workload, minimal_promotion_repair, render_text, LintOptions,
+    MAX_REPAIR_PROBES,
+};
 use mvrc_robustness::{AnalysisSettings, CycleCondition, RobustnessSession};
 use proptest::prelude::*;
 
@@ -58,6 +61,7 @@ proptest! {
 
         // Soundness: the suggested set, applied, yields a robust workload on a fresh session.
         prop_assert!(repair.verified, "search reported an unverified repair");
+        prop_assert!(repair.minimal, "a small workload hit the probe cap");
         let promoted = apply_promotions(&workload, &repair.promotions);
         prop_assert!(
             RobustnessSession::new(promoted).is_robust(settings),
@@ -110,6 +114,7 @@ fn smallbank_repair_promotes_selects_only() {
     let repair = minimal_promotion_repair(&smallbank(), AnalysisSettings::paper_default())
         .expect("smallbank is repairable by promotion");
     assert!(repair.verified);
+    assert!(repair.minimal);
     for p in &repair.promotions {
         assert!(p.from_kind.contains("sel"), "{p:?}");
         assert!(p.to_kind.contains("upd"), "{p:?}");
@@ -160,4 +165,40 @@ fn smallbank_sql_spans_point_at_the_offending_selects() {
             "span {span:?} does not point at a SELECT: {line:?}"
         );
     }
+}
+
+/// A generated workload with more promotion candidates than the probe cap: the search stops at
+/// the cap with a robust, verified set, says it may not be minimal, and the text says so too.
+#[test]
+fn a_repair_past_the_probe_cap_is_verified_and_marked_not_minimal() {
+    let mut text = String::new();
+    for k in 0..50 {
+        text.push_str(&format!("TABLE T{k} (a, b);\n"));
+    }
+    text.push_str("PROGRAM P(:x, :v) {\n");
+    for k in 0..MAX_REPAIR_PROBES + 44 {
+        text.push_str(&format!("SELECT b FROM T{} WHERE a = :x;\n", k % 50));
+    }
+    text.push_str("UPDATE T49 SET b = :v WHERE a = :x;\n}\n");
+    text.push_str("PROGRAM R(:x) { SELECT b FROM T49 WHERE a = :x; }\n");
+    let (schema, programs) = parse_workload_file(&text).expect("generated workload parses");
+    let workload = Workload::new("capped", schema, programs, &[]);
+
+    let report = lint_workload(&workload, &LintOptions::default());
+    assert!(!report.robust);
+    let repair = report
+        .repair
+        .as_ref()
+        .expect("promotion repairs the workload");
+    assert!(repair.verified);
+    assert!(!repair.minimal);
+    let promoted = apply_promotions(&workload, &repair.promotions);
+    assert!(RobustnessSession::new(promoted).is_robust(AnalysisSettings::paper_default()));
+    let rendered = render_text(&report, None);
+    assert!(
+        rendered.contains(&format!(
+            "the search stopped after {MAX_REPAIR_PROBES} probes"
+        )),
+        "{rendered}"
+    );
 }
