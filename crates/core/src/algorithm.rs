@@ -3,16 +3,16 @@
 //! * [`find_type1_violation`] — the baseline condition of Alomari & Fekete `[3]`: a workload is
 //!   attested robust when the summary graph has no cycle containing a counterflow edge
 //!   (**type-I cycle**).
-//! * [`find_type2_violation`] / [`find_type2_violation_naive`] — Algorithm 2 of the paper: a
-//!   workload is attested robust when the summary graph has no **type-II cycle** (Theorem 6.4).
-//!   The naive variant mirrors the paper's pseudocode literally and is kept as the oracle of
-//!   the test suite. The default variant makes one pass over the edges: it files each
-//!   in-edge `e_2` of a node into a statement-suffix row (the pair condition), builds each
-//!   counterflow target's closing row from the non-counterflow adjacency and the reachability
-//!   rows, and tests each counterflow edge `e_3` with one row intersection. Its witness is the
-//!   one the literal search order gives: the first closing `e_3` in edge order, then the first
-//!   passing `e_2` into `e_3.from`, then the first non-counterflow `e_1` in edge order that
-//!   closes the cycle. [`all_violations`] reports the same witness per blamed `e_3`.
+//! * [`find_type2_violation`] — Algorithm 2 of the paper: a workload is attested robust when
+//!   the summary graph has no **type-II cycle** (Theorem 6.4). The test makes one pass over
+//!   the edges: it files each in-edge `e_2` of a node into a statement-suffix row (the pair
+//!   condition), builds each counterflow target's closing row from the non-counterflow
+//!   adjacency and the reachability rows, and tests each counterflow edge `e_3` with one row
+//!   intersection. Its witness is the one the literal search order gives: the first closing
+//!   `e_3` in edge order, then the first passing `e_2` into `e_3.from`, then the first
+//!   non-counterflow `e_1` in edge order that closes the cycle. [`all_violations`] reports the
+//!   same witness per blamed `e_3`. The test suites compare both with the literal triple loop
+//!   of the dev-only `mvrc-oracles` crate, witness for witness.
 //!
 //! Both tests are *sound but incomplete* (Proposition 6.5): a `robust = true` verdict guarantees
 //! robustness against MVRC, a `robust = false` verdict may be a false negative.
@@ -319,45 +319,15 @@ fn compile_type2_groups(
     (groups, froms)
 }
 
-/// Algorithm 2, literal transcription of the paper's pseudocode (triple loop over edges).
-///
-/// Exposed for cross-checking and for the ablation benchmark; prefer
-/// [`find_type2_violation`] which is equivalent but substantially faster on large graphs.
-pub fn find_type2_violation_naive(graph: &SummaryGraph) -> Option<Type2Witness> {
-    find_type2_violation_naive_in(&graph.prefetched())
-}
-
-/// [`find_type2_violation_naive`] over any summary-graph view.
-pub fn find_type2_violation_naive_in<G: SummaryGraphView>(view: &G) -> Option<Type2Witness> {
-    for e1 in view.view_edges().filter(|e| !e.kind.is_counterflow()) {
-        for e2 in view.view_edges() {
-            if !view.view_reachable(e1.to as usize, e2.from as usize) {
-                continue;
-            }
-            for e3 in view.view_counterflow_edges_from(e2.to as usize) {
-                if view.view_reachable(e3.to as usize, e1.from as usize)
-                    && pair_condition(view, e2, e3)
-                {
-                    return Some(Type2Witness {
-                        non_counterflow_edge: *e1,
-                        middle_edge: *e2,
-                        counterflow_edge: *e3,
-                    });
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Algorithm 2, optimized: searches for an adjacent edge pair `(e_2, e_3)` satisfying the pair
+/// Algorithm 2: searches for an adjacent edge pair `(e_2, e_3)` satisfying the pair
 /// condition such that *some* non-counterflow edge `(P_1 → P_2)` closes the cycle
 /// (`P_3` reachable from `P_2` and `P_1` reachable from `P_5`).
 ///
 /// Both halves of that search become row operations: the `P_3` of the passing `e_2` are one
 /// statement-suffix row per `(P_4, e_3.from_stmt)`, and the `P_3` some closing edge reaches
 /// back to are one closing row per `P_5`; `e_3` closes a type-II cycle iff the two rows
-/// intersect. The innermost loop of the naive version becomes a single row `AND`.
+/// intersect. The innermost loop of the paper's triple loop over edges becomes a single row
+/// `AND`.
 pub fn find_type2_violation(graph: &SummaryGraph) -> Option<Type2Witness> {
     find_type2_violation_in(&graph.prefetched())
 }
@@ -626,123 +596,6 @@ thread_local! {
     static SCRATCH: RefCell<Type2Scratch> = RefCell::new(Type2Scratch::default());
 }
 
-/// The type-II test as it stood before the one-pass rewrite: a pair-dedup bitset, per-source
-/// closing rows and one pair-condition call per adjacent edge pair, plus the nested rescan of
-/// the type-II branch of [`all_violations_in`]. Kept only to pin the witnesses the rewrite must
-/// reproduce.
-#[cfg(test)]
-mod reference {
-    use super::*;
-
-    pub(super) fn find_type2_violation_in<G: SummaryGraphView>(view: &G) -> Option<Type2Witness> {
-        let n = view.universe();
-        if n == 0 {
-            return None;
-        }
-        let words = n.div_ceil(64).max(1);
-        let mut nc_seen = vec![0u64; (n * n).div_ceil(64)];
-        let mut nc_pairs: Vec<SummaryEdge> = Vec::new();
-        for e in view.view_edges().filter(|e| !e.kind.is_counterflow()) {
-            let key = e.from as usize * n + e.to as usize;
-            if !kernels::test_bit(&nc_seen, key) {
-                kernels::set_bit(&mut nc_seen, key);
-                nc_pairs.push(*e);
-            }
-        }
-        if nc_pairs.is_empty() {
-            return None;
-        }
-        let mut candidates: Vec<NodeId> = view
-            .view_edges()
-            .filter(|e| e.kind.is_counterflow())
-            .map(|e| e.to as usize)
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            return None;
-        }
-        let mut sources = vec![0u64; words];
-        let mut nc_close = vec![0u64; n * words];
-        for e in &nc_pairs {
-            let from = e.from as usize;
-            kernels::set_bit(&mut sources, from);
-            kernels::or_into(
-                &mut nc_close[from * words..(from + 1) * words],
-                view.view_reachable_row(e.to as usize),
-            );
-        }
-        let mut close = vec![0u64; candidates.len() * words];
-        for (ci, &p5) in candidates.iter().enumerate() {
-            let acc = &mut close[ci * words..(ci + 1) * words];
-            let reach = view.view_reachable_row(p5);
-            for (w, (&r, &s)) in reach.iter().zip(&sources).enumerate() {
-                let mut bits = r & s;
-                while bits != 0 {
-                    let p1 = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    kernels::or_into(acc, &nc_close[p1 * words..(p1 + 1) * words]);
-                }
-            }
-        }
-        for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-            let ci = candidates.binary_search(&(e3.to as usize)).unwrap();
-            let close_row = &close[ci * words..(ci + 1) * words];
-            for e2 in view.view_edges_to(e3.from as usize) {
-                if !pair_condition(view, e2, e3) || !kernels::test_bit(close_row, e2.from as usize)
-                {
-                    continue;
-                }
-                let p3 = e2.from as usize;
-                let e1 = nc_pairs
-                    .iter()
-                    .find(|e| {
-                        view.view_reachable(e.to as usize, p3)
-                            && view.view_reachable(e3.to as usize, e.from as usize)
-                    })
-                    .unwrap();
-                return Some(Type2Witness {
-                    non_counterflow_edge: *e1,
-                    middle_edge: *e2,
-                    counterflow_edge: *e3,
-                });
-            }
-        }
-        None
-    }
-
-    pub(super) fn all_type2_violations_in<G: SummaryGraphView>(view: &G) -> Vec<Violation> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for e3 in view.view_edges().filter(|e| e.kind.is_counterflow()) {
-            if seen.contains(&(e3.from, e3.from_stmt, e3.to, e3.to_stmt)) {
-                continue;
-            }
-            let witness = view.view_edges_to(e3.from as usize).find_map(|e2| {
-                if !pair_condition(view, e2, e3) {
-                    return None;
-                }
-                view.view_edges()
-                    .find(|e1| {
-                        !e1.kind.is_counterflow()
-                            && view.view_reachable(e1.to as usize, e2.from as usize)
-                            && view.view_reachable(e3.to as usize, e1.from as usize)
-                    })
-                    .map(|e1| Type2Witness {
-                        non_counterflow_edge: *e1,
-                        middle_edge: *e2,
-                        counterflow_edge: *e3,
-                    })
-            });
-            if let Some(w) = witness {
-                seen.insert((e3.from, e3.from_stmt, e3.to, e3.to_stmt));
-                out.push(Violation::TypeII(w));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -803,7 +656,6 @@ mod tests {
         assert_eq!(graph.counterflow_edge_count(), 1);
         assert!(find_type1_violation(&graph).is_some());
         assert!(find_type2_violation(&graph).is_none());
-        assert!(find_type2_violation_naive(&graph).is_none());
         assert!(is_robust(&graph, CycleCondition::TypeII));
         assert!(!is_robust(&graph, CycleCondition::TypeI));
         let outcome = RobustnessOutcome::evaluate(&graph, CycleCondition::TypeI);
@@ -839,34 +691,8 @@ mod tests {
         let witness = find_type2_violation(&graph).expect("expected a type-II cycle");
         assert!(witness.counterflow_edge.kind.is_counterflow());
         assert!(!is_robust(&graph, CycleCondition::TypeII));
-        assert_eq!(
-            find_type2_violation_naive(&graph).is_some(),
-            find_type2_violation(&graph).is_some()
-        );
         let outcome = RobustnessOutcome::evaluate(&graph, CycleCondition::TypeII);
         assert!(matches!(outcome.violation, Some(Violation::TypeII(_))));
-    }
-
-    #[test]
-    fn optimized_and_naive_checks_agree_on_auction_subsets() {
-        let schema = schema();
-        let ltps = auction_ltps(&schema);
-        // Exercise every subset of the three LTP nodes.
-        for mask in 1usize..8 {
-            let subset: Vec<LinearProgram> = ltps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, l)| l.clone())
-                .collect();
-            let graph =
-                SummaryGraph::construct(&subset, &schema, AnalysisSettings::paper_default());
-            assert_eq!(
-                find_type2_violation(&graph).is_some(),
-                find_type2_violation_naive(&graph).is_some(),
-                "naive and optimized type-II checks disagree on subset mask {mask}"
-            );
-        }
     }
 
     /// Packs every non-empty *node* subset of `graph` into one partial lane batch and runs the
@@ -923,8 +749,9 @@ mod tests {
     fn lane_kernel_matches_the_literal_algorithms_on_every_smallbank_node_subset() {
         // SmallBank's five nodes give 31 subsets — one lane batch — and a type-II plan with
         // several sources per candidate, so the factored closing sets of the kernel are
-        // checked against the literal Algorithm 2 (and the literal type-I test), neither of
-        // which shares code with the optimized scalar test.
+        // checked against the scalar tests, which share no code with the kernel. The
+        // integration test `scalar_type2_test_matches_the_oracle_on_every_node_subset` checks
+        // the scalar tests against the literal algorithms on the same subsets.
         let session = crate::RobustnessSession::new(mvrc_benchmarks::smallbank());
         let graph = session.graph(AnalysisSettings::paper_default());
         let n = graph.node_count();
@@ -941,7 +768,7 @@ mod tests {
                 let view = graph.induced(&members_of(s, n));
                 let want = match condition {
                     CycleCondition::TypeI => find_type1_violation_in(&view).is_none(),
-                    CycleCondition::TypeII => find_type2_violation_naive_in(&view).is_none(),
+                    CycleCondition::TypeII => find_type2_violation_in(&view).is_none(),
                 };
                 violated += usize::from(!want);
                 assert_eq!(
@@ -1036,215 +863,6 @@ mod tests {
         assert!(groups_seen > 0 && rejected > 0 && positional > 0);
     }
 
-    /// Asserts that the one-pass type-II test and `all_violations_in` return exactly the
-    /// reference witnesses on `view`; returns whether it has a type-II cycle.
-    fn assert_reference_witnesses<G: SummaryGraphView>(
-        view: &G,
-        label: &dyn Fn() -> String,
-    ) -> bool {
-        let witness = find_type2_violation_in(view);
-        assert_eq!(
-            witness,
-            super::reference::find_type2_violation_in(view),
-            "type-II witness of {}",
-            label()
-        );
-        assert_eq!(
-            all_violations_in(view, CycleCondition::TypeII),
-            super::reference::all_type2_violations_in(view),
-            "type-II violations of {}",
-            label()
-        );
-        witness.is_some()
-    }
-
-    #[test]
-    fn one_pass_type2_test_picks_the_reference_witnesses() {
-        // The paper's benchmarks, YCSB-T, Auction(n) and 40 seeded synthetic workloads under
-        // every evaluation setting, on the full graph and on every program subset of the
-        // workloads with at most 8 programs.
-        let mut workloads = mvrc_benchmarks::paper_benchmarks();
-        workloads.push(mvrc_benchmarks::ycsb_t(
-            mvrc_benchmarks::YcsbtConfig::default(),
-        ));
-        workloads.extend([1, 3, 20].map(mvrc_benchmarks::auction_n));
-        workloads.extend((0..40).map(|seed| {
-            mvrc_benchmarks::synthetic(mvrc_benchmarks::SyntheticConfig {
-                seed,
-                ..mvrc_benchmarks::SyntheticConfig::default()
-            })
-        }));
-        let (mut violated, mut robust) = (0, 0);
-        for workload in workloads {
-            let name = workload.name.clone();
-            let session = crate::RobustnessSession::new(workload);
-            let programs = session.program_names();
-            for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
-                let graph = session.graph(settings);
-                let mut tally = |found: bool| {
-                    if found {
-                        violated += 1;
-                    } else {
-                        robust += 1;
-                    }
-                };
-                tally(assert_reference_witnesses(&graph.prefetched(), &|| {
-                    format!("{name} under {settings}")
-                }));
-                if programs.len() > 8 {
-                    continue;
-                }
-                for mask in 1usize..1 << programs.len() {
-                    let subset: Vec<&str> = (0..programs.len())
-                        .filter(|i| mask & (1 << i) != 0)
-                        .map(|i| programs[i].as_str())
-                        .collect();
-                    let view = graph.induced_for_programs(&subset).unwrap();
-                    tally(assert_reference_witnesses(&view, &|| {
-                        format!("{name} {subset:?} under {settings}")
-                    }));
-                }
-            }
-        }
-        // Both verdicts occur, so the comparison is not vacuous.
-        assert!(
-            violated > 0 && robust > 0,
-            "{violated} violated, {robust} robust"
-        );
-    }
-
-    /// A summary-graph view over an arbitrary edge list, with its closure computed by a plain
-    /// fixpoint: it reaches graphs Algorithm 1 never builds, such as a counterflow edge with
-    /// no non-counterflow companion, where a closing row needs more than the non-counterflow
-    /// successors of the sources `P_5` reaches.
-    struct EdgeListView {
-        nodes: Vec<LinearProgram>,
-        edges: Vec<SummaryEdge>,
-        words: usize,
-        reach: Vec<u64>,
-    }
-
-    impl EdgeListView {
-        fn new(nodes: Vec<LinearProgram>, edges: Vec<SummaryEdge>) -> Self {
-            let n = nodes.len();
-            let words = n.div_ceil(64).max(1);
-            let mut reach = vec![0u64; n * words];
-            for v in 0..n {
-                kernels::set_bit(&mut reach[v * words..][..words], v);
-            }
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for e in &edges {
-                    let (from, to) = (e.from as usize, e.to as usize);
-                    for w in 0..words {
-                        let add = reach[to * words + w] & !reach[from * words + w];
-                        if add != 0 {
-                            reach[from * words + w] |= add;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            EdgeListView {
-                nodes,
-                edges,
-                words,
-                reach,
-            }
-        }
-    }
-
-    impl SummaryGraphView for EdgeListView {
-        fn universe(&self) -> usize {
-            self.nodes.len()
-        }
-
-        fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-            0..self.nodes.len()
-        }
-
-        fn node(&self, id: NodeId) -> &LinearProgram {
-            &self.nodes[id]
-        }
-
-        fn view_edges(&self) -> impl Iterator<Item = &SummaryEdge> + '_ {
-            self.edges.iter()
-        }
-
-        fn view_edges_to(&self, node: NodeId) -> impl Iterator<Item = &SummaryEdge> + '_ {
-            self.edges.iter().filter(move |e| e.to as usize == node)
-        }
-
-        fn view_counterflow_edges_from(
-            &self,
-            node: NodeId,
-        ) -> impl Iterator<Item = &SummaryEdge> + '_ {
-            self.edges
-                .iter()
-                .filter(move |e| e.from as usize == node && e.kind.is_counterflow())
-        }
-
-        fn view_reachable(&self, from: NodeId, to: NodeId) -> bool {
-            kernels::test_bit(self.view_reachable_row(from), to)
-        }
-
-        fn view_reachable_row(&self, from: NodeId) -> &[u64] {
-            &self.reach[from * self.words..][..self.words]
-        }
-    }
-
-    #[test]
-    fn one_pass_type2_test_picks_the_reference_witnesses_on_random_edge_lists() {
-        // Random edge lists over the LTPs of a synthetic workload, whose statement kinds and
-        // positions make every branch of the pair condition occur.
-        let session = crate::RobustnessSession::new(mvrc_benchmarks::synthetic(
-            mvrc_benchmarks::SyntheticConfig::default(),
-        ));
-        let ltps = session.ltps().to_vec();
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |bound: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % bound as u64) as usize
-        };
-        let (mut violated, mut robust) = (0, 0);
-        for round in 0..2000 {
-            let nodes: Vec<LinearProgram> = (0..2 + next(6))
-                .map(|_| (*ltps[next(ltps.len())]).clone())
-                .collect();
-            let edges: Vec<SummaryEdge> = (0..next(4 * nodes.len()))
-                .map(|_| {
-                    let (from, to) = (next(nodes.len()), next(nodes.len()));
-                    SummaryEdge {
-                        from: from as u32,
-                        from_stmt: next(nodes[from].len()) as u32,
-                        kind: if next(3) == 0 {
-                            crate::summary::EdgeKind::Counterflow
-                        } else {
-                            crate::summary::EdgeKind::NonCounterflow
-                        },
-                        to_stmt: next(nodes[to].len()) as u32,
-                        to: to as u32,
-                    }
-                })
-                .collect();
-            let view = EdgeListView::new(nodes, edges);
-            let found = assert_reference_witnesses(&view, &|| format!("random round {round}"));
-            assert_eq!(found, find_type2_violation_naive_in(&view).is_some());
-            if found {
-                violated += 1;
-            } else {
-                robust += 1;
-            }
-        }
-        assert!(
-            violated > 0 && robust > 0,
-            "{violated} violated, {robust} robust"
-        );
-    }
-
     #[test]
     fn empty_graph_is_robust() {
         let schema = schema();
@@ -1255,7 +873,6 @@ mod tests {
         );
         assert!(find_type1_violation(&graph).is_none());
         assert!(find_type2_violation(&graph).is_none());
-        assert!(find_type2_violation_naive(&graph).is_none());
     }
 
     #[test]

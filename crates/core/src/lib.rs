@@ -76,9 +76,8 @@ pub mod tables;
 
 pub use algorithm::{
     all_violations, all_violations_in, find_type1_violation, find_type1_violation_in,
-    find_type2_violation, find_type2_violation_in, find_type2_violation_naive,
-    find_type2_violation_naive_in, is_robust, is_robust_view, RobustnessOutcome, Type1Witness,
-    Type2Witness, Violation,
+    find_type2_violation, find_type2_violation_in, is_robust, is_robust_view, RobustnessOutcome,
+    Type1Witness, Type2Witness, Violation,
 };
 pub use analysis::AnalysisReport;
 pub use dot::{to_dot, to_dot_view, DotOptions};
@@ -87,8 +86,8 @@ pub use mvrc_par::Parallelism;
 pub use session::RobustnessSession;
 pub use settings::{AnalysisSettings, CycleCondition, Granularity};
 pub use subsets::{
-    abbreviate_program_name, explore_subsets, explore_subsets_naive, explore_subsets_with,
-    CachedSweep, ExploreOptions, SubsetExploration, TooManyPrograms, MAX_SWEEP_PROGRAMS,
+    abbreviate_program_name, explore_subsets, explore_subsets_with, CachedSweep, ExploreOptions,
+    SubsetExploration, TooManyPrograms, MAX_SWEEP_PROGRAMS,
 };
 pub use summary::{
     c_dep_conds, describe_edge_in, nc_dep_conds, program_fingerprint, EdgeKind, InducedView,

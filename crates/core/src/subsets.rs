@@ -3,8 +3,8 @@
 //! Section 7.2 of the paper reports, for every benchmark and setting, the *maximal* subsets of
 //! transaction programs that the respective test attests robust (Figures 6 and 7). This module
 //! reproduces that exploration on top of the [`RobustnessSession`]: one cached summary graph
-//! per settings combination, one lane of a bit-sliced traversal per tested subset, and — by
-//! default — **two-sided closure pruning** (Proposition 5.2). Robustness is preserved under
+//! per settings combination, one lane of a bit-sliced traversal per tested subset, and
+//! **two-sided closure pruning** (Proposition 5.2). Robustness is preserved under
 //! taking subsets, so the attested-robust family is downward closed and its complement, the
 //! non-robust family, is upward closed. Both are decided from their borders (the levelwise
 //! border search of Mannila & Toivonen) instead of by testing every set:
@@ -39,18 +39,16 @@
 //! reads only verdicts the level above fully published. [`Parallelism::Auto`] fans out from
 //! [`AUTO_FANOUT_MIN_SUBSETS`] subsets on.
 //!
-//! [`explore_subsets_naive`], which rebuilds the summary graph and runs the scalar cycle test
-//! per subset, is the oracle the sweep is checked against.
+//! The test suites check the sweep against `mvrc_oracles::explore_subsets` of the dev-only
+//! oracle crate, which rebuilds the summary graph and runs the scalar cycle test per subset.
 //!
 //! The sweep is exponential: it accepts at most [`MAX_SWEEP_PROGRAMS`] programs, and
 //! [`TooManyPrograms`] is the typed error for larger workloads.
 
-use crate::algorithm::is_robust;
 use crate::kernels;
 use crate::session::RobustnessSession;
 use crate::settings::AnalysisSettings;
 use crate::summary::{NodeId, SummaryGraph};
-use mvrc_btp::LinearProgram;
 use mvrc_par::Parallelism;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -95,55 +93,42 @@ impl fmt::Display for TooManyPrograms {
 
 impl std::error::Error for TooManyPrograms {}
 
-/// Options controlling the subset exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Options controlling the subset exploration. They change how a sweep runs, never its
+/// verdicts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreOptions {
-    /// Exploit both directions of Proposition 5.2: every subset of a known-robust set is robust
-    /// and every superset of a known-non-robust set is non-robust, so such masks are decided
-    /// without running their cycle test (the module docs give the level order). Exact — an
-    /// induced subgraph can only lose cycles — and cross-checked against the exhaustive path
-    /// in the test-suite. With `false`, every one of the `2^n − 1` subsets is cycle-tested.
-    pub closure_pruning: bool,
     /// Reuse (and update) the session's [`CachedSweep`] for these settings: verdicts of the
     /// last completed sweep are rebased onto the current program set — after
     /// [`RobustnessSession::remove_program`] every surviving subset keeps its verdict verbatim
     /// (zero cycle tests), after [`RobustnessSession::add_program`] only subsets containing
     /// the new program are swept. Off by default so benchmarks and oracles always measure a
-    /// full sweep. (Not serialized: reuse is an execution detail; the result records it in
-    /// [`SubsetExploration::reused`].)
-    #[serde(skip)]
+    /// full sweep. The result records the reuse in [`SubsetExploration::reused`].
     pub incremental: bool,
     /// [`ExploreOptions::incremental`] is ignored when the total number of subsets (`2^n`) is
     /// below this floor: the sweep runs fresh and installs no cache entry. The rebase
     /// bookkeeping (program fingerprints, verdict rebasing, cache installation) costs more than
     /// simply re-testing a handful of subsets — on two-program workloads it made incremental
     /// edits *slower* than fresh sweeps. Set to `0` to force incremental behavior regardless of
-    /// size. (Not serialized, like `incremental` itself.)
-    #[serde(skip, default = "default_incremental_min_subsets")]
+    /// size.
     pub incremental_min_subsets: usize,
     /// How many threads the level walk may use. [`Parallelism::Auto`] fans out only from 2^18
     /// subsets (18 programs) on, where two threads measured faster than one;
     /// [`Parallelism::Threads`] fans out at any size whose levels span more than one 16-word
-    /// range (from 11 programs on). [`Parallelism::Serial`] runs inline. (Not serialized: a
-    /// thread cap is an execution detail, not part of the result's shape.)
-    #[serde(skip)]
+    /// range (from 11 programs on). [`Parallelism::Serial`] runs inline.
     pub parallelism: Parallelism,
 }
 
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
-            closure_pruning: true,
             incremental: false,
-            incremental_min_subsets: default_incremental_min_subsets(),
+            incremental_min_subsets: DEFAULT_INCREMENTAL_MIN_SUBSETS,
             parallelism: Parallelism::Auto,
         }
     }
 }
 
-fn default_incremental_min_subsets() -> usize {
-    16
-}
+const DEFAULT_INCREMENTAL_MIN_SUBSETS: usize = 16;
 
 /// Result of exploring all subsets of a workload's programs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -371,8 +356,7 @@ impl SweepCounters {
 /// A cached sweep is *self-describing*: it carries its own program identities, so it stays in
 /// the cache untouched across [`RobustnessSession::add_program`] /
 /// [`RobustnessSession::remove_program`] chains and is rebased onto the session's current
-/// program set only when the next incremental sweep runs. Verdicts are independent of the
-/// pruning switch (cross-checked in the test-suite), so one cache entry per
+/// program set only when the next incremental sweep runs. One cache entry per
 /// [`AnalysisSettings`] combination suffices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedSweep {
@@ -494,7 +478,6 @@ fn rebase_cached_sweep(
 struct LevelSweep {
     graph: std::sync::Arc<SummaryGraph>,
     settings: AnalysisSettings,
-    closure_pruning: bool,
     programs: Vec<String>,
     nodes_per_program: Vec<Vec<NodeId>>,
     robust: Vec<AtomicU64>,
@@ -530,7 +513,6 @@ impl LevelSweep {
     fn new(
         session: &RobustnessSession,
         settings: AnalysisSettings,
-        closure_pruning: bool,
     ) -> Result<Self, TooManyPrograms> {
         let programs: Vec<String> = session.program_names().to_vec();
         let n = programs.len();
@@ -554,7 +536,6 @@ impl LevelSweep {
         Ok(LevelSweep {
             graph,
             settings,
-            closure_pruning,
             programs,
             nodes_per_program,
             robust: (0..words).map(|_| AtomicU64::new(0)).collect(),
@@ -659,7 +640,7 @@ impl LevelSweep {
         }
     }
 
-    /// Steps 1–3 of the pruned sweep (see the module docs) over `n ≥ 1` programs: tests the full
+    /// Steps 1–3 of the sweep (see the module docs) over `n ≥ 1` programs: tests the full
     /// set; if it is robust, every open mask inherits robustness. Otherwise tests every open
     /// singleton and pair — a pair with a refuted program is refuted untested — and closes
     /// `refuted` upward. Returns the counters and the levels left to the walk: none, or
@@ -713,10 +694,10 @@ impl LevelSweep {
     /// Decides every mask with up to `threads` threads and returns the summed counters.
     fn decide(&mut self, threads: usize) -> SweepCounters {
         let n = self.programs.len();
-        let (borders, walked) = if self.closure_pruning && n > 0 {
+        let (borders, walked) = if n > 0 {
             self.decide_borders()
         } else {
-            (SweepCounters::default(), 1..n + 1)
+            (SweepCounters::default(), 0..0)
         };
         let totals = borders.merged(self.walk_levels(walked, threads));
         debug_assert!(
@@ -789,8 +770,8 @@ impl LevelSweep {
 
     /// Decides the open masks of `level` in the words `words`.
     /// Verdicts are published into the shared bitset; the returned counters cover exactly these
-    /// words. A refuted mask is counted as pruned; with closure pruning, a mask with a robust
-    /// one-bit superset inherits robustness; every other open mask is packed into a lane batch.
+    /// words. A refuted mask is counted as pruned, a mask with a robust one-bit superset
+    /// inherits robustness, and every other open mask is packed into a lane batch.
     ///
     /// Correct accounting requires the caller to respect the level order: every range of level
     /// `k + 1` must complete before any range of level `k` runs — the level barrier of
@@ -813,11 +794,7 @@ impl LevelSweep {
                 if open == 0 {
                     continue;
                 }
-                let inherited = if self.closure_pruning {
-                    open & self.robust_supersets(w)
-                } else {
-                    0
-                };
+                let inherited = open & self.robust_supersets(w);
                 if inherited != 0 {
                     self.robust[w].fetch_or(inherited, Ordering::Relaxed);
                     counters.pruned += inherited.count_ones() as usize;
@@ -870,7 +847,7 @@ impl LevelSweep {
 }
 
 /// Explores every non-empty subset of the workload's programs and reports which are robust
-/// under the given settings, using the default [`ExploreOptions`] (closure pruning on).
+/// under the given settings, using the default [`ExploreOptions`].
 ///
 /// # Panics
 ///
@@ -891,15 +868,14 @@ pub fn explore_subsets(
 /// pairwise over LTPs: the summary graph of a subset equals the induced subgraph of the full
 /// summary graph.
 ///
-/// With `closure_pruning` enabled (the default), the full set is tested first, then (when it is
-/// not robust) the singletons and pairs, and the remaining levels are walked in descending
-/// popcount order, deciding supersets of non-robust sets and subsets of robust sets without a
-/// cycle test (the module docs give the steps). Levels are independent-within and
-/// ordered-between: a fanned-out sweep splits each level into word ranges across its threads,
-/// and the barrier between levels keeps the pruning reads race-free — a level only ever reads
-/// verdict bits of the level above it, which the preceding pass fully published.
-///
-/// [`explore_subsets_naive`] retains the literal per-subset reconstruction for cross-checking.
+/// The full set is tested first, then (when it is not robust) the singletons and pairs, and
+/// the remaining levels are walked in descending popcount order, deciding supersets of
+/// non-robust sets and subsets of robust sets without a cycle test (the module docs give the
+/// steps). Proposition 5.2 makes this exact, so no option turns it off. Levels are
+/// independent-within and ordered-between: a fanned-out sweep splits each level into word
+/// ranges across its threads, and the barrier between levels keeps the pruning reads
+/// race-free — a level only ever reads verdict bits of the level above it, which the
+/// preceding pass fully published.
 ///
 /// # Panics
 ///
@@ -910,8 +886,7 @@ pub fn explore_subsets_with(
     settings: AnalysisSettings,
     options: ExploreOptions,
 ) -> SubsetExploration {
-    let mut sweep = LevelSweep::new(session, settings, options.closure_pruning)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let mut sweep = LevelSweep::new(session, settings).unwrap_or_else(|e| panic!("{e}"));
     let n = sweep.programs.len();
 
     // Incremental mode: rebase the session's cached verdicts (the last completed sweep under
@@ -952,75 +927,6 @@ pub fn explore_subsets_with(
         );
     }
     exploration
-}
-
-/// The pre-refactor subset exploration: reconstructs a full summary graph per subset, serially,
-/// and runs the scalar cycle test on every mask.
-///
-/// Semantically equivalent to [`explore_subsets`]; kept as the one oracle the lane-parallel
-/// sweep is cross-checked against, by verdicts and by graph-build counts (one graph per subset
-/// here, one per sweep there).
-///
-/// # Panics
-///
-/// Panics when the session has more than [`MAX_SWEEP_PROGRAMS`] programs.
-pub fn explore_subsets_naive(
-    session: &RobustnessSession,
-    settings: AnalysisSettings,
-) -> SubsetExploration {
-    let programs: Vec<String> = session.program_names().to_vec();
-    let n = programs.len();
-    TooManyPrograms::check(n).unwrap_or_else(|e| panic!("{e}"));
-
-    // Group the unfolded LTPs per program index once.
-    let ltps_per_program: Vec<Vec<&LinearProgram>> = programs
-        .iter()
-        .map(|name| {
-            session
-                .ltps()
-                .iter()
-                .filter(|l| l.program_name() == name)
-                .map(|l| &**l)
-                .collect()
-        })
-        .collect();
-
-    let mut robust: Vec<Vec<usize>> = Vec::new();
-    for mask in 1usize..(1 << n) {
-        let subset: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
-        let ltps: Vec<LinearProgram> = subset
-            .iter()
-            .flat_map(|&i| ltps_per_program[i].iter().map(|l| (*l).clone()))
-            .collect();
-        let graph = SummaryGraph::construct(&ltps, session.schema(), settings);
-        if is_robust(&graph, settings.condition) {
-            robust.push(subset);
-        }
-    }
-    robust.sort();
-
-    let maximal = maximal_sets(&robust);
-    SubsetExploration {
-        programs,
-        settings,
-        robust,
-        maximal,
-        cycle_tests: (1 << n) - 1,
-        pruned: 0,
-        reused: 0,
-    }
-}
-
-/// Filters a family of sets down to its maximal elements (no other set is a strict superset).
-fn maximal_sets(sets: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    sets.iter()
-        .filter(|candidate| {
-            !sets.iter().any(|other| {
-                other.len() > candidate.len() && candidate.iter().all(|x| other.contains(x))
-            })
-        })
-        .cloned()
-        .collect()
 }
 
 /// Default abbreviation used when rendering subsets: the upper-case letters (and digits) of the
@@ -1135,23 +1041,26 @@ mod tests {
 
     #[test]
     fn pruned_and_exhaustive_paths_agree() {
+        // The pruned sweep against the exhaustive per-subset scalar cycle test on the
+        // induced view of every program subset.
         let session = auction_session();
+        let programs = session.program_names().to_vec();
         for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
             for settings in AnalysisSettings::evaluation_grid(condition) {
                 let pruned = explore_subsets(&session, settings);
-                let exhaustive = explore_subsets_with(
-                    &session,
-                    settings,
-                    ExploreOptions {
-                        closure_pruning: false,
-                        ..ExploreOptions::default()
-                    },
-                );
-                assert_eq!(pruned.robust, exhaustive.robust, "under {settings}");
-                assert_eq!(pruned.maximal, exhaustive.maximal, "under {settings}");
-                assert_eq!(exhaustive.pruned, 0);
-                assert_eq!(exhaustive.cycle_tests, 3);
-                assert!(pruned.cycle_tests <= exhaustive.cycle_tests);
+                let graph = session.graph(settings);
+                let mut exhaustive: Vec<Vec<usize>> = (1usize..1 << programs.len())
+                    .map(mask_members)
+                    .filter(|subset| {
+                        let names: Vec<&str> =
+                            subset.iter().map(|&i| programs[i].as_str()).collect();
+                        let view = graph.induced_for_programs(&names).unwrap();
+                        crate::is_robust_view(&view, condition)
+                    })
+                    .collect();
+                exhaustive.sort();
+                assert_eq!(pruned.robust, exhaustive, "under {settings}");
+                assert_eq!(pruned.cycle_tests + pruned.pruned, 3, "under {settings}");
             }
         }
     }
@@ -1182,28 +1091,17 @@ mod tests {
         );
         assert!(reference.pruned > 0 && reference.cycle_tests > 0);
 
-        for closure_pruning in [true, false] {
-            let mut sweep = LevelSweep::new(&session, settings, closure_pruning).unwrap();
-            let words = sweep.robust.len();
-            let (borders, walked) = if closure_pruning {
-                sweep.decide_borders()
-            } else {
-                (SweepCounters::default(), 1..10)
-            };
-            let totals = walked.rev().fold(borders, |acc, level| {
-                (0..words).fold(acc, |acc, w| acc.merged(sweep.run_words(level, w..w + 1)))
-            });
-            let exploration = sweep.exploration(totals, 0);
-            assert_eq!(exploration.robust, reference.robust);
-            assert_eq!(exploration.maximal, reference.maximal);
-            if closure_pruning {
-                assert_eq!(exploration.cycle_tests, reference.cycle_tests);
-                assert_eq!(exploration.pruned, reference.pruned);
-            } else {
-                assert_eq!(exploration.cycle_tests, (1 << 9) - 1);
-                assert_eq!(exploration.pruned, 0);
-            }
-        }
+        let mut sweep = LevelSweep::new(&session, settings).unwrap();
+        let words = sweep.robust.len();
+        let (borders, walked) = sweep.decide_borders();
+        let totals = walked.rev().fold(borders, |acc, level| {
+            (0..words).fold(acc, |acc, w| acc.merged(sweep.run_words(level, w..w + 1)))
+        });
+        let exploration = sweep.exploration(totals, 0);
+        assert_eq!(exploration.robust, reference.robust);
+        assert_eq!(exploration.maximal, reference.maximal);
+        assert_eq!(exploration.cycle_tests, reference.cycle_tests);
+        assert_eq!(exploration.pruned, reference.pruned);
     }
 
     #[test]
@@ -1220,7 +1118,7 @@ mod tests {
             })
             .collect();
         let session = RobustnessSession::from_programs(&schema, &programs);
-        let err = LevelSweep::new(&session, AnalysisSettings::paper_default(), true)
+        let err = LevelSweep::new(&session, AnalysisSettings::paper_default())
             .err()
             .expect("21 programs exceed the sweep limit");
         assert_eq!(err, TooManyPrograms { programs: 21 });
@@ -1251,13 +1149,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn maximal_sets_filters_strict_subsets() {
-        let sets = vec![vec![0], vec![0, 1], vec![2], vec![1]];
-        let maximal = maximal_sets(&sets);
-        assert_eq!(maximal, vec![vec![0, 1], vec![2]]);
     }
 
     #[test]

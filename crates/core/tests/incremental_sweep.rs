@@ -140,7 +140,6 @@ proptest! {
                 // The synthetic workloads here are tiny; pin the size cutoff open so the
                 // reuse engine itself is what gets exercised.
                 incremental_min_subsets: 0,
-                ..ExploreOptions::default()
             };
             let mut session = RobustnessSession::from_programs(&schema, &pool[..start]);
             let first = explore_subsets_with(&session, settings, options);
@@ -176,47 +175,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn incremental_bounds_hold_without_closure_pruning(
-        config in synthetic_config_strategy(),
-        token_bits in any::<u32>(),
-        edit_count in 1usize..=3,
-    ) {
-        let tokens = &token_bits.to_le_bytes()[..edit_count];
-        // With pruning off, the containing-subsets bound is exact: after adding to an
-        // n-program workload the re-sweep runs exactly 2^n cycle tests; after a removal, zero.
-        let workload = synthetic(config);
-        let pool = workload.programs.clone();
-        let schema = workload.schema.clone();
-        let edits = resolve_edits(&pool, 1, tokens);
-        let settings = AnalysisSettings::paper_default();
-        let options = ExploreOptions {
-            closure_pruning: false,
-            incremental: true,
-            incremental_min_subsets: 0,
-            ..ExploreOptions::default()
-        };
-
-        let mut session = RobustnessSession::from_programs(&schema, &pool[..1]);
-        explore_subsets_with(&session, settings, options);
-        for edit in &edits {
-            match edit {
-                Edit::Add { program, .. } => session.add_program(program.clone()),
-                Edit::Remove { name, .. } => session.remove_program(name).unwrap(),
-            }
-            let inc = explore_subsets_with(&session, settings, options);
-            prop_assert_eq!(inc.pruned, 0);
-            match edit {
-                Edit::Remove { .. } => prop_assert_eq!(inc.cycle_tests, 0),
-                Edit::Add { n_before, .. } => {
-                    prop_assert_eq!(inc.cycle_tests, 1usize << n_before)
-                }
-            }
-            let scratch = RobustnessSession::from_programs(&schema, &session.workload().programs);
-            prop_assert_eq!(&inc.robust, &explore_subsets(&scratch, settings).robust);
         }
     }
 }

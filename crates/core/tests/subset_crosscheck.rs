@@ -1,65 +1,52 @@
-//! Cross-check of the closure-pruned, shared-graph subset exploration against the naive
-//! oracle.
+//! Cross-check of the closure-pruned, shared-graph subset exploration against the oracle.
 //!
 //! [`explore_subsets`] decides every subset on a lane of one traversal of the session's cached
 //! summary graph, skips cycle tests via two-sided closure pruning (Proposition 5.2: subsets of
 //! robust sets are robust, supersets of non-robust sets are not), and splits each popcount
-//! level into word ranges across its threads when it fans out; [`explore_subsets_with`] with
-//! pruning disabled tests every mask the same way;
-//! [`explore_subsets_naive`] re-runs Algorithm 1 and the scalar cycle test for every subset.
-//! Both sweeps must agree *exactly* with the oracle — same robust family, same maximal subsets,
-//! every subset either tested or pruned — on every workload (the `assert_agree` cross-check
-//! idiom of the dbcop consistency checker). The property tests drive the comparison over
-//! random synthetic workloads across the full evaluation grid; separate tests pin down the
-//! "exactly one construction per graph-shape combination" contract of the session (against
-//! one per subset for the naive oracle, on all four bundled benchmarks), the
+//! level into word ranges across its threads when it fans out;
+//! [`mvrc_oracles::explore_subsets`] re-runs Algorithm 1 and the scalar cycle test for every
+//! subset. The sweep must agree *exactly* with the oracle — same robust family, same maximal
+//! subsets, every subset either tested or pruned — on every workload (the `assert_agree`
+//! cross-check idiom of the dbcop consistency checker). The property tests drive the
+//! comparison over random synthetic workloads across the full evaluation grid; separate tests
+//! pin down the "exactly one construction per graph-shape combination" contract of the session
+//! (against one per subset for the oracle, on all four bundled benchmarks), the
 //! strictly-fewer-cycle-tests claim of the pruning on TPC-C, the border bound on the cycle
 //! tests of a 16-program YCSB-T mix, partial lane batches, and identical results under every
 //! thread pin on a sweep large enough to split across threads.
 
 use mvrc_benchmarks::{auction, smallbank, synthetic, tpcc, ycsb_t, SyntheticConfig, YcsbtConfig};
 use mvrc_robustness::{
-    explore_subsets, explore_subsets_naive, explore_subsets_with, AnalysisSettings, CycleCondition,
-    ExploreOptions, Parallelism, RobustnessSession, SubsetExploration, SummaryGraph,
+    explore_subsets, explore_subsets_with, AnalysisSettings, CycleCondition, ExploreOptions,
+    Parallelism, RobustnessSession, SubsetExploration, SummaryGraph,
 };
 use proptest::prelude::*;
 
-/// Asserts that a sweep agrees with the naive oracle on verdicts, and accounts for every
-/// non-empty subset exactly once.
-fn assert_matches_naive(sweep: &SubsetExploration, naive: &SubsetExploration, what: &str) {
-    let settings = naive.settings;
+/// Asserts that a sweep agrees with the oracle on verdicts, and accounts for every non-empty
+/// subset exactly once.
+fn assert_matches_oracle(sweep: &SubsetExploration, oracle: &SubsetExploration, what: &str) {
+    let settings = oracle.settings;
     assert_eq!(
-        sweep.robust, naive.robust,
-        "robust families differ ({what} vs naive) under {settings} for programs {:?}",
-        naive.programs
+        sweep.robust, oracle.robust,
+        "robust families differ ({what} vs oracle) under {settings} for programs {:?}",
+        oracle.programs
     );
     assert_eq!(
-        sweep.maximal, naive.maximal,
-        "maximal subsets differ ({what} vs naive) under {settings} for programs {:?}",
-        naive.programs
+        sweep.maximal, oracle.maximal,
+        "maximal subsets differ ({what} vs oracle) under {settings} for programs {:?}",
+        oracle.programs
     );
     assert_eq!(
         sweep.cycle_tests + sweep.pruned,
-        naive.cycle_tests,
+        oracle.cycle_tests,
         "every subset must be either tested or pruned ({what})"
     );
 }
 
-/// Asserts that the default (pruned) and exhaustive sweeps agree with the naive oracle on a
-/// workload under one settings combination.
+/// Asserts that the sweep agrees with the oracle on a workload under one settings combination.
 fn assert_agree(session: &RobustnessSession, settings: AnalysisSettings) {
-    let naive = explore_subsets_naive(session, settings);
-    assert_matches_naive(&explore_subsets(session, settings), &naive, "pruned");
-    let exhaustive = explore_subsets_with(
-        session,
-        settings,
-        ExploreOptions {
-            closure_pruning: false,
-            ..ExploreOptions::default()
-        },
-    );
-    assert_matches_naive(&exhaustive, &naive, "exhaustive");
-    assert_eq!(exhaustive.pruned, 0);
+    let oracle = mvrc_oracles::explore_subsets(session, settings);
+    assert_matches_oracle(&explore_subsets(session, settings), &oracle, "sweep");
 }
 
 fn synthetic_config_strategy() -> impl Strategy<Value = SyntheticConfig> {
@@ -122,18 +109,16 @@ proptest! {
     #[test]
     fn non_robust_family_is_upward_closed(config in synthetic_config_strategy()) {
         // The dual of Proposition 5.2's downward closure: every superset of a non-robust set
-        // is non-robust. Checked on the exhaustive sweep, where no pruning can impose it, and
-        // on the pruned sweep that relies on it.
+        // is non-robust. Checked on the oracle's family, which no pruning can impose, and on
+        // the sweep's family, which relies on it.
         let session = RobustnessSession::new(synthetic(config));
         let n = session.program_names().len();
         for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
             for settings in AnalysisSettings::evaluation_grid(condition) {
-                for closure_pruning in [false, true] {
-                    let exploration = explore_subsets_with(
-                        &session,
-                        settings,
-                        ExploreOptions { closure_pruning, ..ExploreOptions::default() },
-                    );
+                for exploration in [
+                    mvrc_oracles::explore_subsets(&session, settings),
+                    explore_subsets(&session, settings),
+                ] {
                     let robust = robust_masks(&exploration);
                     for mask in (1usize..1 << n).filter(|&m| !robust[m]) {
                         for extra in (0..n).filter(|i| mask & (1 << i) == 0) {
@@ -246,9 +231,8 @@ fn paper_benchmarks_agree_across_the_evaluation_grid() {
 fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
     // Lane packing must be exact for batches smaller than 64: TPC-C's levels are all partial
     // (the largest, C(5, 3) or C(5, 2), holds 10 masks), while YCSB-T's 63 non-empty subsets
-    // fill a single batch all but one lane. The naive oracle runs the scalar cycle test per
-    // subset; serially and with two threads requested, with and without pruning, the
-    // lane-parallel sweep must agree with it.
+    // fill a single batch all but one lane. The oracle runs the scalar cycle test per subset;
+    // serially and with two threads requested, the lane-parallel sweep must agree with it.
     for workload in [tpcc(), ycsb_t(YcsbtConfig::default())] {
         let session = RobustnessSession::new(workload);
         for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
@@ -256,30 +240,27 @@ fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
                 condition,
                 ..AnalysisSettings::paper_default()
             };
-            let naive = explore_subsets_naive(&session, settings);
+            let oracle = mvrc_oracles::explore_subsets(&session, settings);
             for (what, parallelism) in [
                 ("serial", Parallelism::Serial),
                 ("two threads", Parallelism::Threads(2)),
             ] {
-                for closure_pruning in [true, false] {
-                    let sweep = explore_subsets_with(
-                        &session,
-                        settings,
-                        ExploreOptions {
-                            parallelism,
-                            closure_pruning,
-                            ..ExploreOptions::default()
-                        },
-                    );
-                    assert_matches_naive(&sweep, &naive, what);
-                }
+                let sweep = explore_subsets_with(
+                    &session,
+                    settings,
+                    ExploreOptions {
+                        parallelism,
+                        ..ExploreOptions::default()
+                    },
+                );
+                assert_matches_oracle(&sweep, &oracle, what);
             }
         }
     }
 }
 
 #[test]
-fn closure_pruning_saves_cycle_tests_on_tpcc() {
+fn pruning_saves_cycle_tests_on_tpcc() {
     // TPC-C, attr dep + FK: {Pay, OS, SL} and {NO, Pay} are robust (Figure 6), so their
     // subsets are inherited by Proposition 5.2 instead of tested.
     let session = RobustnessSession::new(tpcc());
@@ -310,32 +291,29 @@ fn parallelism_pins_do_not_change_results() {
     let settings = AnalysisSettings::paper_default();
     for workload in [tpcc(), straight_line] {
         let session = RobustnessSession::new(workload);
-        for closure_pruning in [true, false] {
-            let sweep = |parallelism| {
-                explore_subsets_with(
-                    &session,
-                    settings,
-                    ExploreOptions {
-                        parallelism,
-                        closure_pruning,
-                        ..ExploreOptions::default()
-                    },
-                )
-            };
-            let reference = sweep(Parallelism::Serial);
-            for parallelism in [
-                Parallelism::Threads(1),
-                Parallelism::Threads(2),
-                Parallelism::Threads(usize::MAX),
-                Parallelism::Auto,
-            ] {
-                let pinned = sweep(parallelism);
-                let what = format!("{parallelism:?}, closure pruning {closure_pruning}");
-                assert_eq!(pinned.robust, reference.robust, "{what}");
-                assert_eq!(pinned.maximal, reference.maximal, "{what}");
-                assert_eq!(pinned.cycle_tests, reference.cycle_tests, "{what}");
-                assert_eq!(pinned.pruned, reference.pruned, "{what}");
-            }
+        let sweep = |parallelism| {
+            explore_subsets_with(
+                &session,
+                settings,
+                ExploreOptions {
+                    parallelism,
+                    ..ExploreOptions::default()
+                },
+            )
+        };
+        let reference = sweep(Parallelism::Serial);
+        for parallelism in [
+            Parallelism::Threads(1),
+            Parallelism::Threads(2),
+            Parallelism::Threads(usize::MAX),
+            Parallelism::Auto,
+        ] {
+            let pinned = sweep(parallelism);
+            let what = format!("{parallelism:?}");
+            assert_eq!(pinned.robust, reference.robust, "{what}");
+            assert_eq!(pinned.maximal, reference.maximal, "{what}");
+            assert_eq!(pinned.cycle_tests, reference.cycle_tests, "{what}");
+            assert_eq!(pinned.pruned, reference.pruned, "{what}");
         }
     }
 }
@@ -377,33 +355,33 @@ fn session_constructs_exactly_one_graph_per_shape_combination() {
             "{name}"
         );
 
-        // The shared sweep against the naive oracle, as counts rather than timings: on a fresh
-        // session an exhaustive sweep builds one graph and cycle-tests every subset on it,
-        // while the oracle rebuilds a graph per subset. Both run on this thread, so the
-        // thread-local counter sees every construction.
+        // The shared sweep against the oracle, as counts rather than timings: on a fresh
+        // session the sweep builds one graph and decides every subset on it, by a cycle test
+        // or by pruning, while the oracle rebuilds a graph per subset. Both run on this
+        // thread, so the thread-local counter sees every construction.
         let settings = AnalysisSettings::paper_default();
         let fresh = RobustnessSession::new(workload);
-        let exhaustive = ExploreOptions {
-            closure_pruning: false,
+        let serial = ExploreOptions {
             parallelism: Parallelism::Serial,
             ..ExploreOptions::default()
         };
         let before = SummaryGraph::constructions_on_current_thread();
-        let shared = explore_subsets_with(&fresh, settings, exhaustive);
+        let shared = explore_subsets_with(&fresh, settings, serial);
         let shared_builds = SummaryGraph::constructions_on_current_thread() - before;
         let before = SummaryGraph::constructions_on_current_thread();
-        let naive = explore_subsets_naive(&fresh, settings);
-        let naive_builds = SummaryGraph::constructions_on_current_thread() - before;
+        let oracle = mvrc_oracles::explore_subsets(&fresh, settings);
+        let oracle_builds = SummaryGraph::constructions_on_current_thread() - before;
         assert_eq!(shared_builds, 1, "{name}: shared sweep graph builds");
         assert_eq!(
-            shared.cycle_tests, subsets_per_run,
-            "{name}: shared cycle tests"
+            shared.cycle_tests + shared.pruned,
+            subsets_per_run,
+            "{name}: shared sweep decisions"
         );
         assert_eq!(
-            naive_builds, subsets_per_run as u64,
-            "{name}: naive graph builds"
+            oracle_builds, subsets_per_run as u64,
+            "{name}: oracle graph builds"
         );
-        assert_eq!(shared.robust, naive.robust, "{name}: robust subsets");
-        assert_eq!(shared.maximal, naive.maximal, "{name}: maximal subsets");
+        assert_eq!(shared.robust, oracle.robust, "{name}: robust subsets");
+        assert_eq!(shared.maximal, oracle.maximal, "{name}: maximal subsets");
     }
 }

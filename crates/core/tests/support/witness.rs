@@ -1,5 +1,5 @@
 //! Independent check of a type-II witness, shared by the test targets that compare the
-//! optimized Algorithm 2 with the literal one: a verdict match alone would let both return a
+//! optimized Algorithm 2 with the literal one: equal witnesses alone would let both return a
 //! cycle that does not exist.
 
 use mvrc_btp::StatementKind;

@@ -41,9 +41,9 @@ pub mod prelude {
         unfold_set_le2, LinearProgram, Program, ProgramBuilder, StatementKind, Workload,
     };
     pub use mvrc_robustness::{
-        explore_subsets, explore_subsets_naive, explore_subsets_with, AnalysisReport,
-        AnalysisSettings, CycleCondition, ExploreOptions, Granularity, InducedView, Parallelism,
-        RobustnessSession, SummaryGraph, SummaryGraphView,
+        explore_subsets, explore_subsets_with, AnalysisReport, AnalysisSettings, CycleCondition,
+        ExploreOptions, Granularity, InducedView, Parallelism, RobustnessSession, SummaryGraph,
+        SummaryGraphView,
     };
     pub use mvrc_schema::{Schema, SchemaBuilder};
 }

@@ -1,4 +1,5 @@
-//! Workspace unsafe budget.
+//! Workspace unsafe budget, and the manifest rule that keeps the oracle crate out of
+//! production builds.
 //!
 //! The workspace forbids `unsafe_code` via `[workspace.lints]`; exactly one crate opts out of
 //! that inheritance, for a documented reason: `mvrc-serve`, whose `signal.rs` installs the
@@ -8,6 +9,10 @@
 //! when an `unsafe` token (outside comments and string literals) appears in any file not on
 //! the allowlist, or when an allowlisted file's count changes. Growing the budget is a
 //! deliberate act: update the table below *and* the module docs of the file in question.
+//!
+//! `mvrc-oracles` holds the literal reference implementations the test suites check against.
+//! `the_oracle_crate_is_only_a_dev_dependency` scans the workspace manifests and perfbench's
+//! and fails when one names it outside a `[dev-dependencies]` table.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -222,6 +227,47 @@ fn every_crate_inherits_the_workspace_lints_except_the_documented_opt_outs() {
     }
 }
 
+/// The manifest lines that name `mvrc-oracles` outside a `[dev-dependencies]` table (or the
+/// workspace's declaration of it, or its own package name), as `table: line`.
+fn oracle_mentions_outside_dev_dependencies(manifest: &str) -> Vec<String> {
+    let mut table = String::new();
+    let mut found = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            table = line.to_string();
+        } else if line.contains("mvrc-oracles")
+            && !line.starts_with('#')
+            && !table.ends_with("dev-dependencies]")
+            && table != "[workspace.dependencies]"
+            && !(table == "[package]" && line.starts_with("name"))
+        {
+            found.push(format!("{table}: {line}"));
+        }
+    }
+    found
+}
+
+#[test]
+fn the_oracle_crate_is_only_a_dev_dependency() {
+    let root = repo_root();
+    let mut manifests = vec![root.join("Cargo.toml"), root.join("perfbench/Cargo.toml")];
+    for entry in fs::read_dir(root.join("crates")).expect("crates dir readable") {
+        manifests.push(entry.expect("readable dir entry").path().join("Cargo.toml"));
+    }
+    let mut violations = Vec::new();
+    for manifest in &manifests {
+        let text = fs::read_to_string(manifest).expect("manifest readable");
+        for mention in oracle_mentions_outside_dev_dependencies(&text) {
+            violations.push(format!("{}: {mention}", manifest.display()));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "mvrc-oracles is a test-only crate; list it under [dev-dependencies] only:\n  {}",
+        violations.join("\n  ")
+    );
+}
+
 #[cfg(test)]
 mod scanner_tests {
     use super::*;
@@ -237,6 +283,26 @@ mod scanner_tests {
             fn not_unsafe_fn() {}
         "##;
         assert_eq!(count_unsafe(&strip_comments_and_strings(src)), 0);
+    }
+
+    #[test]
+    fn the_manifest_scan_flags_a_production_dependency_on_the_oracles() {
+        let manifest = r#"
+            [package]
+            name = "mvrc-oracles"
+            [workspace.dependencies]
+            mvrc-oracles = { path = "crates/oracles" }
+            [dependencies]
+            mvrc-oracles = { workspace = true }
+            [dev-dependencies]
+            mvrc-oracles = { workspace = true }
+            [target.'cfg(unix)'.dev-dependencies]
+            mvrc-oracles = { workspace = true }
+        "#;
+        assert_eq!(
+            oracle_mentions_outside_dev_dependencies(manifest),
+            ["[dependencies]: mvrc-oracles = { workspace = true }"]
+        );
     }
 
     #[test]
