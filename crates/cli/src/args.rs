@@ -64,9 +64,9 @@ pub enum Command {
         settings: AnalysisSettings,
         /// Output format.
         format: Format,
-        /// `--incremental --cache F`: reuse (and update) the verdicts of the previous run
-        /// stored in the snapshot file `F`, re-sweeping only subsets an edit invalidated.
-        cache: Option<String>,
+        /// `--snapshot F`: write the analyzed session to the snapshot file `F` (a warm tenant
+        /// for `mvrc serve`).
+        snapshot: Option<String>,
     },
     /// `mvrc graph <workload>`: the summary graph as Graphviz DOT.
     Graph {
@@ -204,10 +204,8 @@ OPTIONS:
     --labels      include statement labels on graph edges (graph)
     --threads N   threads a large subset sweep may use (default: MVRC_THREADS or the
                   available parallelism); N must be at least 1
-    --incremental reuse the previous run's verdicts from the --cache snapshot, re-sweeping
-                  only subsets a workload edit invalidated (subsets; requires --cache)
-    --cache F     the snapshot file holding the previous run's verdicts; created on the first
-                  run, updated on every run (subsets; requires --incremental)
+    --snapshot F  write the analyzed session to the snapshot file F, which `serve --tenant`
+                  opens warm (subsets)
 
 SERVE OPTIONS:
     --listen A        address to bind (default 127.0.0.1:7654; port 0 picks a free one)
@@ -283,9 +281,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut settings = AnalysisSettings::paper_default();
     let mut format = Format::Text;
     let mut labels = false;
-    let mut incremental = false;
     let mut programs: Option<Vec<String>> = None;
-    let mut cache: Option<String> = None;
+    let mut snapshot: Option<String> = None;
 
     let mut i = 0;
     while i < rest.len() {
@@ -306,7 +303,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 })?;
                 input = Some(Input::Benchmark((*name).to_string()));
             }
-            "--incremental" => incremental = true,
             "--programs" => {
                 i += 1;
                 let list = rest.get(i).ok_or_else(|| {
@@ -327,12 +323,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 }
                 programs = Some(names);
             }
-            "--cache" => {
+            "--snapshot" => {
                 i += 1;
                 let path = rest.get(i).ok_or_else(|| {
-                    CliError::Usage("`--cache` needs a snapshot file path".to_string())
+                    CliError::Usage("`--snapshot` needs a snapshot file path".to_string())
                 })?;
-                cache = Some((*path).to_string());
+                snapshot = Some((*path).to_string());
             }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown option `{flag}`")));
@@ -353,25 +349,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         })
     };
 
-    // `--incremental` and `--cache` only make sense together (and only for `subsets`).
-    if command == "subsets" {
-        match (incremental, &cache) {
-            (true, None) => {
-                return Err(CliError::Usage(
-                    "`--incremental` needs `--cache <snapshot file>` to reuse verdicts from"
-                        .to_string(),
-                ))
-            }
-            (false, Some(_)) => {
-                return Err(CliError::Usage(
-                    "`--cache` only applies together with `--incremental`".to_string(),
-                ))
-            }
-            _ => {}
-        }
-    } else if incremental || cache.is_some() {
+    if snapshot.is_some() && command != "subsets" {
         return Err(CliError::Usage(
-            "`--incremental`/`--cache` only apply to `subsets`".to_string(),
+            "`--snapshot` only applies to `subsets`".to_string(),
         ));
     }
     if programs.is_some() && command != "certify" {
@@ -401,7 +381,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             input: require_input(input)?,
             settings,
             format,
-            cache,
+            snapshot,
         }),
         "graph" => Ok(Command::Graph {
             input: require_input(input)?,
@@ -746,54 +726,37 @@ mod tests {
                 input,
                 settings,
                 format,
-                cache,
+                snapshot,
             } => {
                 assert_eq!(input, Input::Benchmark("smallbank".into()));
                 assert_eq!(settings.granularity, Granularity::Tuple);
                 assert!(!settings.use_foreign_keys);
                 assert_eq!(settings.condition, CycleCondition::TypeI);
                 assert_eq!(format, Format::Json);
-                assert_eq!(cache, None);
+                assert_eq!(snapshot, None);
             }
             other => panic!("unexpected command {other:?}"),
         }
     }
 
     #[test]
-    fn incremental_subsets_require_and_carry_the_cache() {
+    fn subsets_snapshot_needs_a_path_and_applies_only_to_subsets() {
         let cmd = parse_args(&args(&[
             "subsets",
             "--benchmark",
             "smallbank",
-            "--incremental",
-            "--cache",
+            "--snapshot",
             "sb.mvrcsnap",
         ]))
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Subsets { cache: Some(ref c), .. } if c == "sb.mvrcsnap"
+            Command::Subsets { snapshot: Some(ref f), .. } if f == "sb.mvrcsnap"
         ));
 
-        // The two flags only work together, and only for `subsets`.
         for bad in [
-            vec!["subsets", "--benchmark", "smallbank", "--incremental"],
-            vec![
-                "subsets",
-                "--benchmark",
-                "smallbank",
-                "--cache",
-                "sb.mvrcsnap",
-            ],
-            vec![
-                "analyze",
-                "--benchmark",
-                "smallbank",
-                "--incremental",
-                "--cache",
-                "f",
-            ],
-            vec!["subsets", "--benchmark", "smallbank", "--cache"],
+            vec!["subsets", "--benchmark", "smallbank", "--snapshot"],
+            vec!["analyze", "--benchmark", "smallbank", "--snapshot", "f"],
         ] {
             assert!(
                 matches!(parse_args(&args(&bad)), Err(CliError::Usage(_))),

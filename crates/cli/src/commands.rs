@@ -7,8 +7,8 @@ use mvrc_btp::sql::{check_workload_ltps, parse_workload_file, MAX_WORKLOAD_LTPS}
 use mvrc_btp::unfold_set_le2;
 use mvrc_btp::BtpError;
 use mvrc_robustness::{
-    abbreviate_program_name, explore_subsets_with, to_dot, AnalysisSettings, DotOptions,
-    ExploreOptions, RobustnessSession, TooManyPrograms,
+    abbreviate_program_name, explore_subsets, to_dot, AnalysisSettings, DotOptions,
+    RobustnessSession, TooManyPrograms,
 };
 use std::fmt::Write as _;
 use std::fs;
@@ -53,8 +53,8 @@ pub fn execute(command: Command) -> Result<CommandOutput, CliError> {
             input,
             settings,
             format,
-            cache,
-        } => subsets(&input, settings, format, cache.as_deref()),
+            snapshot,
+        } => subsets(&input, settings, format, snapshot.as_deref()),
         Command::Graph {
             input,
             settings,
@@ -478,50 +478,14 @@ fn subsets(
     input: &Input,
     settings: AnalysisSettings,
     format: Format,
-    cache: Option<&str>,
+    snapshot: Option<&str>,
 ) -> Result<CommandOutput, CliError> {
     let session = RobustnessSession::new(load_workload(input)?);
     TooManyPrograms::check(session.program_names().len()).map_err(CliError::TooManyPrograms)?;
-    let exploration = match cache {
-        // `--incremental --cache F`: seed the session with the previous run's verdicts (a
-        // snapshot's sweep section), sweep only what the edit invalidated, save the updated
-        // cache.
-        Some(cache_path) => {
-            if Path::new(cache_path).exists() {
-                let (prior, _) = mvrc_dist::open_snapshot(cache_path)
-                    .map_err(|e| CliError::Cache(e.to_string()))?;
-                if prior.workload().schema != session.workload().schema {
-                    return Err(CliError::Cache(format!(
-                        "cache `{cache_path}` was computed for a different schema; delete it \
-                         to start fresh"
-                    )));
-                }
-                if prior.workload().unfold != session.workload().unfold {
-                    return Err(CliError::Cache(format!(
-                        "cache `{cache_path}` was computed with different unfolding options; \
-                         delete it to start fresh"
-                    )));
-                }
-                // The entries carry their own program identities; the sweep below rebases
-                // them onto this workload's programs (mask compaction / bit expansion).
-                for (cached_settings, sweep) in prior.cached_sweeps() {
-                    session.install_cached_sweep(cached_settings, sweep);
-                }
-            }
-            let exploration = explore_subsets_with(
-                &session,
-                settings,
-                ExploreOptions {
-                    incremental: true,
-                    ..ExploreOptions::default()
-                },
-            );
-            mvrc_dist::save_snapshot(&session, cache_path)
-                .map_err(|e| CliError::Cache(e.to_string()))?;
-            exploration
-        }
-        None => explore_subsets_with(&session, settings, ExploreOptions::default()),
-    };
+    let exploration = explore_subsets(&session, settings);
+    if let Some(path) = snapshot {
+        mvrc_dist::save_snapshot(&session, path).map_err(|e| CliError::Snapshot(e.to_string()))?;
+    }
     let workload = session.workload();
 
     let text = match format {
@@ -545,14 +509,6 @@ fn subsets(
                 exploration.cycle_tests, exploration.pruned
             )
             .unwrap();
-            if cache.is_some() {
-                writeln!(
-                    out,
-                    "reused verdicts: {} adopted from the --cache snapshot",
-                    exploration.reused
-                )
-                .unwrap();
-            }
             writeln!(out, "maximal robust subsets:").unwrap();
             writeln!(out, "  {}", exploration.render_maximal(&abbreviate)).unwrap();
             out
@@ -820,7 +776,7 @@ mod tests {
             input: Input::Benchmark("smallbank".into()),
             settings: AnalysisSettings::paper_default(),
             format: Format::Text,
-            cache: None,
+            snapshot: None,
         })
         .unwrap();
         assert_eq!(out.exit_code, 0);
@@ -831,58 +787,6 @@ mod tests {
                 out.text
             );
         }
-    }
-
-    #[test]
-    fn incremental_subsets_reuse_the_cache_snapshot() {
-        let cache = std::env::temp_dir().join(format!(
-            "mvrc-cli-cache-{}-{:?}.mvrcsnap",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_file(&cache).ok();
-        let command = || Command::Subsets {
-            input: Input::Benchmark("smallbank".into()),
-            settings: AnalysisSettings::paper_default(),
-            format: Format::Text,
-            cache: Some(cache.to_str().unwrap().to_string()),
-        };
-
-        // First run: nothing to reuse; the cache snapshot is created.
-        let first = execute(command()).unwrap();
-        assert!(first.text.contains("reused verdicts: 0"), "{}", first.text);
-        assert!(cache.exists());
-
-        // Second run over the unchanged workload: every verdict is adopted, zero cycle tests.
-        let second = execute(command()).unwrap();
-        assert!(
-            second.text.contains("cycle tests:     0 run"),
-            "{}",
-            second.text
-        );
-        assert!(
-            second.text.contains("reused verdicts: 31"),
-            "{}",
-            second.text
-        );
-        // Same maximal subsets either way.
-        let tail = |s: &str| {
-            s.split("maximal robust subsets:")
-                .nth(1)
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(tail(&first.text), tail(&second.text));
-
-        // A cache computed for a different schema is refused, not silently reused.
-        let mismatched = execute(Command::Subsets {
-            input: Input::Benchmark("auction".into()),
-            settings: AnalysisSettings::paper_default(),
-            format: Format::Text,
-            cache: Some(cache.to_str().unwrap().to_string()),
-        });
-        assert!(matches!(mismatched, Err(CliError::Cache(msg)) if msg.contains("schema")));
-        std::fs::remove_file(&cache).ok();
     }
 
     #[test]

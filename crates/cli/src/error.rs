@@ -17,9 +17,8 @@ pub enum CliError {
     },
     /// The workload file could not be parsed or translated into BTPs.
     Workload(String),
-    /// The `subsets --incremental --cache` snapshot could not be opened, matched to the
-    /// workload or saved.
-    Cache(String),
+    /// The `subsets --snapshot` file could not be written.
+    Snapshot(String),
     /// A `serve` / `client` step failed (bind, connect, tenant boot or server-side error).
     Serve(String),
     /// `subsets` was asked to sweep more programs than the sweep accepts.
@@ -32,7 +31,7 @@ impl fmt::Display for CliError {
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
             CliError::Io { path, message } => write!(f, "cannot read `{path}`: {message}"),
             CliError::Workload(msg) => write!(f, "invalid workload: {msg}"),
-            CliError::Cache(msg) => write!(f, "cache error: {msg}"),
+            CliError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
             CliError::Serve(msg) => write!(f, "serve error: {msg}"),
             CliError::TooManyPrograms(e) => write!(f, "{e}"),
         }
@@ -58,8 +57,8 @@ mod tests {
         assert!(CliError::Workload("bad".into())
             .to_string()
             .contains("invalid workload"));
-        assert!(CliError::Cache("stale".into())
+        assert!(CliError::Snapshot("read-only".into())
             .to_string()
-            .starts_with("cache error: "));
+            .starts_with("snapshot error: "));
     }
 }

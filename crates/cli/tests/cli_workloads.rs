@@ -134,18 +134,17 @@ fn malformed_workload_files_are_reported_with_context() {
 fn sweeps_beyond_the_program_limit_exit_2_with_one_line() {
     // Auction(25) has 50 programs, beyond the sweep limit of 20: both sweep invocations refuse
     // it with a single-line error and exit code 2 instead of panicking.
-    let cache =
+    let snapshot =
         std::env::temp_dir().join(format!("mvrc-cli-too-wide-{}.mvrcsnap", std::process::id()));
-    let cache = cache.to_str().unwrap();
+    let snapshot = snapshot.to_str().unwrap();
     for command in [
         vec!["subsets", "--benchmark", "auction-n=25"],
         vec![
             "subsets",
             "--benchmark",
             "auction-n=25",
-            "--incremental",
-            "--cache",
-            cache,
+            "--snapshot",
+            snapshot,
         ],
     ] {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
@@ -162,8 +161,8 @@ fn sweeps_beyond_the_program_limit_exit_2_with_one_line() {
         assert!(output.stdout.is_empty(), "{command:?}");
     }
     assert!(
-        !std::path::Path::new(cache).exists(),
-        "the sweep is refused before the cache is created"
+        !std::path::Path::new(snapshot).exists(),
+        "the sweep is refused before the snapshot is written"
     );
 }
 
@@ -378,113 +377,67 @@ fn mvrc_stdout(args: &[&str]) -> String {
 }
 
 #[test]
-fn edit_then_resume_reuses_verdicts_across_real_processes() {
-    // Process 1 sweeps SmallBank without WriteCheck (the file cut before its last program) and
-    // saves the cache; process 2 sweeps the full file from that cache. The 15 non-empty subsets
-    // of the other four programs carry over, so only the 16 subsets with WriteCheck are visited:
-    // the full set and {WriteCheck} are tested, and both fail, so the other 14 are refuted as
-    // their supersets.
-    let dir = std::env::temp_dir();
-    let reduced = dir.join(format!("mvrc-cli-resume-{}.sql", std::process::id()));
-    let cache = dir.join(format!("mvrc-cli-resume-{}.mvrcsnap", std::process::id()));
-    std::fs::remove_file(&cache).ok();
-    let full = workload_path("smallbank.sql");
-    let text = std::fs::read_to_string(&full).unwrap();
-    let cut = text
-        .find("-- WriteCheck")
-        .expect("WriteCheck is the last program");
-    std::fs::write(&reduced, &text[..cut]).unwrap();
-    let cache_str = cache.to_str().unwrap();
-
-    let first = mvrc_stdout(&[
-        "subsets",
-        reduced.to_str().unwrap(),
-        "--incremental",
-        "--cache",
-        cache_str,
-    ]);
-    std::fs::remove_file(&reduced).ok();
-    assert!(first.contains("reused verdicts: 0"), "{first}");
-    // The same resume runs twice, once per output format, each from its own copy of the cache.
-    let json_cache = dir.join(format!(
-        "mvrc-cli-resume-{}-json.mvrcsnap",
-        std::process::id()
-    ));
-    std::fs::copy(&cache, &json_cache).expect("the first run saved its cache");
-    let json_cache_str = json_cache.to_str().unwrap();
-
-    let second = mvrc_stdout(&["subsets", &full, "--incremental", "--cache", cache_str]);
-    let resumed = mvrc_stdout(&[
-        "subsets",
-        &full,
-        "--incremental",
-        "--cache",
-        json_cache_str,
-        "--json",
-    ]);
-    std::fs::remove_file(&cache).ok();
-    std::fs::remove_file(&json_cache).ok();
-    assert!(second.contains("reused verdicts: 15"), "{second}");
-    assert!(
-        second.contains("2 run, 14 pruned via downward and upward closure"),
-        "{second}"
-    );
-
-    // The verdicts equal a fresh sweep's; only the counters differ, so compare fields.
-    let fresh = mvrc_stdout(&["subsets", &full, "--json"]);
-    let resumed: serde_json::Value = serde_json::from_str(&resumed).unwrap();
-    let fresh: serde_json::Value = serde_json::from_str(&fresh).unwrap();
-    assert_eq!(resumed["exploration"]["reused"], 15);
-    let visited = ["cycle_tests", "pruned"]
-        .map(|field| resumed["exploration"][field].as_u64().unwrap())
-        .iter()
-        .sum::<u64>();
-    assert_eq!(
-        visited, 16,
-        "exactly the subsets with WriteCheck are visited"
-    );
-    for field in ["robust", "maximal"] {
-        assert_eq!(
-            resumed["exploration"][field], fresh["exploration"][field],
-            "`{field}` differs from a fresh sweep"
-        );
-    }
-}
-
-#[test]
-fn a_cache_for_another_schema_is_a_cache_error() {
-    let cache = std::env::temp_dir().join(format!(
-        "mvrc-cli-other-schema-{}.mvrcsnap",
-        std::process::id()
-    ));
-    std::fs::remove_file(&cache).ok();
-    let cache_str = cache.to_str().unwrap();
-    mvrc_stdout(&[
+fn subsets_snapshot_boots_a_warm_tenant_that_serves_the_same_reply() {
+    // `subsets --snapshot F` writes the analyzed session; a daemon tenant opened from `F`
+    // builds no graph and answers `explore_subsets` with the bytes of `subsets --json`.
+    let snapshot =
+        std::env::temp_dir().join(format!("mvrc-cli-snapshot-{}.mvrcsnap", std::process::id()));
+    std::fs::remove_file(&snapshot).ok();
+    let offline = mvrc_stdout(&[
         "subsets",
         "--benchmark",
         "smallbank",
-        "--incremental",
-        "--cache",
-        cache_str,
+        "--json",
+        "--snapshot",
+        snapshot.to_str().unwrap(),
     ]);
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_mvrc"))
-        .args([
-            "subsets",
-            "--benchmark",
-            "auction",
-            "--incremental",
-            "--cache",
-            cache_str,
-        ])
-        .output()
-        .expect("spawn mvrc");
-    std::fs::remove_file(&cache).ok();
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.starts_with("mvrc: cache error: ") && stderr.contains("different schema"),
-        "{stderr}"
+    assert_eq!(
+        offline,
+        mvrc_stdout(&["subsets", "--benchmark", "smallbank", "--json"]),
+        "--snapshot does not change the output"
     );
+
+    let tenant = mvrc_serve::Tenant::from_path("bank", &snapshot).expect("tenant boots");
+    let boot = tenant.boot();
+    assert!(boot.is_warm(), "{boot:?}");
+    assert_eq!(boot.constructions, 0);
+    let config = mvrc_serve::ServeConfig {
+        listen: "127.0.0.1:0".to_string(),
+        port_file: None,
+        persist_secs: None,
+    };
+    let server = mvrc_serve::Server::bind(&config, vec![tenant]).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = mvrc_serve::Client::connect(addr).expect("connect");
+    let reply = client
+        .call(&serde_json::json!({"op": "explore_subsets", "tenant": "bank"}))
+        .expect("explore_subsets");
+    client
+        .call(&serde_json::json!({"op": "shutdown"}))
+        .expect("shutdown");
+    daemon.join().expect("daemon thread").expect("clean drain");
+    std::fs::remove_file(&snapshot).ok();
+    let served = serde_json::to_string_pretty(&reply).unwrap() + "\n";
+    assert_eq!(served, offline);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    // A reader that stops early (`mvrc … | head -c1`): the write fails with a broken pipe,
+    // which is not a panic.
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args(["subsets", "--benchmark", "auction-n=8", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mvrc");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("wait for mvrc");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_ne!(output.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -86,11 +86,10 @@ pub use mvrc_par::Parallelism;
 pub use session::RobustnessSession;
 pub use settings::{AnalysisSettings, CycleCondition, Granularity};
 pub use subsets::{
-    abbreviate_program_name, explore_subsets, explore_subsets_with, CachedSweep, ExploreOptions,
+    abbreviate_program_name, explore_subsets, explore_subsets_with, ExploreOptions,
     SubsetExploration, TooManyPrograms, MAX_SWEEP_PROGRAMS,
 };
 pub use summary::{
-    c_dep_conds, describe_edge_in, nc_dep_conds, program_fingerprint, EdgeKind, InducedView,
-    NodeId, PrefetchedView, SummaryEdge, SummaryGraph, SummaryGraphDerived, SummaryGraphView,
-    UnknownProgram,
+    c_dep_conds, describe_edge_in, nc_dep_conds, EdgeKind, InducedView, NodeId, PrefetchedView,
+    SummaryEdge, SummaryGraph, SummaryGraphDerived, SummaryGraphView, UnknownProgram,
 };

@@ -5,12 +5,10 @@
 use crate::algorithm::RobustnessOutcome;
 use crate::analysis::AnalysisReport;
 use crate::settings::{AnalysisSettings, CycleCondition, Granularity};
-use crate::subsets::CachedSweep;
-use crate::summary::{program_fingerprint, SummaryGraph, UnknownProgram};
+use crate::summary::{SummaryGraph, UnknownProgram};
 use mvrc_btp::{unfold, LinearProgram, Program, Workload};
 use mvrc_schema::Schema;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Cache key for the summary-graph cache: the graph shape depends only on the dependency
 /// granularity and the foreign-key switch, so the type-I and type-II conditions share a graph.
@@ -57,6 +55,12 @@ impl GraphKey {
 /// [`remove_program`](Self::remove_program)) update every cached graph incrementally,
 /// re-deriving only the Algorithm 1 edge rows that touch changed nodes.
 ///
+/// Cloning a session clones the workload and LTPs and *shares* all cached graphs (each slot is
+/// an `Arc` bump; a later incremental edit on either copy un-shares the touched graphs via
+/// `Arc::make_mut`). This is what makes the `mvrc-serve` edit path cheap: the writer clones the
+/// published session, applies the incremental edit to the clone, and atomically publishes it
+/// while readers keep querying the old `Arc`s.
+///
 /// # Worked example: SmallBank
 ///
 /// The SmallBank benchmark (Appendix E.1 of the paper) has five programs; the full mix is not
@@ -89,7 +93,7 @@ impl GraphKey {
 /// session.remove_program("Balance").unwrap();
 /// assert!(session.is_robust(settings));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RobustnessSession {
     workload: Workload,
     program_names: Vec<String>,
@@ -98,11 +102,6 @@ pub struct RobustnessSession {
     /// One slot per granularity/foreign-key combination ([`GraphKey::slot`]); built on first
     /// use, then read lock-free (an [`OnceLock`] read is a single atomic acquire-load).
     cache: [OnceLock<Arc<SummaryGraph>>; GRAPH_SLOTS],
-    /// Verdicts of the last completed subset sweep per settings combination — the seed of the
-    /// incremental re-sweeps ([`crate::ExploreOptions::incremental`]). Entries are
-    /// self-describing (they carry their own program list and fingerprints), so workload edits
-    /// leave them untouched and the rebase happens lazily at the next incremental sweep.
-    sweeps: Mutex<HashMap<AnalysisSettings, CachedSweep>>,
 }
 
 impl RobustnessSession {
@@ -121,7 +120,6 @@ impl RobustnessSession {
             program_names,
             ltps,
             cache: Default::default(),
-            sweeps: Mutex::new(HashMap::new()),
         }
     }
 
@@ -153,7 +151,6 @@ impl RobustnessSession {
             program_names,
             ltps: ltps.into_iter().map(Arc::new).collect(),
             cache: Default::default(),
-            sweeps: Mutex::new(HashMap::new()),
         }
     }
 
@@ -197,86 +194,6 @@ impl RobustnessSession {
             .collect()
     }
 
-    /// Structural fingerprints of the programs' unfolded LTP sets, aligned with
-    /// [`program_names`](Self::program_names) — the identity [`CachedSweep`] entries match
-    /// programs by (see [`crate::program_fingerprint`]).
-    pub fn program_fingerprints(&self) -> Vec<u64> {
-        self.program_names
-            .iter()
-            .map(|name| {
-                program_fingerprint(
-                    self.ltps
-                        .iter()
-                        .filter(|l| l.program_name() == name)
-                        .map(|l| &**l),
-                )
-            })
-            .collect()
-    }
-
-    /// The cached verdicts of the last completed subset sweep under these settings, if any
-    /// incremental sweep ran ([`crate::ExploreOptions::incremental`]).
-    pub fn cached_sweep(&self, settings: AnalysisSettings) -> Option<CachedSweep> {
-        self.sweeps
-            .lock()
-            .expect("session sweep cache poisoned")
-            .get(&settings)
-            .cloned()
-    }
-
-    /// Installs (or replaces) a cached sweep for these settings. Called by the incremental
-    /// sweep after it completes, and by the `mvrc-dist` snapshot layer when reopening a
-    /// snapshot; external callers may also seed a session with the cache of a
-    /// *different* session over an identical schema — the entry carries its own program
-    /// identities and is rebased onto this session's programs at the next incremental sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the entry's bitset width does not match its own program count.
-    pub fn install_cached_sweep(&self, settings: AnalysisSettings, sweep: CachedSweep) {
-        assert_eq!(
-            sweep.robust.len(),
-            CachedSweep::word_count_for(sweep.programs.len()),
-            "cached sweep bitset width does not match its program count"
-        );
-        assert_eq!(
-            sweep.programs.len(),
-            sweep.program_fingerprints.len(),
-            "cached sweep program/fingerprint length mismatch"
-        );
-        self.sweeps
-            .lock()
-            .expect("session sweep cache poisoned")
-            .insert(settings, sweep);
-    }
-
-    /// Every cached sweep, in a deterministic settings order (attribute before tuple
-    /// granularity, no-FK before FK, type-I before type-II) — the serialization hook of the
-    /// sweep section of the `mvrc-dist` snapshot format.
-    pub fn cached_sweeps(&self) -> Vec<(AnalysisSettings, CachedSweep)> {
-        let sweeps = self.sweeps.lock().expect("session sweep cache poisoned");
-        let mut entries: Vec<(AnalysisSettings, CachedSweep)> = sweeps
-            .iter()
-            .map(|(settings, sweep)| (*settings, sweep.clone()))
-            .collect();
-        entries.sort_by_key(|(s, _)| {
-            (
-                matches!(s.granularity, Granularity::Tuple),
-                s.use_foreign_keys,
-                matches!(s.condition, CycleCondition::TypeII),
-            )
-        });
-        entries
-    }
-
-    /// Number of cached sweeps (one per settings combination swept incrementally so far).
-    pub fn cached_sweep_count(&self) -> usize {
-        self.sweeps
-            .lock()
-            .expect("session sweep cache poisoned")
-            .len()
-    }
-
     /// Reassembles a session from snapshot parts — the deserialization hook of the `mvrc-dist`
     /// snapshot layer.
     ///
@@ -317,7 +234,6 @@ impl RobustnessSession {
             program_names,
             ltps,
             cache,
-            sweeps: Mutex::new(HashMap::new()),
         }
     }
 
@@ -437,34 +353,6 @@ impl RobustnessSession {
         self.remove_program(program.name())?;
         self.add_program(program);
         Ok(())
-    }
-}
-
-impl Clone for RobustnessSession {
-    /// Cloning a session clones the workload and LTPs and *shares* all cached graphs (each
-    /// slot is an `Arc` bump; a subsequent incremental edit on either copy un-shares the
-    /// touched graphs via `Arc::make_mut`). This is what makes the `mvrc-serve` edit path
-    /// cheap: the writer clones the published session, applies the incremental edit to the
-    /// clone, and atomically publishes it while readers keep querying the old `Arc`s.
-    fn clone(&self) -> Self {
-        let cache: [OnceLock<Arc<SummaryGraph>>; GRAPH_SLOTS] = Default::default();
-        for (slot, source) in cache.iter().zip(&self.cache) {
-            if let Some(graph) = source.get() {
-                let _ = slot.set(Arc::clone(graph));
-            }
-        }
-        RobustnessSession {
-            workload: self.workload.clone(),
-            program_names: self.program_names.clone(),
-            ltps: self.ltps.clone(),
-            cache,
-            sweeps: Mutex::new(
-                self.sweeps
-                    .lock()
-                    .expect("session sweep cache poisoned")
-                    .clone(),
-            ),
-        }
     }
 }
 

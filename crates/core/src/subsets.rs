@@ -25,7 +25,7 @@
 //! Verdicts live in bitsets over the masks (mask `m` at bit `m % 64` of word `m / 64`). Since
 //! `popcount(m) = popcount(m / 64) + popcount(m % 64)`, the level-`k` masks of word `w` are the
 //! in-word positions of popcount `k − popcount(w)` — one precomputed `u64` per popcount. Each
-//! level is one pass over the word range: a range picks the still-open masks (neither seeded
+//! level is one pass over the word range: a range picks the still-open masks (neither robust
 //! nor refuted) of the level out of its words, packs up to 64 of them into `u64` lanes and
 //! decides each batch with one lane-parallel traversal of the shared graph (the private
 //! `kernels` module docs describe the membership-word encoding). Nothing is collected per
@@ -95,40 +95,14 @@ impl std::error::Error for TooManyPrograms {}
 
 /// Options controlling the subset exploration. They change how a sweep runs, never its
 /// verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExploreOptions {
-    /// Reuse (and update) the session's [`CachedSweep`] for these settings: verdicts of the
-    /// last completed sweep are rebased onto the current program set — after
-    /// [`RobustnessSession::remove_program`] every surviving subset keeps its verdict verbatim
-    /// (zero cycle tests), after [`RobustnessSession::add_program`] only subsets containing
-    /// the new program are swept. Off by default so benchmarks and oracles always measure a
-    /// full sweep. The result records the reuse in [`SubsetExploration::reused`].
-    pub incremental: bool,
-    /// [`ExploreOptions::incremental`] is ignored when the total number of subsets (`2^n`) is
-    /// below this floor: the sweep runs fresh and installs no cache entry. The rebase
-    /// bookkeeping (program fingerprints, verdict rebasing, cache installation) costs more than
-    /// simply re-testing a handful of subsets — on two-program workloads it made incremental
-    /// edits *slower* than fresh sweeps. Set to `0` to force incremental behavior regardless of
-    /// size.
-    pub incremental_min_subsets: usize,
     /// How many threads the level walk may use. [`Parallelism::Auto`] fans out only from 2^18
     /// subsets (18 programs) on, where two threads measured faster than one;
     /// [`Parallelism::Threads`] fans out at any size whose levels span more than one 16-word
     /// range (from 11 programs on). [`Parallelism::Serial`] runs inline.
     pub parallelism: Parallelism,
 }
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        ExploreOptions {
-            incremental: false,
-            incremental_min_subsets: DEFAULT_INCREMENTAL_MIN_SUBSETS,
-            parallelism: Parallelism::Auto,
-        }
-    }
-}
-
-const DEFAULT_INCREMENTAL_MIN_SUBSETS: usize = 16;
 
 /// Result of exploring all subsets of a workload's programs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -148,9 +122,9 @@ pub struct SubsetExploration {
     /// Number of subsets decided by closure pruning alone, in either direction: attested
     /// robust as a subset of a robust set, or refuted as a superset of a non-robust one.
     pub pruned: usize,
-    /// Number of subsets whose verdict was adopted from a previous sweep without being visited
-    /// at all ([`ExploreOptions::incremental`]); `0` on a fresh sweep. Every non-empty subset
-    /// is accounted for exactly once: `cycle_tests + pruned + reused == 2^n - 1`.
+    /// Always `0`: every sweep decides all of its subsets, so `cycle_tests + pruned == 2^n - 1`.
+    /// The field keeps the `subsets --json` bytes and the benchmark harness's reads unchanged;
+    /// it goes with the next change to the benchmark.
     pub reused: usize,
 }
 
@@ -348,126 +322,14 @@ impl SweepCounters {
     }
 }
 
-/// The verdicts of one completed subset sweep, as stored in a session's sweep cache: the
-/// program list the mask bits refer to (bit `i` ⇔ `programs[i]`), the structural
-/// [fingerprint](crate::program_fingerprint) of each program's LTP set, and the full robust
-/// bitset (mask `m` robust ⇔ bit `m % 64` of word `m / 64`).
-///
-/// A cached sweep is *self-describing*: it carries its own program identities, so it stays in
-/// the cache untouched across [`RobustnessSession::add_program`] /
-/// [`RobustnessSession::remove_program`] chains and is rebased onto the session's current
-/// program set only when the next incremental sweep runs. One cache entry per
-/// [`AnalysisSettings`] combination suffices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedSweep {
-    /// The program names the mask bits refer to, in mask-bit order.
-    pub programs: Vec<String>,
-    /// Structural fingerprint of each program's unfolded LTP set, aligned with `programs`.
-    pub program_fingerprints: Vec<u64>,
-    /// The robust-verdict bitset over all `2^programs.len()` masks (`⌈2^n / 64⌉` words).
-    pub robust: Vec<u64>,
-}
-
-impl CachedSweep {
-    /// Number of `u64` words the bitsets of a sweep over `n` programs need.
-    pub fn word_count_for(n: usize) -> usize {
-        (1usize << n).div_ceil(64)
-    }
-}
-
-/// Verdicts carried into a sweep from a previous run: the robust bits to adopt and the
-/// `decided` bitset saying which masks already have a verdict (robust or not) and must not be
-/// re-tested. Produced by [`rebase_cached_sweep`]; consumed by [`LevelSweep::apply_seed`].
-struct SweepSeed {
-    /// Robust bits to adopt (a subset of `decided`).
-    robust: Vec<u64>,
-    /// Masks with a known verdict; the sweep visits only the complement.
-    decided: Vec<u64>,
-    /// Number of non-empty masks in `decided` — the [`SubsetExploration::reused`] count.
-    reused: usize,
-}
-
-/// Rebases a [`CachedSweep`] onto the current program set, yielding the [`SweepSeed`] of
-/// verdicts that carry over. Programs are matched by *(name, structural fingerprint)* — a
-/// same-named program whose body changed is treated as removed-and-re-added, so its subsets
-/// are re-swept.
-///
-/// Soundness: a subset verdict depends only on the induced subgraph over the subset's LTP
-/// nodes, and Algorithm 1 edges are pairwise — edits only add or drop rows touching edited
-/// programs, so the induced subgraph over any surviving subset is *equal* before and after
-/// the edit and its verdict transfers verbatim. Concretely, every old mask using only
-/// surviving programs is re-numbered into the new bit order (a pure mask compaction after
-/// removals, a bit expansion after additions); masks containing an added program are left
-/// undecided. Returns `None` when nothing carries over (no surviving program, a program count
-/// beyond [`MAX_SWEEP_PROGRAMS`], or inconsistent word sizes).
-fn rebase_cached_sweep(
-    cached: &CachedSweep,
-    programs: &[String],
-    program_fingerprints: &[u64],
-) -> Option<SweepSeed> {
-    let old_n = cached.programs.len();
-    assert_eq!(
-        cached.programs.len(),
-        cached.program_fingerprints.len(),
-        "cached sweep program/fingerprint length mismatch"
-    );
-    assert_eq!(
-        programs.len(),
-        program_fingerprints.len(),
-        "program/fingerprint length mismatch"
-    );
-    if old_n > MAX_SWEEP_PROGRAMS
-        || programs.len() > MAX_SWEEP_PROGRAMS
-        || cached.robust.len() != CachedSweep::word_count_for(old_n)
-    {
-        return None;
-    }
-    // Old bit index -> new bit index for programs surviving the edit (matched by name *and*
-    // structural fingerprint).
-    let mapping: Vec<Option<usize>> = cached
-        .programs
-        .iter()
-        .zip(&cached.program_fingerprints)
-        .map(|(name, fp)| {
-            programs
-                .iter()
-                .zip(program_fingerprints)
-                .position(|(n, f)| n == name && f == fp)
-        })
-        .collect();
-    if !mapping.iter().any(Option::is_some) {
-        return None;
-    }
-    let words = CachedSweep::word_count_for(programs.len());
-    let mut seed = SweepSeed {
-        robust: vec![0u64; words],
-        decided: vec![0u64; words],
-        reused: 0,
-    };
-    'masks: for mask in 1usize..(1 << old_n) {
-        let mut new_mask = 0usize;
-        for (i, target) in mapping.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                match target {
-                    Some(j) => new_mask |= 1 << j,
-                    // The mask uses a program that did not survive: nothing to carry over.
-                    None => continue 'masks,
-                }
-            }
-        }
-        seed.decided[new_mask / 64] |= 1u64 << (new_mask % 64);
-        seed.reused += 1;
-        if cached.robust[mask / 64] & (1u64 << (mask % 64)) != 0 {
-            seed.robust[new_mask / 64] |= 1u64 << (new_mask % 64);
-        }
-    }
-    Some(seed)
+/// Number of `u64` words the bitsets of a sweep over `n` programs need.
+fn word_count_for(n: usize) -> usize {
+    (1usize << n).div_ceil(64)
 }
 
 /// The core of the subset sweep: a session-backed cycle tester over the shared summary graph
-/// plus three bitsets over the masks (mask `m` at bit `m % 64` of word `m / 64`): the atomic
-/// robust verdicts, the masks seeded from a previous sweep, and the masks refuted as supersets
-/// of known-non-robust sets.
+/// plus two bitsets over the masks (mask `m` at bit `m % 64` of word `m / 64`): the atomic
+/// robust verdicts and the masks refuted as supersets of known-non-robust sets.
 ///
 /// [`explore_subsets_with`] runs [`decide`](Self::decide), which passes every walked level's
 /// word range through [`run_words`](Self::run_words) in ranges. The split into ranges is
@@ -481,12 +343,9 @@ struct LevelSweep {
     programs: Vec<String>,
     nodes_per_program: Vec<Vec<NodeId>>,
     robust: Vec<AtomicU64>,
-    /// Masks whose verdict was adopted from a seed ([`Self::apply_seed`]): no step visits them,
-    /// and they count as reused. All zero on a fresh sweep.
-    seeded: Vec<u64>,
-    /// Masks known to be non-robust: seeded non-robust verdicts, the failed cycle tests of the
-    /// border levels (the full set, singletons and pairs) and, after the upward closure, every
-    /// superset of those. Fixed while the levels are walked.
+    /// Masks known to be non-robust: the failed cycle tests of the border levels (the full
+    /// set, singletons and pairs) and, after the upward closure, every superset of those.
+    /// Fixed while the levels are walked.
     refuted: Vec<u64>,
 }
 
@@ -532,40 +391,15 @@ impl LevelSweep {
                     .collect()
             })
             .collect();
-        let words = CachedSweep::word_count_for(n);
+        let words = word_count_for(n);
         Ok(LevelSweep {
             graph,
             settings,
             programs,
             nodes_per_program,
             robust: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            seeded: vec![0; words],
             refuted: vec![0; words],
         })
-    }
-
-    /// Adopts the verdicts of a [`SweepSeed`]: the seed's robust bits become the verdict bitset,
-    /// its non-robust verdicts become refuted, and its `decided` masks are skipped by every
-    /// later step — no cycle test, no pruning decision, zero counter deltas. Must be applied
-    /// before [`decide`](Self::decide) runs.
-    fn apply_seed(&mut self, seed: SweepSeed) {
-        debug_assert_eq!(seed.robust.len(), self.robust.len());
-        debug_assert_eq!(seed.decided.len(), self.robust.len());
-        self.refuted = seed
-            .decided
-            .iter()
-            .zip(&seed.robust)
-            .map(|(decided, robust)| decided & !robust)
-            .collect();
-        self.robust = seed.robust.into_iter().map(AtomicU64::new).collect();
-        self.seeded = seed.decided;
-    }
-
-    /// A copy of the verdict bitset, for the session's [`CachedSweep`].
-    fn verdict_words(&self) -> Vec<u64> {
-        (0..self.robust.len())
-            .map(|w| self.robust_word(w))
-            .collect()
     }
 
     #[inline]
@@ -583,10 +417,10 @@ impl LevelSweep {
         self.refuted[mask / 64] & (1u64 << (mask % 64)) != 0
     }
 
-    /// Whether `mask` still needs a verdict: neither seeded, refuted nor known robust.
+    /// Whether `mask` still needs a verdict: neither refuted nor known robust.
     fn is_open(&self, mask: usize) -> bool {
         let w = mask / 64;
-        (self.seeded[w] | self.refuted[w] | self.robust_word(w)) & (1u64 << (mask % 64)) == 0
+        (self.refuted[w] | self.robust_word(w)) & (1u64 << (mask % 64)) == 0
     }
 
     /// The masks of word `w` that have a robust one-bit superset.
@@ -655,7 +489,7 @@ impl LevelSweep {
         }
         if self.is_robust(full) {
             for w in 0..self.robust.len() {
-                let open = subset_bits(n, w) & !self.seeded[w] & !self.robust_word(w);
+                let open = subset_bits(n, w) & !self.robust_word(w);
                 self.robust[w].fetch_or(open, Ordering::Relaxed);
                 counters.pruned += open.count_ones() as usize;
             }
@@ -787,7 +621,7 @@ impl LevelSweep {
             // barrier.
             batch.clear();
             for w in words {
-                let at_level = level_bits(n, w, level) & !self.seeded[w];
+                let at_level = level_bits(n, w, level);
                 let refuted = at_level & self.refuted[w];
                 counters.pruned += refuted.count_ones() as usize;
                 let open = at_level & !refuted;
@@ -817,11 +651,10 @@ impl LevelSweep {
         counters
     }
 
-    /// Assembles the final [`SubsetExploration`] from the verdict bits, the summed counters and
-    /// the number of verdicts adopted from a seed without a visit. A robust mask is maximal
-    /// exactly when none of its one-bit supersets is robust, because the robust family is
-    /// downward closed.
-    fn exploration(&self, counters: SweepCounters, reused: usize) -> SubsetExploration {
+    /// Assembles the final [`SubsetExploration`] from the verdict bits and the summed counters.
+    /// A robust mask is maximal exactly when none of its one-bit supersets is robust, because
+    /// the robust family is downward closed.
+    fn exploration(&self, counters: SweepCounters) -> SubsetExploration {
         let mut robust = Vec::new();
         let mut maximal = Vec::new();
         for w in 0..self.robust.len() {
@@ -841,7 +674,7 @@ impl LevelSweep {
             maximal: maximal.into_iter().map(mask_members).collect(),
             cycle_tests: counters.cycle_tests,
             pruned: counters.pruned,
-            reused,
+            reused: 0,
         }
     }
 }
@@ -887,46 +720,12 @@ pub fn explore_subsets_with(
     options: ExploreOptions,
 ) -> SubsetExploration {
     let mut sweep = LevelSweep::new(session, settings).unwrap_or_else(|e| panic!("{e}"));
-    let n = sweep.programs.len();
-
-    // Incremental mode: rebase the session's cached verdicts (the last completed sweep under
-    // these settings) onto the current program set and adopt them as a seed — the sweep then
-    // only visits masks no previous sweep decided. The fingerprints double as the identity of
-    // the updated cache entry installed below. Tiny workloads skip the machinery wholesale
-    // (`fingerprints` stays `None`, so no cache entry is installed either): below
-    // [`ExploreOptions::incremental_min_subsets`] the bookkeeping costs more than the sweep.
-    let mut reused = 0usize;
-    let fingerprints = if options.incremental && (1usize << n) >= options.incremental_min_subsets {
-        let fps = session.program_fingerprints();
-        if let Some(cached) = session.cached_sweep(settings) {
-            if let Some(seed) = rebase_cached_sweep(&cached, session.program_names(), &fps) {
-                reused = seed.reused;
-                sweep.apply_seed(seed);
-            }
-        }
-        Some(fps)
-    } else {
-        None
-    };
-
     let threads = match options.parallelism {
-        Parallelism::Auto if (1usize << n) < AUTO_FANOUT_MIN_SUBSETS => 1,
+        Parallelism::Auto if (1usize << sweep.programs.len()) < AUTO_FANOUT_MIN_SUBSETS => 1,
         parallelism => parallelism.effective_threads(),
     };
     let totals = sweep.decide(threads);
-
-    let exploration = sweep.exploration(totals, reused);
-    if let Some(program_fingerprints) = fingerprints {
-        session.install_cached_sweep(
-            settings,
-            CachedSweep {
-                programs: session.program_names().to_vec(),
-                program_fingerprints,
-                robust: sweep.verdict_words(),
-            },
-        );
-    }
-    exploration
+    sweep.exploration(totals)
 }
 
 /// Default abbreviation used when rendering subsets: the upper-case letters (and digits) of the
@@ -1086,7 +885,6 @@ mod tests {
             settings,
             ExploreOptions {
                 parallelism: Parallelism::Serial,
-                ..ExploreOptions::default()
             },
         );
         assert!(reference.pruned > 0 && reference.cycle_tests > 0);
@@ -1097,7 +895,7 @@ mod tests {
         let totals = walked.rev().fold(borders, |acc, level| {
             (0..words).fold(acc, |acc, w| acc.merged(sweep.run_words(level, w..w + 1)))
         });
-        let exploration = sweep.exploration(totals, 0);
+        let exploration = sweep.exploration(totals);
         assert_eq!(exploration.robust, reference.robust);
         assert_eq!(exploration.maximal, reference.maximal);
         assert_eq!(exploration.cycle_tests, reference.cycle_tests);
@@ -1154,7 +952,7 @@ mod tests {
     #[test]
     fn level_bits_select_each_popcount_exactly() {
         for n in 0..=10usize {
-            let words = CachedSweep::word_count_for(n);
+            let words = word_count_for(n);
             for k in 0..=n + 1 {
                 let expected: Vec<usize> = (1usize..1 << n)
                     .filter(|m| m.count_ones() as usize == k)
@@ -1183,7 +981,7 @@ mod tests {
                 let family: Vec<bool> = (0..total)
                     .map(|m| m != 0 && next() % (4 * n as u64) == 0)
                     .collect();
-                let mut words = vec![0u64; CachedSweep::word_count_for(n)];
+                let mut words = vec![0u64; word_count_for(n)];
                 for m in (0..total).filter(|&m| family[m]) {
                     words[m / 64] |= 1 << (m % 64);
                 }

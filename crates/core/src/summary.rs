@@ -79,7 +79,7 @@ impl fmt::Display for EdgeKind {
 ///
 /// Node ids and statement positions are stored as `u32` (a graph beyond that is refused when
 /// it is built), so an edge is 20 bytes: the edge list is the graph's largest array, and
-/// snapshot format 4 stores the same fields as `u32` too.
+/// snapshot format stores the same fields as `u32` too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SummaryEdge {
     /// The source program node (a [`NodeId`]).
@@ -117,64 +117,6 @@ impl fmt::Display for UnknownProgram {
 }
 
 impl std::error::Error for UnknownProgram {}
-
-/// FNV-1a (64-bit) fold over a byte slice, continuing from `hash`. Seed with
-/// [`FNV_OFFSET_BASIS`]. Used by the structural fingerprints below; not cryptographic — it
-/// guards the verdict-reuse engine against *mistakes* (matching a renamed-in-place program by
-/// name alone), not against adversaries.
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-#[inline]
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-#[inline]
-fn fnv_u64(hash: u64, v: u64) -> u64 {
-    fnv_fold(hash, &v.to_le_bytes())
-}
-
-/// A structural fingerprint of one program's unfolded LTP set — the identity the verdict-reuse
-/// engine ([`crate::CachedSweep`]) matches programs by when rebasing cached subset verdicts
-/// onto an edited workload.
-///
-/// The fingerprint covers everything a program contributes to Algorithm 1 edges: per LTP the
-/// statement sequence (relation id, statement kind, predicate-read/read/write attribute sets)
-/// and the foreign-key constraint positions, in order. It deliberately covers *no names*:
-/// renaming a program (or its statements) cannot change any summary-graph edge, so cached
-/// verdicts stay reusable across renames — while a same-named program whose body changed
-/// fingerprints differently and is treated as removed-and-re-added.
-pub fn program_fingerprint<'a>(ltps: impl IntoIterator<Item = &'a LinearProgram>) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for ltp in ltps {
-        // Length-prefix every list so concatenations cannot collide across LTP boundaries.
-        hash = fnv_u64(hash, ltp.len() as u64);
-        for (_, stmt) in ltp.statements() {
-            hash = fnv_u64(hash, u64::from(stmt.rel().0));
-            hash = fnv_u64(hash, stmt.kind().table_index() as u64);
-            for set in [stmt.pread_set(), stmt.read_set(), stmt.write_set()] {
-                match set {
-                    None => hash = fnv_fold(hash, &[0]),
-                    Some(attrs) => {
-                        hash = fnv_fold(hash, &[1]);
-                        hash = fnv_u64(hash, attrs.bits());
-                    }
-                }
-            }
-        }
-        hash = fnv_u64(hash, ltp.fk_constraints().len() as u64);
-        for c in ltp.fk_constraints() {
-            hash = fnv_u64(hash, u64::from(c.fk.0));
-            hash = fnv_u64(hash, c.dom_pos as u64);
-            hash = fnv_u64(hash, c.range_pos as u64);
-        }
-    }
-    hash
-}
 
 /// A compact bit-matrix recording reachability: one row per tracked source node, one bit per
 /// node of the underlying id space (the *universe*). The full graph tracks every node; an

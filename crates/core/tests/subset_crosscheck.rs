@@ -205,7 +205,6 @@ fn parallel_enumeration_agrees_on_larger_workloads() {
             AnalysisSettings::paper_default(),
             ExploreOptions {
                 parallelism: Parallelism::Serial,
-                ..ExploreOptions::default()
             },
         );
         assert_eq!(
@@ -245,14 +244,8 @@ fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
                 ("serial", Parallelism::Serial),
                 ("two threads", Parallelism::Threads(2)),
             ] {
-                let sweep = explore_subsets_with(
-                    &session,
-                    settings,
-                    ExploreOptions {
-                        parallelism,
-                        ..ExploreOptions::default()
-                    },
-                );
+                let sweep =
+                    explore_subsets_with(&session, settings, ExploreOptions { parallelism });
                 assert_matches_oracle(&sweep, &oracle, what);
             }
         }
@@ -291,16 +284,8 @@ fn parallelism_pins_do_not_change_results() {
     let settings = AnalysisSettings::paper_default();
     for workload in [tpcc(), straight_line] {
         let session = RobustnessSession::new(workload);
-        let sweep = |parallelism| {
-            explore_subsets_with(
-                &session,
-                settings,
-                ExploreOptions {
-                    parallelism,
-                    ..ExploreOptions::default()
-                },
-            )
-        };
+        let sweep =
+            |parallelism| explore_subsets_with(&session, settings, ExploreOptions { parallelism });
         let reference = sweep(Parallelism::Serial);
         for parallelism in [
             Parallelism::Threads(1),
@@ -363,7 +348,6 @@ fn session_constructs_exactly_one_graph_per_shape_combination() {
         let fresh = RobustnessSession::new(workload);
         let serial = ExploreOptions {
             parallelism: Parallelism::Serial,
-            ..ExploreOptions::default()
         };
         let before = SummaryGraph::constructions_on_current_thread();
         let shared = explore_subsets_with(&fresh, settings, serial);

@@ -7,16 +7,15 @@
 //! [`RobustnessSession`](mvrc_robustness::RobustnessSession): workload, unfolded LTPs, every
 //! cached summary graph — its edges in the graph's one edge order, *including* the derived
 //! in-adjacency CSR and reachability-closure arrays, which [`open_snapshot`] decodes and
-//! installs as they are (the out-adjacency offsets are counted off the ordered edges) — and
-//! the sweep cache of the last subset sweep per setting. A reopened session answers queries without re-unfolding
-//! the workload, re-deriving a single Algorithm 1 edge or recomputing a single closure word;
-//! the round-trip is bit-identical on the graph arrays. A build reads one format version; a
-//! file of another version fails with a typed error and is rebuilt from the workload.
+//! installs as they are (the out-adjacency offsets are counted off the ordered edges). A
+//! reopened session answers queries without re-unfolding the workload, re-deriving a single
+//! Algorithm 1 edge or recomputing a single closure word; the round-trip is bit-identical on
+//! the graph arrays. A build reads one format version; a file of another version fails with a
+//! typed error and is rebuilt from the workload.
 //!
 //! Two callers depend on it: `mvrc serve` boots tenants warm from snapshots and persists them
-//! back in place, and `mvrc subsets --incremental --cache F` keeps the previous run's
-//! verdicts in the snapshot `F`, so the next run re-sweeps only the subsets an edit
-//! invalidated.
+//! back in place, and `mvrc subsets --snapshot F` writes the analyzed session to `F`, which
+//! is how a warm tenant for `mvrc serve` is made.
 
 mod codec;
 pub mod snapshot;

@@ -1,8 +1,7 @@
 //! The snapshot layer: a versioned, self-describing binary format persisting a
-//! [`RobustnessSession`] — its [`Workload`], the unfolded LTPs, every cached
-//! [`SummaryGraph`] and the sweep cache — so another process can answer robustness queries
-//! without re-unfolding the workload, re-deriving a single Algorithm 1 edge or recomputing a
-//! single closure word.
+//! [`RobustnessSession`] — its [`Workload`], the unfolded LTPs and every cached
+//! [`SummaryGraph`] — so another process can answer robustness queries without re-unfolding
+//! the workload, re-deriving a single Algorithm 1 edge or recomputing a single closure word.
 //!
 //! Snapshots are rebuildable caches, so a build reads exactly one format version
 //! ([`SNAPSHOT_FORMAT_VERSION`]); a file of any other version fails with
@@ -15,9 +14,9 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 8    | magic `MVRCSNAP` ([`SNAPSHOT_MAGIC`]) |
-//! | 8      | 4    | format version, `u32` LE ([`SNAPSHOT_FORMAT_VERSION`], currently 4) |
+//! | 8      | 4    | format version, `u32` LE ([`SNAPSHOT_FORMAT_VERSION`], currently 5) |
 //! | 12     | 8    | workload fingerprint, `u64` LE — FNV-1a over the payload |
-//! | 20     | …    | payload: workload section, LTP section, graph section, sweep section |
+//! | 20     | …    | payload: workload section, LTP section, graph section |
 //!
 //! The payload encoding is *canonical* (fixed-width integers, length-prefixed lists, no maps
 //! in nondeterministic order, no padding), so the fingerprint doubles as a content identity:
@@ -55,18 +54,6 @@
 //! the closure words are covered by the fingerprint. The round-trip is **bit-identical** on
 //! every graph array — `reopened.graph(s) == original.graph(s)` including the derived arrays —
 //! and re-serializing a reopened snapshot reproduces its bytes.
-//!
-//! # Sweep section
-//!
-//! The last section holds the session's **sweep cache** — the verdict bitsets incremental
-//! subset sweeps reuse across workload edits ([`mvrc_robustness::CachedSweep`]). It is a
-//! length-prefixed list of entries, each encoding:
-//!
-//! | field | encoding |
-//! |-------|----------|
-//! | analysis settings | granularity byte, foreign-key bool, condition byte |
-//! | programs | `u32` count, then per program a string name and a `u64` structural fingerprint |
-//! | robust bitset | `u32` word count (`⌈2^n / 64⌉` for `n` programs), then the `u64` words |
 
 use crate::codec::{fnv64_words, Reader, Writer};
 use mvrc_btp::{
@@ -74,8 +61,8 @@ use mvrc_btp::{
     StatementKind, StmtId, UnfoldOptions, Workload,
 };
 use mvrc_robustness::{
-    AnalysisSettings, CachedSweep, CycleCondition, EdgeKind, Granularity, RobustnessSession,
-    SummaryEdge, SummaryGraph, SummaryGraphDerived, MAX_SWEEP_PROGRAMS,
+    AnalysisSettings, CycleCondition, EdgeKind, Granularity, RobustnessSession, SummaryEdge,
+    SummaryGraph, SummaryGraphDerived,
 };
 use mvrc_schema::{AttrSet, FkId, RelId, Schema, SchemaBuilder};
 use std::fmt;
@@ -87,7 +74,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MVRCSNAP";
 
 /// The snapshot format version (header offset 8): written by every save, and the only version
 /// this build opens.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// The header length in bytes; payload offsets are relative to it.
 const HEADER_LEN: usize = 20;
@@ -195,11 +182,6 @@ pub fn snapshot_to_bytes(session: &RobustnessSession) -> Result<Vec<u8>, Snapsho
     for graph in &graphs {
         encode_graph(&mut payload, graph);
     }
-    let sweeps = session.cached_sweeps();
-    payload.len(sweeps.len());
-    for (settings, sweep) in &sweeps {
-        encode_cached_sweep(&mut payload, *settings, sweep);
-    }
     let payload = payload
         .into_bytes()
         .map_err(|value| SnapshotError::TooLarge { value })?;
@@ -277,21 +259,14 @@ fn decode_session(bytes: &[u8]) -> Result<RobustnessSession, SnapshotError> {
     for _ in 0..graph_count {
         graphs.push(decode_graph(&mut r, &workload.schema, &mut node_cache)?);
     }
-    let sweep_count = r.len()?;
-    let mut sweeps: Vec<(AnalysisSettings, CachedSweep)> = Vec::with_capacity(sweep_count);
-    for _ in 0..sweep_count {
-        sweeps.push(decode_cached_sweep(&mut r)?);
-    }
     if !r.is_at_end() {
         return Err(SnapshotError::Corrupt(
             "trailing bytes after the last section".to_string(),
         ));
     }
-    let session = RobustnessSession::from_snapshot_parts(workload, ltps, graphs);
-    for (settings, sweep) in sweeps {
-        session.install_cached_sweep(settings, sweep);
-    }
-    Ok(session)
+    Ok(RobustnessSession::from_snapshot_parts(
+        workload, ltps, graphs,
+    ))
 }
 
 /// Deserializes a session from snapshot bytes, returning it with the verified fingerprint.
@@ -835,67 +810,6 @@ fn decode_graph<'a>(
     };
     SummaryGraph::from_snapshot_parts_with_derived(nodes, edges, settings, parts)
         .map_err(SnapshotError::Corrupt)
-}
-
-// ---------------------------------------------------------------------------
-// Sweep section
-// ---------------------------------------------------------------------------
-
-fn encode_cached_sweep(w: &mut Writer, settings: AnalysisSettings, sweep: &CachedSweep) {
-    encode_settings(w, settings);
-    w.len(sweep.programs.len());
-    for (name, fingerprint) in sweep.programs.iter().zip(&sweep.program_fingerprints) {
-        w.str(name);
-        w.u64(*fingerprint);
-    }
-    w.len(sweep.robust.len());
-    for &word in &sweep.robust {
-        w.u64(word);
-    }
-}
-
-fn decode_cached_sweep(
-    r: &mut Reader<'_>,
-) -> Result<(AnalysisSettings, CachedSweep), SnapshotError> {
-    let settings = decode_settings(r)?;
-    let program_count = r.len()?;
-    if program_count > MAX_SWEEP_PROGRAMS {
-        return Err(SnapshotError::Corrupt(format!(
-            "cached sweep claims {program_count} programs (the sweep bound is \
-             {MAX_SWEEP_PROGRAMS})"
-        )));
-    }
-    let mut programs = Vec::with_capacity(program_count);
-    let mut program_fingerprints = Vec::with_capacity(program_count);
-    for _ in 0..program_count {
-        let name = r.str()?;
-        if programs.contains(&name) {
-            return Err(SnapshotError::Corrupt(format!(
-                "cached sweep lists program `{name}` twice"
-            )));
-        }
-        programs.push(name);
-        program_fingerprints.push(r.u64()?);
-    }
-    let word_count = r.len()?;
-    if word_count != CachedSweep::word_count_for(program_count) {
-        return Err(SnapshotError::Corrupt(format!(
-            "cached sweep has {word_count} verdict words, {program_count} programs need {}",
-            CachedSweep::word_count_for(program_count)
-        )));
-    }
-    let mut robust = Vec::with_capacity(word_count);
-    for _ in 0..word_count {
-        robust.push(r.u64()?);
-    }
-    Ok((
-        settings,
-        CachedSweep {
-            programs,
-            program_fingerprints,
-            robust,
-        },
-    ))
 }
 
 #[cfg(test)]

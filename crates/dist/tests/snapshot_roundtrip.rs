@@ -10,8 +10,7 @@ use mvrc_dist::{
     session_from_snapshot_bytes, snapshot_to_bytes, SessionSnapshotExt, SnapshotError,
 };
 use mvrc_robustness::{
-    explore_subsets, explore_subsets_with, AnalysisSettings, CycleCondition, ExploreOptions,
-    RobustnessSession, SummaryGraph,
+    explore_subsets, AnalysisSettings, CycleCondition, RobustnessSession, SummaryGraph,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -123,13 +122,6 @@ proptest! {
     ) {
         let session = RobustnessSession::new(synthetic(config));
         session.is_robust(AnalysisSettings::paper_default());
-        // An incremental sweep populates the sweep cache, so the bytes below include the sweep
-        // section and the flip/truncation coverage extends to it.
-        explore_subsets_with(
-            &session,
-            AnalysisSettings::paper_default(),
-            ExploreOptions { incremental: true, ..ExploreOptions::default() },
-        );
         let bytes = snapshot_to_bytes(&session).unwrap();
 
         // Flipping any single byte must be caught: the header checks reject magic/version
@@ -305,7 +297,7 @@ fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
 }
 
 /// A valid snapshot exercising every section: TPC-C (predicate reads, inserts, deletes,
-/// loops), all four cached graphs and one cached sweep.
+/// loops) and all four cached graphs.
 fn fuzz_base_snapshot() -> &'static [u8] {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     BYTES.get_or_init(|| {
@@ -315,14 +307,6 @@ fn fuzz_base_snapshot() -> &'static [u8] {
                 session.is_robust(settings);
             }
         }
-        explore_subsets_with(
-            &session,
-            AnalysisSettings::paper_default(),
-            ExploreOptions {
-                incremental: true,
-                ..ExploreOptions::default()
-            },
-        );
         snapshot_to_bytes(&session).unwrap()
     })
 }
@@ -383,15 +367,15 @@ proptest! {
 }
 
 #[test]
-fn version_4_fixture_opens_with_identical_graphs() {
+fn version_5_fixture_opens_with_identical_graphs() {
     // The one cross-build pin of the snapshot layout: a committed snapshot of a warmed Auction
-    // session (all four graphs plus one cached sweep) must open to graphs identical to a fresh
+    // session (all four graphs) must open to graphs identical to a fresh
     // build, and both the reopened and the fresh session must serialize to exactly
     // the committed bytes. Regenerate intentionally with
     // `MVRC_BLESS=1 cargo test -p mvrc-dist --test snapshot_roundtrip`.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/auction_v4.mvrcsnap"
+        "/tests/fixtures/auction_v5.mvrcsnap"
     );
     let fresh = RobustnessSession::new(mvrc_benchmarks::auction());
     for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
@@ -399,22 +383,13 @@ fn version_4_fixture_opens_with_identical_graphs() {
             fresh.is_robust(settings);
         }
     }
-    explore_subsets_with(
-        &fresh,
-        AnalysisSettings::paper_default(),
-        ExploreOptions {
-            incremental: true,
-            incremental_min_subsets: 0,
-            ..ExploreOptions::default()
-        },
-    );
     if std::env::var_os("MVRC_BLESS").is_some() {
         fresh.save_snapshot(path).unwrap();
     }
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| panic!("missing fixture {path} ({e}); run with MVRC_BLESS=1"));
     assert_eq!(&bytes[0..8], b"MVRCSNAP");
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 5);
 
     let (reopened, fingerprint) = mvrc_dist::open_snapshot(path).unwrap();
     assert_ne!(fingerprint, 0);
@@ -427,8 +402,6 @@ fn version_4_fixture_opens_with_identical_graphs() {
             "fixture graph must be identical to a freshly built one under {settings}"
         );
     }
-    assert_eq!(reopened.cached_sweep_count(), 1);
-    assert_eq!(reopened.cached_sweeps(), fresh.cached_sweeps());
     assert_eq!(
         snapshot_to_bytes(&reopened).unwrap(),
         bytes,
@@ -441,7 +414,7 @@ fn version_4_fixture_opens_with_identical_graphs() {
     );
 
     // Files of any other format version fail typed; the cache is rebuilt instead.
-    for version in [1u32, 2, 3, 5] {
+    for version in [1u32, 2, 3, 4, 6] {
         let mut other = bytes.clone();
         other[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -455,87 +428,6 @@ fn version_4_fixture_opens_with_identical_graphs() {
     flipped[last] ^= 0x01;
     assert!(session_from_snapshot_bytes(&flipped).is_err());
     assert!(session_from_snapshot_bytes(&bytes[..bytes.len() / 2]).is_err());
-}
-
-#[test]
-fn version_2_round_trip_preserves_the_sweep_cache() {
-    let session = RobustnessSession::new(synthetic(SyntheticConfig::default()));
-    let settings = AnalysisSettings::paper_default();
-    let incremental = ExploreOptions {
-        incremental: true,
-        ..ExploreOptions::default()
-    };
-    let original = explore_subsets_with(&session, settings, incremental);
-    assert_eq!(session.cached_sweep_count(), 1);
-
-    let bytes = snapshot_to_bytes(&session).unwrap();
-    assert_eq!(
-        u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-        mvrc_dist::SNAPSHOT_FORMAT_VERSION
-    );
-    let (reopened, _) = session_from_snapshot_bytes(&bytes).unwrap();
-    assert_eq!(reopened.cached_sweeps(), session.cached_sweeps());
-    // Canonical: re-serializing the reopened session reproduces the bytes, sweep section
-    // included.
-    assert_eq!(snapshot_to_bytes(&reopened).unwrap(), bytes);
-
-    // The reopened cache is *live*: an incremental sweep on the reopened session reuses every
-    // verdict without a single cycle test.
-    let resumed = explore_subsets_with(&reopened, settings, incremental);
-    assert_eq!(resumed.cycle_tests, 0);
-    assert_eq!(resumed.pruned, 0);
-    assert_eq!(resumed.reused, (1 << original.programs.len()) - 1);
-    assert_eq!(resumed.robust, original.robust);
-}
-
-#[test]
-fn corrupt_sweep_sections_are_rejected_structurally() {
-    // Build one snapshot without and one with the sweep cache: they share the payload prefix,
-    // so the sweep section starts exactly where the empty snapshot's trailing zero count sits.
-    let session = RobustnessSession::new(synthetic(SyntheticConfig::default()));
-    let settings = AnalysisSettings::paper_default();
-    session.is_robust(settings);
-    let without = snapshot_to_bytes(&session).unwrap();
-    explore_subsets_with(
-        &session,
-        settings,
-        ExploreOptions {
-            incremental: true,
-            ..ExploreOptions::default()
-        },
-    );
-    let with = snapshot_to_bytes(&session).unwrap();
-    assert!(with.len() > without.len());
-    let section = without.len() - 4; // offset of the sweep-count u32
-                                     // Payloads share the prefix up to the sweep count (headers differ in the fingerprint).
-    assert_eq!(&with[20..section], &without[20..section]);
-
-    // Program count beyond the sweep bound (settings take 3 bytes after the count).
-    let mut bad_programs = with.clone();
-    let count_at = section + 4 + 3;
-    bad_programs[count_at..count_at + 4].copy_from_slice(&21u32.to_le_bytes());
-    restamp(&mut bad_programs);
-    match session_from_snapshot_bytes(&bad_programs).unwrap_err() {
-        SnapshotError::Corrupt(msg) => assert!(msg.contains("21 programs"), "{msg}"),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
-
-    // Truncation inside the sweep section (with a restamped fingerprint): structural error.
-    let mut truncated = with[..with.len() - 4].to_vec();
-    restamp(&mut truncated);
-    assert!(matches!(
-        session_from_snapshot_bytes(&truncated).unwrap_err(),
-        SnapshotError::Corrupt(_)
-    ));
-
-    // Trailing garbage after the sweep section (restamped): structural error.
-    let mut trailing = with.clone();
-    trailing.extend_from_slice(&[0u8; 3]);
-    restamp(&mut trailing);
-    match session_from_snapshot_bytes(&trailing).unwrap_err() {
-        SnapshotError::Corrupt(msg) => assert!(msg.contains("trailing"), "{msg}"),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
 }
 
 #[test]
@@ -633,8 +525,7 @@ fn corrupt_derived_blocks_are_rejected_structurally() {
     };
     let words = n * n.div_ceil(64).max(1);
     let derived_bytes = (n + 1 + e) * 4 + words * 8;
-    // Sweep section (empty: 4-byte zero count) trails the graph section.
-    let derived_at = bytes.len() - 4 - derived_bytes;
+    let derived_at = bytes.len() - derived_bytes;
 
     let mut bad = bytes.clone();
     bad[derived_at..derived_at + 4].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
@@ -756,7 +647,7 @@ fn damaged_snapshot_files_fail_open_with_typed_errors() {
     }
 
     // Wrong format versions.
-    for version in [0u32, 3, 5, u32::MAX] {
+    for version in [0u32, 4, 6, u32::MAX] {
         let mut other = bytes.to_vec();
         other[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(

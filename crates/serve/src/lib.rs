@@ -20,7 +20,7 @@
 //!
 //! # Lifecycle
 //!
-//! Tenants boot from version-3 `mvrc-dist` snapshots with **zero** re-derivation — the
+//! Tenants boot from `mvrc-dist` snapshots with **zero** re-derivation — the
 //! construction/closure counter deltas around the open are recorded in each tenant's
 //! [`tenant::BootReport`], so a warm start is measured, not assumed. The daemon persists each
 //! snapshot-backed tenant in place on a configurable cadence and on graceful shutdown:

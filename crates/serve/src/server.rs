@@ -41,8 +41,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mvrc_robustness::{
-    explore_subsets_with, AnalysisSettings, CycleCondition, ExploreOptions, Granularity,
-    RobustnessSession, SummaryGraph, TooManyPrograms,
+    explore_subsets, AnalysisSettings, CycleCondition, Granularity, RobustnessSession,
+    SummaryGraph, TooManyPrograms,
 };
 use serde_json::{json, Value};
 
@@ -476,12 +476,10 @@ fn tenant_op(
                     if let Err(e) = TooManyPrograms::check(session.program_names().len()) {
                         return error_response(e.to_string());
                     }
-                    // Identical call and rendering to `mvrc subsets --json` (default options,
-                    // not the incremental path), so replies are byte-for-byte comparable with
-                    // the offline CLI on the same workload.
+                    // Identical call and rendering to `mvrc subsets --json`, so replies are
+                    // byte-for-byte comparable with the offline CLI on the same workload.
                     let start = Instant::now();
-                    let exploration =
-                        explore_subsets_with(&session, settings, ExploreOptions::default());
+                    let exploration = explore_subsets(&session, settings);
                     tenant
                         .stats()
                         .record_sweep(start.elapsed().as_micros() as u64);
@@ -579,7 +577,6 @@ fn stats_value(tenants: &BTreeMap<String, Arc<Tenant>>, panics: &AtomicU64) -> V
                 "epoch": epoch,
                 "programs": session.program_names(),
                 "cached_graphs": session.cached_graph_count(),
-                "cached_sweeps": session.cached_sweep_count(),
                 "queries": stats.queries.load(Ordering::Relaxed),
                 "edits": stats.edits.load(Ordering::Relaxed),
                 "graph_cache_hits": stats.graph_cache_hits.load(Ordering::Relaxed),

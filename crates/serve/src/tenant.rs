@@ -131,7 +131,7 @@ impl Tenant {
         }
     }
 
-    /// Boots a tenant from a path: a `.mvrcsnap` file opens as a version-3 snapshot (and will
+    /// Boots a tenant from a path: a `.mvrcsnap` file opens as a snapshot (and will
     /// persist back in place), anything else parses as a workload source file (no
     /// persistence). The construction/closure counters around the open are recorded in the
     /// tenant's [`BootReport`].
