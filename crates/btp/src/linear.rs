@@ -7,7 +7,7 @@
 use crate::program::{FkConstraint, Program, StmtId};
 use crate::statement::Statement;
 use mvrc_schema::FkId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use std::sync::Arc;
 pub type StmtPos = usize;
 
 /// A foreign-key constraint of an LTP, expressed over statement positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LinearFkConstraint {
     /// The foreign key `f`.
     pub fk: FkId,
@@ -27,7 +27,7 @@ pub struct LinearFkConstraint {
 
 /// A linear transaction program: a named sequence of statements with foreign-key constraints.
 /// The LTPs unfolded from one program share its name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinearProgram {
     pub(crate) name: String,
     pub(crate) program_name: Arc<str>,

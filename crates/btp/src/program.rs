@@ -5,7 +5,7 @@ use crate::error::BtpError;
 use crate::span::SourceSpan;
 use crate::statement::Statement;
 use mvrc_schema::FkId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use std::sync::Arc;
 pub const MAX_PROGRAM_STATEMENTS: usize = 1 << 16;
 
 /// Identifier of a statement within its [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct StmtId(pub u16);
 
 impl StmtId {
@@ -44,7 +44,7 @@ impl From<StmtId> for ProgramExpr {
 /// ```text
 /// P ← loop(P) | (P | P) | (P | ε) | P; P | q
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ProgramExpr {
     /// A single statement `q`.
     Statement(StmtId),
@@ -129,7 +129,7 @@ impl ProgramExpr {
 /// statement identifying a single tuple of the referenced relation `range(f)`. Every
 /// instantiation of the program must access, through `range_stmt`, exactly the tuple that the
 /// foreign key associates with the tuple accessed through `dom_stmt`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct FkConstraint {
     /// The foreign key `f`.
     pub fk: FkId,
@@ -141,7 +141,7 @@ pub struct FkConstraint {
 
 /// A basic transaction program (BTP): a statement table, a control-flow body and foreign-key
 /// constraint annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Program {
     /// Shared with the LTPs unfolded from the program.
     pub(crate) name: Arc<str>,

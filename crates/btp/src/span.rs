@@ -4,7 +4,7 @@
 //! [`Program`](crate::Program) so downstream consumers (the `mvrc lint` diagnostics renderer)
 //! can point back at the `file:line:column` of the SQL a summary-graph node came from.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A 1-based line/column position in the SQL source a statement was parsed from.
@@ -12,7 +12,7 @@ use std::fmt;
 /// Spans identify the first token of the statement (`SELECT`, `UPDATE`, `INSERT`, `DELETE`).
 /// Programs built through [`ProgramBuilder`](crate::ProgramBuilder) or decoded from snapshots
 /// carry no spans; the accessors then return `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct SourceSpan {
     /// Line number (1-based).
     pub line: usize,

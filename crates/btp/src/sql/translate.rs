@@ -29,7 +29,7 @@ pub fn translate_workload(schema: &Schema, text: &SqlText<'_>) -> Result<Vec<Pro
         .iter()
         .map(|p| ctx.translate(p))
         .collect::<Result<Vec<_>, _>>()?;
-    check_workload_ltps(&programs)?;
+    check_workload_ltps(&programs, UnfoldOptions::default())?;
     Ok(programs)
 }
 
@@ -101,20 +101,31 @@ pub const MAX_WORKLOAD_LTPS: u64 = 1024;
 /// largest Auction(n) within the LTP budget, 6,744,098.
 pub const MAX_WORKLOAD_EDGES: u64 = 50_000_000;
 
-/// Sums how many LTPs `programs` unfold to under `Unfold≤2` (before duplicates are dropped,
-/// saturating) and fails with [`BtpError::TooManyWorkloadLtps`] above [`MAX_WORKLOAD_LTPS`].
-/// A second walk over each expression counts the statement occurrences per relation over all
-/// LTPs and fails with [`BtpError::TooManyWorkloadEdges`] when they bound the summary graph's
-/// edges above [`MAX_WORKLOAD_EDGES`]. Nothing is unfolded: both are read off each program's
+/// Sums how many LTPs `programs` unfold to with loops bounded as in `options` (before
+/// duplicates are dropped, saturating) and fails with [`BtpError::TooManyLtps`] when one
+/// program counts more than [`MAX_PROGRAM_LTPS`], or with [`BtpError::TooManyWorkloadLtps`]
+/// when all of them count more than [`MAX_WORKLOAD_LTPS`]. A second walk over each expression
+/// counts the statement occurrences per relation over all LTPs and fails with
+/// [`BtpError::TooManyWorkloadEdges`] when they bound the summary graph's edges above
+/// [`MAX_WORKLOAD_EDGES`]. Nothing is unfolded: all three are read off each program's
 /// expression.
 /// Returns the LTP total.
 pub fn check_workload_ltps<'a>(
     programs: impl IntoIterator<Item = &'a Program>,
+    options: UnfoldOptions,
 ) -> Result<u64, BtpError> {
-    let loop_bound = UnfoldOptions::default().max_loop_iterations;
+    let loop_bound = options.max_loop_iterations;
     let (mut count, mut occurrences) = (0u64, Vec::new());
     for program in programs {
-        count = count.saturating_add(unfolding_count(program.body(), loop_bound));
+        let program_count = unfolding_count(program.body(), loop_bound);
+        if program_count > MAX_PROGRAM_LTPS {
+            return Err(BtpError::TooManyLtps {
+                program: program.name().to_string(),
+                count: program_count,
+                limit: MAX_PROGRAM_LTPS,
+            });
+        }
+        count = count.saturating_add(program_count);
         let rel_of = |id| usize::from(program.statement(id).rel().0);
         add_statement_occurrences(program.body(), 1, &rel_of, loop_bound, &mut occurrences);
     }
@@ -726,14 +737,20 @@ mod tests {
                     program.name()
                 );
             }
-            assert!(check_workload_ltps(&programs).unwrap() <= 30);
+            assert!(check_workload_ltps(&programs, UnfoldOptions::default()).unwrap() <= 30);
         }
         // The largest generated input the analyzer is timed on: Auction(100), 300 LTPs; and
         // the largest Auction(n) within the LTP budget passes the edge budget too.
         let (_, programs) = parse_workload_file(&testgen::auction_n_sql(100)).unwrap();
-        assert_eq!(check_workload_ltps(&programs), Ok(300));
+        assert_eq!(
+            check_workload_ltps(&programs, UnfoldOptions::default()),
+            Ok(300)
+        );
         let (_, programs) = parse_workload_file(&testgen::auction_n_sql(341)).unwrap();
-        assert_eq!(check_workload_ltps(&programs), Ok(1023));
+        assert_eq!(
+            check_workload_ltps(&programs, UnfoldOptions::default()),
+            Ok(1023)
+        );
     }
 
     /// A one-table file of one program of `count` copies of one key-based `UPDATE`: one LTP of
@@ -749,7 +766,10 @@ mod tests {
     fn workloads_beyond_the_edge_bound_are_refused_before_unfolding() {
         // One LTP of 4,000 statements: bound 2 · 4,000² edges, within the limit.
         let (_, programs) = parse_workload_file(&long_program_file(4_000)).unwrap();
-        assert_eq!(check_workload_ltps(&programs), Ok(1));
+        assert_eq!(
+            check_workload_ltps(&programs, UnfoldOptions::default()),
+            Ok(1)
+        );
         // 12,000 statements (the 480 KB file that used to abort in Algorithm 1): refused.
         assert_eq!(
             parse_workload_file(&long_program_file(12_000)).unwrap_err(),
@@ -761,7 +781,10 @@ mod tests {
         // Occurrences count per relation over every LTP: two programs of nine optional
         // `UPDATE`s hold 2 · 9 · 256 of them, bound 2 · 4,608² edges, within the limit.
         let (_, programs) = parse_workload_file(&optional_updates_file(&[9, 9])).unwrap();
-        assert_eq!(check_workload_ltps(&programs), Ok(MAX_WORKLOAD_LTPS));
+        assert_eq!(
+            check_workload_ltps(&programs, UnfoldOptions::default()),
+            Ok(MAX_WORKLOAD_LTPS)
+        );
     }
 
     /// A one-table file of programs with `optionals[i]` optional `UPDATE`s each, so program
@@ -782,7 +805,10 @@ mod tests {
     fn workloads_beyond_the_total_ltp_limit_are_refused_before_unfolding() {
         // Two programs at the per-program limit fill the workload budget exactly.
         let (_, programs) = parse_workload_file(&optional_updates_file(&[9, 9])).unwrap();
-        assert_eq!(check_workload_ltps(&programs), Ok(MAX_WORKLOAD_LTPS));
+        assert_eq!(
+            check_workload_ltps(&programs, UnfoldOptions::default()),
+            Ok(MAX_WORKLOAD_LTPS)
+        );
         // One LTP more, or four such programs (the 1.2 KB file that used to abort in
         // Algorithm 1), is refused — each program on its own is within its limit.
         for (optionals, count) in [(&[9, 9, 0][..], 1025), (&[9, 9, 9, 9][..], 2048)] {

@@ -6,12 +6,12 @@
 
 use crate::error::BtpError;
 use mvrc_schema::{AttrSet, RelId, Relation};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
 /// The type of a statement: `type(q)` in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum StatementKind {
     /// `ins` — insertion of a single tuple.
     Insert,
@@ -126,7 +126,7 @@ impl fmt::Display for StatementKind {
 /// `None` encodes the paper's `⊥` (undefined), `Some(AttrSet::EMPTY)` encodes a defined but
 /// empty set. The name is shared: a clone, e.g. each LTP occurrence of the statement, copies
 /// no text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Statement {
     name: Arc<str>,
     rel: RelId,

@@ -84,8 +84,13 @@ pub(crate) fn unfolding_count(expr: &ProgramExpr, max_loop_iterations: usize) ->
         ProgramExpr::Optional(a) => count(a).saturating_add(1),
         ProgramExpr::Loop(body) => {
             let per_iteration = count(body);
+            let iterations = max_loop_iterations.max(1) as u64;
+            if per_iteration == 1 {
+                return iterations.saturating_add(1);
+            }
+            // `power` at least doubles per iteration, so `total` saturates within 64.
             let (mut total, mut power) = (1u64, 1u64);
-            for _ in 0..max_loop_iterations.max(1) {
+            for _ in 0..iterations.min(64) {
                 power = power.saturating_mul(per_iteration);
                 total = total.saturating_add(power);
             }

@@ -12,6 +12,7 @@ use mvrc_robustness::{
 };
 use std::fmt::Write as _;
 use std::fs;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// The result of running a command: the text to print and the process exit code.
@@ -104,7 +105,9 @@ fn serve(
             )));
         }
         let (_, session) = tenant.cell().load();
-        eprintln!(
+        // Progress lines are best effort: a closed stderr does not stop the daemon.
+        let _ = writeln!(
+            io::stderr().lock(),
             "mvrc-serve: tenant `{name}`: {} programs from {} ({}{})",
             session.program_names().len(),
             path,
@@ -120,7 +123,7 @@ fn serve(
     };
     let server = mvrc_serve::Server::bind(&config, tenants).map_err(CliError::Serve)?;
     let addr = server.local_addr().map_err(CliError::Serve)?;
-    eprintln!("mvrc-serve: listening on {addr}");
+    let _ = writeln!(io::stderr().lock(), "mvrc-serve: listening on {addr}");
     server.run().map_err(CliError::Serve)?;
     Ok(CommandOutput::ok("mvrc-serve: drained cleanly".to_string()))
 }
@@ -218,7 +221,7 @@ pub fn load_workload(input: &Input) -> Result<Workload, CliError> {
         Input::Benchmark(name) => {
             let workload = builtin_benchmark(name)?;
             // Built in Rust, so no workload text went through the translator's budget.
-            check_workload_ltps(&workload.programs).map_err(workload_error)?;
+            check_workload_ltps(&workload.programs, workload.unfold).map_err(workload_error)?;
             Ok(workload)
         }
     }
@@ -248,7 +251,8 @@ fn builtin_benchmark(name: &str) -> Result<Workload, CliError> {
             }
             // Its items are alike, so the budget can refuse a huge `n` before `2n` programs
             // are built.
-            let count = check_workload_ltps(&mvrc_benchmarks::auction_n(1).programs)
+            let item = mvrc_benchmarks::auction_n(1);
+            let count = check_workload_ltps(&item.programs, item.unfold)
                 .map_err(workload_error)?
                 .saturating_mul(n as u64);
             if count > MAX_WORKLOAD_LTPS {
@@ -387,7 +391,7 @@ fn certify(
         ))),
         // Non-robust but no witness realized within the search budget: still exit 1 (the
         // analyzer's verdict stands; only the constructive evidence is missing).
-        Err(mvrc_hist::CertifyError::Unrealized { violations }) => {
+        Err(mvrc_hist::CertifyError::Unrealized { witnesses }) => {
             let text = match format {
                 Format::Json => {
                     let value = serde_json::json!({
@@ -396,15 +400,24 @@ fn certify(
                         "settings": settings.label(),
                         "condition": settings.condition.to_string(),
                         "robust": false,
-                        "unrealized_witnesses": violations,
+                        "unrealized_witnesses": witnesses.len(),
+                        "witnesses": witnesses,
                     });
                     serde_json::to_string_pretty(&value).expect("verdict serializes")
                 }
-                Format::Text => format!(
-                    "{label}: NOT ROBUST ({}); uncertified: none of the {violations} \
-                     witness(es) could be realized as an executed rejected history",
-                    settings_line(settings)
-                ),
+                Format::Text => {
+                    let mut out = format!(
+                        "{label}: NOT ROBUST ({}); uncertified: none of the {} witness(es) could \
+                         be realized as an executed rejected history\n",
+                        settings_line(settings),
+                        witnesses.len()
+                    );
+                    for (k, witness) in witnesses.iter().enumerate() {
+                        let _ = writeln!(out, "witness {} of {}:", k + 1, witnesses.len());
+                        write_witness_edges(&mut out, witness);
+                    }
+                    out
+                }
             };
             Ok(CommandOutput { text, exit_code: 1 })
         }
@@ -414,6 +427,17 @@ fn certify(
 
 fn settings_line(settings: AnalysisSettings) -> String {
     format!("{}, {}", settings.label(), settings.condition)
+}
+
+/// One line per blamed edge: its role, then `from[stmt] -> to[stmt]`.
+fn write_witness_edges(out: &mut String, edges: &[mvrc_hist::WitnessEdge]) {
+    for e in edges {
+        let _ = writeln!(
+            out,
+            "  {:<15} {}[{}] -> {}[{}]",
+            e.role, e.from, e.from_stmt, e.to, e.to_stmt
+        );
+    }
 }
 
 fn render_certify_text(outcome: &mvrc_hist::CertifyOutcome) -> String {
@@ -431,13 +455,7 @@ fn render_certify_text(outcome: &mvrc_hist::CertifyOutcome) -> String {
                 "verdict:  NOT ROBUST — certified by an executed MVRC history"
             );
             let _ = writeln!(out, "witness ({}):", c.witness_kind);
-            for e in &c.witness {
-                let _ = writeln!(
-                    out,
-                    "  {:<15} {}[{}] -> {}[{}]",
-                    e.role, e.from, e.from_stmt, e.to, e.to_stmt
-                );
-            }
+            write_witness_edges(&mut out, &c.witness);
             let r = &c.realization;
             let _ = writeln!(
                 out,

@@ -17,21 +17,27 @@ fn main() -> ExitCode {
             {
                 // A reader that stopped early (`| head`) is not an error of the command.
                 Err(err) if err.kind() != ErrorKind::BrokenPipe => {
-                    eprintln!("mvrc: cannot write the output: {err}");
+                    report(&format!("mvrc: cannot write the output: {err}"));
                     ExitCode::from(2)
                 }
                 _ => ExitCode::from(output.exit_code as u8),
             }
         }
         Err(err) => {
-            eprintln!("mvrc: {err}");
             // The usage text helps with a malformed command line; after any other error it
             // would only bury the one line that matters.
             if matches!(err, mvrc_cli::CliError::Usage(_)) {
-                eprintln!();
-                eprintln!("{}", mvrc_cli::USAGE);
+                report(&format!("mvrc: {err}\n\n{}", mvrc_cli::USAGE));
+            } else {
+                report(&format!("mvrc: {err}"));
             }
             ExitCode::from(2)
         }
     }
+}
+
+/// Writes `text` and a newline to stderr. A closed stderr loses the text but is not a panic:
+/// the exit code still reports the error.
+fn report(text: &str) {
+    let _ = writeln!(io::stderr().lock(), "{text}");
 }

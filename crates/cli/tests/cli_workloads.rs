@@ -441,6 +441,111 @@ fn a_closed_stdout_ends_the_output_quietly() {
 }
 
 #[test]
+fn a_closed_stderr_keeps_the_exit_code_of_the_error() {
+    // `mvrc analyze missing.sql 2>&1 | (exec 0<&-; …)`: the error line cannot be written, which
+    // is not a panic; the exit code still reports the error.
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mvrc"))
+        .args(["analyze", "/nonexistent/mvrc-closed-stderr.sql"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mvrc");
+    drop(child.stderr.take());
+    let status = child.wait().expect("wait for mvrc");
+    assert_eq!(status.code(), Some(2));
+}
+
+#[test]
+fn uncertified_subsets_list_the_witnesses_they_tried() {
+    // SmallBank with DepositChecking declared before Balance: the analyzer rejects
+    // {Balance, DepositChecking, TransactSavings}, but the witness compiler realizes none of
+    // its witnesses. The verdict lists them, and they are the analyzer's own.
+    let text = std::fs::read_to_string(workload_path("smallbank.sql")).unwrap();
+    let block = |name: &str, next: &str| {
+        let at = |marker: &str| text.find(marker).unwrap();
+        text[at(name)..at(next)].to_string()
+    };
+    let balance = block("-- Balance(N)", "-- DepositChecking(N, V)");
+    let deposit = block("-- DepositChecking(N, V)", "-- TransactSavings(N, V)");
+    let reordered = text.replace(&(balance.clone() + &deposit), &(deposit + &balance));
+    assert_ne!(reordered, text);
+    let path = std::env::temp_dir().join(format!("mvrc-cli-witnesses-{}.sql", std::process::id()));
+    std::fs::write(&path, &reordered).unwrap();
+    let subset = ["Balance", "DepositChecking", "TransactSavings"];
+    let run_certify = |format: &[&str]| {
+        let mut parts = vec!["certify", path.to_str().unwrap(), "--programs"];
+        let names = subset.join(",");
+        parts.push(&names);
+        parts.extend_from_slice(format);
+        run(&args(&parts)).unwrap()
+    };
+    let json = run_certify(&["--json"]);
+    let text_out = run_certify(&[]);
+    std::fs::remove_file(&path).ok();
+
+    // The witnesses of the analyzer, rendered as the certificate renders its witness.
+    let (schema, programs) = mvrc_btp::sql::parse_workload_file(&reordered).unwrap();
+    let session = mvrc_robustness::RobustnessSession::from_programs(&schema, &programs);
+    let settings = mvrc_robustness::AnalysisSettings::paper_default();
+    let graph = session.graph(settings);
+    let view = graph.induced_for_programs(&subset).unwrap();
+    let edge = |role: &str, e: mvrc_robustness::SummaryEdge| {
+        serde_json::json!({
+            "role": role,
+            "from": graph.node(e.from as usize).name(),
+            "from_stmt": e.from_stmt,
+            "to": graph.node(e.to as usize).name(),
+            "to_stmt": e.to_stmt,
+        })
+    };
+    let expected: Vec<serde_json::Value> =
+        mvrc_robustness::all_violations_in(&view, settings.condition)
+            .into_iter()
+            .map(|violation| match violation {
+                mvrc_robustness::Violation::TypeI(w) => {
+                    serde_json::json!([edge("counterflow", w.counterflow_edge)])
+                }
+                mvrc_robustness::Violation::TypeII(w) => serde_json::json!([
+                    edge("non-counterflow", w.non_counterflow_edge),
+                    edge("middle", w.middle_edge),
+                    edge("counterflow", w.counterflow_edge),
+                ]),
+            })
+            .collect();
+    assert!(!expected.is_empty());
+
+    assert_eq!(json.exit_code, 1, "{}", json.text);
+    let value: serde_json::Value = serde_json::from_str(&json.text).unwrap();
+    assert_eq!(value["robust"].as_bool(), Some(false));
+    assert_eq!(
+        value["unrealized_witnesses"].as_u64(),
+        Some(expected.len() as u64)
+    );
+    assert_eq!(
+        value["witnesses"],
+        serde_json::Value::Array(expected.clone())
+    );
+
+    assert_eq!(text_out.exit_code, 1);
+    for (k, witness) in expected.iter().enumerate() {
+        assert!(text_out
+            .text
+            .contains(&format!("witness {} of {}:", k + 1, expected.len())));
+        for e in witness.as_array().unwrap() {
+            let line = format!(
+                "{}[{}] -> {}[{}]",
+                e["from"].as_str().unwrap(),
+                e["from_stmt"].as_u64().unwrap(),
+                e["to"].as_str().unwrap(),
+                e["to_stmt"].as_u64().unwrap()
+            );
+            assert!(text_out.text.contains(&line), "{line} in {}", text_out.text);
+        }
+    }
+}
+
+#[test]
 fn unrealized_certify_verdicts_exit_1_and_stay_json_under_json() {
     // The analyzer rejects this one-statement workload, but no witness realizes as a rejected
     // execution: the verdict stands uncertified, and `--json` must still print JSON.

@@ -21,19 +21,19 @@ use crate::kernels;
 use crate::settings::CycleCondition;
 use crate::summary::{NodeId, PrefetchedView, SummaryEdge, SummaryGraph, SummaryGraphView};
 use mvrc_btp::StatementKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::RefCell;
 use std::fmt;
 
 /// Witness for a type-I cycle: a counterflow edge that lies on a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Type1Witness {
     /// The counterflow edge `P_i → P_j` with `P_i` reachable from `P_j`.
     pub counterflow_edge: SummaryEdge,
 }
 
 /// Witness for a type-II cycle, mirroring the edge triple found by Algorithm 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Type2Witness {
     /// The non-counterflow edge `(P_1, q_1, non-counterflow, q_2, P_2)`.
     pub non_counterflow_edge: SummaryEdge,
@@ -45,7 +45,7 @@ pub struct Type2Witness {
 }
 
 /// A robustness violation found by either test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Violation {
     /// A type-I cycle (baseline condition).
     TypeI(Type1Witness),
@@ -54,7 +54,7 @@ pub enum Violation {
 }
 
 /// Outcome of a robustness test on a summary graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RobustnessOutcome {
     /// The condition that was tested.
     pub condition: CycleCondition,

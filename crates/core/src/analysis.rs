@@ -9,11 +9,11 @@
 use crate::algorithm::{RobustnessOutcome, Violation};
 use crate::settings::AnalysisSettings;
 use crate::summary::{describe_edge_in, SummaryGraph, SummaryGraphView};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Result of one robustness analysis run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AnalysisReport {
     /// The settings used.
     pub settings: AnalysisSettings,

@@ -91,5 +91,5 @@ pub use subsets::{
 };
 pub use summary::{
     c_dep_conds, describe_edge_in, nc_dep_conds, EdgeKind, InducedView, NodeId, PrefetchedView,
-    SummaryEdge, SummaryGraph, SummaryGraphDerived, SummaryGraphView, UnknownProgram,
+    SummaryEdge, SummaryGraph, SummaryGraphView, UnknownProgram,
 };

@@ -134,26 +134,6 @@ impl RobustnessSession {
         ))
     }
 
-    /// Opens a session directly over pre-unfolded LTPs (skipping unfolding). The session's
-    /// workload carries no BTPs, so [`add_program`](Self::add_program) still works but the
-    /// program list is derived from the LTPs' program names.
-    pub fn from_ltps(schema: &Schema, ltps: Vec<LinearProgram>) -> Self {
-        // First-occurrence uniqueness: callers may pass LTPs in any order, so a consecutive
-        // dedup would let a program whose LTPs are not grouped together appear twice.
-        let mut program_names: Vec<String> = Vec::new();
-        for ltp in &ltps {
-            if !program_names.iter().any(|n| n == ltp.program_name()) {
-                program_names.push(ltp.program_name().to_string());
-            }
-        }
-        RobustnessSession {
-            workload: Workload::new(schema.name(), schema.clone(), Vec::new(), &[]),
-            program_names,
-            ltps: ltps.into_iter().map(Arc::new).collect(),
-            cache: Default::default(),
-        }
-    }
-
     /// The workload this session analyzes.
     pub fn workload(&self) -> &Workload {
         &self.workload
@@ -194,47 +174,28 @@ impl RobustnessSession {
             .collect()
     }
 
-    /// Reassembles a session from snapshot parts — the deserialization hook of the `mvrc-dist`
-    /// snapshot layer.
+    /// Caches `graphs`, each under its own granularity/foreign-key combination, so queries
+    /// against those combinations run no Algorithm 1 edge derivation — the deserialization
+    /// hook of the `mvrc-dist` snapshot layer.
     ///
-    /// `ltps` must be the workload's unfolded LTPs (no unfolding runs) and every graph a
-    /// previously cached summary graph of an equivalent session (each is re-cached under its
-    /// own granularity/foreign-key combination, so queries against those combinations run no
-    /// Algorithm 1 edge derivation either).
-    pub fn from_snapshot_parts(
-        workload: Workload,
-        ltps: Vec<Arc<LinearProgram>>,
-        graphs: Vec<SummaryGraph>,
-    ) -> Self {
-        let program_names: Vec<String> = if workload.programs.is_empty() {
-            let mut names: Vec<String> = Vec::new();
-            for ltp in &ltps {
-                if !names.iter().any(|n| n == ltp.program_name()) {
-                    names.push(ltp.program_name().to_string());
-                }
-            }
-            names
-        } else {
-            workload
-                .programs
-                .iter()
-                .map(|p| p.name().to_string())
-                .collect()
-        };
-        let mut cache: [OnceLock<Arc<SummaryGraph>>; GRAPH_SLOTS] = Default::default();
+    /// Every graph must be a summary graph over this session's LTPs, as
+    /// [`SummaryGraph::from_snapshot_parts`] reassembles them from [`Self::ltps`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a graph's node count differs from the session's LTP count.
+    pub fn with_cached_graphs(mut self, graphs: impl IntoIterator<Item = SummaryGraph>) -> Self {
         for graph in graphs {
+            assert_eq!(
+                graph.node_count(),
+                self.ltps.len(),
+                "with_cached_graphs: a graph over another LTP list"
+            );
             let slot = GraphKey::from(graph.settings()).slot();
-            // A later duplicate entry for the same combination wins, matching the map
-            // semantics this cache replaced (snapshots never contain duplicates).
-            cache[slot].take();
-            let _ = cache[slot].set(Arc::new(graph));
+            // A later entry for the same combination wins (snapshots never repeat one).
+            self.cache[slot] = OnceLock::from(Arc::new(graph));
         }
-        RobustnessSession {
-            workload,
-            program_names,
-            ltps,
-            cache,
-        }
+        self
     }
 
     /// The summary graph for the given settings: built by Algorithm 1 on first use, cached and
@@ -440,15 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn from_ltps_derives_program_names() {
-        let schema = schema();
-        let ltps = mvrc_btp::unfold_set_le2(&[reader(&schema), read_then_write(&schema)]);
-        let session = RobustnessSession::from_ltps(&schema, ltps);
-        assert_eq!(session.program_names().len(), 2);
-        assert!(!session.is_robust(AnalysisSettings::paper_default()));
-    }
-
-    #[test]
     fn snapshot_parts_round_trip_without_rebuilding() {
         let schema = schema();
         let session =
@@ -459,16 +411,24 @@ mod tests {
         let graphs: Vec<SummaryGraph> = session
             .cached_graphs()
             .iter()
-            .map(|g| (**g).clone())
+            .map(|g| {
+                let (_, bits) = g.reachability_words();
+                SummaryGraph::from_snapshot_parts(
+                    session.ltps(),
+                    &schema,
+                    g.settings(),
+                    g.edges().to_vec(),
+                    bits.to_vec(),
+                )
+                .unwrap()
+            })
             .collect();
         assert_eq!(graphs.len(), 4);
 
         let before = SummaryGraph::constructions_on_current_thread();
-        let reopened = RobustnessSession::from_snapshot_parts(
-            session.workload().clone(),
-            session.ltps().to_vec(),
-            graphs,
-        );
+        let closures_before = SummaryGraph::closures_computed_on_current_thread();
+        let reopened =
+            RobustnessSession::new(session.workload().clone()).with_cached_graphs(graphs);
         assert_eq!(reopened.cached_graph_count(), 4);
         assert_eq!(reopened.program_names(), session.program_names());
         for settings in AnalysisSettings::evaluation_grid(CycleCondition::TypeII) {
@@ -483,6 +443,11 @@ mod tests {
             SummaryGraph::constructions_on_current_thread(),
             before,
             "reassembly and cached queries must not construct graphs"
+        );
+        assert_eq!(
+            SummaryGraph::closures_computed_on_current_thread(),
+            closures_before,
+            "reassembly and cached queries must not compute closures"
         );
     }
 

@@ -3,11 +3,11 @@
 //! Section 7.2 of the paper evaluates four settings — `tpl dep`, `attr dep`, `tpl dep + FK` and
 //! `attr dep + FK` — formed by two independent switches captured here.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Granularity at which dependencies between operations are tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Granularity {
     /// Dependencies require a common *attribute* (the paper's default, `attr dep`): two
     /// operations over the same tuple only conflict when they access a common attribute and one
@@ -28,7 +28,7 @@ impl fmt::Display for Granularity {
 }
 
 /// The robustness condition used for the cycle test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CycleCondition {
     /// Absence of **type-I** cycles (cycles with at least one counterflow edge) — the baseline
     /// condition of Alomari & Fekete `[3]`.
@@ -48,7 +48,7 @@ impl fmt::Display for CycleCondition {
 }
 
 /// Full configuration of a robustness analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct AnalysisSettings {
     /// Dependency granularity.
     pub granularity: Granularity,

@@ -50,7 +50,7 @@ use crate::session::RobustnessSession;
 use crate::settings::AnalysisSettings;
 use crate::summary::{NodeId, SummaryGraph};
 use mvrc_par::Parallelism;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::RefCell;
 use std::cmp;
 use std::fmt;
@@ -105,7 +105,7 @@ pub struct ExploreOptions {
 }
 
 /// Result of exploring all subsets of a workload's programs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SubsetExploration {
     /// The program names, in workload order; subsets are index sets into this list.
     pub programs: Vec<String>,

@@ -39,7 +39,7 @@ use crate::settings::{AnalysisSettings, CycleCondition, Granularity};
 use crate::tables::{c_dep_table, nc_dep_table};
 use mvrc_btp::{LinearProgram, Statement, StmtPos};
 use mvrc_schema::{RelId, Schema};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::fmt;
@@ -49,7 +49,7 @@ use std::sync::{Arc, OnceLock};
 pub type NodeId = usize;
 
 /// Flavour of a summary-graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum EdgeKind {
     /// The dependency follows the commit order.
     NonCounterflow,
@@ -80,7 +80,7 @@ impl fmt::Display for EdgeKind {
 /// Node ids and statement positions are stored as `u32` (a graph beyond that is refused when
 /// it is built), so an edge is 20 bytes: the edge list is the graph's largest array, and
 /// snapshot format stores the same fields as `u32` too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct SummaryEdge {
     /// The source program node (a [`NodeId`]).
     pub from: u32,
@@ -144,7 +144,7 @@ impl Reachability {
 /// The in-adjacency in compressed-sparse-row layout: `targets[offsets[v]..offsets[v + 1]]` are
 /// the indices (ascending) of the edges entering `v`. The out-adjacency needs no such array:
 /// the edge list itself is grouped by source (see [`SummaryGraph`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Csr {
     offsets: Vec<u32>,
     targets: Vec<u32>,
@@ -172,20 +172,6 @@ impl Csr {
     }
 }
 
-/// The derived arrays of a [`SummaryGraph`] — what the snapshot layer persists and hands
-/// back to [`SummaryGraph::from_snapshot_parts_with_derived`] so a warm start installs the
-/// decoded arrays instead of re-deriving them. The out-adjacency offsets are not among them:
-/// they are counted off the edge list while it is validated.
-pub struct SummaryGraphDerived {
-    /// In-adjacency CSR offsets (`n + 1` entries).
-    pub in_offsets: Vec<u32>,
-    /// In-adjacency CSR targets: edge indices grouped by target node.
-    pub in_targets: Vec<u32>,
-    /// Reachability rows, `n · ⌈n/64⌉` words row-major (`⌈0/64⌉` reads as `1`; see
-    /// [`SummaryGraph::reachability_words`]).
-    pub reach_bits: Vec<u64>,
-}
-
 /// Turns per-node counts at `offsets[v + 1]` into CSR offsets, in place.
 fn prefix_sum(offsets: &mut [u32]) {
     for v in 1..offsets.len() {
@@ -199,46 +185,6 @@ fn edge_order(e: &SummaryEdge) -> (u32, u32, u32, u32, EdgeKind) {
     (e.from, e.to, e.from_stmt, e.to_stmt, e.kind)
 }
 
-/// Checks that `csr` is byte-identical to the in-adjacency [`Csr::build`] would derive:
-/// correct dimensions, monotone offsets covering every edge, and per group only in-range,
-/// strictly ascending indices of edges entering that node. Ascending order within groups plus
-/// the total length forces every edge index to appear exactly once (an index can only ever sit
-/// in its own target's group).
-fn validate_in_csr(csr: &Csr, n: usize, edges: &[SummaryEdge]) -> Result<(), String> {
-    let offsets = &csr.offsets;
-    let targets = &csr.targets;
-    if offsets.len() != n + 1 || offsets[0] != 0 {
-        return Err("in-adjacency offsets malformed".to_string());
-    }
-    if targets.len() != edges.len() || *offsets.last().unwrap() as usize != edges.len() {
-        return Err("in-adjacency does not cover the edge list exactly".to_string());
-    }
-    for v in 0..n {
-        // Bounding each offset by the target count before slicing: the last-offset check
-        // above says nothing about a corrupt offset in the middle.
-        if offsets[v] > offsets[v + 1] || offsets[v + 1] as usize > targets.len() {
-            return Err(format!("in-adjacency offsets not monotone at node {v}"));
-        }
-        let group = &targets[offsets[v] as usize..offsets[v + 1] as usize];
-        for (k, &t) in group.iter().enumerate() {
-            if t as usize >= edges.len() {
-                return Err(format!("in-adjacency edge index {t} out of range"));
-            }
-            if edges[t as usize].to as usize != v {
-                return Err(format!(
-                    "in-adjacency edge {t} grouped under wrong node {v}"
-                ));
-            }
-            if k > 0 && group[k - 1] >= t {
-                return Err(format!(
-                    "in-adjacency group of node {v} not strictly ascending"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The summary graph over a set of LTPs.
 ///
 /// The edge list has one order: strictly ascending `(from, to, from_stmt, to_stmt, kind)`,
@@ -249,18 +195,17 @@ fn validate_in_csr(csr: &Csr, n: usize, edges: &[SummaryEdge]) -> Result<(), Str
 ///
 /// The in-adjacency (a CSR of edge indices grouped by target) and the reachability closure
 /// are *lazily derived* from `(nodes, edges)`: each is built on first use — a robust verdict
-/// never pays for the in-adjacency. A graph reopened from an `mvrc-dist` snapshot has them
-/// pre-installed, decoded from the file ([`SummaryGraph::from_snapshot_parts_with_derived`]),
-/// and never derives anything.
+/// never pays for the in-adjacency. A graph reopened from an `mvrc-dist` snapshot has its
+/// closure installed from the file ([`SummaryGraph::from_snapshot_parts`]) and computes none.
 ///
-/// `PartialEq` compares every derived array as well (forcing their derivation) — the
-/// bit-identity contract of the `mvrc-dist` snapshot round-trip tests.
+/// `PartialEq` compares the closure as well (forcing its derivation) — the bit-identity
+/// contract of the `mvrc-dist` snapshot round-trip tests. The in-adjacency is a function of
+/// the edge list, so equal edges give equal in-adjacencies.
 #[derive(Debug, Clone)]
 pub struct SummaryGraph {
-    /// The (widened) LTP nodes. Each node is `Arc`-shared so the cached graphs of one session
-    /// — and the graph entries of one `mvrc-dist` snapshot — can hold the *same* decoded LTPs
-    /// by reference instead of deep-cloning them per entry; cloning a graph or reassembling
-    /// one from snapshot parts bumps reference counts only.
+    /// The (widened) LTP nodes. Each node is `Arc`-shared so the attribute-granularity graphs
+    /// of one session hold the session's LTPs by reference; cloning a graph bumps reference
+    /// counts only.
     nodes: Vec<Arc<LinearProgram>>,
     /// The edges in the one edge order ([`edge_order`]).
     edges: Vec<SummaryEdge>,
@@ -283,7 +228,6 @@ impl PartialEq for SummaryGraph {
             && self.edges == other.edges
             && self.settings == other.settings
             && self.out_offsets == other.out_offsets
-            && self.in_csr() == other.in_csr()
             && self.reachability() == other.reachability()
     }
 }
@@ -628,26 +572,29 @@ impl SummaryGraph {
     /// Reassembles a graph from persisted parts — the deserialization hook of the `mvrc-dist`
     /// snapshot layer.
     ///
-    /// `nodes` must be the already-widened LTPs the graph was built over, `edges` its complete
-    /// Algorithm 1 edge list in the one edge order and `derived` its derived arrays (decoded
-    /// from a snapshot file). They are installed after structural validation; no edge
-    /// derivation, no adjacency build and **no closure computation** runs, so opening a
-    /// snapshot is O(validation) in the edge count and advances neither the construction
-    /// counter nor the closure counter.
+    /// `ltps` are the LTPs the graph was built over, widened here as
+    /// [`construct`](Self::construct) widens them; `edges` is its complete Algorithm 1 edge
+    /// list in the one edge order and `reach_bits` its closure rows (both decoded from a
+    /// snapshot file). No edge derivation and **no closure computation** runs, so opening a
+    /// snapshot is linear in the edge count and advances neither the construction counter nor
+    /// the closure counter. The in-adjacency is derived on first use, as on a fresh graph.
     ///
-    /// Validation makes one pass over the edges that range-checks them, checks that they are
-    /// strictly ascending in the edge order and counts the out-adjacency offsets. It then
-    /// checks that the in-adjacency is exactly the CSR this graph would derive from `edges`
-    /// (offset monotonicity, group membership, ascending edge indices per group — which
-    /// together force bit-identity with a fresh derivation) and that the reachability rows
-    /// have the exact derived dimensions. The reachability *contents* are not recomputed —
-    /// they are covered by the snapshot file's fingerprint, which the caller verifies.
-    pub fn from_snapshot_parts_with_derived(
-        nodes: Vec<Arc<LinearProgram>>,
-        edges: Vec<SummaryEdge>,
+    /// Validation makes one pass over the edges that range-checks them against the node
+    /// statement counts, checks that they are strictly ascending in the edge order and counts
+    /// the out-adjacency offsets, then checks that the closure rows have the derived
+    /// dimensions. The closure *contents* are not recomputed — they are covered by the
+    /// snapshot file's fingerprint, which the caller verifies.
+    pub fn from_snapshot_parts<L>(
+        ltps: &[L],
+        schema: &Schema,
         settings: AnalysisSettings,
-        derived: SummaryGraphDerived,
-    ) -> Result<Self, String> {
+        edges: Vec<SummaryEdge>,
+        reach_bits: Vec<u64>,
+    ) -> Result<Self, String>
+    where
+        L: Borrow<LinearProgram> + Clone + Into<Arc<LinearProgram>>,
+    {
+        let nodes = widen_ltps(ltps, schema, settings.granularity);
         let n = nodes.len();
         let mut counterflow = 0;
         let mut out_offsets = vec![0u32; n + 1];
@@ -666,16 +613,11 @@ impl SummaryGraph {
             out_offsets[from + 1] += 1;
         }
         prefix_sum(&mut out_offsets);
-        let in_ = Csr {
-            offsets: derived.in_offsets,
-            targets: derived.in_targets,
-        };
-        validate_in_csr(&in_, n, &edges)?;
         let words_per_row = n.div_ceil(64).max(1);
-        if derived.reach_bits.len() != n * words_per_row {
+        if reach_bits.len() != n * words_per_row {
             return Err(format!(
                 "reachability rows have {} words, expected {}",
-                derived.reach_bits.len(),
+                reach_bits.len(),
                 n * words_per_row
             ));
         }
@@ -685,10 +627,10 @@ impl SummaryGraph {
             out_offsets,
             counterflow_edges: counterflow,
             settings,
-            in_adj: OnceLock::from(in_),
+            in_adj: OnceLock::new(),
             reach: OnceLock::from(Reachability {
                 words_per_row,
-                bits: derived.reach_bits,
+                bits: reach_bits,
             }),
             lane_plans: [OnceLock::new(), OnceLock::new()],
         })
@@ -716,13 +658,6 @@ impl SummaryGraph {
     /// warm starts rebuild nothing, and views always compute their own member-local rows.
     pub fn closures_computed_on_current_thread() -> u64 {
         CLOSURES.with(Cell::get)
-    }
-
-    /// The in-adjacency CSR arrays `(offsets, targets)` — edge indices grouped by target node.
-    /// Forces derivation; exposed for the `mvrc-dist` snapshot writer.
-    pub fn in_adjacency(&self) -> (&[u32], &[u32]) {
-        let csr = self.in_csr();
-        (&csr.offsets, &csr.targets)
     }
 
     /// The reachability closure as `(words_per_row, row-major words)` — node `i`'s row starts
@@ -760,13 +695,6 @@ impl SummaryGraph {
     /// All nodes with their ids.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &LinearProgram)> {
         self.nodes.iter().enumerate().map(|(id, n)| (id, &**n))
-    }
-
-    /// The `Arc`-shared node list itself — the serialization sharing hook of the `mvrc-dist`
-    /// snapshot layer: cloning the returned vector bumps reference counts only, so graph
-    /// entries decoded from one snapshot can hold the same LTP allocations.
-    pub fn shared_nodes(&self) -> &[Arc<LinearProgram>] {
-        &self.nodes
     }
 
     /// Looks up a node by LTP name.
@@ -958,9 +886,9 @@ impl SummaryGraph {
     }
 }
 
-/// Applies the granularity setting to a slice of LTPs, giving each node as an [`Arc`] (the
-/// sharing unit of [`SummaryGraph::shared_nodes`]). Attribute granularity keeps the LTPs as
-/// they are, so `Arc`-shared input is shared, not copied.
+/// Applies the granularity setting to a slice of LTPs, giving each node as an [`Arc`].
+/// Attribute granularity keeps the LTPs as they are, so `Arc`-shared input is shared, not
+/// copied.
 fn widen_ltps<L>(ltps: &[L], schema: &Schema, granularity: Granularity) -> Vec<Arc<LinearProgram>>
 where
     L: Borrow<LinearProgram> + Clone + Into<Arc<LinearProgram>>,
@@ -1903,19 +1831,16 @@ mod tests {
                 before + 1,
                 "workload {k}"
             );
-            // A graph reopened with its derived arrays derives nothing.
-            let csr = graph.in_csr();
-            let reopened = SummaryGraph::from_snapshot_parts_with_derived(
-                graph.shared_nodes().to_vec(),
-                graph.edges().to_vec(),
+            // A graph reopened with its closure words derives no closure.
+            let reopened = SummaryGraph::from_snapshot_parts(
+                ltps,
+                schema,
                 settings(),
-                SummaryGraphDerived {
-                    in_offsets: csr.offsets.clone(),
-                    in_targets: csr.targets.clone(),
-                    reach_bits: bits.to_vec(),
-                },
+                graph.edges().to_vec(),
+                bits.to_vec(),
             )
             .unwrap();
+            assert_eq!(reopened, graph);
             assert_eq!(reopened.reachability_words().1, bits);
             assert_eq!(
                 SummaryGraph::closures_computed_on_current_thread(),

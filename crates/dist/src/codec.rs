@@ -4,11 +4,10 @@
 
 /// FNV-1a chained over 64-bit little-endian lanes (trailing bytes fold in one at a time, like
 /// byte-chained FNV-1a): the payload fingerprint of a snapshot, one multiply per eight bytes
-/// instead of one per byte. Payloads carry the derived in-adjacency and reachability arrays,
-/// so the byte-chained hash — a serial dependency of ~3 cycles *per
-/// byte* — would tax every open with more time than the decode it guards. Not cryptographic:
-/// it guards against *mistakes* (opening a truncated or bit-flipped snapshot), not against
-/// adversaries.
+/// instead of one per byte. Payloads carry whole reachability closures, so the byte-chained
+/// hash — a serial dependency of ~3 cycles *per byte* — would tax every open with more time
+/// than the decode it guards. Not cryptographic: it guards against *mistakes* (opening a
+/// truncated or bit-flipped snapshot), not against adversaries.
 pub(crate) fn fnv64_words(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut lanes = bytes.chunks_exact(8);
@@ -87,13 +86,6 @@ impl Writer {
                 self.u8(1);
                 self.u64(bits);
             }
-        }
-    }
-
-    /// A raw `u32` array, little-endian, no length prefix (the caller's schema implies it).
-    pub(crate) fn u32_slice(&mut self, vs: &[u32]) {
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -189,28 +181,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The current payload offset (bytes consumed so far).
-    pub(crate) fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// The not-yet-consumed tail of the payload — how the snapshot decoder compares an
-    /// upcoming section against the encoded span of one it already decoded (equal bytes
-    /// decode to equal values, so a byte-identical section can be skipped and its decoded
-    /// value cloned instead of re-parsed).
-    pub(crate) fn remaining(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// A raw little-endian `u32` array of `len` elements, decoded into an owned vector.
-    pub(crate) fn u32_slice(&mut self, len: usize) -> Result<Vec<u32>, String> {
-        let bytes = self.take(len.checked_mul(4).ok_or("u32 array length overflow")?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
     /// A raw little-endian `u64` array of `len` elements, decoded into an owned vector.
     pub(crate) fn u64_slice(&mut self, len: usize) -> Result<Vec<u64>, String> {
         let bytes = self.take(len.checked_mul(8).ok_or("u64 array length overflow")?)?;
@@ -218,12 +188,6 @@ impl<'a> Reader<'a> {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect())
-    }
-
-    /// Skips `bytes` bytes — how the snapshot decoder walks past a section whose decoded
-    /// value it already holds.
-    pub(crate) fn skip_raw(&mut self, bytes: usize) -> Result<(), String> {
-        self.take(bytes).map(|_| ())
     }
 }
 
@@ -244,7 +208,6 @@ mod tests {
         w.str("héllo");
         w.opt_u64(None);
         w.opt_u64(Some(42));
-        w.u32_slice(&[1, 2, 3]);
         w.u64_slice(&[u64::MAX, 7]);
         let bytes = w.into_bytes().unwrap();
 
@@ -259,7 +222,6 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.opt_u64().unwrap(), None);
         assert_eq!(r.opt_u64().unwrap(), Some(42));
-        assert_eq!(r.u32_slice(3).unwrap(), vec![1, 2, 3]);
         assert_eq!(r.u64_slice(2).unwrap(), vec![u64::MAX, 7]);
         assert!(r.is_at_end());
     }
@@ -274,7 +236,6 @@ mod tests {
 
         // Truncated raw arrays.
         assert!(Reader::new(&[0; 15]).u64_slice(2).is_err());
-        assert!(Reader::new(&[]).u32_slice(1).is_err());
 
         // A length prefix claiming more bytes than remain is rejected up front.
         let mut w = Writer::new();

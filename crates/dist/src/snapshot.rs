@@ -1,7 +1,7 @@
 //! The snapshot layer: a versioned, self-describing binary format persisting a
-//! [`RobustnessSession`] — its [`Workload`], the unfolded LTPs and every cached
-//! [`SummaryGraph`] — so another process can answer robustness queries without re-unfolding
-//! the workload, re-deriving a single Algorithm 1 edge or recomputing a single closure word.
+//! [`RobustnessSession`] — its [`Workload`] and every cached [`SummaryGraph`]'s edges and
+//! closure — so another process can answer robustness queries without re-deriving a single
+//! Algorithm 1 edge or recomputing a single closure word.
 //!
 //! Snapshots are rebuildable caches, so a build reads exactly one format version
 //! ([`SNAPSHOT_FORMAT_VERSION`]); a file of any other version fails with
@@ -14,9 +14,9 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 8    | magic `MVRCSNAP` ([`SNAPSHOT_MAGIC`]) |
-//! | 8      | 4    | format version, `u32` LE ([`SNAPSHOT_FORMAT_VERSION`], currently 5) |
+//! | 8      | 4    | format version, `u32` LE ([`SNAPSHOT_FORMAT_VERSION`], currently 6) |
 //! | 12     | 8    | workload fingerprint, `u64` LE — FNV-1a over the payload |
-//! | 20     | …    | payload: workload section, LTP section, graph section |
+//! | 20     | …    | payload: workload section, graph section |
 //!
 //! The payload encoding is *canonical* (fixed-width integers, length-prefixed lists, no maps
 //! in nondeterministic order, no padding), so the fingerprint doubles as a content identity:
@@ -24,57 +24,57 @@
 //! Every open recomputes the FNV over the payload and rejects any header/payload mismatch,
 //! which catches truncation and bit flips. The fingerprint is the word-lane variant
 //! of FNV-1a (chained over `u64` LE lanes, one multiply per eight bytes): payloads carry whole
-//! derived arrays, and a byte-chained hash would cost more than the decode it guards.
+//! closures, and a byte-chained hash would cost more than the decode it guards.
 //!
 //! # Graph section
 //!
-//! Per cached granularity/foreign-key combination, the graph section stores the settings, the
-//! widened LTP nodes, the complete Algorithm 1 edge list and the graph's *derived* arrays:
+//! Each fact is stored once. The LTPs are a function of the workload's BTPs (`Unfold≤2`) and
+//! the in-adjacency a counting sort of the edge list, so neither is stored; per cached
+//! granularity/foreign-key combination, the graph section holds what is costly to derive:
 //!
 //! | field | encoding |
 //! |-------|----------|
 //! | settings | granularity byte, foreign-key bool, condition byte |
-//! | nodes | `u32` count `n`, then the LTPs |
 //! | edges | `u32` count `E`, then per edge `from`, `from_stmt` (`u32`), kind byte, `to_stmt`, `to` (`u32`) |
-//! | in-CSR | `n + 1` offset `u32`s, then `E` target `u32`s (edge indices grouped by target) |
-//! | reachability | `n · max(⌈n/64⌉, 1)` row-major `u64` closure words |
+//! | reachability | `n · max(⌈n/64⌉, 1)` row-major `u64` closure words, `n` the LTP count |
 //!
-//! The lengths of the derived arrays are implied by `n` and `E` (no prefixes). The edges are
-//! stored in the summary graph's one edge order, strictly ascending
+//! The edges are stored in the summary graph's one edge order, strictly ascending
 //! `(from, to, from_stmt, to_stmt, kind)`, so they are grouped by source and the out-adjacency
 //! is not stored: the decoder checks the order with one compare per edge, in the loop that
 //! range-checks the edges, and counts the out-adjacency offsets there.
 //!
 //! There is one decoder, [`session_from_snapshot_bytes`]; [`open_snapshot`] reads the file
-//! and calls it. It decodes each graph's arrays into owned vectors and installs them
-//! ([`SummaryGraph::from_snapshot_parts_with_derived`]): a warm start runs no edge
-//! derivation, no adjacency build and no closure computation, verified in tests via the
-//! construction and closure counters. The edge order and the in-adjacency are structurally
-//! validated against the edge list on open (bit-identity with a fresh derivation is forced);
-//! the closure words are covered by the fingerprint. The round-trip is **bit-identical** on
-//! every graph array — `reopened.graph(s) == original.graph(s)` including the derived arrays —
-//! and re-serializing a reopened snapshot reproduces its bytes.
+//! and calls it. It decodes the workload and checks it against the LTP budgets of
+//! [`check_workload_ltps`] — snapshot bytes are outside input, so a workload that would
+//! unfold past them fails with [`SnapshotError::OverBudget`] before anything is unfolded. It
+//! then unfolds the workload once ([`RobustnessSession::new`]) and installs each graph's
+//! edges and closure words ([`SummaryGraph::from_snapshot_parts`]): a warm start runs no edge
+//! derivation and no closure computation, verified in tests via the construction and closure
+//! counters. The edge order is validated on open; the closure words are covered by the
+//! fingerprint. The round-trip is **bit-identical** on every graph array —
+//! `reopened.graph(s) == original.graph(s)` — and re-serializing a reopened snapshot
+//! reproduces its bytes.
 
 use crate::codec::{fnv64_words, Reader, Writer};
+use mvrc_btp::sql::check_workload_ltps;
 use mvrc_btp::{
-    FkConstraint, LinearFkConstraint, LinearProgram, Program, ProgramExpr, Statement,
-    StatementKind, StmtId, UnfoldOptions, Workload,
+    BtpError, FkConstraint, Program, ProgramExpr, Statement, StatementKind, StmtId, UnfoldOptions,
+    Workload,
 };
 use mvrc_robustness::{
     AnalysisSettings, CycleCondition, EdgeKind, Granularity, RobustnessSession, SummaryEdge,
-    SummaryGraph, SummaryGraphDerived,
+    SummaryGraph,
 };
 use mvrc_schema::{AttrSet, FkId, RelId, Schema, SchemaBuilder};
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
 /// The 8-byte magic at offset 0 of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MVRCSNAP";
 
 /// The snapshot format version (header offset 8): written by every save, and the only version
 /// this build opens.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
 
 /// The header length in bytes; payload offsets are relative to it.
 const HEADER_LEN: usize = 20;
@@ -111,6 +111,9 @@ pub enum SnapshotError {
         /// The first value that did not fit.
         value: usize,
     },
+    /// The snapshot's workload exceeds a budget of [`check_workload_ltps`]; it is refused
+    /// before it is unfolded.
+    OverBudget(BtpError),
 }
 
 impl fmt::Display for SnapshotError {
@@ -132,6 +135,7 @@ impl fmt::Display for SnapshotError {
                 f,
                 "session too large for a snapshot: {value} exceeds a u32 length or index field"
             ),
+            SnapshotError::OverBudget(e) => write!(f, "snapshot workload refused: {e}"),
         }
     }
 }
@@ -144,39 +148,12 @@ impl From<String> for SnapshotError {
     }
 }
 
-/// Persistence entry points on [`RobustnessSession`], so call sites read
-/// `session.save_snapshot(path)` / `RobustnessSession::open_snapshot(path)`.
-pub trait SessionSnapshotExt: Sized {
-    /// Serializes the session (workload, LTPs, cached graphs) to `path`, returning the
-    /// workload fingerprint stamped into the header.
-    fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError>;
-
-    /// Deserializes a session from `path`, returning it together with the verified
-    /// fingerprint. No unfolding and no Algorithm 1 edge derivation runs.
-    fn open_snapshot(path: impl AsRef<Path>) -> Result<(Self, u64), SnapshotError>;
-}
-
-impl SessionSnapshotExt for RobustnessSession {
-    fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        save_snapshot(self, path)
-    }
-
-    fn open_snapshot(path: impl AsRef<Path>) -> Result<(Self, u64), SnapshotError> {
-        open_snapshot(path)
-    }
-}
-
 /// Serializes a session into snapshot bytes (header + payload). Fails with
 /// [`SnapshotError::TooLarge`] when a length, statement position or node id does not fit the
 /// format's `u32` fields.
 pub fn snapshot_to_bytes(session: &RobustnessSession) -> Result<Vec<u8>, SnapshotError> {
     let mut payload = Writer::new();
     encode_workload(&mut payload, session.workload());
-    let ltps = session.ltps();
-    payload.len(ltps.len());
-    for ltp in ltps {
-        encode_ltp(&mut payload, ltp);
-    }
     let graphs = session.cached_graphs();
     payload.len(graphs.len());
     for graph in &graphs {
@@ -192,22 +169,6 @@ pub fn snapshot_to_bytes(session: &RobustnessSession) -> Result<Vec<u8>, Snapsho
     bytes.extend_from_slice(&fnv64_words(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
     Ok(bytes)
-}
-
-/// Cache of decoded LTP-list sections, keyed by their exact encoded byte span.
-///
-/// The graph section re-encodes each graph's node LTPs in full, and the cached graphs of a
-/// session overlap heavily: the FK-on and FK-off graphs at one granularity share the same
-/// (possibly widened) node set, and the attribute-granularity nodes are usually the session
-/// LTP section verbatim. A typical 4-graph snapshot therefore carries only *two* distinct
-/// node encodings, and the encoding is canonical (equal values ⇔ equal bytes), so a section
-/// whose upcoming bytes equal an already-decoded span can skip the parse — and with it every
-/// per-statement validation — and hand out the *same* decoded nodes by reference:
-/// [`SummaryGraph`] nodes are `Arc`-shared, so every graph entry after the first match costs
-/// reference-count bumps, not a deep clone. The session LTP section is decoded into `Arc`s
-/// too and seeds the cache, so attribute-granularity graphs share the session's LTPs.
-struct NodeSectionCache<'a> {
-    entries: Vec<(&'a [u8], Vec<Arc<LinearProgram>>)>,
 }
 
 /// Validates the 20-byte header and the payload fingerprint, returning the fingerprint.
@@ -239,34 +200,21 @@ fn check_header(bytes: &[u8]) -> Result<u64, SnapshotError> {
 /// Decodes a header-checked snapshot's payload into a session; `bytes` is the whole file
 /// (header included).
 fn decode_session(bytes: &[u8]) -> Result<RobustnessSession, SnapshotError> {
-    let payload = &bytes[HEADER_LEN..];
-    let mut r = Reader::new(payload);
+    let mut r = Reader::new(&bytes[HEADER_LEN..]);
     let workload = decode_workload(&mut r)?;
-    let ltp_section_start = r.position();
-    let ltp_count = r.len()?;
-    let mut ltps = Vec::with_capacity(ltp_count);
-    for _ in 0..ltp_count {
-        ltps.push(Arc::new(decode_ltp(&mut r, &workload.schema)?));
-    }
-    let ltp_section = &payload[ltp_section_start..r.position()];
+    check_workload_ltps(&workload.programs, workload.unfold).map_err(SnapshotError::OverBudget)?;
+    let session = RobustnessSession::new(workload);
     let graph_count = r.len()?;
     let mut graphs = Vec::with_capacity(graph_count);
-    // Seed the node cache with the session LTP section: attribute-granularity graphs
-    // usually re-encode it verbatim, and granularity-mates share node sets with each other.
-    let mut node_cache = NodeSectionCache {
-        entries: vec![(ltp_section, ltps.clone())],
-    };
     for _ in 0..graph_count {
-        graphs.push(decode_graph(&mut r, &workload.schema, &mut node_cache)?);
+        graphs.push(decode_graph(&mut r, &session)?);
     }
     if !r.is_at_end() {
         return Err(SnapshotError::Corrupt(
             "trailing bytes after the last section".to_string(),
         ));
     }
-    Ok(RobustnessSession::from_snapshot_parts(
-        workload, ltps, graphs,
-    ))
+    Ok(session.with_cached_graphs(graphs))
 }
 
 /// Deserializes a session from snapshot bytes, returning it with the verified fingerprint.
@@ -278,7 +226,8 @@ pub fn session_from_snapshot_bytes(
     Ok((decode_session(bytes)?, fingerprint))
 }
 
-/// [`SessionSnapshotExt::save_snapshot`] as a free function.
+/// Serializes the session (workload and cached graphs) to `path`, returning the workload
+/// fingerprint stamped into the header.
 pub fn save_snapshot(
     session: &RobustnessSession,
     path: impl AsRef<Path>,
@@ -293,11 +242,11 @@ pub fn save_snapshot(
     Ok(fingerprint)
 }
 
-/// [`SessionSnapshotExt::open_snapshot`] as a free function.
+/// Deserializes a session from `path`, returning it together with the verified fingerprint.
 ///
 /// The warm-start path: reads the file and decodes it with [`session_from_snapshot_bytes`].
-/// Every graph's in-adjacency and reachability arrays come from the file — no edge
-/// derivation, no closure computation.
+/// Every graph's edges and closure words come from the file — no edge derivation, no
+/// closure computation.
 pub fn open_snapshot(path: impl AsRef<Path>) -> Result<(RobustnessSession, u64), SnapshotError> {
     let path = path.as_ref();
     let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io {
@@ -615,67 +564,8 @@ fn decode_program(r: &mut Reader<'_>, schema: &Schema) -> Result<Program, Snapsh
 }
 
 // ---------------------------------------------------------------------------
-// LTP and graph sections
+// Graph section
 // ---------------------------------------------------------------------------
-
-fn encode_ltp(w: &mut Writer, ltp: &LinearProgram) {
-    w.str(ltp.name());
-    w.str(ltp.program_name());
-    w.len(ltp.len());
-    for (_, stmt) in ltp.statements() {
-        encode_statement(w, stmt);
-    }
-    for pos in 0..ltp.len() {
-        w.u16(ltp.origin(pos).0);
-    }
-    w.len(ltp.fk_constraints().len());
-    for c in ltp.fk_constraints() {
-        w.u16(c.fk.0);
-        w.len(c.dom_pos);
-        w.len(c.range_pos);
-    }
-}
-
-fn decode_ltp(r: &mut Reader<'_>, schema: &Schema) -> Result<LinearProgram, SnapshotError> {
-    let name = r.str()?;
-    let program_name = r.str()?;
-    let stmt_count = r.len()?;
-    let mut statements = Vec::with_capacity(stmt_count);
-    for _ in 0..stmt_count {
-        statements.push(decode_statement(r, schema)?);
-    }
-    let mut origins = Vec::with_capacity(stmt_count);
-    for _ in 0..stmt_count {
-        origins.push(StmtId(r.u16()?));
-    }
-    let fkc_count = r.len()?;
-    let mut fk_constraints = Vec::with_capacity(fkc_count);
-    for _ in 0..fkc_count {
-        let fk = r.u16()?;
-        let dom_pos = r.u32()? as usize;
-        let range_pos = r.u32()? as usize;
-        if (fk as usize) >= schema.foreign_key_count()
-            || dom_pos >= stmt_count
-            || range_pos >= stmt_count
-        {
-            return Err(SnapshotError::Corrupt(format!(
-                "LTP `{name}` has an out-of-range foreign-key constraint"
-            )));
-        }
-        fk_constraints.push(LinearFkConstraint {
-            fk: FkId(fk),
-            dom_pos,
-            range_pos,
-        });
-    }
-    Ok(LinearProgram::new(
-        name,
-        program_name,
-        statements,
-        origins,
-        fk_constraints,
-    ))
-}
 
 fn encode_settings(w: &mut Writer, settings: AnalysisSettings) {
     w.u8(match settings.granularity {
@@ -718,10 +608,6 @@ fn decode_settings(r: &mut Reader<'_>) -> Result<AnalysisSettings, SnapshotError
 
 fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
     encode_settings(w, graph.settings());
-    w.len(graph.node_count());
-    for (_, ltp) in graph.nodes() {
-        encode_ltp(w, ltp);
-    }
     w.len(graph.edge_count());
     for edge in graph.edges() {
         w.u32(edge.from);
@@ -730,50 +616,17 @@ fn encode_graph(w: &mut Writer, graph: &SummaryGraph) {
         w.u32(edge.to_stmt);
         w.u32(edge.to);
     }
-    // The derived arrays (forces derivation, which is idempotent and deterministic —
-    // re-serializing a reopened snapshot reproduces the words bit for bit). Lengths are
-    // implied by the node/edge counts above; see the module docs for the layout.
-    let (in_offsets, in_targets) = graph.in_adjacency();
+    // Forces the closure, which is deterministic — re-serializing a reopened snapshot
+    // reproduces the words bit for bit. Its length is implied by the session's LTP count.
     let (_, reach_bits) = graph.reachability_words();
-    w.u32_slice(in_offsets);
-    w.u32_slice(in_targets);
     w.u64_slice(reach_bits);
 }
 
-fn decode_graph<'a>(
-    r: &mut Reader<'a>,
-    schema: &Schema,
-    node_cache: &mut NodeSectionCache<'a>,
+fn decode_graph(
+    r: &mut Reader<'_>,
+    session: &RobustnessSession,
 ) -> Result<SummaryGraph, SnapshotError> {
     let settings = decode_settings(r)?;
-    // The node section (count prefix + LTPs): if its bytes equal an already-decoded span,
-    // skip the parse and share the decoded list — the encoding is canonical, so equal bytes
-    // decode to equal nodes, and a matched span consumes exactly as many bytes as it did the
-    // first time it was decoded.
-    let node_section_start = r.position();
-    let rest = r.remaining();
-    let cached = node_cache
-        .entries
-        .iter()
-        .position(|(span, _)| rest.starts_with(span));
-    let nodes = match cached {
-        Some(at) => {
-            let (span, nodes) = &node_cache.entries[at];
-            r.skip_raw(span.len())?;
-            nodes.clone()
-        }
-        None => {
-            let node_count = r.len()?;
-            let mut nodes = Vec::with_capacity(node_count);
-            for _ in 0..node_count {
-                nodes.push(Arc::new(decode_ltp(r, schema)?));
-            }
-            let span = &rest[..r.position() - node_section_start];
-            // The clone below is `node_count` reference-count bumps, not a re-decode.
-            node_cache.entries.push((span, nodes.clone()));
-            nodes
-        }
-    };
     let edge_count = r.len()?;
     let mut edges = Vec::with_capacity(edge_count);
     for _ in 0..edge_count {
@@ -798,25 +651,26 @@ fn decode_graph<'a>(
             to,
         });
     }
-
-    // `from_snapshot_parts_with_derived` range-checks the edges, checks their order and counts
-    // the out-adjacency offsets, in one pass.
-    let n = nodes.len();
-    let reach_len = n * n.div_ceil(64).max(1);
-    let parts = SummaryGraphDerived {
-        in_offsets: r.u32_slice(n + 1)?,
-        in_targets: r.u32_slice(edge_count)?,
-        reach_bits: r.u64_slice(reach_len)?,
-    };
-    SummaryGraph::from_snapshot_parts_with_derived(nodes, edges, settings, parts)
-        .map_err(SnapshotError::Corrupt)
+    let n = session.ltps().len();
+    let reach_bits = r.u64_slice(n * n.div_ceil(64).max(1))?;
+    // `from_snapshot_parts` widens the nodes, range-checks the edges, checks their order and
+    // counts the out-adjacency offsets, in one pass.
+    SummaryGraph::from_snapshot_parts(
+        session.ltps(),
+        session.schema(),
+        settings,
+        edges,
+        reach_bits,
+    )
+    .map_err(SnapshotError::Corrupt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mvrc_benchmarks::{auction, smallbank, tpcc};
-    use mvrc_btp::MAX_PROGRAM_STATEMENTS;
+    use mvrc_btp::sql::{MAX_PROGRAM_LTPS, MAX_WORKLOAD_LTPS};
+    use mvrc_btp::{ProgramBuilder, MAX_PROGRAM_STATEMENTS};
 
     fn warm_session(workload: Workload) -> RobustnessSession {
         let session = RobustnessSession::new(workload);
@@ -924,6 +778,99 @@ mod tests {
             SnapshotError::Corrupt(msg) => assert!(msg.contains("65537 statements"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// Snapshot bytes of `workload` with no cached graph, encoded without unfolding it.
+    fn graphless_snapshot(workload: &Workload) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode_workload(&mut w, workload);
+        w.len(0);
+        let payload = w.into_bytes().unwrap();
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&fnv64_words(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes
+    }
+
+    /// A program of `optionals` optional key updates, unfolding to `2^optionals` LTPs, or of
+    /// one looped update when `optionals` is 0.
+    fn optional_updates(schema: &Schema, name: &str, optionals: usize) -> Program {
+        let mut pb = ProgramBuilder::new(schema, name);
+        if optionals == 0 {
+            let q = pb.key_update("q", "T", &["a"], &["a"]).unwrap();
+            pb.looped(q.into());
+        }
+        for i in 0..optionals {
+            let q = pb
+                .key_update(&format!("q{i}"), "T", &["a"], &["a"])
+                .unwrap();
+            pb.optional(q.into());
+        }
+        pb.build()
+    }
+
+    fn one_table() -> Schema {
+        let mut b = SchemaBuilder::new("s");
+        b.relation("T", &["id", "a"], &["id"]).unwrap();
+        b.build()
+    }
+
+    #[test]
+    fn a_program_over_the_ltp_budget_is_refused_before_unfolding() {
+        // 2^40 LTPs: unfolding it would not finish, so only a refusal ends this test.
+        let schema = one_table();
+        let program = optional_updates(&schema, "P", 40);
+        let workload = Workload::new("w", schema.clone(), vec![program], &[]);
+        assert_eq!(
+            session_from_snapshot_bytes(&graphless_snapshot(&workload)).unwrap_err(),
+            SnapshotError::OverBudget(BtpError::TooManyLtps {
+                program: "P".to_string(),
+                count: 1 << 40,
+                limit: MAX_PROGRAM_LTPS,
+            })
+        );
+        // The budget counts with the workload's own loop bound: one looped statement under a
+        // stored bound of `u32::MAX` iterations is refused, not unfolded.
+        let looped = Workload::new(
+            "w",
+            schema.clone(),
+            vec![optional_updates(&schema, "L", 0)],
+            &[],
+        )
+        .with_unfold_options(UnfoldOptions {
+            max_loop_iterations: u32::MAX as usize,
+            deduplicate: true,
+        });
+        match session_from_snapshot_bytes(&graphless_snapshot(&looped)).unwrap_err() {
+            SnapshotError::OverBudget(BtpError::TooManyLtps { program, count, .. }) => {
+                assert_eq!((program.as_str(), count), ("L", u64::from(u32::MAX) + 1));
+            }
+            other => panic!("expected OverBudget, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_workload_over_the_ltp_budget_is_refused_before_unfolding() {
+        // Three programs at the per-program limit: 1,536 LTPs in all.
+        let schema = one_table();
+        let programs = (0..3)
+            .map(|i| optional_updates(&schema, &format!("P{i}"), 9))
+            .collect();
+        let workload = Workload::new("w", schema, programs, &[]);
+        let bytes = graphless_snapshot(&workload);
+        assert_eq!(
+            session_from_snapshot_bytes(&bytes).unwrap_err(),
+            SnapshotError::OverBudget(BtpError::TooManyWorkloadLtps {
+                count: 1536,
+                limit: MAX_WORKLOAD_LTPS,
+            })
+        );
+        // Within both budgets, the same encoding opens.
+        let mut within = workload.clone();
+        within.programs.truncate(2);
+        let (session, _) = session_from_snapshot_bytes(&graphless_snapshot(&within)).unwrap();
+        assert_eq!(session.ltps().len(), 1024);
     }
 
     #[test]

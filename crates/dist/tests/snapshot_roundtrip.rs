@@ -6,9 +6,7 @@
 //! string may make the decoder panic.
 
 use mvrc_benchmarks::{synthetic, SyntheticConfig};
-use mvrc_dist::{
-    session_from_snapshot_bytes, snapshot_to_bytes, SessionSnapshotExt, SnapshotError,
-};
+use mvrc_dist::{session_from_snapshot_bytes, snapshot_to_bytes, SnapshotError};
 use mvrc_robustness::{
     explore_subsets, AnalysisSettings, CycleCondition, RobustnessSession, SummaryGraph,
 };
@@ -367,7 +365,7 @@ proptest! {
 }
 
 #[test]
-fn version_5_fixture_opens_with_identical_graphs() {
+fn version_6_fixture_opens_with_identical_graphs() {
     // The one cross-build pin of the snapshot layout: a committed snapshot of a warmed Auction
     // session (all four graphs) must open to graphs identical to a fresh
     // build, and both the reopened and the fresh session must serialize to exactly
@@ -375,7 +373,7 @@ fn version_5_fixture_opens_with_identical_graphs() {
     // `MVRC_BLESS=1 cargo test -p mvrc-dist --test snapshot_roundtrip`.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/auction_v5.mvrcsnap"
+        "/tests/fixtures/auction_v6.mvrcsnap"
     );
     let fresh = RobustnessSession::new(mvrc_benchmarks::auction());
     for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
@@ -384,12 +382,12 @@ fn version_5_fixture_opens_with_identical_graphs() {
         }
     }
     if std::env::var_os("MVRC_BLESS").is_some() {
-        fresh.save_snapshot(path).unwrap();
+        mvrc_dist::save_snapshot(&fresh, path).unwrap();
     }
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| panic!("missing fixture {path} ({e}); run with MVRC_BLESS=1"));
     assert_eq!(&bytes[0..8], b"MVRCSNAP");
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 5);
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 6);
 
     let (reopened, fingerprint) = mvrc_dist::open_snapshot(path).unwrap();
     assert_ne!(fingerprint, 0);
@@ -414,7 +412,7 @@ fn version_5_fixture_opens_with_identical_graphs() {
     );
 
     // Files of any other format version fail typed; the cache is rebuilt instead.
-    for version in [1u32, 2, 3, 4, 6] {
+    for version in [1u32, 2, 3, 4, 5, 7] {
         let mut other = bytes.clone();
         other[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -470,10 +468,10 @@ fn snapshots_of_different_workloads_have_different_fingerprints() {
 
 #[test]
 fn warm_open_is_zero_copy_and_rederives_nothing() {
-    // The warm-start contract: opening a snapshot installs every graph's derived arrays as
-    // decoded from the file, and *no* derivation runs afterwards — queries on the reopened
-    // session advance neither the construction counter (no Algorithm 1) nor the closure
-    // counter (no reachability rebuild).
+    // The warm-start contract: opening a snapshot installs every graph's edges and closure
+    // words as decoded from the file, and neither is derived afterwards — queries on the
+    // reopened session advance neither the construction counter (no Algorithm 1) nor the
+    // closure counter (no reachability rebuild).
     let session = RobustnessSession::new(mvrc_benchmarks::auction());
     for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
         for settings in AnalysisSettings::evaluation_grid(condition) {
@@ -481,7 +479,7 @@ fn warm_open_is_zero_copy_and_rederives_nothing() {
         }
     }
     let path = scratch_file("warm-open");
-    session.save_snapshot(&path).unwrap();
+    mvrc_dist::save_snapshot(&session, &path).unwrap();
 
     let constructions_before = SummaryGraph::constructions_on_current_thread();
     let closures_before = SummaryGraph::closures_computed_on_current_thread();
@@ -509,48 +507,45 @@ fn warm_open_is_zero_copy_and_rederives_nothing() {
 
 #[test]
 fn corrupt_derived_blocks_are_rejected_structurally() {
-    // A restamped snapshot whose in-adjacency words were tampered with must fail the
-    // structural bit-identity validation, not silently install a wrong adjacency.
+    // The closure words sit at the end of the (single) graph entry, their length implied by
+    // the LTP count, behind the edge count and the 17-byte edges. A restamped snapshot whose
+    // closure is a word short, whose edge count claims an edge more than the list holds, or
+    // whose edge leaves a node past the last must fail the structural checks, not install
+    // misaligned rows.
     let session = RobustnessSession::new(mvrc_benchmarks::auction());
     let settings = AnalysisSettings::paper_default();
     session.is_robust(settings);
     let bytes = snapshot_to_bytes(&session).unwrap();
-
-    // The derived arrays sit at the end of the (single) graph entry: the in-CSR, then the
-    // reachability words. Corrupt an offset array word: the first in-CSR offset is always 0,
-    // so force it to a large value.
     let (n, e) = {
         let graph = session.graph(settings);
         (graph.node_count(), graph.edge_count())
     };
-    let words = n * n.div_ceil(64).max(1);
-    let derived_bytes = (n + 1 + e) * 4 + words * 8;
-    let derived_at = bytes.len() - derived_bytes;
+    let closure_at = bytes.len() - n * n.div_ceil(64).max(1) * 8;
+    let count_at = closure_at - 17 * e - 4;
+    assert_eq!(
+        u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap()) as usize,
+        e
+    );
+    let corrupt_message = |mut bad: Vec<u8>| {
+        restamp(&mut bad);
+        match session_from_snapshot_bytes(&bad).unwrap_err() {
+            SnapshotError::Corrupt(msg) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    };
 
-    let mut bad = bytes.clone();
-    bad[derived_at..derived_at + 4].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
-    restamp(&mut bad);
-    match session_from_snapshot_bytes(&bad).unwrap_err() {
-        SnapshotError::Corrupt(msg) => assert!(msg.contains("offset"), "{msg}"),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
-    // An interior offset past the end of the targets: an error, not an out-of-range slice.
-    let mut bad = bytes.clone();
-    bad[derived_at + 4..derived_at + 8].copy_from_slice(&0xb217_3f4eu32.to_le_bytes());
-    restamp(&mut bad);
-    match session_from_snapshot_bytes(&bad).unwrap_err() {
-        SnapshotError::Corrupt(msg) => assert!(msg.contains("offset"), "{msg}"),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
+    let msg = corrupt_message(bytes[..bytes.len() - 8].to_vec());
+    assert!(msg.contains("truncated"), "{msg}");
 
-    // Truncating away the reachability tail (restamped): structural error — the implied
-    // lengths no longer fit the payload.
-    let mut truncated = bytes[..bytes.len() - 12].to_vec();
-    restamp(&mut truncated);
-    assert!(matches!(
-        session_from_snapshot_bytes(&truncated).unwrap_err(),
-        SnapshotError::Corrupt(_)
-    ));
+    let mut one_more = bytes.clone();
+    one_more[count_at..count_at + 4].copy_from_slice(&(e as u32 + 1).to_le_bytes());
+    // Its last edge reads closure bytes, and the closure comes up short: either is Corrupt.
+    corrupt_message(one_more);
+
+    let mut past_the_last = bytes.clone();
+    past_the_last[count_at + 4..count_at + 8].copy_from_slice(&(n as u32).to_le_bytes());
+    let msg = corrupt_message(past_the_last);
+    assert!(msg.contains("out of range"), "{msg}");
 }
 
 #[test]
@@ -647,7 +642,7 @@ fn damaged_snapshot_files_fail_open_with_typed_errors() {
     }
 
     // Wrong format versions.
-    for version in [0u32, 4, 6, u32::MAX] {
+    for version in [0u32, 5, 7, u32::MAX] {
         let mut other = bytes.to_vec();
         other[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(

@@ -143,11 +143,6 @@ impl Engine {
         self.history
     }
 
-    /// The current commit timestamp (number of commits plus initial load).
-    pub fn current_ts(&self) -> CommitTs {
-        self.commit_counter
-    }
-
     /// Number of active (not yet committed or rolled back) transactions.
     pub fn active_count(&self) -> usize {
         self.active.len()

@@ -168,11 +168,6 @@ impl Table {
         self.rows.iter()
     }
 
-    /// Mutable iteration over all chains (used to release locks on rollback).
-    pub fn chains_mut(&mut self) -> impl Iterator<Item = (&Key, &mut VersionChain)> {
-        self.rows.iter_mut()
-    }
-
     /// Number of keys that currently have at least one committed, non-tombstone latest version.
     pub fn live_row_count(&self) -> usize {
         self.rows

@@ -18,14 +18,14 @@ use mvrc_btp::LinearProgram;
 use mvrc_robustness::{
     all_violations_in, AnalysisSettings, RobustnessSession, SummaryGraph, Violation,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of seeded random interleavings executed for a robustness attestation.
 pub const ATTEST_SEEDS: u64 = 16;
 
 /// One blamed summary edge of the witness, rendered with program names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WitnessEdge {
     /// Role in the violation pattern: `counterflow`, `middle`, or `non-counterflow`.
     pub role: String,
@@ -41,7 +41,7 @@ pub struct WitnessEdge {
 
 /// A certificate of non-robustness: an executed MVRC history, produced from the analyzer's
 /// witness, that the serializability checker rejects.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Certificate {
     /// Workload label (e.g. `smallbank`).
     pub workload: String,
@@ -63,7 +63,7 @@ pub struct Certificate {
 
 /// An attestation for a robust subset: every executed sample interleaving was accepted by the
 /// checker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Attestation {
     /// Workload label.
     pub workload: String,
@@ -126,8 +126,8 @@ pub enum CertifyError {
     /// and its key layouts, split points and fallback seeds are a bounded search. The verdict
     /// stands; the evidence search came up empty.
     Unrealized {
-        /// Number of witnesses the compiler tried.
-        violations: usize,
+        /// The witnesses the compiler tried, each as its blamed edges in cycle order.
+        witnesses: Vec<Vec<WitnessEdge>>,
     },
     /// A subset the analyzer attested robust produced a non-serializable execution — an
     /// analyzer soundness bug, surfaced loudly.
@@ -145,10 +145,11 @@ impl fmt::Display for CertifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CertifyError::UnknownProgram(name) => write!(f, "unknown program '{name}'"),
-            CertifyError::Unrealized { violations } => write!(
+            CertifyError::Unrealized { witnesses } => write!(
                 f,
-                "non-robust verdict, but none of the {violations} witnesses could be realized \
-                 as an executed rejected history"
+                "non-robust verdict, but none of the {} witnesses could be realized as an \
+                 executed rejected history",
+                witnesses.len()
             ),
             CertifyError::AttestationRejected { seed, anomaly } => write!(
                 f,
@@ -207,7 +208,10 @@ pub fn certify_subset(
         }
     }
     Err(CertifyError::Unrealized {
-        violations: violations.len(),
+        witnesses: violations
+            .iter()
+            .map(|violation| witness_edges(graph, violation))
+            .collect(),
     })
 }
 

@@ -12,10 +12,10 @@
 //! derivation plus a linearization search, lives in `crates/hist/tests/cross_check.rs`.
 
 use mvrc_engine::{Anomaly, History};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One edge of a certified anomaly cycle, rendered with program names for certificates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CycleStep {
     /// Program name of the source transaction.
     pub from: String,
@@ -31,7 +31,7 @@ pub struct CycleStep {
 
 /// The checker's verdict over one history. Field order is the serialization order of the JSON
 /// certificates, so keep it stable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CheckerVerdict {
     /// Number of committed transactions examined.
     pub transactions: usize,

@@ -31,7 +31,7 @@ use mvrc_robustness::{NodeId, SummaryGraph, Violation};
 use mvrc_schema::{RelId, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// How key-based statements are mapped onto rows.
@@ -76,7 +76,7 @@ impl KeyVariant {
 }
 
 /// One action of a serialized interleaving, the JSON mirror of [`PlanAction`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PlanStep {
     /// `"step"` or `"commit"`.
     pub action: String,
@@ -85,7 +85,7 @@ pub struct PlanStep {
 }
 
 /// A concrete non-serializable MVRC execution realizing a witness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Realization {
     /// Program (LTP) name per transaction index.
     pub instances: Vec<String>,

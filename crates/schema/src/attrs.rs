@@ -5,14 +5,14 @@
 //! Set operations used by Algorithm 1 — intersection emptiness tests between `ReadSet`,
 //! `WriteSet` and `PReadSet` — become single bitwise AND instructions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Maximum number of attributes a single relation may declare.
 pub const MAX_ATTRS: usize = 64;
 
 /// Index of an attribute within its relation (position in the relation's attribute list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct AttrId(pub u8);
 
 impl AttrId {
@@ -34,7 +34,7 @@ impl fmt::Display for AttrId {
 /// The paper distinguishes between an *undefined* attribute set (`⊥`) and an *empty* one (`∅`);
 /// this distinction is modelled at the statement level as `Option<AttrSet>` — `AttrSet` itself is
 /// always a defined (possibly empty) set.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct AttrSet(u64);
 
 impl AttrSet {

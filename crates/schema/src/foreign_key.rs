@@ -2,11 +2,11 @@
 
 use crate::attrs::{AttrId, AttrSet};
 use crate::relation::RelId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a foreign key within a [`Schema`](crate::Schema).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct FkId(pub u16);
 
 /// The most foreign keys a schema can declare: every [`FkId`] fits in 16 bits.
@@ -31,7 +31,7 @@ impl fmt::Display for FkId {
 /// Conceptually `f` maps every tuple `t ∈ I(dom(f))` to a tuple `f(t) ∈ I(range(f))`. For the
 /// static analysis only the relations and the participating attribute sets matter; the mapping
 /// itself is materialized by the schedule substrate when instantiating programs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ForeignKey {
     pub(crate) id: FkId,
     pub(crate) name: String,

@@ -1,14 +1,14 @@
 //! Relations and relation identifiers.
 
 use crate::attrs::{AttrId, AttrSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The most relations a schema can declare: every [`RelId`] fits in 16 bits.
 pub(crate) const MAX_RELATIONS: usize = 1 << 16;
 
 /// Identifier of a relation within a [`Schema`](crate::Schema).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct RelId(pub u16);
 
 impl RelId {
@@ -31,7 +31,7 @@ impl fmt::Display for RelId {
 /// The paper assumes each tuple is uniquely identified by a primary key that cannot be altered
 /// by update statements (Section 5.4); the primary key is therefore recorded so that front-ends
 /// (e.g. the SQL translator) can classify statements as key-based or predicate-based.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Relation {
     pub(crate) id: RelId,
     pub(crate) name: String,

@@ -4,12 +4,12 @@ use crate::attrs::{AttrSet, MAX_ATTRS};
 use crate::error::SchemaError;
 use crate::foreign_key::{FkId, ForeignKey, MAX_FOREIGN_KEYS};
 use crate::relation::{RelId, Relation, MAX_RELATIONS};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// A relational schema `(Rels, FKeys)` as defined in Section 3.1 of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Schema {
     name: String,
     relations: Vec<Relation>,
@@ -90,15 +90,6 @@ impl Schema {
     /// `Attr(R)` for a relation id.
     pub fn all_attrs(&self, rel: RelId) -> AttrSet {
         self.relation(rel).all_attrs()
-    }
-
-    /// Rebuilds internal lookup indexes (needed after deserialization).
-    pub fn rebuild_indexes(&mut self) {
-        self.rel_by_name = self
-            .relations
-            .iter()
-            .map(|r| (r.name().to_string(), r.id()))
-            .collect();
     }
 }
 

@@ -32,7 +32,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Read;
+use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -163,7 +163,11 @@ impl Server {
             if let Some(secs) = self.persist_secs {
                 if last_persist.elapsed() >= Duration::from_secs(secs) {
                     for err in self.persist_all() {
-                        eprintln!("mvrc-serve: periodic persist: {err}");
+                        // Best effort: a closed stderr does not stop the daemon.
+                        let _ = writeln!(
+                            std::io::stderr().lock(),
+                            "mvrc-serve: periodic persist: {err}"
+                        );
                     }
                     last_persist = Instant::now();
                 }
@@ -518,8 +522,11 @@ fn tenant_op(
                 // tenant's programs, less the one being replaced, plus the new one.
                 let programs = &session.workload().programs;
                 let kept = programs.iter().filter(|p| p.name() != program.name());
-                mvrc_btp::sql::check_workload_ltps(kept.chain([&program]))
-                    .map_err(|e| e.to_string())?;
+                mvrc_btp::sql::check_workload_ltps(
+                    kept.chain([&program]),
+                    session.workload().unfold,
+                )
+                .map_err(|e| e.to_string())?;
                 if replace {
                     session.replace_program(program).map_err(|e| e.to_string())
                 } else if session.program_names().iter().any(|n| n == program.name()) {

@@ -46,19 +46,7 @@ pub fn install_shutdown_handler() {
     }
 }
 
-/// Whether a drain was requested (SIGTERM or the `shutdown` op).
+/// Whether SIGTERM requested a drain.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests a drain programmatically — the wire-level `shutdown` op and tests use this to
-/// exercise the exact SIGTERM path without raising a signal.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Clears the drain flag. The flag is process-global, so tests that run several servers in
-/// one process reset it between runs; the daemon binary never calls this.
-pub fn reset_shutdown_flag() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
 }

@@ -4,7 +4,7 @@
 //! [`EpochCell`], so any number of connection threads query it lock-free while an edit builds
 //! the successor session off to the side and publishes it atomically. The edit path is
 //! serialized by a dedicated mutex (edits are rare; queries never touch it), and every tenant
-//! remembers where it came from: a tenant booted from a version-3 `mvrc-dist` snapshot records
+//! remembers where it came from: a tenant booted from an `mvrc-dist` snapshot records
 //! the construction/closure counter deltas observed during the open — a warm start is
 //! *asserted*, not assumed — and persists back to the same snapshot on the daemon's cadence
 //! and on graceful shutdown.
@@ -15,7 +15,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use mvrc_dist::SessionSnapshotExt;
 use mvrc_robustness::{RobustnessSession, SummaryGraph};
 
 use crate::epoch::EpochCell;
@@ -63,7 +62,7 @@ impl TenantStats {
 /// What a tenant was booted from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BootSource {
-    /// A version-3 `mvrc-dist` snapshot (warm start expected).
+    /// An `mvrc-dist` snapshot (warm start expected).
     Snapshot,
     /// A workload source file parsed at boot (graphs derive lazily on first query).
     WorkloadFile,
@@ -245,8 +244,7 @@ impl Tenant {
             return Ok(false);
         };
         let (_, session) = self.cell.load();
-        session
-            .save_snapshot(path)
+        mvrc_dist::save_snapshot(&session, path)
             .map_err(|e| format!("tenant `{}`: persisting: {e}", self.name))?;
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
         Ok(true)

@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use mvrc_dist::SessionSnapshotExt;
 use mvrc_robustness::{explore_subsets_with, AnalysisSettings, ExploreOptions, RobustnessSession};
 use mvrc_serve::{Client, ServeConfig, Server, Tenant};
 use serde_json::{json, Value};
@@ -33,7 +32,7 @@ fn snapshot_tenant(name: &str, workload: mvrc_btp::Workload, path: &PathBuf) -> 
         AnalysisSettings::paper_default(),
         ExploreOptions::default(),
     );
-    session.save_snapshot(path).expect("snapshot saves");
+    mvrc_dist::save_snapshot(&session, path).expect("snapshot saves");
     let tenant = Tenant::from_path(name, path).expect("tenant boots");
     let boot = tenant.boot();
     assert!(
