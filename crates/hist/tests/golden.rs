@@ -1,12 +1,15 @@
 //! Golden certificate fixtures: the full-mix certification outcome of each paper benchmark,
-//! byte-pinned. A diff here means the witness compiler, the checker, the JSON shape, or the
-//! analyzer verdict changed — all of which certificate consumers depend on.
+//! plus two SmallBank subsets that pin the seeded random interleavings (a certificate realized
+//! by the compiler's random fallback, and an attestation whose run counts follow `random_run`),
+//! byte-pinned. A diff here means the witness compiler, the interleaving schedule, the checker,
+//! the JSON shape, or the analyzer verdict changed — all of which certificate consumers depend
+//! on.
 //!
 //! Regenerate intentionally with `MVRC_BLESS=1 cargo test -p mvrc-hist --test golden`.
 
 use mvrc_benchmarks::{auction, smallbank, tpcc, ycsb_t, YcsbtConfig};
 use mvrc_hist::{certify_subset, CertifyOutcome};
-use mvrc_robustness::{AnalysisSettings, RobustnessSession};
+use mvrc_robustness::{AnalysisSettings, CycleCondition, RobustnessSession};
 use std::path::PathBuf;
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -15,14 +18,21 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Certifies (or attests) the full program mix of `workload` and compares the JSON byte-for-
-/// byte against the named fixture. With `MVRC_BLESS=1` the fixture is rewritten instead.
-fn pin(workload: mvrc_btp::Workload, fixture: &str, expect_certified: bool) {
+/// Certifies (or attests) `programs` of `workload` (every program when empty) under `settings`
+/// and compares the JSON byte-for-byte against the named fixture. With `MVRC_BLESS=1` the
+/// fixture is rewritten instead.
+fn pin(
+    workload: mvrc_btp::Workload,
+    programs: &[&str],
+    settings: AnalysisSettings,
+    fixture: &str,
+    expect_certified: bool,
+) {
     let session = RobustnessSession::new(workload);
     let label = session.workload().name.clone();
-    let programs: Vec<String> = session.program_names().to_vec();
-    let refs: Vec<&str> = programs.iter().map(String::as_str).collect();
-    let outcome = certify_subset(&session, &label, &refs, AnalysisSettings::paper_default())
+    let all: Vec<&str> = session.program_names().iter().map(String::as_str).collect();
+    let refs = if programs.is_empty() { &all } else { programs };
+    let outcome = certify_subset(&session, &label, refs, settings)
         .unwrap_or_else(|e| panic!("{label}: certification must not error: {e}"));
     assert_eq!(
         outcome.is_certified(),
@@ -50,20 +60,72 @@ fn pin(workload: mvrc_btp::Workload, fixture: &str, expect_certified: bool) {
 
 #[test]
 fn smallbank_full_mix_certificate_is_pinned() {
-    pin(smallbank(), "smallbank.cert.json", true);
+    pin(
+        smallbank(),
+        &[],
+        AnalysisSettings::paper_default(),
+        "smallbank.cert.json",
+        true,
+    );
 }
 
 #[test]
 fn tpcc_full_mix_certificate_is_pinned() {
-    pin(tpcc(), "tpcc.cert.json", true);
+    pin(
+        tpcc(),
+        &[],
+        AnalysisSettings::paper_default(),
+        "tpcc.cert.json",
+        true,
+    );
 }
 
 #[test]
 fn ycsbt_full_mix_certificate_is_pinned() {
-    pin(ycsb_t(YcsbtConfig::default()), "ycsbt.cert.json", true);
+    pin(
+        ycsb_t(YcsbtConfig::default()),
+        &[],
+        AnalysisSettings::paper_default(),
+        "ycsbt.cert.json",
+        true,
+    );
 }
 
 #[test]
 fn auction_full_mix_attestation_is_pinned() {
-    pin(auction(), "auction.attest.json", false);
+    pin(
+        auction(),
+        &[],
+        AnalysisSettings::paper_default(),
+        "auction.attest.json",
+        false,
+    );
+}
+
+#[test]
+fn smallbank_type1_certificate_from_the_random_fallback_is_pinned() {
+    // No split schedule of this witness yields a rejected history; the seeded random fallback
+    // over the full subset does.
+    let settings = AnalysisSettings {
+        condition: CycleCondition::TypeI,
+        ..AnalysisSettings::paper_default()
+    };
+    pin(
+        smallbank(),
+        &["Balance", "DepositChecking", "TransactSavings"],
+        settings,
+        "smallbank_bal_dc_ts_type1.cert.json",
+        true,
+    );
+}
+
+#[test]
+fn smallbank_robust_subset_attestation_is_pinned() {
+    pin(
+        smallbank(),
+        &["Amalgamate", "DepositChecking", "TransactSavings"],
+        AnalysisSettings::paper_default(),
+        "smallbank_am_dc_ts.attest.json",
+        false,
+    );
 }
