@@ -1,22 +1,25 @@
 //! The interleaving workload driver.
 //!
 //! The driver runs a configurable number of transactions from an [`ExecutableWorkload`] against
-//! a fresh [`Engine`], interleaving *statements* of a bounded number of concurrent transactions
-//! in a random (but seeded, hence reproducible) order. After the run it checks the recorded
-//! history for serialization anomalies.
+//! a fresh [`Engine`](crate::Engine), interleaving *statements* of a bounded number of
+//! concurrent transactions in a random (but seeded, hence reproducible) order. It is the
+//! executor's seeded random schedule ([`Interleaver::run_random`]) with the workload's
+//! transaction generator as its source, so each transaction begins at its first statement:
+//! under snapshot isolation and serializable that is where its snapshot is taken. After the run
+//! it checks the recorded history for serialization anomalies.
 //!
 //! This is the dynamic counterpart of the paper's static question: a workload attested robust
 //! against MVRC must never produce an anomaly when driven under
 //! [`IsolationLevel::ReadCommitted`]; a rejected workload may — and under contention does —
 //! produce one.
 
-use crate::engine::{IsolationLevel, TxnToken};
+use crate::engine::IsolationLevel;
 use crate::error::{AbortReason, EngineError};
 use crate::history::HistoryReport;
-use crate::program::ProgramInstance;
+use crate::scripted::{Interleaver, PlanAction};
 use crate::workloads::ExecutableWorkload;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration of a driver run.
@@ -110,98 +113,50 @@ impl RunStats {
     }
 }
 
-struct Slot {
-    txn: TxnToken,
-    instance: ProgramInstance,
-}
-
 /// Runs a workload under the given configuration and returns the run statistics together with
 /// the serializability report of the produced history.
 pub fn run_workload(workload: &ExecutableWorkload, config: DriverConfig) -> RunStats {
     let mut engine = workload.build_engine();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let concurrency = config.concurrency.max(1);
-
-    let mut slots: Vec<Option<Slot>> = (0..concurrency).map(|_| None).collect();
-    let mut commits = 0usize;
-    let mut steps = 0usize;
     let mut aborts: HashMap<AbortReason, usize> = HashMap::new();
     let mut inserts = 0i64;
-
-    loop {
-        // Fill empty slots while we still want more commits and the mix can still draw.
-        let in_flight = slots.iter().filter(|s| s.is_some()).count();
-        let mut to_start = config.target_commits.saturating_sub(commits + in_flight);
-        for slot in slots.iter_mut() {
-            if to_start == 0 {
-                break;
-            }
-            if slot.is_none() {
-                let Some(instance) = workload.generate(&engine, &mut rng, &mut inserts) else {
-                    break;
-                };
-                let txn = engine.begin(instance.program(), config.isolation);
-                *slot = Some(Slot { txn, instance });
-                to_start -= 1;
-            }
+    let mut run = Interleaver::new(&mut engine, config.isolation);
+    // Draw transactions while the committed and in-flight ones fall short of the target.
+    let mut source = |run: &Interleaver<'_>, rng: &mut StdRng| {
+        if run.engine().history().len() + run.active() >= config.target_commits {
+            return None;
         }
-        let occupied: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        if occupied.is_empty() {
-            break;
-        }
-
-        // Pick a random occupied slot and run its next action: the next statement, or the
-        // commit once every statement ran. Commits are scheduling actions of their own, as in
-        // the paper's schedules, so other transactions may run between a transaction's last
-        // statement and its commit; an empty LTP commits without a step.
-        let slot_idx = occupied[rng.gen_range(0..occupied.len())];
-        let slot = slots[slot_idx].as_mut().expect("slot is occupied");
-        if slot.instance.is_done() {
-            match engine.commit(slot.txn) {
-                Ok(_) => commits += 1,
-                Err(EngineError::Aborted(reason)) => *aborts.entry(reason).or_insert(0) += 1,
-                Err(other) => panic!("engine misuse during commit: {other}"),
-            }
-            slots[slot_idx] = None;
-        } else {
-            steps += 1;
-            match slot.instance.step(&mut engine, slot.txn) {
-                Ok(()) => {}
-                Err(EngineError::Aborted(reason)) => {
-                    // The engine already rolled the transaction back; the refill at the top of
-                    // the loop re-attempts with fresh parameters.
-                    *aborts.entry(reason).or_insert(0) += 1;
-                    slots[slot_idx] = None;
-                }
-                // Inserts get run-unique keys, so a duplicate key is engine misuse too.
-                Err(other) => panic!("engine misuse during step: {other}"),
-            }
-        }
-
-        if commits >= config.target_commits && slots.iter().all(|s| s.is_none()) {
-            break;
+        workload.generate(run.engine(), rng, &mut inserts)
+    };
+    // An abort removes only its transaction; re-entering the schedule draws a replacement
+    // with fresh parameters.
+    while let Err(error) = run.run_random(&mut rng, config.concurrency, &mut source) {
+        match error {
+            EngineError::Aborted(reason) => *aborts.entry(reason).or_insert(0) += 1,
+            // Inserts get run-unique keys, so a duplicate key is engine misuse too.
+            other => panic!("engine misuse: {other}"),
         }
     }
+    let steps = run
+        .into_plan()
+        .actions
+        .iter()
+        .filter(|a| matches!(a, PlanAction::Step { .. }))
+        .count();
 
-    let commits_by_program = engine.history().commits_by_program();
-    let report = engine.history().report(engine.schema());
+    let history = engine.history();
     RunStats {
         isolation: config.isolation,
-        commits,
+        commits: history.len(),
         aborts,
         steps,
-        commits_by_program,
-        report,
+        commits_by_program: history.commits_by_program(),
+        report: history.report(engine.schema()),
     }
 }
 
 /// Runs the same workload under several isolation levels with the same seed, returning one
-/// [`RunStats`] per level (used by the isolation-cost example and bench).
+/// [`RunStats`] per level (used by the isolation-cost example).
 pub fn compare_isolation_levels(
     workload: &ExecutableWorkload,
     levels: &[IsolationLevel],

@@ -26,8 +26,15 @@
 //! * [`ExecutableWorkload`] — any `mvrc-btp` [`Workload`](mvrc_btp::Workload) made runnable
 //!   through that lowering: the bundled benchmarks of `mvrc-benchmarks` and user SQL files
 //!   alike, over a small preloaded database whose size sets the contention.
-//! * [`run_workload`] — a seeded, statement-interleaving driver producing [`RunStats`] (commits,
-//!   aborts by reason, serializability report).
+//! * [`Interleaver`] — the one executor of statement-interleaved transactions. It admits
+//!   transactions and runs one action at a time, the next statement or the commit, beginning
+//!   each transaction at its first action (so a snapshot-isolation or serializable snapshot is
+//!   taken at the first statement, as in PostgreSQL), and records what it ran. Its seeded random
+//!   schedule ([`Interleaver::run_random`]) drives [`run_workload`] and `mvrc-hist`'s samples;
+//!   [`run_plan`] runs prescribed [`StepPlan`]s, such as the paper's split schedules, through
+//!   it. `Engine::begin` and `Engine::commit` are called nowhere else.
+//! * [`run_workload`] — the seeded driver producing [`RunStats`] (commits, aborts by reason,
+//!   serializability report).
 //!
 //! Together these let the test-suite and the examples demonstrate, on real executions, the two
 //! directions of the robustness property: workloads attested robust never produce anomalies
@@ -62,7 +69,7 @@ pub use history::{
 };
 pub use lower::lowered_row;
 pub use program::{ProgramInstance, StepFn};
-pub use scripted::{run_plan, PlanAction, PlanError, ScriptedError, ScriptedRun, StepPlan};
+pub use scripted::{run_plan, Interleaver, PlanAction, PlanError, ScriptedError, StepPlan};
 pub use storage::{CommitTs, Storage, StoredVersion, Table, VersionChain, WriterId};
 pub use value::{extract, project, Key, Row, Value};
 pub use workloads::ExecutableWorkload;

@@ -1,10 +1,19 @@
-//! Scripted (deterministic) execution of statement-interleaved transactions.
+//! The one executor of statement-interleaved transactions, and prescribed plans for it.
 //!
-//! The random [`crate::driver`] explores interleavings; this module *prescribes* one. A
-//! [`StepPlan`] is an explicit sequence of statement-level actions — run the next statement of
-//! transaction `i`, or commit transaction `i` — and [`run_plan`] executes it literally against
-//! an [`Engine`]: transactions pause at every statement boundary and resume exactly when the
-//! plan says, and commits happen in exactly the order the plan lists them (the engine's commit
+//! Every executed history of the workspace runs through an [`Interleaver`]: the seeded driver
+//! ([`crate::run_workload`]), the random samples and fallback of `mvrc-hist`'s witness
+//! compiler, and the prescribed plans of [`run_plan`], including the paper's multiversion split
+//! schedules. It admits transactions and runs one action at a time: the next statement of a
+//! transaction, or its commit once none is left, a scheduling action of its own as in the
+//! paper's schedules. A transaction begins at its first action. Under read committed that
+//! changes nothing, since every statement reads the latest committed state; under snapshot
+//! isolation and serializable the snapshot is taken at the first statement, as in PostgreSQL.
+//! [`Interleaver::run_random`] is the one seeded random schedule on top of it.
+//!
+//! A [`StepPlan`] *prescribes* an interleaving: an explicit sequence of actions — run the next
+//! statement of transaction `i`, or commit transaction `i` — and [`run_plan`] executes it
+//! literally: transactions pause at every statement boundary and resume exactly when the plan
+//! says, and commits happen in exactly the order the plan lists them (the engine's commit
 //! counter then makes that the version order).
 //!
 //! Plans are validated *before* anything executes: a plan that steps a transaction past its
@@ -15,22 +24,23 @@
 //! scheduled interleaving, not an approximation of it.
 
 use crate::engine::{Engine, IsolationLevel, TxnToken};
-use crate::error::EngineError;
+use crate::error::{EngineError, EngineResult};
 use crate::program::ProgramInstance;
-use crate::storage::CommitTs;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::fmt;
 
 /// One action of a [`StepPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanAction {
-    /// Run the next statement of transaction `txn` (an index into the instance list).
+    /// Run the next statement of transaction `txn`.
     Step {
-        /// Index of the transaction instance.
+        /// Admission number of the transaction (its index in the instance list).
         txn: usize,
     },
     /// Commit transaction `txn`. Every statement of the instance must have run.
     Commit {
-        /// Index of the transaction instance.
+        /// Admission number of the transaction (its index in the instance list).
         txn: usize,
     },
 }
@@ -207,121 +217,164 @@ impl StepPlan {
 pub enum ScriptedError {
     /// The plan was refused before execution started (see [`StepPlan::validate`]).
     Refused(PlanError),
-    /// A statement or commit failed mid-run (e.g. a write-lock abort). The engine has rolled
-    /// back the failing transaction; `run_plan` rolls back all other still-active ones so the
-    /// engine is reusable.
-    Execution {
-        /// Index of the plan action that failed.
-        action: usize,
-        /// The transaction the action targeted.
-        txn: usize,
-        /// The underlying engine error.
-        error: EngineError,
-    },
+    /// A statement or commit failed mid-run (e.g. a write-lock abort). The failing transaction
+    /// is rolled back; the others stay as they were.
+    Execution(EngineError),
 }
 
 impl fmt::Display for ScriptedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScriptedError::Refused(e) => write!(f, "plan refused: {e}"),
-            ScriptedError::Execution { action, txn, error } => {
-                write!(f, "action {action} (transaction {txn}) failed: {error}")
-            }
+            ScriptedError::Execution(e) => write!(f, "execution failed: {e}"),
         }
     }
 }
 
-/// Result of a successful scripted run.
-#[derive(Debug, Clone)]
-pub struct ScriptedRun {
-    /// Commit timestamps per transaction index, in instance order.
-    pub commit_ts: Vec<CommitTs>,
-    /// Transaction indices in commit order (equals the plan's [`StepPlan::commit_order`]).
-    pub commit_order: Vec<usize>,
+/// The one executor of statement-interleaved transactions.
+///
+/// Transactions are admitted in order and numbered by admission. [`Interleaver::act`] runs
+/// one action of an active transaction: its next statement, or its commit once none is left.
+/// A transaction begins at its first action (a statement-less one at its commit), so an
+/// SI/Serializable snapshot is taken there, not at admission. Every action is recorded as a
+/// [`PlanAction`] naming the transaction by admission number.
+#[derive(Debug)]
+pub struct Interleaver<'e> {
+    engine: &'e mut Engine,
+    isolation: IsolationLevel,
+    active: Vec<Admitted>,
+    admitted: usize,
+    plan: StepPlan,
+}
+
+#[derive(Debug)]
+struct Admitted {
+    index: usize,
+    instance: ProgramInstance,
+    txn: Option<TxnToken>,
+}
+
+impl<'e> Interleaver<'e> {
+    /// An executor over `engine` running every transaction under `isolation`.
+    pub fn new(engine: &'e mut Engine, isolation: IsolationLevel) -> Self {
+        Interleaver {
+            engine,
+            isolation,
+            active: Vec::new(),
+            admitted: 0,
+            plan: StepPlan::default(),
+        }
+    }
+
+    /// The engine the transactions run against.
+    pub fn engine(&self) -> &Engine {
+        self.engine
+    }
+
+    /// Admits a transaction under the next admission number.
+    pub fn admit(&mut self, instance: ProgramInstance) {
+        self.active.push(Admitted {
+            index: self.admitted,
+            instance,
+            txn: None,
+        });
+        self.admitted += 1;
+    }
+
+    /// Number of admitted transactions that have neither committed nor failed.
+    pub fn active(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Runs the next action of the `i`-th active transaction (in admission order). A commit,
+    /// or a failed statement or commit, removes the transaction; on failure it is rolled back
+    /// and the error returned, while the other transactions stay active.
+    pub fn act(&mut self, i: usize) -> EngineResult<()> {
+        let (entry, engine) = (&mut self.active[i], &mut *self.engine);
+        let txn = *entry
+            .txn
+            .get_or_insert_with(|| engine.begin(entry.instance.program(), self.isolation));
+        let (action, result) = if entry.instance.is_done() {
+            let commit = PlanAction::Commit { txn: entry.index };
+            (commit, engine.commit(txn).map(drop))
+        } else {
+            let step = PlanAction::Step { txn: entry.index };
+            (step, entry.instance.step(engine, txn))
+        };
+        self.plan.actions.push(action);
+        if result.is_err() {
+            // An abort already rolled the transaction back; any other error left it open.
+            let _ = self.engine.rollback(txn);
+        }
+        if result.is_err() || matches!(action, PlanAction::Commit { .. }) {
+            self.active.remove(i);
+        }
+        result
+    }
+
+    /// The seeded random schedule: before each action, admits transactions from `source`
+    /// until `window` are active or the source has none, then acts on an active transaction
+    /// drawn uniformly (`rng.gen_range(0..active)`, in admission order). Returns `Ok` once
+    /// nothing is active and the source is dry, or the first failure; calling it again
+    /// continues the schedule.
+    pub fn run_random(
+        &mut self,
+        rng: &mut StdRng,
+        window: usize,
+        mut source: impl FnMut(&Self, &mut StdRng) -> Option<ProgramInstance>,
+    ) -> EngineResult<()> {
+        loop {
+            while self.active.len() < window.max(1) {
+                let Some(instance) = source(self, rng) else {
+                    break;
+                };
+                self.admit(instance);
+            }
+            if self.active.is_empty() {
+                return Ok(());
+            }
+            let i = rng.gen_range(0..self.active.len());
+            self.act(i)?;
+        }
+    }
+
+    /// The actions run, a failed one included, as a plan.
+    pub fn into_plan(self) -> StepPlan {
+        self.plan
+    }
 }
 
 /// Executes `plan` over `instances` against `engine`, all transactions under `isolation`.
 ///
 /// The plan is validated against the instances' remaining step counts first and refused with
-/// [`ScriptedError::Refused`] when inconsistent. Each transaction `begin`s at its first
-/// scheduled statement (so a read-committed statement snapshot is never older than the plan
-/// position that starts it), pauses after every statement, and commits exactly where the plan
-/// says — the engine's commit counter turns the plan's commit order into the version order of
-/// the run. On an execution error every still-active transaction is rolled back.
+/// [`ScriptedError::Refused`] when inconsistent. The instances are admitted in order and the
+/// plan's picks run through [`Interleaver::act`]: each transaction begins at its first
+/// scheduled action, pauses after every statement, and commits exactly where the plan says —
+/// the engine's commit counter turns the plan's commit order into the version order of the
+/// run. The first failing action ends the run.
 pub fn run_plan(
     engine: &mut Engine,
-    instances: &mut [ProgramInstance],
+    instances: Vec<ProgramInstance>,
     isolation: IsolationLevel,
     plan: &StepPlan,
-) -> Result<ScriptedRun, ScriptedError> {
-    let step_counts: Vec<usize> = instances.iter().map(|i| i.remaining()).collect();
+) -> Result<(), ScriptedError> {
+    let step_counts: Vec<usize> = instances.iter().map(ProgramInstance::remaining).collect();
     plan.validate(&step_counts)
         .map_err(ScriptedError::Refused)?;
-
-    let n = instances.len();
-    let mut tokens: Vec<Option<TxnToken>> = vec![None; n];
-    let mut commit_ts: Vec<CommitTs> = vec![0; n];
-    let mut commit_order = Vec::new();
-    let fail = |engine: &mut Engine,
-                tokens: &mut [Option<TxnToken>],
-                failed: usize,
-                action: usize,
-                error: EngineError| {
-        // The engine already rolled back the failing transaction on abort errors; roll back
-        // every other transaction that is still active so the engine stays reusable.
-        for (i, token) in tokens.iter_mut().enumerate() {
-            if let Some(t) = token.take() {
-                if i != failed {
-                    let _ = engine.rollback(t);
-                }
-            }
-        }
-        ScriptedError::Execution {
-            action,
-            txn: failed,
-            error,
-        }
-    };
-
-    for (idx, action) in plan.actions.iter().enumerate() {
-        match *action {
-            PlanAction::Step { txn } => {
-                let token = match tokens[txn] {
-                    Some(t) => t,
-                    None => {
-                        let t = engine.begin(instances[txn].program(), isolation);
-                        tokens[txn] = Some(t);
-                        t
-                    }
-                };
-                if let Err(error) = instances[txn].step(engine, token) {
-                    return Err(fail(engine, &mut tokens, txn, idx, error));
-                }
-            }
-            PlanAction::Commit { txn } => {
-                // A statement-less instance never ran a step; begin it here so the commit is
-                // still recorded under its program name.
-                let token = match tokens[txn] {
-                    Some(t) => t,
-                    None => engine.begin(instances[txn].program(), isolation),
-                };
-                tokens[txn] = None;
-                match engine.commit(token) {
-                    Ok(ts) => {
-                        commit_ts[txn] = ts;
-                        commit_order.push(txn);
-                    }
-                    Err(error) => {
-                        return Err(fail(engine, &mut tokens, txn, idx, error));
-                    }
-                }
-            }
-        }
+    let mut run = Interleaver::new(engine, isolation);
+    for instance in instances {
+        run.admit(instance);
     }
-    Ok(ScriptedRun {
-        commit_ts,
-        commit_order,
-    })
+    for action in &plan.actions {
+        let (PlanAction::Step { txn } | PlanAction::Commit { txn }) = *action;
+        let i = run
+            .active
+            .iter()
+            .position(|a| a.index == txn)
+            .expect("a valid plan acts only on uncommitted transactions");
+        run.act(i).map_err(ScriptedError::Execution)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -371,24 +424,24 @@ mod tests {
     }
 
     use mvrc_schema::AttrSet;
+    use rand::SeedableRng;
+
+    /// Program names of the committed transactions, first committer first.
+    fn commit_order(engine: &Engine) -> Vec<&str> {
+        let committed = &engine.history().committed;
+        committed.iter().map(|t| t.program.as_str()).collect()
+    }
 
     #[test]
     fn serial_plan_runs_in_order_and_commits_in_plan_order() {
         let mut engine = engine();
-        let mut instances = vec![
+        let instances = vec![
             read_then_write(&engine, "A", 1),
             read_then_write(&engine, "B", 10),
         ];
         let plan = StepPlan::serial(&[2, 2]);
-        let run = run_plan(
-            &mut engine,
-            &mut instances,
-            IsolationLevel::ReadCommitted,
-            &plan,
-        )
-        .unwrap();
-        assert_eq!(run.commit_order, vec![0, 1]);
-        assert!(run.commit_ts[0] < run.commit_ts[1]);
+        run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &plan).unwrap();
+        assert_eq!(commit_order(&engine), ["A", "B"]);
         // Serial execution: B read A's committed value, nothing anomalous.
         let rel = engine.rel("R").unwrap();
         assert_eq!(
@@ -404,20 +457,14 @@ mod tests {
         // commits; the victim resumes with a stale statement snapshot and overwrites: the
         // classic counterflow rw-antidependency cycle of the paper.
         let mut engine = engine();
-        let mut instances = vec![
+        let instances = vec![
             read_then_write(&engine, "Victim", 1),
             read_then_write(&engine, "Other", 10),
         ];
         let plan = StepPlan::split_schedule(&[2, 2], 0, 1);
-        let run = run_plan(
-            &mut engine,
-            &mut instances,
-            IsolationLevel::ReadCommitted,
-            &plan,
-        )
-        .unwrap();
+        run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &plan).unwrap();
         // Forced commit order: Other first, Victim last.
-        assert_eq!(run.commit_order, vec![1, 0]);
+        assert_eq!(commit_order(&engine), ["Other", "Victim"]);
         let rel = engine.rel("R").unwrap();
         // Other's +10 was lost: the victim wrote 100 + 1 over it.
         assert_eq!(
@@ -494,32 +541,31 @@ mod tests {
 
         // And run_plan refuses before touching the engine.
         let mut engine = engine();
-        let mut instances = vec![read_then_write(&engine, "A", 1)];
+        let instances = vec![read_then_write(&engine, "A", 1)];
         let bad = StepPlan {
             actions: vec![PlanAction::Commit { txn: 0 }],
         };
-        let err = run_plan(
-            &mut engine,
-            &mut instances,
-            IsolationLevel::ReadCommitted,
-            &bad,
-        )
-        .unwrap_err();
+        let err =
+            run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &bad).unwrap_err();
         assert!(matches!(
             err,
             ScriptedError::Refused(PlanError::CommitWithPendingSteps { .. })
         ));
         assert_eq!(engine.active_count(), 0);
         assert!(engine.history().is_empty());
-        assert_eq!(instances[0].remaining(), 2);
+        assert_eq!(
+            engine.begin("Probe", IsolationLevel::ReadCommitted),
+            TxnToken(1),
+            "no transaction began"
+        );
     }
 
     #[test]
     fn execution_aborts_surface_and_leave_the_engine_clean() {
         // Two transactions racing the same write while both are uncommitted: the second write
-        // hits the row lock and aborts; run_plan reports it and rolls everything back.
+        // hits the row lock and aborts; run_plan reports it and stops.
         let mut engine = engine();
-        let mut instances = vec![
+        let instances = vec![
             read_then_write(&engine, "A", 1),
             read_then_write(&engine, "B", 10),
         ];
@@ -533,21 +579,14 @@ mod tests {
                 PlanAction::Commit { txn: 0 },
             ],
         };
-        let err = run_plan(
-            &mut engine,
-            &mut instances,
-            IsolationLevel::ReadCommitted,
-            &plan,
-        )
-        .unwrap_err();
+        let err =
+            run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &plan).unwrap_err();
         match err {
-            ScriptedError::Execution { txn, error, .. } => {
-                assert_eq!(txn, 1);
+            ScriptedError::Execution(error) => {
                 assert_eq!(error, EngineError::Aborted(AbortReason::WriteLocked));
             }
             other => panic!("expected an execution error, got {other}"),
         }
-        assert_eq!(engine.active_count(), 0, "all transactions rolled back");
         assert!(engine.history().is_empty(), "nothing committed");
     }
 
@@ -569,18 +608,12 @@ mod tests {
                 Ok(())
             })
         };
-        let mut instances = vec![
+        let instances = vec![
             ProgramInstance::new("Reader", vec![read_into(&first), read_into(&second)]),
             read_then_write(&engine, "Writer", 10),
         ];
         let plan = StepPlan::split_schedule(&[2, 2], 0, 1);
-        run_plan(
-            &mut engine,
-            &mut instances,
-            IsolationLevel::ReadCommitted,
-            &plan,
-        )
-        .unwrap();
+        run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &plan).unwrap();
         assert_eq!(first.load(Ordering::SeqCst), 100);
         assert_eq!(
             second.load(Ordering::SeqCst),
@@ -596,5 +629,55 @@ mod tests {
         assert_eq!(plan.commit_order(), vec![1, 2, 0]);
         let serial = StepPlan::serial(&[1, 1]);
         assert_eq!(serial.commit_order(), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_failed_action_removes_only_its_transaction_and_the_schedule_continues() {
+        let mut engine = engine();
+        let (a, b) = (
+            read_then_write(&engine, "A", 1),
+            read_then_write(&engine, "B", 10),
+        );
+        let mut replacement = Some(read_then_write(&engine, "Replacement", 100));
+        let mut run = Interleaver::new(&mut engine, IsolationLevel::ReadCommitted);
+        run.admit(a);
+        run.admit(b);
+        run.act(0).unwrap();
+        run.act(0).unwrap(); // A buffers its write and holds the row lock
+        run.act(1).unwrap();
+        assert_eq!(
+            run.act(1),
+            Err(EngineError::Aborted(AbortReason::WriteLocked))
+        );
+        assert_eq!(run.active(), 1, "only B is removed");
+
+        // Re-entering the schedule commits A and asks the source for B's replacement.
+        let mut asked = 0;
+        let mut rng = StdRng::seed_from_u64(0);
+        run.run_random(&mut rng, 1, |_, _| {
+            asked += 1;
+            replacement.take()
+        })
+        .unwrap();
+        assert_eq!(
+            asked, 2,
+            "once for the replacement, once to find the source dry"
+        );
+        assert_eq!(run.active(), 0);
+        // B's failed write is recorded; B never commits.
+        let (s, c) = (
+            |txn| PlanAction::Step { txn },
+            |txn| PlanAction::Commit { txn },
+        );
+        assert_eq!(
+            run.into_plan().actions,
+            [s(0), s(0), s(1), s(1), c(0), s(2), s(2), c(2)]
+        );
+        assert_eq!(commit_order(&engine), ["A", "Replacement"]);
+        let rel = engine.rel("R").unwrap();
+        assert_eq!(
+            engine.latest_row(rel, &Key::int(0)).unwrap()[1],
+            Value::Int(201)
+        );
     }
 }

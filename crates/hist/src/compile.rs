@@ -15,9 +15,10 @@
 //!    instance then runs serially to completion, and the victim finishes last. We lower exactly
 //!    that shape onto [`StepPlan::split_schedule`], splitting right after the blamed read first
 //!    and enumerating other split points, instance lists, and key-plan variants.
-//! 3. **Fallback** — seeded random scripted interleavings over one instance per subset program
-//!    (plus a duplicate victim), for witnesses whose canonical split aborts (write locks) or
-//!    stays serializable.
+//! 3. **Fallback** — the engine's seeded random schedule ([`Interleaver::run_random`]) over one
+//!    instance per subset program (plus a duplicate victim), all active at once, for witnesses
+//!    whose canonical split aborts (write locks) or stays serializable. The certificate shows
+//!    the actions the executor recorded.
 //!
 //! Every executed history is judged by the [`checker`](crate::checker); the first one it
 //! rejects becomes the certificate.
@@ -25,7 +26,8 @@
 use crate::checker::{judge, CheckerVerdict};
 use mvrc_btp::{LinearProgram, StatementKind};
 use mvrc_engine::{
-    lowered_row, run_plan, Engine, History, IsolationLevel, PlanAction, ProgramInstance, StepPlan,
+    lowered_row, run_plan, Engine, History, Interleaver, IsolationLevel, PlanAction,
+    ProgramInstance, StepPlan,
 };
 use mvrc_robustness::{NodeId, SummaryGraph, Violation};
 use mvrc_schema::{RelId, Schema};
@@ -150,7 +152,10 @@ pub fn realize_violation(
         for prefix in prefixes {
             for variant in KeyVariant::ALL {
                 let plan = StepPlan::split_schedule(&step_counts, 0, prefix);
-                if let Some(history) = run_scripted(schema, &ltps, variant, &plan) {
+                let split = |engine: &mut Engine, instances| {
+                    run_plan(engine, instances, IsolationLevel::ReadCommitted, &plan).ok()
+                };
+                if let Some((history, ())) = run_scripted(schema, &ltps, variant, split) {
                     if let Some(r) = evaluate(&history, &ltps, variant, &plan) {
                         return Some(r);
                     }
@@ -159,13 +164,15 @@ pub fn realize_violation(
         }
     }
 
-    // Random fallback over the full subset (victim duplicated).
+    // Random fallback over the full subset (victim duplicated), every instance active at once.
     let ltps: Vec<&LinearProgram> = full.iter().map(|&n| graph.node(n)).collect();
-    let step_counts: Vec<usize> = ltps.iter().map(|l| l.len()).collect();
     for seed in 0..FALLBACK_SEEDS {
         let variant = KeyVariant::ALL[(seed % 2) as usize];
-        let plan = random_plan(&step_counts, seed);
-        if let Some(history) = run_scripted(schema, &ltps, variant, &plan) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let fallback = |engine: &mut Engine, instances| {
+            random_schedule(engine, instances, &mut rng, ltps.len())
+        };
+        if let Some((history, plan)) = run_scripted(schema, &ltps, variant, fallback) {
             if let Some(r) = evaluate(&history, &ltps, variant, &plan) {
                 return Some(r);
             }
@@ -184,9 +191,29 @@ pub fn random_run(
     variant: KeyVariant,
     seed: u64,
 ) -> Option<History> {
-    let step_counts: Vec<usize> = ltps.iter().map(|l| l.len()).collect();
-    let plan = random_plan_bounded(&step_counts, seed, 2);
-    run_scripted(schema, ltps, variant, &plan)
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sample = |engine: &mut Engine, mut instances: Vec<ProgramInstance>| {
+        // Admit the instances in a seed-shuffled order (Fisher–Yates).
+        for i in (1..instances.len()).rev() {
+            instances.swap(i, rng.gen_range(0..=i));
+        }
+        random_schedule(engine, instances, &mut rng, 2)
+    };
+    run_scripted(schema, ltps, variant, sample).map(|(history, _)| history)
+}
+
+/// The executor's seeded random schedule over `instances`, at most `window` of them active at
+/// once. Returns the actions that ran, or `None` when one failed.
+fn random_schedule(
+    engine: &mut Engine,
+    instances: Vec<ProgramInstance>,
+    rng: &mut StdRng,
+    window: usize,
+) -> Option<StepPlan> {
+    let mut run = Interleaver::new(engine, IsolationLevel::ReadCommitted);
+    let mut source = instances.into_iter();
+    run.run_random(rng, window, |_, _| source.next()).ok()?;
+    Some(run.into_plan())
 }
 
 /// The victim (counterflow source) node, the blamed read position, and the remaining witness
@@ -255,30 +282,25 @@ fn plan_steps(plan: &StepPlan) -> Vec<PlanStep> {
         .collect()
 }
 
-/// Builds a fresh engine, preloads the rows the instantiation targets, and executes the plan
-/// under MVRC. `None` when the execution aborts (failed attempt, not an error).
-fn run_scripted(
+/// Builds a fresh engine, preloads the rows the instantiation targets, and runs `schedule`
+/// over the instances under MVRC. `None` when the execution aborts (failed attempt, not an
+/// error).
+fn run_scripted<T>(
     schema: &Schema,
     ltps: &[&LinearProgram],
     variant: KeyVariant,
-    plan: &StepPlan,
-) -> Option<History> {
+    schedule: impl FnOnce(&mut Engine, Vec<ProgramInstance>) -> Option<T>,
+) -> Option<(History, T)> {
     let targets = assign_targets(ltps, variant);
     let mut engine = Engine::new(schema.clone());
     preload(&mut engine, schema, ltps, &targets);
-    let mut instances: Vec<ProgramInstance> = ltps
+    let instances = ltps
         .iter()
         .zip(&targets)
         .map(|(ltp, t)| ProgramInstance::from_ltp(schema, ltp, t))
         .collect();
-    run_plan(
-        &mut engine,
-        &mut instances,
-        IsolationLevel::ReadCommitted,
-        plan,
-    )
-    .ok()?;
-    Some(engine.into_history())
+    let ran = schedule(&mut engine, instances)?;
+    Some((engine.into_history(), ran))
 }
 
 /// Assigns a target key to every statement of every instance: the shared row (or the
@@ -337,60 +359,10 @@ fn preload(engine: &mut Engine, schema: &Schema, ltps: &[&LinearProgram], target
     }
 }
 
-/// Generates a seeded random scripted interleaving: repeatedly picks an unfinished instance
-/// and advances it, committing instances as they run out of statements.
-pub fn random_plan(step_counts: &[usize], seed: u64) -> StepPlan {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut remaining: Vec<usize> = step_counts.to_vec();
-    let mut active: Vec<usize> = (0..step_counts.len()).collect();
-    let mut actions = Vec::new();
-    while !active.is_empty() {
-        let i = rng.gen_range(0..active.len());
-        let txn = active[i];
-        if remaining[txn] > 0 {
-            remaining[txn] -= 1;
-            actions.push(PlanAction::Step { txn });
-        } else {
-            actions.push(PlanAction::Commit { txn });
-            active.remove(i);
-        }
-    }
-    StepPlan { actions }
-}
-
-/// Like [`random_plan`], but admits transactions in a seed-shuffled order and keeps at most
-/// `window` of them concurrently active. Small windows trade interleaving freedom for far
-/// fewer write-lock aborts, which is what attestation sampling needs.
-pub fn random_plan_bounded(step_counts: &[usize], seed: u64, window: usize) -> StepPlan {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pending: Vec<usize> = (0..step_counts.len()).collect();
-    for i in (1..pending.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        pending.swap(i, j);
-    }
-    let mut remaining = step_counts.to_vec();
-    let mut active: Vec<usize> = Vec::new();
-    let mut actions = Vec::new();
-    while !active.is_empty() || !pending.is_empty() {
-        while active.len() < window.max(1) && !pending.is_empty() {
-            active.push(pending.remove(0));
-        }
-        let i = rng.gen_range(0..active.len());
-        let txn = active[i];
-        if remaining[txn] > 0 {
-            remaining[txn] -= 1;
-            actions.push(PlanAction::Step { txn });
-        } else {
-            actions.push(PlanAction::Commit { txn });
-            active.remove(i);
-        }
-    }
-    StepPlan { actions }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvrc_engine::{StepFn, TxnToken};
     use mvrc_robustness::{all_violations_in, CycleCondition, RobustnessSession};
 
     #[test]
@@ -413,15 +385,30 @@ mod tests {
     }
 
     #[test]
-    fn random_plans_cover_every_statement_and_commit() {
-        let plan = random_plan(&[2, 3, 1], 7);
-        plan.validate(&[2, 3, 1])
-            .expect("generated plans are valid");
-        let steps = plan
-            .actions
-            .iter()
-            .filter(|a| matches!(a, PlanAction::Step { .. }))
-            .count();
-        assert_eq!(steps, 6);
+    fn random_schedules_cover_every_statement_and_commit() {
+        // The recorded actions of the random schedule form a valid plan, whatever the window,
+        // statement-less instances included.
+        let counts = [2, 3, 0, 1];
+        let schema = mvrc_benchmarks::smallbank().schema;
+        for window in [2, counts.len()] {
+            for seed in 0..16 {
+                let instances = counts
+                    .iter()
+                    .map(|&n| {
+                        let steps = (0..n)
+                            .map(|_| Box::new(|_: &mut Engine, _: TxnToken| Ok(())) as StepFn)
+                            .collect();
+                        ProgramInstance::new("T", steps)
+                    })
+                    .collect();
+                let mut engine = Engine::new(schema.clone());
+                let mut rng = StdRng::seed_from_u64(seed);
+                let plan = random_schedule(&mut engine, instances, &mut rng, window).unwrap();
+                plan.validate(&counts)
+                    .expect("recorded schedules are valid");
+                assert_eq!(plan.actions.len(), 6 + counts.len());
+                assert_eq!(engine.history().len(), counts.len());
+            }
+        }
     }
 }

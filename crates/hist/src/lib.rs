@@ -25,7 +25,8 @@
 //! * [`compile`] — the witness compiler: lowers a [`mvrc_robustness::Violation`] onto the
 //!   engine as a *multiversion split schedule* (the paper's sufficiency construction) with
 //!   deterministic parameter instantiation, enumerating split points, instance lists, and
-//!   key-plan variants until the checker rejects an executed history.
+//!   key-plan variants until the checker rejects an executed history, then falling back to the
+//!   seeded random schedule of the engine's one executor ([`mvrc_engine::Interleaver`]).
 //! * [`certify`] — the driver: [`certify_subset`] produces a JSON [`Certificate`] for
 //!   non-robust subsets (witness edges + interleaving + checker rejection) or an
 //!   [`Attestation`] for robust ones (seeded sample executions, all checker-accepted), and
@@ -46,6 +47,5 @@ pub use certify::{
 };
 pub use checker::{check, CheckerVerdict, CycleStep};
 pub use compile::{
-    random_plan, random_plan_bounded, random_run, realize_violation, KeyVariant, PlanStep,
-    Realization, FALLBACK_SEEDS,
+    random_run, realize_violation, KeyVariant, PlanStep, Realization, FALLBACK_SEEDS,
 };
