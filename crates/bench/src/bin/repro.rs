@@ -182,15 +182,6 @@ fn print_graphs() {
             "== Summary graph for {} (DOT, Figure 11/18 style) ==",
             session.workload().name
         );
-        println!(
-            "{}",
-            to_dot(
-                &graph,
-                DotOptions {
-                    edge_labels: false,
-                    merge_parallel_edges: true
-                }
-            )
-        );
+        println!("{}", to_dot(&graph, DotOptions { edge_labels: false }));
     }
 }

@@ -546,7 +546,6 @@ fn graph(
         &graph,
         DotOptions {
             edge_labels: labels,
-            merge_parallel_edges: true,
         },
     );
     Ok(CommandOutput::ok(dot))

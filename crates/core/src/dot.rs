@@ -2,7 +2,7 @@
 //! paper: program nodes, solid non-counterflow edges, dashed counterflow edges, statement-pair
 //! edge labels.
 
-use crate::summary::{EdgeKind, SummaryGraph, SummaryGraphView};
+use crate::summary::{SummaryGraph, SummaryGraphView};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -12,17 +12,11 @@ pub struct DotOptions {
     /// Whether to print `q_i → q_j` statement labels on edges (Figure 4 style). Larger graphs
     /// (Figure 11/18 style) are easier to read without labels.
     pub edge_labels: bool,
-    /// Whether to merge parallel edges of the same flavour between the same pair of nodes into a
-    /// single drawn edge (labels are concatenated).
-    pub merge_parallel_edges: bool,
 }
 
 impl Default for DotOptions {
     fn default() -> Self {
-        DotOptions {
-            edge_labels: true,
-            merge_parallel_edges: true,
-        }
+        DotOptions { edge_labels: true }
     }
 }
 
@@ -41,54 +35,33 @@ pub fn to_dot_view<G: SummaryGraphView>(view: &G, options: DotOptions) -> String
         writeln!(out, "  n{id} [label=\"{}\"];", escape(view.node(id).name())).unwrap();
     }
 
-    if options.merge_parallel_edges {
-        // Group edges by (from, to, kind) and join their labels.
-        let mut groups: BTreeMap<(u32, u32, bool), Vec<String>> = BTreeMap::new();
-        for e in view.view_edges() {
-            let label = format!(
-                "{}→{}",
-                view.node(e.from as usize)
-                    .statement(e.from_stmt as usize)
-                    .name(),
-                view.node(e.to as usize)
-                    .statement(e.to_stmt as usize)
-                    .name()
-            );
-            groups
-                .entry((e.from, e.to, e.kind.is_counterflow()))
-                .or_default()
-                .push(label);
-        }
-        for ((from, to, counterflow), labels) in groups {
-            write_edge(
-                &mut out,
-                from,
-                to,
-                counterflow,
-                &labels.join("\\n"),
-                options.edge_labels,
-            );
-        }
-    } else {
-        for e in view.view_edges() {
-            let label = format!(
-                "{}→{}",
-                view.node(e.from as usize)
-                    .statement(e.from_stmt as usize)
-                    .name(),
-                view.node(e.to as usize)
-                    .statement(e.to_stmt as usize)
-                    .name()
-            );
-            write_edge(
-                &mut out,
-                e.from,
-                e.to,
-                e.kind == EdgeKind::Counterflow,
-                &label,
-                options.edge_labels,
-            );
-        }
+    // Parallel edges of the same flavour between the same pair of nodes are drawn as one edge
+    // whose label lists their statement pairs.
+    let mut groups: BTreeMap<(u32, u32, bool), Vec<String>> = BTreeMap::new();
+    for e in view.view_edges() {
+        let label = format!(
+            "{}→{}",
+            view.node(e.from as usize)
+                .statement(e.from_stmt as usize)
+                .name(),
+            view.node(e.to as usize)
+                .statement(e.to_stmt as usize)
+                .name()
+        );
+        groups
+            .entry((e.from, e.to, e.kind.is_counterflow()))
+            .or_default()
+            .push(label);
+    }
+    for ((from, to, counterflow), labels) in groups {
+        write_edge(
+            &mut out,
+            from,
+            to,
+            counterflow,
+            &labels.join("\\n"),
+            options.edge_labels,
+        );
     }
     writeln!(out, "}}").unwrap();
     out
@@ -143,7 +116,8 @@ mod tests {
         fb.seq(&[q1.into(), q2.into()]);
         let mut wr = ProgramBuilder::new(&schema, "Writer");
         let q3 = wr.key_update("q3", "Bids", &["bid"], &["bid"]).unwrap();
-        wr.push(q3.into());
+        let q4 = wr.key_update("q4", "Bids", &["bid"], &["bid"]).unwrap();
+        wr.seq(&[q3.into(), q4.into()]);
         let ltps = vec![
             LinearProgram::from_linear_program(&fb.build()),
             LinearProgram::from_linear_program(&wr.build()),
@@ -167,13 +141,7 @@ mod tests {
     #[test]
     fn labels_can_be_disabled() {
         let graph = sample_graph();
-        let dot = to_dot(
-            &graph,
-            DotOptions {
-                edge_labels: false,
-                merge_parallel_edges: false,
-            },
-        );
+        let dot = to_dot(&graph, DotOptions { edge_labels: false });
         assert!(!dot.contains('→'));
         assert!(dot.contains("style=dashed"));
     }
@@ -181,21 +149,29 @@ mod tests {
     #[test]
     fn parallel_edges_are_merged_when_requested() {
         let graph = sample_graph();
-        let merged = to_dot(
-            &graph,
-            DotOptions {
-                edge_labels: true,
-                merge_parallel_edges: true,
-            },
+        let dot = to_dot(&graph, DotOptions::default());
+        let drawn: Vec<&str> = dot.lines().filter(|l| l.contains("->")).collect();
+        let mut pairs: Vec<(u32, u32, bool)> = graph
+            .edges()
+            .iter()
+            .map(|e| (e.from, e.to, e.kind.is_counterflow()))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert_eq!(
+            drawn.len(),
+            pairs.len(),
+            "one drawn edge per node pair and flavour"
         );
-        let unmerged = to_dot(
-            &graph,
-            DotOptions {
-                edge_labels: true,
-                merge_parallel_edges: false,
-            },
+        assert!(
+            drawn.len() < graph.edges().len(),
+            "the sample has parallel edges"
         );
-        let count = |s: &str| s.matches("->").count();
-        assert!(count(&merged) <= count(&unmerged));
+        let labels: usize = drawn.iter().map(|l| l.matches('→').count()).sum();
+        assert_eq!(
+            labels,
+            graph.edges().len(),
+            "every statement pair is labelled"
+        );
     }
 }

@@ -22,9 +22,8 @@ use crate::error::{AbortReason, EngineError, EngineResult};
 use crate::history::{
     CommittedTransaction, History, RecordedPredicateRead, RecordedRead, RecordedWrite, WriteKind,
 };
-use crate::storage::{CommitTs, Storage, StoredVersion, WriterId};
-use crate::value::{project, Key, Row, Value};
-use mvrc_schema::{AttrId, AttrSet, RelId, Schema};
+use crate::storage::{CommitTs, Key, Storage, StoredVersion, WriterId};
+use mvrc_schema::{AttrSet, RelId, Schema};
 use std::collections::HashMap;
 
 /// The isolation level a transaction runs under.
@@ -60,13 +59,11 @@ impl IsolationLevel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnToken(pub u64);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingWrite {
     rel: RelId,
     key: Key,
     kind: WriteKind,
-    /// The full row image for inserts/updates; `None` for deletes.
-    row: Option<Row>,
     /// Attributes actually modified.
     attrs: AttrSet,
 }
@@ -83,7 +80,7 @@ struct ActiveTxn {
     reads: Vec<RecordedRead>,
     pred_reads: Vec<RecordedPredicateRead>,
     writes: Vec<PendingWrite>,
-    /// Rows on which this transaction holds the write lock.
+    /// Tuples on which this transaction holds the write lock.
     locked: Vec<(RelId, Key)>,
 }
 
@@ -95,11 +92,13 @@ impl ActiveTxn {
         }
     }
 
-    fn pending_for(&self, rel: RelId, key: &Key) -> Option<&PendingWrite> {
+    /// The kind of this transaction's latest pending write to the tuple, if any.
+    fn pending_kind(&self, rel: RelId, key: Key) -> Option<WriteKind> {
         self.writes
             .iter()
             .rev()
-            .find(|w| w.rel == rel && &w.key == key)
+            .find(|w| w.rel == rel && w.key == key)
+            .map(|w| w.kind)
     }
 }
 
@@ -148,97 +147,35 @@ impl Engine {
         self.active.len()
     }
 
-    // ------------------------------------------------------------------ schema helpers
-
-    /// Resolves a relation by name.
-    pub fn rel(&self, name: &str) -> EngineResult<RelId> {
-        self.schema
-            .relation_by_name(name)
-            .map(|r| r.id())
-            .ok_or_else(|| EngineError::UnknownRelation(name.to_string()))
-    }
-
-    /// Resolves a set of attribute names on a relation.
-    pub fn attrs(&self, rel: RelId, names: &[&str]) -> EngineResult<AttrSet> {
-        let relation = self.schema.relation(rel);
-        let mut set = AttrSet::empty();
-        for name in names {
-            let attr =
-                relation
-                    .attr_by_name(name)
-                    .ok_or_else(|| EngineError::UnknownAttribute {
-                        relation: relation.name().to_string(),
-                        attribute: name.to_string(),
-                    })?;
-            set.insert(attr);
-        }
-        Ok(set)
-    }
-
-    /// Resolves a single attribute id by name.
-    pub fn attr(&self, rel: RelId, name: &str) -> EngineResult<AttrId> {
-        self.schema
-            .relation(rel)
-            .attr_by_name(name)
-            .ok_or_else(|| EngineError::UnknownAttribute {
-                relation: self.schema.relation(rel).name().to_string(),
-                attribute: name.to_string(),
-            })
-    }
-
     // ------------------------------------------------------------------ initial load
 
-    /// Loads a row into a table outside any transaction (commit timestamp 0, writer 0).
+    /// Loads tuple `key` of `rel` outside any transaction (commit timestamp 0, writer 0).
     ///
     /// Used to populate the initial database state before a run.
-    pub fn load(&mut self, rel: RelId, row: Row) -> EngineResult<()> {
+    pub fn load(&mut self, rel: RelId, key: Key) -> EngineResult<()> {
         let relation = self.schema.relation(rel);
-        if row.len() != relation.attribute_count() {
-            return Err(EngineError::ArityMismatch {
-                relation: relation.name().to_string(),
-                expected: relation.attribute_count(),
-                got: row.len(),
-            });
-        }
-        let key = Key::of_row(relation, &row);
-        let all = relation.all_attrs();
-        let chain = self.storage.table_mut(rel).chain_mut(&key);
-        if chain.latest().map(|v| !v.is_tombstone()).unwrap_or(false) {
+        let chain = self.storage.chain_mut(rel, key);
+        if chain.latest().is_some_and(|v| v.live) {
             return Err(EngineError::DuplicateKey(format!(
-                "{}{}",
-                relation.name(),
-                key
+                "{}{key}",
+                relation.name()
             )));
         }
         chain.install(StoredVersion {
             commit_ts: 0,
             writer: 0,
-            data: Some(row),
-            written_attrs: all,
+            live: true,
+            written_attrs: relation.all_attrs(),
         });
         Ok(())
     }
 
-    /// Reads the latest committed row for a key, outside any transaction (used by tests and by
-    /// invariant checks after a run).
-    pub fn latest_row(&self, rel: RelId, key: &Key) -> Option<Row> {
+    /// Whether tuple `key` of `rel` exists in the latest committed state, outside any
+    /// transaction.
+    pub fn exists(&self, rel: RelId, key: Key) -> bool {
         self.storage
-            .table(rel)
-            .chain(key)
-            .and_then(|c| c.row_at(self.commit_counter))
-            .cloned()
-    }
-
-    /// Scans the latest committed state of a relation, outside any transaction.
-    pub fn latest_rows(&self, rel: RelId) -> Vec<(Key, Row)> {
-        self.storage
-            .table(rel)
-            .chains()
-            .filter_map(|(k, c)| {
-                c.row_at(self.commit_counter)
-                    .map(|r| (k.clone(), r.clone()))
-            })
-            .collect()
+            .chain(rel, key)
+            .is_some_and(|c| c.live_at(self.commit_counter))
     }
 
     // ------------------------------------------------------------------ transaction lifecycle
@@ -281,8 +218,8 @@ impl Engine {
             .active
             .remove(&txn.0)
             .ok_or(EngineError::UnknownTransaction(txn.0))?;
-        for (rel, key) in &t.locked {
-            self.storage.table_mut(*rel).chain_mut(key).unlock(t.token);
+        for &(rel, key) in &t.locked {
+            self.storage.chain_mut(rel, key).unlock(t.token);
         }
         Ok(())
     }
@@ -309,23 +246,23 @@ impl Engine {
         }
 
         // Install phase.
-        let mut t = self
+        let t = self
             .active
             .remove(&txn.0)
             .ok_or(EngineError::UnknownTransaction(txn.0))?;
         self.commit_counter += 1;
         let commit_ts = self.commit_counter;
-        // A transaction may write the same row several times (e.g. a NewOrder picking the same
-        // stock item twice); only one version per row may be installed, so pending writes are
-        // collapsed to their net effect first.
-        let writes = collapse_writes(t.writes.drain(..));
+        // A transaction may write the same tuple several times (e.g. a NewOrder picking the
+        // same stock item twice); only one version per tuple may be installed, so pending
+        // writes are collapsed to their net effect first.
+        let writes = collapse_writes(&t.writes);
         let mut recorded_writes = Vec::with_capacity(writes.len());
         for w in writes {
-            let chain = self.storage.table_mut(w.rel).chain_mut(&w.key);
+            let chain = self.storage.chain_mut(w.rel, w.key);
             chain.install(StoredVersion {
                 commit_ts,
                 writer: t.token,
-                data: w.row,
+                live: w.kind != WriteKind::Delete,
                 written_attrs: w.attrs,
             });
             chain.unlock(t.token);
@@ -337,8 +274,8 @@ impl Engine {
             });
         }
         // Locks acquired without a buffered write (cannot happen today, but stay safe).
-        for (rel, key) in &t.locked {
-            self.storage.table_mut(*rel).chain_mut(key).unlock(t.token);
+        for &(rel, key) in &t.locked {
+            self.storage.chain_mut(rel, key).unlock(t.token);
         }
         self.history.record(CommittedTransaction {
             token: t.token,
@@ -352,13 +289,15 @@ impl Engine {
     }
 
     fn validate_writes(&self, t: &ActiveTxn) -> Result<(), AbortReason> {
-        // First-committer-wins: abort when a row this transaction writes has a version committed
-        // after the transaction's snapshot.
+        // First-committer-wins: abort when a tuple this transaction writes has a version
+        // committed after the transaction's snapshot.
         for w in &t.writes {
-            if let Some(chain) = self.storage.table(w.rel).chain(&w.key) {
-                if chain.first_commit_after(t.begin_ts).is_some() {
-                    return Err(AbortReason::WriteConflict);
-                }
+            let chain = self.storage.chain(w.rel, w.key);
+            if chain
+                .and_then(|c| c.latest())
+                .is_some_and(|v| v.commit_ts > t.begin_ts)
+            {
+                return Err(AbortReason::WriteConflict);
             }
         }
         Ok(())
@@ -368,22 +307,19 @@ impl Engine {
         // Serializable certification: every observed version must still be the latest committed
         // one, and no predicate read may have missed a newer conflicting version.
         for r in &t.reads {
-            if let Some(chain) = self.storage.table(r.rel).chain(&r.key) {
-                if let Some(latest) = chain.latest() {
-                    if latest.commit_ts > r.observed_ts && latest.written_attrs.intersects(r.attrs)
-                    {
-                        return Err(AbortReason::SerializationConflict);
-                    }
+            if let Some(latest) = self.storage.chain(r.rel, r.key).and_then(|c| c.latest()) {
+                if latest.commit_ts > r.observed_ts && latest.written_attrs.intersects(r.attrs) {
+                    return Err(AbortReason::SerializationConflict);
                 }
             }
         }
         for p in &t.pred_reads {
-            for (_, chain) in self.storage.table(p.rel).chains() {
+            for chain in self.storage.table(p.rel).values() {
                 for v in chain.versions() {
                     if v.commit_ts <= p.read_ts || v.writer == t.token {
                         continue;
                     }
-                    let phantom = v.is_tombstone()
+                    let phantom = !v.live
                         || chain.versions().first().map(|f| f.commit_ts) == Some(v.commit_ts);
                     if phantom || v.written_attrs.intersects(p.pread_attrs) {
                         return Err(AbortReason::SerializationConflict);
@@ -396,267 +332,134 @@ impl Engine {
 
     // ------------------------------------------------------------------ operations
 
-    /// Reads a row by primary key, observing the attributes in `attrs`.
+    /// Reads tuple `key` of `rel`, observing the attributes in `attrs`.
     ///
-    /// Returns `None` when the key does not exist in the transaction's visible snapshot. The
-    /// read is recorded for the dynamic serialization graph.
+    /// Returns whether the tuple exists in the transaction's visible snapshot, its own pending
+    /// writes included. The read is recorded for the dynamic serialization graph.
     pub fn read_key(
         &mut self,
         txn: TxnToken,
         rel: RelId,
-        key: &Key,
+        key: Key,
         attrs: AttrSet,
-    ) -> EngineResult<Option<Row>> {
-        let t = self.txn(txn)?;
-        let read_ts = t.read_ts();
-        let token = t.token;
-
-        // Read-your-own-writes: pending writes of this transaction shadow committed versions.
-        let own = t.pending_for(rel, key).cloned();
-        let (base_row, observed_ts) = match self.storage.table(rel).chain(key) {
-            Some(chain) => match chain.visible_at(read_ts) {
-                Some(v) => (v.data.clone(), v.commit_ts),
-                None => (None, read_ts),
-            },
-            None => (None, read_ts),
-        };
-        let result = match own {
-            Some(w) => match w.kind {
-                WriteKind::Delete => None,
-                _ => w.row.clone(),
-            },
-            None => base_row.clone(),
-        };
+    ) -> EngineResult<bool> {
+        let (exists, observed_ts) = self.look(txn, rel, key)?;
         // The dependency-relevant observation is the committed base version (own writes never
-        // create dependencies).
-        if base_row.is_some()
-            || self
-                .storage
-                .table(rel)
-                .chain(key)
-                .map(|c| !c.is_unborn())
-                .unwrap_or(false)
+        // create dependencies); a tuple without any committed version records nothing.
+        if self
+            .storage
+            .chain(rel, key)
+            .is_some_and(|c| !c.versions().is_empty())
         {
-            let t = self.txn_mut(txn)?;
-            t.reads.push(RecordedRead {
+            self.txn_mut(txn)?.reads.push(RecordedRead {
                 rel,
-                key: key.clone(),
+                key,
                 observed_ts,
                 attrs,
             });
         }
-        let _ = token;
-        Ok(result.map(|r| project(&r, attrs)))
+        Ok(exists)
     }
 
-    /// Evaluates a predicate over every visible row of a relation.
+    /// Evaluates a predicate over the visible tuples of a relation and returns the keys of the
+    /// matches, in key order. The predicate matches every tuple, or with `only` just that one.
     ///
     /// `pread_attrs` are the attributes the predicate looks at (`PReadSet`); `read_attrs` are
-    /// the attributes returned for matching rows (`ReadSet`). Matching rows are also recorded as
-    /// key-based reads, mirroring the `PR[R] R[t1] … R[tn]` chunk shape of Section 3.3.
-    pub fn scan<F>(
+    /// the attributes read from matching tuples (`ReadSet`). Matching tuples are also recorded
+    /// as key-based reads, mirroring the `PR[R] R[t1] … R[tn]` chunk shape of Section 3.3.
+    pub fn scan(
         &mut self,
         txn: TxnToken,
         rel: RelId,
         pread_attrs: AttrSet,
         read_attrs: AttrSet,
-        predicate: F,
-    ) -> EngineResult<Vec<(Key, Row)>>
-    where
-        F: Fn(&Row) -> bool,
-    {
+        only: Option<Key>,
+    ) -> EngineResult<Vec<Key>> {
         let read_ts = self.txn(txn)?.read_ts();
-        let mut matches = Vec::new();
-        let mut observed: Vec<(Key, CommitTs)> = Vec::new();
-        for (key, chain) in self.storage.table(rel).chains() {
-            if let Some(v) = chain.visible_at(read_ts) {
-                if let Some(row) = &v.data {
-                    if predicate(row) {
-                        matches.push((key.clone(), project(row, read_attrs)));
-                        observed.push((key.clone(), v.commit_ts));
-                    }
-                }
-            }
-        }
+        let (first, last) = only.map_or((Key(i64::MIN), Key(i64::MAX)), |k| (k, k));
+        let observed: Vec<(Key, CommitTs)> = self
+            .storage
+            .table(rel)
+            .range(first..=last)
+            .filter_map(|(&key, chain)| {
+                let v = chain.visible_at(read_ts).filter(|v| v.live)?;
+                Some((key, v.commit_ts))
+            })
+            .collect();
         let t = self.txn_mut(txn)?;
         t.pred_reads.push(RecordedPredicateRead {
             rel,
             read_ts,
             pread_attrs,
         });
-        for (key, observed_ts) in observed {
-            t.reads.push(RecordedRead {
+        t.reads
+            .extend(observed.iter().map(|&(key, observed_ts)| RecordedRead {
+                rel,
+                key,
+                observed_ts,
+                attrs: read_attrs,
+            }));
+        Ok(observed.into_iter().map(|(key, _)| key).collect())
+    }
+
+    /// Updates tuple `key` of `rel`: reads it (recording `read_attrs`) and buffers a write of
+    /// `write_attrs`.
+    ///
+    /// This mirrors the key-based update chunk `R[t] W[t]` of the paper. Aborts with
+    /// [`AbortReason::MissingRow`] when the tuple is not visible and with
+    /// [`AbortReason::WriteLocked`] when another uncommitted transaction has written it.
+    pub fn update_key(
+        &mut self,
+        txn: TxnToken,
+        rel: RelId,
+        key: Key,
+        read_attrs: AttrSet,
+        write_attrs: AttrSet,
+    ) -> EngineResult<()> {
+        let (exists, observed_ts) = self.look(txn, rel, key)?;
+        if !exists {
+            return self.abort_missing(txn, rel, key);
+        }
+        if !read_attrs.is_empty() {
+            self.txn_mut(txn)?.reads.push(RecordedRead {
                 rel,
                 key,
                 observed_ts,
                 attrs: read_attrs,
             });
         }
-        Ok(matches)
+        self.buffer_write(txn, rel, key, WriteKind::Update, write_attrs)
     }
 
-    /// Updates a row by primary key: reads the row (recording `read_attrs`), applies `f` to
-    /// compute the new values for `write_attrs`, and buffers the write.
-    ///
-    /// This mirrors the key-based update chunk `R[t] W[t]` of the paper. Aborts with
-    /// [`AbortReason::MissingRow`] when the key is not visible and with
-    /// [`AbortReason::WriteLocked`] when another uncommitted transaction has written the row.
-    pub fn update_key<F>(
-        &mut self,
-        txn: TxnToken,
-        rel: RelId,
-        key: &Key,
-        read_attrs: AttrSet,
-        write_attrs: AttrSet,
-        f: F,
-    ) -> EngineResult<()>
-    where
-        F: FnOnce(&Row) -> Vec<(AttrId, Value)>,
-    {
+    /// Inserts tuple `key` of `rel`, writing every attribute.
+    pub fn insert(&mut self, txn: TxnToken, rel: RelId, key: Key) -> EngineResult<()> {
         let t = self.txn(txn)?;
-        let read_ts = t.read_ts();
-        let token = t.token;
-        let own = t.pending_for(rel, key).cloned();
-
-        // Determine the base row and record the read.
-        let (committed_base, observed_ts) = match self.storage.table(rel).chain(key) {
-            Some(chain) => match chain.visible_at(read_ts) {
-                Some(v) => (v.data.clone(), v.commit_ts),
-                None => (None, read_ts),
-            },
-            None => (None, read_ts),
-        };
-        let base = match &own {
-            Some(w) if w.kind != WriteKind::Delete => w.row.clone(),
-            Some(_) => None,
-            None => committed_base.clone(),
-        };
-        let Some(base_row) = base else {
-            self.abort_now(txn)?;
-            let name = self.schema.relation(rel).name().to_string();
-            return Err(EngineError::Aborted(AbortReason::MissingRow(format!(
-                "{name}{key}"
-            ))));
-        };
-
-        // Acquire the write lock (no dirty writes).
-        if !self.storage.table_mut(rel).chain_mut(key).try_lock(token) {
-            self.abort_now(txn)?;
-            return Err(EngineError::Aborted(AbortReason::WriteLocked));
-        }
-
-        let mut new_row = base_row.clone();
-        for (attr, value) in f(&base_row) {
-            if attr.index() < new_row.len() {
-                new_row[attr.index()] = value;
-            }
-        }
-
-        let t = self.txn_mut(txn)?;
-        if !read_attrs.is_empty() {
-            t.reads.push(RecordedRead {
-                rel,
-                key: key.clone(),
-                observed_ts,
-                attrs: read_attrs,
-            });
-        }
-        t.locked.push((rel, key.clone()));
-        t.writes.push(PendingWrite {
-            rel,
-            key: key.clone(),
-            kind: WriteKind::Update,
-            row: Some(new_row),
-            attrs: write_attrs,
-        });
-        Ok(())
-    }
-
-    /// Inserts a new row. The primary key is extracted from the row values.
-    pub fn insert(&mut self, txn: TxnToken, rel: RelId, row: Row) -> EngineResult<()> {
-        let relation = self.schema.relation(rel);
-        if row.len() != relation.attribute_count() {
-            return Err(EngineError::ArityMismatch {
-                relation: relation.name().to_string(),
-                expected: relation.attribute_count(),
-                got: row.len(),
-            });
-        }
-        let key = Key::of_row(relation, &row);
-        let all = relation.all_attrs();
-        let rel_name = relation.name().to_string();
-        let t = self.txn(txn)?;
-        let token = t.token;
-        let read_ts = t.read_ts();
-
         // Uniqueness against the visible snapshot and own pending writes.
-        let visible_exists = self
+        let read_ts = t.read_ts();
+        let visible = self
             .storage
-            .table(rel)
-            .chain(&key)
-            .and_then(|c| c.row_at(read_ts))
-            .is_some();
-        let own_insert = t
-            .pending_for(rel, &key)
-            .map(|w| w.kind != WriteKind::Delete)
-            .unwrap_or(false);
-        if visible_exists || own_insert {
-            return Err(EngineError::DuplicateKey(format!("{rel_name}{key}")));
+            .chain(rel, key)
+            .is_some_and(|c| c.live_at(read_ts));
+        let own = t
+            .pending_kind(rel, key)
+            .is_some_and(|kind| kind != WriteKind::Delete);
+        let relation = self.schema.relation(rel);
+        if visible || own {
+            return Err(EngineError::DuplicateKey(format!(
+                "{}{key}",
+                relation.name()
+            )));
         }
-
-        if !self.storage.table_mut(rel).chain_mut(&key).try_lock(token) {
-            self.abort_now(txn)?;
-            return Err(EngineError::Aborted(AbortReason::WriteLocked));
-        }
-        let t = self.txn_mut(txn)?;
-        t.locked.push((rel, key.clone()));
-        t.writes.push(PendingWrite {
-            rel,
-            key,
-            kind: WriteKind::Insert,
-            row: Some(row),
-            attrs: all,
-        });
-        Ok(())
+        self.buffer_write(txn, rel, key, WriteKind::Insert, relation.all_attrs())
     }
 
-    /// Deletes a row by primary key.
-    pub fn delete_key(&mut self, txn: TxnToken, rel: RelId, key: &Key) -> EngineResult<()> {
-        let relation_name = self.schema.relation(rel).name().to_string();
+    /// Deletes tuple `key` of `rel`.
+    pub fn delete_key(&mut self, txn: TxnToken, rel: RelId, key: Key) -> EngineResult<()> {
+        if !self.look(txn, rel, key)?.0 {
+            return self.abort_missing(txn, rel, key);
+        }
         let all = self.schema.relation(rel).all_attrs();
-        let t = self.txn(txn)?;
-        let token = t.token;
-        let read_ts = t.read_ts();
-        let own = t.pending_for(rel, key).cloned();
-        let visible = match own {
-            Some(w) => w.kind != WriteKind::Delete && w.row.is_some(),
-            None => self
-                .storage
-                .table(rel)
-                .chain(key)
-                .and_then(|c| c.row_at(read_ts))
-                .is_some(),
-        };
-        if !visible {
-            self.abort_now(txn)?;
-            return Err(EngineError::Aborted(AbortReason::MissingRow(format!(
-                "{relation_name}{key}"
-            ))));
-        }
-        if !self.storage.table_mut(rel).chain_mut(key).try_lock(token) {
-            self.abort_now(txn)?;
-            return Err(EngineError::Aborted(AbortReason::WriteLocked));
-        }
-        let t = self.txn_mut(txn)?;
-        t.locked.push((rel, key.clone()));
-        t.writes.push(PendingWrite {
-            rel,
-            key: key.clone(),
-            kind: WriteKind::Delete,
-            row: None,
-            attrs: all,
-        });
-        Ok(())
+        self.buffer_write(txn, rel, key, WriteKind::Delete, all)
     }
 
     // ------------------------------------------------------------------ internals
@@ -673,17 +476,64 @@ impl Engine {
             .ok_or(EngineError::UnknownTransaction(txn.0))
     }
 
-    /// Rolls back after an operation-level abort so the caller only has to propagate the error.
-    fn abort_now(&mut self, txn: TxnToken) -> EngineResult<()> {
-        self.rollback(txn)
+    /// What `txn` sees of tuple `key` of `rel`: whether the tuple exists for it (its own latest
+    /// pending write decides, else the committed version visible at its read timestamp), and
+    /// the commit timestamp of that committed version (the read timestamp when none is).
+    fn look(&self, txn: TxnToken, rel: RelId, key: Key) -> EngineResult<(bool, CommitTs)> {
+        let t = self.txn(txn)?;
+        let read_ts = t.read_ts();
+        let visible = self
+            .storage
+            .chain(rel, key)
+            .and_then(|c| c.visible_at(read_ts));
+        let exists = match t.pending_kind(rel, key) {
+            Some(kind) => kind != WriteKind::Delete,
+            None => visible.is_some_and(|v| v.live),
+        };
+        Ok((exists, visible.map_or(read_ts, |v| v.commit_ts)))
+    }
+
+    /// Rolls `txn` back and reports that a key-based statement found no tuple `key` of `rel`.
+    fn abort_missing(&mut self, txn: TxnToken, rel: RelId, key: Key) -> EngineResult<()> {
+        self.rollback(txn)?;
+        let name = self.schema.relation(rel).name();
+        Err(EngineError::Aborted(AbortReason::MissingRow(format!(
+            "{name}{key}"
+        ))))
+    }
+
+    /// Takes the write lock on tuple `key` of `rel` and buffers a write of `kind` over `attrs`.
+    /// Rolls back and aborts with [`AbortReason::WriteLocked`] when another uncommitted
+    /// transaction holds the lock (no dirty writes).
+    fn buffer_write(
+        &mut self,
+        txn: TxnToken,
+        rel: RelId,
+        key: Key,
+        kind: WriteKind,
+        attrs: AttrSet,
+    ) -> EngineResult<()> {
+        if !self.storage.chain_mut(rel, key).try_lock(txn.0) {
+            self.rollback(txn)?;
+            return Err(EngineError::Aborted(AbortReason::WriteLocked));
+        }
+        let t = self.txn_mut(txn)?;
+        t.locked.push((rel, key));
+        t.writes.push(PendingWrite {
+            rel,
+            key,
+            kind,
+            attrs,
+        });
+        Ok(())
     }
 }
 
-/// Collapses a transaction's pending writes to at most one net write per row, merging the
-/// modified attribute sets. Insert-then-delete of the same row cancels out entirely.
-fn collapse_writes(writes: impl Iterator<Item = PendingWrite>) -> Vec<PendingWrite> {
+/// Collapses a transaction's pending writes to at most one net write per tuple, merging the
+/// modified attribute sets. Insert-then-delete of the same tuple cancels out entirely.
+fn collapse_writes(writes: &[PendingWrite]) -> Vec<PendingWrite> {
     let mut collapsed: Vec<PendingWrite> = Vec::new();
-    for w in writes {
+    for &w in writes {
         match collapsed
             .iter_mut()
             .position(|e| e.rel == w.rel && e.key == w.key)
@@ -691,32 +541,21 @@ fn collapse_writes(writes: impl Iterator<Item = PendingWrite>) -> Vec<PendingWri
             None => collapsed.push(w),
             Some(idx) => {
                 let existing = &mut collapsed[idx];
-                let merged_attrs = existing.attrs.union(w.attrs);
-                match (existing.kind, w.kind) {
-                    // The row was created by this transaction and deleted again: net no-op.
+                existing.attrs = existing.attrs.union(w.attrs);
+                existing.kind = match (existing.kind, w.kind) {
+                    // The tuple was created by this transaction and deleted again: net no-op.
                     (WriteKind::Insert, WriteKind::Delete) => {
                         collapsed.remove(idx);
+                        continue;
                     }
-                    // The row stays newly created; later updates only change its contents.
-                    (WriteKind::Insert, _) => {
-                        existing.row = w.row;
-                        existing.attrs = merged_attrs;
-                    }
-                    // Delete followed by re-insert (or update of the buffered image): the net
-                    // effect is an update of the pre-existing row.
-                    (WriteKind::Delete, WriteKind::Insert)
-                    | (WriteKind::Delete, WriteKind::Update) => {
-                        existing.kind = WriteKind::Update;
-                        existing.row = w.row;
-                        existing.attrs = merged_attrs;
-                    }
-                    // Update followed by anything keeps the later kind and image.
-                    _ => {
-                        existing.kind = w.kind;
-                        existing.row = w.row;
-                        existing.attrs = merged_attrs;
-                    }
-                }
+                    // The tuple stays newly created; later updates only change its contents.
+                    (WriteKind::Insert, _) => WriteKind::Insert,
+                    // Delete followed by re-insert or update: the net effect is an update of
+                    // the pre-existing tuple.
+                    (WriteKind::Delete, WriteKind::Insert | WriteKind::Update) => WriteKind::Update,
+                    // Update followed by anything keeps the later kind.
+                    (_, later) => later,
+                };
             }
         }
     }
@@ -743,82 +582,69 @@ mod tests {
         let savings = schema.relation_by_name("Savings").unwrap().id();
         let mut engine = Engine::new(schema);
         for i in 0..n {
-            engine
-                .load(checking, vec![Value::Int(i), Value::Int(100)])
-                .unwrap();
-            engine
-                .load(savings, vec![Value::Int(i), Value::Int(100)])
-                .unwrap();
+            engine.load(checking, Key(i)).unwrap();
+            engine.load(savings, Key(i)).unwrap();
         }
         (engine, checking, savings)
     }
 
     fn balance_attr(engine: &Engine, rel: RelId) -> AttrSet {
-        engine.attrs(rel, &["balance"]).unwrap()
+        let relation = engine.schema().relation(rel);
+        AttrSet::singleton(relation.attr_by_name("balance").unwrap())
     }
 
-    fn deposit(
-        engine: &mut Engine,
-        txn: TxnToken,
-        rel: RelId,
-        customer: i64,
-        amount: i64,
-    ) -> EngineResult<()> {
+    /// Reads and writes the customer's balance: the key-based update chunk `R[t] W[t]`.
+    fn deposit(engine: &mut Engine, txn: TxnToken, rel: RelId, customer: i64) -> EngineResult<()> {
         let attrs = balance_attr(engine, rel);
-        let attr_id = engine.attr(rel, "balance").unwrap();
-        engine.update_key(txn, rel, &Key::int(customer), attrs, attrs, |row| {
-            vec![(
-                attr_id,
-                Value::Int(row[attr_id.index()].as_int().unwrap() + amount),
-            )]
-        })
+        engine.update_key(txn, rel, Key(customer), attrs, attrs)
+    }
+
+    /// The commit timestamps of the versions the `i`-th committed transaction read, in order.
+    fn observed(engine: &Engine, i: usize) -> Vec<CommitTs> {
+        let reads = &engine.history().committed[i].reads;
+        reads.iter().map(|r| r.observed_ts).collect()
     }
 
     #[test]
     fn load_and_read_back() {
         let (mut engine, checking, _) = engine_with_accounts(3);
-        assert_eq!(engine.latest_rows(checking).len(), 3);
+        assert!((0..3).all(|k| engine.exists(checking, Key(k))));
+        assert!(!engine.exists(checking, Key(3)));
         let txn = engine.begin("Reader", IsolationLevel::ReadCommitted);
         let attrs = balance_attr(&engine, checking);
-        let row = engine
-            .read_key(txn, checking, &Key::int(1), attrs)
-            .unwrap()
-            .unwrap();
-        assert_eq!(row[1], Value::Int(100));
-        assert!(engine
-            .read_key(txn, checking, &Key::int(99), attrs)
-            .unwrap()
-            .is_none());
+        assert!(engine.read_key(txn, checking, Key(1), attrs).unwrap());
+        assert!(!engine.read_key(txn, checking, Key(99), attrs).unwrap());
         engine.commit(txn).unwrap();
         assert_eq!(engine.history().len(), 1);
+        // Tuple 99 has no version to observe, so only the read of tuple 1 is recorded.
+        let reads = &engine.history().committed[0].reads;
+        assert_eq!(reads.len(), 1);
+        assert_eq!((reads[0].key, reads[0].observed_ts), (Key(1), 0));
     }
 
     #[test]
     fn duplicate_load_is_rejected() {
         let (mut engine, checking, _) = engine_with_accounts(1);
-        let err = engine
-            .load(checking, vec![Value::Int(0), Value::Int(5)])
-            .unwrap_err();
-        assert!(matches!(err, EngineError::DuplicateKey(_)));
-        let err = engine.load(checking, vec![Value::Int(9)]).unwrap_err();
-        assert!(matches!(err, EngineError::ArityMismatch { .. }));
+        let err = engine.load(checking, Key(0)).unwrap_err();
+        assert_eq!(err, EngineError::DuplicateKey("Checking(0)".into()));
+        engine.load(checking, Key(1)).unwrap();
     }
 
     #[test]
     fn committed_updates_are_visible_to_later_transactions() {
         let (mut engine, checking, _) = engine_with_accounts(1);
         let t1 = engine.begin("Deposit", IsolationLevel::ReadCommitted);
-        deposit(&mut engine, t1, checking, 0, 25).unwrap();
-        engine.commit(t1).unwrap();
+        deposit(&mut engine, t1, checking, 0).unwrap();
+        let ts1 = engine.commit(t1).unwrap();
+        let write = &engine.history().committed[0].writes[0];
+        assert_eq!((write.key, write.kind), (Key(0), WriteKind::Update));
+        assert_eq!(write.attrs, balance_attr(&engine, checking));
 
         let t2 = engine.begin("Reader", IsolationLevel::ReadCommitted);
         let attrs = balance_attr(&engine, checking);
-        let row = engine
-            .read_key(t2, checking, &Key::int(0), attrs)
-            .unwrap()
-            .unwrap();
-        assert_eq!(row[1], Value::Int(125));
+        assert!(engine.read_key(t2, checking, Key(0), attrs).unwrap());
         engine.commit(t2).unwrap();
+        assert_eq!(observed(&engine, 1), [ts1], "t2 reads t1's version");
     }
 
     #[test]
@@ -827,29 +653,22 @@ mod tests {
         let reader = engine.begin("Reader", IsolationLevel::ReadCommitted);
         let attrs = balance_attr(&engine, checking);
         engine.begin_statement(reader).unwrap();
-        let before = engine
-            .read_key(reader, checking, &Key::int(0), attrs)
-            .unwrap()
-            .unwrap();
-        assert_eq!(before[1], Value::Int(100));
+        engine.read_key(reader, checking, Key(0), attrs).unwrap();
 
         // A concurrent deposit commits while the reader is still running.
         let writer = engine.begin("Deposit", IsolationLevel::ReadCommitted);
-        deposit(&mut engine, writer, checking, 0, 50).unwrap();
-        engine.commit(writer).unwrap();
+        deposit(&mut engine, writer, checking, 0).unwrap();
+        let ts = engine.commit(writer).unwrap();
 
         // The next statement of the reader observes the new committed version …
         engine.begin_statement(reader).unwrap();
-        let after = engine
-            .read_key(reader, checking, &Key::int(0), attrs)
-            .unwrap()
-            .unwrap();
+        engine.read_key(reader, checking, Key(0), attrs).unwrap();
+        engine.commit(reader).unwrap();
         assert_eq!(
-            after[1],
-            Value::Int(150),
+            observed(&engine, 1),
+            [0, ts],
             "read committed observes the latest commit"
         );
-        engine.commit(reader).unwrap();
     }
 
     #[test]
@@ -858,20 +677,17 @@ mod tests {
         let reader = engine.begin("Reader", IsolationLevel::SnapshotIsolation);
         let attrs = balance_attr(&engine, checking);
         let writer = engine.begin("Deposit", IsolationLevel::ReadCommitted);
-        deposit(&mut engine, writer, checking, 0, 50).unwrap();
+        deposit(&mut engine, writer, checking, 0).unwrap();
         engine.commit(writer).unwrap();
 
         engine.begin_statement(reader).unwrap();
-        let row = engine
-            .read_key(reader, checking, &Key::int(0), attrs)
-            .unwrap()
-            .unwrap();
+        assert!(engine.read_key(reader, checking, Key(0), attrs).unwrap());
+        engine.commit(reader).unwrap();
         assert_eq!(
-            row[1],
-            Value::Int(100),
+            observed(&engine, 1),
+            [0],
             "snapshot isolation ignores later commits"
         );
-        engine.commit(reader).unwrap();
     }
 
     #[test]
@@ -880,19 +696,20 @@ mod tests {
             let (mut engine, checking, _) = engine_with_accounts(1);
             let t1 = engine.begin("W1", level);
             let t2 = engine.begin("W2", level);
-            deposit(&mut engine, t1, checking, 0, 10).unwrap();
-            let err = deposit(&mut engine, t2, checking, 0, 20).unwrap_err();
+            deposit(&mut engine, t1, checking, 0).unwrap();
+            let err = deposit(&mut engine, t2, checking, 0).unwrap_err();
             assert_eq!(
                 err,
                 EngineError::Aborted(AbortReason::WriteLocked),
                 "level {level:?}"
             );
             // t2 was rolled back automatically; t1 can still commit.
+            assert_eq!(engine.active_count(), 1);
             engine.commit(t1).unwrap();
-            assert_eq!(
-                engine.latest_row(checking, &Key::int(0)).unwrap()[1],
-                Value::Int(110)
-            );
+            let committed = &engine.history().committed;
+            assert_eq!(committed.len(), 1);
+            assert_eq!(committed[0].program, "W1");
+            assert_eq!(committed[0].writes[0].key, Key(0));
         }
     }
 
@@ -902,32 +719,31 @@ mod tests {
         let (mut engine, checking, _) = engine_with_accounts(1);
         let t1 = engine.begin("D1", IsolationLevel::ReadCommitted);
         let t2 = engine.begin("D2", IsolationLevel::ReadCommitted);
-        deposit(&mut engine, t1, checking, 0, 10).unwrap();
-        engine.commit(t1).unwrap();
+        deposit(&mut engine, t1, checking, 0).unwrap();
+        let ts1 = engine.commit(t1).unwrap();
         // t2's statement starts after t1 committed: it bases its update on the latest committed
-        // value, so no update is lost here …
+        // version, so no update is lost here …
         engine.begin_statement(t2).unwrap();
-        deposit(&mut engine, t2, checking, 0, 20).unwrap();
+        deposit(&mut engine, t2, checking, 0).unwrap();
         engine.commit(t2).unwrap();
-        assert_eq!(
-            engine.latest_row(checking, &Key::int(0)).unwrap()[1],
-            Value::Int(130)
-        );
+        assert_eq!(observed(&engine, 1), [ts1]);
+        assert!(engine.history().find_anomaly().is_none());
 
         // … but when the statement already started (stale statement snapshot), the update is
-        // based on the old balance and t1's deposit is lost — allowed under read committed.
+        // based on the initial version and overwrites t1's, which it never saw: t1's deposit
+        // is lost — allowed under read committed.
         let (mut engine, checking, _) = engine_with_accounts(1);
         let t2 = engine.begin("D2", IsolationLevel::ReadCommitted);
         engine.begin_statement(t2).unwrap();
         let t1 = engine.begin("D1", IsolationLevel::ReadCommitted);
-        deposit(&mut engine, t1, checking, 0, 10).unwrap();
+        deposit(&mut engine, t1, checking, 0).unwrap();
         engine.commit(t1).unwrap();
-        deposit(&mut engine, t2, checking, 0, 20).unwrap();
+        deposit(&mut engine, t2, checking, 0).unwrap();
         engine.commit(t2).unwrap();
-        assert_eq!(
-            engine.latest_row(checking, &Key::int(0)).unwrap()[1],
-            Value::Int(120),
-            "t1's deposit of 10 was lost under read committed"
+        assert_eq!(observed(&engine, 1), [0], "t2 read past t1's version");
+        assert!(
+            engine.history().find_anomaly().is_some(),
+            "t1's deposit was lost under read committed"
         );
 
         // Under snapshot isolation the same interleaving aborts with a write conflict.
@@ -935,17 +751,17 @@ mod tests {
         let t2 = engine.begin("D2", IsolationLevel::SnapshotIsolation);
         engine.begin_statement(t2).unwrap();
         let t1 = engine.begin("D1", IsolationLevel::SnapshotIsolation);
-        deposit(&mut engine, t1, checking, 0, 10).unwrap();
+        deposit(&mut engine, t1, checking, 0).unwrap();
         engine.commit(t1).unwrap();
-        deposit(&mut engine, t2, checking, 0, 20).unwrap();
+        deposit(&mut engine, t2, checking, 0).unwrap();
         let err = engine.commit(t2).unwrap_err();
         assert_eq!(err, EngineError::Aborted(AbortReason::WriteConflict));
     }
 
     #[test]
     fn write_skew_is_allowed_under_si_but_aborted_under_serializable() {
-        // Classic write skew on two accounts: each transaction reads both balances and, if the
-        // sum is positive, withdraws from "its" account.
+        // Classic write skew on two accounts: each transaction reads both balances and then
+        // withdraws from "its" account.
         for (level, expect_both_commit) in [
             (IsolationLevel::SnapshotIsolation, true),
             (IsolationLevel::Serializable, false),
@@ -957,28 +773,12 @@ mod tests {
             let t2 = engine.begin("W2", level);
             // Both read both balances.
             for t in [t1, t2] {
-                engine
-                    .read_key(t, checking, &Key::int(0), attrs_c)
-                    .unwrap()
-                    .unwrap();
-                engine
-                    .read_key(t, savings, &Key::int(0), attrs_s)
-                    .unwrap()
-                    .unwrap();
+                assert!(engine.read_key(t, checking, Key(0), attrs_c).unwrap());
+                assert!(engine.read_key(t, savings, Key(0), attrs_s).unwrap());
             }
-            // t1 withdraws 150 from checking, t2 withdraws 150 from savings.
-            let attr_c = engine.attr(checking, "balance").unwrap();
-            let attr_s = engine.attr(savings, "balance").unwrap();
-            engine
-                .update_key(t1, checking, &Key::int(0), attrs_c, attrs_c, |row| {
-                    vec![(attr_c, Value::Int(row[1].as_int().unwrap() - 150))]
-                })
-                .unwrap();
-            engine
-                .update_key(t2, savings, &Key::int(0), attrs_s, attrs_s, |row| {
-                    vec![(attr_s, Value::Int(row[1].as_int().unwrap() - 150))]
-                })
-                .unwrap();
+            // t1 withdraws from checking, t2 from savings.
+            deposit(&mut engine, t1, checking, 0).unwrap();
+            deposit(&mut engine, t2, savings, 0).unwrap();
             engine.commit(t1).unwrap();
             let second = engine.commit(t2);
             if expect_both_commit {
@@ -1004,22 +804,16 @@ mod tests {
         let (mut engine, checking, _) = engine_with_accounts(2);
         let attrs = balance_attr(&engine, checking);
         let scanner = engine.begin("Scan", IsolationLevel::Serializable);
-        let rows = engine
-            .scan(scanner, checking, attrs, attrs, |row| {
-                row[1].as_int().unwrap() >= 0
-            })
-            .unwrap();
-        assert_eq!(rows.len(), 2);
+        let keys = engine.scan(scanner, checking, attrs, attrs, None).unwrap();
+        assert_eq!(keys, [Key(0), Key(1)]);
 
         // A concurrent transaction inserts a new account and commits.
         let inserter = engine.begin("Insert", IsolationLevel::ReadCommitted);
-        engine
-            .insert(inserter, checking, vec![Value::Int(7), Value::Int(500)])
-            .unwrap();
+        engine.insert(inserter, checking, Key(7)).unwrap();
         engine.commit(inserter).unwrap();
 
         // The scanner also writes something so that the missed phantom matters, then commits.
-        deposit(&mut engine, scanner, checking, 0, 1).unwrap();
+        deposit(&mut engine, scanner, checking, 0).unwrap();
         let err = engine.commit(scanner).unwrap_err();
         assert_eq!(
             err,
@@ -1028,38 +822,57 @@ mod tests {
     }
 
     #[test]
+    fn a_scan_restricted_to_one_key_reads_only_that_tuple() {
+        let (mut engine, checking, _) = engine_with_accounts(3);
+        let attrs = balance_attr(&engine, checking);
+        let txn = engine.begin("Scan", IsolationLevel::ReadCommitted);
+        let one = engine.scan(txn, checking, attrs, attrs, Some(Key(1)));
+        assert_eq!(one.unwrap(), [Key(1)]);
+        let none = engine.scan(txn, checking, attrs, attrs, Some(Key(9)));
+        assert_eq!(none.unwrap(), []);
+        engine.commit(txn).unwrap();
+        let t = &engine.history().committed[0];
+        assert_eq!(
+            t.pred_reads.len(),
+            2,
+            "every scan records its predicate read"
+        );
+        let keys: Vec<Key> = t.reads.iter().map(|r| r.key).collect();
+        assert_eq!(keys, [Key(1)], "only the match is read");
+    }
+
+    #[test]
     fn insert_delete_roundtrip_and_missing_row_aborts() {
         let (mut engine, checking, _) = engine_with_accounts(1);
         let t = engine.begin("Admin", IsolationLevel::ReadCommitted);
-        engine
-            .insert(t, checking, vec![Value::Int(5), Value::Int(10)])
-            .unwrap();
+        engine.insert(t, checking, Key(5)).unwrap();
         // Own pending insert is visible to the same transaction.
         let attrs = balance_attr(&engine, checking);
-        let own = engine
-            .read_key(t, checking, &Key::int(5), attrs)
-            .unwrap()
-            .unwrap();
-        assert_eq!(own[1], Value::Int(10));
+        assert!(engine.read_key(t, checking, Key(5), attrs).unwrap());
         // Duplicate insert of the same key is an application error, not an abort.
-        let err = engine
-            .insert(t, checking, vec![Value::Int(5), Value::Int(11)])
-            .unwrap_err();
-        assert!(matches!(err, EngineError::DuplicateKey(_)));
+        let err = engine.insert(t, checking, Key(5)).unwrap_err();
+        assert_eq!(err, EngineError::DuplicateKey("Checking(5)".into()));
         engine.commit(t).unwrap();
-        assert!(engine.latest_row(checking, &Key::int(5)).is_some());
+        assert!(engine.exists(checking, Key(5)));
 
         let t = engine.begin("Admin", IsolationLevel::ReadCommitted);
-        engine.delete_key(t, checking, &Key::int(5)).unwrap();
+        engine.delete_key(t, checking, Key(5)).unwrap();
         engine.commit(t).unwrap();
-        assert!(engine.latest_row(checking, &Key::int(5)).is_none());
+        assert!(!engine.exists(checking, Key(5)));
+        let kinds: Vec<WriteKind> = engine
+            .history()
+            .committed
+            .iter()
+            .map(|t| t.writes[0].kind)
+            .collect();
+        assert_eq!(kinds, [WriteKind::Insert, WriteKind::Delete]);
 
         let t = engine.begin("Admin", IsolationLevel::ReadCommitted);
-        let err = engine.delete_key(t, checking, &Key::int(5)).unwrap_err();
-        assert!(matches!(
+        let err = engine.delete_key(t, checking, Key(5)).unwrap_err();
+        assert_eq!(
             err,
-            EngineError::Aborted(AbortReason::MissingRow(_))
-        ));
+            EngineError::Aborted(AbortReason::MissingRow("Checking(5)".into()))
+        );
         // The transaction was rolled back by the abort.
         assert_eq!(engine.active_count(), 0);
     }
@@ -1068,33 +881,23 @@ mod tests {
     fn rollback_releases_locks() {
         let (mut engine, checking, _) = engine_with_accounts(1);
         let t1 = engine.begin("W1", IsolationLevel::ReadCommitted);
-        deposit(&mut engine, t1, checking, 0, 10).unwrap();
+        deposit(&mut engine, t1, checking, 0).unwrap();
         engine.rollback(t1).unwrap();
-        assert_eq!(
-            engine.latest_row(checking, &Key::int(0)).unwrap()[1],
-            Value::Int(100)
-        );
+        assert!(engine.history().is_empty());
 
         let t2 = engine.begin("W2", IsolationLevel::ReadCommitted);
-        deposit(&mut engine, t2, checking, 0, 10).unwrap();
+        deposit(&mut engine, t2, checking, 0).unwrap();
         engine.commit(t2).unwrap();
         assert_eq!(
-            engine.latest_row(checking, &Key::int(0)).unwrap()[1],
-            Value::Int(110)
+            observed(&engine, 0),
+            [0],
+            "t1's buffered write was never installed"
         );
     }
 
     #[test]
     fn unknown_handles_and_names_are_reported() {
         let (mut engine, checking, _) = engine_with_accounts(1);
-        assert!(matches!(
-            engine.rel("Nope"),
-            Err(EngineError::UnknownRelation(_))
-        ));
-        assert!(matches!(
-            engine.attrs(checking, &["nope"]),
-            Err(EngineError::UnknownAttribute { .. })
-        ));
         assert!(matches!(
             engine.commit(TxnToken(999)),
             Err(EngineError::UnknownTransaction(999))
@@ -1105,7 +908,7 @@ mod tests {
         ));
         let attrs = AttrSet::empty();
         assert!(matches!(
-            engine.read_key(TxnToken(999), checking, &Key::int(0), attrs),
+            engine.read_key(TxnToken(999), checking, Key(0), attrs),
             Err(EngineError::UnknownTransaction(999))
         ));
     }

@@ -47,25 +47,7 @@ impl fmt::Display for AbortReason {
 pub enum EngineError {
     /// The transaction id is unknown or the transaction already finished.
     UnknownTransaction(u64),
-    /// The relation name or id does not exist in the schema the engine was built from.
-    UnknownRelation(String),
-    /// The row value does not match the relation's arity.
-    ArityMismatch {
-        /// The relation name.
-        relation: String,
-        /// Number of attributes the relation declares.
-        expected: usize,
-        /// Number of values supplied.
-        got: usize,
-    },
-    /// An attribute name was not found on the relation.
-    UnknownAttribute {
-        /// The relation name.
-        relation: String,
-        /// The attribute that could not be resolved.
-        attribute: String,
-    },
-    /// A primary-key value was inserted twice.
+    /// A tuple key was inserted or loaded twice.
     DuplicateKey(String),
     /// A program name is not part of the workload.
     UnknownProgram(String),
@@ -77,21 +59,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::UnknownTransaction(id) => write!(f, "unknown transaction t{id}"),
-            EngineError::UnknownRelation(name) => write!(f, "unknown relation `{name}`"),
-            EngineError::ArityMismatch {
-                relation,
-                expected,
-                got,
-            } => write!(
-                f,
-                "relation `{relation}` has {expected} attributes but {got} values were supplied"
-            ),
-            EngineError::UnknownAttribute {
-                relation,
-                attribute,
-            } => {
-                write!(f, "relation `{relation}` has no attribute `{attribute}`")
-            }
             EngineError::DuplicateKey(key) => write!(f, "duplicate primary key {key}"),
             EngineError::UnknownProgram(name) => write!(f, "unknown program '{name}'"),
             EngineError::Aborted(reason) => write!(f, "transaction aborted: {reason}"),
@@ -102,7 +69,7 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Result alias for engine operations: the error channel carries only API mis-use; aborts are
-/// surfaced through [`EngineError::Aborted`] so that `?` still works in program bodies.
+/// surfaced through [`EngineError::Aborted`] so that `?` still works in statement code.
 pub type EngineResult<T> = Result<T, EngineError>;
 
 #[cfg(test)]
@@ -128,20 +95,6 @@ mod tests {
         assert!(EngineError::UnknownTransaction(3)
             .to_string()
             .contains("t3"));
-        assert!(EngineError::UnknownRelation("R".into())
-            .to_string()
-            .contains("`R`"));
-        let arity = EngineError::ArityMismatch {
-            relation: "R".into(),
-            expected: 2,
-            got: 3,
-        };
-        assert!(arity.to_string().contains("2 attributes"));
-        let attr = EngineError::UnknownAttribute {
-            relation: "R".into(),
-            attribute: "z".into(),
-        };
-        assert!(attr.to_string().contains("`z`"));
         assert!(EngineError::DuplicateKey("R(1)".into())
             .to_string()
             .contains("R(1)"));

@@ -18,8 +18,7 @@
 //! rw-antidependencies may run against the commit order (Lemma 4.1); every cycle is then a
 //! type-II cycle (Theorem 4.2).
 
-use crate::storage::{CommitTs, WriterId};
-use crate::value::Key;
+use crate::storage::{CommitTs, Key, WriterId};
 use mvrc_schema::{AttrSet, RelId, Schema};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -50,7 +49,7 @@ impl WriteKind {
 pub struct RecordedRead {
     /// The relation read from.
     pub rel: RelId,
-    /// The primary key of the row.
+    /// The key of the tuple.
     pub key: Key,
     /// Commit timestamp of the version that was observed (`0` = initial load).
     pub observed_ts: CommitTs,
@@ -76,7 +75,7 @@ pub struct RecordedPredicateRead {
 pub struct RecordedWrite {
     /// The relation written to.
     pub rel: RelId,
-    /// The primary key of the row.
+    /// The key of the tuple.
     pub key: Key,
     /// Attributes modified.
     pub attrs: AttrSet,
@@ -242,12 +241,12 @@ impl History {
     /// its relation.
     pub fn dependencies(&self) -> Vec<DynDependency> {
         type Writers<'a> = Vec<(usize, &'a RecordedWrite)>;
-        let mut by_cell: BTreeMap<(RelId, &Key), Writers<'_>> = BTreeMap::new();
+        let mut by_cell: BTreeMap<(RelId, Key), Writers<'_>> = BTreeMap::new();
         let mut by_rel: BTreeMap<RelId, Writers<'_>> = BTreeMap::new();
         for (t, txn) in self.committed.iter().enumerate() {
             for write in &txn.writes {
                 by_cell
-                    .entry((write.rel, &write.key))
+                    .entry((write.rel, write.key))
                     .or_default()
                     .push((t, write));
                 by_rel.entry(write.rel).or_default().push((t, write));
@@ -284,7 +283,7 @@ impl History {
             // wr / rw: the observed timestamp splits the writers of the read's cell into version
             // sources (committed at or before the observation) and overwriters (after it).
             for read in &txn.reads {
-                for &(w, write) in by_cell.get(&(read.rel, &read.key)).into_iter().flatten() {
+                for &(w, write) in by_cell.get(&(read.rel, read.key)).into_iter().flatten() {
                     if w == t || !write.attrs.intersects(read.attrs) {
                         continue;
                     }

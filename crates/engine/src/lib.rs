@@ -12,7 +12,12 @@
 //! * [`Engine`] — a versioned in-memory database executing transactions under
 //!   [`IsolationLevel::ReadCommitted`] (the paper's MVRC: statement-level read-last-committed,
 //!   no dirty writes), [`IsolationLevel::SnapshotIsolation`] or [`IsolationLevel::Serializable`]
-//!   (optimistic certification).
+//!   (optimistic certification). Its data model is the one of the paper's schedules
+//!   (Section 3): a tuple is a relation and a [`Key`], a version records its commit timestamp,
+//!   its writer, whether it is live or the dead version of a delete, and the attributes it
+//!   wrote. Attribute values never appear in a schedule, and the engine stores none: its
+//!   operations are key reads, updates, inserts, deletes and predicate reads over tuple
+//!   identities.
 //! * [`History`] — a record of every committed transaction's reads and writes, from which the
 //!   *dynamic* serialization graph is built; cycles are concrete serialization anomalies. This is
 //!   the one serializability decider of the workspace: [`History::dependencies`] derives the
@@ -21,8 +26,8 @@
 //!   certificates of `mvrc-hist` all use it; `mvrc-hist`'s `tests/cross_check.rs` holds its one
 //!   oracle.
 //! * [`ProgramInstance::from_ltp`] — the generic lowering of a linear transaction program (an
-//!   `Unfold≤2` LTP of a BTP) onto engine steps, one step per statement. It is the one way
-//!   programs reach the engine.
+//!   `Unfold≤2` LTP of a BTP) onto engine steps, one step per statement: its kind, relation,
+//!   target tuple and declared attribute sets. It is the one way programs reach the engine.
 //! * [`ExecutableWorkload`] — any `mvrc-btp` [`Workload`](mvrc_btp::Workload) made runnable
 //!   through that lowering: the bundled benchmarks of `mvrc-benchmarks` and user SQL files
 //!   alike, over a small preloaded database whose size sets the contention.
@@ -57,7 +62,6 @@ mod lower;
 mod program;
 mod scripted;
 mod storage;
-mod value;
 mod workloads;
 
 pub use driver::{compare_isolation_levels, run_workload, DriverConfig, RunStats};
@@ -67,9 +71,7 @@ pub use history::{
     Anomaly, CommittedTransaction, DynDepKind, DynDependency, History, HistoryReport,
     RecordedPredicateRead, RecordedRead, RecordedWrite, WriteKind,
 };
-pub use lower::lowered_row;
-pub use program::{ProgramInstance, StepFn};
+pub use program::ProgramInstance;
 pub use scripted::{run_plan, Interleaver, PlanAction, PlanError, ScriptedError, StepPlan};
-pub use storage::{CommitTs, Storage, StoredVersion, Table, VersionChain, WriterId};
-pub use value::{extract, project, Key, Row, Value};
+pub use storage::{CommitTs, Key, WriterId};
 pub use workloads::ExecutableWorkload;

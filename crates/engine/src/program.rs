@@ -1,48 +1,41 @@
 //! Step-wise executable transaction programs.
 //!
 //! The driver interleaves transactions at *statement* granularity, mirroring the atomic-chunk
-//! assumption of Section 3.3: every step of a [`ProgramInstance`] corresponds to one BTP
-//! statement (one chunk) and is executed atomically; between steps the driver may schedule
-//! steps of other concurrent transactions.
+//! assumption of Section 3.3: every step of a [`ProgramInstance`] is one LTP statement (one
+//! chunk) and is executed atomically; between steps the driver may schedule steps of other
+//! concurrent transactions.
 //!
-//! Instances are built by the generic LTP lowering ([`ProgramInstance::from_ltp`]); a
-//! hand-built instance passes values between its steps through state its closures capture.
+//! An instance is a list of lowered statements ([`ProgramInstance::from_ltp`]), each naming its
+//! kind, relation, target tuple and attribute sets. Nothing passes between steps: what a
+//! statement reads and writes depends only on its target and on what its snapshot shows.
 
 use crate::engine::{Engine, TxnToken};
 use crate::error::EngineResult;
-use std::fmt;
+use crate::storage::Key;
+use mvrc_btp::StatementKind;
+use mvrc_schema::{AttrSet, RelId};
 
-/// One statement-level step of a program instance.
-pub type StepFn = Box<dyn FnMut(&mut Engine, TxnToken) -> EngineResult<()> + Send>;
+/// One lowered statement: its kind, the tuple it targets, and its declared attribute sets.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) kind: StatementKind,
+    pub(crate) rel: RelId,
+    pub(crate) key: Key,
+    pub(crate) read: AttrSet,
+    pub(crate) write: AttrSet,
+    pub(crate) pread: AttrSet,
+}
 
 /// A concrete, runnable instantiation of a transaction program: an ordered list of
 /// statement-level steps.
+#[derive(Debug)]
 pub struct ProgramInstance {
-    program: String,
-    steps: Vec<StepFn>,
-    next: usize,
-}
-
-impl fmt::Debug for ProgramInstance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProgramInstance")
-            .field("program", &self.program)
-            .field("steps", &self.steps.len())
-            .field("next", &self.next)
-            .finish()
-    }
+    pub(crate) program: String,
+    pub(crate) steps: Vec<Step>,
+    pub(crate) next: usize,
 }
 
 impl ProgramInstance {
-    /// Creates an instance of the named program with the given steps.
-    pub fn new(program: impl Into<String>, steps: Vec<StepFn>) -> Self {
-        ProgramInstance {
-            program: program.into(),
-            steps,
-            next: 0,
-        }
-    }
-
     /// The program this instance was created from.
     pub fn program(&self) -> &str {
         &self.program
@@ -59,7 +52,11 @@ impl ProgramInstance {
     }
 
     /// Executes the next step: starts a new statement on the engine (refreshing the
-    /// read-committed statement snapshot) and runs the step closure.
+    /// read-committed statement snapshot) and runs the statement on its target tuple.
+    ///
+    /// * Key-based statements read, update or delete the target; inserts create it.
+    /// * Predicate selects match every visible tuple of the relation. Predicate updates and
+    ///   deletes match exactly the target and then write every match.
     ///
     /// On an abort error the caller must consider the transaction gone (the engine already
     /// rolled it back); the instance itself can be discarded or re-created for a retry.
@@ -69,80 +66,151 @@ impl ProgramInstance {
             "step() called on a finished program instance"
         );
         engine.begin_statement(txn)?;
-        let idx = self.next;
-        let result = (self.steps[idx])(engine, txn);
-        if result.is_ok() {
-            self.next += 1;
+        let Step {
+            kind,
+            rel,
+            key,
+            read,
+            write,
+            pread,
+        } = self.steps[self.next];
+        match kind {
+            StatementKind::KeySelect => {
+                engine.read_key(txn, rel, key, read)?;
+            }
+            StatementKind::KeyUpdate => engine.update_key(txn, rel, key, read, write)?,
+            StatementKind::KeyDelete => engine.delete_key(txn, rel, key)?,
+            StatementKind::Insert => engine.insert(txn, rel, key)?,
+            StatementKind::PredSelect => {
+                engine.scan(txn, rel, pread, read, None)?;
+            }
+            StatementKind::PredUpdate => {
+                // The scan already records the matched tuples as reads with the declared
+                // ReadSet, so the per-tuple update reads nothing.
+                for key in engine.scan(txn, rel, pread, read, Some(key))? {
+                    engine.update_key(txn, rel, key, AttrSet::EMPTY, write)?;
+                }
+            }
+            StatementKind::PredDelete => {
+                for key in engine.scan(txn, rel, pread, read, Some(key))? {
+                    engine.delete_key(txn, rel, key)?;
+                }
+            }
         }
-        result
+        self.next += 1;
+        Ok(())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::IsolationLevel;
-    use crate::value::{Key, Value};
-    use mvrc_schema::SchemaBuilder;
-    use std::sync::{Arc, Mutex};
+    use crate::history::WriteKind;
+    use mvrc_btp::{LinearProgram, Statement};
+    use mvrc_schema::{Schema, SchemaBuilder};
 
-    fn engine() -> Engine {
+    /// A schema of one relation `R(k, a, b)` keyed by `k`.
+    pub(crate) fn schema() -> Schema {
         let mut b = SchemaBuilder::new("s");
-        b.relation("R", &["k", "v"], &["k"]).unwrap();
-        let mut e = Engine::new(b.build());
-        let rel = e.rel("R").unwrap();
-        e.load(rel, vec![Value::Int(1), Value::Int(10)]).unwrap();
-        e
+        b.relation("R", &["k", "a", "b"], &["k"]).unwrap();
+        b.build()
+    }
+
+    /// A statement declaration: its kind and its `PReadSet`, `ReadSet` and `WriteSet` as
+    /// attribute names (an empty list is an undeclared set).
+    pub(crate) type Decl<'a> = (StatementKind, &'a [&'a str], &'a [&'a str], &'a [&'a str]);
+
+    /// An LTP over `R`, one statement per declaration.
+    pub(crate) fn ltp(schema: &Schema, name: &str, statements: &[Decl<'_>]) -> LinearProgram {
+        let relation = schema.relation_by_name("R").unwrap();
+        let set = |names: &[&str]| {
+            let attrs = names.iter().map(|n| relation.attr_by_name(n).unwrap());
+            (!names.is_empty()).then(|| attrs.collect::<AttrSet>())
+        };
+        let statements: Vec<Statement> = statements
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, pread, read, write))| {
+                let name = format!("q{}", i + 1);
+                Statement::new(name, relation, kind, set(pread), set(read), set(write)).unwrap()
+            })
+            .collect();
+        let origins = (0..statements.len() as u16).map(mvrc_btp::StmtId).collect();
+        LinearProgram::new(name, name, statements, origins, Vec::new())
     }
 
     #[test]
-    fn steps_run_in_order_and_share_locals() {
-        let mut engine = engine();
-        let rel = engine.rel("R").unwrap();
-        let attrs = engine.attrs(rel, &["v"]).unwrap();
-        let key = Key::int(1);
-        // The two steps share the value the first one reads through a captured cell.
-        let seen = Arc::new(Mutex::new(Value::Null));
-
-        let read: StepFn = Box::new({
-            let (key, seen) = (key.clone(), Arc::clone(&seen));
-            move |engine, txn| {
-                let row = engine.read_key(txn, rel, &key, attrs)?.expect("row exists");
-                *seen.lock().unwrap() = row[1].clone();
-                Ok(())
-            }
-        });
-        let write: StepFn = Box::new({
-            let (key, seen) = (key.clone(), Arc::clone(&seen));
-            move |engine, txn| {
-                let attr = engine.attr(rel, "v").unwrap();
-                let bump = seen.lock().unwrap().as_int().unwrap() + 1;
-                engine.update_key(txn, rel, &key, attrs, attrs, |_| {
-                    vec![(attr, Value::Int(bump))]
-                })
-            }
-        });
-
-        let mut instance = ProgramInstance::new("Bump", vec![read, write]);
-        assert_eq!(instance.program(), "Bump");
-        assert_eq!(instance.remaining(), 2);
-        let txn = engine.begin("Bump", IsolationLevel::ReadCommitted);
-        instance.step(&mut engine, txn).unwrap();
-        assert_eq!(*seen.lock().unwrap(), Value::Int(10));
-        instance.step(&mut engine, txn).unwrap();
-        assert!(instance.is_done());
-        engine.commit(txn).unwrap();
-        assert_eq!(
-            engine.latest_row(rel, &Key::int(1)).unwrap()[1],
-            Value::Int(11)
+    fn lowered_steps_record_the_declared_footprints() {
+        use StatementKind::*;
+        let schema = schema();
+        let r = schema.relation_by_name("R").unwrap();
+        let attrs = |names: &[&str]| -> AttrSet {
+            names.iter().map(|n| r.attr_by_name(n).unwrap()).collect()
+        };
+        let program = ltp(
+            &schema,
+            "All",
+            &[
+                (KeySelect, &[], &["a"], &[]),
+                (KeyUpdate, &[], &["a"], &["b"]),
+                (PredSelect, &["a"], &["b"], &[]),
+                (PredUpdate, &["a"], &["a"], &["b"]),
+                (Insert, &[], &[], &[]),
+                (PredDelete, &["a"], &[], &[]),
+                (KeyDelete, &[], &[], &[]),
+            ],
         );
+        let mut engine = Engine::new(schema.clone());
+        for k in 0..3 {
+            engine.load(r.id(), Key(k)).unwrap();
+        }
+        let mut instance = ProgramInstance::from_ltp(&program, &[1, 1, 0, 2, 7, 0, 1]);
+        assert_eq!((instance.program(), instance.remaining()), ("All", 7));
+        let txn = engine.begin("All", IsolationLevel::ReadCommitted);
+        while !instance.is_done() {
+            instance.step(&mut engine, txn).unwrap();
+        }
+        engine.commit(txn).unwrap();
+
+        let t = &engine.history().committed[0];
+        let reads: Vec<(i64, AttrSet)> = t.reads.iter().map(|r| (r.key.0, r.attrs)).collect();
+        let (a, b) = (attrs(&["a"]), attrs(&["b"]));
+        // Key reads, the full scan's three matches, and the target of each restricted scan.
+        let expected = [
+            (1, a),
+            (1, a),
+            (0, b),
+            (1, b),
+            (2, b),
+            (2, a),
+            (0, AttrSet::EMPTY),
+        ];
+        assert_eq!(reads, expected);
+        let preads: Vec<AttrSet> = t.pred_reads.iter().map(|p| p.pread_attrs).collect();
+        assert_eq!(preads, [a, a, a]);
+        // One net write per tuple, in first-write order: tuple 1's update folds into its delete.
+        let all = r.all_attrs();
+        let writes: Vec<(i64, WriteKind, AttrSet)> = t
+            .writes
+            .iter()
+            .map(|w| (w.key.0, w.kind, w.attrs))
+            .collect();
+        let expected = [
+            (1, WriteKind::Delete, all),
+            (2, WriteKind::Update, b),
+            (7, WriteKind::Insert, all),
+            (0, WriteKind::Delete, all),
+        ];
+        assert_eq!(writes, expected);
     }
 
     #[test]
     #[should_panic(expected = "finished program instance")]
     fn stepping_past_the_end_is_a_bug() {
-        let mut engine = engine();
-        let mut instance = ProgramInstance::new("Empty", vec![]);
+        let schema = schema();
+        let mut engine = Engine::new(schema.clone());
+        let mut instance = ProgramInstance::from_ltp(&ltp(&schema, "Empty", &[]), &[]);
         let txn = engine.begin("Empty", IsolationLevel::ReadCommitted);
         let _ = instance.step(&mut engine, txn);
     }

@@ -381,50 +381,41 @@ pub fn run_plan(
 mod tests {
     use super::*;
     use crate::error::AbortReason;
-    use crate::program::StepFn;
-    use crate::value::{Key, Value};
-    use mvrc_schema::SchemaBuilder;
-    use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::Arc;
+    use crate::program::tests::{ltp, schema, Decl};
+    use crate::storage::{CommitTs, Key};
+    use mvrc_btp::StatementKind::{KeySelect, KeyUpdate};
+    use rand::SeedableRng;
 
     fn engine() -> Engine {
-        let mut b = SchemaBuilder::new("s");
-        b.relation("R", &["k", "v"], &["k"]).unwrap();
-        let mut e = Engine::new(b.build());
-        let rel = e.rel("R").unwrap();
-        e.load(rel, vec![Value::Int(0), Value::Int(100)]).unwrap();
+        let mut e = Engine::new(schema());
+        let rel = e.schema().relation_by_name("R").unwrap().id();
+        e.load(rel, Key(0)).unwrap();
         e
     }
 
-    /// An instance that key-selects `R[0].v` and then key-updates it to `seen + delta`
-    /// (the read-then-write lost-update shape). The read value passes to the write through a
-    /// captured cell.
-    fn read_then_write(engine: &Engine, name: &str, delta: i64) -> ProgramInstance {
-        let rel = engine.rel("R").unwrap();
-        let attrs = engine.attrs(rel, &["v"]).unwrap();
-        let attr = engine.attr(rel, "v").unwrap();
-        let seen = Arc::new(AtomicI64::new(0));
-        let read: StepFn = Box::new({
-            let seen = Arc::clone(&seen);
-            move |engine, txn| {
-                let row = engine
-                    .read_key(txn, rel, &Key::int(0), attrs)?
-                    .expect("row 0 exists");
-                seen.store(row[1].as_int().unwrap(), Ordering::SeqCst);
-                Ok(())
-            }
-        });
-        let write: StepFn = Box::new(move |engine, txn| {
-            let new = seen.load(Ordering::SeqCst) + delta;
-            engine.update_key(txn, rel, &Key::int(0), AttrSet::empty(), attrs, move |_| {
-                vec![(attr, Value::Int(new))]
-            })
-        });
-        ProgramInstance::new(name, vec![read, write])
+    /// An instance that key-selects `R[0].a` and then key-updates `R[0].a` without reading it
+    /// again (the read-then-write lost-update shape).
+    fn read_then_write(engine: &Engine, name: &str) -> ProgramInstance {
+        let statements: [Decl; 2] = [(KeySelect, &[], &["a"], &[]), (KeyUpdate, &[], &[], &["a"])];
+        ProgramInstance::from_ltp(&ltp(engine.schema(), name, &statements), &[0, 0])
     }
 
-    use mvrc_schema::AttrSet;
-    use rand::SeedableRng;
+    /// The commit timestamps of the versions the named committed transaction read, in order.
+    fn observed(engine: &Engine, program: &str) -> Vec<CommitTs> {
+        let committed = &engine.history().committed;
+        let t = committed.iter().find(|t| t.program == program).unwrap();
+        t.reads.iter().map(|r| r.observed_ts).collect()
+    }
+
+    /// The commit timestamp of the named committed transaction.
+    fn commit_ts(engine: &Engine, program: &str) -> CommitTs {
+        let committed = &engine.history().committed;
+        committed
+            .iter()
+            .find(|t| t.program == program)
+            .unwrap()
+            .commit_ts
+    }
 
     /// Program names of the committed transactions, first committer first.
     fn commit_order(engine: &Engine) -> Vec<&str> {
@@ -435,19 +426,12 @@ mod tests {
     #[test]
     fn serial_plan_runs_in_order_and_commits_in_plan_order() {
         let mut engine = engine();
-        let instances = vec![
-            read_then_write(&engine, "A", 1),
-            read_then_write(&engine, "B", 10),
-        ];
+        let instances = vec![read_then_write(&engine, "A"), read_then_write(&engine, "B")];
         let plan = StepPlan::serial(&[2, 2]);
         run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &plan).unwrap();
         assert_eq!(commit_order(&engine), ["A", "B"]);
-        // Serial execution: B read A's committed value, nothing anomalous.
-        let rel = engine.rel("R").unwrap();
-        assert_eq!(
-            engine.latest_row(rel, &Key::int(0)).unwrap()[1],
-            Value::Int(111)
-        );
+        // Serial execution: B read A's committed version, nothing anomalous.
+        assert_eq!(observed(&engine, "B"), [commit_ts(&engine, "A")]);
         assert!(engine.history().find_anomaly().is_none());
     }
 
@@ -458,19 +442,15 @@ mod tests {
         // classic counterflow rw-antidependency cycle of the paper.
         let mut engine = engine();
         let instances = vec![
-            read_then_write(&engine, "Victim", 1),
-            read_then_write(&engine, "Other", 10),
+            read_then_write(&engine, "Victim"),
+            read_then_write(&engine, "Other"),
         ];
         let plan = StepPlan::split_schedule(&[2, 2], 0, 1);
         run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &plan).unwrap();
         // Forced commit order: Other first, Victim last.
         assert_eq!(commit_order(&engine), ["Other", "Victim"]);
-        let rel = engine.rel("R").unwrap();
-        // Other's +10 was lost: the victim wrote 100 + 1 over it.
-        assert_eq!(
-            engine.latest_row(rel, &Key::int(0)).unwrap()[1],
-            Value::Int(101)
-        );
+        // Other's write was lost: the victim overwrote it from the initial version it read.
+        assert_eq!(observed(&engine, "Victim"), [0]);
         let anomaly = engine
             .history()
             .find_anomaly()
@@ -541,7 +521,7 @@ mod tests {
 
         // And run_plan refuses before touching the engine.
         let mut engine = engine();
-        let instances = vec![read_then_write(&engine, "A", 1)];
+        let instances = vec![read_then_write(&engine, "A")];
         let bad = StepPlan {
             actions: vec![PlanAction::Commit { txn: 0 }],
         };
@@ -565,10 +545,7 @@ mod tests {
         // Two transactions racing the same write while both are uncommitted: the second write
         // hits the row lock and aborts; run_plan reports it and stops.
         let mut engine = engine();
-        let instances = vec![
-            read_then_write(&engine, "A", 1),
-            read_then_write(&engine, "B", 10),
-        ];
+        let instances = vec![read_then_write(&engine, "A"), read_then_write(&engine, "B")];
         let plan = StepPlan {
             actions: vec![
                 PlanAction::Step { txn: 0 },
@@ -593,31 +570,20 @@ mod tests {
     #[test]
     fn statement_snapshots_refresh_at_resume_points() {
         // Pause/resume semantics: the victim's *second* statement begins after the concurrent
-        // commit, so under read committed it must observe the new value (no stale snapshot is
+        // commit, so under read committed it must observe the new version (no stale snapshot is
         // carried across the pause) — while its first statement's observation stays old.
         let mut engine = engine();
-        let rel = engine.rel("R").unwrap();
-        let attrs = engine.attrs(rel, &["v"]).unwrap();
-        let first = Arc::new(AtomicI64::new(0));
-        let second = Arc::new(AtomicI64::new(0));
-        let read_into = |cell: &Arc<AtomicI64>| -> StepFn {
-            let cell = Arc::clone(cell);
-            Box::new(move |engine, txn| {
-                let row = engine.read_key(txn, rel, &Key::int(0), attrs)?.unwrap();
-                cell.store(row[1].as_int().unwrap(), Ordering::SeqCst);
-                Ok(())
-            })
-        };
+        let reads: [Decl; 2] = [(KeySelect, &[], &["a"], &[]), (KeySelect, &[], &["a"], &[])];
+        let reader = ltp(engine.schema(), "Reader", &reads);
         let instances = vec![
-            ProgramInstance::new("Reader", vec![read_into(&first), read_into(&second)]),
-            read_then_write(&engine, "Writer", 10),
+            ProgramInstance::from_ltp(&reader, &[0, 0]),
+            read_then_write(&engine, "Writer"),
         ];
         let plan = StepPlan::split_schedule(&[2, 2], 0, 1);
         run_plan(&mut engine, instances, IsolationLevel::ReadCommitted, &plan).unwrap();
-        assert_eq!(first.load(Ordering::SeqCst), 100);
         assert_eq!(
-            second.load(Ordering::SeqCst),
-            110,
+            observed(&engine, "Reader"),
+            [0, commit_ts(&engine, "Writer")],
             "the resumed statement must observe the commit that happened during the pause"
         );
     }
@@ -634,11 +600,8 @@ mod tests {
     #[test]
     fn a_failed_action_removes_only_its_transaction_and_the_schedule_continues() {
         let mut engine = engine();
-        let (a, b) = (
-            read_then_write(&engine, "A", 1),
-            read_then_write(&engine, "B", 10),
-        );
-        let mut replacement = Some(read_then_write(&engine, "Replacement", 100));
+        let (a, b) = (read_then_write(&engine, "A"), read_then_write(&engine, "B"));
+        let mut replacement = Some(read_then_write(&engine, "Replacement"));
         let mut run = Interleaver::new(&mut engine, IsolationLevel::ReadCommitted);
         run.admit(a);
         run.admit(b);
@@ -674,10 +637,6 @@ mod tests {
             [s(0), s(0), s(1), s(1), c(0), s(2), s(2), c(2)]
         );
         assert_eq!(commit_order(&engine), ["A", "Replacement"]);
-        let rel = engine.rel("R").unwrap();
-        assert_eq!(
-            engine.latest_row(rel, &Key::int(0)).unwrap()[1],
-            Value::Int(201)
-        );
+        assert_eq!(observed(&engine, "Replacement"), [commit_ts(&engine, "A")]);
     }
 }

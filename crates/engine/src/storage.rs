@@ -1,13 +1,16 @@
-//! Versioned in-memory storage: tables of primary-key-indexed version chains.
+//! Versioned in-memory storage: per relation, the version chains of its tuples by key.
 //!
-//! The storage layer is deliberately dumb: it stores committed versions ordered by commit
-//! timestamp and a single uncommitted write lock per row. All isolation-level logic (which
-//! version a read observes, when a write conflicts) lives in [`crate::engine`]; this split keeps
-//! the multi-version bookkeeping testable in isolation.
+//! The storage layer holds the data model of the paper's schedules (Section 3): a tuple is a
+//! relation and a key, and each of its versions records who installed it, when, whether it is
+//! live or the dead version of a delete, and which attributes it wrote. Attribute values never
+//! appear in a schedule, so none are stored. The layer is deliberately dumb: it stores
+//! committed versions ordered by commit timestamp and a single uncommitted write lock per
+//! tuple. All isolation-level logic (which version a read observes, when a write conflicts)
+//! lives in [`crate::engine`].
 
-use crate::value::{Key, Row};
 use mvrc_schema::{AttrSet, RelId, Schema};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A commit timestamp. Timestamp `0` is reserved for the initial database load; every
 /// transaction commit increments the engine's counter by one, so the commit order and the
@@ -19,82 +22,71 @@ pub type CommitTs = u64;
 /// attribute dependencies; `0` denotes the initial load).
 pub type WriterId = u64;
 
-/// One committed version of a row.
-#[derive(Debug, Clone)]
-pub struct StoredVersion {
-    /// Commit timestamp of the writing transaction (installation point in the version order).
-    pub commit_ts: CommitTs,
-    /// The transaction that created the version (`0` for the initial database load).
-    pub writer: WriterId,
-    /// The row data; `None` is a delete tombstone (the "dead version" of Section 3.1).
-    pub data: Option<Row>,
-    /// The attributes the writer actually modified (all attributes for inserts and deletes).
-    pub written_attrs: AttrSet,
-}
+/// The key of a tuple: tuple `k` of its relation. Keys are ordered, so a scan visits the tuples
+/// of a relation in key order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Key(pub i64);
 
-impl StoredVersion {
-    /// Returns `true` when the version is a delete tombstone.
-    #[inline]
-    pub fn is_tombstone(&self) -> bool {
-        self.data.is_none()
+impl Key {
+    /// The key of tuple `v`.
+    pub fn int(v: i64) -> Self {
+        Key(v)
     }
 }
 
-/// The version chain of a single primary key: committed versions in commit-timestamp order plus
-/// at most one uncommitted writer holding the row's write lock.
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({})", self.0)
+    }
+}
+
+/// One committed version of a tuple.
+#[derive(Debug, Clone)]
+pub(crate) struct StoredVersion {
+    /// Commit timestamp of the writing transaction (installation point in the version order).
+    pub(crate) commit_ts: CommitTs,
+    /// The transaction that created the version (`0` for the initial database load).
+    pub(crate) writer: WriterId,
+    /// `false` for the dead version a delete installs (Section 3.1).
+    pub(crate) live: bool,
+    /// The attributes the writer modified (all attributes for inserts and deletes).
+    pub(crate) written_attrs: AttrSet,
+}
+
+/// The version chain of one tuple: committed versions in commit-timestamp order plus at most
+/// one uncommitted writer holding the tuple's write lock.
 #[derive(Debug, Clone, Default)]
-pub struct VersionChain {
+pub(crate) struct VersionChain {
     versions: Vec<StoredVersion>,
     lock: Option<WriterId>,
 }
 
 impl VersionChain {
-    /// Creates an empty chain (a key that has never existed — the "unborn version").
-    pub fn new() -> Self {
-        VersionChain::default()
-    }
-
-    /// All committed versions, oldest first.
-    pub fn versions(&self) -> &[StoredVersion] {
+    /// All committed versions, oldest first (empty for a tuple that never existed, the
+    /// "unborn version").
+    pub(crate) fn versions(&self) -> &[StoredVersion] {
         &self.versions
     }
 
     /// The most recently committed version, if any.
-    pub fn latest(&self) -> Option<&StoredVersion> {
+    pub(crate) fn latest(&self) -> Option<&StoredVersion> {
         self.versions.last()
     }
 
     /// The latest version visible at read timestamp `ts`: the newest version whose commit
-    /// timestamp is `<= ts`. Returns the version even when it is a tombstone so that callers can
-    /// distinguish "deleted at ts" from "never existed".
-    pub fn visible_at(&self, ts: CommitTs) -> Option<&StoredVersion> {
+    /// timestamp is `<= ts`, a dead one included.
+    pub(crate) fn visible_at(&self, ts: CommitTs) -> Option<&StoredVersion> {
         self.versions.iter().rev().find(|v| v.commit_ts <= ts)
     }
 
-    /// The row data visible at `ts` (`None` when the key does not exist at `ts`, either because
-    /// it was never inserted or because the visible version is a tombstone).
-    pub fn row_at(&self, ts: CommitTs) -> Option<&Row> {
-        self.visible_at(ts).and_then(|v| v.data.as_ref())
+    /// Whether the tuple exists at `ts`: its visible version is live.
+    pub(crate) fn live_at(&self, ts: CommitTs) -> bool {
+        self.visible_at(ts).is_some_and(|v| v.live)
     }
 
-    /// The commit timestamp of the version that directly succeeds the version visible at `ts`,
-    /// if a newer committed version exists (used by the first-committer-wins check).
-    pub fn first_commit_after(&self, ts: CommitTs) -> Option<CommitTs> {
-        self.versions
-            .iter()
-            .find(|v| v.commit_ts > ts)
-            .map(|v| v.commit_ts)
-    }
-
-    /// The current lock holder, if an uncommitted transaction has written this row.
-    #[inline]
-    pub fn lock_holder(&self) -> Option<WriterId> {
-        self.lock
-    }
-
-    /// Attempts to acquire the row's write lock for `writer`. Returns `false` when another
+    /// Attempts to acquire the tuple's write lock for `writer`. Returns `false` when another
     /// uncommitted transaction holds the lock (a would-be dirty write).
-    pub fn try_lock(&mut self, writer: WriterId) -> bool {
+    pub(crate) fn try_lock(&mut self, writer: WriterId) -> bool {
         match self.lock {
             None => {
                 self.lock = Some(writer);
@@ -105,7 +97,7 @@ impl VersionChain {
     }
 
     /// Releases the write lock if `writer` holds it (no-op otherwise).
-    pub fn unlock(&mut self, writer: WriterId) {
+    pub(crate) fn unlock(&mut self, writer: WriterId) {
         if self.lock == Some(writer) {
             self.lock = None;
         }
@@ -113,7 +105,7 @@ impl VersionChain {
 
     /// Installs a committed version. Panics if the commit timestamp does not advance the chain —
     /// the engine always installs in commit order, so a violation is an internal bug.
-    pub fn install(&mut self, version: StoredVersion) {
+    pub(crate) fn install(&mut self, version: StoredVersion) {
         if let Some(last) = self.versions.last() {
             assert!(
                 version.commit_ts > last.commit_ts,
@@ -124,94 +116,41 @@ impl VersionChain {
         }
         self.versions.push(version);
     }
-
-    /// Whether the chain holds no committed version at all.
-    pub fn is_unborn(&self) -> bool {
-        self.versions.is_empty()
-    }
 }
 
-/// A table: the version chains of one relation, indexed by primary key.
-#[derive(Debug, Clone)]
-pub struct Table {
-    rel: RelId,
-    rows: BTreeMap<Key, VersionChain>,
-}
-
-impl Table {
-    /// Creates an empty table for the relation.
-    pub fn new(rel: RelId) -> Self {
-        Table {
-            rel,
-            rows: BTreeMap::new(),
-        }
-    }
-
-    /// The relation this table stores.
-    #[inline]
-    pub fn rel(&self) -> RelId {
-        self.rel
-    }
-
-    /// The chain for a key, if the key has ever been written or locked.
-    pub fn chain(&self, key: &Key) -> Option<&VersionChain> {
-        self.rows.get(key)
-    }
-
-    /// Mutable access to a key's chain, creating an unborn chain on first touch.
-    pub fn chain_mut(&mut self, key: &Key) -> &mut VersionChain {
-        self.rows.entry(key.clone()).or_default()
-    }
-
-    /// Iterates over `(key, chain)` pairs in key order.
-    pub fn chains(&self) -> impl Iterator<Item = (&Key, &VersionChain)> {
-        self.rows.iter()
-    }
-
-    /// Number of keys that currently have at least one committed, non-tombstone latest version.
-    pub fn live_row_count(&self) -> usize {
-        self.rows
-            .values()
-            .filter(|c| c.latest().map(|v| !v.is_tombstone()).unwrap_or(false))
-            .count()
-    }
-}
-
-/// The storage of a whole database: one [`Table`] per relation of the schema.
-#[derive(Debug, Clone)]
-pub struct Storage {
-    tables: Vec<Table>,
+/// The storage of a whole database: per relation of the schema, its tuples' chains by key.
+#[derive(Debug)]
+pub(crate) struct Storage {
+    tables: Vec<BTreeMap<Key, VersionChain>>,
 }
 
 impl Storage {
     /// Creates empty storage for every relation of the schema.
-    pub fn new(schema: &Schema) -> Self {
-        let tables = schema.relations().map(|r| Table::new(r.id())).collect();
-        Storage { tables }
+    pub(crate) fn new(schema: &Schema) -> Self {
+        Storage {
+            tables: vec![BTreeMap::new(); schema.relations().count()],
+        }
     }
 
-    /// The table of a relation.
-    #[inline]
-    pub fn table(&self, rel: RelId) -> &Table {
+    /// The chains of a relation, in key order.
+    pub(crate) fn table(&self, rel: RelId) -> &BTreeMap<Key, VersionChain> {
         &self.tables[rel.index()]
     }
 
-    /// Mutable access to the table of a relation.
-    #[inline]
-    pub fn table_mut(&mut self, rel: RelId) -> &mut Table {
-        &mut self.tables[rel.index()]
+    /// The chain of a tuple, if it has ever been written or locked.
+    pub(crate) fn chain(&self, rel: RelId, key: Key) -> Option<&VersionChain> {
+        self.table(rel).get(&key)
     }
 
-    /// All tables.
-    pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.iter()
+    /// Mutable access to a tuple's chain, creating an unborn chain on first touch.
+    pub(crate) fn chain_mut(&mut self, rel: RelId, key: Key) -> &mut VersionChain {
+        self.tables[rel.index()].entry(key).or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
     use mvrc_schema::SchemaBuilder;
 
     fn schema() -> Schema {
@@ -223,53 +162,47 @@ mod tests {
         b.build()
     }
 
-    fn version(ts: CommitTs, writer: WriterId, balance: i64) -> StoredVersion {
+    fn version(ts: CommitTs, writer: WriterId, live: bool) -> StoredVersion {
         StoredVersion {
             commit_ts: ts,
             writer,
-            data: Some(vec![Value::Int(1), Value::Int(balance)]),
+            live,
             written_attrs: AttrSet::all(2),
         }
     }
 
     #[test]
     fn visibility_follows_commit_timestamps() {
-        let mut chain = VersionChain::new();
-        assert!(chain.is_unborn());
+        let mut chain = VersionChain::default();
+        assert!(chain.versions().is_empty());
         assert!(chain.visible_at(10).is_none());
-        chain.install(version(1, 1, 100));
-        chain.install(version(5, 2, 200));
-        assert!(!chain.is_unborn());
+        chain.install(version(1, 1, true));
+        chain.install(version(5, 2, true));
+        assert_eq!(chain.versions().len(), 2);
         assert!(chain.visible_at(0).is_none());
+        assert!(!chain.live_at(0));
         assert_eq!(chain.visible_at(1).unwrap().commit_ts, 1);
         assert_eq!(chain.visible_at(4).unwrap().commit_ts, 1);
+        assert_eq!(chain.visible_at(4).unwrap().writer, 1);
         assert_eq!(chain.visible_at(5).unwrap().commit_ts, 5);
         assert_eq!(chain.visible_at(99).unwrap().commit_ts, 5);
         assert_eq!(chain.latest().unwrap().commit_ts, 5);
-        assert_eq!(chain.row_at(2).unwrap()[1], Value::Int(100));
-        assert_eq!(chain.first_commit_after(1), Some(5));
-        assert_eq!(chain.first_commit_after(5), None);
+        assert!(chain.live_at(2));
     }
 
     #[test]
     fn tombstones_hide_rows_but_keep_versions_visible() {
-        let mut chain = VersionChain::new();
-        chain.install(version(1, 1, 100));
-        chain.install(StoredVersion {
-            commit_ts: 3,
-            writer: 2,
-            data: None,
-            written_attrs: AttrSet::all(2),
-        });
-        assert!(chain.visible_at(3).unwrap().is_tombstone());
-        assert!(chain.row_at(3).is_none());
-        assert!(chain.row_at(2).is_some());
+        let mut chain = VersionChain::default();
+        chain.install(version(1, 1, true));
+        chain.install(version(3, 2, false));
+        assert!(!chain.visible_at(3).unwrap().live);
+        assert!(!chain.live_at(3));
+        assert!(chain.live_at(2));
     }
 
     #[test]
     fn write_locks_are_exclusive_and_reentrant() {
-        let mut chain = VersionChain::new();
-        assert_eq!(chain.lock_holder(), None);
+        let mut chain = VersionChain::default();
         assert!(chain.try_lock(7));
         assert!(
             chain.try_lock(7),
@@ -280,37 +213,34 @@ mod tests {
             "a second transaction must not acquire the lock"
         );
         chain.unlock(8); // not the holder: no-op
-        assert_eq!(chain.lock_holder(), Some(7));
+        assert!(!chain.try_lock(8), "7 still holds the lock");
         chain.unlock(7);
-        assert_eq!(chain.lock_holder(), None);
         assert!(chain.try_lock(8));
     }
 
     #[test]
     #[should_panic(expected = "out of commit order")]
     fn installing_out_of_order_is_an_internal_bug() {
-        let mut chain = VersionChain::new();
-        chain.install(version(5, 1, 100));
-        chain.install(version(5, 2, 200));
+        let mut chain = VersionChain::default();
+        chain.install(version(5, 1, true));
+        chain.install(version(5, 2, true));
     }
 
     #[test]
     fn storage_builds_one_table_per_relation() {
         let schema = schema();
         let mut storage = Storage::new(&schema);
-        assert_eq!(storage.tables().count(), 2);
         let checking = schema.relation_by_name("Checking").unwrap().id();
-        assert_eq!(storage.table(checking).rel(), checking);
-        assert_eq!(storage.table(checking).live_row_count(), 0);
+        let savings = schema.relation_by_name("Savings").unwrap().id();
+        assert!(storage.table(checking).is_empty());
 
-        let key = Key::int(1);
         storage
-            .table_mut(checking)
-            .chain_mut(&key)
-            .install(version(1, 1, 50));
-        assert_eq!(storage.table(checking).live_row_count(), 1);
-        assert!(storage.table(checking).chain(&key).is_some());
-        assert!(storage.table(checking).chain(&Key::int(2)).is_none());
-        assert_eq!(storage.table(checking).chains().count(), 1);
+            .chain_mut(checking, Key(1))
+            .install(version(1, 1, true));
+        assert_eq!(storage.table(checking).len(), 1);
+        assert!(storage.table(savings).is_empty());
+        assert!(storage.chain(checking, Key(1)).unwrap().live_at(1));
+        assert!(storage.chain(checking, Key(2)).is_none());
+        assert!(storage.chain(savings, Key(1)).is_none());
     }
 }

@@ -10,15 +10,14 @@
 //!   under [`IsolationLevel::ReadCommitted`](crate::IsolationLevel::ReadCommitted);
 //! * for subsets rejected as non-robust, anomalies should (and do) show up under contention.
 //!
-//! The database holds rows `0..rows` of every relation in the lowered layout (row `k` carries
-//! `Int(k)` in every attribute, see [`lowered_row`]). An instance draws one row `k` for all of
-//! its non-insert statements, so every foreign key between them holds, and fewer rows mean more
-//! contention. Inserts write fresh rows `rows, rows + 1, …`, unique within a run.
+//! The database holds tuples `0..rows` of every relation. An instance draws one tuple `k` for
+//! all of its non-insert statements, so every foreign key between them holds, and fewer rows
+//! mean more contention. Inserts create fresh tuples `rows, rows + 1, …`, unique within a run.
 
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::lower::{lowered_key, lowered_row};
 use crate::program::ProgramInstance;
+use crate::storage::Key;
 use mvrc_btp::{LinearProgram, StatementKind, Workload};
 use mvrc_schema::{RelId, Schema};
 use rand::rngs::StdRng;
@@ -87,14 +86,12 @@ impl ExecutableWorkload {
         }
     }
 
-    /// Builds a fresh engine with rows `0..rows` loaded into every relation.
+    /// Builds a fresh engine with tuples `0..rows` loaded into every relation.
     pub fn build_engine(&self) -> Engine {
         let mut engine = Engine::new(self.schema.clone());
         for rel in self.schema.relations().map(|r| r.id()) {
             for k in 0..self.rows {
-                engine
-                    .load(rel, lowered_row(&self.schema, rel, k))
-                    .expect("lowered rows match their relation and are distinct");
+                engine.load(rel, Key(k)).expect("loaded keys are distinct");
             }
         }
         engine
@@ -132,13 +129,7 @@ impl ExecutableWorkload {
     ) -> Option<ProgramInstance> {
         let live_rows = |ltp: &ExecutableLtp| -> Vec<i64> {
             (0..self.rows)
-                .filter(|&k| {
-                    ltp.guarded.iter().all(|&rel| {
-                        engine
-                            .latest_row(rel, &lowered_key(&self.schema, rel, k))
-                            .is_some()
-                    })
-                })
+                .filter(|&k| ltp.guarded.iter().all(|&rel| engine.exists(rel, Key(k))))
                 .collect()
         };
         let drawable: Vec<Vec<(&ExecutableLtp, Vec<i64>)>> = self
@@ -171,11 +162,7 @@ impl ExecutableWorkload {
                 }
             })
             .collect();
-        Some(ProgramInstance::from_ltp(
-            &self.schema,
-            &lowered.ltp,
-            &targets,
-        ))
+        Some(ProgramInstance::from_ltp(&lowered.ltp, &targets))
     }
 }
 
@@ -185,6 +172,17 @@ mod tests {
     use crate::engine::IsolationLevel;
     use mvrc_benchmarks::{auction, smallbank, tpcc};
     use rand::SeedableRng;
+
+    /// The relation of the workload's schema with the given name.
+    fn rel(workload: &ExecutableWorkload, name: &str) -> RelId {
+        workload.schema.relation_by_name(name).unwrap().id()
+    }
+
+    /// The number of tuples of `rel` that exist after a run (every key a test run creates is
+    /// below 1,000).
+    fn live(engine: &Engine, rel: RelId) -> usize {
+        (0..1000).filter(|&k| engine.exists(rel, Key(k))).count()
+    }
 
     /// Runs 20 drawn instances one after another (no interleaving).
     fn run_one(workload: &ExecutableWorkload, seed: u64) -> Engine {
@@ -214,9 +212,8 @@ mod tests {
     fn smallbank_setup_loads_every_account() {
         let workload = ExecutableWorkload::new(&smallbank(), 5);
         let engine = workload.build_engine();
-        for rel in ["Account", "Savings", "Checking"] {
-            let id = engine.rel(rel).unwrap();
-            assert_eq!(engine.latest_rows(id).len(), 5, "{rel} row count");
+        for name in ["Account", "Savings", "Checking"] {
+            assert_eq!(live(&engine, rel(&workload, name)), 5, "{name} row count");
         }
         assert_eq!(
             workload.program_names(),
@@ -251,7 +248,7 @@ mod tests {
     fn auction_serial_execution_logs_every_placed_bid() {
         let workload = ExecutableWorkload::new(&auction(), 4);
         let engine = run_one(&workload, 7);
-        let log = engine.rel("Log").unwrap();
+        let log = rel(&workload, "Log");
         let commits = engine.history().commits_by_program();
         let placed = commits
             .iter()
@@ -260,7 +257,7 @@ mod tests {
             .sum::<usize>();
         assert!(placed > 0);
         assert_eq!(
-            engine.latest_rows(log).len(),
+            live(&engine, log),
             4 + placed,
             "one log row per committed PlaceBid, on top of the preloaded rows"
         );
@@ -274,7 +271,7 @@ mod tests {
         let engine = workload.build_engine();
         for relation in workload.schema.relations() {
             assert_eq!(
-                engine.latest_rows(relation.id()).len(),
+                live(&engine, relation.id()),
                 3,
                 "{} row count",
                 relation.name()
@@ -303,12 +300,12 @@ mod tests {
             .restrict(&["NewOrder"])
             .unwrap();
         let engine = run_one(&workload, 5);
-        let orders = engine.rel("Orders").unwrap();
-        let new_order = engine.rel("New_Order").unwrap();
+        let orders = rel(&workload, "Orders");
+        let new_order = rel(&workload, "New_Order");
         // Every NewOrder LTP inserts one order and one new-order row, with keys past the
         // preloaded rows that never collide.
-        assert_eq!(engine.latest_rows(orders).len(), 2 + 20);
-        assert_eq!(engine.latest_rows(new_order).len(), 2 + 20);
+        assert_eq!(live(&engine, orders), 2 + 20);
+        assert_eq!(live(&engine, new_order), 2 + 20);
     }
 
     #[test]

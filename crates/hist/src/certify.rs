@@ -137,8 +137,6 @@ pub enum CertifyError {
         /// The anomaly found.
         anomaly: String,
     },
-    /// `certify_non_robust` was called on a subset the analyzer reports robust.
-    SubsetRobust,
 }
 
 impl fmt::Display for CertifyError {
@@ -156,9 +154,6 @@ impl fmt::Display for CertifyError {
                 "attestation run (seed {seed}) produced a non-serializable history — analyzer \
                  soundness violation: {anomaly}"
             ),
-            CertifyError::SubsetRobust => {
-                write!(f, "subset is robust; no non-robustness certificate exists")
-            }
         }
     }
 }
@@ -213,33 +208,6 @@ pub fn certify_subset(
             .map(|violation| witness_edges(graph, violation))
             .collect(),
     })
-}
-
-/// Extension trait hanging certification off [`RobustnessSession`].
-pub trait CertifyExt {
-    /// Certifies that `programs` is **not** robust by producing an executed MVRC history the
-    /// checker rejects. Errors with [`CertifyError::SubsetRobust`] when the
-    /// analyzer reports the subset robust.
-    fn certify_non_robust(
-        &self,
-        workload: &str,
-        programs: &[&str],
-        settings: AnalysisSettings,
-    ) -> Result<Certificate, CertifyError>;
-}
-
-impl CertifyExt for RobustnessSession {
-    fn certify_non_robust(
-        &self,
-        workload: &str,
-        programs: &[&str],
-        settings: AnalysisSettings,
-    ) -> Result<Certificate, CertifyError> {
-        match certify_subset(self, workload, programs, settings)? {
-            CertifyOutcome::Certified(c) => Ok(*c),
-            CertifyOutcome::Attested(_) => Err(CertifyError::SubsetRobust),
-        }
-    }
 }
 
 /// Runs the attestation battery for a robust subset.
@@ -355,12 +323,14 @@ mod tests {
 
     #[test]
     fn certify_non_robust_refuses_robust_subsets() {
-        let session = RobustnessSession::new(mvrc_benchmarks::auction());
-        let programs: Vec<&str> = session.program_names().iter().map(|s| s.as_str()).collect();
-        let err = session
-            .certify_non_robust("auction", &programs, settings())
-            .unwrap_err();
-        assert_eq!(err, CertifyError::SubsetRobust);
+        // A robust subset of a non-robust workload gets an attestation, never a certificate.
+        let session = RobustnessSession::new(mvrc_benchmarks::smallbank());
+        let subset = ["Amalgamate", "DepositChecking", "TransactSavings"];
+        let outcome = certify_subset(&session, "smallbank", &subset, settings()).unwrap();
+        let CertifyOutcome::Attested(a) = outcome else {
+            panic!("the subset is robust and must attest");
+        };
+        assert!(a.robust && a.all_serializable);
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub(crate) fn judge(history: &History) -> (CheckerVerdict, Option<Anomaly>) {
 mod tests {
     use super::*;
     use mvrc_engine::{
-        CommittedTransaction, DynDepKind, Engine, IsolationLevel, RecordedPredicateRead,
-        RecordedRead, RecordedWrite, Value, WriteKind,
+        CommittedTransaction, DynDepKind, Engine, IsolationLevel, Key, RecordedPredicateRead,
+        RecordedRead, RecordedWrite, WriteKind,
     };
     use mvrc_schema::{AttrSet, SchemaBuilder};
 
@@ -155,26 +155,26 @@ mod tests {
         let mut t1 = txn(1, "T1", 1);
         t1.reads.push(RecordedRead {
             rel: r,
-            key: mvrc_engine::Key::int(2),
+            key: Key::int(2),
             observed_ts: 0,
             attrs: a,
         });
         t1.writes.push(RecordedWrite {
             rel: r,
-            key: mvrc_engine::Key::int(1),
+            key: Key::int(1),
             attrs: a,
             kind: WriteKind::Update,
         });
         let mut t2 = txn(2, "T2", 2);
         t2.reads.push(RecordedRead {
             rel: r,
-            key: mvrc_engine::Key::int(1),
+            key: Key::int(1),
             observed_ts: 0,
             attrs: a,
         });
         t2.writes.push(RecordedWrite {
             rel: r,
-            key: mvrc_engine::Key::int(2),
+            key: Key::int(2),
             attrs: a,
             kind: WriteKind::Update,
         });
@@ -197,14 +197,14 @@ mod tests {
         let mut w = txn(1, "W", 1);
         w.writes.push(RecordedWrite {
             rel: r,
-            key: mvrc_engine::Key::int(1),
+            key: Key::int(1),
             attrs: a,
             kind: WriteKind::Update,
         });
         let mut rdr = txn(2, "R", 2);
         rdr.reads.push(RecordedRead {
             rel: r,
-            key: mvrc_engine::Key::int(1),
+            key: Key::int(1),
             observed_ts: 1,
             attrs: a,
         });
@@ -230,7 +230,7 @@ mod tests {
         let mut ins = txn(2, "Ins", 2);
         ins.writes.push(RecordedWrite {
             rel: r,
-            key: mvrc_engine::Key::int(9),
+            key: Key::int(9),
             attrs: AttrSet::singleton(mvrc_schema::AttrId(2)), // disjoint from pread
             kind: WriteKind::Insert,
         });
@@ -249,22 +249,22 @@ mod tests {
         // predicate wr-dependency from the inserter, with no attribute shared between the two.
         let mut b = SchemaBuilder::new("s");
         b.relation("R", &["k", "a", "b"], &["k"]).unwrap();
-        let mut engine = Engine::new(b.build());
-        let r = engine.rel("R").unwrap();
+        let schema = b.build();
+        let relation = schema.relation_by_name("R").unwrap();
+        let r = relation.id();
+        let pread = AttrSet::singleton(relation.attr_by_name("a").unwrap());
+        let read = AttrSet::singleton(relation.attr_by_name("b").unwrap());
+        let mut engine = Engine::new(schema.clone());
         let inserter = engine.begin("Insert", IsolationLevel::ReadCommitted);
-        engine
-            .insert(
-                inserter,
-                r,
-                vec![Value::Int(9), Value::Int(0), Value::Int(0)],
-            )
-            .unwrap();
+        engine.insert(inserter, r, Key(9)).unwrap();
         engine.commit(inserter).unwrap();
         let scanner = engine.begin("Scan", IsolationLevel::ReadCommitted);
-        let pread = engine.attrs(r, &["a"]).unwrap();
-        let read = engine.attrs(r, &["b"]).unwrap();
-        let rows = engine.scan(scanner, r, pread, read, |_| true).unwrap();
-        assert_eq!(rows.len(), 1, "the committed insert is visible to the scan");
+        let keys = engine.scan(scanner, r, pread, read, None).unwrap();
+        assert_eq!(
+            keys,
+            [Key(9)],
+            "the committed insert is visible to the scan"
+        );
         engine.commit(scanner).unwrap();
 
         let h = engine.into_history();
@@ -290,14 +290,14 @@ mod tests {
         let mut rdr = txn(1, "R", 1);
         rdr.reads.push(RecordedRead {
             rel: r,
-            key: mvrc_engine::Key::int(1),
+            key: Key::int(1),
             observed_ts: 2,
             attrs: a,
         });
         let mut w = txn(2, "W", 2);
         w.writes.push(RecordedWrite {
             rel: r,
-            key: mvrc_engine::Key::int(1),
+            key: Key::int(1),
             attrs: a,
             kind: WriteKind::Update,
         });

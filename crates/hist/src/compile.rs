@@ -26,8 +26,8 @@
 use crate::checker::{judge, CheckerVerdict};
 use mvrc_btp::{LinearProgram, StatementKind};
 use mvrc_engine::{
-    lowered_row, run_plan, Engine, History, Interleaver, IsolationLevel, PlanAction,
-    ProgramInstance, StepPlan,
+    run_plan, Engine, History, Interleaver, IsolationLevel, Key, PlanAction, ProgramInstance,
+    StepPlan,
 };
 use mvrc_robustness::{NodeId, SummaryGraph, Violation};
 use mvrc_schema::{RelId, Schema};
@@ -293,11 +293,11 @@ fn run_scripted<T>(
 ) -> Option<(History, T)> {
     let targets = assign_targets(ltps, variant);
     let mut engine = Engine::new(schema.clone());
-    preload(&mut engine, schema, ltps, &targets);
+    preload(&mut engine, ltps, &targets);
     let instances = ltps
         .iter()
         .zip(&targets)
-        .map(|(ltp, t)| ProgramInstance::from_ltp(schema, ltp, t))
+        .map(|(ltp, t)| ProgramInstance::from_ltp(ltp, t))
         .collect();
     let ran = schedule(&mut engine, instances)?;
     Some((engine.into_history(), ran))
@@ -338,9 +338,8 @@ fn assign_targets(ltps: &[&LinearProgram], variant: KeyVariant) -> Vec<Vec<i64>>
         .collect()
 }
 
-/// Preloads the shared row and every reserved delete target of each referenced relation, in the
-/// engine's lowered row layout ([`lowered_row`]).
-fn preload(engine: &mut Engine, schema: &Schema, ltps: &[&LinearProgram], targets: &[Vec<i64>]) {
+/// Preloads the shared row and every reserved delete target of each referenced relation.
+fn preload(engine: &mut Engine, ltps: &[&LinearProgram], targets: &[Vec<i64>]) {
     let mut rows: BTreeSet<(usize, i64)> = BTreeSet::new();
     for (ltp, ltp_targets) in ltps.iter().zip(targets) {
         for (pos, stmt) in ltp.statements() {
@@ -352,17 +351,16 @@ fn preload(engine: &mut Engine, schema: &Schema, ltps: &[&LinearProgram], target
         }
     }
     for (rel_index, key) in rows {
-        let rel = RelId(rel_index as u16);
         engine
-            .load(rel, lowered_row(schema, rel, key))
-            .expect("preload rows are well-formed");
+            .load(RelId(rel_index as u16), Key(key))
+            .expect("preload rows are distinct");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvrc_engine::{StepFn, TxnToken};
+    use mvrc_btp::{Statement, StmtId};
     use mvrc_robustness::{all_violations_in, CycleCondition, RobustnessSession};
 
     #[test]
@@ -387,18 +385,22 @@ mod tests {
     #[test]
     fn random_schedules_cover_every_statement_and_commit() {
         // The recorded actions of the random schedule form a valid plan, whatever the window,
-        // statement-less instances included.
+        // statement-less instances included. Key selects of tuples that do not exist never
+        // abort.
         let counts = [2, 3, 0, 1];
         let schema = mvrc_benchmarks::smallbank().schema;
+        let relation = schema.relations().next().unwrap();
+        let select = Statement::new("q", relation, StatementKind::KeySelect, None, None, None);
+        let select = select.unwrap();
         for window in [2, counts.len()] {
             for seed in 0..16 {
                 let instances = counts
                     .iter()
                     .map(|&n| {
-                        let steps = (0..n)
-                            .map(|_| Box::new(|_: &mut Engine, _: TxnToken| Ok(())) as StepFn)
-                            .collect();
-                        ProgramInstance::new("T", steps)
+                        let origins = (0..n as u16).map(StmtId).collect();
+                        let ltp =
+                            LinearProgram::new("T", "T", vec![select.clone(); n], origins, vec![]);
+                        ProgramInstance::from_ltp(&ltp, &vec![0; n])
                     })
                     .collect();
                 let mut engine = Engine::new(schema.clone());

@@ -29,8 +29,7 @@
 //!   seeded random schedule of the engine's one executor ([`mvrc_engine::Interleaver`]).
 //! * [`certify`] — the driver: [`certify_subset`] produces a JSON [`Certificate`] for
 //!   non-robust subsets (witness edges + interleaving + checker rejection) or an
-//!   [`Attestation`] for robust ones (seeded sample executions, all checker-accepted), and
-//!   [`CertifyExt`] hangs `certify_non_robust` off [`mvrc_robustness::RobustnessSession`].
+//!   [`Attestation`] for robust ones (seeded sample executions, all checker-accepted).
 //!
 //! There is one decider in the engine and one oracle in the tests: `tests/cross_check.rs`
 //! re-derives every history's conflicts with a pairwise scan and decides them with a
@@ -42,8 +41,8 @@ pub mod checker;
 pub mod compile;
 
 pub use certify::{
-    certify_subset, Attestation, Certificate, CertifyError, CertifyExt, CertifyOutcome,
-    WitnessEdge, ATTEST_SEEDS,
+    certify_subset, Attestation, Certificate, CertifyError, CertifyOutcome, WitnessEdge,
+    ATTEST_SEEDS,
 };
 pub use checker::{check, CheckerVerdict, CycleStep};
 pub use compile::{

@@ -18,7 +18,7 @@
 
 use mvrc_benchmarks::{synthetic, SyntheticConfig};
 use mvrc_engine::{DynDepKind, DynDependency, History};
-use mvrc_hist::{check, random_run, CertifyError, CertifyExt, KeyVariant};
+use mvrc_hist::{certify_subset, check, random_run, CertifyError, CertifyOutcome, KeyVariant};
 use mvrc_robustness::{AnalysisSettings, RobustnessSession};
 use proptest::prelude::*;
 
@@ -178,8 +178,8 @@ proptest! {
             return Ok(());
         }
         let programs: Vec<&str> = workload.programs.iter().map(|p| p.name()).collect();
-        match session.certify_non_robust(&workload.name, &programs, settings) {
-            Ok(certificate) => {
+        match certify_subset(&session, &workload.name, &programs, settings) {
+            Ok(CertifyOutcome::Certified(certificate)) => {
                 prop_assert!(!certificate.robust);
                 prop_assert!(!certificate.realization.verdict.serializable);
                 prop_assert!(!certificate.realization.verdict.cycle.is_empty());
@@ -193,6 +193,7 @@ proptest! {
             // `every_non_robust_benchmark_subset_is_certified` in tests/end_to_end.rs), so only
             // tolerate it here.
             Err(CertifyError::Unrealized { .. }) => {}
+            Ok(CertifyOutcome::Attested(_)) => panic!("a non-robust subset attested ({config:?})"),
             Err(e) => panic!("unexpected certify error ({config:?}): {e}"),
         }
     }
@@ -289,12 +290,4 @@ proptest! {
             }
         }
     }
-}
-
-/// `SubsetRobust` is the one `certify_non_robust` error that must be *impossible* to hit from
-/// a non-robust verdict; pin its rendering here so the proptest failure messages stay useful.
-#[test]
-fn subset_robust_error_renders_the_refusal() {
-    let msg = CertifyError::SubsetRobust.to_string();
-    assert!(msg.contains("robust"), "unexpected rendering: {msg}");
 }
