@@ -158,7 +158,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             tpcc_attr_fk.maximal_robust_subsets,
-            "{Pay, OS, SL}, {NO, Pay}"
+            "{OS, Pay, SL}, {NO, Pay}"
         );
         let rendered = render_subset_rows(&f6);
         assert!(rendered.contains("SmallBank"));

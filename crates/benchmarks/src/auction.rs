@@ -1,5 +1,5 @@
-//! The Auction benchmark (Section 2 of the paper) and its scalable variant Auction(n)
-//! (Section 7.3).
+//! The Auction benchmark (Section 2 of the paper), translated from the bundled `auction.sql`,
+//! and its scalable variant Auction(n) (Section 7.3), generated in code.
 //!
 //! Schema: `Buyer(id, calls)`, `Bids(buyerId, bid)`, `Log(id, buyerId, bid)` with foreign keys
 //! `f1: Bids(buyerId) → Buyer(id)` and `f2: Log(buyerId) → Buyer(id)`.
@@ -14,60 +14,20 @@
 //! Auction(n) replicates the `Bids` relation and both programs per item `i`, keeping `Buyer` and
 //! `Log` shared; its summary graph has `3n` nodes and `9n² + 8n` edges (`n` counterflow).
 
+use crate::bundled;
 use mvrc_btp::Workload;
 use mvrc_btp::{Program, ProgramBuilder};
 use mvrc_schema::{Schema, SchemaBuilder};
-
-/// SQL text of the Auction workload (Figure 1), consumable by [`mvrc_btp::sql::parse_workload`].
-pub const AUCTION_SQL: &str = r#"
-PROGRAM FindBids(:B, :T) {
-    UPDATE Buyer SET calls = calls + 1 WHERE id = :B;    -- q1
-    SELECT bid FROM Bids WHERE bid >= :T;                -- q2
-    COMMIT;
-}
-
-PROGRAM PlaceBid(:B, :V) {
-    UPDATE Buyer SET calls = calls + 1 WHERE id = :B;    -- q3
-    SELECT bid INTO :C FROM Bids WHERE buyerId = :B;     -- q4
-    IF :C < :V THEN
-        UPDATE Bids SET bid = :V WHERE buyerId = :B;     -- q5
-    ENDIF;
-    INSERT INTO Log VALUES (:logId, :B, :V);             -- q6
-    COMMIT;
-}
-"#;
-
-/// The Auction schema of Section 2.
-pub fn auction_schema() -> Schema {
-    let mut b = SchemaBuilder::new("Auction");
-    let buyer = b
-        .relation("Buyer", &["id", "calls"], &["id"])
-        .expect("valid relation");
-    let bids = b
-        .relation("Bids", &["buyerId", "bid"], &["buyerId"])
-        .expect("valid relation");
-    let log = b
-        .relation("Log", &["id", "buyerId", "bid"], &["id"])
-        .expect("valid relation");
-    b.foreign_key("f1", bids, &["buyerId"], buyer, &["id"])
-        .expect("valid fk");
-    b.foreign_key("f2", log, &["buyerId"], buyer, &["id"])
-        .expect("valid fk");
-    b.build()
-}
+use std::sync::OnceLock;
 
 /// The Auction workload (Section 2): `{FindBids, PlaceBid}` with the BTPs of Figure 2 and the
 /// foreign-key constraints `q3 = f1(q4)`, `q3 = f1(q5)`, `q3 = f2(q6)` of Section 5.1.
 pub fn auction() -> Workload {
-    let schema = auction_schema();
-    let programs = vec![
-        find_bids(&schema, "FindBids", "Bids"),
-        place_bid(&schema, "PlaceBid", "Bids", "f1"),
-    ];
-    Workload::new(
+    static PARSED: OnceLock<Workload> = OnceLock::new();
+    bundled(
+        &PARSED,
         "Auction",
-        schema,
-        programs,
+        include_str!("../../cli/workloads/auction.sql"),
         &[("FindBids", "FB"), ("PlaceBid", "PB")],
     )
 }
@@ -133,7 +93,7 @@ fn find_bids(schema: &Schema, name: &str, bids_rel: &str) -> Program {
 }
 
 /// `PlaceBid := q3; q4; (q5 | ε); q6` over the given bids relation, with the foreign-key
-/// constraints of Section 5.1.
+/// constraints of Section 5.1 (`f_log` in the role of `f2`).
 fn place_bid(schema: &Schema, name: &str, bids_rel: &str, bids_fk: &str) -> Program {
     let mut pb = ProgramBuilder::new(schema, name);
     let q3 = pb
@@ -145,14 +105,9 @@ fn place_bid(schema: &Schema, name: &str, bids_rel: &str, bids_fk: &str) -> Prog
     pb.seq(&[q3.into(), q4.into()]);
     pb.optional(q5.into());
     pb.push(q6.into());
-    let log_fk = if schema.foreign_key_by_name("f2").is_some() {
-        "f2"
-    } else {
-        "f_log"
-    };
     pb.fk_constraint(bids_fk, q4, q3).expect("q3 = f(q4)");
     pb.fk_constraint(bids_fk, q5, q3).expect("q3 = f(q5)");
-    pb.fk_constraint(log_fk, q6, q3).expect("q3 = f(q6)");
+    pb.fk_constraint("f_log", q6, q3).expect("q3 = f(q6)");
     pb.build()
 }
 
@@ -179,28 +134,6 @@ mod tests {
         let w = auction();
         let ltps = unfold_set_le2(&w.programs);
         assert_eq!(ltps.len(), 3);
-    }
-
-    #[test]
-    fn auction_sql_translation_agrees_with_the_programmatic_definition() {
-        let w = auction();
-        let from_sql = mvrc_btp::sql::parse_workload(&w.schema, AUCTION_SQL).unwrap();
-        assert_eq!(from_sql.len(), 2);
-        for (sql_prog, built_prog) in from_sql.iter().zip(&w.programs) {
-            assert_eq!(sql_prog.name(), built_prog.name());
-            assert_eq!(sql_prog.statement_count(), built_prog.statement_count());
-            assert_eq!(
-                sql_prog.fk_constraints().len(),
-                built_prog.fk_constraints().len()
-            );
-            for ((_, s_sql), (_, s_built)) in sql_prog.statements().zip(built_prog.statements()) {
-                assert_eq!(s_sql.kind(), s_built.kind());
-                assert_eq!(s_sql.rel(), s_built.rel());
-                assert_eq!(s_sql.read_set(), s_built.read_set());
-                assert_eq!(s_sql.write_set(), s_built.write_set());
-                assert_eq!(s_sql.pread_set(), s_built.pread_set());
-            }
-        }
     }
 
     #[test]

@@ -1,63 +1,26 @@
-//! The SmallBank benchmark (Appendix E.1 of the paper).
+//! The SmallBank benchmark (Appendix E.1 of the paper), translated from the bundled
+//! `smallbank.sql`.
 //!
-//! Schema: `Account(Name, CustomerID)`, `Savings(CustomerID, Balance)`,
-//! `Checking(CustomerID, Balance)`; `Account(CustomerID)` references both
-//! `Savings(CustomerID)` and `Checking(CustomerID)`.
+//! Schema: `Account(Name, CustomerId)`, `Savings(CustomerId, Balance)`,
+//! `Checking(CustomerId, Balance)`; `Account(CustomerId)` references both
+//! `Savings(CustomerId)` and `Checking(CustomerId)`.
 //!
 //! Five programs (Figure 9/10), all of them linear and key-based only — the fragment for which
 //! the earlier work `[46]` gives a complete characterization, making SmallBank the paper's
 //! ground-truth benchmark for false-negative analysis.
 
+use crate::bundled;
 use mvrc_btp::Workload;
-use mvrc_btp::{Program, ProgramBuilder};
-use mvrc_schema::{Schema, SchemaBuilder};
-
-/// The SmallBank schema.
-pub fn smallbank_schema() -> Schema {
-    let mut b = SchemaBuilder::new("SmallBank");
-    let account = b
-        .relation("Account", &["Name", "CustomerId"], &["Name"])
-        .expect("valid relation");
-    let savings = b
-        .relation("Savings", &["CustomerId", "Balance"], &["CustomerId"])
-        .expect("valid relation");
-    let checking = b
-        .relation("Checking", &["CustomerId", "Balance"], &["CustomerId"])
-        .expect("valid relation");
-    b.foreign_key(
-        "fk_savings",
-        account,
-        &["CustomerId"],
-        savings,
-        &["CustomerId"],
-    )
-    .expect("valid fk");
-    b.foreign_key(
-        "fk_checking",
-        account,
-        &["CustomerId"],
-        checking,
-        &["CustomerId"],
-    )
-    .expect("valid fk");
-    b.build()
-}
+use std::sync::OnceLock;
 
 /// The SmallBank workload: `{Amalgamate, Balance, DepositChecking, TransactSavings, WriteCheck}`
-/// modelled exactly as in Figure 10 of the paper (statement numbering included).
+/// as in Figure 10 of the paper (statement numbering included).
 pub fn smallbank() -> Workload {
-    let schema = smallbank_schema();
-    let programs = vec![
-        amalgamate(&schema),
-        balance(&schema),
-        deposit_checking(&schema),
-        transact_savings(&schema),
-        write_check(&schema),
-    ];
-    Workload::new(
+    static PARSED: OnceLock<Workload> = OnceLock::new();
+    bundled(
+        &PARSED,
         "SmallBank",
-        schema,
-        programs,
+        include_str!("../../cli/workloads/smallbank.sql"),
         &[
             ("Amalgamate", "Am"),
             ("Balance", "Bal"),
@@ -68,91 +31,6 @@ pub fn smallbank() -> Workload {
     )
 }
 
-/// `Amalgamate := q1; q2; q3; q4; q5` — move all funds of customer `N1` to customer `N2`.
-fn amalgamate(schema: &Schema) -> Program {
-    let mut pb = ProgramBuilder::new(schema, "Amalgamate");
-    let q1 = pb.key_select("q1", "Account", &["CustomerId"]).expect("q1");
-    let q2 = pb.key_select("q2", "Account", &["CustomerId"]).expect("q2");
-    let q3 = pb
-        .key_update("q3", "Savings", &["Balance"], &["Balance"])
-        .expect("q3");
-    let q4 = pb
-        .key_update("q4", "Checking", &["Balance"], &["Balance"])
-        .expect("q4");
-    let q5 = pb
-        .key_update("q5", "Checking", &["Balance"], &["Balance"])
-        .expect("q5");
-    pb.seq(&[q1.into(), q2.into(), q3.into(), q4.into(), q5.into()]);
-    pb.fk_constraint("fk_savings", q1, q3).expect("q3 = fs(q1)");
-    pb.fk_constraint("fk_checking", q1, q4)
-        .expect("q4 = fc(q1)");
-    pb.fk_constraint("fk_checking", q2, q5)
-        .expect("q5 = fc(q2)");
-    pb.build()
-}
-
-/// `Balance := q6; q7; q8` — read-only total balance of a customer.
-fn balance(schema: &Schema) -> Program {
-    let mut pb = ProgramBuilder::new(schema, "Balance");
-    let q6 = pb.key_select("q6", "Account", &["CustomerId"]).expect("q6");
-    let q7 = pb.key_select("q7", "Savings", &["Balance"]).expect("q7");
-    let q8 = pb.key_select("q8", "Checking", &["Balance"]).expect("q8");
-    pb.seq(&[q6.into(), q7.into(), q8.into()]);
-    pb.fk_constraint("fk_savings", q6, q7).expect("q7 = fs(q6)");
-    pb.fk_constraint("fk_checking", q6, q8)
-        .expect("q8 = fc(q6)");
-    pb.build()
-}
-
-/// `DepositChecking := q9; q10` — deposit into the checking account.
-fn deposit_checking(schema: &Schema) -> Program {
-    let mut pb = ProgramBuilder::new(schema, "DepositChecking");
-    let q9 = pb.key_select("q9", "Account", &["CustomerId"]).expect("q9");
-    let q10 = pb
-        .key_update("q10", "Checking", &["Balance"], &["Balance"])
-        .expect("q10");
-    pb.seq(&[q9.into(), q10.into()]);
-    pb.fk_constraint("fk_checking", q9, q10)
-        .expect("q10 = fc(q9)");
-    pb.build()
-}
-
-/// `TransactSavings := q11; q12` — deposit into / withdraw from the savings account.
-fn transact_savings(schema: &Schema) -> Program {
-    let mut pb = ProgramBuilder::new(schema, "TransactSavings");
-    let q11 = pb
-        .key_select("q11", "Account", &["CustomerId"])
-        .expect("q11");
-    let q12 = pb
-        .key_update("q12", "Savings", &["Balance"], &["Balance"])
-        .expect("q12");
-    pb.seq(&[q11.into(), q12.into()]);
-    pb.fk_constraint("fk_savings", q11, q12)
-        .expect("q12 = fs(q11)");
-    pb.build()
-}
-
-/// `WriteCheck := q13; q14; q15; q16` — write a check, penalizing overdraws.
-fn write_check(schema: &Schema) -> Program {
-    let mut pb = ProgramBuilder::new(schema, "WriteCheck");
-    let q13 = pb
-        .key_select("q13", "Account", &["CustomerId"])
-        .expect("q13");
-    let q14 = pb.key_select("q14", "Savings", &["Balance"]).expect("q14");
-    let q15 = pb.key_select("q15", "Checking", &["Balance"]).expect("q15");
-    let q16 = pb
-        .key_update("q16", "Checking", &["Balance"], &["Balance"])
-        .expect("q16");
-    pb.seq(&[q13.into(), q14.into(), q15.into(), q16.into()]);
-    pb.fk_constraint("fk_savings", q13, q14)
-        .expect("q14 = fs(q13)");
-    pb.fk_constraint("fk_checking", q13, q15)
-        .expect("q15 = fc(q13)");
-    pb.fk_constraint("fk_checking", q13, q16)
-        .expect("q16 = fc(q13)");
-    pb.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +38,7 @@ mod tests {
 
     #[test]
     fn schema_matches_appendix_e1() {
-        let schema = smallbank_schema();
+        let schema = smallbank().schema;
         assert_eq!(schema.relation_count(), 3);
         assert_eq!(schema.foreign_key_count(), 2);
         for rel in schema.relations() {

@@ -33,6 +33,7 @@
 //!     }
 //! "#).unwrap();
 //! assert_eq!(programs.len(), 2);
+//! assert_eq!(programs[1].to_string(), "PlaceBid := q3; q4; (q5 | ε); q6");
 //! assert_eq!(programs[1].fk_constraints().len(), 3);
 //! ```
 //!
@@ -48,10 +49,12 @@
 //! it) borrows every name and literal from the input too, and it is flat: the statements,
 //! names, operands, comparisons, assignments and `VALUES` expressions of a whole text sit in
 //! one buffer per kind, and a node refers to its children as a [`Run`] of one of them. So
-//! parsing allocates per text, not per statement or identifier. Translation names the
-//! statements `q1`, `q2`, … once per workload and shares each name with every program and LTP
-//! that has a statement at that position; only the names of the translated [`Program`]s (and
-//! of the built schema) are owned. Positions are 1-based lines and columns counted in
+//! parsing allocates per text, not per statement or identifier. Translation numbers the
+//! statements across the whole text, `q1`, `q2`, … continuing from one program to the next,
+//! as the paper's Figures 2, 10 and 17 do: the Auction text below names PlaceBid's statements
+//! `q3`–`q6`. A workload file is one numbering; a text given to [`parse_program`] starts at
+//! `q1`. Each statement name is made once and shared by the program's LTPs; besides them, only
+//! the names of the translated [`Program`]s (and of the built schema) are owned. Positions are 1-based lines and columns counted in
 //! characters.
 //!
 //! Errors come in a fixed order: a lexical error, else the first syntax error in the text
@@ -136,7 +139,7 @@ mod testgen;
 mod tests {
     use super::*;
 
-    /// Every 20th seeded mutant: 200 texts, from all four sources.
+    /// Every 20th seeded mutant: 200 texts, from all four bundled files.
     const GOLDEN_STRIDE: usize = 20;
 
     /// One line per sampled mutant and entry point: the `Display` text of the error, or `ok`.
@@ -144,13 +147,7 @@ mod tests {
         let sources = testgen::sources();
         let schemas: Vec<Schema> = sources
             .iter()
-            .map(
-                |source| match parse_workload_file(&testgen::strip_comments(source)) {
-                    Ok((schema, _)) => schema,
-                    // The Auction SQL declares no tables; its schema is built in code.
-                    Err(_) => testgen::auction_schema(),
-                },
-            )
+            .map(|source| parse_workload_file(source).expect("bundled file").0)
             .collect();
         let show = |result: Result<(), BtpError>| match result {
             Ok(()) => "ok".to_string(),

@@ -1,50 +1,31 @@
-//! Inputs shared by the front end's unit tests: the bundled workload texts, their seeded
+//! Inputs shared by the front end's unit tests: the bundled workload files, their seeded
 //! token mutations and generated Auction(n) files.
 //!
 //! The mutations are those of the workspace's `tests/sql_mutations.rs`: the same sources, the
 //! same generator and the same seed, so [`mutants`] yields the same 4,000 texts in the same
 //! order.
 
-use mvrc_schema::{Schema, SchemaBuilder};
+use mvrc_schema::Schema;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Mutated inputs per source text.
 const MUTANTS_PER_SOURCE: usize = 1000;
 
-/// The Auction SQL of the benchmarks crate (its `AUCTION_SQL` constant). That crate depends on
-/// this one, so the text is cut out of its source file instead of imported.
-pub(crate) fn auction_sql() -> &'static str {
-    const SOURCE: &str = include_str!("../../../benchmarks/src/auction.rs");
-    const START: &str = "pub const AUCTION_SQL: &str = r#\"";
-    let body = &SOURCE[SOURCE.find(START).expect("AUCTION_SQL is defined") + START.len()..];
-    &body[..body.find("\"#;").expect("AUCTION_SQL is terminated")]
-}
-
-/// The Auction schema of Section 2, which the Auction SQL is written against.
+/// The Auction schema of Section 2, as `auction.sql` declares it.
 pub(crate) fn auction_schema() -> Schema {
-    let mut sb = SchemaBuilder::new("auction");
-    let buyer = sb.relation("Buyer", &["id", "calls"], &["id"]).unwrap();
-    let bids = sb
-        .relation("Bids", &["buyerId", "bid"], &["buyerId"])
-        .unwrap();
-    let log = sb
-        .relation("Log", &["id", "buyerId", "bid"], &["id"])
-        .unwrap();
-    sb.foreign_key("f1", bids, &["buyerId"], buyer, &["id"])
-        .unwrap();
-    sb.foreign_key("f2", log, &["buyerId"], buyer, &["id"])
-        .unwrap();
-    sb.build()
+    super::parse_workload_file(sources()[0])
+        .expect("auction.sql translates")
+        .0
 }
 
-/// The bundled workload files and the Auction SQL, in the order the mutations visit them.
+/// The bundled workload files, in the order the mutations visit them.
 pub(crate) fn sources() -> [&'static str; 4] {
     [
         include_str!("../../../cli/workloads/auction.sql"),
         include_str!("../../../cli/workloads/shop.sql"),
         include_str!("../../../cli/workloads/smallbank.sql"),
-        auction_sql(),
+        include_str!("../../../cli/workloads/tpcc.sql"),
     ]
 }
 

@@ -220,7 +220,8 @@ pub fn load_workload(input: &Input) -> Result<Workload, CliError> {
         Input::File(path) => read_workload_file(path).map(|(workload, _)| workload),
         Input::Benchmark(name) => {
             let workload = builtin_benchmark(name)?;
-            // Built in Rust, so no workload text went through the translator's budget.
+            // The bundled files passed the translator's budget; the generated `ycsb-t` and
+            // `auction-n` workloads went through no translator, so they are checked here.
             check_workload_ltps(&workload.programs, workload.unfold).map_err(workload_error)?;
             Ok(workload)
         }

@@ -458,23 +458,19 @@ fn a_closed_stderr_keeps_the_exit_code_of_the_error() {
 
 #[test]
 fn uncertified_subsets_list_the_witnesses_they_tried() {
-    // SmallBank with DepositChecking declared before Balance: the analyzer rejects
-    // {Balance, DepositChecking, TransactSavings}, but the witness compiler realizes none of
-    // its witnesses. The verdict lists them, and they are the analyzer's own.
-    let text = std::fs::read_to_string(workload_path("smallbank.sql")).unwrap();
-    let block = |name: &str, next: &str| {
-        let at = |marker: &str| text.find(marker).unwrap();
-        text[at(name)..at(next)].to_string()
-    };
-    let balance = block("-- Balance(N)", "-- DepositChecking(N, V)");
-    let deposit = block("-- DepositChecking(N, V)", "-- TransactSavings(N, V)");
-    let reordered = text.replace(&(balance.clone() + &deposit), &(deposit + &balance));
-    assert_ne!(reordered, text);
-    let path = std::env::temp_dir().join(format!("mvrc-cli-witnesses-{}.sql", std::process::id()));
-    std::fs::write(&path, &reordered).unwrap();
-    let subset = ["Balance", "DepositChecking", "TransactSavings"];
+    // SmallBank {Balance, DepositChecking} under the type-I condition: the analyzer rejects it
+    // (the subset is robust under type-II, so this is a false alarm of the weaker test), and
+    // the witness compiler realizes none of its witnesses. The verdict lists them, and they
+    // are the analyzer's own.
+    let subset = ["Balance", "DepositChecking"];
     let run_certify = |format: &[&str]| {
-        let mut parts = vec!["certify", path.to_str().unwrap(), "--programs"];
+        let mut parts = vec![
+            "certify",
+            "--benchmark",
+            "smallbank",
+            "--type1",
+            "--programs",
+        ];
         let names = subset.join(",");
         parts.push(&names);
         parts.extend_from_slice(format);
@@ -482,12 +478,13 @@ fn uncertified_subsets_list_the_witnesses_they_tried() {
     };
     let json = run_certify(&["--json"]);
     let text_out = run_certify(&[]);
-    std::fs::remove_file(&path).ok();
 
     // The witnesses of the analyzer, rendered as the certificate renders its witness.
-    let (schema, programs) = mvrc_btp::sql::parse_workload_file(&reordered).unwrap();
-    let session = mvrc_robustness::RobustnessSession::from_programs(&schema, &programs);
-    let settings = mvrc_robustness::AnalysisSettings::paper_default();
+    let session = mvrc_robustness::RobustnessSession::new(mvrc_benchmarks::smallbank());
+    let settings = mvrc_robustness::AnalysisSettings {
+        condition: mvrc_robustness::CycleCondition::TypeI,
+        ..mvrc_robustness::AnalysisSettings::paper_default()
+    };
     let graph = session.graph(settings);
     let view = graph.induced_for_programs(&subset).unwrap();
     let edge = |role: &str, e: mvrc_robustness::SummaryEdge| {

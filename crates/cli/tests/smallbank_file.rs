@@ -1,10 +1,7 @@
-//! Cross-check: the SmallBank workload written as a self-contained SQL file must produce the
-//! same verdicts and the same maximal robust subsets as the hand-modelled BTPs in
-//! `mvrc-benchmarks` (which are validated against Figure 6 of the paper).
+//! The SmallBank workload file through the CLI: `mvrc analyze` rejects the full mix and
+//! `mvrc subsets` finds the three maximal robust subsets of Figure 6.
 
-use mvrc_cli::{load_workload, run, Input};
-use mvrc_robustness::{explore_subsets, AnalysisSettings, CycleCondition, RobustnessSession};
-use std::collections::BTreeSet;
+use mvrc_cli::run;
 
 fn args(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()
@@ -12,44 +9,6 @@ fn args(parts: &[&str]) -> Vec<String> {
 
 fn file_path() -> String {
     format!("{}/workloads/smallbank.sql", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Maximal robust subsets as sets of program-name sets, for structural comparison.
-fn maximal_subsets(
-    schema: &mvrc_schema::Schema,
-    programs: &[mvrc_btp::Program],
-    settings: AnalysisSettings,
-) -> BTreeSet<BTreeSet<String>> {
-    let session = RobustnessSession::from_programs(schema, programs);
-    let exploration = explore_subsets(&session, settings);
-    exploration
-        .maximal
-        .iter()
-        .map(|subset| {
-            subset
-                .iter()
-                .map(|&i| exploration.programs[i].clone())
-                .collect()
-        })
-        .collect()
-}
-
-#[test]
-fn the_sql_file_reproduces_the_figure_6_smallbank_subsets() {
-    let from_file = load_workload(&Input::File(file_path())).expect("workload file parses");
-    let builtin = mvrc_benchmarks::smallbank();
-    assert_eq!(from_file.programs.len(), builtin.programs.len());
-
-    for condition in [CycleCondition::TypeII, CycleCondition::TypeI] {
-        for settings in AnalysisSettings::evaluation_grid(condition) {
-            let file_subsets = maximal_subsets(&from_file.schema, &from_file.programs, settings);
-            let builtin_subsets = maximal_subsets(&builtin.schema, &builtin.programs, settings);
-            assert_eq!(
-                file_subsets, builtin_subsets,
-                "maximal robust subsets differ for setting {settings}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 -- The Auction workload from Section 2 / Figure 1 of the paper, as a self-contained
--- workload file: catalog declarations followed by the two transaction programs.
-SCHEMA auction;
+-- workload file: catalog declarations followed by the two transaction programs, whose
+-- statements are numbered q1–q6 as in Figure 2. `--benchmark auction` analyzes this file.
+SCHEMA Auction;
 
 TABLE Buyer (id, calls, PRIMARY KEY (id));
 TABLE Bids  (buyerId, bid, PRIMARY KEY (buyerId));
@@ -17,7 +18,7 @@ PROGRAM FindBids(:B, :T) {
 
 -- PlaceBid: log the call, read the buyer's current bid and raise it if the new offer is
 -- higher, recording the attempt. Parameter reuse of :B lets the analyzer infer the
--- foreign-key constraints q2 = f1(q1), q3 = f1(q1) and q4 = f2(q1).
+-- foreign-key constraints q3 = f1(q4), q3 = f1(q5) and q3 = f2(q6) of Section 5.1.
 PROGRAM PlaceBid(:B, :V) {
     UPDATE Buyer SET calls = calls + 1 WHERE id = :B;
     SELECT bid INTO :C FROM Bids WHERE buyerId = :B;

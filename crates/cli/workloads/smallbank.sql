@@ -1,10 +1,10 @@
 -- The SmallBank benchmark (Appendix E.1 / Figure 10 of the paper) as a self-contained
--- workload file. Mirrors the hand-modelled programs in `mvrc-benchmarks` statement by
--- statement; the cross-check test asserts both produce identical robust subsets.
+-- workload file; `--benchmark smallbank` analyzes this file. Its statements are numbered
+-- q1–q16 across the programs, as in Figure 10.
 --
 -- Each program binds the customer id parameter (:C…) both in the Account lookup and in the
--- statements over Savings/Checking, so the analyzer infers the same foreign-key constraints
--- the hand-modelled programs declare explicitly.
+-- statements over Savings/Checking, so the analyzer infers the foreign-key constraints of
+-- Figure 10 (e.g. q3 = fs(q1) in Amalgamate).
 SCHEMA SmallBank;
 
 TABLE Account  (Name, CustomerId, PRIMARY KEY (Name));

@@ -152,7 +152,7 @@ fn figure6_tpcc_all_settings() {
         ("tpl dep", "{OS, SL}, {NO}"),
         ("attr dep", "{OS, SL}, {NO}"),
         ("tpl dep + FK", "{OS, SL}, {NO}"),
-        ("attr dep + FK", "{Pay, OS, SL}, {NO, Pay}"),
+        ("attr dep + FK", "{OS, Pay, SL}, {NO, Pay}"),
     ];
     for (settings, (label, expected)) in grid(CycleCondition::TypeII).into_iter().zip(expectations)
     {

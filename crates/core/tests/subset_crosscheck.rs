@@ -254,7 +254,7 @@ fn bitsliced_partial_batches_match_scalar_on_sub64_levels() {
 
 #[test]
 fn pruning_saves_cycle_tests_on_tpcc() {
-    // TPC-C, attr dep + FK: {Pay, OS, SL} and {NO, Pay} are robust (Figure 6), so their
+    // TPC-C, attr dep + FK: {OS, Pay, SL} and {NO, Pay} are robust (Figure 6), so their
     // subsets are inherited by Proposition 5.2 instead of tested.
     let session = RobustnessSession::new(tpcc());
     let exploration = explore_subsets(&session, AnalysisSettings::paper_default());

@@ -34,7 +34,7 @@ use mvrc_schema::{RelId, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// How key-based statements are mapped onto rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +140,20 @@ pub fn realize_violation(
     let mut full = vec![victim];
     full.extend_from_slice(subset);
     push_list(full.clone());
+    if let Violation::TypeII(w) = violation {
+        // The whole cycle, with the paths the witness leaves implicit spelled out: a program
+        // on them may need an instance of its own even when it also ends an edge.
+        let node = |n: u32| n as NodeId;
+        let (cf, nc, middle) = (w.counterflow_edge, w.non_counterflow_edge, w.middle_edge);
+        let back = shortest_path(graph, subset, node(cf.to), node(nc.from));
+        let across = shortest_path(graph, subset, node(nc.to), node(middle.from));
+        if let (Some(back), Some(across)) = (back, across) {
+            let mut list = vec![victim];
+            list.extend(back);
+            list.extend(across);
+            push_list(list);
+        }
+    }
 
     for list in &lists {
         let ltps: Vec<&LinearProgram> = list.iter().map(|&n| graph.node(n)).collect();
@@ -175,6 +189,38 @@ pub fn realize_violation(
         if let Some((history, plan)) = run_scripted(schema, &ltps, variant, fallback) {
             if let Some(r) = evaluate(&history, &ltps, variant, &plan) {
                 return Some(r);
+            }
+        }
+    }
+    None
+}
+
+/// The nodes of a shortest path from `from` to `to` over `subset`, both ends included (`[from]`
+/// when they are one node; ties go to the first edge in edge order). `None` when `to` is not
+/// reachable.
+fn shortest_path(
+    graph: &SummaryGraph,
+    subset: &[NodeId],
+    from: NodeId,
+    to: NodeId,
+) -> Option<Vec<NodeId>> {
+    let mut parent: Vec<Option<NodeId>> = vec![None; graph.node_count()];
+    parent[from] = Some(from);
+    let mut queue = VecDeque::from([from]);
+    while let Some(at) = queue.pop_front() {
+        if at == to {
+            let mut path = vec![to];
+            while path[path.len() - 1] != from {
+                path.push(parent[path[path.len() - 1]]?);
+            }
+            path.reverse();
+            return Some(path);
+        }
+        for edge in graph.edges_from(at) {
+            let next = edge.to as NodeId;
+            if parent[next].is_none() && subset.contains(&next) {
+                parent[next] = Some(at);
+                queue.push_back(next);
             }
         }
     }

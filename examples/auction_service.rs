@@ -8,20 +8,21 @@
 //! cargo run --example auction_service > auction.dot   # pipe the DOT graph into Graphviz
 //! ```
 
-use mvrc_repro::benchmarks::{auction_schema, AUCTION_SQL};
 use mvrc_repro::prelude::*;
 use mvrc_repro::robustness::{find_type1_violation, find_type2_violation, to_dot, DotOptions};
 
 fn main() {
-    let schema = auction_schema();
+    // The schema and the SQL programs of Figure 1, as the bundled workload file writes them.
+    // Translation turns the programs into basic transaction programs and infers foreign-key
+    // constraints from host-parameter reuse (e.g. both the Buyer update and the Bids lookup
+    // use :B).
+    let (schema, programs) =
+        parse_workload_file(include_str!("../crates/cli/workloads/auction.sql"))
+            .expect("the auction SQL parses");
     println!("-- schema -------------------------------------------------------------");
     println!("{schema}");
     println!();
 
-    // Translate the SQL programs of Figure 1 into basic transaction programs. Foreign-key
-    // constraints are inferred from host-parameter reuse (e.g. both the Buyer update and the
-    // Bids lookup use :B).
-    let programs = parse_workload(&schema, AUCTION_SQL).expect("the auction SQL parses");
     println!("-- basic transaction programs ------------------------------------------");
     for p in &programs {
         println!(

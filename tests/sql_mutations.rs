@@ -1,12 +1,11 @@
 //! Generated-input test for the SQL front end: near-valid workload text never reaches a panic.
 //!
-//! The inputs are the bundled workload files and the Auction SQL with their `--` comments
-//! stripped, then mutated by deleting, duplicating or swapping whitespace-separated tokens
-//! (seeded, so every run sees the same inputs). Whatever the mutation, `parse_workload_file`
+//! The inputs are the bundled workload files with their `--` comments stripped, then mutated
+//! by deleting, duplicating or swapping whitespace-separated tokens (seeded, so every run sees
+//! the same inputs). Whatever the mutation, `parse_workload_file`
 //! and `parse_program` must return `Ok` or a `BtpError`, and a `SqlParse` error must point at
 //! a line and column of the text it was given.
 
-use mvrc_repro::benchmarks::{auction_schema, AUCTION_SQL};
 use mvrc_repro::btp::sql::parse_program;
 use mvrc_repro::btp::BtpError;
 use mvrc_repro::prelude::*;
@@ -83,21 +82,13 @@ fn mutated_workload_text_parses_or_fails_with_a_positioned_error() {
         include_str!("../crates/cli/workloads/auction.sql"),
         include_str!("../crates/cli/workloads/shop.sql"),
         include_str!("../crates/cli/workloads/smallbank.sql"),
-        AUCTION_SQL,
+        include_str!("../crates/cli/workloads/tpcc.sql"),
     ];
-    let auction = auction_schema();
     let mut rng = StdRng::seed_from_u64(22);
     let mut accepted = 0;
     for source in sources {
         let source = strip_comments(source);
-        let schema = match parse_workload_file(&source) {
-            Ok((schema, _)) => schema,
-            Err(_) => {
-                // The Auction SQL declares no tables; its schema is built in code.
-                assert!(parse_workload(&auction, &source).is_ok());
-                auction.clone()
-            }
-        };
+        let (schema, _) = parse_workload_file(&source).expect("the bundled file translates");
         for _ in 0..MUTANTS_PER_SOURCE {
             let text = mutate(&source, &mut rng);
             let file = parse_workload_file(&text);
